@@ -18,6 +18,7 @@ determinant space.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from weakref import WeakKeyDictionary
 
@@ -25,9 +26,12 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .civector import (
-    CISpace,
-    CIVector,
+    _MAX_SPACES,
+    _forward,
     _occupation_strings,
+    _rotation_table,
+    _sweep,
+    apply_excitation,
     apply_hamiltonian,
     civector_to_statevector,
     energy_and_gradient,
@@ -303,7 +307,10 @@ class PairedSpace:
                 f"dim={self.dim})")
 
 
+@lru_cache(maxsize=_MAX_SPACES)
 def make_paired_space(n_orb: int, n_elec: int) -> PairedSpace:
+    """The shared pair space for ``(n_orb, n_elec)``, kept like
+    :func:`vqchem.civector.make_ci_space` keeps determinant spaces."""
     return PairedSpace(n_orb, n_elec // 2)
 
 
@@ -326,27 +333,21 @@ def _paired_hop(space: PairedSpace, p: int, q: int):
     return space._hop_cache[key]
 
 
-def _paired_generator(space: PairedSpace, p: int, q: int):
-    """Sparse matrix of b+_p b_q - b+_q b_p."""
+def _paired_table(space: PairedSpace, p: int, q: int):
+    """Rotation table of b+_p b_q - b+_q b_p: the pair hop q -> p with unit
+    signs."""
     key = ("G", p, q)
-    mat = space._hop_cache.get(key)
-    if mat is None:
-        r1, c1 = _paired_hop(space, p, q)
-        r2, c2 = _paired_hop(space, q, p)
-        data = np.concatenate([np.ones(len(r1)), -np.ones(len(r2))])
-        mat = csr_matrix(
-            (data, (np.concatenate([r1, r2]), np.concatenate([c1, c2]))),
-            shape=(space.dim, space.dim),
-        )
-        space._hop_cache[key] = mat
-    return mat
+    table = space._hop_cache.get(key)
+    if table is None:
+        rows, cols = _paired_hop(space, p, q)
+        table = _rotation_table(rows, cols, np.ones(len(rows)))
+        space._hop_cache[key] = table
+    return table
 
 
-def _paired_factor(space: PairedSpace, v: np.ndarray, p: int, q: int,
-                   theta: float) -> np.ndarray:
-    g = _paired_generator(space, p, q)
-    gv = g.dot(v)
-    return v + np.sin(theta) * gv + (1.0 - np.cos(theta)) * g.dot(gv)
+def _paired_tables(space: PairedSpace, ex_ops) -> list:
+    return [_paired_table(space, *_paired_orbitals(ex, space.n_orb))
+            for ex in ex_ops]
 
 
 def paired_hamiltonian_matrix(space: PairedSpace, s: IntegralSet) -> csr_matrix:
@@ -417,64 +418,31 @@ def build_puccd_hamiltonian(s: IntegralSet) -> QubitOperator:
 
 
 def paired_state(space: PairedSpace, ex_ops, params, param_ids) -> np.ndarray:
-    v = paired_hf_vector(space)
-    params = np.asarray(params, dtype=float)
-    for ex, pid in zip(ex_ops, param_ids):
-        p, q = _paired_orbitals(ex, space.n_orb)
-        v = _paired_factor(space, v, p, q, params[pid])
-    return v
+    return _forward(_paired_tables(space, ex_ops),
+                    np.asarray(params, dtype=float), param_ids,
+                    paired_hf_vector(space))
 
 
 def paired_energy_and_gradient(space: PairedSpace, ex_ops, params, param_ids,
                                s: IntegralSet):
-    params = np.asarray(params, dtype=float)
-    h = paired_hamiltonian_matrix(space, s)
-    ket = paired_state(space, ex_ops, params, param_ids)
-    bra = h.dot(ket)
-    e = float(np.dot(ket, bra))
-    grad = np.zeros(len(params))
-    pairs = [_paired_orbitals(ex, space.n_orb) for ex in ex_ops]
-    for (p, q), pid in zip(reversed(pairs), reversed(list(param_ids))):
-        theta = params[pid]
-        g = _paired_generator(space, p, q)
-        grad[pid] += 2.0 * float(np.dot(bra, g.dot(ket)))
-        ket = _paired_factor(space, ket, p, q, -theta)
-        bra = _paired_factor(space, bra, p, q, -theta)
-    return e, grad
+    return _sweep(_paired_tables(space, ex_ops),
+                  np.asarray(params, dtype=float), list(param_ids),
+                  paired_hf_vector(space),
+                  paired_hamiltonian_matrix(space, s).dot)
 
 
 # ---------------------------------------------------------------------------
 # Problem-level dispatch (full determinant space vs paired space)
 # ---------------------------------------------------------------------------
 
-def problem_space(problem: UCCProblem):
+def problem_energy_and_gradient(problem: UCCProblem, params):
     s = problem.integrals
     if problem.hard_core_boson:
-        return make_paired_space(s.n_orb, s.n_elec)
-    return make_ci_space(s.n_orb, s.n_elec)
-
-
-_SPACE_CACHE: dict = {}
-
-
-def _cached_space(problem: UCCProblem):
-    key = (problem.integrals.n_orb, problem.integrals.n_elec,
-           problem.hard_core_boson)
-    space = _SPACE_CACHE.get(key)
-    if space is None:
-        space = problem_space(problem)
-        _SPACE_CACHE[key] = space
-    return space
-
-
-def problem_energy_and_gradient(problem: UCCProblem, params):
-    space = _cached_space(problem)
-    if problem.hard_core_boson:
         return paired_energy_and_gradient(
-            space, problem.ex_ops, params, problem.param_ids,
-            problem.integrals)
-    return energy_and_gradient(space, problem.ex_ops, params,
-                               problem.param_ids, problem.integrals)
+            make_paired_space(s.n_orb, s.n_elec), problem.ex_ops, params,
+            problem.param_ids, s)
+    return energy_and_gradient(make_ci_space(s.n_orb, s.n_elec),
+                               problem.ex_ops, params, problem.param_ids, s)
 
 
 def problem_civector(problem: UCCProblem, params):
@@ -539,7 +507,8 @@ def adapt_vqe(s: IntegralSet, pool: OperatorPool, epsilon: float,
         h_psi = apply_hamiltonian(space, psi, s).amplitudes
         grads = np.array([
             sum(
-                2.0 * float(np.dot(h_psi, _generator_action(space, psi, ex)))
+                2.0 * float(np.dot(h_psi,
+                                   apply_excitation(space, psi, ex).amplitudes))
                 for ex in group
             )
             for group in pool.groups
@@ -559,12 +528,6 @@ def adapt_vqe(s: IntegralSet, pool: OperatorPool, epsilon: float,
 
     problem = UCCProblem(s, ex_ops, param_ids, params)
     return problem, trajectory
-
-
-def _generator_action(space: CISpace, psi: CIVector, ex) -> np.ndarray:
-    from .civector import apply_excitation
-
-    return apply_excitation(space, psi, ex).amplitudes
 
 
 # ---------------------------------------------------------------------------

@@ -15,15 +15,20 @@ Jordan-Wigner convention of :mod:`vqchem.operators`, which tests verify by
 embedding CI vectors into statevectors.
 
 All public functions are pure: they never mutate their inputs, so vectors and
-spaces can be shared freely across threads.  Internal caches (compiled
-excitation actions, sparse Hamiltonians) are keyed by object identity and
+spaces can be shared freely across threads.  :func:`make_ci_space` owns the
+spaces: it hands every caller the same space for the same ``(n_orb,
+n_elec)`` and keeps the few most recently used.  Each space caches what it
+compiles -- ladder-string tables, one Givens rotation table per excitation,
+and sparse Hamiltonians keyed weakly by integral set -- and these caches
 only ever append.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -35,6 +40,7 @@ from scipy.sparse import csr_matrix
 from .errors import (
     InvalidExcitation,
     InvalidParamMap,
+    ParseError,
     SizeLimit,
     SolverFailed,
     UnsupportedOpenShell,
@@ -47,10 +53,11 @@ _COEFF_CUTOFF = 1e-12
 # matrix in CI space and reused; above it every application streams through
 # the integral terms.
 _SPARSE_HAMILTONIAN_LIMIT = 65536
-_SPARSE_EXCITATION_LIMIT = 1_000_000
 _DENSE_DIRECT_LIMIT = 400
 _DENSE_FALLBACK_LIMIT = 4000
 _ITERATIVE_LIMIT = 1_000_000
+# Spaces kept by make_ci_space; a run works in one or two.
+_MAX_SPACES = 8
 
 
 class CISpace:
@@ -108,7 +115,10 @@ def ci_space_dim(n_orb: int, n_elec: int) -> int:
     return comb(n_orb, n_elec // 2) ** 2
 
 
+@lru_cache(maxsize=_MAX_SPACES)
 def make_ci_space(n_orb: int, n_elec: int) -> CISpace:
+    """The shared space for ``(n_orb, n_elec)``: the most recently used
+    spaces are kept, with their excitation tables and Hamiltonians."""
     return CISpace(n_orb, n_elec)
 
 
@@ -246,81 +256,102 @@ def _apply_term(space: CISpace, amps: np.ndarray, term: tuple,
     out[rows] += coeff * signs * amps[cols]
 
 
-def _excitation_terms(ex: tuple):
-    """The ladder strings of g and g-dagger for an excitation tuple."""
-    half = len(ex) // 2
-    g = tuple((i, True) for i in ex[:half]) + tuple(
-        (i, False) for i in ex[half:])
-    g_dag = tuple((i, True) for i in reversed(ex[half:])) + tuple(
-        (i, False) for i in reversed(ex[:half]))
-    return g, g_dag
+def _rotation_table(rows: np.ndarray, cols: np.ndarray, signs: np.ndarray):
+    """Table of G = g - g-dagger from the table of g.
+
+    g must be a signed partial permutation whose targets (``rows``) and
+    sources (``cols``) are disjoint.  Then G pairs each source c with its
+    target r, G|c> = s|r> and G|r> = -s|c>, and the returned table lists both
+    halves of every pair: (G v)[rows] = signs * v[cols], zero elsewhere.
+    """
+    return (np.concatenate([rows, cols]), np.concatenate([cols, rows]),
+            np.concatenate([signs, -signs]))
 
 
-def _generator_matrix(space: CISpace, ex: tuple):
-    """Sparse CI-space matrix of G = g - g-dagger, cached per space."""
+def _pair_table(space: CISpace, ex: tuple):
+    """Rotation table of a validated excitation, cached per space; None when
+    G vanishes (creation set equal to annihilation set, or no determinant
+    reached)."""
     key = ("G", ex)
-    mat = space._action_cache.get(key)
-    if mat is not None or key in space._action_cache:
-        return mat
-    g, g_dag = _excitation_terms(ex)
-    rows, cols, data = [], [], []
-    for term, fac in ((g, 1.0), (g_dag, -1.0)):
-        table = _term_table(space, term)
+    if key in space._action_cache:
+        return space._action_cache[key]
+    half = len(ex) // 2
+    table = None
+    if set(ex[:half]) != set(ex[half:]):
+        g = tuple((i, True) for i in ex[:half]) + tuple(
+            (i, False) for i in ex[half:])
+        g_table = _term_table(space, g)
+        if g_table is not None:
+            table = _rotation_table(*g_table)
+    space._action_cache[key] = table
+    return table
+
+
+def _apply_pairs(table, amps: np.ndarray) -> np.ndarray:
+    """G v for a rotation table (None means G = 0)."""
+    out = np.zeros_like(amps)
+    if table is not None:
+        rows, cols, signs = table
+        out[rows] = signs * amps[cols]
+    return out
+
+
+def _rotate(amps: np.ndarray, table, theta: float) -> None:
+    """e^{theta G} in place: independent 2x2 Givens rotations,
+    v[r] <- cos*v[r] + sin*s*v[c] and v[c] <- cos*v[c] - sin*s*v[r]."""
+    if table is None:
+        return
+    rows, cols, signs = table
+    amps[rows] = (math.cos(theta) * amps[rows]
+                  + math.sin(theta) * signs * amps[cols])
+
+
+def _forward(tables, params, ids, start) -> np.ndarray:
+    """prod_k e^{theta_k G_k} applied to a copy of ``start``, first table
+    acting first."""
+    amps = np.array(start, dtype=np.float64)
+    for table, pid in zip(tables, ids):
+        _rotate(amps, table, params[pid])
+    return amps
+
+
+def _sweep(tables, params, ids, start, apply_h):
+    """Energy <psi|H|psi> and its gradient, psi = _forward(...).
+
+    Reverse sweep: keep a bra vector (starting at H|psi>) and a ket vector
+    (starting at |psi>); peel one factor off both per step and read the
+    gradient of factor k as 2 <bra| G_k |ket>.  Shared parameter ids sum
+    their factor gradients.  Two working vectors regardless of depth.
+    """
+    ket = _forward(tables, params, ids, start)
+    bra = apply_h(ket)
+    e = float(np.dot(ket, bra))
+    grad = np.zeros(len(params))
+    for table, pid in zip(reversed(tables), reversed(ids)):
         if table is None:
             continue
-        r, c, s = table
-        rows.append(r)
-        cols.append(c)
-        data.append(fac * s)
-    if not rows:
-        mat = None
-    else:
-        mat = csr_matrix(
-            (np.concatenate(data),
-             (np.concatenate(rows), np.concatenate(cols))),
-            shape=(space.dim, space.dim),
-        )
-    space._action_cache[key] = mat
-    return mat
-
-
-def _apply_generator(space: CISpace, amps: np.ndarray, ex: tuple) -> np.ndarray:
-    if space.dim <= _SPARSE_EXCITATION_LIMIT:
-        mat = _generator_matrix(space, ex)
-        if mat is None:
-            return np.zeros_like(amps)
-        return mat.dot(amps)
-    out = np.zeros_like(amps)
-    g, g_dag = _excitation_terms(ex)
-    _apply_term(space, amps, g, 1.0, out)
-    _apply_term(space, amps, g_dag, -1.0, out)
-    return out
+        rows, cols, signs = table
+        grad[pid] += 2.0 * float(np.dot(bra[rows], signs * ket[cols]))
+        _rotate(ket, table, -params[pid])
+        _rotate(bra, table, -params[pid])
+    return e, grad
 
 
 def apply_excitation(space: CISpace, v, ex) -> CIVector:
     """Apply the anti-Hermitian generator G = g - g-dagger of the excitation
     tuple ``ex`` (creation indices first, annihilation indices last)."""
     ex = _validate_excitation(space, ex)
-    return CIVector(space, _apply_generator(space, _amps(v), ex))
+    return CIVector(space, _apply_pairs(_pair_table(space, ex), _amps(v)))
 
 
 def apply_ucc_factor(space: CISpace, v, ex, theta: float) -> CIVector:
-    """Apply e^{theta*G} via the closed-form three-term polynomial
-    v + sin(theta)*Gv + (1-cos(theta))*G(Gv), exact because G^3 = -G."""
+    """Apply e^{theta*G} as independent Givens rotations: G pairs every
+    determinant it reaches with one partner, so each pair turns by theta
+    and every other amplitude is left alone."""
     ex = _validate_excitation(space, ex)
-    amps = _amps(v)
-    gv = _apply_generator(space, amps, ex)
-    ggv = _apply_generator(space, gv, ex)
-    out = amps + np.sin(theta) * gv + (1.0 - np.cos(theta)) * ggv
-    return CIVector(space, out)
-
-
-def _ucc_factor_inplace(space: CISpace, amps: np.ndarray, ex: tuple,
-                        theta: float, gv: np.ndarray | None = None) -> np.ndarray:
-    if gv is None:
-        gv = _apply_generator(space, amps, ex)
-    ggv = _apply_generator(space, gv, ex)
-    return amps + np.sin(theta) * gv + (1.0 - np.cos(theta)) * ggv
+    amps = np.array(_amps(v))
+    _rotate(amps, _pair_table(space, ex), theta)
+    return CIVector(space, amps)
 
 
 # ---------------------------------------------------------------------------
@@ -432,40 +463,29 @@ def _check_param_map(ex_ops, params, param_ids):
     return params, ids
 
 
+def _pair_tables(space: CISpace, ex_ops) -> list:
+    return [_pair_table(space, _validate_excitation(space, ex))
+            for ex in ex_ops]
+
+
 def ucc_state(space: CISpace, ex_ops, params, param_ids,
               initial: CIVector | None = None) -> CIVector:
     """Apply the product of exponential factors e^{theta_k G_k} to the
     initial vector, first list entry acting first."""
     params, ids = _check_param_map(ex_ops, params, param_ids)
-    ex_ops = [_validate_excitation(space, ex) for ex in ex_ops]
-    amps = hf_vector(space).amplitudes if initial is None else _amps(initial).copy()
-    for ex, pid in zip(ex_ops, ids):
-        amps = _ucc_factor_inplace(space, amps, ex, params[pid])
-    return CIVector(space, amps)
+    start = hf_vector(space) if initial is None else initial
+    return CIVector(space, _forward(_pair_tables(space, ex_ops), params, ids,
+                                    _amps(start)))
 
 
 def energy_and_gradient(space: CISpace, ex_ops, params, param_ids,
                         s: IntegralSet, initial: CIVector | None = None):
-    """Energy and analytic gradient of the UCC expectation value.
-
-    Reverse sweep: keep a bra vector (starting at H|psi>) and a ket vector
-    (starting at |psi>); peel one factor off both per step and read the
-    gradient of factor j as 2 <bra| G_j |ket>.  Shared parameter ids sum
-    their factor gradients.  Three working vectors regardless of depth.
-    """
+    """Energy and analytic gradient of the UCC expectation value (reverse
+    sweep, see :func:`_sweep`)."""
     params, ids = _check_param_map(ex_ops, params, param_ids)
-    ex_ops = [_validate_excitation(space, ex) for ex in ex_ops]
-    ket = ucc_state(space, ex_ops, params, ids, initial).amplitudes
-    bra = apply_hamiltonian(space, ket, s).amplitudes
-    e = float(np.dot(ket, bra))
-    grad = np.zeros(len(params))
-    for ex, pid in zip(reversed(ex_ops), reversed(ids)):
-        theta = params[pid]
-        g_ket = _apply_generator(space, ket, ex)
-        grad[pid] += 2.0 * float(np.dot(bra, g_ket))
-        ket = _ucc_factor_inplace(space, ket, ex, -theta, gv=g_ket)
-        bra = _ucc_factor_inplace(space, bra, ex, -theta)
-    return e, grad
+    start = hf_vector(space) if initial is None else initial
+    return _sweep(_pair_tables(space, ex_ops), params, ids, _amps(start),
+                  lambda v: apply_hamiltonian(space, v, s).amplitudes)
 
 
 # ---------------------------------------------------------------------------
@@ -638,11 +658,28 @@ def save_civector(path, v: CIVector) -> None:
 
 
 def load_civector(path, space: CISpace | None = None) -> CIVector:
+    """Read a vector written by :func:`save_civector`.  A malformed file
+    raises ParseError; a vector of another space raises ValueError."""
     raw = Path(path).read_bytes()
+    if len(raw) < 12:
+        raise ParseError(f"state file has {len(raw)} bytes, less than its "
+                         f"12-byte header")
     n_orb, n_alpha, n_beta = struct.unpack("<3i", raw[:12])
+    if not 0 <= n_alpha == n_beta <= n_orb:
+        raise ParseError(
+            f"state file header (n_orb={n_orb}, n_alpha={n_alpha}, "
+            f"n_beta={n_beta}) is not a closed-shell space"
+        )
+    if space is not None and (
+            (space.n_orb, space.n_alpha, space.n_beta)
+            != (n_orb, n_alpha, n_beta)):
+        raise ValueError("stored vector belongs to a different space")
+    dim = comb(n_orb, n_alpha) * comb(n_orb, n_beta)
+    if len(raw) - 12 != 8 * dim:
+        raise ParseError(
+            f"state file holds {len(raw) - 12} amplitude bytes, expected "
+            f"{8 * dim} for dimension {dim}"
+        )
     if space is None:
         space = make_ci_space(n_orb, n_alpha + n_beta)
-    elif (space.n_orb, space.n_alpha, space.n_beta) != (n_orb, n_alpha, n_beta):
-        raise ValueError("stored vector belongs to a different space")
-    amps = np.frombuffer(raw[12:], dtype="<f8")
-    return CIVector(space, amps.copy())
+    return CIVector(space, np.frombuffer(raw[12:], dtype="<f8").copy())

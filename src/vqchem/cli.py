@@ -313,11 +313,16 @@ def _reference_bitstring(h: QubitOperator) -> str:
 
 
 def _hea_init_params(circuit, bitstring: str) -> np.ndarray:
-    """Angles that make the first rotation layer prepare ``bitstring``."""
+    """Angles that make the whole circuit prepare ``bitstring`` when every
+    later rotation is zero.  Each CNOT ladder (control j, target j+1,
+    ascending) maps bits to their prefix parities, so the first rotation
+    layer prepares the bits un-laddered once per ladder."""
+    n = circuit.n_qubits
+    bits = [int(b) for b in bitstring]
+    for _ in range(circuit.n_params // n - 1):
+        bits = [bits[0]] + [bits[q] ^ bits[q - 1] for q in range(1, n)]
     init = np.zeros(circuit.n_params)
-    for q, bit in enumerate(bitstring):
-        if bit == "1":
-            init[q] = np.pi
+    init[:n] = np.pi * np.array(bits)
     return init
 
 

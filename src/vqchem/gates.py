@@ -3,9 +3,10 @@ matrices with Kraus channels, shot sampling, parameter-shift gradients, and a
 hardware-efficient-ansatz optimizer.
 
 Qubit 0 is the most significant bit of a basis-state index, matching
-:func:`vqchem.operators.to_dense_matrix`.  The rotation convention is
-RY(theta) = exp(-i*theta*Y/2) and PAULI_ROT(P, theta) = exp(-i*theta*P/2);
-with it the parameter-shift rule reads
+:meth:`vqchem.operators.QubitOperator.to_dense_matrix`.  The rotation
+convention is RY(theta) = exp(-i*theta*Y/2) and
+PAULI_ROT(P, theta) = exp(-i*theta*P/2); with it the parameter-shift rule
+reads
 dE/dtheta = [E(theta + pi/2) - E(theta - pi/2)] / 2.
 (Stated for a generator R with R^2 = -I and U = e^{theta R}, the same rule
 uses shifts of pi/4 in theta; R = -iY/2 rescales the angle by 2, which is

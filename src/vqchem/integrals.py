@@ -50,6 +50,9 @@ class IntegralSet:
         object.__setattr__(self, "int2e", int2e)
         if int1e.shape != (n, n) or int2e.shape != (n, n, n, n):
             raise InvalidModel("integral array shapes inconsistent with n_orb")
+        if not (np.isfinite(int1e).all() and np.isfinite(int2e).all()
+                and np.isfinite(self.e_core)):
+            raise InvalidModel("integrals and core energy must be finite")
         if self.n_elec % 2 != 0:
             raise UnsupportedOpenShell("only closed-shell electron counts supported")
         if not 0 <= self.n_elec <= 2 * n:

@@ -352,26 +352,6 @@ def _pauli_term_product(ta: PauliTerm, tb: PauliTerm) -> tuple[complex, PauliTer
     return phase, tuple(sorted(letters.items()))
 
 
-def multiply(a: QubitOperator, b: QubitOperator) -> QubitOperator:
-    return a * b
-
-
-def add(a: QubitOperator, b: QubitOperator) -> QubitOperator:
-    return a + b
-
-
-def scale(a: QubitOperator, factor: complex) -> QubitOperator:
-    return factor * a
-
-
-def simplify(a):
-    return a.simplify()
-
-
-def to_dense_matrix(op: QubitOperator) -> np.ndarray:
-    return op.to_dense_matrix()
-
-
 def _reverse_qubit_labels(op: QubitOperator) -> QubitOperator:
     n = op.n_qubits
     out: dict[PauliTerm, complex] = {}

@@ -17,14 +17,22 @@ from scipy.optimize import minimize
 
 from .ansatz import (
     UCCProblem,
+    _paired_orbitals,
+    _paired_table,
     make_paired_space,
-    paired_hamiltonian_matrix,
-    paired_state,
+    paired_hf_vector,
     problem_civector,
     problem_energy_and_gradient,
     problem_statevector,
 )
-from .civector import CIVector, fci_ground_state, make_ci_space
+from .civector import (
+    CIVector,
+    _apply_pairs,
+    apply_excitation,
+    fci_ground_state,
+    hf_vector,
+    make_ci_space,
+)
 from .errors import InvalidParams
 from .integrals import hf_energy, mp2
 
@@ -113,11 +121,6 @@ def _check_params(problem: UCCProblem, params) -> np.ndarray:
 
 def energy_at(problem: UCCProblem, params) -> float:
     params = _check_params(problem, params)
-    if problem.hard_core_boson:
-        s = problem.integrals
-        space = make_paired_space(s.n_orb, s.n_elec)
-        v = paired_state(space, problem.ex_ops, params, problem.param_ids)
-        return float(v @ paired_hamiltonian_matrix(space, s).dot(v))
     e, _ = problem_energy_and_gradient(problem, params)
     return float(e)
 
@@ -150,18 +153,14 @@ def _configuration_bitstring(problem: UCCProblem, ex) -> str:
     qubit order (qubit 0 leftmost)."""
     s = problem.integrals
     if problem.hard_core_boson:
-        from .ansatz import _paired_orbitals, paired_hf_vector, _paired_generator
-
         space = make_paired_space(s.n_orb, s.n_elec)
         p, q = _paired_orbitals(ex, s.n_orb)
-        w = _paired_generator(space, p, q).dot(paired_hf_vector(space))
+        w = _apply_pairs(_paired_table(space, p, q), paired_hf_vector(space))
         width = s.n_orb
         if not np.any(w):
             return "-" * width
         mask = int(space.strings[int(np.argmax(np.abs(w)))])
         return format(mask, f"0{width}b")
-    from .civector import apply_excitation, hf_vector
-
     space = make_ci_space(s.n_orb, s.n_elec)
     w = apply_excitation(space, hf_vector(space), ex).amplitudes
     width = 2 * s.n_orb

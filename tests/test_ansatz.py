@@ -155,6 +155,23 @@ def test_paired_gradient_matches_finite_difference(h4):
         assert abs(grad[k] - (e_p - e_m) / (2 * h)) < 1e-8
 
 
+def test_paired_engine_matches_full_space_engine(h4):
+    """Energy and gradient of pUCCD agree between the pair space and the
+    full determinant space at random parameters."""
+    from vqchem import energy_and_gradient
+
+    p = make_puccd_problem(h4)
+    rng = np.random.default_rng(13)
+    for _ in range(3):
+        params = rng.uniform(-0.8, 0.8, size=p.n_params)
+        e_paired, g_paired = paired_energy_and_gradient(
+            make_paired_space(4, 4), p.ex_ops, params, p.param_ids, h4)
+        e_full, g_full = energy_and_gradient(
+            make_ci_space(4, 4), p.ex_ops, params, p.param_ids, h4)
+        assert abs(e_paired - e_full) < 1e-12
+        np.testing.assert_allclose(g_paired, g_full, rtol=0, atol=1e-12)
+
+
 def test_puccd_reaches_pair_restricted_ground_state(h4):
     space = make_paired_space(4, 4)
     mat = paired_hamiltonian_matrix(space, h4).toarray()

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -6,6 +8,7 @@ from vqchem import (
     CIVector,
     InvalidExcitation,
     InvalidParamMap,
+    ParseError,
     SizeLimit,
     UnsupportedOpenShell,
     ZeroState,
@@ -188,6 +191,23 @@ def test_generator_cubed_is_minus_generator():
         np.testing.assert_allclose(g3, -g1, atol=1e-10)
 
 
+def test_ucc_state_matches_fock_space_expm(h4):
+    from oracles import sparse_excitation_generator
+    from vqchem import make_uccsd_problem
+
+    problem = make_uccsd_problem(h4)
+    space = make_ci_space(4, 4)
+    rng = np.random.default_rng(47)
+    params = rng.uniform(-0.5, 0.5, size=problem.n_params)
+    want = civector_to_statevector(space, hf_vector(space))
+    for ex, pid in zip(problem.ex_ops, problem.param_ids):
+        gen = sparse_excitation_generator(8, ex).toarray()
+        want = expm(params[pid] * gen) @ want
+    got = ucc_state(space, problem.ex_ops, params, problem.param_ids)
+    np.testing.assert_allclose(civector_to_statevector(space, got), want,
+                               atol=1e-12)
+
+
 def test_ucc_factor_is_invertible():
     rng = np.random.default_rng(37)
     space = make_ci_space(4, 4)
@@ -363,6 +383,27 @@ def test_statevector_size_limit():
     space = make_ci_space(13, 2)
     with pytest.raises(SizeLimit):
         civector_to_statevector(space, hf_vector(space))
+
+
+def test_load_rejects_malformed_state_files(tmp_path):
+    space = make_ci_space(4, 4)
+    path = tmp_path / "state.civec"
+    save_civector(path, hf_vector(space))
+    good = path.read_bytes()
+    bad = {
+        "short header": good[:7],
+        "truncated payload": good[:-8],
+        "extra payload": good + bytes(8),
+        "negative count": struct.pack("<3i", 4, -1, -1) + good[12:],
+        "too many electrons": struct.pack("<3i", 4, 5, 5) + good[12:],
+        "open shell": struct.pack("<3i", 4, 2, 1) + good[12:],
+    }
+    for case, raw in bad.items():
+        path.write_bytes(raw)
+        with pytest.raises(ParseError):
+            load_civector(path)
+        with pytest.raises(ParseError):
+            load_civector(path, space)
 
 
 def test_save_load_round_trip(tmp_path):

@@ -3,8 +3,20 @@ import json
 import numpy as np
 import pytest
 
-from vqchem import load_civector, load_fixture, parse_fcidump, write_fcidump
-from vqchem.cli import main
+from vqchem import (
+    build_fermion_hamiltonian,
+    build_ry_ansatz,
+    expectation,
+    fixture_path,
+    hf_energy,
+    load_civector,
+    load_fixture,
+    parity_transform,
+    parse_fcidump,
+    simulate_state,
+    write_fcidump,
+)
+from vqchem.cli import _hea_init_params, _reference_bitstring, main
 
 H2_FCI = -1.1372744055294606
 
@@ -36,6 +48,25 @@ def test_domain_error_exits_one(capsys):
                        "--active-space", "2,5")
     assert code == 1
     assert "InvalidActiveSpace" in err
+
+
+def test_non_finite_integrals_exit_one(capsys, tmp_path):
+    text = fixture_path("h2_sto3g").read_text()
+    path = tmp_path / "nan.fcidump"
+    path.write_text(text.replace("6.9746738501292427e-01", "nan"))
+    code, out, err = run(capsys, "fci", "--fcidump", str(path),
+                         "--format", "json")
+    assert code == 1
+    assert "InvalidModel" in err and "NaN" not in out
+
+
+def test_truncated_state_file_exits_one(capsys, tmp_path):
+    path = tmp_path / "state.civec"
+    path.write_bytes(b"\x02\x00\x00\x00\x01\x00")
+    code, _, err = run(capsys, "fci", "--fcidump", "h2_sto3g",
+                       "--load-state", str(path))
+    assert code == 1
+    assert "ParseError" in err
 
 
 def test_bad_grid_is_a_usage_error(capsys):
@@ -153,6 +184,34 @@ def test_noisy_pinned_energies(capsys):
                        "--layers", "1", "--p", "0", "--format", "json")
     assert code == 0
     assert abs(json.loads(out)["energy"] - H2_FCI) < 1e-6
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_hea_start_is_hartree_fock(h4, layers):
+    h = parity_transform(build_fermion_hamiltonian(h4), h4.n_elec,
+                         reduce_two_qubits=True)
+    circuit = build_ry_ansatz(h.n_qubits, layers)
+    init = _hea_init_params(circuit, _reference_bitstring(h))
+    e = expectation(simulate_state(circuit, init), h)
+    assert abs(e - hf_energy(h4)) < 1e-10
+
+
+def test_vqe_builds_one_ci_space(capsys, monkeypatch):
+    from vqchem import civector
+
+    built = []
+    original = civector.CISpace.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        original(self, *args)
+
+    civector.make_ci_space.cache_clear()
+    monkeypatch.setattr(civector.CISpace, "__init__", counting)
+    code, _, _ = run(capsys, "vqe", "--fcidump", "h4_sto3g",
+                     "--format", "json")
+    assert code == 0
+    assert built == [(4, 4)]
 
 
 def test_noisy_mini_language(capsys):
