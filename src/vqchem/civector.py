@@ -18,9 +18,19 @@ All public functions are pure: they never mutate their inputs, so vectors and
 spaces can be shared freely across threads.  :func:`make_ci_space` owns the
 spaces: it hands every caller the same space for the same ``(n_orb,
 n_elec)`` and keeps the few most recently used.  Each space caches what it
-compiles -- ladder-string tables, one Givens rotation table per excitation,
-and sparse Hamiltonians keyed weakly by integral set -- and these caches
-only ever append.
+compiles, and these caches only ever append:
+
+* one Givens rotation table per validated excitation (``("G", ex)``);
+* the single-replacement link table of its strings (``"link"``), a few
+  hundred kB, shared by the direct-CI sigma and the density matrices;
+* sparse Hamiltonians, keyed weakly by integral set.
+
+The Hamiltonian has two routes, chosen by the space alone.  While the
+predicted peak of the sparse build (:func:`_csr_build_bytes`) fits
+``_CSR_BUDGET_BYTES``, H is compiled once into a cached CSR matrix and every
+application is one sparse product.  Above the budget no matrix is built: H
+is applied by the string-driven direct-CI sigma (:func:`_sigma`), whose
+scratch is a few MB per block of alpha strings.
 """
 
 from __future__ import annotations
@@ -49,10 +59,10 @@ from .errors import (
 from .integrals import IntegralSet, build_fermion_hamiltonian
 
 _COEFF_CUTOFF = 1e-12
-# Below this dimension the Hamiltonian is materialized once as a sparse
-# matrix in CI space and reused; above it every application streams through
-# the integral terms.
-_SPARSE_HAMILTONIAN_LIMIT = 65536
+# Largest predicted peak of a sparse-Hamiltonian build.  Spaces above it apply
+# H by the direct-CI sigma: CSR wins per application (H8: 1 vs 2 ms), but its
+# build grows with the nonzeros (H10: 28 M of them, 3.2 GB at the peak).
+_CSR_BUDGET_BYTES = 512 << 20
 _DENSE_DIRECT_LIMIT = 400
 _DENSE_FALLBACK_LIMIT = 4000
 _ITERATIVE_LIMIT = 1_000_000
@@ -206,11 +216,8 @@ def _sector_action(strings: np.ndarray, ops: tuple):
 def _term_table(space: CISpace, term: tuple):
     """Compile one spin-orbital ladder string into (rows, cols, signs) of its
     CI-space matrix.  ``term`` is ``((index, is_creation), ...)`` left-to-right.
-    Returns None when the term kills the whole space."""
-    cached = space._action_cache.get(term)
-    if cached is not None or term in space._action_cache:
-        return cached
-
+    Returns None when the term kills the whole space.  Not cached: callers
+    keep what they build from it."""
     n = space.n_orb
     alpha_ops, beta_ops = [], []
     for idx, creation in term:
@@ -235,25 +242,12 @@ def _term_table(space: CISpace, term: tuple):
     src_a = np.nonzero(alive_a)[0]
     src_b = np.nonzero(alive_b)[0]
     if len(src_a) == 0 or len(src_b) == 0:
-        space._action_cache[term] = None
         return None
     nb = space.n_strings_beta
     rows = (tgt_a[src_a, None] * nb + tgt_b[None, src_b]).ravel()
     cols = (src_a[:, None] * nb + src_b[None, :]).ravel()
     signs = (base_sign * sign_a[src_a, None] * sign_b[None, src_b]).ravel()
-    table = (rows, cols, signs)
-    space._action_cache[term] = table
-    return table
-
-
-def _apply_term(space: CISpace, amps: np.ndarray, term: tuple,
-                coeff: float, out: np.ndarray) -> None:
-    table = _term_table(space, term)
-    if table is None:
-        return
-    rows, cols, signs = table
-    # rows are unique within one term (the action is a partial permutation)
-    out[rows] += coeff * signs * amps[cols]
+    return rows, cols, signs
 
 
 def _rotation_table(rows: np.ndarray, cols: np.ndarray, signs: np.ndarray):
@@ -269,9 +263,9 @@ def _rotation_table(rows: np.ndarray, cols: np.ndarray, signs: np.ndarray):
 
 
 def _pair_table(space: CISpace, ex: tuple):
-    """Rotation table of a validated excitation, cached per space; None when
-    G vanishes (creation set equal to annihilation set, or no determinant
-    reached)."""
+    """Rotation table of a validated excitation, cached per space under
+    ``("G", ex)``; None when G vanishes (creation set equal to annihilation
+    set, or no determinant reached)."""
     key = ("G", ex)
     if key in space._action_cache:
         return space._action_cache[key]
@@ -374,9 +368,24 @@ def _hamiltonian_terms(s: IntegralSet):
     return cached
 
 
+def _csr_build_bytes(space: CISpace) -> int:
+    """Predicted peak of the sparse-Hamiltonian build.  A determinant couples
+    to itself, to ``s1 = k(n-k)`` single and ``s2 = C(k,2) C(n-k,2)``
+    same-spin double replacements in each spin sector, and to ``s1**2``
+    opposite-spin doubles.  The build holds about 120 bytes per stored
+    nonzero at its peak (H8: 102 MB for 0.90 M), and the bound counts at
+    least the stored ones, so the prediction errs high."""
+    n, k = space.n_orb, space.n_alpha
+    s1 = k * (n - k)
+    s2 = comb(k, 2) * comb(n - k, 2)
+    per_row = min(space.dim, 1 + 2 * s1 + 2 * s2 + s1 * s1)
+    return 128 * space.dim * per_row
+
+
 def _hamiltonian_matrix(space: CISpace, s: IntegralSet):
-    """Sparse (H - e_core) in CI space, cached; None above the size limit."""
-    if space.dim > _SPARSE_HAMILTONIAN_LIMIT:
+    """Sparse (H - e_core) in CI space, cached; None when its build would
+    exceed ``_CSR_BUDGET_BYTES``."""
+    if _csr_build_bytes(space) > _CSR_BUDGET_BYTES:
         return None
     cache = space._matrix_cache
     mat = cache.get(s)
@@ -402,16 +411,100 @@ def _hamiltonian_matrix(space: CISpace, s: IntegralSet):
     return mat
 
 
+def _link_matrix(space: CISpace) -> csr_matrix:
+    """Single-replacement link table of the space's strings, cached under
+    ``"link"``.
+
+    Row ``J * n_pair + P`` holds ``E+_pq |J>`` for the ``P``-th pair
+    ``p >= q`` of ``np.tril_indices(n_orb)``: one signed entry at the target
+    string, none when the pair annihilates ``J``.  Here ``E+_pq = E_pq +
+    E_qp`` and ``E+_pp = E_pp``, with ``E_pq = a+_p a_q`` in one spin sector;
+    at most one of ``E_pq``, ``E_qp`` survives on a string, so each row has at
+    most one entry.  ``E+_pq`` is real symmetric, so the same matrix gathers
+    (``link @ C``) and scatters (``link.T @ F``).  Alpha and beta strings are
+    one set, so one table serves both sectors.
+    """
+    link = space._action_cache.get("link")
+    if link is None:
+        strings = space.alpha_strings[:, None]
+        p, q = np.tril_indices(space.n_orb)
+        bit_p = np.uint64(1) << p.astype(np.uint64)
+        bit_q = np.uint64(1) << q.astype(np.uint64)
+        occ_p = (strings & bit_p) != 0
+        hop = occ_p != ((strings & bit_q) != 0)  # p != q, one of them occupied
+        # the sign is the parity of the occupied orbitals strictly between
+        between = (bit_p - np.uint64(1)) & ~((bit_q << np.uint64(1))
+                                             - np.uint64(1))
+        odd = (np.bitwise_count(strings & between) & np.uint64(1)) != 0
+        sign = np.where(hop, np.where(odd, -1.0, 1.0),
+                        np.where(p == q, occ_p, False))
+        target = np.searchsorted(space.alpha_strings,
+                                 np.where(hop, strings ^ (bit_p | bit_q),
+                                          strings))
+        alive = sign != 0.0
+        indptr = np.concatenate([[0], np.cumsum(alive.ravel())])
+        link = csr_matrix((sign[alive], target[alive], indptr),
+                          shape=(sign.size, len(space.alpha_strings)))
+        space._action_cache["link"] = link
+    return link
+
+
+def _pair_integrals(space: CISpace, s: IntegralSet) -> np.ndarray:
+    """V[P, R] with H - e_core = sum_PR V[P, R] E+_P E+_R on the space.
+
+    H = sum k_pq E_pq + 1/2 sum (pq|rs) E_pq E_rs with k_pq = h_pq -
+    1/2 sum_r (pr|rq).  Symmetric integrals fold each sum onto pairs p >= q.
+    The one-body part rides on the diagonal pairs R = (r, r): their E+_R
+    sum to the electron-number operator, which is n_elec on the space.
+    """
+    p, q = np.tril_indices(s.n_orb)
+    k = s.int1e - 0.5 * np.einsum("prrq->pq", s.int2e)
+    v = 0.5 * s.int2e[p, q][:, p, q]
+    if space.n_elec:
+        v[:, p == q] += k[p, q][:, None] / space.n_elec
+    return v
+
+
+def _sigma(space: CISpace, s: IntegralSet, amps: np.ndarray,
+           block: int | None = None) -> np.ndarray:
+    """H v, core energy included, without a Hamiltonian matrix: the direct-CI
+    sigma of Knowles and Handy (Chem. Phys. Lett. 111, 315 (1984)).
+
+    With C the amplitudes as an (alpha string, beta string) matrix, every
+    block of alpha strings a gets ``D[a, P] = (E+_P C)[a]`` (alpha part from
+    the link rows of the block, beta part through ``C[a].T``), ``F = V D``,
+    and scatters ``E+_P F[a, P]`` back: alpha targets anywhere, beta targets
+    inside the block.  ``block`` alpha strings go at a time; by default the
+    blocks hold about 4 MB of D, which keeps them in cache.
+    """
+    link = _link_matrix(space)
+    v = _pair_integrals(space, s)
+    n_pair = v.shape[0]
+    na, nb = space.n_strings_alpha, space.n_strings_beta
+    c = amps.reshape(na, nb)
+    if block is None:
+        block = max(1, (4 << 20) // (8 * n_pair * nb))
+    out = s.e_core * c
+    for a0 in range(0, na, block):
+        a1 = min(a0 + block, na)
+        rows = link[a0 * n_pair:a1 * n_pair]
+        d = (rows @ c).reshape(a1 - a0, n_pair, nb)
+        d += (link @ c[a0:a1].T).reshape(nb, n_pair, a1 - a0).T
+        f = np.matmul(v, d)
+        out += rows.T @ f.reshape(-1, nb)
+        out[a0:a1] += (link.T @ f.T.reshape(-1, a1 - a0)).T
+    return out.ravel()
+
+
 def apply_hamiltonian(space: CISpace, v, s: IntegralSet) -> CIVector:
-    """H v, including the constant core energy."""
+    """H v, including the constant core energy: one product with the cached
+    sparse H while its build fits ``_CSR_BUDGET_BYTES``, the direct-CI sigma
+    above that."""
     amps = _amps(v)
     mat = _hamiltonian_matrix(space, s)
-    if mat is not None:
-        out = mat.dot(amps)
-    else:
-        out = np.zeros_like(amps)
-        for term, coeff in _hamiltonian_terms(s):
-            _apply_term(space, amps, term, coeff, out)
+    if mat is None:
+        return CIVector(space, _sigma(space, s, amps))
+    out = mat.dot(amps)
     if s.e_core != 0.0:
         out = out + s.e_core * amps
     return CIVector(space, out)
@@ -464,8 +557,17 @@ def _check_param_map(ex_ops, params, param_ids):
 
 
 def _pair_tables(space: CISpace, ex_ops) -> list:
-    return [_pair_table(space, _validate_excitation(space, ex))
-            for ex in ex_ops]
+    """Rotation tables of ``ex_ops``.  Only excitations without a cached
+    table are validated; an invalid one is never cached, so it raises on
+    every call."""
+    cache = space._action_cache
+    tables = []
+    for ex in ex_ops:
+        try:
+            tables.append(cache["G", tuple(ex)])
+        except KeyError:
+            tables.append(_pair_table(space, _validate_excitation(space, ex)))
+    return tables
 
 
 def ucc_state(space: CISpace, ex_ops, params, param_ids,
@@ -493,15 +595,23 @@ def energy_and_gradient(space: CISpace, ex_ops, params, param_ids,
 # ---------------------------------------------------------------------------
 
 def _single_replacement_vectors(space: CISpace, amps: np.ndarray) -> np.ndarray:
-    """w[p*n+q] = (sum over spins of a+_p a_q) applied to amps."""
+    """w[p*n+q] = (sum over spins of a+_p a_q) applied to amps.
+
+    Read off the link table: row I of ``E+_pq C`` is ``E_pq C`` where string
+    I has p occupied and ``E_qp C`` where it has q occupied."""
     n = space.n_orb
-    w = np.zeros((n * n, space.dim))
-    for p in range(n):
-        for q in range(n):
-            out = w[p * n + q]
-            _apply_term(space, amps, ((p, True), (q, False)), 1.0, out)
-            _apply_term(space, amps, ((p + n, True), (q + n, False)), 1.0, out)
-    return w
+    na, nb = space.n_strings_alpha, space.n_strings_beta
+    link = _link_matrix(space)
+    c = amps.reshape(na, nb)
+    p, q = np.divmod(np.arange(n * n), n)
+    hi, lo = np.maximum(p, q), np.minimum(p, q)
+    pair = hi * (hi + 1) // 2 + lo  # position of (hi, lo) in np.tril_indices
+    occ = ((space.alpha_strings[:, None] >> np.arange(n, dtype=np.uint64))
+           & np.uint64(1)).astype(np.float64)[:, p, None]
+    w_alpha = (link @ c).reshape(na, -1, nb)[:, pair] * occ
+    w_beta = (link @ c.T).reshape(nb, -1, na)[:, pair] * occ
+    return (w_alpha.transpose(1, 0, 2).reshape(n * n, -1)
+            + w_beta.transpose(1, 2, 0).reshape(n * n, -1))
 
 
 def make_rdm1(space: CISpace, v) -> np.ndarray:
@@ -533,9 +643,12 @@ def make_rdm2(space: CISpace, v) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _dense_ground_state(space: CISpace, s: IntegralSet):
-    mat = _hamiltonian_matrix(space, s).toarray()
-    if s.e_core != 0.0:
-        mat = mat + s.e_core * np.eye(space.dim)
+    mat = _hamiltonian_matrix(space, s)
+    if mat is None:  # small but dense: one sigma per column
+        mat = np.column_stack([_sigma(space, s, col)
+                               for col in np.eye(space.dim)])
+    else:
+        mat = mat.toarray() + s.e_core * np.eye(space.dim)
     vals, vecs = np.linalg.eigh(mat)
     return float(vals[0]), vecs[:, 0].copy()
 

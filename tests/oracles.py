@@ -163,3 +163,30 @@ def sparse_excitation_generator(n_so: int, ex) -> "scipy.sparse.csr_matrix":
         tuple((i, False) for i in ex[half:])
     t = sparse_ladder_product(n_so, term)
     return (t - t.T).tocsr()
+
+
+def spin_traced_rdms(n_orb: int, statevector) -> tuple:
+    """Spin-traced one- and two-body density matrices of a real statevector
+    straight from ladder products: rdm1[p,q] = sum_s <a+_ps a_qs> and
+    rdm2[p,q,r,t] = sum_{s,u} <a+_ps a+_ru a_tu a_qs> (chemists' order),
+    with beta spin-orbitals 0..N-1 and alpha N..2N-1."""
+    n_so = 2 * n_orb
+    psi = np.real(np.asarray(statevector))
+    spins = (0, n_orb)
+    rdm1 = np.zeros((n_orb, n_orb))
+    rdm2 = np.zeros((n_orb,) * 4)
+    for p in range(n_orb):
+        for q in range(n_orb):
+            for sp in spins:
+                op = sparse_ladder_product(n_so, ((p + sp, True),
+                                                  (q + sp, False)))
+                rdm1[p, q] += psi @ (op @ psi)
+            for r in range(n_orb):
+                for t in range(n_orb):
+                    for sp in spins:
+                        for su in spins:
+                            op = sparse_ladder_product(
+                                n_so, ((p + sp, True), (r + su, True),
+                                       (t + su, False), (q + sp, False)))
+                            rdm2[p, q, r, t] += psi @ (op @ psi)
+    return rdm1, rdm2

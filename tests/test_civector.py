@@ -1,10 +1,15 @@
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from vqchem import (
+    CISpace,
     CIVector,
     InvalidExcitation,
     InvalidParamMap,
@@ -32,7 +37,13 @@ from vqchem import (
     statevector_to_civector,
     ucc_state,
 )
-from vqchem.integrals import IntegralSet
+from vqchem.civector import (
+    _CSR_BUDGET_BYTES,
+    _csr_build_bytes,
+    _hamiltonian_matrix,
+    _sigma,
+)
+from vqchem.integrals import IntegralSet, build_hubbard
 from oracles import dense_ladder
 from test_integrals import random_integral_set
 
@@ -149,6 +160,97 @@ def test_apply_hamiltonian_matches_fock_space_oracle(case, h2):
     np.testing.assert_allclose(h_applied, np.real(h_projected), atol=1e-10)
 
 
+SIGMA_CASES = {  # integral sets beyond the hydrogen-chain fixtures
+    "random3": lambda: random_integral_set(np.random.default_rng(7), 3, 2),
+    "random5": lambda: random_integral_set(np.random.default_rng(7), 5, 4),
+    "hubbard4": lambda: build_hubbard(4, 1.0, 4.0),  # sparse (pq|rs)
+    "hubbard6": lambda: build_hubbard(6, 1.0, 4.0),
+}
+
+
+def sigma_case(name, request):
+    if name in SIGMA_CASES:
+        return SIGMA_CASES[name]()
+    return request.getfixturevalue(name)
+
+
+def sigma_columns(space, s, **kwargs):
+    return np.array([_sigma(space, s, col, **kwargs)
+                     for col in np.eye(space.dim)]).T
+
+
+@pytest.mark.parametrize("case", ["h2", "random3", "hubbard4"])
+def test_sigma_matches_fock_space_oracle(case, request):
+    from oracles import number_conserving_hamiltonian_matrix
+
+    s = sigma_case(case, request)
+    space = make_ci_space(s.n_orb, s.n_elec)
+    emb = embedding_matrix(space)
+    h_projected = emb.conj().T @ number_conserving_hamiltonian_matrix(s) @ emb
+    np.testing.assert_allclose(sigma_columns(space, s), np.real(h_projected),
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("case", ["h4", "h6", "random5", "hubbard6"])
+def test_sigma_matches_sparse_hamiltonian(case, request):
+    s = sigma_case(case, request)
+    space = make_ci_space(s.n_orb, s.n_elec)
+    h_sparse = _hamiltonian_matrix(space, s).toarray() + s.e_core * np.eye(
+        space.dim)
+    h_sigma = sigma_columns(space, s)
+    np.testing.assert_allclose(h_sigma, h_sparse, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(np.diag(h_sigma),
+                               hamiltonian_diagonal(space, s),
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("case", ["h6", "hubbard6"])
+def test_sigma_blocked_matches_unblocked(case, request):
+    s = sigma_case(case, request)
+    space = make_ci_space(s.n_orb, s.n_elec)
+    v = np.random.default_rng(59).normal(size=space.dim)
+    v /= np.linalg.norm(v)
+    whole = _sigma(space, s, v, block=space.n_strings_alpha)
+    for block in (1, 3, 7):
+        np.testing.assert_allclose(_sigma(space, s, v, block=block), whole,
+                                   rtol=0, atol=1e-13)
+
+
+def test_hamiltonian_route_follows_csr_budget(h8):
+    # H8 (dim 4,900) keeps the cached sparse H; H10 (dim 63,504) would need
+    # gigabytes to build it and goes through the sigma instead.
+    assert _csr_build_bytes(make_ci_space(8, 8)) <= _CSR_BUDGET_BYTES
+    assert _hamiltonian_matrix(make_ci_space(8, 8), h8) is not None
+    big = make_ci_space(10, 10)
+    assert _csr_build_bytes(big) > _CSR_BUDGET_BYTES
+    s = IntegralSet(10, 10, np.zeros((10, 10)), np.zeros((10,) * 4), 0.5)
+    assert _hamiltonian_matrix(big, s) is None
+    v = np.random.default_rng(61).normal(size=big.dim)
+    np.testing.assert_allclose(apply_hamiltonian(big, v, s).amplitudes,
+                               0.5 * v, rtol=0, atol=1e-15)
+
+
+def test_fci_over_csr_budget_matches_csr(h4, monkeypatch):
+    # dense route (dim 36) and Davidson route (dim 441) with no sparse H
+    s7 = random_integral_set(np.random.default_rng(43), 7, 4)
+    cases = [(h4, make_ci_space(4, 4)), (s7, make_ci_space(7, 4))]
+    want = [fci_ground_state(space, s)[0] for s, space in cases]
+    monkeypatch.setattr("vqchem.civector._CSR_BUDGET_BYTES", 0)
+    for (s, space), e in zip(cases, want):
+        assert _hamiltonian_matrix(space, s) is None
+        assert abs(fci_ground_state(space, s)[0] - e) < 1e-10
+
+
+def test_space_cache_holds_no_hamiltonian_terms(h6):
+    space = CISpace(6, 6)
+    energy_and_gradient(space, [(3, 0), (9, 10, 6, 7)], [0.1, 0.2], [0, 1],
+                        h6)
+    fci_ground_state(space, h6)
+    keys = list(space._action_cache)
+    assert ("G", (3, 0)) in keys and ("G", (9, 10, 6, 7)) in keys
+    assert all(key == "link" or key[0] == "G" for key in keys)
+
+
 # ---------------------------------------------------------------------------
 # Excitation generators and exponential factors
 # ---------------------------------------------------------------------------
@@ -233,6 +335,18 @@ def test_excitation_validation():
 # ---------------------------------------------------------------------------
 # Product states, energies, gradients
 # ---------------------------------------------------------------------------
+
+def test_invalid_excitation_raises_on_every_call(h4):
+    space = make_ci_space(4, 4)
+    good, bad = [(2, 0), (2, 6, 0, 4)], [(2, 0), (2, 4)]
+    energy_and_gradient(space, good, [0.1, 0.2], [0, 1], h4)
+    for _ in range(2):
+        with pytest.raises(InvalidExcitation):
+            energy_and_gradient(space, bad, [0.1, 0.2], [0, 1], h4)
+        with pytest.raises(InvalidExcitation):
+            ucc_state(space, bad, [0.1, 0.2], [0, 1])
+    energy_and_gradient(space, good, [0.1, 0.2], [0, 1], h4)
+
 
 def test_param_map_validation():
     space = make_ci_space(2, 2)
@@ -326,6 +440,23 @@ def test_rdm_energy_reconstruction(which, h2, h4):
         np.einsum("pqrr->pq", rdm2), (s.n_elec - 1) * rdm1, atol=1e-10)
 
 
+@pytest.mark.parametrize("which", ["fci_h4", "random5"])
+def test_rdms_match_fock_space_oracle(which, h4):
+    from oracles import spin_traced_rdms
+
+    if which == "fci_h4":
+        space = make_ci_space(4, 4)
+        _, v = fci_ground_state(space, h4)
+    else:
+        space = make_ci_space(5, 4)
+        s = random_integral_set(np.random.default_rng(11), 5, 4)
+        _, v = fci_ground_state(space, s)
+    rdm1, rdm2 = spin_traced_rdms(space.n_orb,
+                                  civector_to_statevector(space, v))
+    np.testing.assert_allclose(make_rdm1(space, v), rdm1, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(make_rdm2(space, v), rdm2, rtol=0, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # Ground-state solver
 # ---------------------------------------------------------------------------
@@ -359,6 +490,42 @@ def test_fci_size_limit():
     s = IntegralSet(16, 8, np.zeros((16, 16)), np.zeros((16,) * 4), 0.0)
     with pytest.raises(SizeLimit):
         fci_ground_state(space, s)
+
+
+_CAPPED_FCI = """
+import resource, sys
+cap = int(sys.argv[3]) << 20
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from vqchem.cli import main
+sys.exit(main(["fci", "--fcidump", sys.argv[1], "--output", sys.argv[2]]))
+"""
+
+
+def test_fci_h10_fits_1500_mb_address_space(tmp_path):
+    # The sparse build of H10 needs about 3.3 GB; under this cap it used to
+    # die with SIGSEGV.  The sigma route needs about 0.2 GB.
+    import json
+
+    root = Path(__file__).resolve().parents[1]
+    sys.path.insert(0, str(root / "scripts"))
+    try:
+        import make_fixtures
+    finally:
+        sys.path.remove(str(root / "scripts"))
+    h_mo, eri_mo, e_nuc, *_ = make_fixtures.hydrogen_chain(10, 0.8)
+    fcidump = tmp_path / "h10.fcidump"
+    make_fixtures.write_fcidump(fcidump, h_mo, eri_mo, e_nuc, 10)
+    out = tmp_path / "fci.json"
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   [str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-c", _CAPPED_FCI, str(fcidump), str(out), "1500"],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr[-2000:]
+    result = json.loads(out.read_text())
+    assert result["dim"] == 63504
+    assert abs(result["fci"] - (-5.283552451823878)) < 1e-8
 
 
 def test_energy_rejects_zero_vector(h2):
