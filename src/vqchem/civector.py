@@ -60,8 +60,10 @@ from .integrals import IntegralSet, build_fermion_hamiltonian
 
 _COEFF_CUTOFF = 1e-12
 # Largest predicted peak of a sparse-Hamiltonian build.  Spaces above it apply
-# H by the direct-CI sigma: CSR wins per application (H8: 1 vs 2 ms), but its
-# build grows with the nonzeros (H10: 28 M of them, 3.2 GB at the peak).
+# H by the direct-CI sigma.  Below it the cached CSR pays for its build: H8
+# UCCSD vqe runs in 1.2-1.4 s with it and 1.6-1.9 s on the sigma alone, at
+# 189 vs 93 MB peak.  Above it the build grows with the nonzeros (H10: 28 M
+# of them, 3.2 GB at the peak).
 _CSR_BUDGET_BYTES = 512 << 20
 _DENSE_DIRECT_LIMIT = 400
 _DENSE_FALLBACK_LIMIT = 4000
@@ -473,9 +475,11 @@ def _sigma(space: CISpace, s: IntegralSet, amps: np.ndarray,
     With C the amplitudes as an (alpha string, beta string) matrix, every
     block of alpha strings a gets ``D[a, P] = (E+_P C)[a]`` (alpha part from
     the link rows of the block, beta part through ``C[a].T``), ``F = V D``,
-    and scatters ``E+_P F[a, P]`` back: alpha targets anywhere, beta targets
-    inside the block.  ``block`` alpha strings go at a time; by default the
-    blocks hold about 4 MB of D, which keeps them in cache.
+    and scatters ``E+_P F[a, P]`` back: alpha targets to the strings the
+    block's link rows reach, beta targets inside the block, so a block costs
+    its own size, never the whole space.  ``block`` alpha strings go at a
+    time; by default the blocks hold about 4 MB of D, which keeps them in
+    cache.
     """
     link = _link_matrix(space)
     v = _pair_integrals(space, s)
@@ -489,9 +493,13 @@ def _sigma(space: CISpace, s: IntegralSet, amps: np.ndarray,
         a1 = min(a0 + block, na)
         rows = link[a0 * n_pair:a1 * n_pair]
         d = (rows @ c).reshape(a1 - a0, n_pair, nb)
-        d += (link @ c[a0:a1].T).reshape(nb, n_pair, a1 - a0).T
-        f = np.matmul(v, d)
-        out += rows.T @ f.reshape(-1, nb)
+        beta = link @ c[a0:a1].T
+        d += beta.reshape(nb, n_pair, a1 - a0).T
+        f = np.matmul(v, d, out=beta.reshape(d.shape))  # reuses its memory
+        reached, col = np.unique(rows.indices, return_inverse=True)
+        scatter = csr_matrix((rows.data, col, rows.indptr),
+                             shape=(rows.shape[0], len(reached)))
+        out[reached] += scatter.T @ f.reshape(-1, nb)
         out[a0:a1] += (link.T @ f.T.reshape(-1, a1 - a0)).T
     return out.ravel()
 
