@@ -22,15 +22,11 @@ compiles, and these caches only ever append:
 
 * one Givens rotation table per validated excitation (``("G", ex)``);
 * the single-replacement link table of its strings (``"link"``), a few
-  hundred kB, shared by the direct-CI sigma and the density matrices;
-* sparse Hamiltonians, keyed weakly by integral set.
+  hundred kB, shared by the direct-CI sigma and the density matrices.
 
-The Hamiltonian has two routes, chosen by the space alone.  While the
-predicted peak of the sparse build (:func:`_csr_build_bytes`) fits
-``_CSR_BUDGET_BYTES``, H is compiled once into a cached CSR matrix and every
-application is one sparse product.  Above the budget no matrix is built: H
-is applied by the string-driven direct-CI sigma (:func:`_sigma`), whose
-scratch is a few MB per block of alpha strings.
+The Hamiltonian has one route: no matrix is built, and H is applied by the
+string-driven direct-CI sigma (:func:`_sigma`), whose scratch is a few MB
+per block of alpha strings.
 """
 
 from __future__ import annotations
@@ -42,7 +38,6 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 from pathlib import Path
-from weakref import WeakKeyDictionary
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -56,15 +51,8 @@ from .errors import (
     UnsupportedOpenShell,
     ZeroState,
 )
-from .integrals import IntegralSet, build_fermion_hamiltonian
+from .integrals import IntegralSet
 
-_COEFF_CUTOFF = 1e-12
-# Largest predicted peak of a sparse-Hamiltonian build.  Spaces above it apply
-# H by the direct-CI sigma.  Below it the cached CSR pays for its build: H8
-# UCCSD vqe runs in 1.2-1.4 s with it and 1.6-1.9 s on the sigma alone, at
-# 189 vs 93 MB peak.  Above it the build grows with the nonzeros (H10: 28 M
-# of them, 3.2 GB at the peak).
-_CSR_BUDGET_BYTES = 512 << 20
 _DENSE_DIRECT_LIMIT = 400
 _DENSE_FALLBACK_LIMIT = 4000
 _ITERATIVE_LIMIT = 1_000_000
@@ -91,7 +79,6 @@ class CISpace:
         self.beta_strings = strings
         self.string_index = {int(m): i for i, m in enumerate(strings)}
         self._action_cache: dict = {}
-        self._matrix_cache: WeakKeyDictionary = WeakKeyDictionary()
 
     @property
     def n_elec(self) -> int:
@@ -130,7 +117,7 @@ def ci_space_dim(n_orb: int, n_elec: int) -> int:
 @lru_cache(maxsize=_MAX_SPACES)
 def make_ci_space(n_orb: int, n_elec: int) -> CISpace:
     """The shared space for ``(n_orb, n_elec)``: the most recently used
-    spaces are kept, with their excitation tables and Hamiltonians."""
+    spaces are kept, with their excitation and link tables."""
     return CISpace(n_orb, n_elec)
 
 
@@ -354,65 +341,6 @@ def apply_ucc_factor(space: CISpace, v, ex, theta: float) -> CIVector:
 # Hamiltonian application
 # ---------------------------------------------------------------------------
 
-_HAMILTONIAN_TERMS: WeakKeyDictionary = WeakKeyDictionary()
-
-
-def _hamiltonian_terms(s: IntegralSet):
-    cached = _HAMILTONIAN_TERMS.get(s)
-    if cached is None:
-        op = build_fermion_hamiltonian(s)
-        cached = [
-            (term, float(coeff))
-            for term, coeff in op.terms.items()
-            if term and abs(coeff) > _COEFF_CUTOFF
-        ]
-        _HAMILTONIAN_TERMS[s] = cached
-    return cached
-
-
-def _csr_build_bytes(space: CISpace) -> int:
-    """Predicted peak of the sparse-Hamiltonian build.  A determinant couples
-    to itself, to ``s1 = k(n-k)`` single and ``s2 = C(k,2) C(n-k,2)``
-    same-spin double replacements in each spin sector, and to ``s1**2``
-    opposite-spin doubles.  The build holds about 120 bytes per stored
-    nonzero at its peak (H8: 102 MB for 0.90 M), and the bound counts at
-    least the stored ones, so the prediction errs high."""
-    n, k = space.n_orb, space.n_alpha
-    s1 = k * (n - k)
-    s2 = comb(k, 2) * comb(n - k, 2)
-    per_row = min(space.dim, 1 + 2 * s1 + 2 * s2 + s1 * s1)
-    return 128 * space.dim * per_row
-
-
-def _hamiltonian_matrix(space: CISpace, s: IntegralSet):
-    """Sparse (H - e_core) in CI space, cached; None when its build would
-    exceed ``_CSR_BUDGET_BYTES``."""
-    if _csr_build_bytes(space) > _CSR_BUDGET_BYTES:
-        return None
-    cache = space._matrix_cache
-    mat = cache.get(s)
-    if mat is None:
-        rows, cols, data = [], [], []
-        for term, coeff in _hamiltonian_terms(s):
-            table = _term_table(space, term)
-            if table is None:
-                continue
-            r, c, sg = table
-            rows.append(r)
-            cols.append(c)
-            data.append(coeff * sg)
-        if rows:
-            mat = csr_matrix(
-                (np.concatenate(data),
-                 (np.concatenate(rows), np.concatenate(cols))),
-                shape=(space.dim, space.dim),
-            )
-        else:
-            mat = csr_matrix((space.dim, space.dim))
-        cache[s] = mat
-    return mat
-
-
 def _link_matrix(space: CISpace) -> csr_matrix:
     """Single-replacement link table of the space's strings, cached under
     ``"link"``.
@@ -505,17 +433,8 @@ def _sigma(space: CISpace, s: IntegralSet, amps: np.ndarray,
 
 
 def apply_hamiltonian(space: CISpace, v, s: IntegralSet) -> CIVector:
-    """H v, including the constant core energy: one product with the cached
-    sparse H while its build fits ``_CSR_BUDGET_BYTES``, the direct-CI sigma
-    above that."""
-    amps = _amps(v)
-    mat = _hamiltonian_matrix(space, s)
-    if mat is None:
-        return CIVector(space, _sigma(space, s, amps))
-    out = mat.dot(amps)
-    if s.e_core != 0.0:
-        out = out + s.e_core * amps
-    return CIVector(space, out)
+    """H v, including the constant core energy, by the direct-CI sigma."""
+    return CIVector(space, _sigma(space, s, _amps(v)))
 
 
 def hamiltonian_diagonal(space: CISpace, s: IntegralSet) -> np.ndarray:
@@ -651,12 +570,7 @@ def make_rdm2(space: CISpace, v) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _dense_ground_state(space: CISpace, s: IntegralSet):
-    mat = _hamiltonian_matrix(space, s)
-    if mat is None:  # small but dense: one sigma per column
-        mat = np.column_stack([_sigma(space, s, col)
-                               for col in np.eye(space.dim)])
-    else:
-        mat = mat.toarray() + s.e_core * np.eye(space.dim)
+    mat = np.column_stack([_sigma(space, s, col) for col in np.eye(space.dim)])
     vals, vecs = np.linalg.eigh(mat)
     return float(vals[0]), vecs[:, 0].copy()
 
@@ -757,7 +671,8 @@ def civector_to_statevector(space: CISpace, v) -> np.ndarray:
 
 def statevector_to_civector(space: CISpace, statevector) -> CIVector:
     """Project a statevector onto the determinant space (inverse of
-    :func:`civector_to_statevector` on its image)."""
+    :func:`civector_to_statevector` on its image).  CI vectors are real, so
+    an amplitude with an imaginary part above 1e-9 raises ValueError."""
     n = space.n_orb
     sv = np.asarray(statevector)
     if sv.size != 1 << (2 * n):
@@ -765,7 +680,12 @@ def statevector_to_civector(space: CISpace, statevector) -> CIVector:
     alpha_part = (space.alpha_strings.astype(np.int64) << n)
     beta_part = space.beta_strings.astype(np.int64)
     idx = (alpha_part[:, None] | beta_part[None, :]).ravel()
-    return CIVector(space, np.real(sv[idx]))
+    amps = sv[idx]
+    worst = float(np.max(np.abs(np.imag(amps))))
+    if worst > 1e-9:
+        raise ValueError(f"statevector has an imaginary amplitude of "
+                         f"{worst:.3g} on the determinant space")
+    return CIVector(space, np.real(amps))
 
 
 def save_civector(path, v: CIVector) -> None:

@@ -520,10 +520,12 @@ def hea_kernel(c: Circuit, init_params, h: QubitOperator,
                noise: NoiseModel | None = None, use_gradient: bool = True,
                shots: int | None = None, seed: int = 0):
     """Optimize the circuit energy.  With ``use_gradient`` a quasi-Newton
-    method driven by parameter-shift gradients is used; circuits with shared
-    parameter slots (or ``use_gradient=False``) fall back to a derivative-free
-    simplex method.  With ``shots`` the objective is sampled."""
-    from .vqe import OptResult
+    method driven by parameter-shift gradients is used; it stops and reports
+    convergence at the gradient tolerance of :func:`vqchem.vqe.kernel`.
+    Circuits with shared parameter slots (or ``use_gradient=False``) fall
+    back to a derivative-free simplex method.  With ``shots`` the objective
+    is sampled."""
+    from .vqe import _GRAD_TOL, OptResult
 
     t0 = time.perf_counter()
     init_params = _check_circuit_params(c, init_params)
@@ -549,11 +551,12 @@ def hea_kernel(c: Circuit, init_params, h: QubitOperator,
         res = minimize(
             lambda x: (objective(x), parameter_shift_gradient(c, x, h, noise)),
             init_params, jac=True, method="L-BFGS-B",
-            options={"maxcor": 10, "gtol": 1e-9, "ftol": 1e-18,
+            options={"maxcor": 10, "gtol": _GRAD_TOL, "ftol": 1e-18,
                      "maxiter": 200},
         )
         grad = np.asarray(res.jac, dtype=float)
-        converged = bool(res.success) and float(np.max(np.abs(grad))) <= 1e-6
+        converged = (bool(res.success)
+                     and float(np.max(np.abs(grad))) <= _GRAD_TOL)
         njev = int(res.njev)
     else:
         res = minimize(

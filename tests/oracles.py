@@ -190,3 +190,44 @@ def spin_traced_rdms(n_orb: int, statevector) -> tuple:
                                        (t + su, False), (q + sp, False)))
                             rdm2[p, q, r, t] += psi @ (op @ psi)
     return rdm1, rdm2
+
+
+def sparse_number_conserving_hamiltonian(s) -> "scipy.sparse.csr_matrix":
+    """Sparse Fock-space Hamiltonian with the terms and loops of
+    :func:`number_conserving_hamiltonian_matrix`, each term a
+    :func:`sparse_ladder_product`, so 12-qubit registers stay cheap."""
+    import scipy.sparse
+
+    n = s.n_orb
+    n_so = 2 * n
+    dim = 1 << n_so
+    pieces = [scipy.sparse.identity(dim, format="coo") * s.e_core]
+
+    def add(coeff, term):
+        pieces.append(coeff * sparse_ladder_product(n_so, term).tocoo())
+
+    def so(p, spin):
+        return p + spin * n
+
+    for p in range(n):
+        for q in range(n):
+            if s.int1e[p, q] == 0.0:
+                continue
+            for spin in (0, 1):
+                add(s.int1e[p, q], ((so(p, spin), True), (so(q, spin), False)))
+    for p in range(n):
+        for q in range(n):
+            for r in range(n):
+                for t in range(n):
+                    g = s.int2e[p, q, r, t]
+                    if g == 0.0:
+                        continue
+                    for sp in (0, 1):
+                        for sr in (0, 1):
+                            add(0.5 * g, ((so(p, sp), True), (so(r, sr), True),
+                                          (so(t, sr), False),
+                                          (so(q, sp), False)))
+    rows = np.concatenate([m.row for m in pieces])
+    cols = np.concatenate([m.col for m in pieces])
+    data = np.concatenate([m.data for m in pieces])
+    return scipy.sparse.csr_matrix((data, (rows, cols)), shape=(dim, dim))

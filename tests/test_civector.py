@@ -37,12 +37,7 @@ from vqchem import (
     statevector_to_civector,
     ucc_state,
 )
-from vqchem.civector import (
-    _CSR_BUDGET_BYTES,
-    _csr_build_bytes,
-    _hamiltonian_matrix,
-    _sigma,
-)
+from vqchem.civector import _sigma
 from vqchem.integrals import IntegralSet, build_hubbard
 from oracles import dense_ladder
 from test_integrals import random_integral_set
@@ -193,12 +188,16 @@ def test_sigma_matches_fock_space_oracle(case, request):
 
 @pytest.mark.parametrize("case", ["h4", "h6", "random5", "hubbard6"])
 def test_sigma_matches_sparse_hamiltonian(case, request):
+    from oracles import sparse_number_conserving_hamiltonian
+
     s = sigma_case(case, request)
     space = make_ci_space(s.n_orb, s.n_elec)
-    h_sparse = _hamiltonian_matrix(space, s).toarray() + s.e_core * np.eye(
-        space.dim)
+    emb = embedding_matrix(space)
+    h_projected = emb.conj().T @ (sparse_number_conserving_hamiltonian(s)
+                                  @ emb)
     h_sigma = sigma_columns(space, s)
-    np.testing.assert_allclose(h_sigma, h_sparse, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(h_sigma, np.real(h_projected), rtol=0,
+                               atol=1e-12)
     np.testing.assert_allclose(np.diag(h_sigma),
                                hamiltonian_diagonal(space, s),
                                rtol=0, atol=1e-12)
@@ -216,29 +215,13 @@ def test_sigma_blocked_matches_unblocked(case, request):
                                    rtol=0, atol=1e-13)
 
 
-def test_hamiltonian_route_follows_csr_budget(h8):
-    # H8 (dim 4,900) keeps the cached sparse H; H10 (dim 63,504) would need
-    # gigabytes to build it and goes through the sigma instead.
-    assert _csr_build_bytes(make_ci_space(8, 8)) <= _CSR_BUDGET_BYTES
-    assert _hamiltonian_matrix(make_ci_space(8, 8), h8) is not None
+def test_sigma_applies_core_energy_on_h10():
+    # H10 (dim 63,504) with zero integrals: H is e_core times the identity
     big = make_ci_space(10, 10)
-    assert _csr_build_bytes(big) > _CSR_BUDGET_BYTES
     s = IntegralSet(10, 10, np.zeros((10, 10)), np.zeros((10,) * 4), 0.5)
-    assert _hamiltonian_matrix(big, s) is None
     v = np.random.default_rng(61).normal(size=big.dim)
     np.testing.assert_allclose(apply_hamiltonian(big, v, s).amplitudes,
                                0.5 * v, rtol=0, atol=1e-15)
-
-
-def test_fci_over_csr_budget_matches_csr(h4, monkeypatch):
-    # dense route (dim 36) and Davidson route (dim 441) with no sparse H
-    s7 = random_integral_set(np.random.default_rng(43), 7, 4)
-    cases = [(h4, make_ci_space(4, 4)), (s7, make_ci_space(7, 4))]
-    want = [fci_ground_state(space, s)[0] for s, space in cases]
-    monkeypatch.setattr("vqchem.civector._CSR_BUDGET_BYTES", 0)
-    for (s, space), e in zip(cases, want):
-        assert _hamiltonian_matrix(space, s) is None
-        assert abs(fci_ground_state(space, s)[0] - e) < 1e-10
 
 
 def test_space_cache_holds_no_hamiltonian_terms(h6):
@@ -544,6 +527,17 @@ def test_statevector_round_trip():
     v = CIVector(space, rng.normal(size=space.dim))
     back = statevector_to_civector(space, civector_to_statevector(space, v))
     np.testing.assert_allclose(back.amplitudes, v.amplitudes, atol=1e-14)
+
+
+def test_statevector_with_imaginary_amplitude_is_refused():
+    space = make_ci_space(3, 2)
+    v = CIVector(space, np.random.default_rng(48).normal(size=space.dim))
+    sv = civector_to_statevector(space, v)
+    np.testing.assert_array_equal(
+        statevector_to_civector(space, sv).amplitudes, v.amplitudes)
+    sv[int(np.flatnonzero(sv)[2])] = 0.3j
+    with pytest.raises(ValueError, match="imaginary"):
+        statevector_to_civector(space, sv)
 
 
 def test_statevector_size_limit():

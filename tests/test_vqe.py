@@ -44,6 +44,26 @@ def test_h4_uccsd_close_to_fci(h4):
     assert result.e >= H4_FCI - 1e-10  # variational
 
 
+@pytest.mark.parametrize("case", ["h4", "h6"])
+def test_optimizer_path_does_not_follow_rounding(case, request):
+    # the core energy only shifts E; relative changes at the rounding level
+    # must leave the optimizer's path, and so its counts, unchanged
+    from dataclasses import replace
+
+    from vqchem.vqe import _GRAD_TOL
+
+    s = request.getfixturevalue(case)
+    counts = set()
+    for scale in (1.0, 1.0 + 1e-15, 1.0 + 4e-15):
+        result = kernel(make_uccsd_problem(replace(s, e_core=s.e_core
+                                                   * scale)))
+        assert result.converged
+        assert np.max(np.abs(result.grad_at_opt)) <= _GRAD_TOL
+        assert result.nfev <= 2 * result.nit
+        counts.add((result.nit, result.nfev))
+    assert len(counts) == 1, counts
+
+
 def test_kupccgsd_h2_reaches_fci(h2):
     result = kernel(make_kupccgsd_problem(h2, k=1, seed=0))
     assert abs(result.e - H2_FCI) < 1e-7
