@@ -74,7 +74,6 @@ from .integrals import (
     mp2_energy,
     orbital_energies,
     parse_fcidump,
-    save_fcidump,
     write_fcidump,
 )
 from .civector import (

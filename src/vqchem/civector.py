@@ -699,8 +699,9 @@ def save_civector(path, v: CIVector) -> None:
 
 
 def load_civector(path, space: CISpace | None = None) -> CIVector:
-    """Read a vector written by :func:`save_civector`.  A malformed file
-    raises ParseError; a vector of another space raises ValueError."""
+    """Read a vector written by :func:`save_civector`.  A malformed file or
+    a non-finite amplitude raises ParseError; a vector of another space
+    raises ValueError."""
     raw = Path(path).read_bytes()
     if len(raw) < 12:
         raise ParseError(f"state file has {len(raw)} bytes, less than its "
@@ -721,6 +722,9 @@ def load_civector(path, space: CISpace | None = None) -> CIVector:
             f"state file holds {len(raw) - 12} amplitude bytes, expected "
             f"{8 * dim} for dimension {dim}"
         )
+    amplitudes = np.frombuffer(raw[12:], dtype="<f8").copy()
+    if not np.all(np.isfinite(amplitudes)):
+        raise ParseError("state file holds non-finite amplitudes")
     if space is None:
         space = make_ci_space(n_orb, n_alpha + n_beta)
-    return CIVector(space, np.frombuffer(raw[12:], dtype="<f8").copy())
+    return CIVector(space, amplitudes)

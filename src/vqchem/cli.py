@@ -296,20 +296,10 @@ def _qubit_hamiltonian(s: IntegralSet, transform: str) -> QubitOperator:
 
 
 def _reference_bitstring(h: QubitOperator) -> str:
-    """Computational basis state minimizing the Z-diagonal of ``h`` (the
+    """Computational basis state minimizing the diagonal of ``h`` (the
     mean-field-like starting point for the hardware-efficient ansatz)."""
-    n = h.n_qubits
-    diag = np.zeros(1 << n)
-    indices = np.arange(1 << n)
-    for term, coeff in h.terms.items():
-        if any(letter != "Z" for _, letter in term):
-            continue
-        signs = np.ones(1 << n)
-        for q, _ in term:
-            bit = (indices >> (n - 1 - q)) & 1
-            signs = signs * (1.0 - 2.0 * bit)
-        diag += float(coeff.real) * signs
-    return format(int(np.argmin(diag)), f"0{n}b")
+    diag = h.to_sparse_matrix().diagonal().real
+    return format(int(np.argmin(diag)), f"0{h.n_qubits}b")
 
 
 def _hea_init_params(circuit, bitstring: str) -> np.ndarray:

@@ -10,6 +10,7 @@ reference trajectories.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -23,15 +24,14 @@ from .errors import (
     NumericalBlowup,
     SizeLimit,
 )
-from .gates import _pauli_action
-from .operators import QubitOperator
+from .operators import _PAULI_MATS, QubitOperator, pauli_action
 
 _EXACT_DIM_LIMIT = 1 << 12
 _UNARY_NBAS_LIMIT = 16
 _COEFF_CUTOFF = 1e-12
 _DEFAULT_EPSILON_REG = 1e-5
 
-_SPIN_SYMBOLS = ("sigma_x", "sigma_z")
+_SPIN_LETTERS = {"sigma_x": "X", "sigma_z": "Z"}
 _BOSON_SYMBOLS = ("b", "b^dagger", "b^dagger b", "b^dagger+b", "x", "p")
 
 # text aliases: the canonical text form is whitespace-delimited, so the
@@ -65,7 +65,7 @@ class SymbolicTerm:
                 f"more than one factor on one degree of freedom: {dofs}"
             )
         for sym, _ in self.factors:
-            if sym not in _SPIN_SYMBOLS and sym not in _BOSON_SYMBOLS:
+            if sym not in _SPIN_LETTERS and sym not in _BOSON_SYMBOLS:
                 raise InvalidSymbol(f"unknown operator symbol {sym!r}")
 
 
@@ -142,17 +142,15 @@ def boson_matrix(symbol: str, basis: BasisSHO) -> np.ndarray:
     raise InvalidSymbol(f"unknown boson symbol {symbol!r}")
 
 
-def _spin_matrix(symbol: str) -> np.ndarray:
-    if symbol == "sigma_x":
-        return np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    if symbol == "sigma_z":
-        return np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-    raise InvalidSymbol(f"{symbol!r} is not a spin-1/2 operator")
+def _spin_letter(symbol: str) -> str:
+    if symbol not in _SPIN_LETTERS:
+        raise InvalidSymbol(f"{symbol!r} is not a spin-1/2 operator")
+    return _SPIN_LETTERS[symbol]
 
 
 def _level_matrix(symbol: str, basis_entry) -> np.ndarray:
     if isinstance(basis_entry, BasisHalfSpin):
-        return _spin_matrix(symbol)
+        return _PAULI_MATS[_spin_letter(symbol)]
     return boson_matrix(symbol, basis_entry)
 
 
@@ -222,27 +220,17 @@ def _level_codeword(basis_entry, encoding: str, level: int, width: int) -> int:
     return level
 
 
-_PAULI_DENSE = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-
 def _expand_dense_to_paulis(mat: np.ndarray, width: int) -> dict:
-    """Pauli coefficients of a 2^width matrix via trace inner products."""
-    import itertools
-
+    """Pauli coefficients Tr(P M) / 2^width of a 2^width matrix, with
+    Tr(P M) = sum_i phase_i M[i, target_i] read off the action of P."""
+    rows = np.arange(1 << width)
     out = {}
     for letters in itertools.product("IXYZ", repeat=width):
-        p = np.array([[1.0]], dtype=complex)
-        for ch in letters:
-            p = np.kron(p, _PAULI_DENSE[ch])
-        coeff = np.trace(p @ mat) / (1 << width)
+        key = tuple((q, ch) for q, ch in enumerate(letters) if ch != "I")
+        target, phase = pauli_action(width, key)
+        coeff = np.sum(phase * mat[rows, target]) / (1 << width)
         if abs(coeff) < _COEFF_CUTOFF:
             continue
-        key = tuple((q, ch) for q, ch in enumerate(letters) if ch != "I")
         out[key] = coeff
     return out
 
@@ -281,9 +269,7 @@ def _unary_local_paulis(mat: np.ndarray, width: int) -> dict:
 def _encode_factor(symbol: str, basis_entry, encoding: str, width: int) -> dict:
     """Local Pauli decomposition (term key -> coeff) over the register."""
     if isinstance(basis_entry, BasisHalfSpin):
-        letter = "X" if symbol == "sigma_x" else "Z"
-        _spin_matrix(symbol)  # validates the symbol
-        return {((0, letter),): 1.0}
+        return {((0, _spin_letter(symbol)),): 1.0}
     mat = boson_matrix(symbol, basis_entry)
     if encoding == "unary":
         return _unary_local_paulis(mat, width)
@@ -446,7 +432,7 @@ def build_vha(enc: EncodedHamiltonian, n_layers: int,
 
 
 def _factor_actions(ansatz: VHAnsatz):
-    return [_pauli_action(ansatz.n_qubits, term) for term in ansatz.paulis]
+    return [pauli_action(ansatz.n_qubits, term) for term in ansatz.paulis]
 
 
 def _apply_rotation(vec_or_mat, target, phase, theta):

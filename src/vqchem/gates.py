@@ -2,8 +2,12 @@
 matrices with Kraus channels, shot sampling, parameter-shift gradients, and a
 hardware-efficient-ansatz optimizer.
 
-Qubit 0 is the most significant bit of a basis-state index, matching
-:meth:`vqchem.operators.QubitOperator.to_dense_matrix`.  The rotation
+Qubit 0 is the most significant bit of a basis-state index, as in
+:mod:`vqchem.operators`.  Exact expectation values apply the compiled
+matrix of :meth:`~vqchem.operators.QubitOperator.to_sparse_matrix` once;
+sampled ones take each string's action from
+:func:`vqchem.operators.pauli_action`.  The gradient-based optimizer is the
+L-BFGS-B driver of :func:`vqchem.vqe.kernel`.  The rotation
 convention is RY(theta) = exp(-i*theta*Y/2) and
 PAULI_ROT(P, theta) = exp(-i*theta*P/2); with it the parameter-shift rule
 reads
@@ -31,22 +35,15 @@ from .errors import (
     SharedParameterUnsupported,
     SizeLimit,
 )
-from .operators import QubitOperator
+from .operators import _PAULI_MATS, QubitOperator, pauli_action
+from .vqe import OptResult, _minimize_lbfgs
 
 _DENSITY_QUBIT_LIMIT = 10
 _GATE_KINDS = ("X", "RY", "CNOT", "PAULI_ROT")
 
-_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
-
-_PAULI_1Q = {
-    "I": np.eye(2, dtype=complex),
-    "X": _X,
-    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]]),
-    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
 
 
 def _ry_matrix(theta: float) -> np.ndarray:
@@ -248,12 +245,12 @@ def depolarizing_channel(p: float, n_qubits: int) -> list:
     if not 0.0 <= p <= 1.0:
         raise InvalidProbability(f"p={p} outside [0, 1]")
     if n_qubits == 1:
-        paulis = [_PAULI_1Q[ch] for ch in "XYZ"]
+        paulis = [_PAULI_MATS[ch] for ch in "XYZ"]
         weight = p / 3.0
         identity = np.eye(2, dtype=complex)
     elif n_qubits == 2:
         paulis = [
-            np.kron(_PAULI_1Q[a], _PAULI_1Q[b])
+            np.kron(_PAULI_MATS[a], _PAULI_MATS[b])
             for a in "IXYZ" for b in "IXYZ"
             if not (a == "I" and b == "I")
         ]
@@ -272,19 +269,18 @@ def depolarizing_channel(p: float, n_qubits: int) -> list:
 
 def _gate_matrix(g: Gate, params) -> np.ndarray:
     if g.kind == "X":
-        return _X
+        return _PAULI_MATS["X"]
     if g.kind == "CNOT":
         return _CNOT
     theta = float(params[g.param_slot]) if g.param_slot is not None else g.angle
     if g.kind == "RY":
         return _ry_matrix(theta)
     # PAULI_ROT: exp(-i theta P / 2) = cos(t/2) I - i sin(t/2) P
-    pauli = _PAULI_1Q[g.pauli[0]]
-    for ch in g.pauli[1:]:
-        pauli = np.kron(pauli, _PAULI_1Q[ch])
-    dim = pauli.shape[0]
-    return (math.cos(theta / 2.0) * np.eye(dim)
-            - 1.0j * math.sin(theta / 2.0) * pauli)
+    rotation = QubitOperator(len(g.pauli), {
+        (): math.cos(theta / 2.0),
+        tuple(enumerate(g.pauli)): -1.0j * math.sin(theta / 2.0),
+    })
+    return rotation.to_dense_matrix()
 
 
 def _apply_unitary_state(psi: np.ndarray, u: np.ndarray, qubits,
@@ -385,32 +381,6 @@ def simulate_density(c: Circuit, params, noise: NoiseModel | None) -> DensityMat
 # Expectation values
 # ---------------------------------------------------------------------------
 
-_PAULI_ACTION_CACHE: dict = {}
-
-
-def _pauli_action(n: int, term: tuple):
-    """For P|i> = phase_i |target_i| over all basis states i."""
-    key = (n, term)
-    hit = _PAULI_ACTION_CACHE.get(key)
-    if hit is not None:
-        return hit
-    idx = np.arange(1 << n)
-    target = idx.copy()
-    phase = np.ones(1 << n, dtype=complex)
-    for q, letter in term:
-        pos = n - 1 - q
-        bit = (idx >> pos) & 1
-        if letter == "X":
-            target ^= 1 << pos
-        elif letter == "Y":
-            target ^= 1 << pos
-            phase = phase * (1.0j * (1.0 - 2.0 * bit))
-        else:  # Z
-            phase = phase * (1.0 - 2.0 * bit)
-    _PAULI_ACTION_CACHE[key] = (target, phase)
-    return target, phase
-
-
 def _as_matrix(state_or_rho):
     if isinstance(state_or_rho, DensityMatrix):
         return state_or_rho.matrix, True
@@ -425,7 +395,7 @@ def _as_matrix(state_or_rho):
 def _term_expectation(arr, is_rho: bool, n: int, term: tuple) -> complex:
     if not term:
         return np.trace(arr) if is_rho else np.vdot(arr, arr)
-    target, phase = _pauli_action(n, term)
+    target, phase = pauli_action(n, term)
     if is_rho:
         # Tr(rho P) = sum_i rho[i, target_i] * phase_i
         return complex(np.sum(arr[np.arange(arr.shape[0]), target] * phase))
@@ -440,9 +410,12 @@ def expectation(state_or_rho, h: QubitOperator) -> float:
         raise InvalidOperator(
             f"operator on {n} qubits against state of dimension {arr.shape[0]}"
         )
-    total = 0.0 + 0.0j
-    for term, coeff in h.terms.items():
-        total += coeff * _term_expectation(arr, is_rho, n, term)
+    hm = h.to_sparse_matrix()
+    if is_rho:
+        # Tr(rho H) = sum over the entries H[r, c] of H[r, c] * rho[c, r]
+        total = complex(hm.multiply(arr.T).sum())
+    else:
+        total = complex(np.vdot(arr, hm @ arr))
     if abs(total.imag) > 1e-9:
         raise InvalidOperator(
             f"expectation value has imaginary part {total.imag:.2e}; "
@@ -525,8 +498,6 @@ def hea_kernel(c: Circuit, init_params, h: QubitOperator,
     Circuits with shared parameter slots (or ``use_gradient=False``) fall
     back to a derivative-free simplex method.  With ``shots`` the objective
     is sampled."""
-    from .vqe import _GRAD_TOL, OptResult
-
     t0 = time.perf_counter()
     init_params = _check_circuit_params(c, init_params)
     eval_count = [0]
@@ -548,34 +519,24 @@ def hea_kernel(c: Circuit, init_params, h: QubitOperator,
             gradient_ok = False
 
     if gradient_ok:
-        res = minimize(
+        return _minimize_lbfgs(
             lambda x: (objective(x), parameter_shift_gradient(c, x, h, noise)),
-            init_params, jac=True, method="L-BFGS-B",
-            options={"maxcor": 10, "gtol": _GRAD_TOL, "ftol": 1e-18,
-                     "maxiter": 200},
+            init_params,
         )
-        grad = np.asarray(res.jac, dtype=float)
-        converged = (bool(res.success)
-                     and float(np.max(np.abs(grad))) <= _GRAD_TOL)
-        njev = int(res.njev)
-    else:
-        res = minimize(
-            objective, init_params, method="Nelder-Mead",
-            options={"adaptive": True, "xatol": 1e-7, "fatol": 1e-7,
-                     "maxiter": 4000, "maxfev": 8000},
-        )
-        grad = np.full(c.n_params, np.nan)
-        converged = bool(res.success)
-        njev = 0
+    res = minimize(
+        objective, init_params, method="Nelder-Mead",
+        options={"adaptive": True, "xatol": 1e-7, "fatol": 1e-7,
+                 "maxiter": 4000, "maxfev": 8000},
+    )
     return OptResult(
         e=float(res.fun),
         x=np.asarray(res.x, dtype=float),
         init_guess=init_params,
         nit=int(res.nit),
         nfev=int(res.nfev),
-        njev=njev,
-        grad_at_opt=grad,
-        converged=converged,
+        njev=0,
+        grad_at_opt=np.full(c.n_params, np.nan),
+        converged=bool(res.success),
         message=str(res.message),
         opt_time=time.perf_counter() - t0,
     )

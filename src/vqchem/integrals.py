@@ -196,10 +196,6 @@ def write_fcidump(s: IntegralSet) -> str:
     return "\n".join(lines) + "\n"
 
 
-def save_fcidump(path: str | Path, s: IntegralSet) -> None:
-    Path(path).write_text(write_fcidump(s))
-
-
 def fixture_path(name: str) -> Path:
     """Path of a bundled FCIDUMP fixture, e.g. ``h2_sto3g``."""
     if not name.endswith(".fcidump"):

@@ -1,4 +1,5 @@
-"""Fermionic and qubit operator algebra plus fermion-to-qubit mappings.
+"""Fermionic and qubit operator algebra, fermion-to-qubit mappings, and the
+action of Pauli strings on basis states.
 
 Index conventions used throughout the package:
 
@@ -13,11 +14,13 @@ Index conventions used throughout the package:
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+import functools
+from typing import Iterable, Mapping
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
-from .errors import InvalidOperator, ParseError, SizeLimit, UnsupportedReduction
+from .errors import InvalidOperator, SizeLimit, UnsupportedReduction
 
 COEFF_CUTOFF = 1e-12
 
@@ -31,6 +34,8 @@ _PAULI_MATS = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+for _mat in _PAULI_MATS.values():
+    _mat.flags.writeable = False  # shared by every caller
 
 # Single-qubit products: (left, right) -> (phase, result letter).
 _PAULI_PRODUCT = {
@@ -72,9 +77,6 @@ class FermionOperator:
     def from_term(cls, n_spin_orbitals: int, term: Iterable[tuple[int, bool]],
                   coeff: complex = 1.0) -> "FermionOperator":
         return cls(n_spin_orbitals, {tuple(term): coeff})
-
-    def copy(self) -> "FermionOperator":
-        return FermionOperator(self.n_spin_orbitals, self.terms)
 
     def __add__(self, other: "FermionOperator") -> "FermionOperator":
         if self.n_spin_orbitals != other.n_spin_orbitals:
@@ -159,47 +161,26 @@ class FermionOperator:
             lines.append(f"{_format_coeff(c)} [{ops}]")
         return "\n".join(lines)
 
-    @classmethod
-    def parse_text(cls, text: str, n_spin_orbitals: int) -> "FermionOperator":
-        terms: dict[LadderTerm, complex] = {}
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "[" not in line or not line.endswith("]"):
-                raise ParseError(f"line {lineno}: expected 'coeff [ops]'")
-            head, body = line.split("[", 1)
-            try:
-                coeff = complex(head.strip())
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: bad coefficient") from exc
-            term = []
-            for tok in body[:-1].split():
-                dag = tok.endswith("^")
-                idx_text = tok[:-1] if dag else tok
-                try:
-                    term.append((int(idx_text), dag))
-                except ValueError as exc:
-                    raise ParseError(f"line {lineno}: bad factor {tok!r}") from exc
-            key = tuple(term)
-            terms[key] = terms.get(key, 0.0) + coeff
-        return cls(n_spin_orbitals, terms)
-
     def __repr__(self) -> str:
         return (f"FermionOperator(n_spin_orbitals={self.n_spin_orbitals}, "
                 f"n_terms={len(self.terms)})")
 
 
 class QubitOperator:
-    """Sum of Pauli strings.  Term key: tuple of (qubit, letter), sorted."""
+    """Sum of Pauli strings.  Term key: tuple of (qubit, letter), sorted.
 
-    __slots__ = ("n_qubits", "terms")
+    Operators are not modified after construction: arithmetic returns new
+    ones, and the compiled matrix of :meth:`to_sparse_matrix` is kept.
+    """
+
+    __slots__ = ("n_qubits", "terms", "_sparse")
 
     def __init__(self, n_qubits: int,
                  terms: Mapping[PauliTerm, complex] | None = None):
         if n_qubits < 1:
             raise InvalidOperator("need at least one qubit")
         self.n_qubits = int(n_qubits)
+        self._sparse: csr_matrix | None = None
         self.terms: dict[PauliTerm, complex] = {}
         for term, c in (terms or {}).items():
             key = self._normalize_term(term)
@@ -265,15 +246,30 @@ class QubitOperator:
         return all(abs(c.imag if isinstance(c, complex) else 0.0) <= tol
                    for c in self.terms.values())
 
-    def constant_part(self) -> complex:
-        return self.terms.get((), 0.0)
+    def to_sparse_matrix(self) -> csr_matrix:
+        """Sparse 2^n x 2^n matrix; qubit 0 is the most significant factor.
 
-    def without_constant(self) -> "QubitOperator":
-        out = {t: c for t, c in self.terms.items() if t}
-        return QubitOperator(self.n_qubits, out)
-
-    def items(self) -> Iterator[tuple[PauliTerm, complex]]:
-        return iter(self.terms.items())
+        Compiled once from the Pauli-string actions.  Strings that flip the
+        same qubits share one set of matrix positions, so the matrix stores
+        2^n entries per flip pattern.
+        """
+        if self._sparse is None:
+            dim = 1 << self.n_qubits
+            cols = np.arange(dim)
+            values: dict[int, np.ndarray] = {}
+            for term, c in self.terms.items():
+                target, phase = pauli_action(self.n_qubits, term)
+                flip = int(target[0])  # target_i = i XOR flip
+                values[flip] = values.get(flip, 0.0) + c * phase
+            flips = np.fromiter(values, dtype=np.int64, count=len(values))
+            self._sparse = csr_matrix(
+                (np.array(list(values.values()), dtype=complex).ravel(),
+                 ((cols[None, :] ^ flips[:, None]).ravel(),
+                  np.tile(cols, len(values)))),
+                shape=(dim, dim),
+            )
+            self._sparse.eliminate_zeros()
+        return self._sparse
 
     def to_dense_matrix(self) -> np.ndarray:
         """Dense 2^n x 2^n matrix; qubit 0 is the most significant factor."""
@@ -281,15 +277,7 @@ class QubitOperator:
             raise SizeLimit(
                 f"dense matrix for {self.n_qubits} qubits exceeds the guard (14)"
             )
-        dim = 1 << self.n_qubits
-        out = np.zeros((dim, dim), dtype=complex)
-        for term, c in self.terms.items():
-            letters = dict(term)
-            mat = np.array([[c]], dtype=complex)
-            for q in range(self.n_qubits):
-                mat = np.kron(mat, _PAULI_MATS[letters.get(q, "I")])
-            out += mat
-        return out
+        return self.to_sparse_matrix().toarray()
 
     def format_text(self) -> str:
         """One term per line: ``coeff X0 Y2 Z3`` (bare coeff = identity)."""
@@ -299,33 +287,36 @@ class QubitOperator:
             lines.append(f"{_format_coeff(c)} {ops}".rstrip())
         return "\n".join(lines)
 
-    @classmethod
-    def parse_text(cls, text: str, n_qubits: int) -> "QubitOperator":
-        terms: dict[PauliTerm, complex] = {}
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            toks = line.split()
-            try:
-                coeff = complex(toks[0])
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: bad coefficient") from exc
-            term = []
-            for tok in toks[1:]:
-                letter, idx_text = tok[0].upper(), tok[1:]
-                if letter not in ("X", "Y", "Z"):
-                    raise ParseError(f"line {lineno}: bad Pauli factor {tok!r}")
-                try:
-                    term.append((int(idx_text), letter))
-                except ValueError as exc:
-                    raise ParseError(f"line {lineno}: bad qubit in {tok!r}") from exc
-            key = tuple(sorted(term))
-            terms[key] = terms.get(key, 0.0) + coeff
-        return cls(n_qubits, terms)
-
     def __repr__(self) -> str:
         return f"QubitOperator(n_qubits={self.n_qubits}, n_terms={len(self.terms)})"
+
+
+# Each cached action holds 24 * 2^n bytes: the 1024 entries hold at most
+# 24 MB at the 10-qubit density-matrix limit.
+_PAULI_ACTION_CACHE_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=_PAULI_ACTION_CACHE_SIZE)
+def pauli_action(n: int, term: PauliTerm) -> tuple[np.ndarray, np.ndarray]:
+    """P|i> = phase_i |target_i> over all 2^n basis states i, for the Pauli
+    string ``term`` on ``n`` qubits (qubit 0 is the most significant bit).
+    The returned arrays are cached and read-only."""
+    idx = np.arange(1 << n)
+    target = idx.copy()
+    phase = np.ones(1 << n, dtype=complex)
+    for q, letter in term:
+        pos = n - 1 - q
+        bit = (idx >> pos) & 1
+        if letter == "X":
+            target ^= 1 << pos
+        elif letter == "Y":
+            target ^= 1 << pos
+            phase = phase * (1.0j * (1.0 - 2.0 * bit))
+        else:  # Z
+            phase = phase * (1.0 - 2.0 * bit)
+    target.flags.writeable = False
+    phase.flags.writeable = False
+    return target, phase
 
 
 def _format_coeff(c: complex) -> str:

@@ -67,21 +67,26 @@ def kernel(problem: UCCProblem, maxiter: int = _MAXITER) -> OptResult:
     Optimizer failures are not raised: the best point found is returned,
     and ``converged`` reports whether it is stationary within tolerance.
     """
+    return _minimize_lbfgs(
+        lambda x: problem_energy_and_gradient(problem, x),
+        problem.init_guess.copy(), maxiter)
+
+
+def _minimize_lbfgs(objective, x0: np.ndarray,
+                    maxiter: int = _MAXITER) -> OptResult:
+    """L-BFGS-B on ``objective(x) -> (energy, gradient)`` from ``x0``, the
+    driver of :func:`kernel` and :func:`vqchem.gates.hea_kernel`.  A point
+    is converged when max|grad| is at most ``_GRAD_TOL``, also when the
+    optimizer stopped on a line-search failure after reaching it."""
     t0 = time.perf_counter()
-    x0 = problem.init_guess.copy()
-    if problem.n_params == 0:
-        e, _ = problem_energy_and_gradient(problem, x0)
+    if x0.size == 0:
+        e, _ = objective(x0)
         return OptResult(
             e=float(e), x=x0, init_guess=x0.copy(), nit=0, nfev=1, njev=1,
             grad_at_opt=np.zeros(0), converged=True,
             message="nothing to optimize: zero parameters",
             opt_time=time.perf_counter() - t0,
         )
-
-    def objective(x):
-        e, g = problem_energy_and_gradient(problem, x)
-        return e, g
-
     res = minimize(
         objective, x0, jac=True, method="L-BFGS-B",
         options={
@@ -92,9 +97,6 @@ def kernel(problem: UCCProblem, maxiter: int = _MAXITER) -> OptResult:
         },
     )
     grad = np.asarray(res.jac, dtype=float)
-    # a stationary point is converged even when the optimizer stopped on a
-    # line-search failure after reaching it
-    converged = float(np.max(np.abs(grad))) <= _GRAD_TOL
     return OptResult(
         e=float(res.fun),
         x=np.asarray(res.x, dtype=float),
@@ -103,7 +105,7 @@ def kernel(problem: UCCProblem, maxiter: int = _MAXITER) -> OptResult:
         nfev=int(res.nfev),
         njev=int(res.njev),
         grad_at_opt=grad,
-        converged=converged,
+        converged=float(np.max(np.abs(grad))) <= _GRAD_TOL,
         message=str(res.message),
         opt_time=time.perf_counter() - t0,
     )

@@ -16,7 +16,13 @@ from vqchem import (
     simulate_state,
     write_fcidump,
 )
-from vqchem.cli import _hea_init_params, _reference_bitstring, main
+from vqchem.cli import (
+    _hea_init_params,
+    _qubit_hamiltonian,
+    _reference_bitstring,
+    main,
+)
+from oracles import dense_qubit_operator
 
 H2_FCI = -1.1372744055294606
 
@@ -67,6 +73,24 @@ def test_truncated_state_file_exits_one(capsys, tmp_path):
                        "--load-state", str(path))
     assert code == 1
     assert "ParseError" in err
+
+
+@pytest.mark.parametrize("command", [
+    ("fci", "--fcidump", "h2_sto3g"),
+    ("convert", "--to", "state-json"),
+])
+def test_non_finite_state_file_exits_one(capsys, tmp_path, command):
+    path = tmp_path / "state.civec"
+    code, _, _ = run(capsys, "fci", "--fcidump", "h2_sto3g",
+                     "--save-state", str(path))
+    assert code == 0
+    raw = bytearray(path.read_bytes())
+    raw[12:20] = np.array([np.nan], dtype="<f8").tobytes()
+    path.write_bytes(bytes(raw))
+    code, out, err = run(capsys, *command, "--load-state", str(path),
+                         "--format", "json")
+    assert code == 1
+    assert "ParseError" in err and "NaN" not in out
 
 
 def test_bad_grid_is_a_usage_error(capsys):
@@ -194,6 +218,14 @@ def test_hea_start_is_hartree_fock(h4, layers):
     init = _hea_init_params(circuit, _reference_bitstring(h))
     e = expectation(simulate_state(circuit, init), h)
     assert abs(e - hf_energy(h4)) < 1e-10
+
+
+@pytest.mark.parametrize("transform", ["jw", "parity", "parity-reduced"])
+def test_reference_bitstring_is_argmin_of_oracle_diagonal(h4, transform):
+    h = _qubit_hamiltonian(h4, transform)
+    diag = dense_qubit_operator(h).diagonal().real
+    assert _reference_bitstring(h) == format(int(np.argmin(diag)),
+                                             f"0{h.n_qubits}b")
 
 
 def test_vqe_builds_one_ci_space(capsys, monkeypatch):

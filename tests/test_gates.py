@@ -265,6 +265,19 @@ def test_expectation_matches_dense():
     assert abs(expectation(rho, h) - np.trace(rho @ h_dense).real) < 1e-12
 
 
+def test_expectation_matches_dense_on_parity_reduced_h4(h4):
+    h = parity_transform(build_fermion_hamiltonian(h4), h4.n_elec,
+                         reduce_two_qubits=True)
+    assert (h.n_qubits, len(h.terms)) == (6, 165)
+    h_dense = dense_qubit_operator(h)
+    rng = np.random.default_rng(29)
+    psi = rng.normal(size=64) + 1j * rng.normal(size=64)
+    psi /= np.linalg.norm(psi)
+    assert abs(expectation(psi, h) - np.vdot(psi, h_dense @ psi).real) < 1e-12
+    rho = np.outer(psi, psi.conj())
+    assert abs(expectation(rho, h) - np.trace(rho @ h_dense).real) < 1e-12
+
+
 def test_expectation_rejects_non_hermitian():
     h = QubitOperator(1, {((0, "X"),): 1j})
     psi = np.array([1.0, 1.0]) / np.sqrt(2)  # <X> = 1, so <iX> is imaginary
@@ -367,6 +380,25 @@ def test_hea_noisy_pinned_energy(h2):
     noise = NoiseModel({"CNOT": depolarizing_channel(0.1, 2)})
     res = hea_kernel(c, init, h, noise=noise)
     assert abs(res.e - (-1.0521770566223434)) < 1e-6
+
+
+@pytest.mark.parametrize("case", ["h2", "h4"])
+def test_hea_converged_is_the_gradient_test(case, request):
+    from vqchem.cli import _hea_init_params, _reference_bitstring
+    from vqchem.vqe import _GRAD_TOL
+
+    s = request.getfixturevalue(case)
+    h = parity_transform(build_fermion_hamiltonian(s), s.n_elec,
+                         reduce_two_qubits=True)
+    c = build_ry_ansatz(h.n_qubits, 1)
+    res = hea_kernel(c, _hea_init_params(c, _reference_bitstring(h)), h)
+    assert res.converged == (np.max(np.abs(res.grad_at_opt)) <= _GRAD_TOL)
+
+
+def test_hea_without_parameters_evaluates_the_circuit():
+    h = QubitOperator(1, {((0, "Z"),): 1.0})
+    res = hea_kernel(Circuit(1, [Gate("X", (0,))], 0), [], h)
+    assert res.e == -1.0 and res.converged and res.nfev == 1
 
 
 def test_hea_sampled_objective_is_seeded(h2):

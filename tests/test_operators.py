@@ -259,3 +259,46 @@ def test_qubit_operator_product_matches_dense():
             dense_qubit_operator(a) @ dense_qubit_operator(b),
             atol=1e-12,
         )
+
+
+# ---------------------------------------------------------------------------
+# Compiled Pauli-sum matrix
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("case", ["h2", "h4"])
+@pytest.mark.parametrize("transform", ["jw", "parity", "parity-reduced"])
+def test_dense_matrix_matches_oracle_on_molecular_images(case, transform,
+                                                         request):
+    s = request.getfixturevalue(case)
+    h_fermion = build_fermion_hamiltonian(s)
+    if transform == "jw":
+        h = jordan_wigner(h_fermion)
+    else:
+        h = parity_transform(h_fermion, s.n_elec,
+                             reduce_two_qubits=transform == "parity-reduced")
+    np.testing.assert_allclose(h.to_dense_matrix(), dense_qubit_operator(h),
+                               rtol=0, atol=1e-12)
+
+
+_pauli_strings = st.lists(st.sampled_from("IXYZ"), min_size=1, max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    strings=st.lists(_pauli_strings, min_size=1, max_size=6),
+    coeffs=st.lists(st.complex_numbers(max_magnitude=2.0,
+                                       allow_nan=False, allow_infinity=False),
+                    min_size=8, max_size=8),
+)
+def test_dense_matrix_matches_oracle_on_random_sums(strings, coeffs):
+    n = max(len(letters) for letters in strings)
+    terms = {(): coeffs[0]}
+    for k, letters in enumerate(strings):
+        term = tuple((q, ch) for q, ch in enumerate(letters) if ch != "I")
+        # swapping X and Y keeps the flip pattern but changes the phases
+        twin = tuple((q, {"X": "Y", "Y": "X"}.get(ch, ch)) for q, ch in term)
+        terms[term] = terms.get(term, 0.0) + coeffs[k + 1]
+        terms[twin] = terms.get(twin, 0.0) + coeffs[7 - k]
+    op = QubitOperator(n, terms)
+    np.testing.assert_allclose(op.to_dense_matrix(), dense_qubit_operator(op),
+                               rtol=0, atol=1e-12)
