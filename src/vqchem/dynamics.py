@@ -24,7 +24,13 @@ from .errors import (
     NumericalBlowup,
     SizeLimit,
 )
-from .operators import _PAULI_MATS, QubitOperator, pauli_action
+from .operators import (
+    _PAULI_MATS,
+    QubitOperator,
+    apply_pauli,
+    pauli_action,
+    pauli_rotation,
+)
 
 _EXACT_DIM_LIMIT = 1 << 12
 _UNARY_NBAS_LIMIT = 16
@@ -431,43 +437,27 @@ def build_vha(enc: EncodedHamiltonian, n_layers: int,
                     n_layers=n_layers, phi=phi)
 
 
-def _factor_actions(ansatz: VHAnsatz):
-    return [pauli_action(ansatz.n_qubits, term) for term in ansatz.paulis]
-
-
-def _apply_rotation(vec_or_mat, target, phase, theta):
-    """exp(-i theta P) applied to a vector or to each column of a matrix,
-    using P^2 = I."""
-    p_applied = np.empty_like(vec_or_mat)
-    if vec_or_mat.ndim == 1:
-        p_applied[target] = phase * vec_or_mat
-    else:
-        p_applied[target, :] = phase[:, None] * vec_or_mat
-    return math.cos(theta) * vec_or_mat - 1.0j * math.sin(theta) * p_applied
-
-
 def _state_and_jacobian(ansatz: VHAnsatz, theta, want_jacobian: bool):
+    """Column 0 of the buffer is psi and column k + 1 is d psi / d theta_k,
+    so one rotation per parameter moves the state and the columns built so
+    far."""
     theta = np.asarray(theta, dtype=float).ravel()
     if theta.size != ansatz.n_params:
         raise InvalidParams(
             f"ansatz has {ansatz.n_params} parameters, got {theta.size}"
         )
-    actions = _factor_actions(ansatz)
-    n_terms = len(ansatz.paulis)
-    psi = ansatz.phi.copy()
-    jac = (np.zeros((ansatz.dim, ansatz.n_params), dtype=complex)
-           if want_jacobian else None)
+    n, n_terms = ansatz.n_qubits, len(ansatz.paulis)
+    width = ansatz.n_params + 1 if want_jacobian else 1
+    buf = np.zeros((ansatz.dim, width), dtype=complex)
+    buf[:, 0] = ansatz.phi
     for k in range(ansatz.n_params):
-        target, phase = actions[k % n_terms]
-        t = theta[k]
-        if want_jacobian and k > 0:
-            jac[:, :k] = _apply_rotation(jac[:, :k], target, phase, t)
-        psi = _apply_rotation(psi, target, phase, t)
+        term = ansatz.paulis[k % n_terms]
+        live = k + 1 if want_jacobian else 1
+        buf[:, :live] = pauli_rotation(n, term, theta[k], buf[:, :live])
         if want_jacobian:
-            col = np.empty_like(psi)
-            col[target] = phase * psi
-            jac[:, k] = -1.0j * col  # d/dtheta e^{-i theta P} = -iP e^{...}
-    return psi, jac
+            # d/dtheta e^{-i theta P} = -iP e^{-i theta P}
+            buf[:, k + 1] = -1.0j * apply_pauli(n, term, buf[:, 0])
+    return buf[:, 0], (buf[:, 1:] if want_jacobian else None)
 
 
 def ansatz_state(ansatz: VHAnsatz, theta) -> np.ndarray:

@@ -9,12 +9,20 @@ sampled ones take each string's action from
 :func:`vqchem.operators.pauli_action`.  The gradient-based optimizer is the
 L-BFGS-B driver of :func:`vqchem.vqe.kernel`.  The rotation
 convention is RY(theta) = exp(-i*theta*Y/2) and
-PAULI_ROT(P, theta) = exp(-i*theta*P/2); with it the parameter-shift rule
-reads
-dE/dtheta = [E(theta + pi/2) - E(theta - pi/2)] / 2.
-(Stated for a generator R with R^2 = -I and U = e^{theta R}, the same rule
-uses shifts of pi/4 in theta; R = -iY/2 rescales the angle by 2, which is
-where the pi/2 comes from.)
+PAULI_ROT(P, theta) = exp(-i*theta*P/2), so RY is the rotation about the
+one-letter string "Y"; both are applied by
+:func:`vqchem.operators.pauli_rotation` from the string's action, without a
+rotation matrix.  X and CNOT are small matrices applied to the qubits they
+touch.
+
+With this convention the parameter-shift rule
+dE/dtheta = [E(theta + pi/2) - E(theta - pi/2)] / 2
+defines the gradient.  (Stated for a generator R with R^2 = -I and
+U = e^{theta R}, the same rule uses shifts of pi/4 in theta; R = -iY/2
+rescales the angle by 2, which is where the pi/2 comes from.)  It is not
+evaluated as 2P shifted circuits: one reverse pass through the statevector,
+or through the density matrix and the adjoint channels, gives the same
+value (see :func:`parameter_shift_gradient`).
 """
 
 from __future__ import annotations
@@ -35,7 +43,13 @@ from .errors import (
     SharedParameterUnsupported,
     SizeLimit,
 )
-from .operators import _PAULI_MATS, QubitOperator, pauli_action
+from .operators import (
+    _PAULI_MATS,
+    QubitOperator,
+    apply_pauli,
+    pauli_action,
+    pauli_rotation,
+)
 from .vqe import OptResult, _minimize_lbfgs
 
 _DENSITY_QUBIT_LIMIT = 10
@@ -44,11 +58,6 @@ _GATE_KINDS = ("X", "RY", "CNOT", "PAULI_ROT")
 _CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
-
-
-def _ry_matrix(theta: float) -> np.ndarray:
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -267,31 +276,33 @@ def depolarizing_channel(p: float, n_qubits: int) -> list:
 # Simulation
 # ---------------------------------------------------------------------------
 
-def _gate_matrix(g: Gate, params) -> np.ndarray:
-    if g.kind == "X":
-        return _PAULI_MATS["X"]
-    if g.kind == "CNOT":
-        return _CNOT
-    theta = float(params[g.param_slot]) if g.param_slot is not None else g.angle
+def _generator(g: Gate):
+    """Pauli term P of a rotation gate exp(-i theta P / 2) (RY is the
+    rotation about "Y"); None for the fixed gates X and CNOT."""
     if g.kind == "RY":
-        return _ry_matrix(theta)
-    # PAULI_ROT: exp(-i theta P / 2) = cos(t/2) I - i sin(t/2) P
-    rotation = QubitOperator(len(g.pauli), {
-        (): math.cos(theta / 2.0),
-        tuple(enumerate(g.pauli)): -1.0j * math.sin(theta / 2.0),
-    })
-    return rotation.to_dense_matrix()
+        return ((g.qubits[0], "Y"),)
+    if g.kind == "PAULI_ROT":
+        return tuple(sorted(zip(g.qubits, g.pauli)))
+    return None
 
 
-def _apply_unitary_state(psi: np.ndarray, u: np.ndarray, qubits,
-                         n: int) -> np.ndarray:
-    k = len(qubits)
-    psi = psi.reshape([2] * n)
-    psi = np.moveaxis(psi, qubits, range(k))
-    shape = psi.shape
-    psi = u @ psi.reshape(2 ** k, -1)
-    psi = np.moveaxis(psi.reshape(shape), range(k), qubits)
-    return psi.reshape(-1)
+def _apply_gate(x: np.ndarray, g: Gate, params, n: int,
+                inverse: bool = False) -> np.ndarray:
+    """The gate (or its inverse) applied to a statevector, or to the rows
+    of a 2^n x m matrix.  X and CNOT are their own inverses."""
+    term = _generator(g)
+    if term is None:
+        return _apply_rows(x, _PAULI_MATS["X"] if g.kind == "X" else _CNOT,
+                           g.qubits, n)
+    theta = float(params[g.param_slot]) if g.param_slot is not None else g.angle
+    return pauli_rotation(n, term, (-0.5 if inverse else 0.5) * theta, x)
+
+
+def _conjugate(rho: np.ndarray, g: Gate, params, n: int,
+               inverse: bool = False) -> np.ndarray:
+    """U rho U^dagger (U^dagger rho U with ``inverse``) for Hermitian rho."""
+    once = _apply_gate(rho, g, params, n, inverse)
+    return _apply_gate(once.conj().T, g, params, n, inverse)
 
 
 def simulate_state(c: Circuit, params) -> np.ndarray:
@@ -300,8 +311,7 @@ def simulate_state(c: Circuit, params) -> np.ndarray:
     psi = np.zeros(2 ** c.n_qubits, dtype=complex)
     psi[0] = 1.0
     for g in c.gates:
-        psi = _apply_unitary_state(psi, _gate_matrix(g, params), g.qubits,
-                                   c.n_qubits)
+        psi = _apply_gate(psi, g, params, c.n_qubits)
     return psi
 
 
@@ -340,40 +350,51 @@ def _apply_channel_density(rho: np.ndarray, mats, qubits, n: int) -> np.ndarray:
 
 
 def _apply_rows(mat: np.ndarray, u: np.ndarray, qubits, n: int) -> np.ndarray:
-    """Apply u to the row (ket) index of a 2^n x m matrix."""
+    """Apply u to the row (ket) index of a statevector or a 2^n x m
+    matrix."""
     k = len(qubits)
-    cols = mat.shape[1]
-    t = mat.reshape([2] * n + [cols])
+    t = mat.reshape([2] * n + list(mat.shape[1:]))
     t = np.moveaxis(t, qubits, range(k))
     shape = t.shape
     t = u @ t.reshape(2 ** k, -1)
     t = np.moveaxis(t.reshape(shape), range(k), qubits)
-    return t.reshape(2 ** n, cols)
+    return t.reshape(mat.shape)
+
+
+def _apply_noise(rho: np.ndarray, g: Gate, channels: dict,
+                 n: int) -> np.ndarray:
+    """The channel bound to the gate's kind, if any, applied to rho."""
+    kraus = channels.get(g.kind)
+    if kraus is None:
+        return rho
+    if kraus[0].shape[0] != 2 ** len(g.qubits):
+        raise InvalidChannel(
+            f"channel dimension {kraus[0].shape[0]} does not match "
+            f"{g.kind} arity"
+        )
+    return _apply_channel_density(rho, kraus, g.qubits, n)
+
+
+def _initial_density(c: Circuit) -> np.ndarray:
+    if c.n_qubits > _DENSITY_QUBIT_LIMIT:
+        raise SizeLimit(
+            f"density simulation capped at {_DENSITY_QUBIT_LIMIT} qubits"
+        )
+    dim = 2 ** c.n_qubits
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho[0, 0] = 1.0
+    return rho
 
 
 def simulate_density(c: Circuit, params, noise: NoiseModel | None) -> DensityMatrix:
     """Apply the circuit to |0><0| with each gate followed by its noise
     channel (if the model binds one to that gate kind)."""
-    if c.n_qubits > _DENSITY_QUBIT_LIMIT:
-        raise SizeLimit(
-            f"density simulation capped at {_DENSITY_QUBIT_LIMIT} qubits"
-        )
+    rho = _initial_density(c)
     params = _check_circuit_params(c, params)
     channels = {} if noise is None else noise.channels
-    dim = 2 ** c.n_qubits
-    rho = np.zeros((dim, dim), dtype=complex)
-    rho[0, 0] = 1.0
     for g in c.gates:
-        u = _gate_matrix(g, params)
-        rho = _apply_channel_density(rho, [u], g.qubits, c.n_qubits)
-        kraus = channels.get(g.kind)
-        if kraus is not None:
-            if kraus[0].shape[0] != 2 ** len(g.qubits):
-                raise InvalidChannel(
-                    f"channel dimension {kraus[0].shape[0]} does not match "
-                    f"{g.kind} arity"
-                )
-            rho = _apply_channel_density(rho, kraus, g.qubits, c.n_qubits)
+        rho = _conjugate(rho, g, params, c.n_qubits)
+        rho = _apply_noise(rho, g, channels, c.n_qubits)
     return DensityMatrix(c.n_qubits, rho)
 
 
@@ -474,18 +495,91 @@ def _energy_of(c: Circuit, params, h: QubitOperator,
 
 def parameter_shift_gradient(c: Circuit, params, h: QubitOperator,
                              noise: NoiseModel | None = None) -> np.ndarray:
-    """dE/dtheta_j = [E(theta_j + pi/2) - E(theta_j - pi/2)] / 2, two circuit
-    evaluations per parameter; exact for RY/PAULI_ROT generators."""
+    """The parameter-shift gradient
+    dE/dtheta_j = [E(theta_j + pi/2) - E(theta_j - pi/2)] / 2, exact for
+    RY/PAULI_ROT generators, computed by one reverse pass instead of 2P
+    circuit evaluations: through the statevector without ``noise``, through
+    the density matrix and the adjoint channels with it."""
     params = _check_circuit_params(c, params)
     _single_slot_gates(c)
+    if h.n_qubits != c.n_qubits:
+        raise InvalidOperator(
+            f"operator on {h.n_qubits} qubits against a "
+            f"{c.n_qubits}-qubit circuit"
+        )
+    if noise is None:
+        return _state_gradient(c, params, h)
+    return _density_gradient(c, params, h, noise.channels)
+
+
+def _state_gradient(c: Circuit, params, h: QubitOperator) -> np.ndarray:
+    """Adjoint differentiation (Jones & Gacon, arXiv:2009.02823): with
+    lambda = H psi carried back through the circuit next to psi, a rotation
+    exp(-i theta P / 2) contributes dE/dtheta = Im <lambda|P|psi>, both read
+    right after the gate."""
+    n = c.n_qubits
+    psi = simulate_state(c, params)
+    lam = h.to_sparse_matrix() @ psi
     grad = np.zeros(c.n_params)
-    for j in range(c.n_params):
-        shifted = params.copy()
-        shifted[j] = params[j] + math.pi / 2.0
-        e_plus = _energy_of(c, shifted, h, noise)
-        shifted[j] = params[j] - math.pi / 2.0
-        e_minus = _energy_of(c, shifted, h, noise)
-        grad[j] = 0.5 * (e_plus - e_minus)
+    for g in reversed(c.gates):
+        if g.param_slot is not None:
+            grad[g.param_slot] = np.vdot(
+                lam, apply_pauli(n, _generator(g), psi)).imag
+        psi = _apply_gate(psi, g, params, n, inverse=True)
+        lam = _apply_gate(lam, g, params, n, inverse=True)
+    return grad
+
+
+# Bytes of the states that the density-matrix reverse pass keeps.
+_ADJOINT_STATE_BYTES = 64 << 20
+
+
+def _density_gradient(c: Circuit, params, h: QubitOperator,
+                      channels: dict) -> np.ndarray:
+    """The same reverse pass in the Heisenberg picture.  Walking back from
+    O = H, each gate first takes its channel's adjoint M = sum K^dagger O K;
+    a rotation then contributes dE/dtheta = Im Tr(M P sigma), with sigma =
+    U rho U^dagger the state right after the rotation (before its channel);
+    finally O = U^dagger M U.
+
+    The forward pass keeps sigma at every ``stride``-th parametrised gate,
+    with ``stride`` the smallest that fits the kept states into
+    ``_ADJOINT_STATE_BYTES`` (1 unless the circuit is large); the states in
+    between are replayed from the nearest kept one when the reverse pass
+    reaches them."""
+    n = c.n_qubits
+    rho = _initial_density(c)
+    grad = np.zeros(c.n_params)
+    marks = [k for k, g in enumerate(c.gates) if g.param_slot is not None]
+    if not marks:
+        return grad
+    stride = -(-len(marks) * (16 << 2 * n) // _ADJOINT_STATE_BYTES)
+    kept = dict.fromkeys(marks[::stride])
+    for k, g in enumerate(c.gates[: marks[-1] + 1]):
+        rho = _conjugate(rho, g, params, n)
+        if k in kept:
+            kept[k] = rho
+        rho = _apply_noise(rho, g, channels, n)
+
+    def sigma_at(k):
+        i = marks.index(k)
+        start = marks[i - i % stride]
+        sigma = kept[start]
+        for j in range(start + 1, k + 1):
+            sigma = _apply_noise(sigma, c.gates[j - 1], channels, n)
+            sigma = _conjugate(sigma, c.gates[j], params, n)
+        return sigma
+
+    adjoint = {kind: [m.conj().T for m in kraus]
+               for kind, kraus in channels.items()}
+    obs = h.to_dense_matrix()
+    for k in reversed(range(len(c.gates))):
+        g = c.gates[k]
+        obs = _apply_noise(obs, g, adjoint, n)
+        if g.param_slot is not None:
+            grad[g.param_slot] = np.vdot(
+                obs, apply_pauli(n, _generator(g), sigma_at(k))).imag
+        obs = _conjugate(obs, g, params, n, inverse=True)
     return grad
 
 
@@ -493,7 +587,8 @@ def hea_kernel(c: Circuit, init_params, h: QubitOperator,
                noise: NoiseModel | None = None, use_gradient: bool = True,
                shots: int | None = None, seed: int = 0):
     """Optimize the circuit energy.  With ``use_gradient`` a quasi-Newton
-    method driven by parameter-shift gradients is used; it stops and reports
+    method driven by parameter-shift gradients (each computed by one reverse
+    pass, see :func:`parameter_shift_gradient`) is used; it stops and reports
     convergence at the gradient tolerance of :func:`vqchem.vqe.kernel`.
     Circuits with shared parameter slots (or ``use_gradient=False``) fall
     back to a derivative-free simplex method.  With ``shots`` the objective

@@ -15,6 +15,7 @@ Index conventions used throughout the package:
 from __future__ import annotations
 
 import functools
+import math
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -319,6 +320,25 @@ def pauli_action(n: int, term: PauliTerm) -> tuple[np.ndarray, np.ndarray]:
     return target, phase
 
 
+def apply_pauli(n: int, term: PauliTerm, x: np.ndarray) -> np.ndarray:
+    """P x for the Pauli string ``term`` on ``n`` qubits, where ``x`` is a
+    statevector or a matrix whose rows are basis states (P acts on each
+    column)."""
+    target, phase = pauli_action(n, term)
+    out = np.empty_like(x)
+    out[target] = phase * x if x.ndim == 1 else phase[:, None] * x
+    return out
+
+
+def pauli_rotation(n: int, term: PauliTerm, angle: float,
+                   x: np.ndarray) -> np.ndarray:
+    """exp(-i angle P) x = cos(angle) x - i sin(angle) P x (using P^2 = I),
+    with ``x`` a statevector or a matrix of columns as in
+    :func:`apply_pauli`.  No matrix of the rotation is formed."""
+    return (math.cos(angle) * x
+            - 1.0j * math.sin(angle) * apply_pauli(n, term, x))
+
+
 def _format_coeff(c: complex) -> str:
     c = complex(c)
     if c.imag == 0.0:
@@ -352,6 +372,20 @@ def _reverse_qubit_labels(op: QubitOperator) -> QubitOperator:
     return QubitOperator(n, out)
 
 
+def _map_terms(op: FermionOperator, ladder) -> QubitOperator:
+    """Sum over the terms of ``op`` of the product of the qubit images
+    ``ladder(n, index, dagger)`` of their factors, collected in one dict."""
+    n = op.n_spin_orbitals
+    out: dict[PauliTerm, complex] = {}
+    for term, coeff in op.terms.items():
+        acc = QubitOperator.identity(n, coeff)
+        for idx, dag in term:
+            acc = acc * ladder(n, idx, dag)
+        for key, c in acc.terms.items():
+            out[key] = out.get(key, 0.0) + c
+    return QubitOperator(n, out)
+
+
 def _jw_ladder(n: int, index: int, dagger: bool) -> QubitOperator:
     """JW image of one ladder operator in orbital-indexed qubit labels."""
     z_tail = tuple((l, "Z") for l in range(index))
@@ -369,14 +403,8 @@ def jordan_wigner(op: FermionOperator) -> QubitOperator:
     bitstrings read highest spin-orbital first (e.g. 0101 for two electrons
     in two spatial orbitals).
     """
-    n = op.n_spin_orbitals
-    out = QubitOperator(n, {})
-    for term, coeff in op.terms.items():
-        acc = QubitOperator.identity(n, coeff)
-        for idx, dag in term:
-            acc = acc * _jw_ladder(n, idx, dag)
-        out = out + acc
-    return _reverse_qubit_labels(out.simplify()).simplify()
+    out = _map_terms(op, _jw_ladder).simplify()
+    return _reverse_qubit_labels(out).simplify()
 
 
 def _parity_ladder(n: int, index: int, dagger: bool) -> QubitOperator:
@@ -404,13 +432,7 @@ def parity_transform(op: FermionOperator, n_elec: int,
     fixed by ``n_elec``, and ``reduce_two_qubits`` removes them.
     """
     n = op.n_spin_orbitals
-    out = QubitOperator(n, {})
-    for term, coeff in op.terms.items():
-        acc = QubitOperator.identity(n, coeff)
-        for idx, dag in term:
-            acc = acc * _parity_ladder(n, idx, dag)
-        out = out + acc
-    out = out.simplify()
+    out = _map_terms(op, _parity_ladder).simplify()
     if not reduce_two_qubits:
         return _reverse_qubit_labels(out).simplify()
 

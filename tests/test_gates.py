@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +37,7 @@ from vqchem import (
     simulate_state,
     statevector_at,
 )
+import oracles
 from oracles import PAULI_1Q, dense_qubit_operator, embed_unitary
 
 H2_FCI = -1.1372744055294606
@@ -92,6 +98,48 @@ def random_circuit(rng, n_qubits, n_gates, n_params):
                               angle=float(rng.uniform(-np.pi, np.pi)),
                               pauli=pauli))
     return Circuit(n_qubits, gates, n_params)
+
+
+def random_single_slot_circuit(rng, n_qubits, n_gates):
+    """X, CNOT and rotation gates; each rotation either has a fixed angle
+    or drives its own parameter slot."""
+    gates = []
+    slot = 0
+    for _ in range(n_gates):
+        kind = rng.choice(["X", "RY", "RY", "PAULI_ROT", "PAULI_ROT"]
+                          + (["CNOT"] if n_qubits > 1 else []))
+        if kind == "X":
+            gates.append(Gate("X", (int(rng.integers(n_qubits)),)))
+            continue
+        if kind == "CNOT":
+            q = rng.choice(n_qubits, size=2, replace=False)
+            gates.append(Gate("CNOT", (int(q[0]), int(q[1]))))
+            continue
+        if rng.random() < 0.3:
+            angle, param = float(rng.uniform(-np.pi, np.pi)), None
+        else:
+            angle, param = None, slot
+            slot += 1
+        if kind == "RY":
+            gates.append(Gate("RY", (int(rng.integers(n_qubits)),),
+                              param_slot=param, angle=angle))
+        else:
+            k = int(rng.integers(1, n_qubits + 1))
+            q = rng.choice(n_qubits, size=k, replace=False)
+            gates.append(Gate("PAULI_ROT", tuple(int(x) for x in q),
+                              param_slot=param, angle=angle,
+                              pauli="".join(rng.choice(list("XYZ"), size=k))))
+    return Circuit(n_qubits, gates, slot)
+
+
+def random_hamiltonian(rng, n_qubits, n_terms):
+    terms = {(): float(rng.normal())}
+    for _ in range(n_terms):
+        k = int(rng.integers(1, n_qubits + 1))
+        qubits = sorted(rng.choice(n_qubits, size=k, replace=False))
+        key = tuple((int(q), str(rng.choice(list("XYZ")))) for q in qubits)
+        terms[key] = float(rng.normal())
+    return QubitOperator(n_qubits, terms)
 
 
 def parity_reduced_h2(h2):
@@ -163,6 +211,19 @@ def test_simulate_density_pure_state_consistency():
     rho.validate()
     np.testing.assert_allclose(rho.matrix, np.outer(psi, psi.conj()),
                                atol=1e-12)
+
+
+def test_simulate_density_matches_dense_oracle():
+    rng = np.random.default_rng(41)
+    noise = NoiseModel({"CNOT": depolarizing_channel(0.1, 2),
+                        "RY": depolarizing_channel(0.05, 1)})
+    for _ in range(4):
+        c = random_single_slot_circuit(rng, 3, 12)
+        params = rng.uniform(-np.pi, np.pi, size=c.n_params)
+        h = random_hamiltonian(rng, 3, 6)
+        got = expectation(simulate_density(c, params, noise), h)
+        assert abs(got - oracles.dense_circuit_energy(c, params, h, noise)) \
+            < 1e-12
 
 
 def test_simulate_density_size_limit():
@@ -341,6 +402,63 @@ def test_parameter_shift_matches_finite_difference(h2, noisy):
         assert abs(grad[j] - want) < 1e-7
 
 
+ADJOINT_TOL = 1e-10
+
+
+def hea_case(s, n_layers):
+    h = parity_transform(build_fermion_hamiltonian(s), s.n_elec,
+                         reduce_two_qubits=True)
+    return build_ry_ansatz(h.n_qubits, n_layers), h
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+@pytest.mark.parametrize("case", ["h2", "h4"])
+def test_gradient_matches_shift_rule_oracle_on_hea(case, noisy, request):
+    c, h = hea_case(request.getfixturevalue(case), 2)
+    noise = (NoiseModel({"CNOT": depolarizing_channel(0.05, 2)})
+             if noisy else None)
+    params = np.random.default_rng(31).uniform(-np.pi, np.pi, c.n_params)
+    want = oracles.parameter_shift_gradient(c, params, h, noise)
+    got = parameter_shift_gradient(c, params, h, noise)
+    assert np.max(np.abs(got - want)) < ADJOINT_TOL
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+def test_gradient_matches_shift_rule_oracle_on_random_circuits(noisy):
+    rng = np.random.default_rng(37 + noisy)
+    # the RY channel acts right after a parametrised gate
+    noise = (NoiseModel({"CNOT": depolarizing_channel(0.1, 2),
+                         "RY": depolarizing_channel(0.05, 1)})
+             if noisy else None)
+    for n_qubits in (1, 2, 3, 4):
+        c = random_single_slot_circuit(rng, n_qubits, 14)
+        h = random_hamiltonian(rng, n_qubits, 8)
+        params = rng.uniform(-np.pi, np.pi, size=c.n_params)
+        want = oracles.parameter_shift_gradient(c, params, h, noise)
+        got = parameter_shift_gradient(c, params, h, noise)
+        assert np.max(np.abs(got - want), initial=0.0) < ADJOINT_TOL
+    with pytest.raises(InvalidOperator):
+        parameter_shift_gradient(c, params, random_hamiltonian(rng, 2, 3),
+                                 noise)
+
+
+@pytest.mark.parametrize("states", [5, 0])
+def test_noisy_gradient_with_checkpoint_stride(h4, states, monkeypatch):
+    """A budget of a few states (or none) keeps every stride-th state and
+    replays the rest on the way back."""
+    import vqchem.gates as gates
+
+    c, h = hea_case(h4, 2)
+    monkeypatch.setattr(gates, "_ADJOINT_STATE_BYTES",
+                        max(1, states * 16 * 4 ** c.n_qubits))
+    noise = NoiseModel({"CNOT": depolarizing_channel(0.05, 2),
+                        "RY": depolarizing_channel(0.02, 1)})
+    params = np.random.default_rng(43).uniform(-np.pi, np.pi, c.n_params)
+    want = oracles.parameter_shift_gradient(c, params, h, noise)
+    got = parameter_shift_gradient(c, params, h, noise)
+    assert np.max(np.abs(got - want)) < ADJOINT_TOL
+
+
 def test_shared_slot_rejected_by_shift_rule(h2):
     h = parity_reduced_h2(h2)
     c = Circuit(2, [Gate("RY", (0,), param_slot=0),
@@ -434,6 +552,38 @@ def test_compiled_ucc_h4_random_params(h4):
     psi = simulate_state(compile_ucc_trotter(problem, params), None)
     np.testing.assert_allclose(psi, statevector_at(problem, params),
                                atol=1e-10)
+
+
+_COMPILED_H6 = """
+import json, resource
+import numpy as np
+import vqchem
+problem = vqchem.make_uccsd_problem(vqchem.load_fixture("h6_sto3g"))
+params = np.random.default_rng(19).uniform(-0.2, 0.2, problem.n_params)
+circuit = vqchem.compile_ucc_trotter(problem, params)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+psi = vqchem.simulate_state(circuit, None)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+err = np.max(np.abs(psi - vqchem.statevector_at(problem, params)))
+print(json.dumps({"widest": max(len(g.qubits) for g in circuit.gates),
+                  "err": float(err), "grew_mb": (after - before) / 1024}))
+"""
+
+
+def test_compiled_ucc_h6_without_dense_rotations():
+    """Rotations over all 12 qubits of h6 are applied from the string's
+    action; a dense 4096 x 4096 matrix per string took about 0.27 GB."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   [str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", _COMPILED_H6], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr[-2000:]
+    result = json.loads(run.stdout)
+    assert result["widest"] == 12
+    assert result["err"] < 1e-10
+    assert result["grew_mb"] < 64
 
 
 def test_compiled_ucc_size_limit(h8):

@@ -183,6 +183,36 @@ def test_parity_vs_jw_spectral_equivalence():
             np.linalg.eigvalsh(jw), np.linalg.eigvalsh(par), atol=1e-9)
 
 
+def test_maps_match_operator_sum_reference(h4):
+    """The maps collect every term in one dict; summing the term products
+    as operators (the former accumulation) gives the same keys, in the same
+    order, and the same coefficients."""
+    from vqchem.operators import (
+        _jw_ladder,
+        _parity_ladder,
+        _reverse_qubit_labels,
+    )
+
+    def operator_sum(op, ladder):
+        n = op.n_spin_orbitals
+        out = QubitOperator(n, {})
+        for term, coeff in op.terms.items():
+            acc = QubitOperator.identity(n, coeff)
+            for idx, dag in term:
+                acc = acc * ladder(n, idx, dag)
+            out = out + acc
+        return _reverse_qubit_labels(out.simplify()).simplify()
+
+    h_fermion = build_fermion_hamiltonian(h4)
+    for got, ladder in ((jordan_wigner(h_fermion), _jw_ladder),
+                        (parity_transform(h_fermion, h4.n_elec),
+                         _parity_ladder)):
+        want = operator_sum(h_fermion, ladder)
+        assert list(got.terms) == list(want.terms)
+        assert max(abs(got.terms[k] - want.terms[k]) for k in want.terms) \
+            <= 1e-15
+
+
 def test_parity_reduction_keeps_ground_sector(h2):
     h_fermion = build_fermion_hamiltonian(h2)
     full = parity_transform(h_fermion, h2.n_elec)
