@@ -43,7 +43,6 @@ from .errors import (
     InvalidSymbol,
     NumericalBlowup,
     ParseError,
-    SharedParameterUnsupported,
     SizeLimit,
     SolverFailed,
     UnsupportedOpenShell,
@@ -116,7 +115,6 @@ from .ansatz import (
     paired_energy_and_gradient,
     paired_hamiltonian_matrix,
     paired_hf_vector,
-    paired_state,
     problem_civector,
     problem_energy_and_gradient,
     problem_statevector,

@@ -27,7 +27,6 @@ from scipy.sparse import csr_matrix
 
 from .civector import (
     _MAX_SPACES,
-    _forward,
     _occupation_strings,
     _rotation_table,
     _sweep,
@@ -415,12 +414,6 @@ def build_puccd_hamiltonian(s: IntegralSet) -> QubitOperator:
             add(((i, "X"), (j, "X")), 0.5 * v)
             add(((i, "Y"), (j, "Y")), 0.5 * v)
     return QubitOperator(n, terms).simplify()
-
-
-def paired_state(space: PairedSpace, ex_ops, params, param_ids) -> np.ndarray:
-    return _forward(_paired_tables(space, ex_ops),
-                    np.asarray(params, dtype=float), param_ids,
-                    paired_hf_vector(space))
 
 
 def paired_energy_and_gradient(space: PairedSpace, ex_ops, params, param_ids,

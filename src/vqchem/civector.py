@@ -270,15 +270,6 @@ def _pair_table(space: CISpace, ex: tuple):
     return table
 
 
-def _apply_pairs(table, amps: np.ndarray) -> np.ndarray:
-    """G v for a rotation table (None means G = 0)."""
-    out = np.zeros_like(amps)
-    if table is not None:
-        rows, cols, signs = table
-        out[rows] = signs * amps[cols]
-    return out
-
-
 def _rotate(amps: np.ndarray, table, theta: float) -> None:
     """e^{theta G} in place: independent 2x2 Givens rotations,
     v[r] <- cos*v[r] + sin*s*v[c] and v[c] <- cos*v[c] - sin*s*v[r]."""
@@ -324,7 +315,13 @@ def apply_excitation(space: CISpace, v, ex) -> CIVector:
     """Apply the anti-Hermitian generator G = g - g-dagger of the excitation
     tuple ``ex`` (creation indices first, annihilation indices last)."""
     ex = _validate_excitation(space, ex)
-    return CIVector(space, _apply_pairs(_pair_table(space, ex), _amps(v)))
+    amps = _amps(v)
+    out = np.zeros_like(amps)
+    table = _pair_table(space, ex)
+    if table is not None:
+        rows, cols, signs = table
+        out[rows] = signs * amps[cols]
+    return CIVector(space, out)
 
 
 def apply_ucc_factor(space: CISpace, v, ex, theta: float) -> CIVector:

@@ -72,10 +72,6 @@ class InvalidChannel(VqchemError):
     """Unknown noise channel name or unsupported gate/channel pairing."""
 
 
-class SharedParameterUnsupported(VqchemError):
-    """A circuit reuses one parameter slot where a unique slot is required."""
-
-
 class InvalidSymbol(VqchemError):
     """Unknown operator symbol in a model term."""
 

@@ -6,8 +6,10 @@ Qubit 0 is the most significant bit of a basis-state index, as in
 :mod:`vqchem.operators`.  Exact expectation values apply the compiled
 matrix of :meth:`~vqchem.operators.QubitOperator.to_sparse_matrix` once;
 sampled ones take each string's action from
-:func:`vqchem.operators.pauli_action`.  The gradient-based optimizer is the
-L-BFGS-B driver of :func:`vqchem.vqe.kernel`.  The rotation
+:func:`vqchem.operators.pauli_action`.  :func:`hea_kernel` drives exact
+objectives with the L-BFGS-B driver of :func:`vqchem.vqe.kernel`, one
+circuit pass per evaluation, and sampled ones (``shots``) with a
+derivative-free simplex method.  The rotation
 convention is RY(theta) = exp(-i*theta*Y/2) and
 PAULI_ROT(P, theta) = exp(-i*theta*P/2), so RY is the rotation about the
 one-letter string "Y"; both are applied by
@@ -22,7 +24,8 @@ U = e^{theta R}, the same rule uses shifts of pi/4 in theta; R = -iY/2
 rescales the angle by 2, which is where the pi/2 comes from.)  It is not
 evaluated as 2P shifted circuits: one reverse pass through the statevector,
 or through the density matrix and the adjoint channels, gives the same
-value (see :func:`parameter_shift_gradient`).
+value and the energy with it (see :func:`parameter_shift_gradient`).  A
+parameter slot may drive several gates; its derivative is the sum of theirs.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ from .errors import (
     InvalidParams,
     InvalidProbability,
     ParseError,
-    SharedParameterUnsupported,
     SizeLimit,
 )
 from .operators import (
@@ -434,9 +436,12 @@ def expectation(state_or_rho, h: QubitOperator) -> float:
     hm = h.to_sparse_matrix()
     if is_rho:
         # Tr(rho H) = sum over the entries H[r, c] of H[r, c] * rho[c, r]
-        total = complex(hm.multiply(arr.T).sum())
-    else:
-        total = complex(np.vdot(arr, hm @ arr))
+        return _real_energy(complex(hm.multiply(arr.T).sum()))
+    return _real_energy(complex(np.vdot(arr, hm @ arr)))
+
+
+def _real_energy(total: complex) -> float:
+    """The real part of an energy; the imaginary residue must vanish."""
     if abs(total.imag) > 1e-9:
         raise InvalidOperator(
             f"expectation value has imaginary part {total.imag:.2e}; "
@@ -473,35 +478,22 @@ def sampled_expectation(state_or_rho, h: QubitOperator, shots_per_term: int,
 # Gradients and optimization
 # ---------------------------------------------------------------------------
 
-def _single_slot_gates(c: Circuit):
-    slots: dict[int, int] = {}
-    for g in c.gates:
-        if g.param_slot is not None:
-            slots[g.param_slot] = slots.get(g.param_slot, 0) + 1
-    for slot, count in slots.items():
-        if count > 1:
-            raise SharedParameterUnsupported(
-                f"parameter slot {slot} drives {count} gates; the shift rule "
-                "needs one gate per parameter"
-            )
-
-
-def _energy_of(c: Circuit, params, h: QubitOperator,
-               noise: NoiseModel | None) -> float:
-    if noise is None:
-        return expectation(simulate_state(c, params), h)
-    return expectation(simulate_density(c, params, noise).matrix, h)
-
-
 def parameter_shift_gradient(c: Circuit, params, h: QubitOperator,
                              noise: NoiseModel | None = None) -> np.ndarray:
     """The parameter-shift gradient
     dE/dtheta_j = [E(theta_j + pi/2) - E(theta_j - pi/2)] / 2, exact for
     RY/PAULI_ROT generators, computed by one reverse pass instead of 2P
     circuit evaluations: through the statevector without ``noise``, through
-    the density matrix and the adjoint channels with it."""
+    the density matrix and the adjoint channels with it.  A slot that drives
+    several gates gets the sum of their shift-rule values, which is the
+    exact derivative."""
+    return _energy_and_gradient(c, params, h, noise)[1]
+
+
+def _energy_and_gradient(c: Circuit, params, h: QubitOperator,
+                         noise: NoiseModel | None):
+    """(energy, gradient) of the circuit from one reverse pass."""
     params = _check_circuit_params(c, params)
-    _single_slot_gates(c)
     if h.n_qubits != c.n_qubits:
         raise InvalidOperator(
             f"operator on {h.n_qubits} qubits against a "
@@ -512,35 +504,37 @@ def parameter_shift_gradient(c: Circuit, params, h: QubitOperator,
     return _density_gradient(c, params, h, noise.channels)
 
 
-def _state_gradient(c: Circuit, params, h: QubitOperator) -> np.ndarray:
+def _state_gradient(c: Circuit, params, h: QubitOperator):
     """Adjoint differentiation (Jones & Gacon, arXiv:2009.02823): with
     lambda = H psi carried back through the circuit next to psi, a rotation
     exp(-i theta P / 2) contributes dE/dtheta = Im <lambda|P|psi>, both read
-    right after the gate."""
+    right after the gate.  The energy is <psi|lambda> before the walk
+    back."""
     n = c.n_qubits
     psi = simulate_state(c, params)
     lam = h.to_sparse_matrix() @ psi
+    e = _real_energy(complex(np.vdot(psi, lam)))
     grad = np.zeros(c.n_params)
     for g in reversed(c.gates):
         if g.param_slot is not None:
-            grad[g.param_slot] = np.vdot(
+            grad[g.param_slot] += np.vdot(
                 lam, apply_pauli(n, _generator(g), psi)).imag
         psi = _apply_gate(psi, g, params, n, inverse=True)
         lam = _apply_gate(lam, g, params, n, inverse=True)
-    return grad
+    return e, grad
 
 
 # Bytes of the states that the density-matrix reverse pass keeps.
 _ADJOINT_STATE_BYTES = 64 << 20
 
 
-def _density_gradient(c: Circuit, params, h: QubitOperator,
-                      channels: dict) -> np.ndarray:
+def _density_gradient(c: Circuit, params, h: QubitOperator, channels: dict):
     """The same reverse pass in the Heisenberg picture.  Walking back from
     O = H, each gate first takes its channel's adjoint M = sum K^dagger O K;
     a rotation then contributes dE/dtheta = Im Tr(M P sigma), with sigma =
     U rho U^dagger the state right after the rotation (before its channel);
-    finally O = U^dagger M U.
+    finally O = U^dagger M U.  The energy is the expectation of the final
+    rho of the forward pass.
 
     The forward pass keeps sigma at every ``stride``-th parametrised gate,
     with ``stride`` the smallest that fits the kept states into
@@ -551,15 +545,16 @@ def _density_gradient(c: Circuit, params, h: QubitOperator,
     rho = _initial_density(c)
     grad = np.zeros(c.n_params)
     marks = [k for k, g in enumerate(c.gates) if g.param_slot is not None]
-    if not marks:
-        return grad
-    stride = -(-len(marks) * (16 << 2 * n) // _ADJOINT_STATE_BYTES)
+    stride = max(1, -(-len(marks) * (16 << 2 * n) // _ADJOINT_STATE_BYTES))
     kept = dict.fromkeys(marks[::stride])
-    for k, g in enumerate(c.gates[: marks[-1] + 1]):
+    for k, g in enumerate(c.gates):
         rho = _conjugate(rho, g, params, n)
         if k in kept:
             kept[k] = rho
         rho = _apply_noise(rho, g, channels, n)
+    e = expectation(rho, h)
+    if not marks:
+        return e, grad
 
     def sigma_at(k):
         i = marks.index(k)
@@ -577,47 +572,36 @@ def _density_gradient(c: Circuit, params, h: QubitOperator,
         g = c.gates[k]
         obs = _apply_noise(obs, g, adjoint, n)
         if g.param_slot is not None:
-            grad[g.param_slot] = np.vdot(
+            grad[g.param_slot] += np.vdot(
                 obs, apply_pauli(n, _generator(g), sigma_at(k))).imag
         obs = _conjugate(obs, g, params, n, inverse=True)
-    return grad
+    return e, grad
 
 
 def hea_kernel(c: Circuit, init_params, h: QubitOperator,
-               noise: NoiseModel | None = None, use_gradient: bool = True,
-               shots: int | None = None, seed: int = 0):
-    """Optimize the circuit energy.  With ``use_gradient`` a quasi-Newton
-    method driven by parameter-shift gradients (each computed by one reverse
-    pass, see :func:`parameter_shift_gradient`) is used; it stops and reports
-    convergence at the gradient tolerance of :func:`vqchem.vqe.kernel`.
-    Circuits with shared parameter slots (or ``use_gradient=False``) fall
-    back to a derivative-free simplex method.  With ``shots`` the objective
-    is sampled."""
-    t0 = time.perf_counter()
+               noise: NoiseModel | None = None, shots: int | None = None,
+               seed: int = 0):
+    """Optimize the circuit energy.  Without ``shots`` the L-BFGS-B driver
+    of :func:`vqchem.vqe.kernel` takes the energy and gradient of each
+    evaluation from one reverse pass (see :func:`parameter_shift_gradient`;
+    shared slots sum their gates' contributions) and reports convergence at
+    its gradient tolerance.  With ``shots`` the objective is sampled, with
+    a fresh seed per evaluation, and a derivative-free simplex method
+    minimizes it."""
     init_params = _check_circuit_params(c, init_params)
+    if shots is None:
+        return _minimize_lbfgs(
+            lambda x: _energy_and_gradient(c, x, h, noise), init_params)
+    t0 = time.perf_counter()
     eval_count = [0]
 
     def objective(x):
         eval_count[0] += 1
-        if shots is None:
-            return _energy_of(c, x, h, noise)
         state = (simulate_state(c, x) if noise is None
                  else simulate_density(c, x, noise).matrix)
         return sampled_expectation(state, h, shots,
                                    seed=seed + eval_count[0])
 
-    gradient_ok = use_gradient and shots is None
-    if gradient_ok:
-        try:
-            _single_slot_gates(c)
-        except SharedParameterUnsupported:
-            gradient_ok = False
-
-    if gradient_ok:
-        return _minimize_lbfgs(
-            lambda x: (objective(x), parameter_shift_gradient(c, x, h, noise)),
-            init_params,
-        )
     res = minimize(
         objective, init_params, method="Nelder-Mead",
         options={"adaptive": True, "xatol": 1e-7, "fatol": 1e-7,

@@ -18,22 +18,11 @@ from scipy.optimize import minimize
 
 from .ansatz import (
     UCCProblem,
-    _paired_orbitals,
-    _paired_table,
-    make_paired_space,
-    paired_hf_vector,
     problem_civector,
     problem_energy_and_gradient,
     problem_statevector,
 )
-from .civector import (
-    CIVector,
-    _apply_pairs,
-    apply_excitation,
-    fci_ground_state,
-    hf_vector,
-    make_ci_space,
-)
+from .civector import CIVector, fci_ground_state, make_ci_space
 from .errors import InvalidParams
 from .integrals import hf_energy, mp2
 
@@ -154,27 +143,25 @@ class SummaryReport:
 
 
 def _configuration_bitstring(problem: UCCProblem, ex) -> str:
-    """Bitstring of the determinant reached by exciting the reference, in
-    qubit order (qubit 0 leftmost)."""
+    """Bitstring of the determinant that G = g - g-dagger reaches from the
+    reference, in qubit order (qubit 0 leftmost).  Spin orbital k is bit k
+    (alpha string above beta string); in the pair space spatial orbital p is
+    bit p.  g acts when its annihilators are occupied and its creators are
+    free after them, otherwise g-dagger may; "-" when neither acts, or when
+    creators and annihilators are one set (g is Hermitian, so G = 0)."""
     s = problem.integrals
-    if problem.hard_core_boson:
-        space = make_paired_space(s.n_orb, s.n_elec)
-        p, q = _paired_orbitals(ex, s.n_orb)
-        w = _apply_pairs(_paired_table(space, p, q), paired_hf_vector(space))
-        width = s.n_orb
-        if not np.any(w):
-            return "-" * width
-        mask = int(space.strings[int(np.argmax(np.abs(w)))])
-        return format(mask, f"0{width}b")
-    space = make_ci_space(s.n_orb, s.n_elec)
-    w = apply_excitation(space, hf_vector(space), ex).amplitudes
-    width = 2 * s.n_orb
-    if not np.any(w):
-        return "-" * width
-    flat = int(np.argmax(np.abs(w)))
-    ia, ib = divmod(flat, space.n_strings_beta)
-    index = (int(space.alpha_strings[ia]) << s.n_orb) | int(space.beta_strings[ib])
-    return format(index, f"0{width}b")
+    n = s.n_orb
+    width = n if problem.hard_core_boson else 2 * n
+    occupied = (1 << s.n_elec // 2) - 1
+    ref = occupied if problem.hard_core_boson else occupied | occupied << n
+    half = len(ex) // 2
+    creators, annihilators = (
+        sum({1 << (i % width) for i in part}) for part in (ex[:half], ex[half:]))
+    if creators != annihilators:
+        for src, dst in ((annihilators, creators), (creators, annihilators)):
+            if ref & src == src and (ref ^ src) & dst == 0:
+                return format(ref ^ src | dst, f"0{width}b")
+    return "-" * width
 
 
 def print_summary(problem: UCCProblem, result: OptResult,

@@ -10,6 +10,8 @@ carries one bit per spin orbital, with spin orbital ``s`` stored at bit ``s``
 (so qubit ``q`` of an ``n``-qubit register corresponds to bit ``n - 1 - q``).
 """
 
+import dataclasses
+
 import numpy as np
 
 PAULI_1Q = {
@@ -297,3 +299,21 @@ def parameter_shift_gradient(c, params, h, noise=None) -> np.ndarray:
         e_minus = _dense_energy(gates, shifted, h_dense)
         grad[j] = 0.5 * (e_plus - e_minus)
     return grad
+
+
+def tied_slot_gradient(c, params, h, noise=None) -> np.ndarray:
+    """The exact gradient of a circuit whose slots may drive several gates:
+    give every parametrised gate its own slot, take
+    :func:`parameter_shift_gradient` there, and sum it back per slot."""
+    slots = np.array([g.param_slot for g in c.gates
+                      if g.param_slot is not None], dtype=int)
+    gates, k = [], 0
+    for g in c.gates:
+        if g.param_slot is not None:
+            g = dataclasses.replace(g, param_slot=k)
+            k += 1
+        gates.append(g)
+    untied = dataclasses.replace(c, gates=gates, n_params=k)
+    grad = parameter_shift_gradient(untied, np.asarray(params)[slots], h,
+                                    noise)
+    return np.bincount(slots, weights=grad, minlength=c.n_params)

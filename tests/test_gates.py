@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -18,7 +19,6 @@ from vqchem import (
     NoiseModel,
     ParseError,
     QubitOperator,
-    SharedParameterUnsupported,
     SizeLimit,
     build_fermion_hamiltonian,
     build_ry_ansatz,
@@ -437,6 +437,15 @@ def test_gradient_matches_shift_rule_oracle_on_random_circuits(noisy):
         want = oracles.parameter_shift_gradient(c, params, h, noise)
         got = parameter_shift_gradient(c, params, h, noise)
         assert np.max(np.abs(got - want), initial=0.0) < ADJOINT_TOL
+        # the same gates with their slots folded onto three shared ones
+        tied = Circuit(n_qubits, [
+            g if g.param_slot is None
+            else dataclasses.replace(g, param_slot=g.param_slot % 3)
+            for g in c.gates], 3)
+        shared = rng.uniform(-np.pi, np.pi, size=3)
+        want = oracles.tied_slot_gradient(tied, shared, h, noise)
+        got = parameter_shift_gradient(tied, shared, h, noise)
+        assert np.max(np.abs(got - want)) < ADJOINT_TOL
     with pytest.raises(InvalidOperator):
         parameter_shift_gradient(c, params, random_hamiltonian(rng, 2, 3),
                                  noise)
@@ -459,16 +468,75 @@ def test_noisy_gradient_with_checkpoint_stride(h4, states, monkeypatch):
     assert np.max(np.abs(got - want)) < ADJOINT_TOL
 
 
-def test_shared_slot_rejected_by_shift_rule(h2):
+def test_shared_slot_gradient_sums_its_gates(h2):
+    from vqchem.vqe import _GRAD_TOL
+
     h = parity_reduced_h2(h2)
     c = Circuit(2, [Gate("RY", (0,), param_slot=0),
                     Gate("RY", (1,), param_slot=0)], n_params=1)
-    with pytest.raises(SharedParameterUnsupported):
-        parameter_shift_gradient(c, [0.3], h)
-    # the optimizer falls back to a derivative-free method and still works
+    want = oracles.tied_slot_gradient(c, [0.3], h)
+    assert abs(parameter_shift_gradient(c, [0.3], h)[0] - want[0]) \
+        < ADJOINT_TOL
+    # the optimizer takes the gradient path, not a derivative-free one
     res = hea_kernel(c, [0.3], h)
-    assert res.njev == 0 and np.isnan(res.grad_at_opt).all()
-    assert np.isfinite(res.e)
+    assert res.njev > 0
+    assert res.converged == (np.max(np.abs(res.grad_at_opt)) <= _GRAD_TOL)
+
+
+def test_hea_simulates_once_per_evaluation(h4, monkeypatch):
+    import vqchem.gates as gates
+    from vqchem.cli import _hea_init_params, _reference_bitstring
+
+    c, h = hea_case(h4, 2)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return simulate_state(*args)
+
+    monkeypatch.setattr(gates, "simulate_state", counted)
+    res = hea_kernel(c, _hea_init_params(c, _reference_bitstring(h)), h)
+    assert len(calls) == res.nfev > 1
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+def test_hea_pass_energy_is_the_expectation(h4, noisy, monkeypatch):
+    """Each evaluation's energy is bit for bit the expectation of the
+    simulated state, so the reverse pass changes no optimizer step."""
+    import vqchem.gates as gates
+    from vqchem.cli import _hea_init_params, _reference_bitstring
+
+    c, h = hea_case(h4, 1)
+    noise = (NoiseModel({"CNOT": depolarizing_channel(0.02, 2)})
+             if noisy else None)
+    passes = []
+    lbfgs = gates._minimize_lbfgs
+
+    def recorded(objective, x0):
+        def tap(x):
+            e, grad = objective(x)
+            passes.append((x.copy(), e))
+            return e, grad
+        return lbfgs(tap, x0)
+
+    monkeypatch.setattr(gates, "_minimize_lbfgs", recorded)
+    res = hea_kernel(c, _hea_init_params(c, _reference_bitstring(h)), h,
+                     noise=noise)
+    assert len(passes) == res.nfev
+    for x, e in passes:
+        state = (simulate_state(c, x) if noise is None
+                 else simulate_density(c, x, noise))
+        assert e == expectation(state, h)
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+def test_hea_rejects_non_hermitian_operator(noisy):
+    h = QubitOperator(1, {((0, "X"),): 1j})
+    c = Circuit(1, [Gate("RY", (0,), param_slot=0)], n_params=1)
+    noise = (NoiseModel({"RY": depolarizing_channel(0.05, 1)})
+             if noisy else None)
+    with pytest.raises(InvalidOperator):
+        hea_kernel(c, [0.3], h, noise=noise)
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,20 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from vqchem import (
     InvalidParams,
+    apply_excitation,
     civector_at,
     energy_at,
     fci_ground_state,
     hf_energy,
+    hf_vector,
     kernel,
     make_ci_space,
     make_kupccgsd_problem,
+    make_puccd_problem,
     make_uccsd_problem,
     mp2_energy,
     print_summary,
@@ -116,6 +121,43 @@ def test_summary_report(h2, capsys):
     rows = {tuple(r["excitation"]): r for r in report.excitations}
     assert rows[(1, 3, 2, 0)]["configuration"] == "1010"
     assert abs(rows[(1, 3, 2, 0)]["parameter"] - (-0.112986561)) < 1e-6
+
+
+def _reached(space, ex):
+    """(alpha, beta) strings of the determinant G = g - g-dagger reaches
+    from the reference, or None when G kills it."""
+    w = apply_excitation(space, hf_vector(space), ex).amplitudes
+    if not np.any(w):
+        return None
+    ia, ib = divmod(int(np.argmax(np.abs(w))), space.n_strings_beta)
+    return int(space.alpha_strings[ia]), int(space.beta_strings[ib])
+
+
+@pytest.mark.parametrize("case", ["h2", "h4"])
+def test_configuration_bitstring_matches_apply_excitation(case, request):
+    """Every spin-conserving single and double, excitations and
+    de-excitations alike, and every pair hop in the pair space."""
+    from vqchem.vqe import _configuration_bitstring
+
+    s = request.getfixturevalue(case)
+    n = s.n_orb
+    space = make_ci_space(n, s.n_elec)
+    full = make_uccsd_problem(s)
+    for k in (1, 2):
+        for cre in itertools.permutations(range(2 * n), k):
+            for ann in itertools.combinations(range(2 * n), k):
+                if sum(i >= n for i in cre) != sum(i >= n for i in ann):
+                    continue
+                hit = _reached(space, cre + ann)
+                want = ("-" * 2 * n if hit is None
+                        else format(hit[0] << n | hit[1], f"0{2 * n}b"))
+                assert _configuration_bitstring(full, cre + ann) == want
+    paired = make_puccd_problem(s)
+    for p, q in itertools.permutations(range(n), 2):
+        ex = (p + n, p, q, q + n)
+        hit = _reached(space, ex)
+        want = "-" * n if hit is None else format(hit[1], f"0{n}b")
+        assert _configuration_bitstring(paired, ex) == want
 
 
 def test_result_json_payload(h2):
