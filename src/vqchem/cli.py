@@ -91,6 +91,7 @@ from .dynamics import (
     rate_fit,
     spin_boson_model,
     time_evolve,
+    time_grid,
     trajectory_to_csv,
 )
 
@@ -688,9 +689,9 @@ def _evolve(st: _Settings, terms, basis, initial, observables) -> Trajectory:
             epsilon_reg=st.get_float("eps_reg", 1e-5),
         )
     if method == "exact":
+        times = time_grid(t_final, tau,
+                          2 * psi0.size + len(obs_ops) + 1)
         h_pauli = enc.qubit_terms.to_dense_matrix()
-        n_steps = int(round(t_final / tau))
-        times = np.arange(n_steps + 1) * tau
         states = exact_propagate(h_pauli, psi0, times)
         obs_dense = {name: op.to_dense_matrix()
                      for name, op in obs_ops.items()}
@@ -710,13 +711,14 @@ def _evolve(st: _Settings, terms, basis, initial, observables) -> Trajectory:
 
 def _run_dynamics(st: _Settings) -> int:
     terms, basis, initial, observables = _dynamics_setup(st)
-    traj = _evolve(st, terms, basis, initial, observables)
-    csv = trajectory_to_csv(traj)
     output = st.get("output")
     fmt = str(st.get("format", "csv"))
+    if fmt not in ("csv", "json"):
+        raise _UsageError(f"unknown format {fmt!r}")
+    traj = _evolve(st, terms, basis, initial, observables)
     if fmt == "csv":
-        _emit(csv, output)
-    elif fmt == "json":
+        _emit(trajectory_to_csv(traj), output)
+    else:
         payload = {
             "t": traj.times.tolist(),
             "theta": traj.thetas.tolist(),
@@ -725,8 +727,6 @@ def _run_dynamics(st: _Settings) -> int:
             "energy": traj.energies.tolist(),
         }
         _emit(_json_text(payload), output)
-    else:
-        raise _UsageError(f"unknown format {fmt!r}")
     return 0
 
 

@@ -6,10 +6,23 @@ ansatz -> McLachlan equation of motion (M theta_dot = V with
 M = Re(J^dagger J), V = Im(J^dagger H psi)) integrated with fixed-step
 Euler or RK4, plus an eigendecomposition-based exact propagator for
 reference trajectories.
+
+The ansatz state and its Jacobian come from one sweep over *runs* of
+rotations.  A run is a maximal stretch of consecutive rotations whose Pauli
+strings P_k flip the same qubits as the run's first string P_r and commute
+with it.  Then D_k = P_k P_r is a diagonal +-1 matrix that commutes with
+P_r, so on every basis pair {i, i ^ f} P_k = d_k(i) P_r, the strings of a
+run commute with each other, and the run's product of rotations is exactly
+exp(-i Phi P_r) = cos(Phi) - i sin(Phi) P_r with the diagonal angle
+Phi = sum_k theta_k D_k.  Its Jacobian columns are -i P_k psi =
+-i d_k * (P_r psi) at the state after the run.  Strings that anticommute
+with P_r (XX and XY on one pair of qubits, say) or flip other qubits start
+a new run.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -24,18 +37,14 @@ from .errors import (
     NumericalBlowup,
     SizeLimit,
 )
-from .operators import (
-    _PAULI_MATS,
-    QubitOperator,
-    apply_pauli,
-    pauli_action,
-    pauli_rotation,
-)
+from .operators import _PAULI_MATS, QubitOperator, pauli_action
 
 _EXACT_DIM_LIMIT = 1 << 12
 _UNARY_NBAS_LIMIT = 16
 _COEFF_CUTOFF = 1e-12
 _DEFAULT_EPSILON_REG = 1e-5
+# bytes of float arrays one recorded trajectory may take
+_TRAJECTORY_BYTES = 1 << 30
 
 _SPIN_LETTERS = {"sigma_x": "X", "sigma_z": "Z"}
 _BOSON_SYMBOLS = ("b", "b^dagger", "b^dagger b", "b^dagger+b", "x", "p")
@@ -389,6 +398,51 @@ def decode_dense(enc: EncodedHamiltonian, include_constant: bool = True) -> np.n
 # Variational Hamiltonian ansatz
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class _RotationRuns:
+    """The ansatz rotations fused into runs (see the module docstring).
+    Run r covers parameters ``starts[r]:starts[r + 1]``; its reference
+    string acts as ``(P_r x)[i] = phases[r, i] * x[targets[r, i]]``, and
+    parameter k of run r has ``P_k = diag(signs[:, k]) P_r``, so that
+    ``-i P_k x = columns[k] * x[targets[r]]``."""
+
+    starts: np.ndarray          # (n_runs + 1,) first parameter of each run
+    targets: np.ndarray         # (n_runs, dim) basis state paired with i
+    phases: np.ndarray          # (n_runs, dim)
+    signs: np.ndarray           # (dim, n_params) entries +-1
+    columns: np.ndarray         # (n_params, dim)
+
+
+def _fuse_runs(n_qubits: int, paulis: list, n_params: int) -> _RotationRuns:
+    dim = 1 << n_qubits
+    starts, targets, phases = [], [], []
+    signs = np.ones((dim, n_params))
+    for k in range(n_params):
+        target, phase = pauli_action(n_qubits, paulis[k % len(paulis)])
+        if starts:
+            # P_k P_r |i> = ratio_i |i>; it commutes with P_r exactly when
+            # the ratio agrees on both states of every flipped pair
+            ratio = phase * ref_phase.conj()
+            if (np.array_equal(target, targets[-1])
+                    and np.array_equal(ratio, ratio[target])):
+                signs[:, k] = ratio.real
+                continue
+        starts.append(k)
+        ref_phase = phase
+        targets.append(target)
+        phases.append(phase[target])
+    starts.append(n_params)
+    phases = np.array(phases, dtype=complex).reshape(-1, dim)
+    run_of = np.repeat(np.arange(len(phases)), np.diff(starts))
+    return _RotationRuns(
+        starts=np.array(starts),
+        targets=np.array(targets, dtype=np.intp).reshape(-1, dim),
+        phases=phases,
+        signs=signs,
+        columns=-1.0j * signs.T * phases[run_of],
+    )
+
+
 @dataclass
 class VHAnsatz:
     """Layered product of Pauli rotations exp(-i theta P) acting on a fixed
@@ -407,6 +461,11 @@ class VHAnsatz:
     @property
     def dim(self) -> int:
         return 1 << self.n_qubits
+
+    @functools.cached_property
+    def runs(self) -> _RotationRuns:
+        """Run table of the rotations, built on first use."""
+        return _fuse_runs(self.n_qubits, self.paulis, self.n_params)
 
 
 def build_vha(enc: EncodedHamiltonian, n_layers: int,
@@ -438,26 +497,33 @@ def build_vha(enc: EncodedHamiltonian, n_layers: int,
 
 
 def _state_and_jacobian(ansatz: VHAnsatz, theta, want_jacobian: bool):
-    """Column 0 of the buffer is psi and column k + 1 is d psi / d theta_k,
-    so one rotation per parameter moves the state and the columns built so
-    far."""
+    """Row 0 of the buffer is psi and row k + 1 is d psi / d theta_k.  Each
+    run rotates psi and the rows built so far by exp(-i Phi P_r), then
+    writes its own rows -i P_k psi."""
     theta = np.asarray(theta, dtype=float).ravel()
     if theta.size != ansatz.n_params:
         raise InvalidParams(
             f"ansatz has {ansatz.n_params} parameters, got {theta.size}"
         )
-    n, n_terms = ansatz.n_qubits, len(ansatz.paulis)
-    width = ansatz.n_params + 1 if want_jacobian else 1
-    buf = np.zeros((ansatz.dim, width), dtype=complex)
-    buf[:, 0] = ansatz.phi
-    for k in range(ansatz.n_params):
-        term = ansatz.paulis[k % n_terms]
-        live = k + 1 if want_jacobian else 1
-        buf[:, :live] = pauli_rotation(n, term, theta[k], buf[:, :live])
+    runs = ansatz.runs
+    starts = runs.starts
+    angles = np.add.reduceat(runs.signs * theta, starts[:-1], axis=1).T
+    cos = np.cos(angles)
+    flip = -1.0j * np.sin(angles) * runs.phases
+    height = ansatz.n_params + 1 if want_jacobian else 1
+    buf = np.zeros((height, ansatz.dim), dtype=complex)
+    buf[0] = ansatz.phi
+    for r, target in enumerate(runs.targets):
+        lo, hi = starts[r], starts[r + 1]
+        live = buf[:lo + 1] if want_jacobian else buf
+        flipped = live.take(target, axis=1)
+        flipped *= flip[r]
+        live *= cos[r]
+        live += flipped
         if want_jacobian:
-            # d/dtheta e^{-i theta P} = -iP e^{-i theta P}
-            buf[:, k + 1] = -1.0j * apply_pauli(n, term, buf[:, 0])
-    return buf[:, 0], (buf[:, 1:] if want_jacobian else None)
+            np.multiply(runs.columns[lo:hi], buf[0].take(target),
+                        out=buf[lo + 1:hi + 1])
+    return buf[0], (buf[1:].T if want_jacobian else None)
 
 
 def ansatz_state(ansatz: VHAnsatz, theta) -> np.ndarray:
@@ -529,18 +595,51 @@ def _observable_value(psi: np.ndarray, obs) -> float:
     return float((psi.conj() @ (obs @ psi)).real)
 
 
+def time_grid(t_final: float, tau: float, floats_per_point: int) -> np.ndarray:
+    """Times 0, tau, ..., n tau with n = round(t_final / tau), checked before
+    anything is allocated: tau must be finite and positive, t_final finite
+    and non-negative, and the trajectory of ``floats_per_point`` floats per
+    time must fit in ``_TRAJECTORY_BYTES``."""
+    tau, t_final = float(tau), float(t_final)
+    if not (math.isfinite(tau) and tau > 0.0):
+        raise InvalidParams(f"step size tau must be finite and positive, "
+                            f"got {tau!r}")
+    if not (math.isfinite(t_final) and t_final >= 0.0):
+        raise InvalidParams(f"t_final must be finite and non-negative, "
+                            f"got {t_final!r}")
+    max_points = _TRAJECTORY_BYTES // (8 * floats_per_point)
+    n_steps = t_final / tau
+    if n_steps >= max_points - 1:
+        raise SizeLimit(
+            f"t_final / tau = {n_steps:.3g} steps: a trajectory of more than "
+            f"{max_points} points would exceed {_TRAJECTORY_BYTES >> 20} MB"
+        )
+    return np.arange(int(round(n_steps)) + 1) * tau
+
+
 def time_evolve(enc: EncodedHamiltonian, ansatz: VHAnsatz, theta0,
                 t_final: float, tau: float, integrator: str = "rk4",
                 observables: dict | None = None,
                 epsilon_reg: float = _DEFAULT_EPSILON_REG) -> Trajectory:
     """Integrate theta_dot = M^{-1} V with fixed steps; the Hamiltonian the
     state evolves under is the encoded Pauli part (the scalar constant only
-    shifts the global phase)."""
-    if tau <= 0:
-        raise InvalidParams("step size tau must be positive")
+    shifts the global phase).  Each recorded state is the one the step's
+    first derivative evaluation already built; only the last point takes a
+    state-only sweep."""
     if integrator not in ("euler", "rk4"):
         raise InvalidParams(f"unknown integrator {integrator!r}")
+    epsilon_reg = float(epsilon_reg)
+    if not (math.isfinite(epsilon_reg) and epsilon_reg > 0.0):
+        raise InvalidParams(f"epsilon_reg must be finite and positive, "
+                            f"got {epsilon_reg!r}")
     observables = observables or {}
+    theta = np.asarray(theta0, dtype=float).ravel().copy()
+    if theta.size != ansatz.n_params:
+        raise InvalidParams(
+            f"theta0 has {theta.size} entries, ansatz takes {ansatz.n_params}"
+        )
+    times = time_grid(t_final, tau, ansatz.n_params + len(observables) + 2)
+    n_steps = times.size - 1
     h_dense = enc.qubit_terms.to_dense_matrix()
     obs_dense = {name: (o.to_dense_matrix() if isinstance(o, QubitOperator)
                         else np.asarray(o, dtype=complex))
@@ -550,39 +649,31 @@ def time_evolve(enc: EncodedHamiltonian, ansatz: VHAnsatz, theta0,
         psi, jac = _state_and_jacobian(ansatz, theta, want_jacobian=True)
         sys = assemble_eom(jac, psi, h_dense)
         sys.epsilon_reg = epsilon_reg
-        return solve_thetadot(sys)
+        return solve_thetadot(sys), psi
 
-    n_steps = int(round(t_final / tau))
-    theta = np.asarray(theta0, dtype=float).ravel().copy()
-    if theta.size != ansatz.n_params:
-        raise InvalidParams(
-            f"theta0 has {theta.size} entries, ansatz takes {ansatz.n_params}"
-        )
-    times = np.arange(n_steps + 1) * tau
     thetas = np.zeros((n_steps + 1, theta.size))
     obs_out = {name: np.zeros(n_steps + 1) for name in obs_dense}
     energies = np.zeros(n_steps + 1)
 
-    def record(i, th):
-        psi = ansatz_state(ansatz, th)
+    def record(i, th, psi):
         thetas[i] = th
         for name, mat in obs_dense.items():
             obs_out[name][i] = _observable_value(psi, mat)
         energies[i] = _observable_value(psi, h_dense) + enc.constant
 
-    record(0, theta)
-    for step in range(1, n_steps + 1):
+    for step in range(n_steps):
+        k1, psi = derivative(theta)
+        record(step, theta, psi)
         if integrator == "euler":
-            theta = theta + tau * derivative(theta)
+            theta = theta + tau * k1
         else:
-            k1 = derivative(theta)
-            k2 = derivative(theta + 0.5 * tau * k1)
-            k3 = derivative(theta + 0.5 * tau * k2)
-            k4 = derivative(theta + tau * k3)
+            k2 = derivative(theta + 0.5 * tau * k1)[0]
+            k3 = derivative(theta + 0.5 * tau * k2)[0]
+            k4 = derivative(theta + tau * k3)[0]
             theta = theta + (tau / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(theta)):
-            raise NumericalBlowup(f"non-finite parameters at step {step}")
-        record(step, theta)
+            raise NumericalBlowup(f"non-finite parameters at step {step + 1}")
+    record(n_steps, theta, ansatz_state(ansatz, theta))
     return Trajectory(times=times, thetas=thetas, observables=obs_out,
                       energies=energies)
 

@@ -317,3 +317,20 @@ def tied_slot_gradient(c, params, h, noise=None) -> np.ndarray:
     grad = parameter_shift_gradient(untied, np.asarray(params)[slots], h,
                                     noise)
     return np.bincount(slots, weights=grad, minlength=c.n_params)
+
+
+def vha_state_and_jacobian(ansatz, theta) -> tuple:
+    """State and Jacobian of a layered Pauli-rotation ansatz, one parameter
+    at a time: the full-register rotation cos(theta_k) - i sin(theta_k) P_k
+    moves the state and the columns built so far, then column k is
+    -i P_k psi."""
+    n, n_terms = ansatz.n_qubits, len(ansatz.paulis)
+    mats = [dense_pauli(n, term) for term in ansatz.paulis]
+    buf = np.zeros((1 << n, len(theta) + 1), dtype=complex)
+    buf[:, 0] = ansatz.phi
+    for k, angle in enumerate(theta):
+        p = mats[k % n_terms]
+        buf[:, :k + 1] = (np.cos(angle) * buf[:, :k + 1]
+                          - 1j * np.sin(angle) * (p @ buf[:, :k + 1]))
+        buf[:, k + 1] = -1j * (p @ buf[:, 0])
+    return buf[:, 0], buf[:, 1:]

@@ -415,3 +415,37 @@ def test_sweep_dg_exact(capsys):
     assert all(row[1] > 0 for row in payload["rows"])
     assert payload["argmax_dg"] == payload["rows"][0][0]
     assert "maximal at dg" in err
+
+
+@pytest.mark.parametrize("flags, error", [
+    (("--tau", "nan"), "InvalidParams"),
+    (("--tau", "inf"), "InvalidParams"),
+    (("--tau", "0"), "InvalidParams"),
+    (("--t-final", "nan"), "InvalidParams"),
+    (("--t-final", "inf"), "InvalidParams"),
+    (("--t-final", "-1"), "InvalidParams"),
+    (("--eps-reg", "0"), "InvalidParams"),
+    (("--eps-reg", "-1"), "InvalidParams"),
+    (("--tau", "1e-300"), "SizeLimit"),
+    (("--method", "exact", "--tau", "nan"), "InvalidParams"),
+    (("--method", "exact", "--tau", "1e-300"), "SizeLimit"),
+])
+def test_dynamics_bad_steps_exit_one(capsys, flags, error):
+    code, out, err = run(capsys, "dynamics", "--nbas", "2", "--layers", "1",
+                         "--format", "json", *flags)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"{error}:")
+
+
+def test_dynamics_json_builds_no_csv(capsys, monkeypatch):
+    import vqchem.cli as cli
+
+    def refuse(traj):
+        raise AssertionError("CSV text built under --format json")
+
+    monkeypatch.setattr(cli, "trajectory_to_csv", refuse)
+    code, out, _ = run(capsys, "dynamics", "--nbas", "2", "--t-final", "0.1",
+                       "--tau", "0.05", "--format", "json")
+    assert code == 0
+    assert len(json.loads(out)["t"]) == 3

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from vqchem import (
     InvalidSymbol,
     SizeLimit,
     SymbolicTerm,
+    VHAnsatz,
     ansatz_jacobian,
     ansatz_state,
     assemble_eom,
@@ -33,6 +35,8 @@ from vqchem import (
     time_evolve,
     trajectory_to_csv,
 )
+from vqchem import dynamics
+from oracles import vha_state_and_jacobian
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -226,6 +230,142 @@ def test_vha_jacobian_matches_finite_difference():
         want = (ansatz_state(ansatz, theta + shift)
                 - ansatz_state(ansatz, theta - shift)) / (2 * h)
         np.testing.assert_allclose(jac[:, k], want, atol=1e-8)
+
+
+def spin_boson_vha(encoding, nbas):
+    terms, basis = spin_boson_model(0.0, 1.0, 1.0, 0.5, nbas)
+    enc = qubit_encode(terms, basis, encoding)
+    psi0 = encode_state(enc, np.kron([1.0, 0.0], coherent_state(0.0, nbas)))
+    return build_vha(enc, n_layers=3, initial_state=psi0)
+
+
+def marcus_vha():
+    terms, basis, initial = marcus_model(-0.1, -1.0, 0.5, 1.0, 8)
+    enc = qubit_encode(terms, basis, "gray")
+    return build_vha(enc, n_layers=3, initial_state=encode_state(enc, initial))
+
+
+def random_string_vha():
+    """Y-heavy strings on three qubits with a hand-made head: a repeated
+    string and a commuting partner on the same flip mask (one run), then an
+    anticommuting string on that mask (a new run)."""
+    rng = np.random.default_rng(17)
+    pool = [tuple((q, ch) for q, ch in enumerate(letters) if ch != "I")
+            for letters in itertools.product("IXYZ", repeat=3)][1:]
+    head = [((0, "X"), (1, "Y")), ((0, "X"), (1, "Y")),
+            ((0, "Y"), (1, "X")), ((0, "Y"), (1, "Y"), (2, "Z"))]
+    paulis = head + [pool[i] for i in rng.choice(len(pool), size=12)]
+    phi = rng.normal(size=8) + 1j * rng.normal(size=8)
+    return VHAnsatz(n_qubits=3, paulis=paulis, n_layers=2,
+                    phi=phi / np.linalg.norm(phi))
+
+
+VHA_CASES = {
+    "spin-boson-gray": lambda: spin_boson_vha("gray", 8),
+    "spin-boson-binary": lambda: spin_boson_vha("binary", 8),
+    "spin-boson-unary": lambda: spin_boson_vha("unary", 6),
+    "marcus-gray": marcus_vha,
+    "random-strings": random_string_vha,
+}
+
+
+@pytest.mark.parametrize("case", sorted(VHA_CASES))
+def test_run_sweep_matches_per_rotation_oracle(case):
+    ansatz = VHA_CASES[case]()
+    rng = np.random.default_rng(23)
+    for scale in (0.3, 3.0):
+        theta = rng.uniform(-scale, scale, size=ansatz.n_params)
+        want_psi, want_jac = vha_state_and_jacobian(ansatz, theta)
+        psi, jac = dynamics._state_and_jacobian(ansatz, theta, True)
+        np.testing.assert_allclose(psi, want_psi, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(jac, want_jac, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ansatz_state(ansatz, theta), want_psi,
+                                   rtol=0, atol=1e-12)
+    # the rotations really fuse: fewer runs than parameters
+    assert len(ansatz.runs.starts) - 1 < ansatz.n_params
+
+
+def test_runs_break_on_anticommuting_strings():
+    runs = random_string_vha().runs
+    # head: X0 Y1, X0 Y1, Y0 X1 fuse; Y0 Y1 Z2 anticommutes with X0 Y1
+    assert list(runs.starts[:2]) == [0, 3]
+    np.testing.assert_array_equal(runs.signs[:, :3] ** 2, 1.0)
+    np.testing.assert_array_equal(runs.signs[:, 1], 1.0)
+
+
+def count_sweeps(monkeypatch) -> list:
+    """Record want_jacobian of every sweep the dynamics module makes."""
+    calls = []
+    original = dynamics._state_and_jacobian
+
+    def counting(ansatz, theta, want_jacobian):
+        calls.append(want_jacobian)
+        return original(ansatz, theta, want_jacobian)
+
+    monkeypatch.setattr(dynamics, "_state_and_jacobian", counting)
+    return calls
+
+
+@pytest.mark.parametrize("integrator, per_step", [("rk4", 4), ("euler", 1)])
+def test_time_evolve_reuses_derivative_states(monkeypatch, integrator,
+                                              per_step):
+    terms, basis = spin_boson_model(0.0, 1.0, 1.0, 0.5, 4)
+    enc = qubit_encode(terms, basis)
+    ansatz = build_vha(enc, n_layers=3, initial_state=0)
+    sz = spin_z_observable(basis).to_dense_matrix()
+    n_steps = 6
+    calls = count_sweeps(monkeypatch)
+    traj = time_evolve(enc, ansatz, np.zeros(ansatz.n_params),
+                       t_final=n_steps * 0.05, tau=0.05,
+                       integrator=integrator, observables={"sz": sz})
+    assert calls.count(True) == per_step * n_steps
+    assert calls.count(False) == 1
+    h_dense = enc.qubit_terms.to_dense_matrix()
+    assert len(traj.times) == n_steps + 1
+    for i, theta in enumerate(traj.thetas):
+        psi = ansatz_state(ansatz, theta)
+        assert abs((psi.conj() @ sz @ psi).real
+                   - traj.observable("sz")[i]) <= 1e-14
+        assert abs((psi.conj() @ h_dense @ psi).real + enc.constant
+                   - traj.energies[i]) <= 1e-14
+
+
+@pytest.mark.parametrize("kwargs, error", [
+    ({"tau": math.nan}, InvalidParams),
+    ({"tau": math.inf}, InvalidParams),
+    ({"tau": 0.0}, InvalidParams),
+    ({"tau": -0.1}, InvalidParams),
+    ({"t_final": math.nan}, InvalidParams),
+    ({"t_final": math.inf}, InvalidParams),
+    ({"t_final": -1.0}, InvalidParams),
+    ({"epsilon_reg": 0.0}, InvalidParams),
+    ({"epsilon_reg": -1.0}, InvalidParams),
+    ({"epsilon_reg": math.nan}, InvalidParams),
+    ({"epsilon_reg": math.inf}, InvalidParams),
+    ({"tau": 1e-300}, SizeLimit),
+    ({"t_final": 1e300, "tau": 1e-300}, SizeLimit),
+])
+def test_time_evolve_rejects_bad_steps_before_work(monkeypatch, kwargs,
+                                                   error):
+    terms, basis = spin_boson_model(0.0, 1.0, 1.0, 0.5, 4)
+    enc = qubit_encode(terms, basis)
+    ansatz = build_vha(enc, n_layers=1, initial_state=0)
+    args = {"t_final": 1.0, "tau": 0.1, **kwargs}
+    calls = count_sweeps(monkeypatch)
+    with pytest.raises(error):
+        time_evolve(enc, ansatz, np.zeros(ansatz.n_params), **args)
+    assert calls == []
+
+
+def test_time_evolve_zero_duration_records_one_point(monkeypatch):
+    terms, basis = spin_boson_model(0.0, 1.0, 1.0, 0.5, 4)
+    enc = qubit_encode(terms, basis)
+    ansatz = build_vha(enc, n_layers=1, initial_state=0)
+    calls = count_sweeps(monkeypatch)
+    traj = time_evolve(enc, ansatz, np.zeros(ansatz.n_params), t_final=0.0,
+                       tau=0.1)
+    assert calls == [False]
+    assert traj.times.tolist() == [0.0]
 
 
 def test_eom_assembly_and_regularized_solve():
