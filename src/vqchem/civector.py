@@ -21,18 +21,25 @@ n_elec)`` and keeps the few most recently used.  Each space caches what it
 compiles, and these caches only ever append:
 
 * one Givens rotation table per validated excitation (``("G", ex)``);
-* the single-replacement link table of its strings (``"link"``), a few
-  hundred kB, shared by the direct-CI sigma and the density matrices.
+* the sigma plan (``"link"``, :class:`_SigmaPlan`): the single-replacement
+  link table of its strings, compiled once into dense gather arrays and,
+  per block size, each block's scatter matrix.  It holds 0.12 MB for H8,
+  0.66 MB for H10 and 3.6 MB for H12, and serves the direct-CI sigma, the
+  dense Hamiltonian, the diagonal and the density matrices.
 
-The Hamiltonian has one route: no matrix is built, and H is applied by the
-string-driven direct-CI sigma (:func:`_sigma`), whose scratch is a few MB
-per block of alpha strings.
+The Hamiltonian has one route: H is applied by the string-driven direct-CI
+sigma (:func:`_sigma`), which reads the plan and keeps its block scratch in
+one workspace per thread, reused by every apply: with the default blocks at
+most ``2 * max(4 MB, 8 * n_pair * n_strings_beta)`` bytes, for ``n_pair =
+n_orb (n_orb + 1) / 2``.  Spaces small enough for a dense eigensolver build
+their matrix from the same link table in one pass.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -338,42 +345,89 @@ def apply_ucc_factor(space: CISpace, v, ex, theta: float) -> CIVector:
 # Hamiltonian application
 # ---------------------------------------------------------------------------
 
-def _link_matrix(space: CISpace) -> csr_matrix:
-    """Single-replacement link table of the space's strings, cached under
-    ``"link"``.
+class _SigmaPlan:
+    """The single-replacement link table of a space's strings, compiled once
+    for the direct-CI sigma and cached under ``"link"``.
 
-    Row ``J * n_pair + P`` holds ``E+_pq |J>`` for the ``P``-th pair
-    ``p >= q`` of ``np.tril_indices(n_orb)``: one signed entry at the target
-    string, none when the pair annihilates ``J``.  Here ``E+_pq = E_pq +
-    E_qp`` and ``E+_pp = E_pp``, with ``E_pq = a+_p a_q`` in one spin sector;
-    at most one of ``E_pq``, ``E_qp`` survives on a string, so each row has at
-    most one entry.  ``E+_pq`` is real symmetric, so the same matrix gathers
-    (``link @ C``) and scatters (``link.T @ F``).  Alpha and beta strings are
-    one set, so one table serves both sectors.
+    ``E+_pq = E_pq + E_qp`` and ``E+_pp = E_pp``, with ``E_pq = a+_p a_q`` in
+    one spin sector, for the ``P``-th pair ``p >= q`` of
+    ``np.tril_indices(n_orb)``.  At most one of ``E_pq``, ``E_qp`` survives
+    on a string, so ``E+_P |J> = sign[J, P] |target[J, P]>``; ``sign`` is 0
+    where the pair annihilates ``J`` (``target`` is then ``J``).  ``E+_P``
+    is real symmetric, so the same table gathers and scatters, and alpha and
+    beta strings are one set, so one table serves both sectors.
+
+    * ``target``/``sign`` (n_strings, n_pair) and their transposes gather
+      the alpha rows and the beta columns of ``E+_P C``;
+    * ``scatter_t``, the transposed table as a (n_strings, n_strings *
+      n_pair) matrix, adds ``E+_P F[J, P]`` back onto the strings;
+    * :meth:`blocks` holds, per block size, each block's reached alpha
+      strings and its own transposed scatter matrix;
+    * ``occ`` (n_strings, n_orb) is the occupation of every orbital, the
+      sign of the diagonal pairs.
     """
-    link = space._action_cache.get("link")
-    if link is None:
-        strings = space.alpha_strings[:, None]
-        p, q = np.tril_indices(space.n_orb)
+
+    def __init__(self, strings: np.ndarray, n_orb: int):
+        column = strings[:, None]
+        p, q = np.tril_indices(n_orb)
         bit_p = np.uint64(1) << p.astype(np.uint64)
         bit_q = np.uint64(1) << q.astype(np.uint64)
-        occ_p = (strings & bit_p) != 0
-        hop = occ_p != ((strings & bit_q) != 0)  # p != q, one of them occupied
+        occ_p = (column & bit_p) != 0
+        hop = occ_p != ((column & bit_q) != 0)  # p != q, one of them occupied
         # the sign is the parity of the occupied orbitals strictly between
         between = (bit_p - np.uint64(1)) & ~((bit_q << np.uint64(1))
                                              - np.uint64(1))
-        odd = (np.bitwise_count(strings & between) & np.uint64(1)) != 0
-        sign = np.where(hop, np.where(odd, -1.0, 1.0),
-                        np.where(p == q, occ_p, False))
-        target = np.searchsorted(space.alpha_strings,
-                                 np.where(hop, strings ^ (bit_p | bit_q),
-                                          strings))
-        alive = sign != 0.0
-        indptr = np.concatenate([[0], np.cumsum(alive.ravel())])
-        link = csr_matrix((sign[alive], target[alive], indptr),
-                          shape=(sign.size, len(space.alpha_strings)))
-        space._action_cache["link"] = link
-    return link
+        odd = (np.bitwise_count(column & between) & np.uint64(1)) != 0
+        self.sign = np.where(hop, np.where(odd, -1.0, 1.0),
+                             np.where(p == q, occ_p, False))
+        self.target = np.searchsorted(
+            strings, np.where(hop, column ^ (bit_p | bit_q), column))
+        self.sign_t = np.ascontiguousarray(self.sign.T)
+        self.target_t = np.ascontiguousarray(self.target.T)
+        self.occ = np.ascontiguousarray(self.sign[:, p == q])
+        live = np.flatnonzero(self.sign)
+        self.scatter_t = csr_matrix(
+            (self.sign.ravel()[live], (self.target.ravel()[live], live)),
+            shape=(len(strings), self.sign.size))
+        self._blocks: dict = {}
+
+    def blocks(self, block: int) -> tuple:
+        """``(a0, a1, reached, scatter_t)`` for every block of ``block``
+        alpha strings: ``scatter_t @ F``, with F's rows ``(a, P)`` for the
+        block's strings a, sums ``E+_P F[a, P]`` onto the strings
+        ``reached``, the rows of ``self.scatter_t`` that the block touches."""
+        compiled = self._blocks.get(block)
+        if compiled is None:
+            n, n_pair = self.sign.shape
+            compiled = []
+            for a0 in range(0, n, block):
+                a1 = min(a0 + block, n)
+                part = self.scatter_t[:, a0 * n_pair:a1 * n_pair]
+                reached = np.flatnonzero(part.getnnz(axis=1))
+                compiled.append((a0, a1, reached, part[reached]))
+            # concurrent compiles build equal tables; keep the first
+            compiled = self._blocks.setdefault(block, tuple(compiled))
+        return compiled
+
+
+def _sigma_plan(space: CISpace) -> _SigmaPlan:
+    plan = space._action_cache.get("link")
+    if plan is None:  # concurrent compiles build equal plans; keep the first
+        plan = space._action_cache.setdefault(
+            "link", _SigmaPlan(space.alpha_strings, space.n_orb))
+    return plan
+
+
+_workspace = threading.local()
+
+
+def _scratch(size: int) -> np.ndarray:
+    """This thread's sigma workspace, at least ``size`` floats: it grows to
+    the largest request and lives as long as the thread."""
+    buf = getattr(_workspace, "buf", None)
+    if buf is None or buf.size < size:
+        buf = _workspace.buf = np.empty(size)
+    return buf
 
 
 def _pair_integrals(space: CISpace, s: IntegralSet) -> np.ndarray:
@@ -398,34 +452,46 @@ def _sigma(space: CISpace, s: IntegralSet, amps: np.ndarray,
     sigma of Knowles and Handy (Chem. Phys. Lett. 111, 315 (1984)).
 
     With C the amplitudes as an (alpha string, beta string) matrix, every
-    block of alpha strings a gets ``D[a, P] = (E+_P C)[a]`` (alpha part from
-    the link rows of the block, beta part through ``C[a].T``), ``F = V D``,
-    and scatters ``E+_P F[a, P]`` back: alpha targets to the strings the
-    block's link rows reach, beta targets inside the block, so a block costs
-    its own size, never the whole space.  ``block`` alpha strings go at a
-    time; by default the blocks hold about 4 MB of D, which keeps them in
-    cache.
+    block of alpha strings a gets ``D[a, P] = (E+_P C)[a]``, ``F = V D``,
+    and adds ``E+_P F[a, P]`` back.  Every step reads the space's compiled
+    :class:`_SigmaPlan`: D is two gathers (alpha rows of C through
+    ``target``, beta columns of the block through ``target_t``); the alpha
+    part of F goes to the strings the block reaches through the block's
+    scatter matrix, the beta part through ``scatter_t``, inside the block.
+    D, F and the transposed F live in this thread's workspace
+    (:func:`_scratch`), so a warm apply allocates nothing larger than its
+    output and threads share no mutable state.
+
+    ``block`` alpha strings go at a time; by default D holds at most
+    ``max(4 MB, 8 * n_pair * n_strings_beta)`` bytes, which keeps it in
+    cache, and the workspace of a thread that uses only default blocks
+    holds twice that, D and F.
     """
-    link = _link_matrix(space)
+    plan = _sigma_plan(space)
     v = _pair_integrals(space, s)
     n_pair = v.shape[0]
     na, nb = space.n_strings_alpha, space.n_strings_beta
     c = amps.reshape(na, nb)
     if block is None:
         block = max(1, (4 << 20) // (8 * n_pair * nb))
+    size = min(block, na) * n_pair * nb
+    work = _scratch(2 * size)
     out = s.e_core * c
-    for a0 in range(0, na, block):
-        a1 = min(a0 + block, na)
-        rows = link[a0 * n_pair:a1 * n_pair]
-        d = (rows @ c).reshape(a1 - a0, n_pair, nb)
-        beta = link @ c[a0:a1].T
-        d += beta.reshape(nb, n_pair, a1 - a0).T
-        f = np.matmul(v, d, out=beta.reshape(d.shape))  # reuses its memory
-        reached, col = np.unique(rows.indices, return_inverse=True)
-        scatter = csr_matrix((rows.data, col, rows.indptr),
-                             shape=(rows.shape[0], len(reached)))
-        out[reached] += scatter.T @ f.reshape(-1, nb)
-        out[a0:a1] += (link.T @ f.T.reshape(-1, a1 - a0)).T
+    for a0, a1, reached, scatter_t in plan.blocks(block):
+        n = a1 - a0
+        d = work[:n * n_pair * nb].reshape(n, n_pair, nb)
+        f = work[size:size + d.size].reshape(d.shape)
+        # mode="clip" writes straight into out= (the indices are in range)
+        np.take(c, plan.target[a0:a1], axis=0, out=d, mode="clip")
+        d *= plan.sign[a0:a1, :, None]
+        np.take(c[a0:a1], plan.target_t, axis=1, out=f, mode="clip")
+        f *= plan.sign_t
+        d += f
+        np.matmul(v, d, out=f)
+        out[reached] += scatter_t @ f.reshape(-1, nb)
+        f_t = work[:d.size].reshape(nb, n_pair, n)  # d is spent
+        np.copyto(f_t, f.T)
+        out[a0:a1] += (plan.scatter_t @ f_t.reshape(-1, n)).T
     return out.ravel()
 
 
@@ -436,10 +502,7 @@ def apply_hamiltonian(space: CISpace, v, s: IntegralSet) -> CIVector:
 
 def hamiltonian_diagonal(space: CISpace, s: IntegralSet) -> np.ndarray:
     """<D|H|D> for every determinant, via the factorized diagonal rule."""
-    n = space.n_orb
-    occ = np.zeros((space.n_strings_alpha, n))
-    for p in range(n):
-        occ[:, p] = (space.alpha_strings >> np.uint64(p)) & np.uint64(1)
+    occ = _sigma_plan(space).occ
     h_diag = np.diag(s.int1e)
     j_mat = np.einsum("ppqq->pq", s.int2e)
     k_mat = np.einsum("pqqp->pq", s.int2e)
@@ -524,16 +587,15 @@ def _single_replacement_vectors(space: CISpace, amps: np.ndarray) -> np.ndarray:
     Read off the link table: row I of ``E+_pq C`` is ``E_pq C`` where string
     I has p occupied and ``E_qp C`` where it has q occupied."""
     n = space.n_orb
-    na, nb = space.n_strings_alpha, space.n_strings_beta
-    link = _link_matrix(space)
-    c = amps.reshape(na, nb)
+    plan = _sigma_plan(space)
+    c = amps.reshape(space.n_strings_alpha, space.n_strings_beta)
     p, q = np.divmod(np.arange(n * n), n)
     hi, lo = np.maximum(p, q), np.minimum(p, q)
     pair = hi * (hi + 1) // 2 + lo  # position of (hi, lo) in np.tril_indices
-    occ = ((space.alpha_strings[:, None] >> np.arange(n, dtype=np.uint64))
-           & np.uint64(1)).astype(np.float64)[:, p, None]
-    w_alpha = (link @ c).reshape(na, -1, nb)[:, pair] * occ
-    w_beta = (link @ c.T).reshape(nb, -1, na)[:, pair] * occ
+    sign, target = plan.sign[:, pair, None], plan.target[:, pair]
+    occ = plan.occ[:, p, None]
+    w_alpha = sign * c[target] * occ
+    w_beta = sign * c.T[target] * occ
     return (w_alpha.transpose(1, 0, 2).reshape(n * n, -1)
             + w_beta.transpose(1, 2, 0).reshape(n * n, -1))
 
@@ -566,8 +628,36 @@ def make_rdm2(space: CISpace, v) -> np.ndarray:
 # FCI ground state
 # ---------------------------------------------------------------------------
 
+def _dense_hamiltonian(space: CISpace, s: IntegralSet) -> np.ndarray:
+    """The matrix of H on the space, built in one pass from the link table.
+
+    With L_P the string matrix of E+_P, E+_P = L_P x 1 + 1 x L_P on the
+    (alpha, beta) product, so H - e_core = sum_PR V[P, R] E+_P E+_R is
+    W x 1 + 1 x W + sum_PR (V + V^T)[P, R] L_P x L_R with W = sum_PR V[P, R]
+    L_P L_R.
+    """
+    plan = _sigma_plan(space)
+    v = _pair_integrals(space, s)
+    n_pair = v.shape[0]
+    n = space.n_strings_alpha
+    links = np.zeros((n_pair, n, n))
+    links[np.arange(n_pair), plan.target, np.arange(n)[:, None]] = plan.sign
+    w = np.tensordot(links, np.tensordot(v, links, axes=1),
+                     axes=([0, 2], [0, 1]))
+    flat = links.reshape(n_pair, n * n)
+    cross = flat.T @ ((v + v.T) @ flat)  # [(a', a), (b', b)]
+    mat = cross.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(
+        space.dim, space.dim)
+    blocks = mat.reshape(n, n, n, n)
+    diag = np.arange(n)
+    blocks[:, diag, :, diag] += w
+    blocks[diag, :, diag, :] += w
+    mat[np.diag_indices(space.dim)] += s.e_core
+    return mat
+
+
 def _dense_ground_state(space: CISpace, s: IntegralSet):
-    mat = np.column_stack([_sigma(space, s, col) for col in np.eye(space.dim)])
+    mat = _dense_hamiltonian(space, s)
     vals, vecs = np.linalg.eigh(mat)
     return float(vals[0]), vecs[:, 0].copy()
 

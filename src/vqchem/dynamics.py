@@ -117,6 +117,8 @@ def parse_symbolic_term(text: str) -> SymbolicTerm:
         coeff = float(toks[0])
     except ValueError as exc:
         raise InvalidParams(f"bad coefficient {toks[0]!r}") from exc
+    if not math.isfinite(coeff):
+        raise InvalidParams(f"coefficient {toks[0]!r} is not finite")
     factors = []
     for tok in toks[1:]:
         if "@" not in tok:
@@ -697,10 +699,18 @@ def exact_propagate(h_dense: np.ndarray, psi0, t_grid) -> np.ndarray:
 # Physical models
 # ---------------------------------------------------------------------------
 
+def _check_finite(**params: float) -> None:
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise InvalidParams(f"model parameter {name} must be finite, "
+                                f"got {value}")
+
+
 def spin_boson_model(epsilon: float, delta: float, omega: float, g: float,
                      nbas: int):
     """H = (epsilon/2) sigma_z + delta sigma_x + omega b^dagger b
     + g sigma_z (b^dagger + b); returns (terms, basis)."""
+    _check_finite(epsilon=epsilon, delta=delta, omega=omega, g=g)
     terms = [
         SymbolicTerm((("sigma_z", "spin"),), epsilon / 2.0),
         SymbolicTerm((("sigma_x", "spin"),), delta),
@@ -728,6 +738,7 @@ def marcus_model(v: float, dg: float, omega: float, g: float, nbas: int):
     basis, initial level-space vector); the initial state localizes the
     charge on site 0 with its oscillator relaxed (coherent state, displacement
     -g) and the other oscillator in its ground state."""
+    _check_finite(v=v, dg=dg, omega=omega, g=g)
     c = g * omega
     terms = [
         SymbolicTerm((("sigma_x", "charge"),), -v),

@@ -2,6 +2,8 @@ import os
 import struct
 import subprocess
 import sys
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +32,7 @@ from vqchem import (
     hf_energy,
     hf_vector,
     load_civector,
+    load_fixture,
     make_ci_space,
     make_rdm1,
     make_rdm2,
@@ -37,7 +40,7 @@ from vqchem import (
     statevector_to_civector,
     ucc_state,
 )
-from vqchem.civector import _sigma
+from vqchem.civector import _dense_hamiltonian, _sigma, _sigma_plan
 from vqchem.integrals import IntegralSet, build_hubbard
 from oracles import dense_ladder
 from test_integrals import random_integral_set
@@ -201,6 +204,8 @@ def test_sigma_matches_sparse_hamiltonian(case, request):
     np.testing.assert_allclose(np.diag(h_sigma),
                                hamiltonian_diagonal(space, s),
                                rtol=0, atol=1e-12)
+    np.testing.assert_allclose(_dense_hamiltonian(space, s), h_sigma,
+                               rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("case", ["h6", "hubbard6"])
@@ -209,10 +214,67 @@ def test_sigma_blocked_matches_unblocked(case, request):
     space = make_ci_space(s.n_orb, s.n_elec)
     v = np.random.default_rng(59).normal(size=space.dim)
     v /= np.linalg.norm(v)
-    whole = _sigma(space, s, v, block=space.n_strings_alpha)
+    na = space.n_strings_alpha
+    whole = _sigma(space, s, v, block=na)
+    plan = _sigma_plan(space)
     for block in (1, 3, 7):
         np.testing.assert_allclose(_sigma(space, s, v, block=block), whole,
                                    rtol=0, atol=1e-13)
+        bounds = [(a0, a1) for a0, a1, *_ in plan.blocks(block)]
+        assert bounds == [(a0, min(a0 + block, na))
+                          for a0 in range(0, na, block)]
+    assert _sigma_plan(space) is plan
+
+
+def test_warm_sigma_allocates_less_than_one_block():
+    # H8 fits in one block: D alone is 8 * n_pair * dim bytes (1.4 MB).
+    s = load_fixture("h8_sto3g")
+    space = make_ci_space(8, 8)
+    v = np.random.default_rng(67).normal(size=space.dim)
+    _sigma(space, s, v)  # compiles the plan and sizes the workspace
+    tracemalloc.start()
+    try:
+        _sigma(space, s, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n_pair = 8 * 9 // 2
+    assert peak < 8 * n_pair * space.dim
+
+
+def test_concurrent_sigmas_match_serial(h4, h6):
+    # more threads than cores, on two spaces and four block sizes, so the
+    # workspaces differ in size and the plans compile concurrently
+    rng = np.random.default_rng(71)
+    cases = [(h4, None), (h6, None), (h6, 3), (h4, 1), (h6, 7)]
+    vectors = [rng.normal(size=ci_space_dim(s.n_orb, s.n_elec))
+               for s, _ in cases]
+    expected = [_sigma(CISpace(s.n_orb, s.n_elec), s, v, block=block)
+                for (s, block), v in zip(cases, vectors)]
+    spaces = {n: CISpace(n, n) for n in (4, 6)}
+    results = [[] for _ in cases]
+
+    def work(i):
+        s, block = cases[i]
+        for _ in range(20):
+            results[i].append(_sigma(spaces[s.n_orb], s, vectors[i],
+                                     block=block))
+
+    threads = [threading.Thread(target=work, args=(i,))
+               for i in range(len(cases))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got, want in zip(results, expected):
+        assert len(got) == 20
+        assert all(np.array_equal(g, want) for g in got)
 
 
 def test_sigma_applies_core_energy_on_h10():
@@ -486,7 +548,7 @@ sys.exit(main(["fci", "--fcidump", sys.argv[1], "--output", sys.argv[2]]))
 
 def test_fci_h10_fits_1500_mb_address_space(tmp_path):
     # The sparse build of H10 needs about 3.3 GB; under this cap it used to
-    # die with SIGSEGV.  The sigma route needs about 0.2 GB.
+    # die with SIGSEGV.  The sigma route peaks at about 115 MB of RSS.
     import json
 
     root = Path(__file__).resolve().parents[1]

@@ -429,6 +429,14 @@ def test_sweep_dg_exact(capsys):
     (("--tau", "1e-300"), "SizeLimit"),
     (("--method", "exact", "--tau", "nan"), "InvalidParams"),
     (("--method", "exact", "--tau", "1e-300"), "SizeLimit"),
+    (("--epsilon", "nan"), "InvalidParams"),
+    (("--method", "exact", "--epsilon", "nan"), "InvalidParams"),
+    (("--delta", "inf"), "InvalidParams"),
+    (("--method", "exact", "--omega", "inf"), "InvalidParams"),
+    (("--g", "nan"), "InvalidParams"),
+    (("--model", "marcus", "--v=-inf"), "InvalidParams"),
+    (("--model", "marcus", "--method", "exact", "--dg", "nan"),
+     "InvalidParams"),
 ])
 def test_dynamics_bad_steps_exit_one(capsys, flags, error):
     code, out, err = run(capsys, "dynamics", "--nbas", "2", "--layers", "1",

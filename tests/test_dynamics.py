@@ -114,6 +114,8 @@ def test_symbolic_term_validation():
     with pytest.raises(InvalidParams):
         parse_symbolic_term("abc x@v")
     with pytest.raises(InvalidParams):
+        parse_symbolic_term("nan sigma_z@spin")
+    with pytest.raises(InvalidParams):
         parse_symbolic_term("1.0 sigma_z")
     with pytest.raises(InvalidSymbol):
         parse_symbolic_term("1.0 hop@v")
