@@ -27,8 +27,8 @@ from scipy.sparse import csr_matrix
 
 from .civector import (
     _MAX_SPACES,
+    _check_param_map,
     _occupation_strings,
-    _rotation_table,
     _sweep,
     apply_excitation,
     apply_hamiltonian,
@@ -37,7 +37,12 @@ from .civector import (
     make_ci_space,
     ucc_state,
 )
-from .errors import InvalidExcitation, InvalidParamMap, ParseError
+from .errors import (
+    InvalidExcitation,
+    InvalidParamMap,
+    InvalidParams,
+    ParseError,
+)
 from .integrals import IntegralSet, MP2Result, hf_energy, mp2
 from .operators import QubitOperator
 
@@ -61,6 +66,8 @@ class UCCProblem:
         self.ex_ops = [tuple(int(i) for i in ex) for ex in self.ex_ops]
         self.param_ids = [int(i) for i in self.param_ids]
         self.init_guess = np.asarray(self.init_guess, dtype=np.float64).ravel()
+        if not np.all(np.isfinite(self.init_guess)):
+            raise InvalidParams("init_guess must be finite")
         if len(self.ex_ops) != len(self.param_ids):
             raise InvalidParamMap(
                 f"{len(self.ex_ops)} excitations, {len(self.param_ids)} ids"
@@ -333,14 +340,12 @@ def _paired_hop(space: PairedSpace, p: int, q: int):
 
 
 def _paired_table(space: PairedSpace, p: int, q: int):
-    """Rotation table of b+_p b_q - b+_q b_p: the pair hop q -> p with unit
-    signs."""
+    """Rotation table of b+_p b_q - b+_q b_p: the pair hop q -> p has unit
+    signs, so its (rows, cols) are the table's pairs (r, c)."""
     key = ("G", p, q)
     table = space._hop_cache.get(key)
     if table is None:
-        rows, cols = _paired_hop(space, p, q)
-        table = _rotation_table(rows, cols, np.ones(len(rows)))
-        space._hop_cache[key] = table
+        table = space._hop_cache[key] = np.stack(_paired_hop(space, p, q))
     return table
 
 
@@ -418,8 +423,8 @@ def build_puccd_hamiltonian(s: IntegralSet) -> QubitOperator:
 
 def paired_energy_and_gradient(space: PairedSpace, ex_ops, params, param_ids,
                                s: IntegralSet):
-    return _sweep(_paired_tables(space, ex_ops),
-                  np.asarray(params, dtype=float), list(param_ids),
+    params, ids = _check_param_map(ex_ops, params, param_ids)
+    return _sweep(_paired_tables(space, ex_ops), params, ids,
                   paired_hf_vector(space),
                   paired_hamiltonian_matrix(space, s).dot)
 
@@ -555,6 +560,9 @@ def load_ansatz(path, s: IntegralSet,
             guess = float(parts[2])
         except ValueError as exc:
             raise ParseError(f"line {lineno}: bad field") from exc
+        if not np.isfinite(guess):
+            raise ParseError(f"line {lineno}: init guess {parts[2]} is not "
+                             f"finite")
         ex_ops.append(ex)
         param_ids.append(pid)
         if pid in guesses and guesses[pid] != guess:

@@ -110,6 +110,8 @@ def _check_params(problem: UCCProblem, params) -> np.ndarray:
         raise InvalidParams(
             f"expected {problem.n_params} parameters, got {params.size}"
         )
+    if not np.all(np.isfinite(params)):
+        raise InvalidParams("parameters must be finite")
     return params
 
 

@@ -334,3 +334,93 @@ def vha_state_and_jacobian(ansatz, theta) -> tuple:
                           - 1j * np.sin(angle) * (p @ buf[:, :k + 1]))
         buf[:, k + 1] = -1j * (p @ buf[:, 0])
     return buf[:, 0], buf[:, 1:]
+
+
+# ---------------------------------------------------------------------------
+# Signed rotation tables: the determinant-space UCC kernel before the tables
+# dropped their signs, on tables built here from full spin-orbital bitmasks
+# ---------------------------------------------------------------------------
+
+def closed_shell_determinants(n_orb: int, n_elec: int) -> np.ndarray:
+    """Bitmasks of the closed-shell determinants in CI-vector order: bit
+    ``s`` is spin orbital ``s`` (beta ``0..n_orb-1`` below alpha), so the
+    ascending masks run over (alpha string, beta string) pairs
+    lexicographically."""
+    masks = np.arange(1 << 2 * n_orb, dtype=np.int64)
+    half = n_elec // 2
+    keep = ((np.bitwise_count(masks & ((1 << n_orb) - 1)) == half)
+            & (np.bitwise_count(masks >> n_orb) == half))
+    return masks[keep]
+
+
+def signed_excitation_table(dets: np.ndarray, ex):
+    """(rows, cols, signs) of g = a+_p ... a_q ... on the determinants
+    ``dets`` (a basis closed under g), with the phase convention of
+    :func:`dense_ladder`; None when creation and annihilation indices are
+    one set (G = g - g^dagger vanishes)."""
+    half = len(ex) // 2
+    if set(ex[:half]) == set(ex[half:]):
+        return None
+    cols = np.arange(len(dets))
+    rows = dets.copy()
+    signs = np.ones(len(dets))
+    term = tuple((i, True) for i in ex[:half]) + \
+        tuple((i, False) for i in ex[half:])
+    for index, dagger in reversed(term):
+        bit = 1 << index
+        occupied = (rows & bit) != 0
+        keep = ~occupied if dagger else occupied
+        rows, cols, signs = rows[keep], cols[keep], signs[keep]
+        signs = signs * (1.0 - 2.0 * (np.bitwise_count(rows & (bit - 1)) & 1))
+        rows = rows ^ bit
+    return np.searchsorted(dets, rows), cols, signs
+
+
+def pair_hop_table(pair_dets: np.ndarray, p: int, q: int):
+    """(rows, cols, signs) of the hard-core-boson hop b+_p b_q on the pair
+    configurations ``pair_dets`` (bit ``p`` = spatial orbital ``p`` doubly
+    occupied); pairs carry no fermionic signs."""
+    alive = ((pair_dets >> q) & 1 == 1) & ((pair_dets >> p) & 1 == 0)
+    cols = np.flatnonzero(alive)
+    rows = np.searchsorted(pair_dets, pair_dets[cols] ^ (1 << p) ^ (1 << q))
+    return rows, cols, np.ones(len(cols))
+
+
+def signed_rotation_table(rows, cols, signs):
+    """Both halves of every pair of G = g - g^dagger from the table of g:
+    G|c> = s|r> and G|r> = -s|c>, so (G v)[rows] = signs * v[cols]."""
+    return (np.concatenate([rows, cols]), np.concatenate([cols, rows]),
+            np.concatenate([signs, -signs]))
+
+
+def _signed_rotate(amps, table, theta) -> None:
+    if table is None:
+        return
+    rows, cols, signs = table
+    amps[rows] = (np.cos(theta) * amps[rows]
+                  + np.sin(theta) * signs * amps[cols])
+
+
+def signed_forward(tables, params, ids, start) -> np.ndarray:
+    """prod_k e^{theta_k G_k} on a copy of ``start``, first table first."""
+    amps = np.array(start, dtype=np.float64)
+    for table, pid in zip(tables, ids):
+        _signed_rotate(amps, table, params[pid])
+    return amps
+
+
+def signed_sweep(tables, params, ids, start, apply_h):
+    """Energy and gradient of ``signed_forward`` by a reverse sweep over
+    bra (H psi) and ket (psi), reading 2 <bra| G_k |ket> per factor."""
+    ket = signed_forward(tables, params, ids, start)
+    bra = apply_h(ket)
+    e = float(np.dot(ket, bra))
+    grad = np.zeros(len(params))
+    for table, pid in zip(reversed(tables), reversed(ids)):
+        if table is None:
+            continue
+        rows, cols, signs = table
+        grad[pid] += 2.0 * float(np.dot(bra[rows], signs * ket[cols]))
+        _signed_rotate(ket, table, -params[pid])
+        _signed_rotate(bra, table, -params[pid])
+    return e, grad

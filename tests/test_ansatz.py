@@ -4,12 +4,14 @@ import pytest
 from vqchem import (
     InvalidExcitation,
     InvalidParamMap,
+    InvalidParams,
     ParseError,
     UCCProblem,
     adapt_vqe,
     build_operator_pool,
     build_puccd_hamiltonian,
     energy,
+    energy_at,
     fci_ground_state,
     hf_energy,
     load_ansatz,
@@ -26,6 +28,7 @@ from vqchem import (
     save_ansatz,
     ucc_state,
 )
+from oracles import pair_hop_table, signed_rotation_table, signed_sweep
 
 H4_DOCI_GROUND = -2.1487401214614756
 
@@ -153,6 +156,42 @@ def test_paired_gradient_matches_finite_difference(h4):
         e_m, _ = paired_energy_and_gradient(space, p.ex_ops, params - shift,
                                             p.param_ids, h4)
         assert abs(grad[k] - (e_p - e_m) / (2 * h)) < 1e-8
+
+
+def test_paired_sweep_matches_signed_table_oracle(h4):
+    # the pUCCD engine against the signed two-half tables, with one
+    # parameter shared by two pair hops
+    space = make_paired_space(4, 4)
+    p = make_puccd_problem(h4)
+    pair_dets = np.array([m for m in range(1 << 4) if bin(m).count("1") == 2])
+    tables = [signed_rotation_table(*pair_hop_table(pair_dets, a, i))
+              for _, a, i, _ in p.ex_ops]
+    param_ids = [0, 1, 0, 2]
+    start = np.eye(len(pair_dets))[0]
+    rng = np.random.default_rng(79)
+    for _ in range(3):
+        params = rng.uniform(-0.8, 0.8, size=3)
+        want_e, want_grad = signed_sweep(
+            tables, params, param_ids, start,
+            paired_hamiltonian_matrix(space, h4).dot)
+        got_e, got_grad = paired_energy_and_gradient(
+            space, p.ex_ops, params, param_ids, h4)
+        assert abs(got_e - want_e) <= 1e-12
+        np.testing.assert_allclose(got_grad, want_grad, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_puccd_non_finite_params_are_refused(bad, h4):
+    space = make_paired_space(4, 4)
+    p = make_puccd_problem(h4)
+    params = p.init_guess.copy()
+    params[0] = bad
+    with pytest.raises(InvalidParams):
+        paired_energy_and_gradient(space, p.ex_ops, params, p.param_ids, h4)
+    with pytest.raises(InvalidParams):
+        energy_at(p, params)
+    with pytest.raises(InvalidParams):
+        UCCProblem(h4, p.ex_ops, p.param_ids, params, hard_core_boson=True)
 
 
 def test_paired_engine_matches_full_space_engine(h4):

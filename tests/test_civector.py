@@ -15,8 +15,10 @@ from vqchem import (
     CIVector,
     InvalidExcitation,
     InvalidParamMap,
+    InvalidParams,
     ParseError,
     SizeLimit,
+    UCCProblem,
     UnsupportedOpenShell,
     ZeroState,
     apply_excitation,
@@ -26,6 +28,7 @@ from vqchem import (
     civector_to_statevector,
     energy,
     energy_and_gradient,
+    energy_at,
     fci_ground_state,
     hamiltonian_diagonal,
     hartree_fock_bitstring,
@@ -36,13 +39,22 @@ from vqchem import (
     make_ci_space,
     make_rdm1,
     make_rdm2,
+    make_uccsd_problem,
     save_civector,
     statevector_to_civector,
     ucc_state,
 )
+from vqchem.ansatz import generate_uccsd
 from vqchem.civector import _dense_hamiltonian, _sigma, _sigma_plan
 from vqchem.integrals import IntegralSet, build_hubbard
-from oracles import dense_ladder
+from oracles import (
+    closed_shell_determinants,
+    dense_ladder,
+    signed_excitation_table,
+    signed_forward,
+    signed_rotation_table,
+    signed_sweep,
+)
 from test_integrals import random_integral_set
 
 PINNED_DIMS = {
@@ -449,6 +461,98 @@ def test_shared_parameter_gradient_is_sum_of_parts(h4):
     assert abs(shared[0] - split.sum()) < 1e-12
 
 
+@pytest.mark.parametrize("n", [8, 10])
+def test_rotation_kernel_matches_signed_table_oracle(n, h8):
+    # UCCSD shares one parameter between spin mirrors; the oracle tables are
+    # built from spin-orbital bitmasks and hold both signed halves per pair
+    ex_ops, param_ids = generate_uccsd(n, n)
+    space = make_ci_space(n, n)
+    s = h8 if n == 8 else random_integral_set(np.random.default_rng(67),
+                                                n, n)
+    dets = closed_shell_determinants(n, n)
+    tables = []
+    for ex in ex_ops:
+        g = signed_excitation_table(dets, ex)
+        tables.append(None if g is None else signed_rotation_table(*g))
+    rng = np.random.default_rng(71 + n)
+    params = rng.uniform(-0.6, 0.6, size=max(param_ids) + 1)
+    start = hf_vector(space).amplitudes
+    want_state = signed_forward(tables, params, param_ids, start)
+    want_e, want_grad = signed_sweep(
+        tables, params, param_ids, start,
+        lambda v: apply_hamiltonian(space, v, s).amplitudes)
+    got_state = ucc_state(space, ex_ops, params, param_ids).amplitudes
+    got_e, got_grad = energy_and_gradient(space, ex_ops, params, param_ids, s)
+    np.testing.assert_allclose(got_state, want_state, rtol=0, atol=1e-12)
+    assert abs(got_e - want_e) <= 1e-12 * max(1.0, abs(want_e))
+    np.testing.assert_allclose(got_grad, want_grad, rtol=0, atol=1e-12)
+
+
+def test_rotation_tables_hold_16_bytes_per_pair(h8):
+    # one (r, c) intp pair per determinant pair, no signs, no second half
+    space = CISpace(8, 8)
+    problem = make_uccsd_problem(h8)
+    energy_and_gradient(space, problem.ex_ops, problem.init_guess,
+                        problem.param_ids, h8)
+    tables = [space._action_cache["G", ex] for ex in problem.ex_ops]
+    for table in tables:
+        assert isinstance(table, np.ndarray) and table.dtype == np.intp
+        assert table.ndim == 2 and table.shape[0] == 2
+        assert table.nbytes == 16 * table.shape[1]
+        assert np.unique(table).size == table.size  # disjoint pairs
+    pairs = sum(table.shape[1] for table in tables)
+    total = sum(value.nbytes for key, value in space._action_cache.items()
+                if key != "link")
+    assert total == 16 * pairs
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_params_are_refused(bad, h4):
+    space = make_ci_space(4, 4)
+    ex_ops, param_ids = [(2, 0), (2, 6, 0, 4)], [0, 1]
+    with pytest.raises(InvalidParams):
+        energy_and_gradient(space, ex_ops, [0.1, bad], param_ids, h4)
+    with pytest.raises(InvalidParams):
+        ucc_state(space, ex_ops, [bad, 0.1], param_ids)
+    with pytest.raises(InvalidParams):
+        apply_ucc_factor(space, hf_vector(space), (2, 0), bad)
+    problem = make_uccsd_problem(h4)
+    params = problem.init_guess.copy()
+    params[-1] = bad
+    with pytest.raises(InvalidParams):
+        energy_at(problem, params)
+    with pytest.raises(InvalidParams):
+        UCCProblem(h4, problem.ex_ops, problem.param_ids, params)
+
+
+def test_initial_vector_of_another_space_is_refused():
+    # (4, 2) and (4, 6) both have 16 determinants, on different strings
+    space, other = make_ci_space(4, 2), make_ci_space(4, 6)
+    assert space.dim == other.dim
+    s = random_integral_set(np.random.default_rng(73), 4, 2)
+    args = ([(1, 0)], [0.3], [0])
+    with pytest.raises(ValueError, match="belongs to"):
+        ucc_state(space, *args, initial=hf_vector(other))
+    with pytest.raises(ValueError, match="belongs to"):
+        energy_and_gradient(space, *args, s, initial=hf_vector(other))
+    # an equal space built separately is the same space
+    same = hf_vector(CISpace(4, 2))
+    np.testing.assert_array_equal(
+        ucc_state(space, *args, initial=same).amplitudes,
+        ucc_state(space, *args).amplitudes)
+
+
+def test_initial_array_of_wrong_length_is_refused(h4):
+    space = make_ci_space(4, 4)
+    args = ([(2, 0)], [0.3], [0])
+    short = np.zeros(space.dim - 1)
+    short[0] = 1.0
+    with pytest.raises(ValueError, match="amplitude length"):
+        ucc_state(space, *args, initial=short)
+    with pytest.raises(ValueError, match="amplitude length"):
+        energy_and_gradient(space, *args, h4, initial=short)
+
+
 # ---------------------------------------------------------------------------
 # Reduced density matrices
 # ---------------------------------------------------------------------------
@@ -546,31 +650,76 @@ sys.exit(main(["fci", "--fcidump", sys.argv[1], "--output", sys.argv[2]]))
 """
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def chain_fcidump(tmp_path, n_atoms: int) -> Path:
+    """FCIDUMP of an evenly spaced hydrogen chain (0.8 A, STO-3G)."""
+    sys.path.insert(0, str(ROOT / "scripts"))
+    try:
+        import make_fixtures
+    finally:
+        sys.path.remove(str(ROOT / "scripts"))
+    h_mo, eri_mo, e_nuc, *_ = make_fixtures.hydrogen_chain(n_atoms, 0.8)
+    fcidump = tmp_path / f"h{n_atoms}.fcidump"
+    make_fixtures.write_fcidump(fcidump, h_mo, eri_mo, e_nuc, n_atoms)
+    return fcidump
+
+
+def run_capped(script: str, *args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
 def test_fci_h10_fits_1500_mb_address_space(tmp_path):
     # The sparse build of H10 needs about 3.3 GB; under this cap it used to
     # die with SIGSEGV.  The sigma route peaks at about 115 MB of RSS.
     import json
 
-    root = Path(__file__).resolve().parents[1]
-    sys.path.insert(0, str(root / "scripts"))
-    try:
-        import make_fixtures
-    finally:
-        sys.path.remove(str(root / "scripts"))
-    h_mo, eri_mo, e_nuc, *_ = make_fixtures.hydrogen_chain(10, 0.8)
-    fcidump = tmp_path / "h10.fcidump"
-    make_fixtures.write_fcidump(fcidump, h_mo, eri_mo, e_nuc, 10)
+    fcidump = chain_fcidump(tmp_path, 10)
     out = tmp_path / "fci.json"
-    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(
-                   [str(root / "src"), os.environ.get("PYTHONPATH", "")]))
-    run = subprocess.run(
-        [sys.executable, "-c", _CAPPED_FCI, str(fcidump), str(out), "1500"],
-        env=env, capture_output=True, text=True, timeout=300)
+    run = run_capped(_CAPPED_FCI, str(fcidump), str(out), "1500")
     assert run.returncode == 0, run.stderr[-2000:]
     result = json.loads(out.read_text())
     assert result["dim"] == 63504
     assert abs(result["fci"] - (-5.283552451823878)) < 1e-8
+
+
+_CAPPED_UCC = """
+import json, resource, sys
+cap = int(sys.argv[2]) << 20
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from pathlib import Path
+from vqchem import (energy, energy_and_gradient, hf_energy, make_ci_space,
+                    make_uccsd_problem, parse_fcidump, ucc_state)
+s = parse_fcidump(Path(sys.argv[1]).read_text())
+p = make_uccsd_problem(s)
+space = make_ci_space(s.n_orb, s.n_elec)
+e, grad = energy_and_gradient(space, p.ex_ops, p.init_guess, p.param_ids, s)
+direct = energy(space, ucc_state(space, p.ex_ops, p.init_guess, p.param_ids),
+                s)
+print(json.dumps({"dim": space.dim, "n_ex": len(p.ex_ops), "e": e,
+                  "direct": direct, "hf": hf_energy(s),
+                  "grad": grad.tolist()}))
+"""
+
+
+def test_uccsd_h12_energy_and_gradient_fit_2_gb_address_space(tmp_path):
+    # H12 UCCSD (954 excitations, dim 853,776) caches 1.1 GB of rotation
+    # tables at 16 bytes per determinant pair; at 48 bytes per pair it died
+    # with MemoryError under 3 GB.
+    import json
+
+    run = run_capped(_CAPPED_UCC, str(chain_fcidump(tmp_path, 12)), "2048")
+    assert run.returncode == 0, run.stderr[-2000:]
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert (result["dim"], result["n_ex"]) == (853776, 954)
+    assert np.all(np.isfinite(result["grad"])) and np.isfinite(result["e"])
+    assert result["e"] <= result["hf"]
+    assert abs(result["e"] - result["direct"]) < 1e-10
 
 
 def test_energy_rejects_zero_vector(h2):

@@ -149,6 +149,24 @@ def test_vqe_save_state_and_ansatz(capsys, tmp_path):
     assert abs(json.loads(out)["energies"]["ucc"] - H2_FCI) < 1e-9
 
 
+@pytest.mark.parametrize("lines", [
+    ["0 (3,2) nan"],
+    ["0 (3,2) inf"],
+    ["0 (3,2) nan", "0 (1,0) nan"],  # not reported as conflicting guesses
+])
+def test_vqe_non_finite_ansatz_guess_exits_one(capsys, tmp_path, lines):
+    ansatz = tmp_path / "bad.ansatz"
+    ansatz.write_text("\n".join(lines) + "\n")
+    artifact = tmp_path / "out.json"
+    code, out, err = run(capsys, "vqe", "--fcidump", "h2_sto3g",
+                         "--ansatz", "custom", "--ansatz-file", str(ansatz),
+                         "--output", str(artifact))
+    assert code == 1
+    assert "ParseError" in err and "not finite" in err
+    assert "NaN" not in out
+    assert not artifact.exists() or "NaN" not in artifact.read_text()
+
+
 def test_vqe_config_file_and_flag_precedence(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[common]\nfcidump = h2_sto3g\n"
