@@ -1,6 +1,6 @@
 """Gate-level quantum circuit simulation: ideal statevectors, noisy density
-matrices with Kraus channels, shot sampling, parameter-shift gradients, and a
-hardware-efficient-ansatz optimizer.
+matrices with Kraus channels applied as superoperators, shot sampling,
+parameter-shift gradients, and a hardware-efficient-ansatz optimizer.
 
 Qubit 0 is the most significant bit of a basis-state index, as in
 :mod:`vqchem.operators`.  Exact expectation values apply the compiled
@@ -220,10 +220,10 @@ def build_ry_ansatz(n_qubits: int, n_layers: int) -> Circuit:
 # Noise
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class NoiseModel:
-    """Kraus channels attached to gate kinds; applied right after every gate
-    of that kind."""
+    """Kraus channels attached to gate kinds, applied right after every gate
+    of that kind as the superoperator sum K (x) conj(K) in ``superops``."""
 
     channels: dict = field(default_factory=dict)
 
@@ -232,17 +232,25 @@ class NoiseModel:
         for kind, kraus in self.channels.items():
             clean[kind] = _validate_kraus([np.asarray(k, dtype=complex)
                                            for k in kraus])
-        self.channels = clean
+        object.__setattr__(self, "channels", clean)
+        object.__setattr__(self, "superops", {
+            kind: sum(np.kron(k, k.conj()) for k in kraus)
+            for kind, kraus in clean.items()})
 
 
 def _validate_kraus(kraus) -> list:
     if not kraus:
         raise InvalidChannel("empty Kraus list")
-    dim = kraus[0].shape[0]
+    dim = kraus[0].shape[0] if kraus[0].ndim == 2 else None
+    if dim not in (2, 4):
+        raise InvalidChannel(
+            f"Kraus operators must be 2x2 or 4x4, got {kraus[0].shape}")
     total = np.zeros((dim, dim), dtype=complex)
     for k in kraus:
         if k.shape != (dim, dim):
             raise InvalidChannel("Kraus operators differ in shape")
+        if not np.all(np.isfinite(k)):
+            raise InvalidChannel("Kraus operator has non-finite entries")
         total += k.conj().T @ k
     if np.max(np.abs(total - np.eye(dim))) > 1e-10:
         raise InvalidChannel("channel is not trace preserving")
@@ -342,13 +350,12 @@ def _check_circuit_params(c: Circuit, params) -> np.ndarray:
     return params
 
 
-def _apply_channel_density(rho: np.ndarray, mats, qubits, n: int) -> np.ndarray:
-    out = None
-    for kmat in mats:
-        term = _apply_rows(rho, kmat, qubits, n)
-        term = _apply_rows(term.conj().T, kmat, qubits, n).conj().T
-        out = term if out is None else out + term
-    return out
+def _apply_channel_density(rho: np.ndarray, superop: np.ndarray, qubits,
+                           n: int) -> np.ndarray:
+    """S on rho read as a 2n-qubit vector: ket axes ``qubits``, bra axes
+    ``n + q``."""
+    axes = tuple(qubits) + tuple(n + q for q in qubits)
+    return _apply_rows(rho.reshape(-1), superop, axes, 2 * n).reshape(rho.shape)
 
 
 def _apply_rows(mat: np.ndarray, u: np.ndarray, qubits, n: int) -> np.ndarray:
@@ -363,18 +370,18 @@ def _apply_rows(mat: np.ndarray, u: np.ndarray, qubits, n: int) -> np.ndarray:
     return t.reshape(mat.shape)
 
 
-def _apply_noise(rho: np.ndarray, g: Gate, channels: dict,
+def _apply_noise(rho: np.ndarray, g: Gate, superops: dict,
                  n: int) -> np.ndarray:
     """The channel bound to the gate's kind, if any, applied to rho."""
-    kraus = channels.get(g.kind)
-    if kraus is None:
+    superop = superops.get(g.kind)
+    if superop is None:
         return rho
-    if kraus[0].shape[0] != 2 ** len(g.qubits):
+    if superop.shape[0] != 4 ** len(g.qubits):
         raise InvalidChannel(
-            f"channel dimension {kraus[0].shape[0]} does not match "
-            f"{g.kind} arity"
+            f"channel dimension {math.isqrt(superop.shape[0])} does not "
+            f"match {g.kind} arity"
         )
-    return _apply_channel_density(rho, kraus, g.qubits, n)
+    return _apply_channel_density(rho, superop, g.qubits, n)
 
 
 def _initial_density(c: Circuit) -> np.ndarray:
@@ -393,10 +400,10 @@ def simulate_density(c: Circuit, params, noise: NoiseModel | None) -> DensityMat
     channel (if the model binds one to that gate kind)."""
     rho = _initial_density(c)
     params = _check_circuit_params(c, params)
-    channels = {} if noise is None else noise.channels
+    superops = {} if noise is None else noise.superops
     for g in c.gates:
         rho = _conjugate(rho, g, params, c.n_qubits)
-        rho = _apply_noise(rho, g, channels, c.n_qubits)
+        rho = _apply_noise(rho, g, superops, c.n_qubits)
     return DensityMatrix(c.n_qubits, rho)
 
 
@@ -501,7 +508,7 @@ def _energy_and_gradient(c: Circuit, params, h: QubitOperator,
         )
     if noise is None:
         return _state_gradient(c, params, h)
-    return _density_gradient(c, params, h, noise.channels)
+    return _density_gradient(c, params, h, noise.superops)
 
 
 def _state_gradient(c: Circuit, params, h: QubitOperator):
@@ -528,13 +535,13 @@ def _state_gradient(c: Circuit, params, h: QubitOperator):
 _ADJOINT_STATE_BYTES = 64 << 20
 
 
-def _density_gradient(c: Circuit, params, h: QubitOperator, channels: dict):
+def _density_gradient(c: Circuit, params, h: QubitOperator, superops: dict):
     """The same reverse pass in the Heisenberg picture.  Walking back from
-    O = H, each gate first takes its channel's adjoint M = sum K^dagger O K;
-    a rotation then contributes dE/dtheta = Im Tr(M P sigma), with sigma =
-    U rho U^dagger the state right after the rotation (before its channel);
-    finally O = U^dagger M U.  The energy is the expectation of the final
-    rho of the forward pass.
+    O = H, each gate first takes its channel's adjoint M = S^dagger(O), the
+    superoperator's conjugate transpose; a rotation then contributes
+    dE/dtheta = Im Tr(M P sigma), with sigma = U rho U^dagger the state
+    right after the rotation (before its channel); finally O = U^dagger M U.
+    The energy is the expectation of the final rho of the forward pass.
 
     The forward pass keeps sigma at every ``stride``-th parametrised gate,
     with ``stride`` the smallest that fits the kept states into
@@ -551,7 +558,7 @@ def _density_gradient(c: Circuit, params, h: QubitOperator, channels: dict):
         rho = _conjugate(rho, g, params, n)
         if k in kept:
             kept[k] = rho
-        rho = _apply_noise(rho, g, channels, n)
+        rho = _apply_noise(rho, g, superops, n)
     e = expectation(rho, h)
     if not marks:
         return e, grad
@@ -561,12 +568,11 @@ def _density_gradient(c: Circuit, params, h: QubitOperator, channels: dict):
         start = marks[i - i % stride]
         sigma = kept[start]
         for j in range(start + 1, k + 1):
-            sigma = _apply_noise(sigma, c.gates[j - 1], channels, n)
+            sigma = _apply_noise(sigma, c.gates[j - 1], superops, n)
             sigma = _conjugate(sigma, c.gates[j], params, n)
         return sigma
 
-    adjoint = {kind: [m.conj().T for m in kraus]
-               for kind, kraus in channels.items()}
+    adjoint = {kind: s.conj().T for kind, s in superops.items()}
     obs = h.to_dense_matrix()
     for k in reversed(range(len(c.gates))):
         g = c.gates[k]

@@ -223,13 +223,8 @@ class QubitOperator:
         if isinstance(other, QubitOperator):
             if self.n_qubits != other.n_qubits:
                 raise InvalidOperator("operator size mismatch in multiply")
-            out: dict[PauliTerm, complex] = {}
-            for ta, ca in self.terms.items():
-                for tb, cb in other.terms.items():
-                    phase, term = _pauli_term_product(ta, tb)
-                    c = ca * cb * phase
-                    out[term] = out.get(term, 0.0) + c
-            return QubitOperator(self.n_qubits, out)
+            return QubitOperator(self.n_qubits,
+                                 _term_dict_product(self.terms, other.terms))
         return QubitOperator(
             self.n_qubits, {t: c * other for t, c in self.terms.items()}
         )
@@ -363,6 +358,16 @@ def _pauli_term_product(ta: PauliTerm, tb: PauliTerm) -> tuple[complex, PauliTer
     return phase, tuple(sorted(letters.items()))
 
 
+def _term_dict_product(a: dict, b: dict) -> dict:
+    """Product of two Pauli sums given as term dicts, terms collected."""
+    out: dict[PauliTerm, complex] = {}
+    for ta, ca in a.items():
+        for tb, cb in b.items():
+            phase, term = _pauli_term_product(ta, tb)
+            out[term] = out.get(term, 0.0) + ca * cb * phase
+    return out
+
+
 def _reverse_qubit_labels(op: QubitOperator) -> QubitOperator:
     n = op.n_qubits
     out: dict[PauliTerm, complex] = {}
@@ -376,12 +381,13 @@ def _map_terms(op: FermionOperator, ladder) -> QubitOperator:
     """Sum over the terms of ``op`` of the product of the qubit images
     ``ladder(n, index, dagger)`` of their factors, collected in one dict."""
     n = op.n_spin_orbitals
+    images = {f: ladder(n, *f).terms for f in {f for t in op.terms for f in t}}
     out: dict[PauliTerm, complex] = {}
     for term, coeff in op.terms.items():
-        acc = QubitOperator.identity(n, coeff)
-        for idx, dag in term:
-            acc = acc * ladder(n, idx, dag)
-        for key, c in acc.terms.items():
+        acc = {(): coeff}
+        for factor in term:
+            acc = _term_dict_product(acc, images[factor])
+        for key, c in acc.items():
             out[key] = out.get(key, 0.0) + c
     return QubitOperator(n, out)
 

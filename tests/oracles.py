@@ -236,6 +236,16 @@ def sparse_number_conserving_hamiltonian(s) -> "scipy.sparse.csr_matrix":
 
 
 
+def kraus_channel(rho, kraus, qubits, n_qubits: int, adjoint: bool = False):
+    """sum_k K rho K^dagger (sum_k K^dagger rho K with ``adjoint``), every
+    Kraus operator lifted onto the register by :func:`embed_unitary`."""
+    out = np.zeros_like(rho, dtype=complex)
+    for k in kraus:
+        e = embed_unitary(k, qubits, n_qubits)
+        out += e.conj().T @ rho @ e if adjoint else e @ rho @ e.conj().T
+    return out
+
+
 def _dense_gates(c, noise):
     """Per gate, as full-register matrices: the gate's slot and angle, its
     unitary (X, CNOT) or the Pauli matrix P of its rotation

@@ -37,6 +37,7 @@ from vqchem import (
     simulate_state,
     statevector_at,
 )
+from vqchem.gates import _apply_channel_density, _energy_and_gradient
 import oracles
 from oracles import PAULI_1Q, dense_qubit_operator, embed_unitary
 
@@ -283,6 +284,85 @@ def test_channel_arity_must_match_gate():
         simulate_density(c, None, noise)
 
 
+def _amplitude_damping(gamma, n_qubits):
+    """Amplitude damping on each qubit (its Kraus products for two)."""
+    k0 = np.array([[1, 0], [0, math.sqrt(1 - gamma)]], dtype=complex)
+    k1 = np.array([[0, math.sqrt(gamma)], [0, 0]], dtype=complex)
+    if n_qubits == 1:
+        return [k0, k1]
+    return [np.kron(a, b) for a in (k0, k1) for b in (k0, k1)]
+
+
+def _isometry_channel(rng, n_ops, n_qubits):
+    """n_ops Kraus operators cut from the Q of a random complex QR: the
+    stacked operators form an isometry, so sum K^dagger K = I."""
+    dim = 2 ** n_qubits
+    m = rng.normal(size=(n_ops * dim, dim)) \
+        + 1j * rng.normal(size=(n_ops * dim, dim))
+    q, _ = np.linalg.qr(m)
+    return [q[i * dim:(i + 1) * dim] for i in range(n_ops)]
+
+
+def _random_hermitian(rng, dim):
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    m = m + m.conj().T
+    return m / np.linalg.norm(m)
+
+
+_CHANNELS = {
+    "depolarizing": lambda rng, k: depolarizing_channel(0.3, k),
+    "amplitude-damping": lambda rng, k: _amplitude_damping(0.4, k),
+    "random-isometry": lambda rng, k: _isometry_channel(rng, 3, k),
+}
+
+
+@pytest.mark.parametrize("qubits", [(0,), (3,), (1, 2), (2, 0), (3, 1)])
+@pytest.mark.parametrize("channel", sorted(_CHANNELS))
+def test_superoperator_matches_kraus_oracle(channel, qubits):
+    """The compiled superoperator S applied as one contraction gives
+    sum K rho K^dagger, and S^dagger gives sum K^dagger A K, both against
+    full-register Kraus products; Tr(A S(rho)) = Tr(S^dagger(A) rho)."""
+    rng = np.random.default_rng(41 + 7 * len(qubits) + qubits[0])
+    n = 4
+    kraus = _CHANNELS[channel](rng, len(qubits))
+    kind = "CNOT" if len(qubits) == 2 else "RY"
+    superop = NoiseModel({kind: kraus}).superops[kind]
+    assert superop.shape == (4 ** len(qubits),) * 2
+    rho, a = _random_hermitian(rng, 2 ** n), _random_hermitian(rng, 2 ** n)
+    got = _apply_channel_density(rho, superop, qubits, n)
+    want = oracles.kraus_channel(rho, kraus, qubits, n)
+    assert np.max(np.abs(got - want)) <= 1e-12
+    got_adj = _apply_channel_density(a, superop.conj().T, qubits, n)
+    want_adj = oracles.kraus_channel(a, kraus, qubits, n, adjoint=True)
+    assert np.max(np.abs(got_adj - want_adj)) <= 1e-12
+    assert abs(np.trace(a @ got) - np.trace(got_adj @ rho)) <= 1e-12
+
+
+def test_noise_model_is_fixed_at_construction():
+    """The superoperators are compiled from the validated channels once, so
+    the channels cannot be swapped afterwards."""
+    noise = NoiseModel({"CNOT": depolarizing_channel(0.1, 2)})
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        noise.channels = {"CNOT": [np.eye(4) * 0.5]}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+def test_non_finite_kraus_is_refused(bad):
+    k = np.eye(2, dtype=complex)
+    k[0, 0] = bad
+    with pytest.raises(InvalidChannel):
+        NoiseModel({"RY": [k]})
+    with pytest.raises(InvalidChannel):
+        NoiseModel({"CNOT": [np.eye(4), np.full((4, 4), bad)]})
+
+
+@pytest.mark.parametrize("kraus", [[np.eye(3)], [np.eye(8)], [np.eye(1)],
+                                   [np.ones(2)], [1.0]])
+def test_kraus_dimension_must_be_one_or_two_qubits(kraus):
+    with pytest.raises(InvalidChannel):
+        NoiseModel({"CNOT": kraus})
+
+
 def test_two_qubit_depolarizing_equals_global_mixing(h2):
     """On a 2-qubit register a CNOT depolarizing channel is global: each
     noisy CNOT mixes toward I/4 with weight 16p/15, so the energy follows
@@ -421,6 +501,25 @@ def test_gradient_matches_shift_rule_oracle_on_hea(case, noisy, request):
     want = oracles.parameter_shift_gradient(c, params, h, noise)
     got = parameter_shift_gradient(c, params, h, noise)
     assert np.max(np.abs(got - want)) < ADJOINT_TOL
+
+
+def test_noisy_gradient_with_non_self_adjoint_channels():
+    """Complex, non-unital channels, whose superoperators differ from their
+    adjoints (depolarizing ones do not): the reverse pass still matches the
+    shift rule and the energy of the full-register Kraus products."""
+    rng = np.random.default_rng(43)
+    noise = NoiseModel({"CNOT": _isometry_channel(rng, 3, 2),
+                        "RY": _amplitude_damping(0.1, 1),
+                        "X": _isometry_channel(rng, 2, 1)})
+    for n_qubits in (2, 3):
+        c = random_single_slot_circuit(rng, n_qubits, 14)
+        h = random_hamiltonian(rng, n_qubits, 8)
+        params = rng.uniform(-np.pi, np.pi, size=c.n_params)
+        want = oracles.parameter_shift_gradient(c, params, h, noise)
+        e, got = _energy_and_gradient(c, params, h, noise)
+        assert np.max(np.abs(got - want), initial=0.0) < ADJOINT_TOL
+        assert abs(e - oracles.dense_circuit_energy(c, params, h, noise)) \
+            < ADJOINT_TOL
 
 
 @pytest.mark.parametrize("noisy", [False, True])
