@@ -35,8 +35,16 @@ The Hamiltonian has one route: H is applied by the string-driven direct-CI
 sigma (:func:`_sigma`), which reads the plan and keeps its block scratch in
 one workspace per thread, reused by every apply: with the default blocks at
 most ``2 * max(4 MB, 8 * n_pair * n_strings_beta)`` bytes, for ``n_pair =
-n_orb (n_orb + 1) / 2``.  Spaces small enough for a dense eigensolver build
-their matrix from the same link table in one pass.
+n_orb (n_orb + 1) / 2``.  The sigma has a symmetric mode for vectors with
+C = C^T over (alpha string, beta string), which works on the lower triangle
+only; UCC states are not symmetric and take the general mode.  Spaces small
+enough for a dense eigensolver build their matrix from the same link table
+in one pass.
+
+:func:`fci_ground_state` returns the lowest state with C = C^T, the
+even-spin (S = 0, 2, ...) ground state: its Davidson iteration stays in that
+subspace and applies H by the symmetric sigma, and the dense path
+diagonalises H in the same subspace.
 """
 
 from __future__ import annotations
@@ -452,14 +460,16 @@ def _pair_integrals(space: CISpace, s: IntegralSet) -> np.ndarray:
 
 
 def _sigma(space: CISpace, s: IntegralSet, amps: np.ndarray,
-           block: int | None = None) -> np.ndarray:
+           block: int | None = None, symmetric: bool = False) -> np.ndarray:
     """H v, core energy included, without a Hamiltonian matrix: the direct-CI
     sigma of Knowles and Handy (Chem. Phys. Lett. 111, 315 (1984)).
 
-    With C the amplitudes as an (alpha string, beta string) matrix, every
-    block of alpha strings a gets ``D[a, P] = (E+_P C)[a]``, ``F = V D``,
-    and adds ``E+_P F[a, P]`` back.  Every step reads the space's compiled
-    :class:`_SigmaPlan`: D is two gathers (alpha rows of C through
+    With C the amplitudes as an (alpha string, beta string) matrix and L_P
+    the string matrix of E+_P, H - e_core = sum_PR V[P, R] E+_P E+_R gives
+    ``sigma - e_core C = sum_P (L_P F_P + F_P L_P)`` with ``D_R = L_R C +
+    C L_R`` and ``F_P = sum_R V[P, R] D_R``.  Every block of alpha strings a
+    gets its rows of D and F and adds them back, reading the space's
+    compiled :class:`_SigmaPlan`: D is two gathers (alpha rows of C through
     ``target``, beta columns of the block through ``target_t``); the alpha
     part of F goes to the strings the block reaches through the block's
     scatter matrix, the beta part through ``scatter_t``, inside the block.
@@ -467,10 +477,21 @@ def _sigma(space: CISpace, s: IntegralSet, amps: np.ndarray,
     (:func:`_scratch`), so a warm apply allocates nothing larger than its
     output and threads share no mutable state.
 
+    ``symmetric=True`` is for C = C^T, a closed-shell vector even under the
+    alpha <-> beta exchange.  D_R and F_P are then symmetric, so F_P = T_P +
+    T_P^T and ``sigma - e_core C = Z + Z^T`` with Z = sum_P (L_P T_P + T_P
+    L_P), for T_P the part of F_P left of each block's diagonal square
+    plus half of that square.  A block of rows a0:a1 gathers, multiplies
+    and scatters beta columns ``:a1`` only, about half the work; the beta
+    scatter reads the transposed F with its rows past a1 zeroed.  On a
+    vector that is not symmetric the result is not H v.
+
     ``block`` alpha strings go at a time; by default D holds at most
     ``max(4 MB, 8 * n_pair * n_strings_beta)`` bytes, which keeps it in
     cache, and the workspace of a thread that uses only default blocks
-    holds twice that, D and F.
+    holds twice that, D and F.  The symmetric default also caps a block at
+    a quarter of the strings, rounded up, so that the triangle skips most
+    of the upper half.
     """
     plan = _sigma_plan(space)
     v = _pair_integrals(space, s)
@@ -479,24 +500,34 @@ def _sigma(space: CISpace, s: IntegralSet, amps: np.ndarray,
     c = amps.reshape(na, nb)
     if block is None:
         block = max(1, (4 << 20) // (8 * n_pair * nb))
-    size = min(block, na) * n_pair * nb
+        if symmetric:
+            block = min(block, -(-na // 4))
+    block = min(block, na)
+    size = block * n_pair * nb
     work = _scratch(2 * size)
-    out = s.e_core * c
+    # symmetric: Z starts at e_core C / 2, which Z + Z^T doubles
+    out = (0.5 * s.e_core if symmetric else s.e_core) * c
     for a0, a1, reached, scatter_t in plan.blocks(block):
         n = a1 - a0
-        d = work[:n * n_pair * nb].reshape(n, n_pair, nb)
+        m = a1 if symmetric else nb  # beta columns of the block's D and F
+        d = work[:n * n_pair * m].reshape(n, n_pair, m)
         f = work[size:size + d.size].reshape(d.shape)
         # mode="clip" writes straight into out= (the indices are in range)
-        np.take(c, plan.target[a0:a1], axis=0, out=d, mode="clip")
+        np.take(c[:, :m], plan.target[a0:a1], axis=0, out=d, mode="clip")
         d *= plan.sign[a0:a1, :, None]
-        np.take(c[a0:a1], plan.target_t, axis=1, out=f, mode="clip")
-        f *= plan.sign_t
+        np.take(c[a0:a1], plan.target_t[:, :m], axis=1, out=f, mode="clip")
+        f *= plan.sign_t[:, :m]
         d += f
         np.matmul(v, d, out=f)
-        out[reached] += scatter_t @ f.reshape(-1, nb)
-        f_t = work[:d.size].reshape(nb, n_pair, n)  # d is spent
-        np.copyto(f_t, f.T)
+        if symmetric:  # F's a0:a1 square is symmetric: half of it twice
+            f[:, :, a0:a1] *= 0.5
+        out[reached, :m] += scatter_t @ f.reshape(-1, m)
+        f_t = work[:nb * n_pair * n].reshape(nb, n_pair, n)  # d is spent
+        np.copyto(f_t[:m], f.T)
+        f_t[m:] = 0.0
         out[a0:a1] += (plan.scatter_t @ f_t.reshape(-1, n)).T
+    if symmetric:
+        out += out.T
     return out.ravel()
 
 
@@ -678,61 +709,110 @@ def _dense_hamiltonian(space: CISpace, s: IntegralSet) -> np.ndarray:
 
 
 def _dense_ground_state(space: CISpace, s: IntegralSet):
-    mat = _dense_hamiltonian(space, s)
-    vals, vecs = np.linalg.eigh(mat)
-    return float(vals[0]), vecs[:, 0].copy()
+    """Lowest alpha <-> beta-even eigenpair of the dense H: H is
+    diagonalised in the orthonormal symmetric basis {e_aa, (e_ab + e_ba) /
+    sqrt 2 for a > b}, the same root the symmetric Davidson finds."""
+    n = space.n_strings_alpha
+    mat = _dense_hamiltonian(space, s).reshape(n, n, n, n)
+    a, b = np.tril_indices(n)
+    unit = np.where(a == b, 1.0, np.sqrt(0.5))  # the basis vectors' entries
+    # u_i = scale_i (e_ab + e_ba): scale is 1/2 on e_aa, 1/sqrt 2 elsewhere
+    scale = np.where(a == b, 0.5, np.sqrt(0.5))
+    rows = mat[a, b] + mat[b, a]
+    small = (rows[:, a, b] + rows[:, b, a]) * np.outer(scale, scale)
+    vals, vecs = np.linalg.eigh(small)
+    vec = np.zeros((n, n))
+    vec[a, b] = vec[b, a] = vecs[:, 0] * unit
+    return float(vals[0]), vec.ravel()
+
+
+def _symmetrize(x: np.ndarray, n: int) -> np.ndarray:
+    """(X + X^T) / 2, in place, of a vector read as an n x n (alpha, beta)
+    matrix."""
+    x = x.reshape(n, n)
+    x += x.T
+    x *= 0.5
+    return x.ravel()
 
 
 def _davidson_ground_state(space: CISpace, s: IntegralSet,
                            tol: float = 1e-8, max_iter: int = 200,
                            max_subspace: int = 30):
+    """Lowest eigenpair of H in the alpha <-> beta-symmetric subspace C = C^T
+    by Davidson's method with the diagonal preconditioner.
+
+    The start vector, every correction and the random fallback vector are
+    symmetrised, so every H application is the symmetric sigma.  The basis
+    and its sigmas live in two preallocated (max_subspace, dim) arrays and
+    the projected matrix grows by one row per new vector.  When the basis is
+    full it restarts on the Ritz vector, keeping its H image; every H
+    application is spent on a new basis vector.
+    """
     dim = space.dim
+    n = space.n_strings_alpha
     diag = hamiltonian_diagonal(space, s)
+    basis = np.empty((max_subspace, dim))
+    sigmas = np.empty((max_subspace, dim))
+    small = np.empty((max_subspace, max_subspace))
     start = np.zeros(dim)
     start[int(np.argmin(diag))] = 1.0
-    basis = [start]
-    sigmas = []
-    theta, ritz = None, start
+    start = _symmetrize(start, n)
+    basis[0] = start / np.linalg.norm(start)
+    k = 0
     for _ in range(max_iter):
-        while len(sigmas) < len(basis):
-            sigmas.append(
-                apply_hamiltonian(space, basis[len(sigmas)], s).amplitudes
-            )
-        k = len(basis)
-        small = np.empty((k, k))
-        for i in range(k):
-            for j in range(i + 1):
-                small[i, j] = small[j, i] = float(np.dot(basis[i], sigmas[j]))
-        vals, vecs = np.linalg.eigh(small)
+        sigmas[k] = _sigma(space, s, basis[k], symmetric=True)
+        small[k, :k + 1] = small[:k + 1, k] = sigmas[:k + 1] @ basis[k]
+        k += 1
+        vals, vecs = np.linalg.eigh(small[:k, :k])
         theta = float(vals[0])
         coeff = vecs[:, 0]
-        ritz = sum(c * b for c, b in zip(coeff, basis))
-        h_ritz = sum(c * sg for c, sg in zip(coeff, sigmas))
+        ritz = coeff @ basis[:k]
+        h_ritz = coeff @ sigmas[:k]
         residual = h_ritz - theta * ritz
         if np.linalg.norm(residual) < tol:
             return theta, ritz / np.linalg.norm(ritz)
-        if k >= max_subspace:
-            basis, sigmas = [ritz / np.linalg.norm(ritz)], []
-            continue
+        if k == max_subspace:  # restart on the Ritz vector and its H image
+            nrm = np.linalg.norm(ritz)
+            basis[0] = ritz / nrm
+            sigmas[0] = h_ritz / nrm
+            small[0, 0] = float(np.dot(basis[0], sigmas[0]))
+            k = 1
         denom = diag - theta
         denom[np.abs(denom) < 1e-8] = 1e-8
-        correction = residual / denom
-        for b in basis:  # modified Gram-Schmidt
-            correction -= np.dot(b, correction) * b
-        nrm = np.linalg.norm(correction)
-        if nrm < 1e-12:
-            correction = np.random.default_rng(k).standard_normal(dim)
-            for b in basis:
-                correction -= np.dot(b, correction) * b
-            nrm = np.linalg.norm(correction)
-        basis.append(correction / nrm)
+        residual /= denom
+        new = _orthogonalize(_symmetrize(residual, n), basis[:k])
+        if new is None:
+            rng = np.random.default_rng(k)
+            new = _orthogonalize(_symmetrize(rng.standard_normal(dim), n),
+                                 basis[:k])
+        basis[k] = new
     raise SolverFailed(
         f"Davidson iteration did not reach residual {tol} in {max_iter} steps"
     )
 
 
+def _orthogonalize(x: np.ndarray, basis: np.ndarray):
+    """x made orthogonal to the orthonormal rows of ``basis`` (classical
+    Gram-Schmidt, twice) and normalised, in place; None if nothing is
+    left."""
+    for _ in range(2):
+        x -= (basis @ x) @ basis
+    nrm = np.linalg.norm(x)
+    if nrm < 1e-12:
+        return None
+    x /= nrm
+    return x
+
+
 def fci_ground_state(space: CISpace, s: IntegralSet):
-    """Lowest eigenpair of the Hamiltonian in the CI space."""
+    """Lowest alpha <-> beta-even eigenpair of the Hamiltonian in the CI
+    space: the ground state among vectors with C = C^T over (alpha string,
+    beta string), which holds the even-spin states (S = 0, 2, ...), as
+    PySCF's ``fci.direct_spin0`` finds it.  An odd-S state (a triplet)
+    below it is not returned.  Spaces up to ``_DENSE_DIRECT_LIMIT``
+    determinants are diagonalised densely, larger ones by the symmetric
+    Davidson (with a dense fallback up to ``_DENSE_FALLBACK_LIMIT``); both
+    return the same root."""
     dim = space.dim
     if dim > _ITERATIVE_LIMIT:
         raise SizeLimit(

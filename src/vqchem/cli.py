@@ -4,7 +4,8 @@ Subcommands
 -----------
 vqe       unitary coupled-cluster optimization on an FCIDUMP input
 adapt     adaptive ansatz growth from the spin-complete excitation pool
-fci       exact ground state in the CI space (plus HF/MP2 for context)
+fci       exact lowest even-spin (S = 0, 2, ...) state in the CI space
+          (plus HF/MP2 for context)
 noisy     hardware-efficient Ry ansatz under a depolarizing noise model
 dynamics  variational real-time evolution of coupled spin/oscillator models
 hubbard   one-dimensional Hubbard chain, UCC against exact diagonalization
@@ -1015,7 +1016,11 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p_adapt)
 
     p_fci = subparsers.add_parser(
-        "fci", help="exact ground state in the CI space")
+        "fci", help="exact lowest even-spin (S = 0, 2, ...) state",
+        description="Exact lowest state of the CI space whose amplitudes "
+        "are symmetric under alpha <-> beta exchange (C = C^T): the "
+        "even-spin (S = 0, 2, ...) ground state.  A lower odd-spin state, "
+        "such as a triplet, is not returned.")
     _add_molecular(p_fci)
     p_fci.add_argument("--save-state", dest="save_state",
                        help="write the ground-state CI vector here")

@@ -236,6 +236,26 @@ def sparse_number_conserving_hamiltonian(s) -> "scipy.sparse.csr_matrix":
 
 
 
+def lowest_even_eigenvalue(h: np.ndarray, n_strings: int,
+                           tol: float = 1e-8) -> float:
+    """Lowest eigenvalue of the CI-space matrix ``h`` (alpha-string-major,
+    ``n_strings`` strings per spin) that has an eigenvector C = C^T, read
+    off a full ``eigh``.  H commutes with the alpha <-> beta exchange C ->
+    C^T, so an eigenspace holds a symmetric eigenvector exactly when the
+    symmetric parts of its orthonormal basis do not vanish."""
+    vals, vecs = np.linalg.eigh(h)
+    i = 0
+    while i < len(vals):
+        j = i + 1
+        while j < len(vals) and vals[j] - vals[i] < tol:
+            j += 1
+        block = vecs[:, i:j].reshape(n_strings, n_strings, j - i)
+        if np.linalg.norm(block + block.transpose(1, 0, 2)) > 1.0:
+            return float(vals[i])
+        i = j
+    raise ValueError("no symmetric eigenvector")
+
+
 def kraus_channel(rho, kraus, qubits, n_qubits: int, adjoint: bool = False):
     """sum_k K rho K^dagger (sum_k K^dagger rho K with ``adjoint``), every
     Kraus operator lifted onto the register by :func:`embed_unitary`."""

@@ -634,6 +634,140 @@ def test_fci_iterative_matches_dense_diagonalization():
     assert abs(abs(np.dot(v.amplitudes, vecs[:, 0])) - 1.0) < 1e-8
 
 
+def hubbard_ring(n_sites):
+    """Periodic Hubbard ring, t = 1, U = 4, with 4 electrons: its M_s = 0
+    ground state is a triplet."""
+    s = build_hubbard(n_sites, 1.0, 4.0, periodic=True)
+    return IntegralSet(n_sites, 4, s.int1e, s.int2e, 0.0)
+
+
+@pytest.mark.parametrize("n_sites, dim, e_even, e_global", [
+    (6, 225, -4.42014294995394, -4.69835519094898),     # dense path
+    (8, 784, -5.730548524687951, -5.951702657355233),  # Davidson path
+])
+def test_fci_returns_lowest_even_root(n_sites, dim, e_even, e_global):
+    from oracles import (lowest_even_eigenvalue,
+                         sparse_number_conserving_hamiltonian)
+
+    s = hubbard_ring(n_sites)
+    space = make_ci_space(n_sites, 4)
+    assert space.dim == dim
+    dets = closed_shell_determinants(n_sites, 4)
+    h = sparse_number_conserving_hamiltonian(s)[dets][:, dets].toarray()
+    assert abs(np.linalg.eigvalsh(h)[0] - e_global) < 1e-10
+    assert abs(lowest_even_eigenvalue(h, space.n_strings_alpha)
+               - e_even) < 1e-10
+    e, v = fci_ground_state(space, s)
+    assert abs(e - e_even) < 1e-10
+    c = v.amplitudes.reshape(space.n_strings_alpha, -1)
+    np.testing.assert_allclose(c, c.T, rtol=0, atol=1e-12)
+    assert abs(v.norm() - 1.0) < 1e-12
+    assert abs(energy(space, v, s) - e_even) < 1e-10
+
+
+def test_fci_dense_fallback_returns_the_davidson_root(monkeypatch):
+    from vqchem import civector
+    from vqchem.errors import SolverFailed
+
+    s = hubbard_ring(8)
+    space = make_ci_space(8, 4)
+    e_davidson, v_davidson = fci_ground_state(space, s)
+
+    def fail(*args, **kwargs):
+        raise SolverFailed("forced")
+
+    monkeypatch.setattr(civector, "_davidson_ground_state", fail)
+    e_dense, v_dense = fci_ground_state(space, s)
+    assert abs(e_dense - e_davidson) < 1e-10
+    for v in (v_dense, v_davidson):  # the root is degenerate on the ring
+        residual = (apply_hamiltonian(space, v, s).amplitudes
+                    - e_dense * v.amplitudes)
+        assert np.linalg.norm(residual) < 1e-7
+
+
+@pytest.fixture(scope="module")
+def h10(tmp_path_factory):
+    from vqchem import load_fcidump
+
+    return load_fcidump(chain_fcidump(tmp_path_factory.mktemp("h10"), 10))
+
+
+def symmetric_vector(space, seed):
+    c = np.random.default_rng(seed).normal(size=(space.n_strings_alpha,) * 2)
+    return (c + c.T).ravel()
+
+
+@pytest.mark.parametrize("case", ["h4", "random7", "h8", "h10"])
+def test_symmetric_sigma_matches_general_sigma(case, request):
+    if case == "random7":  # 21 strings: blocks of 4 and 6 leave a ragged end
+        s = random_integral_set(np.random.default_rng(73), 7, 4)
+    else:
+        s = request.getfixturevalue(case)
+    space = CISpace(s.n_orb, s.n_elec)
+    v = symmetric_vector(space, 79)
+    general = _sigma(space, s, v)
+    scale = np.abs(general).max()
+    na = space.n_strings_alpha
+    for block in (None, 1, 3, 4, na + 5):
+        got = _sigma(space, s, v, block=block, symmetric=True)
+        assert np.abs(got - general).max() <= 1e-12 * scale, block
+    assert list(space._action_cache) == ["link"]
+
+
+def test_symmetric_sigma_applies_core_energy_on_h10():
+    big = make_ci_space(10, 10)
+    s = IntegralSet(10, 10, np.zeros((10, 10)), np.zeros((10,) * 4), 0.5)
+    v = symmetric_vector(big, 83)
+    np.testing.assert_allclose(_sigma(big, s, v, symmetric=True), 0.5 * v,
+                               rtol=0, atol=1e-15)
+
+
+def counting_sigma(monkeypatch):
+    """Record the vectors every H application in civector receives."""
+    from vqchem import civector
+
+    inputs = []
+    sigma = civector._sigma
+
+    def counted(space, s, amps, **kwargs):
+        inputs.append(np.array(amps))
+        return sigma(space, s, amps, **kwargs)
+
+    monkeypatch.setattr(civector, "_sigma", counted)
+    return inputs
+
+
+@pytest.mark.parametrize("case, e_pinned, max_sigmas", [
+    ("h4", -2.167560544134052, 0),
+    ("h6", -3.204411879484098, 0),
+    ("h8", -4.243391012647704, 17),
+    ("h10", -5.283552451823887, 19),
+])
+def test_fci_energies_and_h_applications_pinned(case, e_pinned, max_sigmas,
+                                                request, monkeypatch):
+    s = request.getfixturevalue(case)
+    inputs = counting_sigma(monkeypatch)
+    e, _ = fci_ground_state(make_ci_space(s.n_orb, s.n_elec), s)
+    assert abs(e - e_pinned) < 1e-10
+    assert len(inputs) <= max_sigmas
+
+
+def test_davidson_restart_keeps_the_ritz_image(h8, monkeypatch):
+    from vqchem.civector import _davidson_ground_state
+
+    space = make_ci_space(8, 8)
+    inputs = counting_sigma(monkeypatch)
+    e, v = _davidson_ground_state(space, h8, max_subspace=4)
+    assert abs(e - -4.243391012647704) < 1e-10
+    assert len(inputs) > 4  # it restarted
+    # every H application is spent on a vector outside the span of the
+    # earlier ones: a restart does not apply H to its Ritz vector again
+    for k in range(1, len(inputs)):
+        earlier = np.array(inputs[:k]).T
+        coeff = np.linalg.lstsq(earlier, inputs[k], rcond=None)[0]
+        assert np.linalg.norm(inputs[k] - earlier @ coeff) > 1e-6
+
+
 def test_fci_size_limit():
     space = make_ci_space(16, 8)
     s = IntegralSet(16, 8, np.zeros((16, 16)), np.zeros((16,) * 4), 0.0)
