@@ -97,8 +97,8 @@ from .civector import (
     ucc_state,
 )
 from .ansatz import (
+    AdaptResult,
     OperatorPool,
-    PairedSpace,
     UCCProblem,
     adapt_vqe,
     build_operator_pool,
@@ -108,13 +108,10 @@ from .ansatz import (
     generate_uccsd,
     load_ansatz,
     make_kupccgsd_problem,
-    make_paired_space,
     make_puccd_problem,
     make_uccsd_problem,
     mp2_initialize,
     paired_energy_and_gradient,
-    paired_hamiltonian_matrix,
-    paired_hf_vector,
     problem_civector,
     problem_energy_and_gradient,
     problem_statevector,

@@ -8,29 +8,27 @@ exact alpha/beta mirror symmetry: operators that map onto each other under a
 global spin flip carry the same parameter, which keeps the optimized state an
 eigenstate of total spin at closed shell.
 
-The pair-restricted ("hard-core boson") ansatz gets a dedicated reduced space
-here: one occupation bit per spatial orbital, dimension C(n_orb, n_elec/2).
-Pair hops carry no fermionic signs, so the reduced treatment is exact for
-seniority-zero states and matches the same excitations applied in the full
-determinant space.
+The pair-restricted ("hard-core boson") ansatz has no space of its own: its
+configurations are the determinant space's alpha strings read as doubly
+occupied orbitals, and its hops and Hamiltonian come from that space's link
+table.  Pair hops carry no fermionic signs, so the reduced treatment is exact
+for seniority-zero states and matches the full determinant space.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
-from weakref import WeakKeyDictionary
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .civector import (
-    _MAX_SPACES,
+    CISpace,
     _check_param_map,
-    _occupation_strings,
+    _pair_hop_table,
+    _pair_sigma,
+    _pair_tables,
     _sweep,
-    apply_excitation,
     apply_hamiltonian,
     civector_to_statevector,
     energy_and_gradient,
@@ -290,103 +288,8 @@ def make_puccd_problem(s: IntegralSet) -> UCCProblem:
 
 
 # ---------------------------------------------------------------------------
-# Hard-core-boson (pair-restricted) space and engine
+# Hard-core-boson (pair-restricted) engine
 # ---------------------------------------------------------------------------
-
-class PairedSpace:
-    """Occupation space of electron pairs: one bit per spatial orbital,
-    C(n_orb, n_elec/2) configurations, no fermionic signs."""
-
-    def __init__(self, n_orb: int, n_pairs: int):
-        self.n_orb = int(n_orb)
-        self.n_pairs = int(n_pairs)
-        self.strings = _occupation_strings(self.n_orb, self.n_pairs)
-        self._hop_cache: dict = {}
-        self._matrix_cache: WeakKeyDictionary = WeakKeyDictionary()
-
-    @property
-    def dim(self) -> int:
-        return len(self.strings)
-
-    def __repr__(self):
-        return (f"PairedSpace(n_orb={self.n_orb}, n_pairs={self.n_pairs}, "
-                f"dim={self.dim})")
-
-
-@lru_cache(maxsize=_MAX_SPACES)
-def make_paired_space(n_orb: int, n_elec: int) -> PairedSpace:
-    """The shared pair space for ``(n_orb, n_elec)``, kept like
-    :func:`vqchem.civector.make_ci_space` keeps determinant spaces."""
-    return PairedSpace(n_orb, n_elec // 2)
-
-
-def paired_hf_vector(space: PairedSpace) -> np.ndarray:
-    v = np.zeros(space.dim)
-    v[0] = 1.0
-    return v
-
-
-def _paired_hop(space: PairedSpace, p: int, q: int):
-    """(rows, cols) of the pair hop q -> p; amplitude +1, no signs."""
-    key = (p, q)
-    if key not in space._hop_cache:
-        S = space.strings
-        bit_p, bit_q = np.uint64(1 << p), np.uint64(1 << q)
-        alive = ((S & bit_q) != 0) & ((S & bit_p) == 0)
-        src = np.nonzero(alive)[0]
-        tgt = np.searchsorted(S, S[src] ^ bit_p ^ bit_q)
-        space._hop_cache[key] = (tgt.astype(np.int64), src.astype(np.int64))
-    return space._hop_cache[key]
-
-
-def _paired_table(space: PairedSpace, p: int, q: int):
-    """Rotation table of b+_p b_q - b+_q b_p: the pair hop q -> p has unit
-    signs, so its (rows, cols) are the table's pairs (r, c)."""
-    key = ("G", p, q)
-    table = space._hop_cache.get(key)
-    if table is None:
-        table = space._hop_cache[key] = np.stack(_paired_hop(space, p, q))
-    return table
-
-
-def _paired_tables(space: PairedSpace, ex_ops) -> list:
-    return [_paired_table(space, *_paired_orbitals(ex, space.n_orb))
-            for ex in ex_ops]
-
-
-def paired_hamiltonian_matrix(space: PairedSpace, s: IntegralSet) -> csr_matrix:
-    """Pair-space Hamiltonian: diagonal = closed-shell determinant energy,
-    off-diagonal pair hop q -> p with amplitude (pq|pq)."""
-    mat = space._matrix_cache.get(s)
-    if mat is not None:
-        return mat
-    n = space.n_orb
-    occ = np.zeros((space.dim, n))
-    for p in range(n):
-        occ[:, p] = (space.strings >> np.uint64(p)) & np.uint64(1)
-    j_mat = np.einsum("ppqq->pq", s.int2e)
-    k_mat = np.einsum("pqqp->pq", s.int2e)
-    diag = (occ @ (2.0 * np.diag(s.int1e))
-            + np.einsum("ip,pq,iq->i", occ, 2.0 * j_mat - k_mat, occ)
-            + s.e_core)
-    rows = [np.arange(space.dim)]
-    cols = [np.arange(space.dim)]
-    data = [diag]
-    for p in range(n):
-        for q in range(n):
-            if p == q or abs(k_mat[p, q]) < 1e-14:
-                continue
-            r, c = _paired_hop(space, p, q)
-            rows.append(r)
-            cols.append(c)
-            data.append(np.full(len(r), k_mat[p, q]))
-    mat = csr_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(space.dim, space.dim),
-    )
-    space._matrix_cache[s] = mat
-    return mat
-
 
 def build_puccd_hamiltonian(s: IntegralSet) -> QubitOperator:
     """Pair-space Hamiltonian as an operator over n_orb qubits (qubit q
@@ -421,26 +324,28 @@ def build_puccd_hamiltonian(s: IntegralSet) -> QubitOperator:
     return QubitOperator(n, terms).simplify()
 
 
-def paired_energy_and_gradient(space: PairedSpace, ex_ops, params, param_ids,
+def paired_energy_and_gradient(space: CISpace, ex_ops, params, param_ids,
                                s: IntegralSet):
+    """Energy and gradient of pair excitations ``ex_ops`` on the alpha
+    strings of ``space`` as pair configurations, from the lowest one."""
     params, ids = _check_param_map(ex_ops, params, param_ids)
-    return _sweep(_paired_tables(space, ex_ops), params, ids,
-                  paired_hf_vector(space),
-                  paired_hamiltonian_matrix(space, s).dot)
+    tables = [_pair_hop_table(space, *_paired_orbitals(ex, space.n_orb))
+              for ex in ex_ops]
+    start = np.eye(1, space.n_strings_alpha)[0]  # the lowest configuration
+    return _sweep(tables, params, ids, start,
+                  lambda c: _pair_sigma(space, s, c))
 
 
 # ---------------------------------------------------------------------------
-# Problem-level dispatch (full determinant space vs paired space)
+# Problem-level dispatch (determinants vs pair configurations)
 # ---------------------------------------------------------------------------
 
 def problem_energy_and_gradient(problem: UCCProblem, params):
     s = problem.integrals
-    if problem.hard_core_boson:
-        return paired_energy_and_gradient(
-            make_paired_space(s.n_orb, s.n_elec), problem.ex_ops, params,
-            problem.param_ids, s)
-    return energy_and_gradient(make_ci_space(s.n_orb, s.n_elec),
-                               problem.ex_ops, params, problem.param_ids, s)
+    engine = (paired_energy_and_gradient if problem.hard_core_boson
+              else energy_and_gradient)
+    return engine(make_ci_space(s.n_orb, s.n_elec), problem.ex_ops, params,
+                  problem.param_ids, s)
 
 
 def problem_civector(problem: UCCProblem, params):
@@ -480,16 +385,40 @@ def build_operator_pool(n_orb: int, n_elec: int) -> OperatorPool:
     return OperatorPool([groups[pid] for pid in sorted(groups)])
 
 
+def _pool_gradients(space: CISpace, pool: OperatorPool, psi: np.ndarray,
+                    h_psi: np.ndarray) -> np.ndarray:
+    """dE/dtheta of each pool group added to ``psi``: over its members, 2 <H
+    psi| G |psi> = 2 (<h_psi[r], psi[c]> - <h_psi[c], psi[r]>) read through
+    the cached rotation tables (Grimsley et al., Nat. Commun. 10, 3007)."""
+    grads = np.zeros(len(pool.groups))
+    for k, group in enumerate(pool.groups):
+        for table in _pair_tables(space, group):
+            if table is not None:
+                r, c = table
+                grads[k] += 2.0 * (np.dot(h_psi[r], psi[c])
+                                   - np.dot(h_psi[c], psi[r]))
+    return grads
+
+
+@dataclass
+class AdaptResult:
+    """Outcome of :func:`adapt_vqe`; ``converged`` is False when it stopped
+    at ``max_iter`` with the pool-gradient norm still at or above epsilon."""
+
+    problem: UCCProblem  # the grown ansatz, its optimum as init_guess
+    trajectory: list  # energy after each optimization, reference first
+    converged: bool
+    gradient_norm: float  # 2-norm of the pool gradients at the final state
+    optimizer_converged: list  # converged flag of each re-optimization
+
+
 def adapt_vqe(s: IntegralSet, pool: OperatorPool, epsilon: float,
-              max_iter: int = 50):
+              max_iter: int = 50) -> AdaptResult:
     """Grow the ansatz one pool group at a time, always taking the group
     with the largest energy-gradient magnitude, re-optimizing after each
-    addition with a warm start. Stops when the 2-norm of the group-gradient
-    vector drops below ``epsilon``.
-
-    Returns the grown problem (init_guess = final optimum) and the energy
-    after each optimization, starting with the bare reference energy.
-    """
+    addition with a warm start.  Stops when the 2-norm of the group-gradient
+    vector drops below ``epsilon`` or after ``max_iter`` additions; the pool
+    is evaluated at the final state either way."""
     from .vqe import kernel  # deferred to avoid a module cycle
 
     if epsilon <= 0:
@@ -499,19 +428,14 @@ def adapt_vqe(s: IntegralSet, pool: OperatorPool, epsilon: float,
     param_ids: list = []
     params = np.zeros(0)
     trajectory = [hf_energy(s)]
+    optimizer_converged: list = []
 
-    for _ in range(max_iter):
-        psi = ucc_state(space, ex_ops, params, param_ids)
-        h_psi = apply_hamiltonian(space, psi, s).amplitudes
-        grads = np.array([
-            sum(
-                2.0 * float(np.dot(h_psi,
-                                   apply_excitation(space, psi, ex).amplitudes))
-                for ex in group
-            )
-            for group in pool.groups
-        ])
-        if np.linalg.norm(grads) < epsilon:
+    while True:
+        psi = ucc_state(space, ex_ops, params, param_ids).amplitudes
+        grads = _pool_gradients(space, pool, psi,
+                                apply_hamiltonian(space, psi, s).amplitudes)
+        norm = float(np.linalg.norm(grads))
+        if norm < epsilon or len(optimizer_converged) >= max_iter:
             break
         best = int(np.argmax(np.abs(grads)))
         new_pid = len(params)
@@ -523,9 +447,10 @@ def adapt_vqe(s: IntegralSet, pool: OperatorPool, epsilon: float,
         result = kernel(problem)
         params = result.x
         trajectory.append(result.e)
+        optimizer_converged.append(result.converged)
 
-    problem = UCCProblem(s, ex_ops, param_ids, params)
-    return problem, trajectory
+    return AdaptResult(UCCProblem(s, ex_ops, param_ids, params), trajectory,
+                       norm < epsilon, norm, optimizer_converged)
 
 
 # ---------------------------------------------------------------------------

@@ -29,13 +29,19 @@ compiles, and these caches only ever append:
   link table of its strings, compiled once into dense gather arrays and,
   per block size, each block's scatter matrix.  It holds 0.12 MB for H8,
   0.66 MB for H10 and 3.6 MB for H12, and serves the direct-CI sigma, the
-  dense Hamiltonian, the diagonal and the density matrices.
+  dense Hamiltonian, the diagonal, the density matrices and the pair hops;
+* the pair hops (``"pair-hops"``, :func:`_pair_hops`) of pUCCD, which runs on
+  the alpha strings as configurations of doubly occupied orbitals: 16 bytes
+  per hop, 18 kB for H8, 13 MB at n_orb = 16; and one rotation table per hop
+  q -> p (``("hop", p, q)``), 16 bytes per configuration pair.
 
-The Hamiltonian has one route: H is applied by the string-driven direct-CI
-sigma (:func:`_sigma`), which reads the plan and keeps its block scratch in
-one workspace per thread, reused by every apply: with the default blocks at
-most ``2 * max(4 MB, 8 * n_pair * n_strings_beta)`` bytes, for ``n_pair =
-n_orb (n_orb + 1) / 2``.  The sigma has a symmetric mode for vectors with
+The Hamiltonian has one route per kind of vector: on determinants H is
+applied by the string-driven direct-CI sigma (:func:`_sigma`), on pair
+configurations by one gather per pair-hop slot (:func:`_pair_sigma`).  The
+sigma reads the plan and keeps its block scratch in one workspace per
+thread, reused by every apply: with the default blocks at most ``2 *
+max(4 MB, 8 * n_pair * n_strings_beta)`` bytes, for ``n_pair = n_orb
+(n_orb + 1) / 2``.  The sigma has a symmetric mode for vectors with
 C = C^T over (alpha string, beta string), which works on the lower triangle
 only; UCC states are not symmetric and take the general mode.  Spaces small
 enough for a dense eigensolver build their matrix from the same link table
@@ -52,7 +58,7 @@ from __future__ import annotations
 import struct
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -75,8 +81,6 @@ from .integrals import IntegralSet
 _DENSE_DIRECT_LIMIT = 400
 _DENSE_FALLBACK_LIMIT = 4000
 _ITERATIVE_LIMIT = 1_000_000
-# Spaces kept by make_ci_space; a run works in one or two.
-_MAX_SPACES = 8
 
 
 class CISpace:
@@ -96,7 +100,6 @@ class CISpace:
         strings = _occupation_strings(self.n_orb, self.n_alpha)
         self.alpha_strings = strings
         self.beta_strings = strings
-        self.string_index = {int(m): i for i, m in enumerate(strings)}
         self._action_cache: dict = {}
 
     @property
@@ -133,10 +136,11 @@ def ci_space_dim(n_orb: int, n_elec: int) -> int:
     return comb(n_orb, n_elec // 2) ** 2
 
 
-@lru_cache(maxsize=_MAX_SPACES)
+@lru_cache(maxsize=8)  # a run works in one or two spaces
 def make_ci_space(n_orb: int, n_elec: int) -> CISpace:
     """The shared space for ``(n_orb, n_elec)``: the most recently used
-    spaces are kept, with their excitation and link tables."""
+    spaces are kept, with their excitation, link and pair-hop tables.  Its
+    alpha strings are also the configurations of pair-restricted ansatzes."""
     return CISpace(n_orb, n_elec)
 
 
@@ -378,6 +382,9 @@ class _SigmaPlan:
       strings and its own transposed scatter matrix;
     * ``occ`` (n_strings, n_orb) is the occupation of every orbital, the
       sign of the diagonal pairs.
+
+    The transposes, ``scatter_t`` and the blocks are built on the sigma's
+    first use: pair hops alone need ``target``, ``sign`` and ``occ``.
     """
 
     def __init__(self, strings: np.ndarray, n_orb: int):
@@ -395,14 +402,23 @@ class _SigmaPlan:
                              np.where(p == q, occ_p, False))
         self.target = np.searchsorted(
             strings, np.where(hop, column ^ (bit_p | bit_q), column))
-        self.sign_t = np.ascontiguousarray(self.sign.T)
-        self.target_t = np.ascontiguousarray(self.target.T)
         self.occ = np.ascontiguousarray(self.sign[:, p == q])
-        live = np.flatnonzero(self.sign)
-        self.scatter_t = csr_matrix(
-            (self.sign.ravel()[live], (self.target.ravel()[live], live)),
-            shape=(len(strings), self.sign.size))
         self._blocks: dict = {}
+
+    @cached_property
+    def sign_t(self) -> np.ndarray:
+        return np.ascontiguousarray(self.sign.T)
+
+    @cached_property
+    def target_t(self) -> np.ndarray:
+        return np.ascontiguousarray(self.target.T)
+
+    @cached_property
+    def scatter_t(self) -> csr_matrix:
+        live = np.flatnonzero(self.sign)
+        return csr_matrix(
+            (self.sign.ravel()[live], (self.target.ravel()[live], live)),
+            shape=(len(self.sign), self.sign.size))
 
     def blocks(self, block: int) -> tuple:
         """``(a0, a1, reached, scatter_t)`` for every block of ``block``
@@ -429,6 +445,39 @@ def _sigma_plan(space: CISpace) -> _SigmaPlan:
         plan = space._action_cache.setdefault(
             "link", _SigmaPlan(space.alpha_strings, space.n_orb))
     return plan
+
+
+def _pair_hops(space: CISpace) -> tuple:
+    """Hops of electron pairs, cached under ``"pair-hops"``: string J read as
+    doubly occupied orbitals hops its pair on q to p, with no sign, to
+    ``target[J, P]`` for P = (max(p, q), min(p, q)).  Row j of the (n_occ *
+    n_virt, n_strings) ``intp`` arrays ``(pair, target)`` holds the j-th of
+    the n_occ * n_virt off-diagonal pairs live on every string."""
+    hops = space._action_cache.get("pair-hops")
+    if hops is None:  # concurrent compiles build equal tables; keep the first
+        plan = _sigma_plan(space)
+        n, n_pair = plan.sign.shape
+        p, q = np.tril_indices(space.n_orb)
+        flat = np.flatnonzero((plan.sign != 0) & (p != q))
+        flat = np.ascontiguousarray(flat.reshape(n, -1).T)
+        hops = space._action_cache.setdefault(
+            "pair-hops", (flat % n_pair, plan.target.ravel()[flat]))
+    return hops
+
+
+def _pair_hop_table(space: CISpace, p: int, q: int) -> np.ndarray:
+    """Rotation table of b+_p b_q - b+_q b_p on the pair configurations
+    (:func:`_pair_hops`), cached under ``("hop", p, q)``: the hop q -> p has
+    no sign, so its targets and sources are the table's pairs (r, c)."""
+    key = ("hop", p, q)
+    table = space._action_cache.get(key)
+    if table is None:
+        plan = _sigma_plan(space)
+        pair = max(p, q) * (max(p, q) + 1) // 2 + min(p, q)
+        src = np.flatnonzero(plan.sign[:, pair] * plan.occ[:, q])
+        table = space._action_cache.setdefault(
+            key, np.stack([plan.target[src, pair], src]))
+    return table
 
 
 _workspace = threading.local()
@@ -536,8 +585,9 @@ def apply_hamiltonian(space: CISpace, v, s: IntegralSet) -> CIVector:
     return CIVector(space, _sigma(space, s, _amps(v)))
 
 
-def hamiltonian_diagonal(space: CISpace, s: IntegralSet) -> np.ndarray:
-    """<D|H|D> for every determinant, via the factorized diagonal rule."""
+def _string_energies(space: CISpace, s: IntegralSet) -> tuple:
+    """(e_same, occ, j): determinant (a, b) has energy e_same[a] + e_same[b]
+    + occ[a] j occ[b] + e_core, with j[p, q] = (pp|qq)."""
     occ = _sigma_plan(space).occ
     h_diag = np.diag(s.int1e)
     j_mat = np.einsum("ppqq->pq", s.int2e)
@@ -545,10 +595,30 @@ def hamiltonian_diagonal(space: CISpace, s: IntegralSet) -> np.ndarray:
     # same-spin energy of one string: sum h_pp + 1/2 sum_{p!=q} [(pp|qq)-(pq|qp)]
     jk = j_mat - k_mat
     np.fill_diagonal(jk, 0.0)
-    e_same = occ @ h_diag + 0.5 * np.einsum("ip,pq,iq->i", occ, jk, occ)
+    e_same = occ @ h_diag + 0.5 * np.einsum("ip,ip->i", occ @ jk, occ)
+    return e_same, occ, j_mat
+
+
+def hamiltonian_diagonal(space: CISpace, s: IntegralSet) -> np.ndarray:
+    """<D|H|D> for every determinant, via the factorized diagonal rule."""
+    e_same, occ, j_mat = _string_energies(space, s)
     cross = occ @ j_mat @ occ.T  # alpha-beta Coulomb between string pairs
     diag = e_same[:, None] + e_same[None, :] + cross + s.e_core
     return diag.ravel()
+
+
+def _pair_sigma(space: CISpace, s: IntegralSet, c: np.ndarray) -> np.ndarray:
+    """H c on the pair configurations of :func:`_pair_hops`: (J, J) has its
+    determinant energy and a pair hop q -> p amplitude (pq|qp)."""
+    pair, target = _pair_hops(space)
+    e_same, occ, j_mat = _string_energies(space, s)
+    diag = 2.0 * e_same + np.einsum("ip,ip->i", occ @ j_mat, occ) + s.e_core
+    p, q = np.tril_indices(s.n_orb)
+    k = s.int2e[p, q, q, p]
+    out = diag * c
+    for pair_j, target_j in zip(pair, target):
+        out += k[pair_j] * c[target_j]
+    return out
 
 
 def energy(space: CISpace, v, s: IntegralSet) -> float:

@@ -403,9 +403,6 @@ def _run_vqe(st: _Settings) -> int:
                            method_label=label, stream=_human_stream(st))
     state_path = st.get("save_state")
     if state_path:
-        if problem.hard_core_boson:
-            raise _UsageError("--save-state stores full CI vectors; the "
-                              "pair-restricted ansatz does not produce one")
         save_civector(state_path, civector_at(problem, result.x))
     ansatz_out = st.get("save_ansatz")
     if ansatz_out:
@@ -424,8 +421,9 @@ def _run_adapt(st: _Settings) -> int:
     s = _resolve_integrals(st)
     pool = build_operator_pool(s.n_orb, s.n_elec)
     epsilon = st.get_float("epsilon", 1e-3)
-    problem, trajectory = adapt_vqe(s, pool, epsilon,
-                                    max_iter=st.get_int("max_iter", 50))
+    max_iter = st.get_int("max_iter", 50)
+    grown = adapt_vqe(s, pool, epsilon, max_iter=max_iter)
+    problem, trajectory = grown.problem, grown.trajectory
     fci = _fci_reference(s, st)
     lines = [f"adaptive growth: {len(trajectory) - 1} iterations, "
              f"{len(problem.ex_ops)} excitations, "
@@ -435,6 +433,10 @@ def _run_adapt(st: _Settings) -> int:
         if fci is not None:
             line += f"  error = {1000.0 * (e - fci):+.6f} mH"
         lines.append(line)
+    stop = ("converged" if grown.converged
+            else f"stopped at --max-iter {max_iter}")
+    lines.append(f"{stop}: pool-gradient norm {grown.gradient_norm:.3e}, "
+                 f"epsilon {epsilon:g}")
     text = "\n".join(lines)
     print(text, file=_human_stream(st))
     state_path = st.get("save_state")
@@ -452,6 +454,9 @@ def _run_adapt(st: _Settings) -> int:
         "param_ids": list(problem.param_ids),
         "params": problem.init_guess.tolist(),
         "epsilon": epsilon,
+        "converged": grown.converged,
+        "pool_gradient_norm": grown.gradient_norm,
+        "optimizer_converged": list(grown.optimizer_converged),
     }
     return _finish(st, payload, ["iteration", "energy"],
                    [[i, float(e)] for i, e in enumerate(trajectory)], text)

@@ -454,3 +454,56 @@ def signed_sweep(tables, params, ids, start, apply_h):
         _signed_rotate(ket, table, -params[pid])
         _signed_rotate(bra, table, -params[pid])
     return e, grad
+
+
+# ---------------------------------------------------------------------------
+# Pair (seniority-zero) configurations and ADAPT pool gradients
+# ---------------------------------------------------------------------------
+
+def pair_configurations(n_orb: int, n_pairs: int) -> np.ndarray:
+    """Bitmasks of the configurations of ``n_pairs`` electron pairs in
+    ``n_orb`` spatial orbitals (bit ``p`` = orbital ``p`` doubly occupied),
+    ascending."""
+    return np.array([m for m in range(1 << n_orb)
+                     if bin(m).count("1") == n_pairs], dtype=np.int64)
+
+
+def pair_hamiltonian_matrix(s) -> np.ndarray:
+    """Seniority-zero Hamiltonian on :func:`pair_configurations` straight
+    from the integrals: a configuration with doubly occupied set O has the
+    closed-shell determinant energy e_core + sum_{p in O} 2 h_pp +
+    sum_{p, q in O} [2 (pp|qq) - (pq|qp)], and moving the pair on q to an
+    empty orbital p has amplitude (pq|qp)."""
+    n = s.n_orb
+    confs = [int(m) for m in pair_configurations(n, s.n_elec // 2)]
+    index = {m: i for i, m in enumerate(confs)}
+    mat = np.zeros((len(confs), len(confs)))
+    for i, m in enumerate(confs):
+        occ = [p for p in range(n) if (m >> p) & 1]
+        e = s.e_core
+        for p in occ:
+            e += 2.0 * s.int1e[p, p]
+            for q in occ:
+                e += 2.0 * s.int2e[p, p, q, q] - s.int2e[p, q, q, p]
+        mat[i, i] = e
+        for q in occ:
+            for p in range(n):
+                if not (m >> p) & 1:
+                    hop = index[m ^ (1 << p) ^ (1 << q)]
+                    mat[hop, i] += s.int2e[p, q, q, p]
+    return mat
+
+
+def adapt_pool_gradients(space, pool, psi, h_psi) -> np.ndarray:
+    """ADAPT pool gradients by one full generator application per member:
+    the sum over each group of 2 <H psi| G psi>, with G psi a CI vector from
+    ``vqchem.apply_excitation``.  This is the loop ADAPT ran before it read
+    the gradients from the rotation tables, kept as their reference."""
+    from vqchem import apply_excitation
+
+    return np.array([
+        sum(2.0 * float(np.dot(h_psi,
+                               apply_excitation(space, psi, ex).amplitudes))
+            for ex in group)
+        for group in pool.groups
+    ])

@@ -8,27 +8,36 @@ from vqchem import (
     ParseError,
     UCCProblem,
     adapt_vqe,
+    apply_hamiltonian,
     build_operator_pool,
     build_puccd_hamiltonian,
     energy,
     energy_at,
     fci_ground_state,
+    hamiltonian_diagonal,
     hf_energy,
     load_ansatz,
     make_ci_space,
     make_kupccgsd_problem,
-    make_paired_space,
     make_puccd_problem,
     make_uccsd_problem,
     paired_energy_and_gradient,
-    paired_hamiltonian_matrix,
     problem_civector,
     problem_energy_and_gradient,
     problem_statevector,
     save_ansatz,
     ucc_state,
 )
-from oracles import pair_hop_table, signed_rotation_table, signed_sweep
+from vqchem.ansatz import _pool_gradients
+from vqchem.civector import _pair_hop_table, _pair_sigma
+from oracles import (
+    adapt_pool_gradients,
+    pair_configurations,
+    pair_hamiltonian_matrix,
+    pair_hop_table,
+    signed_rotation_table,
+    signed_sweep,
+)
 
 H4_DOCI_GROUND = -2.1487401214614756
 
@@ -117,31 +126,30 @@ def test_problem_validation(h2):
 
 def test_paired_hamiltonian_three_routes(h4):
     """Pair-space matrix, qubit operator, and fermionic expansion agree."""
-    space = make_paired_space(4, 4)
-    mat = paired_hamiltonian_matrix(space, h4).toarray()
+    mat = pair_hamiltonian_matrix(h4)
     np.testing.assert_allclose(mat, mat.T, atol=1e-12)
 
     # route 2: dense matrix of the qubit operator, restricted to the
     # pair-occupation basis states (configuration mask == vector index)
     dense = build_puccd_hamiltonian(h4).to_dense_matrix()
-    idx = space.strings.astype(np.int64)
+    idx = pair_configurations(4, 2)
     np.testing.assert_allclose(mat, np.real(dense[np.ix_(idx, idx)]),
                                atol=1e-10)
 
     # route 3: expectation through the full determinant space
     p = make_puccd_problem(h4)
     rng = np.random.default_rng(7)
-    ci_space = make_ci_space(4, 4)
+    space = make_ci_space(4, 4)
     for _ in range(3):
         params = rng.uniform(-0.3, 0.3, size=p.n_params)
         e_paired, _ = paired_energy_and_gradient(
             space, p.ex_ops, params, p.param_ids, h4)
-        v = ucc_state(ci_space, p.ex_ops, params, p.param_ids)
-        assert abs(e_paired - energy(ci_space, v, h4)) < 1e-10
+        v = ucc_state(space, p.ex_ops, params, p.param_ids)
+        assert abs(e_paired - energy(space, v, h4)) < 1e-10
 
 
 def test_paired_gradient_matches_finite_difference(h4):
-    space = make_paired_space(4, 4)
+    space = make_ci_space(4, 4)
     p = make_puccd_problem(h4)
     rng = np.random.default_rng(11)
     params = rng.uniform(-0.3, 0.3, size=p.n_params)
@@ -161,9 +169,9 @@ def test_paired_gradient_matches_finite_difference(h4):
 def test_paired_sweep_matches_signed_table_oracle(h4):
     # the pUCCD engine against the signed two-half tables, with one
     # parameter shared by two pair hops
-    space = make_paired_space(4, 4)
+    space = make_ci_space(4, 4)
     p = make_puccd_problem(h4)
-    pair_dets = np.array([m for m in range(1 << 4) if bin(m).count("1") == 2])
+    pair_dets = pair_configurations(4, 2)
     tables = [signed_rotation_table(*pair_hop_table(pair_dets, a, i))
               for _, a, i, _ in p.ex_ops]
     param_ids = [0, 1, 0, 2]
@@ -172,17 +180,63 @@ def test_paired_sweep_matches_signed_table_oracle(h4):
     for _ in range(3):
         params = rng.uniform(-0.8, 0.8, size=3)
         want_e, want_grad = signed_sweep(
-            tables, params, param_ids, start,
-            paired_hamiltonian_matrix(space, h4).dot)
+            tables, params, param_ids, start, pair_hamiltonian_matrix(h4).dot)
         got_e, got_grad = paired_energy_and_gradient(
             space, p.ex_ops, params, param_ids, h4)
         assert abs(got_e - want_e) <= 1e-12
         np.testing.assert_allclose(got_grad, want_grad, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("case", ["h4", "h6", "h8"])
+def test_puccd_matches_pair_hamiltonian_oracle(case, request):
+    # hop tables, energy and gradient on the CI space's alpha strings
+    # against the loop-built pair Hamiltonian and hop tables
+    s = request.getfixturevalue(case)
+    n = s.n_orb
+    space = make_ci_space(n, s.n_elec)
+    pair_dets = pair_configurations(n, s.n_elec // 2)
+    np.testing.assert_array_equal(space.alpha_strings, pair_dets)
+    for p in range(n):
+        for q in range(n):
+            if p != q:
+                rows, cols, _ = pair_hop_table(pair_dets, p, q)
+                np.testing.assert_array_equal(_pair_hop_table(space, p, q),
+                                              [rows, cols])
+    problem = make_puccd_problem(s)
+    tables = [signed_rotation_table(*pair_hop_table(pair_dets, a, i))
+              for _, a, i, _ in problem.ex_ops]
+    start = np.eye(len(pair_dets))[0]
+    mat = pair_hamiltonian_matrix(s)
+    rng = np.random.default_rng(89)
+    for _ in range(3):
+        params = rng.uniform(-0.8, 0.8, size=problem.n_params)
+        want_e, want_grad = signed_sweep(tables, params, problem.param_ids,
+                                         start, mat.dot)
+        got_e, got_grad = paired_energy_and_gradient(
+            space, problem.ex_ops, params, problem.param_ids, s)
+        assert abs(got_e - want_e) <= 1e-12
+        np.testing.assert_allclose(got_grad, want_grad, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("case", ["h4", "h6", "h8"])
+def test_pair_hamiltonian_apply_matches_oracle(case, request):
+    s = request.getfixturevalue(case)
+    space = make_ci_space(s.n_orb, s.n_elec)
+    mat = pair_hamiltonian_matrix(s)
+    rng = np.random.default_rng(97)
+    for _ in range(3):
+        c = rng.normal(size=space.n_strings_alpha)
+        np.testing.assert_allclose(_pair_sigma(space, s, c), mat @ c,
+                                   rtol=0, atol=1e-12 * np.abs(mat).max())
+    # the diagonal is the (J, J) diagonal of the determinant space
+    diag = hamiltonian_diagonal(space, s).reshape(space.n_strings_alpha, -1)
+    np.testing.assert_allclose(np.diag(mat), np.diag(diag), rtol=0,
+                               atol=1e-12)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_puccd_non_finite_params_are_refused(bad, h4):
-    space = make_paired_space(4, 4)
+    space = make_ci_space(4, 4)
     p = make_puccd_problem(h4)
     params = p.init_guess.copy()
     params[0] = bad
@@ -195,26 +249,25 @@ def test_puccd_non_finite_params_are_refused(bad, h4):
 
 
 def test_paired_engine_matches_full_space_engine(h4):
-    """Energy and gradient of pUCCD agree between the pair space and the
-    full determinant space at random parameters."""
+    """Energy and gradient of pUCCD agree between the pair configurations
+    and the full determinant space at random parameters."""
     from vqchem import energy_and_gradient
 
     p = make_puccd_problem(h4)
+    space = make_ci_space(4, 4)
     rng = np.random.default_rng(13)
     for _ in range(3):
         params = rng.uniform(-0.8, 0.8, size=p.n_params)
         e_paired, g_paired = paired_energy_and_gradient(
-            make_paired_space(4, 4), p.ex_ops, params, p.param_ids, h4)
+            space, p.ex_ops, params, p.param_ids, h4)
         e_full, g_full = energy_and_gradient(
-            make_ci_space(4, 4), p.ex_ops, params, p.param_ids, h4)
+            space, p.ex_ops, params, p.param_ids, h4)
         assert abs(e_paired - e_full) < 1e-12
         np.testing.assert_allclose(g_paired, g_full, rtol=0, atol=1e-12)
 
 
 def test_puccd_reaches_pair_restricted_ground_state(h4):
-    space = make_paired_space(4, 4)
-    mat = paired_hamiltonian_matrix(space, h4).toarray()
-    doci = float(np.linalg.eigvalsh(mat)[0])
+    doci = float(np.linalg.eigvalsh(pair_hamiltonian_matrix(h4))[0])
     assert abs(doci - H4_DOCI_GROUND) < 1e-10
     from vqchem.vqe import kernel
     res = kernel(make_puccd_problem(h4))
@@ -255,13 +308,62 @@ def test_operator_pool_structure():
 
 def test_adapt_vqe_h2(h2):
     pool = build_operator_pool(2, 2)
-    problem, trajectory = adapt_vqe(h2, pool, epsilon=1e-4)
+    grown = adapt_vqe(h2, pool, epsilon=1e-4)
+    trajectory = grown.trajectory
     e_fci, _ = fci_ground_state(make_ci_space(2, 2), h2)
     assert abs(trajectory[0] - hf_energy(h2)) < 1e-10
     assert abs(trajectory[-1] - e_fci) < 1e-8
     assert all(b <= a + 1e-10 for a, b in zip(trajectory, trajectory[1:]))
     # one double excitation is enough; mean-field singles never get picked
-    assert problem.ex_ops == [(1, 3, 2, 0)]
+    assert grown.problem.ex_ops == [(1, 3, 2, 0)]
+    assert grown.converged and grown.gradient_norm < 1e-4
+    assert grown.optimizer_converged == [True]
+
+
+def test_adapt_vqe_reports_a_stop_at_max_iter(h4):
+    pool = build_operator_pool(4, 4)
+    grown = adapt_vqe(h4, pool, epsilon=1e-3, max_iter=1)
+    assert len(grown.trajectory) == 2 and len(grown.optimizer_converged) == 1
+    assert not grown.converged and grown.gradient_norm >= 1e-3
+    # the norm is that of the final state, not of the reference
+    space = make_ci_space(4, 4)
+    psi = ucc_state(space, grown.problem.ex_ops, grown.problem.init_guess,
+                    grown.problem.param_ids).amplitudes
+    h_psi = apply_hamiltonian(space, psi, h4).amplitudes
+    assert abs(grown.gradient_norm - np.linalg.norm(
+        adapt_pool_gradients(space, pool, psi, h_psi))) < 1e-12
+
+
+@pytest.mark.parametrize("case", ["h4", "h6"])
+def test_pool_gradients_match_generator_loop(case, request):
+    s = request.getfixturevalue(case)
+    space = make_ci_space(s.n_orb, s.n_elec)
+    pool = build_operator_pool(s.n_orb, s.n_elec)
+    rng = np.random.default_rng(101)
+    for _ in range(3):
+        psi = rng.normal(size=space.dim)
+        psi /= np.linalg.norm(psi)
+        h_psi = apply_hamiltonian(space, psi, s).amplitudes
+        np.testing.assert_allclose(
+            _pool_gradients(space, pool, psi, h_psi),
+            adapt_pool_gradients(space, pool, psi, h_psi), rtol=0, atol=1e-12)
+
+
+def test_adapt_vqe_h6_group_order(h6):
+    # the order in which ADAPT picked the pool groups of h6 when every pool
+    # gradient was a full generator application
+    pool = build_operator_pool(6, 6)
+    grown = adapt_vqe(h6, pool, epsilon=1e-3)
+    first = {}
+    for ex, pid in zip(grown.problem.ex_ops, grown.problem.param_ids):
+        first.setdefault(pid, ex)
+    picked = [next(k for k, group in enumerate(pool.groups)
+                   if first[pid] in group)
+              for pid in range(grown.problem.n_params)]
+    assert picked == [
+        37, 17, 48, 22, 39, 60, 13, 43, 26, 58, 30, 41, 33, 51, 28, 9, 11,
+        53, 32, 18, 35, 44, 62, 20, 54, 24, 56, 46, 50, 15, 3, 7, 1, 5]
+    assert grown.converged
 
 
 def test_adapt_vqe_validation(h2):

@@ -23,6 +23,7 @@ from vqchem.cli import (
     main,
 )
 from oracles import dense_qubit_operator
+from test_ansatz import H4_DOCI_GROUND
 
 H2_FCI = -1.1372744055294606
 
@@ -202,6 +203,38 @@ def test_adapt_json(capsys):
     assert abs(payload["final_energy"] - H2_FCI) < 1e-8
     traj = payload["trajectory"]
     assert all(b <= a + 1e-10 for a, b in zip(traj, traj[1:]))
+    assert payload["converged"] is True
+    assert payload["pool_gradient_norm"] < 1e-4
+    assert payload["optimizer_converged"] == [True]
+
+
+def test_adapt_says_it_stopped_at_max_iter(capsys):
+    code, out, _ = run(capsys, "adapt", "--fcidump", "h4_sto3g",
+                       "--max-iter", "1", "--format", "json")
+    assert code == 0
+    assert "NaN" not in out
+    payload = json.loads(out)
+    assert payload["converged"] is False
+    assert payload["pool_gradient_norm"] >= payload["epsilon"]
+    assert len(payload["trajectory"]) == 2
+    assert len(payload["optimizer_converged"]) == 1
+    code, out, _ = run(capsys, "adapt", "--fcidump", "h4_sto3g",
+                       "--max-iter", "1")
+    assert code == 0 and "stopped at --max-iter 1: pool-gradient norm" in out
+
+
+def test_vqe_puccd_saves_its_full_space_state(capsys, tmp_path):
+    state = tmp_path / "h4.civec"
+    code, out, _ = run(capsys, "vqe", "--fcidump", "h4_sto3g",
+                       "--ansatz", "puccd", "--save-state", str(state),
+                       "--format", "json")
+    assert code == 0
+    e_puccd = json.loads(out)["energies"]["ucc"]
+    assert abs(e_puccd - H4_DOCI_GROUND) < 1e-4
+    code, out, _ = run(capsys, "fci", "--fcidump", "h4_sto3g",
+                       "--load-state", str(state), "--format", "json")
+    assert code == 0
+    assert abs(json.loads(out)["loaded_energy"] - e_puccd) <= 1e-10
 
 
 def test_hubbard_free_fermions(capsys):
