@@ -22,13 +22,6 @@ if _thread_cap:
         _os.environ.setdefault(_var, _thread_cap)
 del _os
 
-from importlib import metadata as _metadata
-
-try:
-    __version__ = _metadata.version("vqchem")
-except _metadata.PackageNotFoundError:  # running from a source checkout
-    __version__ = "0.0.0"
-
 from .errors import (
     DegenerateOrbitals,
     FitError,
@@ -175,3 +168,18 @@ from .dynamics import (
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]
+
+
+def __getattr__(name):
+    """``__version__``, resolved on first use (PEP 562) so that importing
+    the package does not import ``importlib.metadata``."""
+    if name != "__version__":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import metadata
+
+    try:
+        version = metadata.version("vqchem")
+    except metadata.PackageNotFoundError:  # running from a source checkout
+        version = "0.0.0"
+    globals()["__version__"] = version
+    return version

@@ -7,9 +7,10 @@ Qubit 0 is the most significant bit of a basis-state index, as in
 matrix of :meth:`~vqchem.operators.QubitOperator.to_sparse_matrix` once;
 sampled ones take each string's action from
 :func:`vqchem.operators.pauli_action`.  :func:`hea_kernel` drives exact
-objectives with the L-BFGS-B driver of :func:`vqchem.vqe.kernel`, one
-circuit pass per evaluation, and sampled ones (``shots``) with a
-derivative-free simplex method.  The rotation
+objectives with the numpy L-BFGS-B driver of :func:`vqchem.vqe.kernel`, one
+circuit pass per evaluation, and sampled ones (``shots``) with scipy's
+derivative-free Nelder-Mead simplex, imported only when shots are asked
+for so that importing the package loads no ``scipy.optimize``.  The rotation
 convention is RY(theta) = exp(-i*theta*Y/2) and
 PAULI_ROT(P, theta) = exp(-i*theta*P/2), so RY is the rotation about the
 one-letter string "Y"; both are applied by
@@ -35,7 +36,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import (
     InvalidChannel,
@@ -587,17 +587,21 @@ def _density_gradient(c: Circuit, params, h: QubitOperator, superops: dict):
 def hea_kernel(c: Circuit, init_params, h: QubitOperator,
                noise: NoiseModel | None = None, shots: int | None = None,
                seed: int = 0):
-    """Optimize the circuit energy.  Without ``shots`` the L-BFGS-B driver
-    of :func:`vqchem.vqe.kernel` takes the energy and gradient of each
-    evaluation from one reverse pass (see :func:`parameter_shift_gradient`;
-    shared slots sum their gates' contributions) and reports convergence at
-    its gradient tolerance.  With ``shots`` the objective is sampled, with
-    a fresh seed per evaluation, and a derivative-free simplex method
-    minimizes it."""
+    """Optimize the circuit energy.  Without ``shots`` the numpy L-BFGS-B
+    driver of :func:`vqchem.vqe.kernel` (the unconstrained path of
+    L-BFGS-B, see :func:`vqchem.vqe._minimize_lbfgs`) takes the energy and
+    gradient of each evaluation from one reverse pass (see
+    :func:`parameter_shift_gradient`; shared slots sum their gates'
+    contributions) and reports convergence at its gradient tolerance.  With
+    ``shots`` the objective is sampled, with a fresh seed per evaluation,
+    and scipy's Nelder-Mead simplex minimizes it; ``scipy.optimize`` is
+    imported here, on this branch only."""
     init_params = _check_circuit_params(c, init_params)
     if shots is None:
         return _minimize_lbfgs(
             lambda x: _energy_and_gradient(c, x, h, noise), init_params)
+    from scipy.optimize import minimize
+
     t0 = time.perf_counter()
     eval_count = [0]
 

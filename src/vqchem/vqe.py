@@ -1,20 +1,26 @@
 """Variational optimization driver and result reporting.
 
-The optimizer is a limited-memory quasi-Newton method (history 10) driven by
-the analytic reverse-sweep gradient.  It stops when the largest projected
-gradient component is at most 1e-6, the same test that reports convergence,
-or after 200 iterations.  Runs are deterministic: no randomness enters the
-optimization, so identical problems produce identical results.
+The optimizer is L-BFGS (history 10) driven by the analytic reverse-sweep
+gradient: the unconstrained path of L-BFGS-B (Byrd, Lu, Nocedal & Zhu, 1995)
+written in numpy, with a strong-Wolfe line search.  It is not taken from
+``scipy.optimize``, whose import would be the largest part of every
+command's start-up; on the UCCSD and hardware-efficient problems of the test
+suite it takes the iteration and evaluation counts of scipy's L-BFGS-B.
+It stops when the largest gradient component is at most 1e-6, the same test
+that reports convergence, or after 200 iterations.  Runs are deterministic:
+no randomness enters the optimization, so identical problems produce
+identical results.
 """
 
 from __future__ import annotations
 
+import math
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import TextIO
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .ansatz import (
     UCCProblem,
@@ -26,12 +32,17 @@ from .civector import CIVector, fci_ground_state, make_ci_space
 from .errors import InvalidParams
 from .integrals import hf_energy, mp2
 
-# Where L-BFGS-B stops and what counts as converged.  Much below it, the
+# Where L-BFGS stops and what counts as converged.  Much below it, the
 # energy a step can still gain falls under the energy's rounding error: the
 # line search fails and the evaluation count follows last-digit rounding.
 _GRAD_TOL = 1e-6
 _MAXITER = 200
 _HISTORY = 10
+# Strong-Wolfe constants and evaluation cap of L-BFGS-B's line search, and
+# the machine epsilon of its curvature test for skipping a pair.
+_C1, _C2 = 1e-3, 0.9
+_MAX_SEARCH = 20
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass
@@ -63,41 +74,173 @@ def kernel(problem: UCCProblem, maxiter: int = _MAXITER) -> OptResult:
 
 def _minimize_lbfgs(objective, x0: np.ndarray,
                     maxiter: int = _MAXITER) -> OptResult:
-    """L-BFGS-B on ``objective(x) -> (energy, gradient)`` from ``x0``, the
-    driver of :func:`kernel` and :func:`vqchem.gates.hea_kernel`.  A point
-    is converged when max|grad| is at most ``_GRAD_TOL``, also when the
-    optimizer stopped on a line-search failure after reaching it."""
+    """L-BFGS on ``objective(x) -> (energy, gradient)`` from ``x0``, the
+    driver of :func:`kernel` and :func:`vqchem.gates.hea_kernel`.
+
+    This is the unconstrained path of L-BFGS-B (Byrd, Lu, Nocedal & Zhu,
+    SIAM J. Sci. Comput. 16, 1190 (1995)) in numpy, so that importing the
+    package loads no ``scipy.optimize``.  The direction comes from the
+    two-loop recursion with H0 = (s.y / y.y) I; a pair with
+    s.y <= eps * (-g.s) is skipped.  The first trial step is
+    min(1/|d|, 1e10), later ones 1, and a strong-Wolfe search
+    (:func:`_wolfe_search`) accepts it.  A failed search restarts once from
+    steepest descent with the history cleared; a failure with no history
+    stops at the lowest point evaluated since the last accepted step, that
+    step's iterate included.  The run also stops when max|grad| is at
+    most ``_GRAD_TOL``, after ``maxiter`` iterations, or when an iteration
+    lowers the energy by at most 1e-18 relative.  A point is converged when
+    max|grad| is at most ``_GRAD_TOL``, whichever stop was taken."""
     t0 = time.perf_counter()
+    e, grad = objective(x0)
+    nfev, nit = 1, 0
     if x0.size == 0:
-        e, _ = objective(x0)
         return OptResult(
             e=float(e), x=x0, init_guess=x0.copy(), nit=0, nfev=1, njev=1,
             grad_at_opt=np.zeros(0), converged=True,
             message="nothing to optimize: zero parameters",
             opt_time=time.perf_counter() - t0,
         )
-    res = minimize(
-        objective, x0, jac=True, method="L-BFGS-B",
-        options={
-            "maxcor": _HISTORY,
-            "maxiter": maxiter,
-            "gtol": _GRAD_TOL,
-            "ftol": 1e-18,
-        },
-    )
-    grad = np.asarray(res.jac, dtype=float)
+    x, e, grad = x0.copy(), float(e), np.asarray(grad, dtype=float)
+    pairs: deque = deque(maxlen=_HISTORY)
+    stuck = (x, e, grad)  # the lowest point since the last accepted step
+    small_gain = False
+    while True:
+        if np.max(np.abs(grad)) <= _GRAD_TOL:
+            message = f"converged: max|grad| <= {_GRAD_TOL:g}"
+            break
+        if small_gain:
+            message = "stopped: relative energy reduction <= 1e-18"
+            break
+        if nit >= maxiter:
+            message = f"stopped: iteration limit {maxiter} reached"
+            break
+        d = _lbfgs_direction(grad, pairs)
+        step = min(1.0 / np.linalg.norm(d), 1e10) if nit == 0 else 1.0
+        found, lowest, evals = _wolfe_search(objective, x, e, grad, d, step)
+        nfev += evals
+        if found is None:
+            stuck = min(stuck, lowest, key=lambda p: p[1])
+            if not pairs:
+                message = "stopped: line search failed along steepest descent"
+                x, e, grad = stuck
+                break
+            pairs.clear()
+            continue
+        nit += 1
+        s, y = found[0] - x, found[2] - grad
+        small_gain = e - found[1] <= 1e-18 * max(abs(e), abs(found[1]), 1.0)
+        if float(s @ y) > _EPS * -float(grad @ s):
+            pairs.append((s, y, 1.0 / float(s @ y)))
+        x, e, grad = stuck = found
     return OptResult(
-        e=float(res.fun),
-        x=np.asarray(res.x, dtype=float),
-        init_guess=x0,
-        nit=int(res.nit),
-        nfev=int(res.nfev),
-        njev=int(res.njev),
+        e=e, x=x, init_guess=x0, nit=nit, nfev=nfev, njev=nfev,
         grad_at_opt=grad,
         converged=float(np.max(np.abs(grad))) <= _GRAD_TOL,
-        message=str(res.message),
+        message=message,
         opt_time=time.perf_counter() - t0,
     )
+
+
+def _lbfgs_direction(grad: np.ndarray, pairs) -> np.ndarray:
+    """-H grad by the two-loop recursion (Nocedal & Wright, Algorithm 7.4)
+    over the stored ``(s, y, 1/s.y)`` pairs, oldest first."""
+    q = -grad
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alphas.append(rho * float(s @ q))
+        q = q - alphas[-1] * y
+    if pairs:
+        s, y, rho = pairs[-1]
+        q = q / (rho * float(y @ y))
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        q = q + (alpha - rho * float(y @ q)) * s
+    return q
+
+
+def _wolfe_search(objective, x, e0, g0, d, step):
+    """A step along ``d`` that meets the strong Wolfe conditions with
+    c1 = 1e-3 and c2 = 0.9, the constants of L-BFGS-B's line search
+    (Nocedal & Wright, Algorithms 3.5 and 3.6).  Returns ``(accepted,
+    lowest, evaluations)``, each point as ``(x, e, grad)``: ``accepted`` is
+    None after ``_MAX_SEARCH`` evaluations without an acceptable step or
+    when ``d`` is not a descent direction, and ``lowest`` is the lowest
+    point evaluated, the start included."""
+    lowest = (x, e0, g0)
+    slope0 = float(g0 @ d)
+    if not slope0 < 0.0:
+        return None, lowest, 0
+    evals = 0
+
+    def at(a):
+        nonlocal evals, lowest
+        evals += 1
+        xa = x + a * d
+        ea, ga = objective(xa)
+        point = (xa, float(ea), np.asarray(ga, dtype=float))
+        lowest = min(lowest, point, key=lambda p: p[1])
+        return a, point[1], float(point[2] @ d), point
+
+    def armijo(p):
+        return p[1] <= e0 + _C1 * p[0] * slope0
+
+    def curvature(p):
+        return abs(p[2]) <= -_C2 * slope0
+
+    prev = (0.0, e0, slope0, None)
+    lo = hi = None
+    while evals < _MAX_SEARCH:
+        if hi is None:
+            cur = at(step)
+            if not armijo(cur) or (prev[0] > 0.0 and cur[1] >= prev[1]):
+                lo, hi = prev, cur
+            elif curvature(cur):
+                return cur[3], lowest, evals
+            elif cur[2] >= 0.0:
+                lo, hi = cur, prev
+            else:
+                # extrapolate: the cubic's step, kept 1.1 to 4 times the
+                # last increment beyond the current trial
+                width = cur[0] - prev[0]
+                trial = _cubic_min(prev, cur)
+                step = cur[0] + 4.0 * width
+                if not math.isnan(trial):
+                    step = min(max(trial, cur[0] + 1.1 * width), step)
+                step, prev = min(step, 1e10), cur
+            continue
+        # zoom: the cubic's step, or the midpoint when that falls outside
+        # the bracket or within 1e-3 of its width of an end
+        low, high = sorted((lo[0], hi[0]))
+        trial = _cubic_min(lo, hi)
+        margin = 1e-3 * (high - low)
+        if not low + margin <= trial <= high - margin:
+            trial = 0.5 * (low + high)
+        cur = at(trial)
+        if not armijo(cur) or cur[1] >= lo[1]:
+            hi = cur
+        elif curvature(cur):
+            return cur[3], lowest, evals
+        else:
+            if cur[2] * (hi[0] - lo[0]) >= 0.0:
+                hi = lo
+            lo = cur
+    return None, lowest, evals
+
+
+def _cubic_min(p, q) -> float:
+    """Minimizer of the cubic through the values and slopes of ``p`` and
+    ``q`` (Nocedal & Wright, eq. 3.59); NaN when the cubic has none."""
+    (a0, f0, d0, _), (a1, f1, d1, _) = p, q
+    if a0 == a1:
+        return math.nan
+    c1 = d0 + d1 - 3.0 * (f0 - f1) / (a0 - a1)
+    disc = c1 * c1 - d0 * d1
+    if not disc >= 0.0:
+        return math.nan
+    c2 = math.copysign(math.sqrt(disc), a1 - a0)
+    denom = d1 - d0 + 2.0 * c2
+    if denom == 0.0:
+        return math.nan
+    return a1 - (a1 - a0) * (d1 + c2 - c1) / denom
 
 
 # ---------------------------------------------------------------------------

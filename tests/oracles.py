@@ -507,3 +507,16 @@ def adapt_pool_gradients(space, pool, psi, h_psi) -> np.ndarray:
             for ex in group)
         for group in pool.groups
     ])
+
+
+def scipy_lbfgsb(objective, x0, maxiter: int = 200):
+    """scipy's L-BFGS-B on ``objective(x) -> (energy, gradient)`` with the
+    options of the package's optimizer driver: history 10, projected
+    gradient tolerance 1e-6, relative reduction tolerance 1e-18.  Returns
+    scipy's ``OptimizeResult``."""
+    from scipy.optimize import minimize
+
+    return minimize(objective, np.array(x0, dtype=float), jac=True,
+                    method="L-BFGS-B",
+                    options={"maxcor": 10, "maxiter": maxiter, "gtol": 1e-6,
+                             "ftol": 1e-18})

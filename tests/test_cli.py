@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -508,3 +512,78 @@ def test_dynamics_json_builds_no_csv(capsys, monkeypatch):
                        "--tau", "0.05", "--format", "json")
     assert code == 0
     assert len(json.loads(out)["t"]) == 3
+
+
+# ---------------------------------------------------------------------------
+# Start-up
+# ---------------------------------------------------------------------------
+
+_START_UP = """
+import contextlib, io, json, sys
+
+importers = []
+
+
+class Spy:
+    # the first module outside importlib that asks for importlib.metadata
+    def find_spec(self, name, path=None, target=None):
+        if name == "importlib.metadata":
+            frame = sys._getframe(1)
+            while frame.f_globals.get("__name__", "").startswith(
+                    ("importlib", "_frozen_importlib")):
+                frame = frame.f_back
+            importers.append(frame.f_globals.get("__name__"))
+
+
+sys.meta_path.insert(0, Spy())
+before = "importlib.metadata" in sys.modules
+import vqchem.cli
+optimizer = ["scipy.optimize" in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [vqchem.cli.main(["vqe", "--fcidump", "h2_sto3g"]),
+             vqchem.cli.main(["noisy", "--fcidump", "h2_sto3g",
+                              "--layers", "1", "--p", "0.02"])]
+optimizer.append("scipy.optimize" in sys.modules)
+print(json.dumps({"before": before, "importers": importers, "codes": codes,
+                  "optimizer": optimizer}))
+"""
+
+
+@pytest.fixture(scope="module")
+def start_up():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", _START_UP], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr[-2000:]
+    return json.loads(run.stdout)
+
+
+def test_start_up_loads_no_optimizer(start_up):
+    """Neither the import nor an ideal vqe or a noisy run without shots
+    loads scipy.optimize; only the sampled (shots) branch does."""
+    assert start_up["codes"] == [0, 0]
+    assert start_up["optimizer"] == [False, False]
+
+
+def test_import_reads_no_package_metadata(start_up):
+    """``vqchem.__version__`` is resolved on first use, so no vqchem module
+    imports importlib.metadata; a dependency may (numpy.testing does,
+    under scipy.sparse)."""
+    assert not start_up["before"]
+    assert not [name for name in start_up["importers"]
+                if name is None or name.split(".")[0] == "vqchem"]
+
+
+def test_version_is_resolved_on_first_use():
+    import importlib.metadata
+
+    import vqchem
+    try:
+        want = importlib.metadata.version("vqchem")
+    except importlib.metadata.PackageNotFoundError:
+        want = "0.0.0"
+    assert vqchem.__version__ == want
+    with pytest.raises(AttributeError, match="no_such_name"):
+        vqchem.no_such_name

@@ -6,9 +6,13 @@ import pytest
 from vqchem import (
     InvalidParams,
     apply_excitation,
+    build_fermion_hamiltonian,
+    build_ry_ansatz,
     civector_at,
     energy_at,
+    expectation,
     fci_ground_state,
+    hea_kernel,
     hf_energy,
     hf_vector,
     kernel,
@@ -17,10 +21,17 @@ from vqchem import (
     make_puccd_problem,
     make_uccsd_problem,
     mp2_energy,
+    parameter_shift_gradient,
+    parity_transform,
     print_summary,
+    problem_energy_and_gradient,
     result_to_json,
+    simulate_state,
     statevector_at,
 )
+from vqchem.cli import _hea_init_params, _reference_bitstring
+from vqchem.vqe import _GRAD_TOL, _minimize_lbfgs
+import oracles
 
 H2_FCI = -1.1372744055294606
 H4_FCI = -2.1675605441340577
@@ -178,3 +189,99 @@ def test_maxiter_is_respected(h4):
     result = kernel(problem, maxiter=1)
     assert result.nit <= 1
     assert not result.converged
+
+
+# ---------------------------------------------------------------------------
+# The numpy L-BFGS driver
+# ---------------------------------------------------------------------------
+
+def rosenbrock(x):
+    r = x[1:] - x[:-1] ** 2
+    grad = np.zeros_like(x)
+    grad[:-1] = -400.0 * x[:-1] * r - 2.0 * (1.0 - x[:-1])
+    grad[1:] += 200.0 * r
+    return float(np.sum(100.0 * r ** 2 + (1.0 - x[:-1]) ** 2)), grad
+
+
+@pytest.mark.parametrize("case", ["h4", "h6", "h8", "hea-h4"])
+def test_driver_takes_scipy_lbfgsb_path(case, request):
+    """Same iterations and evaluations as scipy's L-BFGS-B on the UCCSD
+    problems and the ideal two-layer HEA of bundled h4."""
+    if case == "hea-h4":
+        s = request.getfixturevalue("h4")
+        h = parity_transform(build_fermion_hamiltonian(s), s.n_elec,
+                             reduce_two_qubits=True)
+        c = build_ry_ansatz(h.n_qubits, 2)
+        x0 = _hea_init_params(c, _reference_bitstring(h))
+        result = hea_kernel(c, x0, h)
+
+        def objective(x):
+            return (expectation(simulate_state(c, x), h),
+                    parameter_shift_gradient(c, x, h))
+    else:
+        problem = make_uccsd_problem(request.getfixturevalue(case))
+        x0 = problem.init_guess
+        result = kernel(problem)
+
+        def objective(x):
+            return problem_energy_and_gradient(problem, x)
+    want = oracles.scipy_lbfgsb(objective, x0)
+    assert result.converged and want.success
+    assert (result.nit, result.nfev) == (want.nit, want.nfev)
+    assert abs(result.e - want.fun) < 1e-10
+
+
+def test_driver_converges_on_rosenbrock():
+    result = _minimize_lbfgs(rosenbrock, np.zeros(10))
+    assert result.converged
+    assert np.max(np.abs(result.grad_at_opt)) <= _GRAD_TOL
+    assert np.max(np.abs(result.x - 1.0)) < 1e-5
+    assert result.e < 1e-10
+
+
+def test_driver_start_at_optimum():
+    result = _minimize_lbfgs(rosenbrock, np.ones(10))
+    assert (result.nit, result.nfev) == (0, 1)
+    assert result.converged and result.e == 0.0
+
+
+def test_driver_iteration_limit():
+    result = _minimize_lbfgs(rosenbrock, np.zeros(10), maxiter=3)
+    assert result.nit == 3
+    assert not result.converged
+    assert "iteration limit" in result.message
+
+
+def test_driver_restarts_then_stops_at_the_lowest_point(monkeypatch):
+    """The gradient is that of E plus a fixed offset, so near the minimum
+    the searches fail: once along the quasi-Newton direction, then along
+    steepest descent with the history cleared.  The lowest point evaluated
+    is returned, with the gradient the objective gave there."""
+    import vqchem.vqe as vqe
+
+    offset = np.array([1.0, 0.0, 0.0, 0.0])
+    seen = []
+
+    def objective(x):
+        e = 0.5 * x @ x + 0.25 * (x @ x) ** 2
+        seen.append((e, x.copy()))
+        return e, x * (1.0 + x @ x) + offset
+
+    searches = []
+    search = vqe._wolfe_search
+
+    def recorded(objective, x, e0, g0, d, step):
+        out = search(objective, x, e0, g0, d, step)
+        searches.append((np.array_equal(d, -g0), step, out[0] is None))
+        return out
+
+    monkeypatch.setattr(vqe, "_wolfe_search", recorded)
+    result = _minimize_lbfgs(objective, np.array([3.0, 0.5, -1.0, 2.0]))
+    assert searches[-2:] == [(False, 1.0, True), (True, 1.0, True)]
+    assert not any(failed for _, _, failed in searches[:-2])
+    assert result.nfev == len(seen)
+    e_min, x_min = min(seen, key=lambda p: p[0])
+    assert result.e == e_min and np.array_equal(result.x, x_min)
+    assert np.array_equal(result.grad_at_opt, objective(x_min)[1])
+    assert not result.converged
+    assert "line search failed" in result.message
