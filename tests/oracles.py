@@ -520,3 +520,69 @@ def scipy_lbfgsb(objective, x0, maxiter: int = 200):
                     method="L-BFGS-B",
                     options={"maxcor": 10, "maxiter": maxiter, "gtol": 1e-6,
                              "ftol": 1e-18})
+
+
+def full_davidson(space, s, tol: float = 1e-8, max_iter: int = 200,
+                  max_subspace: int = 30):
+    """The symmetric Davidson on full-length vectors: lowest eigenpair of H
+    among C = C^T, with every vector stored as all ``space.dim`` amplitudes
+    and symmetrised as (X + X^T) / 2.  H is applied by the package's
+    symmetric sigma, looked up on the module at each call so that a test can
+    count the applications.  Returns the energy and the normalised
+    vector."""
+    from vqchem import civector
+
+    dim = space.dim
+    n = space.n_strings_alpha
+
+    def symmetrize(x):
+        x = x.reshape(n, n)
+        x += x.T
+        x *= 0.5
+        return x.ravel()
+
+    def orthogonalize(x, basis):
+        for _ in range(2):
+            x -= (basis @ x) @ basis
+        nrm = np.linalg.norm(x)
+        if nrm < 1e-12:
+            return None
+        return x / nrm
+
+    diag = civector.hamiltonian_diagonal(space, s)
+    basis = np.empty((max_subspace, dim))
+    sigmas = np.empty((max_subspace, dim))
+    small = np.empty((max_subspace, max_subspace))
+    start = np.zeros(dim)
+    start[int(np.argmin(diag))] = 1.0
+    start = symmetrize(start)
+    basis[0] = start / np.linalg.norm(start)
+    k = 0
+    for _ in range(max_iter):
+        sigmas[k] = civector._sigma(space, s, basis[k], symmetric=True)
+        small[k, :k + 1] = small[:k + 1, k] = sigmas[:k + 1] @ basis[k]
+        k += 1
+        vals, vecs = np.linalg.eigh(small[:k, :k])
+        theta = float(vals[0])
+        coeff = vecs[:, 0]
+        ritz = coeff @ basis[:k]
+        h_ritz = coeff @ sigmas[:k]
+        residual = h_ritz - theta * ritz
+        if np.linalg.norm(residual) < tol:
+            return theta, ritz / np.linalg.norm(ritz)
+        if k == max_subspace:
+            nrm = np.linalg.norm(ritz)
+            basis[0] = ritz / nrm
+            sigmas[0] = h_ritz / nrm
+            small[0, 0] = float(np.dot(basis[0], sigmas[0]))
+            k = 1
+        denom = diag - theta
+        denom[np.abs(denom) < 1e-8] = 1e-8
+        residual /= denom
+        new = orthogonalize(symmetrize(residual), basis[:k])
+        if new is None:
+            rng = np.random.default_rng(k)
+            new = orthogonalize(symmetrize(rng.standard_normal(dim)),
+                                basis[:k])
+        basis[k] = new
+    raise RuntimeError(f"no convergence to {tol} in {max_iter} steps")

@@ -686,10 +686,15 @@ def test_fci_dense_fallback_returns_the_davidson_root(monkeypatch):
 
 
 @pytest.fixture(scope="module")
-def h10(tmp_path_factory):
+def h10_fcidump(tmp_path_factory):
+    return chain_fcidump(tmp_path_factory.mktemp("h10"), 10)
+
+
+@pytest.fixture(scope="module")
+def h10(h10_fcidump):
     from vqchem import load_fcidump
 
-    return load_fcidump(chain_fcidump(tmp_path_factory.mktemp("h10"), 10))
+    return load_fcidump(h10_fcidump)
 
 
 def symmetric_vector(space, seed):
@@ -768,6 +773,47 @@ def test_davidson_restart_keeps_the_ritz_image(h8, monkeypatch):
         assert np.linalg.norm(inputs[k] - earlier @ coeff) > 1e-6
 
 
+@pytest.mark.parametrize("case, dim", [
+    ("random7", 441), ("h8", 4900), ("h10", 63504),
+])
+def test_packed_davidson_matches_the_full_vector_oracle(case, dim, request,
+                                                        monkeypatch):
+    from oracles import full_davidson
+    from vqchem.civector import _davidson_ground_state
+
+    if case == "random7":
+        s = random_integral_set(np.random.default_rng(73), 7, 4)
+    else:
+        s = request.getfixturevalue(case)
+    space = make_ci_space(s.n_orb, s.n_elec)
+    assert space.dim == dim
+    inputs = counting_sigma(monkeypatch)
+    e_full, v_full = full_davidson(space, s)
+    n_full = len(inputs)
+    e, v = _davidson_ground_state(space, s)
+    assert abs(e - e_full) <= 1e-12
+    assert abs(np.dot(v, v_full)) >= 1 - 1e-12
+    assert len(inputs) == 2 * n_full
+
+
+def test_packed_triangle_is_an_orthonormal_basis_of_symmetric_vectors():
+    from vqchem.civector import _Triangle
+
+    n = 6
+    tri = _Triangle(n)
+    assert tri.size == n * (n + 1) // 2
+    basis = np.array([tri.unpack(e) for e in np.eye(tri.size)])
+    np.testing.assert_allclose(basis @ basis.T, np.eye(tri.size), rtol=0,
+                               atol=1e-15)
+    # pack is U^T: it reads the coordinates of (Z + Z^T) / 2 off any Z
+    z = np.random.default_rng(3).normal(size=(n, n))
+    sym = ((z + z.T) / 2).ravel()
+    np.testing.assert_allclose(tri.pack(z.ravel()), basis @ sym, rtol=0,
+                               atol=1e-15)
+    np.testing.assert_allclose(tri.unpack(tri.pack(sym)), sym, rtol=0,
+                               atol=1e-15)
+
+
 def test_fci_size_limit():
     space = make_ci_space(16, 8)
     s = IntegralSet(16, 8, np.zeros((16, 16)), np.zeros((16,) * 4), 0.0)
@@ -809,8 +855,9 @@ def run_capped(script: str, *args: str) -> subprocess.CompletedProcess:
 
 
 def test_fci_h10_fits_1500_mb_address_space(tmp_path):
-    # The sparse build of H10 needs about 3.3 GB; under this cap it used to
-    # die with SIGSEGV.  The sigma route peaks at about 115 MB of RSS.
+    # A sparse build of H10 needed about 3.3 GB and died with SIGSEGV under
+    # this cap.  The direct-CI sigma with the packed Davidson peaks at about
+    # 79 MB of RSS (88 MB with full-length Davidson vectors).
     import json
 
     fcidump = chain_fcidump(tmp_path, 10)
@@ -820,6 +867,26 @@ def test_fci_h10_fits_1500_mb_address_space(tmp_path):
     result = json.loads(out.read_text())
     assert result["dim"] == 63504
     assert abs(result["fci"] - (-5.283552451823878)) < 1e-8
+
+
+_TRACED_FCI = """
+import sys, tracemalloc
+from vqchem import fci_ground_state, load_fcidump, make_ci_space
+s = load_fcidump(sys.argv[1])
+space = make_ci_space(s.n_orb, s.n_elec)
+tracemalloc.start()
+fci_ground_state(space, s)
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
+def test_fci_h10_davidson_keeps_packed_vectors(h10_fcidump):
+    # The traced peak of a fresh H10 solve, in a new process so that no
+    # workspace or plan is warm: 43.7 MB with full-length Davidson vectors,
+    # 28.1 MB packed, 15.3 MB of which are the two (30, 31878) arrays.
+    run = run_capped(_TRACED_FCI, str(h10_fcidump))
+    assert run.returncode == 0, run.stderr[-2000:]
+    assert int(run.stdout) < 34e6
 
 
 _CAPPED_UCC = """
