@@ -5,8 +5,8 @@ parameter-shift gradients, and a hardware-efficient-ansatz optimizer.
 Qubit 0 is the most significant bit of a basis-state index, as in
 :mod:`vqchem.operators`.  Exact expectation values apply the compiled
 matrix of :meth:`~vqchem.operators.QubitOperator.to_sparse_matrix` once;
-sampled ones take each string's action from
-:func:`vqchem.operators.pauli_action`.  :func:`hea_kernel` drives exact
+sampled ones read every string's action off its masks, uncached
+(:func:`vqchem.operators.mask_action`).  :func:`hea_kernel` drives exact
 objectives with the numpy L-BFGS-B driver of :func:`vqchem.vqe.kernel`, one
 circuit pass per evaluation, and sampled ones (``shots``) with scipy's
 derivative-free Nelder-Mead simplex, imported only when shots are asked
@@ -48,8 +48,9 @@ from .errors import (
 from .operators import (
     _PAULI_MATS,
     QubitOperator,
+    _masks,
     apply_pauli,
-    pauli_action,
+    mask_action,
     pauli_rotation,
 )
 from .vqe import OptResult, _minimize_lbfgs
@@ -422,14 +423,19 @@ def _as_matrix(state_or_rho):
     raise InvalidOperator("expected a statevector or a square density matrix")
 
 
-def _term_expectation(arr, is_rho: bool, n: int, term: tuple) -> complex:
-    if not term:
-        return np.trace(arr) if is_rho else np.vdot(arr, arr)
-    target, phase = pauli_action(n, term)
-    if is_rho:
-        # Tr(rho P) = sum_i rho[i, target_i] * phase_i
-        return complex(np.sum(arr[np.arange(arr.shape[0]), target] * phase))
-    return complex(np.sum(np.conj(arr[target]) * phase * arr))
+def _term_expectations(arr, is_rho: bool, h: QubitOperator) -> dict:
+    """{term: Re <P>} for the strings of ``h``, from their masks in chunks
+    of about 2^16 entries; Tr(rho P) = sum_i rho[i, target_i] phase_i."""
+    x, z, _ = _masks(h)
+    rows, out = np.arange(arr.shape[0]), []
+    for at in np.array_split(np.arange(x.size),
+                             1 + x.size * rows.size // 2**16):
+        target, phase = mask_action(h.n_qubits, x[at, None], z[at, None])
+        terms = (arr[rows, target] if is_rho else np.conj(arr[target])) * phase
+        if not is_rho:
+            terms *= arr
+        out.extend(terms.sum(axis=1).real)
+    return dict(zip(h.terms, out))
 
 
 def expectation(state_or_rho, h: QubitOperator) -> float:
@@ -465,13 +471,14 @@ def sampled_expectation(state_or_rho, h: QubitOperator, shots_per_term: int,
     if shots_per_term < 1:
         raise InvalidParams("shots_per_term must be >= 1")
     arr, is_rho = _as_matrix(state_or_rho)
-    n = h.n_qubits
-    if arr.shape[0] != 1 << n:
+    if arr.shape[0] != 1 << h.n_qubits:
         raise InvalidOperator("state size does not match operator")
+    exact = _term_expectations(arr, is_rho, h)
     rng = np.random.default_rng(seed)
     total = 0.0
     for term, coeff in sorted(h.terms.items()):
-        e = _term_expectation(arr, is_rho, n, term).real
+        e = exact[term] if term else (
+            np.trace(arr) if is_rho else np.vdot(arr, arr)).real
         if not term:
             total += coeff.real * e
             continue

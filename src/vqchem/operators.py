@@ -10,12 +10,19 @@ Index conventions used throughout the package:
   is written first (most significant).  Dense matrices follow the same rule:
   qubit 0 is the most significant tensor factor.
 * ``|1>`` means occupied.
+
+Pauli strings are 64-bit masks (x, z), qubit ``q`` at bit ``n - 1 - q``, so
+spin-orbital ``j`` is bit ``j``: P(x, z) = i^{|x & z|} X^x Z^z (Aaronson &
+Gottesman, PRA 70, 052328).  One rule serves maps, products and matrices:
+P(x1, z1) P(x2, z2) = i^k P(x, z), x = x1 ^ x2, z = z1 ^ z2, k = |x1&z1| +
+|x2&z2| - |x&z| + 2|z1&x2| mod 4.  Over 64 qubits raise ``SizeLimit``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from itertools import chain
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -38,13 +45,7 @@ _PAULI_MATS = {
 for _mat in _PAULI_MATS.values():
     _mat.flags.writeable = False  # shared by every caller
 
-# Single-qubit products: (left, right) -> (phase, result letter).
-_PAULI_PRODUCT = {
-    ("X", "X"): (1, "I"), ("Y", "Y"): (1, "I"), ("Z", "Z"): (1, "I"),
-    ("X", "Y"): (1j, "Z"), ("Y", "X"): (-1j, "Z"),
-    ("Y", "Z"): (1j, "X"), ("Z", "Y"): (-1j, "X"),
-    ("Z", "X"): (1j, "Y"), ("X", "Z"): (-1j, "Y"),
-}
+_UNITS = np.array([1, 1j, -1, -1j])  # i^k for a phase exponent k
 
 
 class FermionOperator:
@@ -171,17 +172,17 @@ class QubitOperator:
     """Sum of Pauli strings.  Term key: tuple of (qubit, letter), sorted.
 
     Operators are not modified after construction: arithmetic returns new
-    ones, and the compiled matrix of :meth:`to_sparse_matrix` is kept.
+    ones, and the masks and the matrix of :meth:`to_sparse_matrix` are kept.
     """
 
-    __slots__ = ("n_qubits", "terms", "_sparse")
+    __slots__ = ("n_qubits", "terms", "_sparse", "_xz")
 
     def __init__(self, n_qubits: int,
                  terms: Mapping[PauliTerm, complex] | None = None):
         if n_qubits < 1:
             raise InvalidOperator("need at least one qubit")
         self.n_qubits = int(n_qubits)
-        self._sparse: csr_matrix | None = None
+        self._sparse = self._xz = None  # built on first use
         self.terms: dict[PauliTerm, complex] = {}
         for term, c in (terms or {}).items():
             key = self._normalize_term(term)
@@ -223,8 +224,13 @@ class QubitOperator:
         if isinstance(other, QubitOperator):
             if self.n_qubits != other.n_qubits:
                 raise InvalidOperator("operator size mismatch in multiply")
-            return QubitOperator(self.n_qubits,
-                                 _term_dict_product(self.terms, other.terms))
+            (xa, za, a), (xb, zb, b) = _masks(self), _masks(other)
+            x, z, k = _pauli_product(xa[:, None], za[:, None], xb, zb)
+            ab = np.empty(x.shape, dtype=complex)  # Python's a*b: no FMA
+            ab.real = a.real[:, None] * b.real - a.imag[:, None] * b.imag
+            ab.imag = a.real[:, None] * b.imag + a.imag[:, None] * b.real
+            return _mask_operator(self.n_qubits, *_collect(
+                x.ravel(), z.ravel(), (ab * _UNITS[k]).ravel()))
         return QubitOperator(
             self.n_qubits, {t: c * other for t, c in self.terms.items()}
         )
@@ -245,24 +251,26 @@ class QubitOperator:
     def to_sparse_matrix(self) -> csr_matrix:
         """Sparse 2^n x 2^n matrix; qubit 0 is the most significant factor.
 
-        Compiled once from the Pauli-string actions.  Strings that flip the
-        same qubits share one set of matrix positions, so the matrix stores
-        2^n entries per flip pattern.
+        Compiled once from the strings' masks.  Strings that flip the same
+        qubits (equal x) share one set of matrix positions, 2^n entries per
+        flip pattern, and each pattern adds its strings in term order.
         """
         if self._sparse is None:
-            dim = 1 << self.n_qubits
-            cols = np.arange(dim)
-            values: dict[int, np.ndarray] = {}
-            for term, c in self.terms.items():
-                target, phase = pauli_action(self.n_qubits, term)
-                flip = int(target[0])  # target_i = i XOR flip
-                values[flip] = values.get(flip, 0.0) + c * phase
-            flips = np.fromiter(values, dtype=np.int64, count=len(values))
+            x, z, c = _masks(self)
+            x = x.astype(np.int64)  # 2^n fits
+            cols = np.arange(1 << self.n_qubits)
+            first, group = _groups(x)
+            values = np.zeros((first.size, cols.size), dtype=complex)
+            # add.at adds in index order; chunks bound the (terms, 2^n) rows
+            for at in np.array_split(np.arange(x.size),
+                                     1 + x.size * cols.size // 2**20):
+                phase = mask_action(self.n_qubits, x[at, None], z[at, None])[1]
+                np.add.at(values, group[at], c[at, None] * phase)
             self._sparse = csr_matrix(
-                (np.array(list(values.values()), dtype=complex).ravel(),
-                 ((cols[None, :] ^ flips[:, None]).ravel(),
-                  np.tile(cols, len(values)))),
-                shape=(dim, dim),
+                (values.ravel(),
+                 ((cols[None, :] ^ x[first, None]).ravel(),
+                  np.tile(cols, first.size))),
+                shape=(cols.size, cols.size),
             )
             self._sparse.eliminate_zeros()
         return self._sparse
@@ -294,24 +302,10 @@ _PAULI_ACTION_CACHE_SIZE = 1024
 
 @functools.lru_cache(maxsize=_PAULI_ACTION_CACHE_SIZE)
 def pauli_action(n: int, term: PauliTerm) -> tuple[np.ndarray, np.ndarray]:
-    """P|i> = phase_i |target_i> over all 2^n basis states i, for the Pauli
-    string ``term`` on ``n`` qubits (qubit 0 is the most significant bit).
-    The returned arrays are cached and read-only."""
-    idx = np.arange(1 << n)
-    target = idx.copy()
-    phase = np.ones(1 << n, dtype=complex)
-    for q, letter in term:
-        pos = n - 1 - q
-        bit = (idx >> pos) & 1
-        if letter == "X":
-            target ^= 1 << pos
-        elif letter == "Y":
-            target ^= 1 << pos
-            phase = phase * (1.0j * (1.0 - 2.0 * bit))
-        else:  # Z
-            phase = phase * (1.0 - 2.0 * bit)
-    target.flags.writeable = False
-    phase.flags.writeable = False
+    """:func:`mask_action` of the Pauli string ``term`` on ``n`` qubits,
+    cached; the returned arrays are read-only."""
+    target, phase = mask_action(n, *pauli_masks(n, term))
+    target.flags.writeable = phase.flags.writeable = False
     return target, phase
 
 
@@ -341,65 +335,126 @@ def _format_coeff(c: complex) -> str:
     return repr(c)
 
 
-def _pauli_term_product(ta: PauliTerm, tb: PauliTerm) -> tuple[complex, PauliTerm]:
-    letters = dict(ta)
-    phase: complex = 1.0
-    for q, lb in tb:
-        la = letters.get(q)
-        if la is None:
-            letters[q] = lb
-        else:
-            ph, res = _PAULI_PRODUCT.get((la, lb), (1, "I"))
-            phase *= ph
-            if res == "I":
-                del letters[q]
-            else:
-                letters[q] = res
-    return phase, tuple(sorted(letters.items()))
+def pauli_masks(n: int, term: PauliTerm) -> tuple[int, int]:
+    """The (x, z) bit masks of the Pauli string ``term`` on ``n`` qubits."""
+    return tuple(sum(1 << (n - 1 - q) for q, letter in term if letter != skip)
+                 for skip in "ZX")  # X and Y set x; Y and Z set z
 
 
-def _term_dict_product(a: dict, b: dict) -> dict:
-    """Product of two Pauli sums given as term dicts, terms collected."""
-    out: dict[PauliTerm, complex] = {}
-    for ta, ca in a.items():
-        for tb, cb in b.items():
-            phase, term = _pauli_term_product(ta, tb)
-            out[term] = out.get(term, 0.0) + ca * cb * phase
-    return out
+def _masks(op: QubitOperator):
+    """(x, z, coefficients) of the terms of ``op``, in order: read-only
+    arrays, built once per operator."""
+    if op._xz is None:
+        if op.n_qubits > 64:
+            raise SizeLimit(f"{op.n_qubits} qubits exceed the 64-bit masks")
+        masks = np.array([pauli_masks(op.n_qubits, t) for t in op.terms],
+                         dtype=np.uint64).reshape(-1, 2)
+        coeffs = np.fromiter(op.terms.values(), complex, len(op.terms))
+        masks.flags.writeable = coeffs.flags.writeable = False
+        op._xz = masks[:, 0], masks[:, 1], coeffs
+    return op._xz
 
 
-def _reverse_qubit_labels(op: QubitOperator) -> QubitOperator:
-    n = op.n_qubits
-    out: dict[PauliTerm, complex] = {}
-    for term, c in op.terms.items():
-        new = tuple(sorted((n - 1 - q, letter) for q, letter in term))
-        out[new] = out.get(new, 0.0) + c
-    return QubitOperator(n, out)
+def mask_action(n: int, x, z) -> tuple[np.ndarray, np.ndarray]:
+    """P(x, z)|i> = phase_i |target_i> over all 2^n basis states i:
+    target = i ^ x, phase = i^{|x & z|} (-1)^{|z & i|}.  Uncached; columns
+    ``x``, ``z`` of T strings give (T, 2^n) arrays."""
+    idx = np.arange(1 << n)
+    x, z = np.asarray(x, np.int64), np.asarray(z, np.int64)  # 2^n fits
+    k = np.bitwise_count(x & z) + 2 * np.bitwise_count(idx & z)
+    return idx ^ x, _UNITS[k & 3]
 
 
-def _map_terms(op: FermionOperator, ladder) -> QubitOperator:
-    """Sum over the terms of ``op`` of the product of the qubit images
-    ``ladder(n, index, dagger)`` of their factors, collected in one dict."""
+def _pauli_product(x1, z1, x2, z2):
+    """(x, z, k) with P(x1, z1) P(x2, z2) = i^k P(x, z), elementwise."""
+    x, z = x1 ^ x2, z1 ^ z2
+    count = np.bitwise_count  # uint8: wrapping keeps k mod 4
+    k = count(x1 & z1) + count(x2 & z2) - count(x & z) + 2 * count(z1 & x2)
+    return x, z, k & 3
+
+
+def _groups(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entries equal in every key array form a group.  Returns each group's
+    first entry, groups in that order, and the group of every entry."""
+    order = np.lexsort(keys)  # stable: a group's first entry leads it
+    ranked = [key[order] for key in keys]
+    step = np.r_[True, np.any([k[1:] != k[:-1] for k in ranked], axis=0)]
+    first = order[step[:order.size]]
+    by_first = np.argsort(first)
+    group = np.empty(order.size, dtype=np.intp)
+    group[order] = np.argsort(by_first)[np.cumsum(step[:order.size]) - 1]
+    return first[by_first], group
+
+
+def _collect(x, z, v, *keys):
+    """Sum the coefficients ``v`` of equal strings (and equal ``keys``), in
+    the order strings first appear.  bincount adds a group's entries in
+    array order, as a running sum over the terms would."""
+    first, group = _groups(z, x, *keys)
+    out = np.empty(first.size, dtype=complex)
+    out.real = np.bincount(group, v.real, first.size)
+    out.imag = np.bincount(group, v.imag, first.size)
+    return x[first], z[first], out, *(key[first] for key in keys)
+
+
+def _mask_operator(n: int, x, z, v) -> QubitOperator:
+    """The operator sum_k v_k P(x_k, z_k), terms in array order."""
+    shift = np.arange(n - 1, -1, -1, dtype=np.uint64)  # qubit 0 first
+    codes = (x[:, None] >> shift & 1) | (z[:, None] >> shift & 1) << 1
+    letters = [(None, (q, "X"), (q, "Z"), (q, "Y")) for q in range(n)]
+    op = QubitOperator(n)
+    op.terms = {tuple(letters[q][c] for q, c in enumerate(row) if c): c_k
+                for row, c_k in zip(codes.tolist(), v.tolist())}
+    return op
+
+
+def _ladder_images(n: int, parity: bool) -> np.ndarray:
+    """Masks [j, branch, (x, z)] of a_j = (P_j0 + i P_j1) / 2 and
+    a_j^dagger = (P_j0 - i P_j1) / 2.  Jordan-Wigner: Z on bits below j,
+    then X_j or Y_j.  Parity basis (bit j holds the parity of spin-orbitals
+    0..j): Z_{j-1} X_j or Y_j, then X on the bits above j."""
+    return np.array([
+        (((1 << n) - (1 << j), (1 << j) >> 1), ((1 << n) - (1 << j), 1 << j))
+        if parity else ((1 << j, (1 << j) - 1), (1 << j, (2 << j) - 1))
+        for j in range(n)], dtype=np.uint64)
+
+
+def _fermion_image(op: FermionOperator, parity: bool):
+    """Masks and coefficients of the qubit image of ``op``, small ones
+    dropped.  Terms of one length expand together; a term's strings are
+    summed after each factor, then the terms' sums in term order.  Scaling
+    by 1/2 and powers of i is exact, so that order alone fixes the bits."""
     n = op.n_spin_orbitals
-    images = {f: ladder(n, *f).terms for f in {f for t in op.terms for f in t}}
-    out: dict[PauliTerm, complex] = {}
-    for term, coeff in op.terms.items():
-        acc = {(): coeff}
-        for factor in term:
-            acc = _term_dict_product(acc, images[factor])
-        for key, c in acc.items():
-            out[key] = out.get(key, 0.0) + c
-    return QubitOperator(n, out)
-
-
-def _jw_ladder(n: int, index: int, dagger: bool) -> QubitOperator:
-    """JW image of one ladder operator in orbital-indexed qubit labels."""
-    z_tail = tuple((l, "Z") for l in range(index))
-    sign = -1j if dagger else 1j
-    return QubitOperator(n, {
-        z_tail + ((index, "X"),): 0.5,
-        z_tail + ((index, "Y"),): sign * 0.5,
-    })
+    if n > 64:
+        raise SizeLimit(f"{n} spin-orbitals exceed the 64-bit Pauli masks")
+    table = _ladder_images(n, parity)
+    lengths = np.fromiter(map(len, op.terms), dtype=np.intp)
+    factors = np.fromiter(chain.from_iterable(chain.from_iterable(op.terms)),
+                          dtype=np.intp).reshape(-1, 2)
+    starts = np.cumsum(lengths) - lengths
+    coeffs = np.fromiter(op.terms.values(), dtype=complex)
+    parts = [(np.zeros(0, np.intp), np.zeros(0, np.uint64),
+              np.zeros(0, np.uint64), np.zeros(0, complex))]
+    for length in np.flatnonzero(np.bincount(lengths)):
+        rows = np.flatnonzero(lengths == length)
+        f = factors[starts[rows, None] + np.arange(length)]
+        x = z = np.zeros(rows.size, dtype=np.uint64)
+        r, v = np.arange(rows.size), coeffs[rows]
+        for k in range(length):
+            img = table[f[r, k, 0]]
+            x, z, ph = _pauli_product(x[:, None], z[:, None],
+                                      img[..., 0], img[..., 1])
+            # branch 1 carries +i/2 for a_j and -i/2 = i^3/2 for a_j^dagger
+            ph = ph + (1 + 2 * f[r, k, 1, None]) * np.array([0, 1])
+            v = 0.5 * v[:, None] * _UNITS[ph & 3]
+            x, z, v, r = _collect(x.ravel(), z.ravel(), v.ravel(),
+                                  np.repeat(r, 2))
+        parts.append((rows[r], x, z, v))
+    term, x, z, v = (np.concatenate(a) for a in zip(*parts))
+    order = np.argsort(term, kind="stable")
+    x, z, v = _collect(x[order], z[order], v[order])
+    keep = np.abs(v) > COEFF_CUTOFF
+    return x[keep], z[keep], v[keep]
 
 
 def jordan_wigner(op: FermionOperator) -> QubitOperator:
@@ -409,67 +464,45 @@ def jordan_wigner(op: FermionOperator) -> QubitOperator:
     bitstrings read highest spin-orbital first (e.g. 0101 for two electrons
     in two spatial orbitals).
     """
-    out = _map_terms(op, _jw_ladder).simplify()
-    return _reverse_qubit_labels(out).simplify()
-
-
-def _parity_ladder(n: int, index: int, dagger: bool) -> QubitOperator:
-    """Parity-basis image of one ladder operator, orbital-indexed labels."""
-    x_tail = tuple((l, "X") for l in range(index + 1, n))
-    sign = -1j if dagger else 1j
-    if index == 0:
-        local = {((0, "X"),) + x_tail: 0.5, ((0, "Y"),) + x_tail: sign * 0.5}
-    else:
-        local = {
-            ((index - 1, "Z"), (index, "X")) + x_tail: 0.5,
-            ((index, "Y"),) + x_tail: sign * 0.5,
-        }
-    return QubitOperator(n, local)
+    return _mask_operator(op.n_spin_orbitals, *_fermion_image(op, False))
 
 
 def parity_transform(op: FermionOperator, n_elec: int,
                      reduce_two_qubits: bool = False) -> QubitOperator:
     """Parity-basis fermion-to-qubit mapping, optionally dropping two qubits.
 
-    Qubit ``j`` (orbital-indexed, before the final label reversal) stores the
-    cumulative occupation parity of spin-orbitals ``0..j``.  When the operator
-    conserves particle number and the beta-sector count, qubit ``N/2 - 1``
-    (beta parity) and qubit ``N - 1`` (total parity) are frozen at eigenvalues
-    fixed by ``n_elec``, and ``reduce_two_qubits`` removes them.
+    Qubit ``n - 1 - j`` (mask bit ``j``) stores the cumulative occupation
+    parity of spin-orbitals ``0..j``.  When the operator conserves particle
+    number and the beta-sector count, bit ``N/2 - 1`` (beta parity) and bit
+    ``N - 1`` (total parity) are frozen at eigenvalues fixed by ``n_elec``,
+    and ``reduce_two_qubits`` removes them.
     """
     n = op.n_spin_orbitals
-    out = _map_terms(op, _parity_ladder).simplify()
+    for bad, need in ((n_elec % 2, "even n_elec"),
+                      (n % 2, "an even number of spin-orbitals"),
+                      (n < 4, ">= 4 spin-orbitals")):
+        if reduce_two_qubits and bad:
+            raise UnsupportedReduction(f"two-qubit reduction needs {need}")
+    x, z, v = _fermion_image(op, True)
     if not reduce_two_qubits:
-        return _reverse_qubit_labels(out).simplify()
+        return _mask_operator(n, x, z, v)
 
-    if n_elec % 2 != 0:
-        raise UnsupportedReduction("two-qubit reduction needs even n_elec")
-    if n % 2 != 0:
-        raise UnsupportedReduction("two-qubit reduction needs an even number "
-                                   "of spin-orbitals")
-    if n < 4:
-        raise UnsupportedReduction("two-qubit reduction needs >= 4 spin-orbitals")
     q_beta, q_total = n // 2 - 1, n - 1
-    z_beta = -1.0 if (n_elec // 2) % 2 else 1.0
-    z_total = -1.0 if n_elec % 2 else 1.0
-    reduced: dict[PauliTerm, complex] = {}
-    for term, c in out.terms.items():
-        letters = dict(term)
-        for q, eig in ((q_beta, z_beta), (q_total, z_total)):
-            letter = letters.pop(q, None)
-            if letter == "Z":
-                c = c * eig
-            elif letter is not None:
-                raise UnsupportedReduction(
-                    "operator does not conserve the parities required for "
-                    f"two-qubit reduction (letter {letter} on qubit {q})"
-                )
-        new = tuple(sorted(
-            (q if q < q_beta else q - 1, letter)
-            for q, letter in letters.items()
-        ))
-        reduced[new] = reduced.get(new, 0.0) + c
-    return _reverse_qubit_labels(QubitOperator(n - 2, reduced)).simplify()
+    frozen = (1 << q_beta) | (1 << q_total)
+    bad = np.flatnonzero(x & frozen)
+    if bad.size:
+        q = q_beta if int(x[bad[0]]) >> q_beta & 1 else q_total
+        raise UnsupportedReduction(
+            "operator does not conserve the parities required for two-qubit "
+            f"reduction (letter {'XY'[int(z[bad[0]]) >> q & 1]} on qubit {q})"
+        )
+    # A frozen Z is its eigenvalue; the total parity (n_elec) is even.
+    v = np.where(np.bitwise_count(z & (n_elec // 2 % 2) << q_beta), -v, v)
+    low, kept = (1 << q_beta) - 1, (1 << n) - 1 - frozen
+    x, z = ((m & low) | (m & kept) >> (q_beta + 1) << q_beta for m in (x, z))
+    x, z, v = _collect(x, z, v)
+    keep = np.abs(v) > COEFF_CUTOFF
+    return _mask_operator(n - 2, x[keep], z[keep], v[keep])
 
 
 def hartree_fock_bitstring(n_orb: int, n_elec: int) -> str:

@@ -586,3 +586,197 @@ def full_davidson(space, s, tol: float = 1e-8, max_iter: int = 200,
                                 basis[:k])
         basis[k] = new
     raise RuntimeError(f"no convergence to {tol} in {max_iter} steps")
+
+
+# ---------------------------------------------------------------------------
+# Letter-table Pauli algebra: the package's former fermion maps and product,
+# kept as the reference for the bit-mask implementation.  Summation order is
+# part of the reference: each fermion term's strings are collected after
+# every factor, then the terms are added in order.
+# ---------------------------------------------------------------------------
+
+# Single-qubit products: (left, right) -> (phase, result letter).
+PAULI_PRODUCT = {
+    ("X", "X"): (1, "I"), ("Y", "Y"): (1, "I"), ("Z", "Z"): (1, "I"),
+    ("X", "Y"): (1j, "Z"), ("Y", "X"): (-1j, "Z"),
+    ("Y", "Z"): (1j, "X"), ("Z", "Y"): (-1j, "X"),
+    ("Z", "X"): (1j, "Y"), ("X", "Z"): (-1j, "Y"),
+}
+
+
+def pauli_term_product(ta, tb):
+    """(phase, term) of the product of two sorted Pauli terms, one letter
+    at a time."""
+    letters = dict(ta)
+    phase = 1.0
+    for q, lb in tb:
+        la = letters.get(q)
+        if la is None:
+            letters[q] = lb
+        else:
+            ph, res = PAULI_PRODUCT.get((la, lb), (1, "I"))
+            phase *= ph
+            if res == "I":
+                del letters[q]
+            else:
+                letters[q] = res
+    return phase, tuple(sorted(letters.items()))
+
+
+def term_dict_product(a: dict, b: dict) -> dict:
+    """Product of two Pauli sums given as term dicts, terms collected."""
+    out = {}
+    for ta, ca in a.items():
+        for tb, cb in b.items():
+            phase, term = pauli_term_product(ta, tb)
+            out[term] = out.get(term, 0.0) + ca * cb * phase
+    return out
+
+
+def letter_product(a, b):
+    """``a * b`` for two QubitOperators by the letter table."""
+    from vqchem import QubitOperator
+
+    return QubitOperator(a.n_qubits, term_dict_product(a.terms, b.terms))
+
+
+def reverse_qubit_labels(op):
+    from vqchem import QubitOperator
+
+    n = op.n_qubits
+    out = {}
+    for term, c in op.terms.items():
+        new = tuple(sorted((n - 1 - q, letter) for q, letter in term))
+        out[new] = out.get(new, 0.0) + c
+    return QubitOperator(n, out)
+
+
+def jw_ladder(n: int, index: int, dagger: bool):
+    """JW image of one ladder operator in orbital-indexed qubit labels."""
+    from vqchem import QubitOperator
+
+    z_tail = tuple((l, "Z") for l in range(index))
+    sign = -1j if dagger else 1j
+    return QubitOperator(n, {
+        z_tail + ((index, "X"),): 0.5,
+        z_tail + ((index, "Y"),): sign * 0.5,
+    })
+
+
+def parity_ladder(n: int, index: int, dagger: bool):
+    """Parity-basis image of one ladder operator, orbital-indexed labels."""
+    from vqchem import QubitOperator
+
+    x_tail = tuple((l, "X") for l in range(index + 1, n))
+    sign = -1j if dagger else 1j
+    if index == 0:
+        local = {((0, "X"),) + x_tail: 0.5, ((0, "Y"),) + x_tail: sign * 0.5}
+    else:
+        local = {
+            ((index - 1, "Z"), (index, "X")) + x_tail: 0.5,
+            ((index, "Y"),) + x_tail: sign * 0.5,
+        }
+    return QubitOperator(n, local)
+
+
+def _letter_map(op, ladder):
+    """Sum over the terms of ``op`` of the product of the ladder images of
+    their factors (orbital-indexed labels), small coefficients dropped."""
+    from vqchem import QubitOperator
+
+    n = op.n_spin_orbitals
+    images = {f: ladder(n, *f).terms for f in {f for t in op.terms for f in t}}
+    out = {}
+    for term, coeff in op.terms.items():
+        acc = {(): coeff}
+        for factor in term:
+            acc = term_dict_product(acc, images[factor])
+        for key, c in acc.items():
+            out[key] = out.get(key, 0.0) + c
+    return QubitOperator(n, out).simplify()
+
+
+def letter_jordan_wigner(op):
+    return reverse_qubit_labels(_letter_map(op, jw_ladder)).simplify()
+
+
+def letter_parity_transform(op, n_elec: int, reduce_two_qubits: bool = False):
+    """Parity map and two-qubit reduction, letter by letter.  Raises
+    ``UnsupportedReduction`` with the package's messages."""
+    from vqchem import QubitOperator, UnsupportedReduction
+
+    n = op.n_spin_orbitals
+    out = _letter_map(op, parity_ladder)
+    if not reduce_two_qubits:
+        return reverse_qubit_labels(out).simplify()
+    if n_elec % 2 != 0:
+        raise UnsupportedReduction("two-qubit reduction needs even n_elec")
+    if n % 2 != 0:
+        raise UnsupportedReduction("two-qubit reduction needs an even number "
+                                   "of spin-orbitals")
+    if n < 4:
+        raise UnsupportedReduction("two-qubit reduction needs >= 4 spin-orbitals")
+    q_beta, q_total = n // 2 - 1, n - 1
+    z_beta = -1.0 if (n_elec // 2) % 2 else 1.0
+    z_total = -1.0 if n_elec % 2 else 1.0
+    reduced = {}
+    for term, c in out.terms.items():
+        letters = dict(term)
+        for q, eig in ((q_beta, z_beta), (q_total, z_total)):
+            letter = letters.pop(q, None)
+            if letter == "Z":
+                c = c * eig
+            elif letter is not None:
+                raise UnsupportedReduction(
+                    "operator does not conserve the parities required for "
+                    f"two-qubit reduction (letter {letter} on qubit {q})"
+                )
+        new = tuple(sorted(
+            (q if q < q_beta else q - 1, letter)
+            for q, letter in letters.items()
+        ))
+        reduced[new] = reduced.get(new, 0.0) + c
+    return reverse_qubit_labels(QubitOperator(n - 2, reduced)).simplify()
+
+
+def letter_pauli_action(n: int, term):
+    """P|i> = phase_i |target_i> over all 2^n basis states i, one letter of
+    the string ``term`` at a time (qubit 0 is the most significant bit)."""
+    idx = np.arange(1 << n)
+    target = idx.copy()
+    phase = np.ones(1 << n, dtype=complex)
+    for q, letter in term:
+        pos = n - 1 - q
+        bit = (idx >> pos) & 1
+        if letter == "X":
+            target ^= 1 << pos
+        elif letter == "Y":
+            target ^= 1 << pos
+            phase = phase * (1.0j * (1.0 - 2.0 * bit))
+        else:  # Z
+            phase = phase * (1.0 - 2.0 * bit)
+    return target, phase
+
+
+def pauli_action_sparse_matrix(op):
+    """The compiled matrix of ``op`` assembled from one letter-by-letter
+    action per term: terms that flip the same qubits are summed in term
+    order, flip patterns in order of first appearance."""
+    from scipy.sparse import csr_matrix
+
+    dim = 1 << op.n_qubits
+    cols = np.arange(dim)
+    values = {}
+    for term, c in op.terms.items():
+        target, phase = letter_pauli_action(op.n_qubits, term)
+        flip = int(target[0])  # target_i = i XOR flip
+        values[flip] = values.get(flip, 0.0) + c * phase
+    flips = np.fromiter(values, dtype=np.int64, count=len(values))
+    matrix = csr_matrix(
+        (np.array(list(values.values()), dtype=complex).ravel(),
+         ((cols[None, :] ^ flips[:, None]).ravel(),
+          np.tile(cols, len(values)))),
+        shape=(dim, dim),
+    )
+    matrix.eliminate_zeros()
+    return matrix

@@ -449,6 +449,42 @@ def test_sampled_expectation_behaviour(h2):
         sampled_expectation(psi, h, shots_per_term=0)
 
 
+def test_sampled_terms_use_masks_not_the_action_cache(h2):
+    """Sampled terms read their actions off the strings' masks: each value
+    equals the letter-by-letter action's, for complex, real and density
+    inputs and across chunks, and sampling does not touch pauli_action's
+    cache."""
+    from vqchem.gates import _term_expectations
+    from vqchem.operators import pauli_action
+
+    h = parity_transform(build_fermion_hamiltonian(h2), h2.n_elec)
+    rng = np.random.default_rng(5)
+    psi = rng.normal(size=16) + 1j * rng.normal(size=16)
+    psi /= np.linalg.norm(psi)
+    rho = np.outer(psi, psi.conj())
+    before = pauli_action.cache_info()
+    sampled_expectation(psi, h, shots_per_term=64, seed=1)
+    sampled_expectation(rho, h, shots_per_term=64, seed=1)
+    after = pauli_action.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+    # 10 qubits, 100 strings: two chunks of the 2^16-entry budget
+    strings = {tuple((q, "XYZ"[k - 1]) for q, k in enumerate(row) if k): 1.0
+               for row in rng.integers(0, 4, size=(100, 10))}
+    psi10 = rng.normal(size=1024) + 1j * rng.normal(size=1024)
+    for op, arrs in ((h, (psi, psi.real.copy(), rho)),
+                     (QubitOperator(10, strings), (psi10,))):
+        for arr in arrs:
+            is_rho = arr.ndim == 2
+            got = _term_expectations(arr, is_rho, op)
+            assert list(got) == list(op.terms)
+            for term, value in got.items():
+                target, phase = oracles.letter_pauli_action(op.n_qubits, term)
+                want = (np.sum(arr[np.arange(arr.shape[0]), target] * phase)
+                        if is_rho else
+                        np.sum(np.conj(arr[target]) * phase * arr))
+                assert value == want.real, term
+
+
 def test_sampled_identity_term_is_exact():
     h = QubitOperator(1, {(): 0.7})
     psi = np.array([1.0, 0.0], dtype=complex)

@@ -7,6 +7,7 @@ from vqchem import (
     FermionOperator,
     InvalidOperator,
     QubitOperator,
+    SizeLimit,
     UnsupportedReduction,
     build_fermion_hamiltonian,
     civector_to_statevector,
@@ -16,7 +17,19 @@ from vqchem import (
     make_ci_space,
     parity_transform,
 )
-from oracles import dense_fermion_operator, dense_qubit_operator
+from vqchem.dynamics import qubit_encode, spin_boson_model
+from oracles import (
+    dense_fermion_operator,
+    dense_qubit_operator,
+    jw_ladder,
+    letter_jordan_wigner,
+    letter_parity_transform,
+    letter_pauli_action,
+    letter_product,
+    parity_ladder,
+    pauli_action_sparse_matrix,
+    reverse_qubit_labels,
+)
 
 
 def random_fermion_operator(rng, n_so, n_terms=4, max_len=3,
@@ -184,14 +197,9 @@ def test_parity_vs_jw_spectral_equivalence():
 
 
 def test_maps_match_operator_sum_reference(h4):
-    """The maps collect every term in one dict; summing the term products
-    as operators (the former accumulation) gives the same keys, in the same
-    order, and the same coefficients."""
-    from vqchem.operators import (
-        _jw_ladder,
-        _parity_ladder,
-        _reverse_qubit_labels,
-    )
+    """The maps equal the operator-sum accumulation of the letter-table
+    ladder images (each term's product of QubitOperators, the terms added
+    in order) in keys, key order and coefficients (to 1e-15)."""
 
     def operator_sum(op, ladder):
         n = op.n_spin_orbitals
@@ -201,16 +209,151 @@ def test_maps_match_operator_sum_reference(h4):
             for idx, dag in term:
                 acc = acc * ladder(n, idx, dag)
             out = out + acc
-        return _reverse_qubit_labels(out.simplify()).simplify()
+        return reverse_qubit_labels(out.simplify()).simplify()
 
     h_fermion = build_fermion_hamiltonian(h4)
-    for got, ladder in ((jordan_wigner(h_fermion), _jw_ladder),
+    for got, ladder in ((jordan_wigner(h_fermion), jw_ladder),
                         (parity_transform(h_fermion, h4.n_elec),
-                         _parity_ladder)):
+                         parity_ladder)):
         want = operator_sum(h_fermion, ladder)
         assert list(got.terms) == list(want.terms)
         assert max(abs(got.terms[k] - want.terms[k]) for k in want.terms) \
             <= 1e-15
+
+
+def assert_same_operator(got, want):
+    """Same qubit count, same keys in the same order, and coefficients
+    equal in their real and imaginary parts."""
+    assert got.n_qubits == want.n_qubits
+    assert list(got.terms) == list(want.terms)
+    for key, c in want.terms.items():
+        g, w = complex(got.terms[key]), complex(c)
+        assert (g.real, g.imag) == (w.real, w.imag), key
+
+
+def assert_maps_match_letter_oracle(op, n_elec):
+    """JW, parity and reduced parity equal the letter-table maps exactly;
+    a refused reduction is refused with the oracle's message."""
+    assert_same_operator(jordan_wigner(op), letter_jordan_wigner(op))
+    for reduce in (False, True):
+        try:
+            want = letter_parity_transform(op, n_elec, reduce)
+        except UnsupportedReduction as exc:
+            with pytest.raises(UnsupportedReduction) as got:
+                parity_transform(op, n_elec, reduce)
+            assert str(got.value) == str(exc)
+            continue
+        assert_same_operator(parity_transform(op, n_elec, reduce), want)
+
+
+_coeffs = st.one_of(
+    st.floats(-10.0, 10.0),
+    st.complex_numbers(max_magnitude=10.0, allow_nan=False,
+                       allow_infinity=False),
+)
+
+
+@st.composite
+def fermion_operators(draw, max_n_so=12):
+    """Random operators with terms of length 0-4, some vanishing (a repeated
+    factor such as a_p^ a_p^).  In paired mode every factor comes in a pair
+    from one spin sector, which conserves both parities the two-qubit
+    reduction freezes."""
+    paired = draw(st.booleans())
+    n_so = draw(st.integers(1, max_n_so))
+    if paired:  # mostly a size the reduction accepts
+        n_so = max(4, n_so - n_so % 2)
+    half = n_so // 2
+    index = st.integers(0, n_so - 1)
+    terms = {}
+    for _ in range(draw(st.integers(0, 3)) + draw(st.integers(0, 6))):
+        term = []
+        if paired:
+            for _ in range(draw(st.integers(0, 2))):
+                lo, hi = draw(st.sampled_from([(0, half), (half, n_so)]))
+                if lo == hi:
+                    continue
+                pair = draw(st.lists(st.tuples(st.integers(lo, hi - 1),
+                                               st.booleans()),
+                                     min_size=2, max_size=2))
+                if draw(st.integers(0, 3)) == 0:
+                    pair[1] = pair[0]
+                term += pair
+            term = draw(st.permutations(term))
+        else:
+            term = draw(st.lists(st.tuples(index, st.booleans()),
+                                 max_size=4))
+            if term and draw(st.integers(0, 3)) == 0:
+                term.append(term[-1])
+                term = term[-4:]
+        terms[tuple(term)] = draw(_coeffs)
+    return FermionOperator(n_so, terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(op=fermion_operators(),
+       n_elec=st.one_of(st.integers(0, 6).map(lambda k: 2 * k),
+                        st.integers(0, 12)))
+def test_maps_match_letter_oracle_on_random_operators(op, n_elec):
+    assert_maps_match_letter_oracle(op, n_elec)
+
+
+@pytest.mark.parametrize("case", ["h2", "h4", "h6"])
+def test_maps_match_letter_oracle_on_bundled_hamiltonians(case, request):
+    s = request.getfixturevalue(case)
+    assert_maps_match_letter_oracle(build_fermion_hamiltonian(s), s.n_elec)
+
+
+@st.composite
+def qubit_operator_pairs(draw):
+    n = draw(st.integers(1, 12))
+    ops = []
+    for _ in range(2):
+        terms = {}
+        for _ in range(draw(st.integers(0, 6))):
+            letters = draw(st.lists(st.sampled_from("IXYZ"), min_size=n,
+                                    max_size=n))
+            key = tuple((q, ch) for q, ch in enumerate(letters) if ch != "I")
+            terms[key] = draw(_coeffs)
+        ops.append(QubitOperator(n, terms))
+    return ops
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=qubit_operator_pairs())
+def test_product_matches_letter_oracle(pair):
+    a, b = pair
+    assert_same_operator(a * b, letter_product(a, b))
+
+
+def test_masks_refuse_more_than_64_qubits():
+    op = FermionOperator.from_term(65, ((64, True), (0, False)))
+    with pytest.raises(SizeLimit):
+        jordan_wigner(op)
+    with pytest.raises(SizeLimit):
+        parity_transform(op, n_elec=2)
+    q = QubitOperator.from_term(65, ((64, "X"),))
+    with pytest.raises(SizeLimit):
+        q * q
+
+
+@pytest.mark.parametrize("n_so", [40, 64])
+def test_wide_operators_map_like_the_letter_oracle(n_so):
+    """Masks wider than 32 bits, up to the top bit of 64."""
+    rng = np.random.default_rng(n_so)
+    half = n_so // 2
+    terms = {}
+    for _ in range(12):
+        lo, hi = (0, half) if rng.integers(2) else (half, n_so)
+        p, q, r, s = (int(i) for i in rng.integers(lo, hi, 4))
+        terms[((p, True), (q, False))] = complex(rng.normal(), rng.normal())
+        terms[((p, True), (r, True), (s, False), (q, False))] = rng.normal()
+    terms[((n_so - 1, True), (0, True), (n_so - 1, False))] = 0.5
+    op = FermionOperator(n_so, terms)
+    assert_maps_match_letter_oracle(op, 6)
+    assert_maps_match_letter_oracle(op + op.hermitian_conjugate(), 6)
+    a = jordan_wigner(op)
+    assert_same_operator(a * a, letter_product(a, a))
 
 
 def test_parity_reduction_keeps_ground_sector(h2):
@@ -332,3 +475,37 @@ def test_dense_matrix_matches_oracle_on_random_sums(strings, coeffs):
     op = QubitOperator(n, terms)
     np.testing.assert_allclose(op.to_dense_matrix(), dense_qubit_operator(op),
                                rtol=0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.text("IXYZ", min_size=1, max_size=7), min_size=1,
+                max_size=6))
+def test_pauli_action_matches_letter_action(strings):
+    """pauli_action, read off the masks, equals the letter-by-letter action
+    bit for bit and hands out read-only arrays."""
+    from vqchem.operators import pauli_action
+
+    n = max(map(len, strings))
+    for letters in strings:
+        term = tuple((q, ch) for q, ch in enumerate(letters) if ch != "I")
+        got, want = pauli_action(n, term), letter_pauli_action(n, term)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+            assert not g.flags.writeable
+
+
+@pytest.mark.parametrize("case", ["h4-parity-reduced", "h6-jw", "spin-boson"])
+def test_sparse_matrix_matches_pauli_action_assembly(case, request):
+    """The mask-compiled matrix has the same CSR arrays as the sum, per flip
+    pattern in term order, of one letter-by-letter action per term."""
+    if case == "spin-boson":
+        terms, basis = spin_boson_model(0.0, 1.0, 1.0, 0.5, 8)
+        op = qubit_encode(terms, basis).qubit_terms
+    else:
+        s = request.getfixturevalue(case.split("-")[0])
+        h = build_fermion_hamiltonian(s)
+        op = (jordan_wigner(h) if case == "h6-jw" else
+              parity_transform(h, s.n_elec, reduce_two_qubits=True))
+    got, want = op.to_sparse_matrix(), pauli_action_sparse_matrix(op)
+    for name in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
