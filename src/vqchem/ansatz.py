@@ -10,9 +10,10 @@ eigenstate of total spin at closed shell.
 
 The pair-restricted ("hard-core boson") ansatz has no space of its own: its
 configurations are the determinant space's alpha strings read as doubly
-occupied orbitals, and its hops and Hamiltonian come from that space's link
-table.  Pair hops carry no fermionic signs, so the reduced treatment is exact
-for seniority-zero states and matches the full determinant space.
+occupied orbitals, and its rotations and Hamiltonian share one hop table per
+orbital pair, built from those strings.  Pair hops carry no fermionic signs,
+so the reduced treatment is exact for seniority-zero states and matches the
+full determinant space.
 """
 
 from __future__ import annotations

@@ -29,23 +29,26 @@ compiles, and these caches only ever append:
   link table of its strings, compiled once into dense gather arrays and,
   per block size, each block's scatter matrix.  It holds 0.12 MB for H8,
   0.66 MB for H10 and 3.6 MB for H12, and serves the direct-CI sigma, the
-  dense Hamiltonian, the diagonal, the density matrices and the pair hops;
-* the pair hops (``"pair-hops"``, :func:`_pair_hops`) of pUCCD, which runs on
-  the alpha strings as configurations of doubly occupied orbitals: 16 bytes
-  per hop, 18 kB for H8, 13 MB at n_orb = 16; and one rotation table per hop
-  q -> p (``("hop", p, q)``), 16 bytes per configuration pair.
+  dense Hamiltonian and the density matrices;
+* the occupation matrix (``"occ"``, :func:`_occupations`) of the strings,
+  which the diagonal and the density matrices read;
+* one hop table per orbital pair (``("hop", p, q)``, p > q,
+  :func:`_pair_hop_table`) for pUCCD, which runs on the alpha strings as
+  configurations of doubly occupied orbitals: 16 bytes per configuration
+  pair, 141 MiB at n_orb = 20.  The pUCCD rotations and the pair
+  Hamiltonian read the same tables, and a pUCCD run builds no link plan.
 
 The Hamiltonian has one route per kind of vector: on determinants H is
 applied by the string-driven direct-CI sigma (:func:`_sigma`), on pair
-configurations by one gather per pair-hop slot (:func:`_pair_sigma`).  The
-sigma reads the plan and keeps its block scratch in one workspace per
-thread, reused by every apply: with the default blocks at most ``2 *
-max(4 MB, 8 * n_pair * n_strings_beta)`` bytes, for ``n_pair = n_orb
-(n_orb + 1) / 2``.  The sigma has a symmetric mode for vectors with
-C = C^T over (alpha string, beta string), which works on the lower triangle
-only; UCC states are not symmetric and take the general mode.  Spaces small
-enough for a dense eigensolver build their matrix from the same link table
-in one pass.
+configurations by two gathers and two scatters per hop table
+(:func:`_pair_sigma`).  The sigma reads the plan and keeps its block
+scratch in one workspace per thread, reused by every apply: with the
+default blocks at most ``2 * max(4 MB, 8 * n_pair * n_strings_beta)``
+bytes, for ``n_pair = n_orb (n_orb + 1) / 2``.  The sigma has a symmetric
+mode for vectors with C = C^T over (alpha string, beta string), which works
+on the lower triangle only; UCC states are not symmetric and take the
+general mode.  Spaces small enough for a dense eigensolver build their
+matrix from the same link table in one pass.
 
 :func:`fci_ground_state` returns the lowest state with C = C^T, the
 even-spin (S = 0, 2, ...) ground state: its Davidson iteration stays in that
@@ -62,7 +65,7 @@ from __future__ import annotations
 import struct
 import threading
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -143,8 +146,8 @@ def ci_space_dim(n_orb: int, n_elec: int) -> int:
 @lru_cache(maxsize=8)  # a run works in one or two spaces
 def make_ci_space(n_orb: int, n_elec: int) -> CISpace:
     """The shared space for ``(n_orb, n_elec)``: the most recently used
-    spaces are kept, with their excitation, link and pair-hop tables.  Its
-    alpha strings are also the configurations of pair-restricted ansatzes."""
+    spaces are kept, with their excitation, link and hop tables.  Its alpha
+    strings are also the configurations of pair-restricted ansatzes."""
     return CISpace(n_orb, n_elec)
 
 
@@ -383,12 +386,7 @@ class _SigmaPlan:
     * ``scatter_t``, the transposed table as a (n_strings, n_strings *
       n_pair) matrix, adds ``E+_P F[J, P]`` back onto the strings;
     * :meth:`blocks` holds, per block size, each block's reached alpha
-      strings and its own transposed scatter matrix;
-    * ``occ`` (n_strings, n_orb) is the occupation of every orbital, the
-      sign of the diagonal pairs.
-
-    The transposes, ``scatter_t`` and the blocks are built on the sigma's
-    first use: pair hops alone need ``target``, ``sign`` and ``occ``.
+      strings and its own transposed scatter matrix, built on first use.
     """
 
     def __init__(self, strings: np.ndarray, n_orb: int):
@@ -406,23 +404,13 @@ class _SigmaPlan:
                              np.where(p == q, occ_p, False))
         self.target = np.searchsorted(
             strings, np.where(hop, column ^ (bit_p | bit_q), column))
-        self.occ = np.ascontiguousarray(self.sign[:, p == q])
-        self._blocks: dict = {}
-
-    @cached_property
-    def sign_t(self) -> np.ndarray:
-        return np.ascontiguousarray(self.sign.T)
-
-    @cached_property
-    def target_t(self) -> np.ndarray:
-        return np.ascontiguousarray(self.target.T)
-
-    @cached_property
-    def scatter_t(self) -> csr_matrix:
+        self.sign_t = np.ascontiguousarray(self.sign.T)
+        self.target_t = np.ascontiguousarray(self.target.T)
         live = np.flatnonzero(self.sign)
-        return csr_matrix(
+        self.scatter_t = csr_matrix(
             (self.sign.ravel()[live], (self.target.ravel()[live], live)),
             shape=(len(self.sign), self.sign.size))
+        self._blocks: dict = {}
 
     def blocks(self, block: int) -> tuple:
         """``(a0, a1, reached, scatter_t)`` for every block of ``block``
@@ -451,36 +439,33 @@ def _sigma_plan(space: CISpace) -> _SigmaPlan:
     return plan
 
 
-def _pair_hops(space: CISpace) -> tuple:
-    """Hops of electron pairs, cached under ``"pair-hops"``: string J read as
-    doubly occupied orbitals hops its pair on q to p, with no sign, to
-    ``target[J, P]`` for P = (max(p, q), min(p, q)).  Row j of the (n_occ *
-    n_virt, n_strings) ``intp`` arrays ``(pair, target)`` holds the j-th of
-    the n_occ * n_virt off-diagonal pairs live on every string."""
-    hops = space._action_cache.get("pair-hops")
-    if hops is None:  # concurrent compiles build equal tables; keep the first
-        plan = _sigma_plan(space)
-        n, n_pair = plan.sign.shape
-        p, q = np.tril_indices(space.n_orb)
-        flat = np.flatnonzero((plan.sign != 0) & (p != q))
-        flat = np.ascontiguousarray(flat.reshape(n, -1).T)
-        hops = space._action_cache.setdefault(
-            "pair-hops", (flat % n_pair, plan.target.ravel()[flat]))
-    return hops
+def _occupations(space: CISpace) -> np.ndarray:
+    """(n_strings, n_orb) occupation of every orbital in every string, 1.0
+    or 0.0, cached under ``"occ"``."""
+    occ = space._action_cache.get("occ")
+    if occ is None:  # concurrent compiles build equal arrays; keep the first
+        bits = np.uint64(1) << np.arange(space.n_orb, dtype=np.uint64)
+        occ = space._action_cache.setdefault(
+            "occ", ((space.alpha_strings[:, None] & bits) != 0).astype(float))
+    return occ
 
 
 def _pair_hop_table(space: CISpace, p: int, q: int) -> np.ndarray:
-    """Rotation table of b+_p b_q - b+_q b_p on the pair configurations
-    (:func:`_pair_hops`), cached under ``("hop", p, q)``: the hop q -> p has
-    no sign, so its targets and sources are the table's pairs (r, c)."""
+    """Rotation table of b+_p b_q - b+_q b_p on the pair configurations, the
+    alpha strings read as doubly occupied orbitals: the hop q -> p has no
+    sign, so its targets and sources are the table's pairs (r, c).  One
+    table per orbital pair is cached, under ``("hop", p, q)`` with p > q;
+    p < q gives the same array with its rows swapped."""
+    if p < q:
+        return _pair_hop_table(space, q, p)[::-1]
     key = ("hop", p, q)
     table = space._action_cache.get(key)
-    if table is None:
-        plan = _sigma_plan(space)
-        pair = max(p, q) * (max(p, q) + 1) // 2 + min(p, q)
-        src = np.flatnonzero(plan.sign[:, pair] * plan.occ[:, q])
-        table = space._action_cache.setdefault(
-            key, np.stack([plan.target[src, pair], src]))
+    if table is None:  # concurrent compiles build equal tables; keep the first
+        alive, target, _ = _sector_action(space.alpha_strings,
+                                          ((p, True), (q, False)))
+        src = np.flatnonzero(alive)
+        table = space._action_cache.setdefault(key,
+                                               np.stack([target[src], src]))
     return table
 
 
@@ -592,7 +577,7 @@ def apply_hamiltonian(space: CISpace, v, s: IntegralSet) -> CIVector:
 def _string_energies(space: CISpace, s: IntegralSet) -> tuple:
     """(e_same, occ, j): determinant (a, b) has energy e_same[a] + e_same[b]
     + occ[a] j occ[b] + e_core, with j[p, q] = (pp|qq)."""
-    occ = _sigma_plan(space).occ
+    occ = _occupations(space)
     h_diag = np.diag(s.int1e)
     j_mat = np.einsum("ppqq->pq", s.int2e)
     k_mat = np.einsum("pqqp->pq", s.int2e)
@@ -612,16 +597,17 @@ def hamiltonian_diagonal(space: CISpace, s: IntegralSet) -> np.ndarray:
 
 
 def _pair_sigma(space: CISpace, s: IntegralSet, c: np.ndarray) -> np.ndarray:
-    """H c on the pair configurations of :func:`_pair_hops`: (J, J) has its
-    determinant energy and a pair hop q -> p amplitude (pq|qp)."""
-    pair, target = _pair_hops(space)
+    """H c on the pair configurations of :func:`_pair_hop_table`: (J, J) has
+    its determinant energy and a hop between q and p amplitude (pq|qp)."""
     e_same, occ, j_mat = _string_energies(space, s)
     diag = 2.0 * e_same + np.einsum("ip,ip->i", occ @ j_mat, occ) + s.e_core
-    p, q = np.tril_indices(s.n_orb)
-    k = s.int2e[p, q, q, p]
     out = diag * c
-    for pair_j, target_j in zip(pair, target):
-        out += k[pair_j] * c[target_j]
+    for p in range(s.n_orb):
+        for q in range(p):
+            rows, cols = _pair_hop_table(space, p, q)
+            k = s.int2e[p, q, q, p]
+            np.add.at(out, rows, k * c[cols])
+            np.add.at(out, cols, k * c[rows])
     return out
 
 
@@ -719,7 +705,7 @@ def _single_replacement_vectors(space: CISpace, amps: np.ndarray) -> np.ndarray:
     hi, lo = np.maximum(p, q), np.minimum(p, q)
     pair = hi * (hi + 1) // 2 + lo  # position of (hi, lo) in np.tril_indices
     sign, target = plan.sign[:, pair, None], plan.target[:, pair]
-    occ = plan.occ[:, p, None]
+    occ = _occupations(space)[:, p, None]
     w_alpha = sign * c[target] * occ
     w_beta = sign * c.T[target] * occ
     return (w_alpha.transpose(1, 0, 2).reshape(n * n, -1)

@@ -28,7 +28,7 @@ from .ansatz import (
     problem_energy_and_gradient,
     problem_statevector,
 )
-from .civector import CIVector, fci_ground_state, make_ci_space
+from .civector import CIVector
 from .errors import InvalidParams
 from .integrals import hf_energy, mp2
 
@@ -316,19 +316,19 @@ def print_summary(problem: UCCProblem, result: OptResult,
     """Render the standard result summary and return it structured.
 
     ``error (mH)`` is (E_method - E_FCI)*1000 and the correlation-energy
-    percentage is (E_method - E_HF)/(E_FCI - E_HF)*100.  The text goes to
-    ``stream`` (stdout by default).
+    percentage is (E_method - E_HF)/(E_FCI - E_HF)*100.  Without
+    ``fci_reference`` both are None, and so is the FCI row; the text shows
+    a dash for each.  The text goes to ``stream`` (stdout by default).
     """
     s = problem.integrals
     e_hf = hf_energy(s)
     e_mp2 = e_hf + mp2(s).e_corr
-    if fci_reference is None:
-        space = make_ci_space(s.n_orb, s.n_elec)
-        fci_reference = fci_ground_state(space, s)[0]
-    e_fci = float(fci_reference)
-    denom = e_fci - e_hf
+    e_fci = None if fci_reference is None else float(fci_reference)
 
     def row(e):
+        if e_fci is None:
+            return {"energy": e, "error_mH": None, "corr_pct": None}
+        denom = e_fci - e_hf
         corr = (e - e_hf) / denom * 100.0 if denom != 0.0 else float("nan")
         return {"energy": e, "error_mH": (e - e_fci) * 1000.0,
                 "corr_pct": corr}
@@ -338,7 +338,7 @@ def print_summary(problem: UCCProblem, result: OptResult,
         "MP2": row(e_mp2),
         "CCSD": None,  # out of scope; rendered as a dash
         method_label: row(result.e),
-        "FCI": row(e_fci),
+        "FCI": None if e_fci is None else row(e_fci),
     }
     excitations = []
     seen_pid = set()
@@ -377,13 +377,13 @@ def print_summary(problem: UCCProblem, result: OptResult,
     lines.append(f" {'':>6} {'energy (Hartree)':>18} {'error (mH)':>12} "
                  f"{'correlation energy (%)':>24}")
     for name, data in energies.items():
-        if data is None:
-            lines.append(f" {name:>6} {'-':>18} {'-':>12} {'-':>24}")
-            continue
-        lines.append(
-            f" {name:>6} {data['energy']:>18.10f} {data['error_mH']:>12.3f} "
-            f"{data['corr_pct']:>24.3f}"
-        )
+        data = data or {}
+        e, error, corr = ("-" if data.get(key) is None
+                          else format(data[key], spec)
+                          for key, spec in (("energy", ".10f"),
+                                            ("error_mH", ".3f"),
+                                            ("corr_pct", ".3f")))
+        lines.append(f" {name:>6} {e:>18} {error:>12} {corr:>24}")
     lines.append(f"{bar} Excitations {bar}")
     lines.append(f" {'excitation':>22} {'configuration':>16} "
                  f"{'parameter':>14} {'initial guess':>14}")

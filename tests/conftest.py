@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from vqchem import load_fixture
+from helpers import chain_fcidump
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -36,3 +37,9 @@ def h8():
 @pytest.fixture(scope="session")
 def reference_scf():
     return json.loads((DATA_DIR / "reference_scf.json").read_text())
+
+
+@pytest.fixture(scope="session")
+def h16_fcidump(tmp_path_factory):
+    """A generated H16 chain: pair space 12,870, determinant space 165M."""
+    return chain_fcidump(tmp_path_factory.mktemp("h16"), 16)

@@ -1,10 +1,7 @@
-import os
 import struct
-import subprocess
 import sys
 import threading
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,6 +52,7 @@ from oracles import (
     signed_rotation_table,
     signed_sweep,
 )
+from helpers import chain_fcidump, run_capped
 from test_integrals import random_integral_set
 
 PINNED_DIMS = {
@@ -828,30 +826,6 @@ resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 from vqchem.cli import main
 sys.exit(main(["fci", "--fcidump", sys.argv[1], "--output", sys.argv[2]]))
 """
-
-
-ROOT = Path(__file__).resolve().parents[1]
-
-
-def chain_fcidump(tmp_path, n_atoms: int) -> Path:
-    """FCIDUMP of an evenly spaced hydrogen chain (0.8 A, STO-3G)."""
-    sys.path.insert(0, str(ROOT / "scripts"))
-    try:
-        import make_fixtures
-    finally:
-        sys.path.remove(str(ROOT / "scripts"))
-    h_mo, eri_mo, e_nuc, *_ = make_fixtures.hydrogen_chain(n_atoms, 0.8)
-    fcidump = tmp_path / f"h{n_atoms}.fcidump"
-    make_fixtures.write_fcidump(fcidump, h_mo, eri_mo, e_nuc, n_atoms)
-    return fcidump
-
-
-def run_capped(script: str, *args: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(
-                   [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run([sys.executable, "-c", script, *args], env=env,
-                          capture_output=True, text=True, timeout=300)
 
 
 def test_fci_h10_fits_1500_mb_address_space(tmp_path):

@@ -241,6 +241,19 @@ def test_vqe_puccd_saves_its_full_space_state(capsys, tmp_path):
     assert abs(json.loads(out)["loaded_energy"] - e_puccd) <= 1e-10
 
 
+def test_vqe_puccd_h16_solves_no_fci(capsys, tmp_path, h16_fcidump):
+    # 165,636,900 determinants: the FCI reference is skipped, and nothing
+    # else solves it (the iterative solver would refuse the size)
+    out = tmp_path / "puccd.json"
+    assert main(["vqe", "--ansatz", "puccd", "--fcidump", str(h16_fcidump),
+                 "--output", str(out)]) == 0
+    energies = json.loads(out.read_text())["energies"]
+    assert energies["fci"] is None
+    assert energies["ucc"] < energies["hf"]
+    assert any(line.split() == ["FCI", "-", "-", "-"]
+               for line in capsys.readouterr().out.splitlines())
+
+
 def test_hubbard_free_fermions(capsys):
     code, out, _ = run(capsys, "hubbard", "--sites", "2", "--u", "0",
                        "--format", "json")

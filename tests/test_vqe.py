@@ -116,7 +116,8 @@ def test_deterministic_reruns(h4):
 def test_summary_report(h2, capsys):
     problem = make_uccsd_problem(h2)
     result = kernel(problem)
-    report = print_summary(problem, result)
+    e_fci = fci_ground_state(make_ci_space(2, 2), h2)[0]
+    report = print_summary(problem, result, fci_reference=e_fci)
     out = capsys.readouterr().out
     assert "Ansatz" in out and "Energy" in out and "Excitations" in out
     assert report.ansatz["n_qubits"] == 4
@@ -132,6 +133,22 @@ def test_summary_report(h2, capsys):
     rows = {tuple(r["excitation"]): r for r in report.excitations}
     assert rows[(1, 3, 2, 0)]["configuration"] == "1010"
     assert abs(rows[(1, 3, 2, 0)]["parameter"] - (-0.112986561)) < 1e-6
+
+
+def test_summary_without_fci_reference_shows_dashes(h2, capsys):
+    # print_summary solves no FCI: without a reference the FCI row and
+    # every error and correlation percentage are dashes
+    problem = make_uccsd_problem(h2)
+    report = print_summary(problem, kernel(problem))
+    rows = {line.split()[0]: line.split()[1:]
+            for line in capsys.readouterr().out.splitlines()
+            if line.split()[:1] in (["HF"], ["UCCSD"], ["FCI"])}
+    assert report.energies["FCI"] is None
+    assert report.energies["UCCSD"]["error_mH"] is None
+    assert report.energies["UCCSD"]["corr_pct"] is None
+    assert rows["FCI"] == ["-", "-", "-"]
+    assert rows["HF"][1:] == rows["UCCSD"][1:] == ["-", "-"]
+    assert float(rows["HF"][0]) == pytest.approx(hf_energy(h2), abs=1e-9)
 
 
 def _reached(space, ex):
