@@ -31,6 +31,7 @@ from .civector import (
     _pair_tables,
     _sweep,
     apply_hamiltonian,
+    check_vector_dim,
     civector_to_statevector,
     energy_and_gradient,
     make_ci_space,
@@ -351,8 +352,11 @@ def problem_energy_and_gradient(problem: UCCProblem, params):
 
 def problem_civector(problem: UCCProblem, params):
     """The prepared state in the full determinant space (paired problems are
-    expanded through their fermionic excitations, which is exact)."""
-    space = make_ci_space(problem.integrals.n_orb, problem.integrals.n_elec)
+    expanded through their fermionic excitations, which is exact); a space
+    past :func:`check_vector_dim` raises SizeLimit before any work."""
+    s = problem.integrals
+    check_vector_dim(s.n_orb, s.n_elec)
+    space = make_ci_space(s.n_orb, s.n_elec)
     return ucc_state(space, problem.ex_ops, params, problem.param_ids)
 
 

@@ -64,6 +64,7 @@ from __future__ import annotations
 
 import struct
 import threading
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -141,6 +142,16 @@ def _occupation_strings(n_orb: int, n_occ: int) -> np.ndarray:
 
 def ci_space_dim(n_orb: int, n_elec: int) -> int:
     return comb(n_orb, n_elec // 2) ** 2
+
+
+def check_vector_dim(n_orb: int, n_elec: int) -> int:
+    """``ci_space_dim``, or :class:`SizeLimit` past ``_ITERATIVE_LIMIT``
+    determinants, the largest space a full-space vector is built in."""
+    dim = ci_space_dim(n_orb, n_elec)
+    if dim > _ITERATIVE_LIMIT:
+        raise SizeLimit(f"CI dimension {dim} exceeds the limit of "
+                        f"{_ITERATIVE_LIMIT} determinants for a full vector")
+    return dim
 
 
 @lru_cache(maxsize=8)  # a run works in one or two spaces
@@ -596,12 +607,25 @@ def hamiltonian_diagonal(space: CISpace, s: IntegralSet) -> np.ndarray:
     return diag.ravel()
 
 
+def _pair_diagonal(space: CISpace, s: IntegralSet) -> np.ndarray:
+    """<J, J|H|J, J> of every pair configuration, cached per integrals in
+    the space's weakly keyed ``"pair-diag"`` table."""
+    table = space._action_cache.get("pair-diag")
+    if table is None:  # concurrent compiles build equal tables; keep the first
+        table = space._action_cache.setdefault("pair-diag",
+                                               weakref.WeakKeyDictionary())
+    diag = table.get(s)
+    if diag is None:
+        e_same, occ, j_mat = _string_energies(space, s)
+        diag = 2.0 * e_same + np.einsum("ip,ip->i", occ @ j_mat, occ)
+        diag = table.setdefault(s, diag + s.e_core)
+    return diag
+
+
 def _pair_sigma(space: CISpace, s: IntegralSet, c: np.ndarray) -> np.ndarray:
     """H c on the pair configurations of :func:`_pair_hop_table`: (J, J) has
     its determinant energy and a hop between q and p amplitude (pq|qp)."""
-    e_same, occ, j_mat = _string_energies(space, s)
-    diag = 2.0 * e_same + np.einsum("ip,ip->i", occ @ j_mat, occ) + s.e_core
-    out = diag * c
+    out = _pair_diagonal(space, s) * c
     for p in range(s.n_orb):
         for q in range(p):
             rows, cols = _pair_hop_table(space, p, q)
@@ -894,12 +918,7 @@ def fci_ground_state(space: CISpace, s: IntegralSet):
     determinants are diagonalised densely, larger ones by the symmetric
     Davidson (with a dense fallback up to ``_DENSE_FALLBACK_LIMIT``); both
     return the same root."""
-    dim = space.dim
-    if dim > _ITERATIVE_LIMIT:
-        raise SizeLimit(
-            f"CI dimension {dim} exceeds the iterative solver limit "
-            f"{_ITERATIVE_LIMIT}"
-        )
+    dim = check_vector_dim(space.n_orb, space.n_elec)
     if dim <= _DENSE_DIRECT_LIMIT:
         e, vec = _dense_ground_state(space, s)
         return e, CIVector(space, vec)

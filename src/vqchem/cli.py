@@ -51,6 +51,7 @@ from .integrals import (
 )
 from .operators import QubitOperator, jordan_wigner, parity_transform
 from .civector import (
+    check_vector_dim,
     energy as ci_energy,
     fci_ground_state,
     load_civector,
@@ -393,15 +394,24 @@ def _finish(st: _Settings, json_payload, csv_header: list[str],
 # Subcommand runners
 # ---------------------------------------------------------------------------
 
+def _state_path(st: _Settings, s: IntegralSet) -> str | None:
+    """``--save-state``'s path, checked before any optimisation: the saved
+    state is a full determinant-space vector."""
+    path = st.get("save_state")
+    if path:
+        check_vector_dim(s.n_orb, s.n_elec)
+    return path
+
+
 def _run_vqe(st: _Settings) -> int:
     s = _resolve_integrals(st)
+    state_path = _state_path(st, s)
     problem, label = _build_problem(st, s)
     maxiter = st.get_int("maxiter")
     result = kernel(problem, maxiter=maxiter) if maxiter else kernel(problem)
     fci = _fci_reference(s, st)
     report = print_summary(problem, result, fci_reference=fci,
                            method_label=label, stream=_human_stream(st))
-    state_path = st.get("save_state")
     if state_path:
         save_civector(state_path, civector_at(problem, result.x))
     ansatz_out = st.get("save_ansatz")
@@ -419,6 +429,7 @@ def _run_vqe(st: _Settings) -> int:
 
 def _run_adapt(st: _Settings) -> int:
     s = _resolve_integrals(st)
+    state_path = _state_path(st, s)
     pool = build_operator_pool(s.n_orb, s.n_elec)
     epsilon = st.get_float("epsilon", 1e-3)
     max_iter = st.get_int("max_iter", 50)
@@ -439,7 +450,6 @@ def _run_adapt(st: _Settings) -> int:
                  f"epsilon {epsilon:g}")
     text = "\n".join(lines)
     print(text, file=_human_stream(st))
-    state_path = st.get("save_state")
     if state_path:
         save_civector(state_path,
                       civector_at(problem, problem.init_guess))

@@ -7,6 +7,12 @@ M = Re(J^dagger J), V = Im(J^dagger H psi)) integrated with fixed-step
 Euler or RK4, plus an eigendecomposition-based exact propagator for
 reference trajectories.
 
+The equation of motion is kept in factor form: with w the (n_params,
+2 dim) float view of J's columns and b that of -i H psi, M = w w^T and
+V = w b.  The regularized inverse f(M) V equals w f(w^T w) b (the
+push-through identity), so each step diagonalizes the smaller of the
+n_params-square M and the (2 dim)-square Gram matrix w^T w.
+
 The ansatz state and its Jacobian come from one sweep over *runs* of
 rotations.  A run is a maximal stretch of consecutive rotations whose Pauli
 strings P_k flip the same qubits as the run's first string P_r and commute
@@ -414,6 +420,15 @@ class _RotationRuns:
     signs: np.ndarray           # (dim, n_params) entries +-1
     columns: np.ndarray         # (n_params, dim)
 
+    @functools.cached_property
+    def plan(self) -> tuple:
+        """``(lo, hi, target, columns[lo:hi])`` of every run, with Python
+        int bounds, for the sweep."""
+        return tuple((lo, hi, target, self.columns[lo:hi])
+                     for lo, hi, target in zip(self.starts[:-1].tolist(),
+                                               self.starts[1:].tolist(),
+                                               self.targets))
+
 
 def _fuse_runs(n_qubits: int, paulis: list, n_params: int) -> _RotationRuns:
     dim = 1 << n_qubits
@@ -508,23 +523,20 @@ def _state_and_jacobian(ansatz: VHAnsatz, theta, want_jacobian: bool):
             f"ansatz has {ansatz.n_params} parameters, got {theta.size}"
         )
     runs = ansatz.runs
-    starts = runs.starts
-    angles = np.add.reduceat(runs.signs * theta, starts[:-1], axis=1).T
-    cos = np.cos(angles)
+    angles = np.add.reduceat(runs.signs * theta, runs.starts[:-1], axis=1).T
+    cos = np.cos(angles).astype(complex)
     flip = -1.0j * np.sin(angles) * runs.phases
     height = ansatz.n_params + 1 if want_jacobian else 1
     buf = np.zeros((height, ansatz.dim), dtype=complex)
     buf[0] = ansatz.phi
-    for r, target in enumerate(runs.targets):
-        lo, hi = starts[r], starts[r + 1]
+    for r, (lo, hi, target, columns) in enumerate(runs.plan):
         live = buf[:lo + 1] if want_jacobian else buf
         flipped = live.take(target, axis=1)
         flipped *= flip[r]
         live *= cos[r]
         live += flipped
         if want_jacobian:
-            np.multiply(runs.columns[lo:hi], buf[0].take(target),
-                        out=buf[lo + 1:hi + 1])
+            np.multiply(columns, buf[0].take(target), out=buf[lo + 1:hi + 1])
     return buf[0], (buf[1:].T if want_jacobian else None)
 
 
@@ -541,29 +553,53 @@ def ansatz_jacobian(ansatz: VHAnsatz, theta) -> np.ndarray:
 # McLachlan equation of motion
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class EOMSystem:
-    M: np.ndarray
-    V: np.ndarray
+    """McLachlan's equation M theta_dot = V in factor form: row k of ``w``
+    is d psi / d theta_k as interleaved (re, im) floats and ``b`` is
+    -i H psi the same way, so that M = w w^T and V = w b."""
+
+    w: np.ndarray               # (n_params, 2 dim)
+    b: np.ndarray               # (2 dim,)
     epsilon_reg: float = _DEFAULT_EPSILON_REG
 
+    @property
+    def M(self) -> np.ndarray:
+        """Re(J^dagger J)."""
+        return self.w @ self.w.T
 
-def assemble_eom(jac: np.ndarray, state: np.ndarray,
-                 h_dense: np.ndarray) -> EOMSystem:
-    """M = Re(J^dagger J), V = Im(J^dagger H psi)."""
-    m = (jac.conj().T @ jac).real
-    v = (jac.conj().T @ (h_dense @ state)).imag
-    return EOMSystem(M=m, V=v)
+    @property
+    def V(self) -> np.ndarray:
+        """Im(J^dagger H psi)."""
+        return self.w @ self.b
+
+
+def assemble_eom(jac: np.ndarray, state: np.ndarray, h_dense: np.ndarray,
+                 epsilon_reg: float = _DEFAULT_EPSILON_REG) -> EOMSystem:
+    """The factors of M = Re(J^dagger J) and V = Im(J^dagger H psi): the
+    float views of J's columns (the sweep's row buffer, not copied) and of
+    -i H psi, since Re(conj(x) y) is the dot product of the two views."""
+    rows = np.ascontiguousarray(jac.T, dtype=complex)
+    return EOMSystem(w=rows.view(float),
+                     b=(-1.0j * (h_dense @ state)).view(float),
+                     epsilon_reg=epsilon_reg)
 
 
 def solve_thetadot(sys: EOMSystem) -> np.ndarray:
-    """Invert M after softening each eigenvalue lam -> lam + eps*exp(-lam/eps),
-    which leaves large eigenvalues untouched and floors small ones at eps."""
-    eps = sys.epsilon_reg
-    lam, vecs = np.linalg.eigh((sys.M + sys.M.T) / 2.0)
-    expo = np.clip(-lam / eps, None, 700.0)
-    lam_reg = lam + eps * np.exp(expo)
-    return vecs @ ((vecs.T @ sys.V) / lam_reg)
+    """theta_dot = f(M) V with f(lam) = 1 / (lam + eps exp(-lam / eps)),
+    which leaves large eigenvalues of M untouched and floors small ones at
+    eps.  M = w w^T has rank at most 2 dim, and the push-through identity
+    f(w w^T) w = w f(w^T w) gives theta_dot = w f(w^T w) b, so the one
+    eigendecomposition is of whichever Gram matrix is smaller.  On the
+    w^T w side theta_dot is w times a vector, so it has no component along
+    null(J), the null space of w^T."""
+    w, eps = sys.w, sys.epsilon_reg
+    gram_side = w.shape[1] < w.shape[0]
+    lam, vecs = np.linalg.eigh(w.T @ w if gram_side else w @ w.T)
+    f = 1.0 / (lam + eps * np.exp(np.minimum(-lam / eps, 700.0)))
+    if gram_side:
+        return w @ (vecs @ (f * (sys.b @ vecs)))
+    return vecs @ (f * ((w @ sys.b) @ vecs))
 
 
 @dataclass
@@ -649,8 +685,7 @@ def time_evolve(enc: EncodedHamiltonian, ansatz: VHAnsatz, theta0,
 
     def derivative(theta):
         psi, jac = _state_and_jacobian(ansatz, theta, want_jacobian=True)
-        sys = assemble_eom(jac, psi, h_dense)
-        sys.epsilon_reg = epsilon_reg
+        sys = assemble_eom(jac, psi, h_dense, epsilon_reg)
         return solve_thetadot(sys), psi
 
     thetas = np.zeros((n_steps + 1, theta.size))

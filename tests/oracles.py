@@ -366,6 +366,19 @@ def vha_state_and_jacobian(ansatz, theta) -> tuple:
     return buf[:, 0], buf[:, 1:]
 
 
+def mclachlan_thetadot(jac, psi, h_dense, epsilon_reg) -> np.ndarray:
+    """McLachlan's theta_dot solved on M's side: M = Re(J^dagger J) and
+    V = Im(J^dagger H psi) from the complex Jacobian, one eigendecomposition
+    of the n_params-square M, each eigenvalue softened to lam + eps
+    exp(-lam / eps) before it is inverted."""
+    m = (jac.conj().T @ jac).real
+    v = (jac.conj().T @ (h_dense @ psi)).imag
+    lam, vecs = np.linalg.eigh((m + m.T) / 2.0)
+    expo = np.clip(-lam / epsilon_reg, None, 700.0)
+    lam_reg = lam + epsilon_reg * np.exp(expo)
+    return vecs @ ((vecs.T @ v) / lam_reg)
+
+
 # ---------------------------------------------------------------------------
 # Signed rotation tables: the determinant-space UCC kernel before the tables
 # dropped their signs, on tables built here from full spin-orbital bitmasks

@@ -1,3 +1,6 @@
+import dataclasses
+import gc
+
 import numpy as np
 import pytest
 
@@ -30,6 +33,7 @@ from vqchem import (
     ucc_state,
 )
 from vqchem.ansatz import _pool_gradients
+from vqchem import civector
 from vqchem.civector import _pair_hop_table, _pair_sigma
 from oracles import (
     adapt_pool_gradients,
@@ -236,6 +240,37 @@ def test_pair_hamiltonian_apply_matches_oracle(case, request):
                                atol=1e-12)
 
 
+@pytest.mark.parametrize("case", ["h4", "h6", "h8"])
+def test_cached_pair_diagonal_is_bit_identical(case, request):
+    """The cached diagonal gives the sigma that recomputing it on every
+    apply gave, to the last bit, cold and warm, and its table holds one
+    entry per integrals."""
+    s = request.getfixturevalue(case)
+    space = CISpace(s.n_orb, s.n_elec)
+    c = np.random.default_rng(101).normal(size=space.n_strings_alpha)
+    e_same, occ, j_mat = civector._string_energies(space, s)
+    diag = 2.0 * e_same + np.einsum("ip,ip->i", occ @ j_mat, occ) + s.e_core
+    want = diag * c
+    for p in range(s.n_orb):
+        for q in range(p):
+            rows, cols = _pair_hop_table(space, p, q)
+            k = s.int2e[p, q, q, p]
+            np.add.at(want, rows, k * c[cols])
+            np.add.at(want, cols, k * c[rows])
+    for _ in range(2):
+        np.testing.assert_array_equal(_pair_sigma(space, s, c), want)
+    table = space._action_cache["pair-diag"]
+    assert list(table.keys()) == [s]
+    np.testing.assert_array_equal(table[s], diag)
+    other = dataclasses.replace(s, e_core=s.e_core + 1.0)
+    np.testing.assert_allclose(_pair_sigma(space, other, c), want + c,
+                               rtol=0, atol=1e-12)
+    assert len(table) == 2
+    del other
+    gc.collect()
+    assert list(table.keys()) == [s]
+
+
 def test_reversed_pair_hop_is_a_view():
     space = make_ci_space(6, 6)
     for p, q in [(1, 0), (4, 2), (5, 0)]:
@@ -252,7 +287,7 @@ def test_puccd_builds_no_link_plan(h6):
     paired_energy_and_gradient(space, problem.ex_ops, problem.init_guess,
                                problem.param_ids, h6)
     assert "link" not in space._action_cache
-    assert set(space._action_cache) == {"occ"} | {
+    assert set(space._action_cache) == {"occ", "pair-diag"} | {
         ("hop", p, q) for p in range(h6.n_orb) for q in range(p)}
 
 

@@ -241,6 +241,40 @@ def test_vqe_puccd_saves_its_full_space_state(capsys, tmp_path):
     assert abs(json.loads(out)["loaded_energy"] - e_puccd) <= 1e-10
 
 
+@pytest.mark.parametrize("command, optimiser", [("vqe", "kernel"),
+                                                ("adapt", "adapt_vqe")])
+def test_save_state_past_the_size_limit_runs_nothing(capsys, monkeypatch,
+                                                     tmp_path, command,
+                                                     optimiser):
+    import vqchem.cli as cli
+    from vqchem import civector
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the optimiser ran")
+
+    monkeypatch.setattr(cli, optimiser, refuse)
+    monkeypatch.setattr(civector, "_ITERATIVE_LIMIT", 35)  # h4 has 36
+    state = tmp_path / "h4.civec"
+    code, out, err = run(capsys, command, "--fcidump", "h4_sto3g",
+                         "--save-state", str(state))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("SizeLimit:")
+    assert not state.exists()
+
+
+def test_vqe_puccd_h16_save_state_is_refused_up_front(capsys, monkeypatch,
+                                                      tmp_path, h16_fcidump):
+    import vqchem.cli as cli
+
+    monkeypatch.setattr(cli, "kernel", None)  # never reached
+    code, _, err = run(capsys, "vqe", "--ansatz", "puccd", "--fcidump",
+                       str(h16_fcidump), "--save-state",
+                       str(tmp_path / "h16.civec"))
+    assert code == 1
+    assert err.startswith("SizeLimit: CI dimension 165636900")
+
+
 def test_vqe_puccd_h16_solves_no_fci(capsys, tmp_path, h16_fcidump):
     # 165,636,900 determinants: the FCI reference is skipped, and nothing
     # else solves it (the iterative solver would refuse the size)

@@ -36,7 +36,7 @@ from vqchem import (
     trajectory_to_csv,
 )
 from vqchem import dynamics
-from oracles import vha_state_and_jacobian
+from oracles import mclachlan_thetadot, vha_state_and_jacobian
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -378,17 +378,113 @@ def test_eom_assembly_and_regularized_solve():
     theta = rng.uniform(-0.5, 0.5, size=ansatz.n_params)
     psi = ansatz_state(ansatz, theta)
     jac = ansatz_jacobian(ansatz, theta)
-    sys = assemble_eom(jac, psi, enc.qubit_terms.to_dense_matrix())
+    h_dense = enc.qubit_terms.to_dense_matrix()
+    sys = assemble_eom(jac, psi, h_dense)
+    assert np.shares_memory(sys.w, jac)  # the sweep's rows, not a copy
     np.testing.assert_allclose(sys.M, sys.M.T, atol=1e-12)
     assert np.min(np.linalg.eigvalsh(sys.M)) > -1e-12  # positive semidefinite
+    np.testing.assert_allclose(sys.M, (jac.conj().T @ jac).real, atol=1e-12)
+    np.testing.assert_allclose(sys.V, (jac.conj().T @ (h_dense @ psi)).imag,
+                               atol=1e-12)
 
-    # on a well-conditioned synthetic system the softened inverse is exact
+    # on a well-conditioned synthetic system the softened inverse is exact:
+    # M = a a^T + 5 I from the factor [a, sqrt(5) I], solved on M's side
     a = rng.normal(size=(5, 5))
-    m = a @ a.T + 5.0 * np.eye(5)
-    v = rng.normal(size=5)
-    sys2 = type(sys)(M=m, V=v, epsilon_reg=1e-8)
+    w = np.hstack([a, math.sqrt(5.0) * np.eye(5)])
+    b = rng.normal(size=10)
+    m, v = a @ a.T + 5.0 * np.eye(5), w @ b
+    sys2 = type(sys)(w=w, b=b, epsilon_reg=1e-8)
+    np.testing.assert_allclose(sys2.M, m, atol=1e-12)
     np.testing.assert_allclose(solve_thetadot(sys2), np.linalg.solve(m, v),
                                atol=1e-7)
+    # more parameters than factor columns: the Gram side gives the
+    # least-norm solution of the singular M theta_dot = V
+    w = rng.normal(size=(8, 5))
+    sys3 = type(sys)(w=w, b=b[:5], epsilon_reg=1e-8)
+    want = np.linalg.lstsq(w.T, b[:5], rcond=None)[0]
+    np.testing.assert_allclose(solve_thetadot(sys3), want, atol=1e-7)
+    np.testing.assert_allclose(sys3.M @ want, sys3.V, atol=1e-10)
+
+
+def eom_case(terms, basis, initial):
+    """The command line's default VHA (gray code, three layers) and its
+    dense Hamiltonian."""
+    enc = qubit_encode(terms, basis, "gray")
+    ansatz = build_vha(enc, n_layers=3, initial_state=encode_state(enc,
+                                                                    initial))
+    return ansatz, enc.qubit_terms.to_dense_matrix()
+
+
+def spin_boson_eom(nbas):
+    terms, basis = spin_boson_model(0.0, 1.0, 1.0, 0.5, nbas)
+    return eom_case(terms, basis,
+                    np.kron([1.0, 0.0], coherent_state(0.0, nbas)))
+
+
+EOM_CASES = {
+    # n_params against 2 dim: 48 > 32 and 111 > 64 diagonalize w^T w,
+    # Marcus's 168 < 256 diagonalizes M
+    "spin-boson-gray-8": (lambda: spin_boson_eom(8), True),
+    "spin-boson-gray-16": (lambda: spin_boson_eom(16), True),
+    "marcus-gray": (lambda: eom_case(*marcus_model(-0.1, -1.0, 0.5, 1.0, 8)),
+                    False),
+}
+
+
+def eom_points(ansatz):
+    rng = np.random.default_rng(29)
+    yield np.zeros(ansatz.n_params)
+    for scale in (0.3, 3.0):
+        yield rng.uniform(-scale, scale, size=ansatz.n_params)
+
+
+@pytest.mark.parametrize("case", sorted(EOM_CASES))
+def test_solve_thetadot_matches_m_side_oracle(case):
+    build, gram_side = EOM_CASES[case]
+    ansatz, h_dense = build()
+    assert (ansatz.n_params > 2 * ansatz.dim) == gram_side
+    for theta in eom_points(ansatz):
+        psi, jac = dynamics._state_and_jacobian(ansatz, theta, True)
+        got = solve_thetadot(assemble_eom(jac, psi, h_dense, 1e-5))
+        want = mclachlan_thetadot(jac, psi, h_dense, 1e-5)
+        assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
+        assert np.max(np.abs(jac @ (got - want))) <= 1e-11
+
+
+@pytest.mark.parametrize("case", [k for k, (_, gram) in EOM_CASES.items()
+                                  if gram])
+def test_solve_thetadot_has_no_null_space_component(case):
+    """theta_dot = w f(w^T w) b lies in the span of w's columns.  M's
+    side has no such structure: there the rounding in M's zero eigenvalues,
+    divided by eps, leaves a null(J) part (1.7e-9 relative for Marcus at
+    theta = 0, as in the oracle)."""
+    ansatz, h_dense = EOM_CASES[case][0]()
+    for theta in eom_points(ansatz):
+        psi, jac = dynamics._state_and_jacobian(ansatz, theta, True)
+        sys = assemble_eom(jac, psi, h_dense)
+        got = solve_thetadot(sys)
+        # null(J) for real theta_dot is null(w^T): the left singular
+        # vectors of w past its numerical rank
+        u, sv, _ = np.linalg.svd(sys.w)
+        null = u[:, int(np.sum(sv > 1e-10 * sv[0])):]
+        # 1e-12: the M-side solve leaves 1.7e-10 to 7.2e-10 here
+        assert np.linalg.norm(null.T @ got) <= 1e-12 * np.linalg.norm(got)
+
+
+def test_trajectory_matches_m_side_oracle(monkeypatch):
+    terms, basis = spin_boson_model(0.0, 1.0, 1.0, 0.5, 8)
+    ansatz = spin_boson_eom(8)[0]
+    enc = qubit_encode(terms, basis, "gray")
+    args = (enc, ansatz, np.zeros(ansatz.n_params), 50 * 0.02, 0.02)
+    obs = {"sz": spin_z_observable(basis)}
+    new = time_evolve(*args, observables=obs)
+    monkeypatch.setattr(dynamics, "assemble_eom",
+                        lambda jac, psi, h, eps: (jac, psi, h, eps))
+    monkeypatch.setattr(dynamics, "solve_thetadot",
+                        lambda sys: mclachlan_thetadot(*sys))
+    old = time_evolve(*args, observables=obs)
+    assert new.times.size == 51
+    assert np.max(np.abs(new.observable("sz") - old.observable("sz"))) <= 1e-9
 
 
 def test_time_evolve_validation():
