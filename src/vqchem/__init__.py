@@ -76,6 +76,7 @@ from .civector import (
     apply_ucc_factor,
     ci_space_dim,
     civector_to_statevector,
+    doci_ground_state,
     energy,
     energy_and_gradient,
     fci_ground_state,

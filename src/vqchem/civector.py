@@ -28,8 +28,8 @@ compiles, and these caches only ever append:
 * the sigma plan (``"link"``, :class:`_SigmaPlan`): the single-replacement
   link table of its strings, compiled once into dense gather arrays and,
   per block size, each block's scatter matrix.  It holds 0.12 MB for H8,
-  0.66 MB for H10 and 3.6 MB for H12, and serves the direct-CI sigma, the
-  dense Hamiltonian and the density matrices;
+  0.66 MB for H10 and 3.6 MB for H12, and serves the direct-CI sigma and
+  the density matrices;
 * the occupation matrix (``"occ"``, :func:`_occupations`) of the strings,
   which the diagonal and the density matrices read;
 * one hop table per orbital pair (``("hop", p, q)``, p > q,
@@ -47,17 +47,17 @@ default blocks at most ``2 * max(4 MB, 8 * n_pair * n_strings_beta)``
 bytes, for ``n_pair = n_orb (n_orb + 1) / 2``.  The sigma has a symmetric
 mode for vectors with C = C^T over (alpha string, beta string), which works
 on the lower triangle only; UCC states are not symmetric and take the
-general mode.  Spaces small enough for a dense eigensolver build their
-matrix from the same link table in one pass.
+general mode.
 
+Both ground states come from one Davidson iteration (:func:`_davidson`),
+which works in whatever coordinates its caller applies H in.
 :func:`fci_ground_state` returns the lowest state with C = C^T, the
-even-spin (S = 0, 2, ...) ground state: its Davidson iteration stays in that
-subspace and applies H by the symmetric sigma, and the dense path
-diagonalises H in the same subspace.  The Davidson stores every vector as a
-packed lower triangle (:class:`_Triangle`), n (n + 1) / 2 entries for n
-strings per spin, so its basis and sigmas take 2 * max_subspace * n (n +
-1) / 2 * 8 bytes: 15 MB for H10 and 205 MB for H12 with the default 30
-vectors.
+even-spin (S = 0, 2, ...) ground state, at every size: the iteration runs on
+packed lower triangles (:class:`_Triangle`), n (n + 1) / 2 coordinates for
+n strings per spin, and applies H by the symmetric sigma, so its basis and
+sigmas take 2 * max_subspace * n (n + 1) / 2 * 8 bytes: 15 MB for H10 and
+205 MB for H12 with the default 30 vectors.  :func:`doci_ground_state`
+runs it on the pair configurations with the pair sigma.
 """
 
 from __future__ import annotations
@@ -86,8 +86,6 @@ from .errors import (
 )
 from .integrals import IntegralSet
 
-_DENSE_DIRECT_LIMIT = 400
-_DENSE_FALLBACK_LIMIT = 4000
 _ITERATIVE_LIMIT = 1_000_000
 
 
@@ -761,36 +759,8 @@ def make_rdm2(space: CISpace, v) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# FCI ground state
+# Ground states: FCI on the determinants, DOCI on the pair configurations
 # ---------------------------------------------------------------------------
-
-def _dense_hamiltonian(space: CISpace, s: IntegralSet) -> np.ndarray:
-    """The matrix of H on the space, built in one pass from the link table.
-
-    With L_P the string matrix of E+_P, E+_P = L_P x 1 + 1 x L_P on the
-    (alpha, beta) product, so H - e_core = sum_PR V[P, R] E+_P E+_R is
-    W x 1 + 1 x W + sum_PR (V + V^T)[P, R] L_P x L_R with W = sum_PR V[P, R]
-    L_P L_R.
-    """
-    plan = _sigma_plan(space)
-    v = _pair_integrals(space, s)
-    n_pair = v.shape[0]
-    n = space.n_strings_alpha
-    links = np.zeros((n_pair, n, n))
-    links[np.arange(n_pair), plan.target, np.arange(n)[:, None]] = plan.sign
-    w = np.tensordot(links, np.tensordot(v, links, axes=1),
-                     axes=([0, 2], [0, 1]))
-    flat = links.reshape(n_pair, n * n)
-    cross = flat.T @ ((v + v.T) @ flat)  # [(a', a), (b', b)]
-    mat = cross.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(
-        space.dim, space.dim)
-    blocks = mat.reshape(n, n, n, n)
-    diag = np.arange(n)
-    blocks[:, diag, :, diag] += w
-    blocks[diag, :, diag, :] += w
-    mat[np.diag_indices(space.dim)] += s.e_core
-    return mat
-
 
 class _Triangle:
     """Packed storage of vectors with C = C^T over (alpha string, beta
@@ -809,9 +779,9 @@ class _Triangle:
         self.dim = n * n
 
     def pack(self, y: np.ndarray) -> np.ndarray:
-        """U^T y along the last axis, for U the basis as columns: the
-        coordinates of (Y + Y^T) / 2, which are those of Y if Y = Y^T."""
-        return (y[..., self.lower] + y[..., self.upper]) / (2.0 * self.scale)
+        """U^T y, for U the basis as columns: the coordinates of (Y + Y^T)
+        / 2, which are those of Y if Y = Y^T."""
+        return (y[self.lower] + y[self.upper]) / (2.0 * self.scale)
 
     def unpack(self, x: np.ndarray, out: np.ndarray | None = None
                ) -> np.ndarray:
@@ -825,48 +795,28 @@ class _Triangle:
         return out
 
 
-def _dense_ground_state(space: CISpace, s: IntegralSet):
-    """Lowest alpha <-> beta-even eigenpair of the dense H: H is
-    diagonalised in the orthonormal symmetric basis of :class:`_Triangle`,
-    the same root the symmetric Davidson finds."""
-    tri = _Triangle(space.n_strings_alpha)
-    h_u = tri.pack(_dense_hamiltonian(space, s))  # H U, as H = H^T
-    vals, vecs = np.linalg.eigh(tri.pack(h_u.T))  # U^T H U
-    return float(vals[0]), tri.unpack(vecs[:, 0])
+def _davidson(apply, diag: np.ndarray, start: int, tol: float = 1e-8,
+              max_iter: int = 200, max_subspace: int = 30):
+    """Lowest eigenpair of a real symmetric H by Davidson's method (J.
+    Comput. Phys. 17, 87 (1975)) with the diagonal preconditioner, in the
+    caller's coordinates: ``apply(x)`` is H x, ``diag`` is H's diagonal and
+    the iteration starts from the unit vector at coordinate ``start``.
 
-
-def _davidson_ground_state(space: CISpace, s: IntegralSet,
-                           tol: float = 1e-8, max_iter: int = 200,
-                           max_subspace: int = 30):
-    """Lowest eigenpair of H in the alpha <-> beta-symmetric subspace C = C^T
-    by Davidson's method with the diagonal preconditioner.
-
-    Every vector of the iteration (basis, sigmas, diagonal, residual, Ritz
-    vector and its H image) is stored packed as a :class:`_Triangle`, an
-    isometry, so the projected matrix, the correction and the stopping rule
-    are those of the full vectors.  H is the symmetric sigma, applied to one
-    full buffer reused by every apply and packed back.  The basis and its
-    sigmas live in two preallocated (max_subspace, n (n + 1) / 2) arrays
-    for n strings per spin, 2 * max_subspace * n (n + 1) / 2 * 8 bytes (15
-    MB for H10, 205 MB for H12), and the projected matrix grows by one row
-    per new vector.  When the basis is full it restarts on the Ritz vector,
-    keeping its H image; every H application is spent on a new basis vector.
-    Returns the energy and the full normalised ground state.
+    The basis and its sigmas live in two preallocated (max_subspace,
+    diag.size) arrays, and the projected matrix grows by one row per new
+    vector.  When the basis is full it restarts on the Ritz vector, keeping
+    its H image; every H application is spent on a new basis vector.
+    Returns the energy and the normalised Ritz vector; SolverFailed if the
+    residual norm is not below ``tol`` after ``max_iter`` applications.
     """
-    tri = _Triangle(space.n_strings_alpha)
-    diag = hamiltonian_diagonal(space, s)
-    first = int(np.argmin(diag))  # the start determinant, as a full index
-    diag = diag[tri.lower]
-    buf = np.empty(tri.dim)  # the full vector H is applied to
-    basis = np.empty((max_subspace, tri.size))
-    sigmas = np.empty((max_subspace, tri.size))
+    basis = np.empty((max_subspace, diag.size))
+    sigmas = np.empty((max_subspace, diag.size))
     small = np.empty((max_subspace, max_subspace))
     basis[0] = 0.0
-    basis[0, np.flatnonzero((tri.lower == first) | (tri.upper == first))] = 1.0
+    basis[0, start] = 1.0
     k = 0
     for _ in range(max_iter):
-        sigmas[k] = tri.pack(_sigma(space, s, tri.unpack(basis[k], buf),
-                                    symmetric=True))
+        sigmas[k] = apply(basis[k])
         small[k, :k + 1] = small[:k + 1, k] = sigmas[:k + 1] @ basis[k]
         k += 1
         vals, vecs = np.linalg.eigh(small[:k, :k])
@@ -876,7 +826,7 @@ def _davidson_ground_state(space: CISpace, s: IntegralSet,
         h_ritz = coeff @ sigmas[:k]
         residual = h_ritz - theta * ritz
         if np.linalg.norm(residual) < tol:
-            return theta, tri.unpack(ritz / np.linalg.norm(ritz))
+            return theta, ritz / np.linalg.norm(ritz)
         if k == max_subspace:  # restart on the Ritz vector and its H image
             nrm = np.linalg.norm(ritz)
             basis[0] = ritz / nrm
@@ -889,11 +839,37 @@ def _davidson_ground_state(space: CISpace, s: IntegralSet,
         new = _orthogonalize(residual, basis[:k])
         if new is None:
             rng = np.random.default_rng(k)
-            new = _orthogonalize(rng.standard_normal(tri.size), basis[:k])
+            new = _orthogonalize(rng.standard_normal(diag.size), basis[:k])
         basis[k] = new
     raise SolverFailed(
         f"Davidson iteration did not reach residual {tol} in {max_iter} steps"
     )
+
+
+def _davidson_ground_state(space: CISpace, s: IntegralSet,
+                           tol: float = 1e-8, max_iter: int = 200,
+                           max_subspace: int = 30):
+    """Lowest eigenpair of H in the alpha <-> beta-symmetric subspace C = C^T:
+    :func:`_davidson` on the coordinates of a :class:`_Triangle`, an
+    isometry, so the projected matrix, the correction and the stopping rule
+    are those of the full vectors.  H is the symmetric sigma, applied to one
+    full buffer reused by every apply and packed back.  The start is the
+    determinant of lowest diagonal energy.  The basis and sigmas take 2 *
+    max_subspace * n (n + 1) / 2 * 8 bytes for n strings per spin (15 MB for
+    H10, 205 MB for H12).  Returns the energy and the full normalised
+    ground state.
+    """
+    tri = _Triangle(space.n_strings_alpha)
+    diag = hamiltonian_diagonal(space, s)
+    first = int(np.argmin(diag))  # the start determinant, as a full index
+    start = int(np.flatnonzero((tri.lower == first)
+                               | (tri.upper == first))[0])
+    buf = np.empty(tri.dim)  # the full vector H is applied to
+    e, x = _davidson(
+        lambda x: tri.pack(_sigma(space, s, tri.unpack(x, buf),
+                                  symmetric=True)),
+        diag[tri.lower], start, tol, max_iter, max_subspace)
+    return e, tri.unpack(x)
 
 
 def _orthogonalize(x: np.ndarray, basis: np.ndarray):
@@ -914,22 +890,26 @@ def fci_ground_state(space: CISpace, s: IntegralSet):
     space: the ground state among vectors with C = C^T over (alpha string,
     beta string), which holds the even-spin states (S = 0, 2, ...), as
     PySCF's ``fci.direct_spin0`` finds it.  An odd-S state (a triplet)
-    below it is not returned.  Spaces up to ``_DENSE_DIRECT_LIMIT``
-    determinants are diagonalised densely, larger ones by the symmetric
-    Davidson (with a dense fallback up to ``_DENSE_FALLBACK_LIMIT``); both
-    return the same root."""
-    dim = check_vector_dim(space.n_orb, space.n_elec)
-    if dim <= _DENSE_DIRECT_LIMIT:
-        e, vec = _dense_ground_state(space, s)
-        return e, CIVector(space, vec)
-    try:
-        e, vec = _davidson_ground_state(space, s)
-    except SolverFailed:
-        if dim <= _DENSE_FALLBACK_LIMIT:
-            e, vec = _dense_ground_state(space, s)
-        else:
-            raise
+    below it is not returned.  Every size takes the packed symmetric
+    Davidson (:func:`_davidson_ground_state`); a space past
+    ``_ITERATIVE_LIMIT`` determinants raises SizeLimit."""
+    check_vector_dim(space.n_orb, space.n_elec)
+    e, vec = _davidson_ground_state(space, s)
     return e, CIVector(space, vec)
+
+
+def doci_ground_state(space: CISpace, s: IntegralSet):
+    """Lowest eigenpair of H among the seniority-zero determinants, those
+    whose alpha and beta strings coincide: doubly occupied configuration
+    interaction (DOCI; Weinhold and Wilson, J. Chem. Phys. 46, 2752
+    (1967)).  :func:`_davidson` runs on the space's alpha strings as pair
+    configurations, applies :func:`_pair_sigma` and starts from the
+    configuration of lowest diagonal energy.  DOCI bounds pUCCD from below
+    and FCI from above.  Returns the energy and the normalised amplitudes
+    over ``space.alpha_strings``."""
+    diag = _pair_diagonal(space, s)
+    return _davidson(lambda c: _pair_sigma(space, s, c), diag,
+                     int(np.argmin(diag)))
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,7 @@ from .integrals import (
 from .operators import QubitOperator, jordan_wigner, parity_transform
 from .civector import (
     check_vector_dim,
+    doci_ground_state,
     energy as ci_energy,
     fci_ground_state,
     load_civector,
@@ -319,15 +320,23 @@ def _hea_init_params(circuit, bitstring: str) -> np.ndarray:
     return init
 
 
-def _fci_reference(s: IntegralSet, st: _Settings,
-                   limit: int = 200_000) -> float | None:
+_REFERENCE_LIMIT = 200_000  # the largest reference solved by default
+
+
+def _reference(st: _Settings, dim: int, solve) -> float | None:
+    """The energy of ``solve()``, a ground-state solver's result on ``dim``
+    configurations; None on ``--no-fci-reference`` and, unless the flag
+    forces it, past ``_REFERENCE_LIMIT``.  Runners call this before any
+    optimisation, so a forced reference the solver refuses costs none."""
     want = st.get_bool("fci_reference", None)
-    if want is False:
+    if want is False or (want is None and dim > _REFERENCE_LIMIT):
         return None
+    return solve()[0]
+
+
+def _fci_reference(s: IntegralSet, st: _Settings) -> float | None:
     space = make_ci_space(s.n_orb, s.n_elec)
-    if want is None and space.dim > limit:
-        return None
-    return fci_ground_state(space, s)[0]
+    return _reference(st, space.dim, lambda: fci_ground_state(space, s))
 
 
 def _build_problem(st: _Settings, s: IntegralSet):
@@ -354,8 +363,9 @@ def _build_problem(st: _Settings, s: IntegralSet):
     raise _UsageError(f"unknown ansatz {ansatz!r}")
 
 
-def _vqe_payload(problem, result, fci: float | None) -> dict:
-    payload = result_to_json(problem, result, fci=fci)
+def _vqe_payload(problem, result, fci: float | None,
+                 doci: float | None) -> dict:
+    payload = result_to_json(problem, result, fci=fci, doci=doci)
     payload.pop("wall_time_s", None)  # keep artifacts byte-reproducible
     return payload
 
@@ -407,9 +417,14 @@ def _run_vqe(st: _Settings) -> int:
     s = _resolve_integrals(st)
     state_path = _state_path(st, s)
     problem, label = _build_problem(st, s)
+    fci = _fci_reference(s, st)
+    doci = None
+    if problem.hard_core_boson:  # DOCI bounds a pair ansatz from below
+        space = make_ci_space(s.n_orb, s.n_elec)
+        doci = _reference(st, space.n_strings_alpha,
+                          lambda: doci_ground_state(space, s))
     maxiter = st.get_int("maxiter")
     result = kernel(problem, maxiter=maxiter) if maxiter else kernel(problem)
-    fci = _fci_reference(s, st)
     report = print_summary(problem, result, fci_reference=fci,
                            method_label=label, stream=_human_stream(st))
     if state_path:
@@ -419,7 +434,7 @@ def _run_vqe(st: _Settings) -> int:
         save_ansatz(ansatz_out, problem)
     e_hf = hf_energy(s)
     return _finish(
-        st, _vqe_payload(problem, result, fci),
+        st, _vqe_payload(problem, result, fci, doci),
         ["hf", "mp2", "ucc", "fci"],
         [[e_hf, e_hf + mp2(s).e_corr, float(result.e),
           fci if fci is not None else float("nan")]],
@@ -433,9 +448,9 @@ def _run_adapt(st: _Settings) -> int:
     pool = build_operator_pool(s.n_orb, s.n_elec)
     epsilon = st.get_float("epsilon", 1e-3)
     max_iter = st.get_int("max_iter", 50)
+    fci = _fci_reference(s, st)
     grown = adapt_vqe(s, pool, epsilon, max_iter=max_iter)
     problem, trajectory = grown.problem, grown.trajectory
-    fci = _fci_reference(s, st)
     lines = [f"adaptive growth: {len(trajectory) - 1} iterations, "
              f"{len(problem.ex_ops)} excitations, "
              f"{problem.init_guess.size} parameters"]
@@ -920,9 +935,9 @@ def _sweep_files(st: _Settings) -> tuple[list[str], list[list]]:
         sub.args.update(fcidump=name)
         s = _resolve_integrals(sub)
         problem, _ = _build_problem(sub, s)
+        fci = _fci_reference(s, sub)
         result = kernel(problem)
         e_hf = hf_energy(s)
-        fci = _fci_reference(s, sub)
         rows.append([
             Path(name).name, e_hf, e_hf + mp2(s).e_corr, float(result.e),
             fci if fci is not None else float("nan"),
@@ -980,7 +995,9 @@ def _add_molecular(sub: argparse.ArgumentParser) -> None:
                      help="restrict to 'n_elec,n_orb' around the Fermi level")
     sub.add_argument("--fci-reference", dest="fci_reference",
                      action=argparse.BooleanOptionalAction, default=None,
-                     help="force/skip the exact reference energy")
+                     help="force/skip the exact reference energies: FCI, "
+                          "and DOCI for pUCCD (by default skipped past "
+                          f"{_REFERENCE_LIMIT:,} configurations)")
 
 
 def _add_ansatz(sub: argparse.ArgumentParser) -> None:

@@ -341,7 +341,6 @@ def print_summary(problem: UCCProblem, result: OptResult,
         "FCI": None if e_fci is None else row(e_fci),
     }
     excitations = []
-    seen_pid = set()
     for ex, pid in zip(problem.ex_ops, problem.param_ids):
         excitations.append({
             "excitation": ex,
@@ -349,7 +348,6 @@ def print_summary(problem: UCCProblem, result: OptResult,
             "parameter": float(result.x[pid]) if result.x.size else 0.0,
             "init_guess": float(problem.init_guess[pid]),
         })
-        seen_pid.add(pid)
     ansatz = {
         "n_qubits": problem.n_qubits,
         "n_params": problem.n_params,
@@ -412,18 +410,18 @@ def print_summary(problem: UCCProblem, result: OptResult,
 
 
 def result_to_json(problem: UCCProblem, result: OptResult,
-                   fci: float | None = None) -> dict:
-    """The JSON payload written by the command-line tools."""
+                   fci: float | None = None,
+                   doci: float | None = None) -> dict:
+    """The JSON payload written by the command-line tools; a pair
+    (hard-core-boson) problem also reports its DOCI energy."""
     s = problem.integrals
     e_hf = hf_energy(s)
     e_mp2 = e_hf + mp2(s).e_corr
+    energies = {"hf": e_hf, "mp2": e_mp2, "ucc": result.e, "fci": fci}
+    if problem.hard_core_boson:
+        energies["doci"] = doci
     return {
-        "energies": {
-            "hf": e_hf,
-            "mp2": e_mp2,
-            "ucc": result.e,
-            "fci": fci,
-        },
+        "energies": energies,
         "params": result.x.tolist(),
         "ex_ops": [list(ex) for ex in problem.ex_ops],
         "param_ids": list(problem.param_ids),

@@ -15,6 +15,7 @@ from vqchem import (
     apply_hamiltonian,
     build_operator_pool,
     build_puccd_hamiltonian,
+    doci_ground_state,
     energy,
     energy_at,
     fci_ground_state,
@@ -355,6 +356,32 @@ def test_puccd_reaches_pair_restricted_ground_state(h4):
     # pair restriction loses correlation against the full treatment
     e_fci, _ = fci_ground_state(make_ci_space(4, 4), h4)
     assert doci > e_fci
+
+
+@pytest.mark.parametrize("case", ["h4", "h6", "h8"])
+def test_doci_matches_the_pair_hamiltonian_oracle(case, request):
+    s = request.getfixturevalue(case)
+    space = make_ci_space(s.n_orb, s.n_elec)
+    mat = pair_hamiltonian_matrix(s)
+    e, c = doci_ground_state(space, s)
+    assert abs(e - np.linalg.eigvalsh(mat)[0]) <= 1e-10
+    if case == "h4":
+        assert abs(e - H4_DOCI_GROUND) <= 1e-10
+    assert abs(np.linalg.norm(c) - 1.0) < 1e-12
+    assert np.linalg.norm(mat @ c - e * c) < 1e-7
+
+
+@pytest.mark.parametrize("case", ["h2", "h4", "h6", "h8"])
+def test_puccd_doci_fci_ordering(case, request):
+    from vqchem.vqe import kernel
+
+    s = request.getfixturevalue(case)
+    space = make_ci_space(s.n_orb, s.n_elec)
+    e_puccd = kernel(make_puccd_problem(s)).e
+    e_doci, _ = doci_ground_state(space, s)
+    e_fci, _ = fci_ground_state(space, s)
+    assert e_puccd >= e_doci - 1e-10
+    assert e_doci >= e_fci - 1e-10
 
 
 def test_problem_statevector_matches_civector(h4):

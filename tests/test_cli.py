@@ -241,11 +241,17 @@ def test_vqe_puccd_saves_its_full_space_state(capsys, tmp_path):
     assert abs(json.loads(out)["loaded_energy"] - e_puccd) <= 1e-10
 
 
-@pytest.mark.parametrize("command, optimiser", [("vqe", "kernel"),
-                                                ("adapt", "adapt_vqe")])
+@pytest.mark.parametrize("command, optimiser, flag", [
+    pytest.param("vqe", "kernel", "--save-state", id="vqe-kernel"),
+    pytest.param("adapt", "adapt_vqe", "--save-state", id="adapt-adapt_vqe"),
+    pytest.param("vqe", "kernel", "--fci-reference",
+                 id="vqe-kernel-fci-reference"),
+    pytest.param("adapt", "adapt_vqe", "--fci-reference",
+                 id="adapt-adapt_vqe-fci-reference"),
+])
 def test_save_state_past_the_size_limit_runs_nothing(capsys, monkeypatch,
                                                      tmp_path, command,
-                                                     optimiser):
+                                                     optimiser, flag):
     import vqchem.cli as cli
     from vqchem import civector
 
@@ -255,12 +261,32 @@ def test_save_state_past_the_size_limit_runs_nothing(capsys, monkeypatch,
     monkeypatch.setattr(cli, optimiser, refuse)
     monkeypatch.setattr(civector, "_ITERATIVE_LIMIT", 35)  # h4 has 36
     state = tmp_path / "h4.civec"
-    code, out, err = run(capsys, command, "--fcidump", "h4_sto3g",
-                         "--save-state", str(state))
+    argv = [command, "--fcidump", "h4_sto3g", flag]
+    if flag == "--save-state":
+        argv.append(str(state))
+    code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
     assert err.startswith("SizeLimit:")
     assert not state.exists()
+
+
+def test_vqe_puccd_reports_doci(capsys):
+    code, out, _ = run(capsys, "vqe", "--fcidump", "h4_sto3g",
+                       "--ansatz", "puccd", "--format", "json")
+    assert code == 0
+    energies = json.loads(out)["energies"]
+    assert abs(energies["doci"] - H4_DOCI_GROUND) < 1e-10
+    assert energies["fci"] <= energies["doci"] <= energies["ucc"]
+    code, out, _ = run(capsys, "vqe", "--fcidump", "h4_sto3g",
+                       "--ansatz", "puccd", "--no-fci-reference",
+                       "--format", "json")
+    assert code == 0
+    energies = json.loads(out)["energies"]
+    assert energies["doci"] is None and energies["fci"] is None
+    code, out, _ = run(capsys, "vqe", "--fcidump", "h4_sto3g",
+                       "--format", "json")
+    assert code == 0 and "doci" not in json.loads(out)["energies"]
 
 
 def test_vqe_puccd_h16_save_state_is_refused_up_front(capsys, monkeypatch,
@@ -277,13 +303,15 @@ def test_vqe_puccd_h16_save_state_is_refused_up_front(capsys, monkeypatch,
 
 def test_vqe_puccd_h16_solves_no_fci(capsys, tmp_path, h16_fcidump):
     # 165,636,900 determinants: the FCI reference is skipped, and nothing
-    # else solves it (the iterative solver would refuse the size)
+    # else solves it (the iterative solver would refuse the size); the
+    # 12,870 pair configurations still get their DOCI reference
     out = tmp_path / "puccd.json"
     assert main(["vqe", "--ansatz", "puccd", "--fcidump", str(h16_fcidump),
                  "--output", str(out)]) == 0
     energies = json.loads(out.read_text())["energies"]
     assert energies["fci"] is None
     assert energies["ucc"] < energies["hf"]
+    assert energies["doci"] <= energies["ucc"]
     assert any(line.split() == ["FCI", "-", "-", "-"]
                for line in capsys.readouterr().out.splitlines())
 
