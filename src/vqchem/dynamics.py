@@ -43,7 +43,7 @@ from .errors import (
     NumericalBlowup,
     SizeLimit,
 )
-from .operators import _PAULI_MATS, QubitOperator, pauli_action
+from .operators import _PAULI_MATS, QubitOperator, mask_action, pauli_masks
 
 _EXACT_DIM_LIMIT = 1 << 12
 _UNARY_NBAS_LIMIT = 16
@@ -245,17 +245,18 @@ def _level_codeword(basis_entry, encoding: str, level: int, width: int) -> int:
 
 def _expand_dense_to_paulis(mat: np.ndarray, width: int) -> dict:
     """Pauli coefficients Tr(P M) / 2^width of a 2^width matrix, with
-    Tr(P M) = sum_i phase_i M[i, target_i] read off the action of P."""
-    rows = np.arange(1 << width)
-    out = {}
-    for letters in itertools.product("IXYZ", repeat=width):
-        key = tuple((q, ch) for q, ch in enumerate(letters) if ch != "I")
-        target, phase = pauli_action(width, key)
-        coeff = np.sum(phase * mat[rows, target]) / (1 << width)
-        if abs(coeff) < _COEFF_CUTOFF:
-            continue
-        out[key] = coeff
-    return out
+    Tr(P M) = sum_i phase_i M[i, target_i] read off the masks of all 4^width
+    strings at once (in chunks of about 2^20 entries)."""
+    keys = [tuple((q, ch) for q, ch in enumerate(letters) if ch != "I")
+            for letters in itertools.product("IXYZ", repeat=width)]
+    x, z = np.array([pauli_masks(width, key) for key in keys]).T
+    rows, coeffs = np.arange(1 << width), []
+    for at in np.array_split(np.arange(x.size),
+                             1 + x.size * rows.size // 2**20):
+        target, phase = mask_action(width, x[at, None], z[at, None])
+        coeffs.extend(np.sum(phase * mat[rows, target], axis=1) / (1 << width))
+    return {key: c for key, c in zip(keys, coeffs)
+            if abs(c) >= _COEFF_CUTOFF}
 
 
 def _unary_local_paulis(mat: np.ndarray, width: int) -> dict:
@@ -435,7 +436,8 @@ def _fuse_runs(n_qubits: int, paulis: list, n_params: int) -> _RotationRuns:
     starts, targets, phases = [], [], []
     signs = np.ones((dim, n_params))
     for k in range(n_params):
-        target, phase = pauli_action(n_qubits, paulis[k % len(paulis)])
+        target, phase = mask_action(
+            n_qubits, *pauli_masks(n_qubits, paulis[k % len(paulis)]))
         if starts:
             # P_k P_r |i> = ratio_i |i>; it commutes with P_r exactly when
             # the ratio agrees on both states of every flipped pair

@@ -14,9 +14,11 @@ for so that importing the package loads no ``scipy.optimize``.  The rotation
 convention is RY(theta) = exp(-i*theta*Y/2) and
 PAULI_ROT(P, theta) = exp(-i*theta*P/2), so RY is the rotation about the
 one-letter string "Y"; both are applied by
-:func:`vqchem.operators.pauli_rotation` from the string's action, without a
-rotation matrix.  X and CNOT are small matrices applied to the qubits they
-touch.
+:func:`vqchem.operators.pauli_rotation` as cos x - i sin P x, with P x a
+flip of the ``(2,) * n`` view of the state (axes reversed, slices negated),
+without a rotation matrix or an index array.  X and CNOT are flips of the
+same view, so every unitary gate has one kernel; only the noise channels
+multiply a (super)operator matrix onto the axes they touch.
 
 With this convention the parameter-shift rule
 dE/dtheta = [E(theta + pi/2) - E(theta - pi/2)] / 2
@@ -57,10 +59,6 @@ from .vqe import OptResult, _minimize_lbfgs
 
 _DENSITY_QUBIT_LIMIT = 10
 _GATE_KINDS = ("X", "RY", "CNOT", "PAULI_ROT")
-
-_CNOT = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-)
 
 
 # ---------------------------------------------------------------------------
@@ -174,15 +172,17 @@ def circuit_from_text(text: str, n_qubits: int | None = None,
                 raise ParseError(f"line {lineno}: incomplete gate")
             tail = body[-1]
             qubits = [parse_qubit(t, lineno) for t in body[:-1]]
-            if tail.startswith("slot"):
-                slot = int(tail[4:])
-            else:
-                try:
+            try:
+                if tail.startswith("slot"):
+                    slot = int(tail[4:])
+                else:
                     angle = float(tail)
-                except ValueError as exc:
-                    raise ParseError(
-                        f"line {lineno}: expected slotN or angle, got {tail!r}"
-                    ) from exc
+            except ValueError as exc:
+                raise ParseError(
+                    f"line {lineno}: expected slotN or angle, got {tail!r}"
+                ) from exc
+            if angle is not None and not math.isfinite(angle):
+                raise ParseError(f"line {lineno}: angle {tail!r} is not finite")
         else:
             raise ParseError(f"line {lineno}: unknown gate {kind!r}")
         gates.append(Gate(kind, tuple(qubits), param_slot=slot, angle=angle,
@@ -231,6 +231,8 @@ class NoiseModel:
     def __post_init__(self):
         clean = {}
         for kind, kraus in self.channels.items():
+            if kind not in _GATE_KINDS:
+                raise InvalidChannel(f"noise on unknown gate kind {kind!r}")
             clean[kind] = _validate_kraus([np.asarray(k, dtype=complex)
                                            for k in kraus])
         object.__setattr__(self, "channels", clean)
@@ -300,11 +302,21 @@ def _generator(g: Gate):
 def _apply_gate(x: np.ndarray, g: Gate, params, n: int,
                 inverse: bool = False) -> np.ndarray:
     """The gate (or its inverse) applied to a statevector, or to the rows
-    of a 2^n x m matrix.  X and CNOT are their own inverses."""
+    of a 2^n x m matrix, as a flip on their ``(2,) * n`` view: X is the
+    Pauli string "X", and CNOT copies x with the control = 1 slice replaced
+    by its target-axis flip.  X and CNOT are their own inverses."""
+    if g.kind == "X":
+        return apply_pauli(n, ((g.qubits[0], "X"),), x)
+    if g.kind == "CNOT":
+        t = x.reshape((2,) * n + x.shape[1:])
+        ones = [slice(None)] * n
+        ones[g.qubits[0]] = 1
+        flip = ones.copy()
+        flip[g.qubits[1]] = slice(None, None, -1)
+        out = t.copy(order="K")
+        out[tuple(ones)] = t[tuple(flip)]
+        return out.reshape(x.shape)
     term = _generator(g)
-    if term is None:
-        return _apply_rows(x, _PAULI_MATS["X"] if g.kind == "X" else _CNOT,
-                           g.qubits, n)
     theta = float(params[g.param_slot]) if g.param_slot is not None else g.angle
     return pauli_rotation(n, term, (-0.5 if inverse else 0.5) * theta, x)
 
@@ -348,27 +360,21 @@ def _check_circuit_params(c: Circuit, params) -> np.ndarray:
         raise InvalidParams(
             f"circuit has {c.n_params} parameters, got {params.size}"
         )
+    if not np.all(np.isfinite(params)):
+        raise InvalidParams("parameters must be finite")
     return params
 
 
 def _apply_channel_density(rho: np.ndarray, superop: np.ndarray, qubits,
                            n: int) -> np.ndarray:
-    """S on rho read as a 2n-qubit vector: ket axes ``qubits``, bra axes
-    ``n + q``."""
+    """S on rho read as a 2n-qubit tensor: the ket axes ``qubits`` and the
+    bra axes ``n + q`` move to the front, S multiplies them as one matrix,
+    and they move back.  Only channels take this matrix product; unitary
+    gates are flips (:func:`_apply_gate`)."""
     axes = tuple(qubits) + tuple(n + q for q in qubits)
-    return _apply_rows(rho.reshape(-1), superop, axes, 2 * n).reshape(rho.shape)
-
-
-def _apply_rows(mat: np.ndarray, u: np.ndarray, qubits, n: int) -> np.ndarray:
-    """Apply u to the row (ket) index of a statevector or a 2^n x m
-    matrix."""
-    k = len(qubits)
-    t = mat.reshape([2] * n + list(mat.shape[1:]))
-    t = np.moveaxis(t, qubits, range(k))
-    shape = t.shape
-    t = u @ t.reshape(2 ** k, -1)
-    t = np.moveaxis(t.reshape(shape), range(k), qubits)
-    return t.reshape(mat.shape)
+    t = np.moveaxis(rho.reshape((2,) * 2 * n), axes, range(len(axes)))
+    out = (superop @ t.reshape(superop.shape[0], -1)).reshape(t.shape)
+    return np.moveaxis(out, range(len(axes)), axes).reshape(rho.shape)
 
 
 def _apply_noise(rho: np.ndarray, g: Gate, superops: dict,

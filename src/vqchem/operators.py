@@ -20,7 +20,6 @@ P(x1, z1) P(x2, z2) = i^k P(x, z), x = x1 ^ x2, z = z1 ^ z2, k = |x1&z1| +
 
 from __future__ import annotations
 
-import functools
 import math
 from itertools import chain
 from typing import Iterable, Mapping
@@ -295,34 +294,29 @@ class QubitOperator:
         return f"QubitOperator(n_qubits={self.n_qubits}, n_terms={len(self.terms)})"
 
 
-# Each cached action holds 24 * 2^n bytes: the 1024 entries hold at most
-# 24 MB at the 10-qubit density-matrix limit.
-_PAULI_ACTION_CACHE_SIZE = 1024
-
-
-@functools.lru_cache(maxsize=_PAULI_ACTION_CACHE_SIZE)
-def pauli_action(n: int, term: PauliTerm) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`mask_action` of the Pauli string ``term`` on ``n`` qubits,
-    cached; the returned arrays are read-only."""
-    target, phase = mask_action(n, *pauli_masks(n, term))
-    target.flags.writeable = phase.flags.writeable = False
-    return target, phase
-
-
 def apply_pauli(n: int, term: PauliTerm, x: np.ndarray) -> np.ndarray:
     """P x for the Pauli string ``term`` on ``n`` qubits, where ``x`` is a
     statevector or a matrix whose rows are basis states (P acts on each
-    column)."""
-    target, phase = pauli_action(n, term)
-    out = np.empty_like(x)
-    out[target] = phase * x if x.ndim == 1 else phase[:, None] * x
-    return out
+    column).  On the ``(2,) * n`` view of the rows, P x = (-i)^{#Y} flip(x):
+    the axis of every X/Y qubit is reversed, then the index-1 slice of every
+    Y/Z axis is negated.  No index or phase arrays are formed."""
+    flip, n_y = [slice(None)] * n, 0
+    for q, letter in term:
+        if letter != "Z":
+            flip[q] = slice(None, None, -1)
+        n_y += letter == "Y"
+    out = x.reshape((2,) * n + x.shape[1:])[tuple(flip)] * _UNITS[-n_y % 4]
+    for q, letter in term:
+        if letter != "X":
+            half = out[(slice(None),) * q + (1, ...)]
+            np.negative(half, out=half)
+    return out.reshape(x.shape)
 
 
 def pauli_rotation(n: int, term: PauliTerm, angle: float,
                    x: np.ndarray) -> np.ndarray:
     """exp(-i angle P) x = cos(angle) x - i sin(angle) P x (using P^2 = I),
-    with ``x`` a statevector or a matrix of columns as in
+    with ``x`` a statevector or a matrix of columns and P x the flip of
     :func:`apply_pauli`.  No matrix of the rotation is formed."""
     return (math.cos(angle) * x
             - 1.0j * math.sin(angle) * apply_pauli(n, term, x))

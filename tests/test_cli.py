@@ -390,6 +390,17 @@ def test_noisy_mini_language(capsys):
     assert "channel" in err
 
 
+def test_noisy_misspelt_gate_is_an_error(capsys):
+    """A channel bound to "cnot" would never be applied; the run exits 1
+    and names the error instead of printing the noiseless energy."""
+    code, out, err = run(
+        capsys, "noisy", "--fcidump", "h2_sto3g", "--layers", "1",
+        "--noise", '{gate="cnot", p=0.2}')
+    assert code == 1
+    assert "InvalidChannel" in err and "'cnot'" in err
+    assert "E =" not in out
+
+
 def test_noisy_shots_seeded(capsys):
     args = ("noisy", "--fcidump", "h2_sto3g", "--layers", "1", "--p", "0.02",
             "--shots", "128", "--seed", "9", "--format", "json")

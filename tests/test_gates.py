@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vqchem import (
     Circuit,
@@ -37,7 +39,11 @@ from vqchem import (
     simulate_state,
     statevector_at,
 )
-from vqchem.gates import _apply_channel_density, _energy_and_gradient
+from vqchem.gates import (
+    _apply_channel_density,
+    _apply_gate,
+    _energy_and_gradient,
+)
 import oracles
 from oracles import PAULI_1Q, dense_qubit_operator, embed_unitary
 
@@ -239,6 +245,64 @@ def test_param_count_checked():
         simulate_state(c, [0.1])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_params_are_refused(bad):
+    c = build_ry_ansatz(2, 1)
+    params = np.zeros(c.n_params)
+    params[1] = bad
+    with pytest.raises(InvalidParams, match="finite"):
+        simulate_state(c, params)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_x_and_cnot_flips_match_embedded_unitaries(n, data):
+    """X and CNOT, applied as flips of the (2,) * n view, equal the
+    embedded 2x2 and 4x4 matrices bit for bit on statevectors, row matrices
+    and transposed views, with the CNOT control above and below the
+    target."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    dim = 1 << n
+    inputs = (rng.normal(size=dim) + 1j * rng.normal(size=dim),
+              rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3)),
+              (rng.normal(size=(dim, dim))
+               + 1j * rng.normal(size=(dim, dim))).T)
+    cnot = np.eye(4)[[0, 1, 3, 2]]
+    gates_ = [(Gate("X", (q,)), embed_unitary(PAULI_1Q["X"], (q,), n))
+              for q in range(n)]
+    gates_ += [(Gate("CNOT", (c, t)), embed_unitary(cnot, (c, t), n))
+               for c in range(n) for t in range(n) if c != t]
+    for gate, u in gates_:
+        for x in inputs:
+            got = _apply_gate(x, gate, [], n)
+            assert got.shape == x.shape
+            np.testing.assert_array_equal(got, u @ x)
+
+
+def test_gates_keep_no_memory():
+    """Simulating a circuit leaves nothing behind: after 40 distinct Pauli
+    rotations on 12 qubits, tracemalloc's current size is back near its
+    baseline (a cached action per string would keep 24 * 4096 B each)."""
+    import tracemalloc
+
+    rng = np.random.default_rng(3)
+    n, strings = 12, set()
+    while len(strings) < 40:
+        strings.add("".join(rng.choice(list("XYZ"), size=n)))
+    c = Circuit(n, [Gate("PAULI_ROT", tuple(range(n)), angle=0.1 * k,
+                         pauli=p) for k, p in enumerate(sorted(strings))])
+    # numpy's one-time allocations, on a string the circuit does not use
+    simulate_state(Circuit(n, [Gate("RY", (0,), angle=0.1)]), None)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        psi = simulate_state(c, None)
+        kept = tracemalloc.get_traced_memory()[0] - before - psi.nbytes
+    finally:
+        tracemalloc.stop()
+    assert kept < 256 << 10, kept
+
+
 # ---------------------------------------------------------------------------
 # Noise channels
 # ---------------------------------------------------------------------------
@@ -275,6 +339,13 @@ def test_noisy_density_stays_physical():
         rho.validate()
         purity = float(np.trace(rho.matrix @ rho.matrix).real)
         assert purity <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("kind", ["cnot", "ry", "H", "PAULI"])
+def test_noise_on_unknown_gate_kind_is_refused(kind):
+    """A channel bound to a kind no gate has would never be applied."""
+    with pytest.raises(InvalidChannel, match=repr(kind)):
+        NoiseModel({kind: depolarizing_channel(0.1, 1)})
 
 
 def test_channel_arity_must_match_gate():
@@ -452,21 +523,14 @@ def test_sampled_expectation_behaviour(h2):
 def test_sampled_terms_use_masks_not_the_action_cache(h2):
     """Sampled terms read their actions off the strings' masks: each value
     equals the letter-by-letter action's, for complex, real and density
-    inputs and across chunks, and sampling does not touch pauli_action's
-    cache."""
+    inputs and across chunks."""
     from vqchem.gates import _term_expectations
-    from vqchem.operators import pauli_action
 
     h = parity_transform(build_fermion_hamiltonian(h2), h2.n_elec)
     rng = np.random.default_rng(5)
     psi = rng.normal(size=16) + 1j * rng.normal(size=16)
     psi /= np.linalg.norm(psi)
     rho = np.outer(psi, psi.conj())
-    before = pauli_action.cache_info()
-    sampled_expectation(psi, h, shots_per_term=64, seed=1)
-    sampled_expectation(rho, h, shots_per_term=64, seed=1)
-    after = pauli_action.cache_info()
-    assert (after.hits, after.misses) == (before.hits, before.misses)
     # 10 qubits, 100 strings: two chunks of the 2^16-entry budget
     strings = {tuple((q, "XYZ"[k - 1]) for q, k in enumerate(row) if k): 1.0
                for row in rng.integers(0, 4, size=(100, 10))}
@@ -817,3 +881,11 @@ def test_circuit_text_errors():
         circuit_from_text("X q0\nRY q0 banana\n")
     with pytest.raises(ParseError):
         circuit_from_text("RY z0 0.3\n")
+
+
+@pytest.mark.parametrize("text", [
+    "RY q0 slotx\n", "RY q0 nan\n", "RY q0 inf\n", "RY q0 -inf\n",
+    "PAULI_ROT XY q0 q1 slot\n", "PAULI_ROT XY q0 q1 NaN\n"])
+def test_circuit_text_bad_angle_or_slot(text):
+    with pytest.raises(ParseError, match="line 2"):
+        circuit_from_text("X q0\n" + text)

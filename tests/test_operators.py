@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -479,19 +481,32 @@ def test_dense_matrix_matches_oracle_on_random_sums(strings, coeffs):
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.text("IXYZ", min_size=1, max_size=7), min_size=1,
-                max_size=6))
-def test_pauli_action_matches_letter_action(strings):
-    """pauli_action, read off the masks, equals the letter-by-letter action
-    bit for bit and hands out read-only arrays."""
-    from vqchem.operators import pauli_action
+                max_size=6),
+       st.floats(-4.0, 4.0), st.integers(0, 2**32 - 1))
+def test_pauli_flip_matches_letter_action(strings, angle, seed):
+    """apply_pauli, a flip of the (2,) * n view, and pauli_rotation equal
+    the scatter of the letter-by-letter action bit for bit, on statevectors,
+    on (2^n, m) row matrices and on transposed views."""
+    from vqchem.operators import apply_pauli, pauli_rotation
 
     n = max(map(len, strings))
+    rng = np.random.default_rng(seed)
+    dim = 1 << n
+    inputs = (rng.normal(size=dim) + 1j * rng.normal(size=dim),
+              rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3)),
+              (rng.normal(size=(5, dim)) + 1j * rng.normal(size=(5, dim))).T)
     for letters in strings:
         term = tuple((q, ch) for q, ch in enumerate(letters) if ch != "I")
-        got, want = pauli_action(n, term), letter_pauli_action(n, term)
-        for g, w in zip(got, want):
-            np.testing.assert_array_equal(g, w)
-            assert not g.flags.writeable
+        target, phase = letter_pauli_action(n, term)
+        for x in inputs:
+            want = np.empty_like(x)
+            want[target] = phase * x if x.ndim == 1 else phase[:, None] * x
+            got = apply_pauli(n, term, x)
+            assert got.shape == x.shape
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(
+                pauli_rotation(n, term, angle, x),
+                math.cos(angle) * x - 1.0j * math.sin(angle) * want)
 
 
 @pytest.mark.parametrize("case", ["h4-parity-reduced", "h6-jw", "spin-boson"])
