@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import VqchemError
+from .errors import InvalidChannel, VqchemError
 from .integrals import (
     IntegralSet,
     active_space_reduce,
@@ -281,11 +281,16 @@ def _parse_noise_spec(text: str) -> tuple[str, float]:
     return gate, p
 
 
-def _noise_model(gate: str, p: float) -> NoiseModel | None:
+def _noise_model(gate: str, p: float, circuit) -> NoiseModel | None:
+    """Depolarizing noise on ``gate`` (checked even at p = 0, which gives
+    None); at p > 0 ``circuit`` must hold a gate for it to act on."""
+    model = NoiseModel({gate: depolarizing_channel(p, 2 if gate == "CNOT"
+                                                   else 1)})
     if p == 0:
         return None
-    arity = 2 if gate == "CNOT" else 1
-    return NoiseModel({gate: depolarizing_channel(p, arity)})
+    if all(g.kind != gate for g in circuit.gates):
+        raise InvalidChannel(f"noise on {gate}, which the circuit lacks")
+    return model
 
 
 def _qubit_hamiltonian(s: IntegralSet, transform: str) -> QubitOperator:
@@ -363,13 +368,6 @@ def _build_problem(st: _Settings, s: IntegralSet):
     raise _UsageError(f"unknown ansatz {ansatz!r}")
 
 
-def _vqe_payload(problem, result, fci: float | None,
-                 doci: float | None) -> dict:
-    payload = result_to_json(problem, result, fci=fci, doci=doci)
-    payload.pop("wall_time_s", None)  # keep artifacts byte-reproducible
-    return payload
-
-
 def _human_stream(st: _Settings):
     """Stream for progress/summary narration.
 
@@ -434,7 +432,7 @@ def _run_vqe(st: _Settings) -> int:
         save_ansatz(ansatz_out, problem)
     e_hf = hf_energy(s)
     return _finish(
-        st, _vqe_payload(problem, result, fci, doci),
+        st, result_to_json(problem, result, fci=fci, doci=doci),
         ["hf", "mp2", "ucc", "fci"],
         [[e_hf, e_hf + mp2(s).e_corr, float(result.e),
           fci if fci is not None else float("nan")]],
@@ -540,7 +538,8 @@ def _run_noisy(st: _Settings) -> int:
     init = _hea_init_params(circuit, reference)
     gate, p = _noise_from_settings(st)
     shots = st.get_int("shots")
-    result = hea_kernel(circuit, init, h, noise=_noise_model(gate, p),
+    result = hea_kernel(circuit, init, h,
+                        noise=_noise_model(gate, p, circuit),
                         shots=shots, seed=st.get_int("seed", 0))
     noise_text = f"{gate} depolarizing p={p:g}" if p else "none"
     lines = [
@@ -849,7 +848,7 @@ def _sweep_noise(st: _Settings) -> tuple[list[str], list[list]]:
         init = _hea_init_params(circuit, _reference_bitstring(h))
         columns.append([
             float(hea_kernel(circuit, init, h,
-                             noise=_noise_model(gate, p)).e)
+                             noise=_noise_model(gate, p, circuit)).e)
             for p in p_grid
         ])
     rows = [[p] + [col[i] for col in columns]

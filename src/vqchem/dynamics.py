@@ -629,9 +629,7 @@ def trajectory_to_csv(traj: Trajectory) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _observable_value(psi: np.ndarray, obs) -> float:
-    if isinstance(obs, QubitOperator):
-        obs = obs.to_dense_matrix()
+def _observable_value(psi: np.ndarray, obs: np.ndarray) -> float:
     return float((psi.conj() @ (obs @ psi)).real)
 
 

@@ -8,10 +8,9 @@ matrix of :meth:`~vqchem.operators.QubitOperator.to_sparse_matrix` once;
 sampled ones read every string's action off its masks, uncached
 (:func:`vqchem.operators.mask_action`).  :func:`hea_kernel` drives exact
 objectives with the numpy L-BFGS-B driver of :func:`vqchem.vqe.kernel`, one
-circuit pass per evaluation, and sampled ones (``shots``) with scipy's
-derivative-free Nelder-Mead simplex, imported only when shots are asked
-for so that importing the package loads no ``scipy.optimize``.  The rotation
-convention is RY(theta) = exp(-i*theta*Y/2) and
+circuit pass per evaluation, and sampled ones (``shots``) with the numpy
+SPSA of :func:`vqchem.vqe._minimize_spsa`, two circuit passes per
+iteration.  The rotation convention is RY(theta) = exp(-i*theta*Y/2) and
 PAULI_ROT(P, theta) = exp(-i*theta*P/2), so RY is the rotation about the
 one-letter string "Y"; both are applied by
 :func:`vqchem.operators.pauli_rotation` as cos x - i sin P x, with P x a
@@ -33,8 +32,8 @@ parameter slot may drive several gates; its derivative is the sum of theirs.
 
 from __future__ import annotations
 
+import itertools
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,7 +54,7 @@ from .operators import (
     mask_action,
     pauli_rotation,
 )
-from .vqe import OptResult, _minimize_lbfgs
+from .vqe import _minimize_lbfgs, _minimize_spsa
 
 _DENSITY_QUBIT_LIMIT = 10
 _GATE_KINDS = ("X", "RY", "CNOT", "PAULI_ROT")
@@ -606,42 +605,20 @@ def hea_kernel(c: Circuit, init_params, h: QubitOperator,
     gradient of each evaluation from one reverse pass (see
     :func:`parameter_shift_gradient`; shared slots sum their gates'
     contributions) and reports convergence at its gradient tolerance.  With
-    ``shots`` the objective is sampled, with a fresh seed per evaluation,
-    and scipy's Nelder-Mead simplex minimizes it; ``scipy.optimize`` is
-    imported here, on this branch only."""
+    ``shots`` the objective is sampled, evaluation k with seed ``seed + k``,
+    and SPSA (:func:`vqchem.vqe._minimize_spsa`) minimizes it."""
     init_params = _check_circuit_params(c, init_params)
     if shots is None:
         return _minimize_lbfgs(
             lambda x: _energy_and_gradient(c, x, h, noise), init_params)
-    from scipy.optimize import minimize
-
-    t0 = time.perf_counter()
-    eval_count = [0]
+    seeds = itertools.count(seed + 1)
 
     def objective(x):
-        eval_count[0] += 1
         state = (simulate_state(c, x) if noise is None
                  else simulate_density(c, x, noise).matrix)
-        return sampled_expectation(state, h, shots,
-                                   seed=seed + eval_count[0])
+        return sampled_expectation(state, h, shots, seed=next(seeds))
 
-    res = minimize(
-        objective, init_params, method="Nelder-Mead",
-        options={"adaptive": True, "xatol": 1e-7, "fatol": 1e-7,
-                 "maxiter": 4000, "maxfev": 8000},
-    )
-    return OptResult(
-        e=float(res.fun),
-        x=np.asarray(res.x, dtype=float),
-        init_guess=init_params,
-        nit=int(res.nit),
-        nfev=int(res.nfev),
-        njev=0,
-        grad_at_opt=np.full(c.n_params, np.nan),
-        converged=bool(res.success),
-        message=str(res.message),
-        opt_time=time.perf_counter() - t0,
-    )
+    return _minimize_spsa(objective, init_params, seed)
 
 
 # ---------------------------------------------------------------------------

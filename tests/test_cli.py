@@ -401,6 +401,20 @@ def test_noisy_misspelt_gate_is_an_error(capsys):
     assert "E =" not in out
 
 
+@pytest.mark.parametrize("spec", ['{gate="X", p=0.2}',
+                                  '{gate="PAULI_ROT", p=0.2}',
+                                  '{gate="cnot", p=0}'])
+def test_noisy_refuses_noise_that_never_acts(capsys, spec):
+    """The Ry ansatz holds no X or PAULI_ROT gate, so noise bound to them
+    would leave the run noiseless; a misspelt kind is refused even at
+    p = 0."""
+    code, out, err = run(capsys, "noisy", "--fcidump", "h2_sto3g",
+                         "--layers", "1", "--noise", spec)
+    assert code == 1
+    assert "InvalidChannel" in err
+    assert "E =" not in out
+
+
 def test_noisy_shots_seeded(capsys):
     args = ("noisy", "--fcidump", "h2_sto3g", "--layers", "1", "--p", "0.02",
             "--shots", "128", "--seed", "9", "--format", "json")
@@ -529,6 +543,14 @@ def test_sweep_noise_csv(capsys):
     assert abs(energies[0] - H2_FCI) < 1e-6  # p=0 reaches the exact ground
 
 
+def test_sweep_noise_refuses_a_gate_the_ansatz_lacks(capsys):
+    code, out, err = run(capsys, "sweep", "--kind", "noise",
+                         "--fcidump", "h2_sto3g", "--layers", "1",
+                         "--gate", "X", "--p-grid", "0:0.2:0.1")
+    assert code == 1
+    assert "InvalidChannel" in err and not out
+
+
 def test_sweep_shots_is_reproducible(capsys, tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):
@@ -625,11 +647,13 @@ sys.meta_path.insert(0, Spy())
 before = "importlib.metadata" in sys.modules
 import vqchem.cli
 optimizer = ["scipy.optimize" in sys.modules]
+noisy = ["noisy", "--fcidump", "h2_sto3g", "--layers", "1", "--p", "0.02"]
+codes = []
 with contextlib.redirect_stdout(io.StringIO()):
-    codes = [vqchem.cli.main(["vqe", "--fcidump", "h2_sto3g"]),
-             vqchem.cli.main(["noisy", "--fcidump", "h2_sto3g",
-                              "--layers", "1", "--p", "0.02"])]
-optimizer.append("scipy.optimize" in sys.modules)
+    for argv in (["vqe", "--fcidump", "h2_sto3g"], noisy,
+                 noisy + ["--shots", "64"]):
+        codes.append(vqchem.cli.main(argv))
+        optimizer.append("scipy.optimize" in sys.modules)
 print(json.dumps({"before": before, "importers": importers, "codes": codes,
                   "optimizer": optimizer}))
 """
@@ -647,10 +671,10 @@ def start_up():
 
 
 def test_start_up_loads_no_optimizer(start_up):
-    """Neither the import nor an ideal vqe or a noisy run without shots
-    loads scipy.optimize; only the sampled (shots) branch does."""
-    assert start_up["codes"] == [0, 0]
-    assert start_up["optimizer"] == [False, False]
+    """Neither the import nor an ideal vqe, a noisy run or a sampled
+    (shots) noisy run ever loads scipy.optimize."""
+    assert start_up["codes"] == [0, 0, 0]
+    assert start_up["optimizer"] == [False] * 4
 
 
 def test_import_reads_no_package_metadata(start_up):

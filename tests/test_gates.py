@@ -794,6 +794,21 @@ def test_hea_sampled_objective_is_seeded(h2):
     assert a.e == b.e and np.array_equal(a.x, b.x)
 
 
+def test_hea_sampled_objective_runs_spsa(h2):
+    """SPSA's 200 iterations lower the exact noisy energy by more than
+    10 mH; ``e`` is the last, 401st, sample, taken at ``x``."""
+    h = parity_reduced_h2(h2)
+    c, init = hea_start(2, 1, "01")
+    noise = NoiseModel({"CNOT": depolarizing_channel(0.02, 2)})
+    res = hea_kernel(c, init, h, noise=noise, shots=128, seed=9)
+    start = expectation(simulate_density(c, init, noise), h)
+    assert expectation(simulate_density(c, res.x, noise), h) < start - 0.010
+    assert res.e == sampled_expectation(
+        simulate_density(c, res.x, noise), h, 128, seed=9 + 401)
+    assert np.all(np.isfinite(res.grad_at_opt))
+    assert res.nfev == 401 and res.njev == 0 and not res.converged
+
+
 # ---------------------------------------------------------------------------
 # UCC factor compilation
 # ---------------------------------------------------------------------------

@@ -194,7 +194,7 @@ def test_result_json_payload(h2):
     e_fci, _ = fci_ground_state(make_ci_space(2, 2), h2)
     payload = result_to_json(problem, result, fci=e_fci)
     assert set(payload) == {"energies", "params", "ex_ops", "param_ids",
-                            "nit", "converged", "wall_time_s"}
+                            "nit", "converged"}
     assert abs(payload["energies"]["ucc"] - H2_FCI) < 1e-9
     assert abs(payload["energies"]["fci"] - H2_FCI) < 1e-9
     assert payload["converged"] is True
