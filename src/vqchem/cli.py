@@ -12,10 +12,15 @@ hubbard   one-dimensional Hubbard chain, UCC against exact diagonalization
 convert   file and operator format conversions
 sweep     one-row-per-point parameter scans (noise, shots, driving force, files)
 
-A config file (``--config``) supplies defaults for any long flag: values are
-looked up first in the section named after the subcommand, then in
-``[common]``; explicit command-line flags always win.  Custom dynamics models
-are described in a ``[model]`` section (see ``_model_from_config``).
+A config file (``--config``) holds flag values.  Each ``key = value`` of
+its ``[common]`` section, then of the section named after the subcommand,
+is parsed as the flag ``--key value`` placed before the command line's own
+flags: it gets the same types and choices, and a bad value exits 2 before
+any work.  So a command-line flag wins over the subcommand's section, which
+wins over ``[common]``.  Boolean options take true/false, yes/no, on/off or
+1/0; ``--files`` takes whitespace-separated paths.  Keys that name no option
+of the subcommand are ignored.  Custom dynamics models are described in a
+``[model]`` section (see ``_model_from_config``).
 
 Exit codes: 0 on success, 1 for computational/runtime errors (the error class
 name goes to stderr), 2 for usage errors.
@@ -68,7 +73,13 @@ from .ansatz import (
     make_uccsd_problem,
     save_ansatz,
 )
-from .vqe import civector_at, kernel, print_summary, result_to_json
+from .vqe import (
+    _MAXITER,
+    civector_at,
+    kernel,
+    print_summary,
+    result_to_json,
+)
 from .gates import (
     NoiseModel,
     build_ry_ansatz,
@@ -104,7 +115,7 @@ class _UsageError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Config file handling and flag/config precedence
+# Config file handling: config values become flags
 # ---------------------------------------------------------------------------
 
 def _read_config(path: str | None) -> dict[str, dict[str, str]]:
@@ -126,70 +137,48 @@ _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
 
 
-class _Settings:
-    """Flag values with config-file fallback (flag > config > default)."""
+def _config_tokens(sub: argparse.ArgumentParser,
+                   config: dict[str, dict[str, str]], name: str) -> list[str]:
+    """The values of ``config``'s ``[common]`` and ``[name]`` sections, in
+    that order, as command-line tokens for ``sub``; keys (dash or
+    underscore form) that name none of its options are skipped."""
+    actions = {action.dest: action for action in sub._actions
+               if action.option_strings and action.dest not in ("help",
+                                                                "config")}
+    tokens = []
+    for section in ("common", name):
+        for key, value in config.get(section, {}).items():
+            action = actions.get(key.replace("-", "_"))
+            if action is None:
+                continue
+            flag = action.option_strings[0]
+            if isinstance(action, argparse.BooleanOptionalAction):
+                word = value.strip().lower()
+                if word not in _TRUE | _FALSE:
+                    raise _UsageError(f"{flag}: expected a boolean, "
+                                      f"got {value!r}")
+                tokens.append(flag if word in _TRUE else "--no-" + flag[2:])
+            elif action.nargs == "+":
+                tokens += [flag, *value.split()]
+            else:
+                tokens.append(f"{flag}={value}")
+    return tokens
 
-    def __init__(self, args: argparse.Namespace,
-                 config: dict[str, dict[str, str]]):
-        self.args = vars(args)
-        self.config = config
-        sub = self.args.get("subcommand") or ""
-        self.sections = [config[name] for name in (sub, "common")
-                         if name in config]
 
-    def _raw(self, name: str):
-        value = self.args.get(name)
-        if value is not None:
-            return value
-        for section in self.sections:
-            for key in (name.replace("_", "-"), name):
-                if key in section:
-                    return section[key]
-        return None
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad flag or config value as a usage error (exit 2);
+    subparsers inherit it."""
 
-    def get(self, name: str, default=None):
-        value = self._raw(name)
-        return default if value is None else value
-
-    def get_int(self, name: str, default: int | None = None):
-        value = self._raw(name)
-        if value is None:
-            return default
-        try:
-            return int(value)
-        except (TypeError, ValueError):
-            raise _UsageError(f"--{name.replace('_', '-')}: expected an "
-                              f"integer, got {value!r}")
-
-    def get_float(self, name: str, default: float | None = None):
-        value = self._raw(name)
-        if value is None:
-            return default
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            raise _UsageError(f"--{name.replace('_', '-')}: expected a "
-                              f"number, got {value!r}")
-
-    def get_bool(self, name: str, default: bool | None = None):
-        value = self._raw(name)
-        if value is None or isinstance(value, bool):
-            return default if value is None else value
-        lowered = str(value).strip().lower()
-        if lowered in _TRUE:
-            return True
-        if lowered in _FALSE:
-            return False
-        raise _UsageError(f"--{name.replace('_', '-')}: expected a boolean, "
-                          f"got {value!r}")
+    def error(self, message):
+        raise _UsageError(message)
 
 
 # ---------------------------------------------------------------------------
 # Small shared helpers
 # ---------------------------------------------------------------------------
 
-def _resolve_integrals(st: _Settings) -> IntegralSet:
-    name = st.get("fcidump")
+def _resolve_integrals(args: argparse.Namespace) -> IntegralSet:
+    name = args.fcidump
     if not name:
         raise _UsageError("an --fcidump input (path or bundled fixture name) "
                           "is required")
@@ -201,26 +190,24 @@ def _resolve_integrals(st: _Settings) -> IntegralSet:
         else:
             raise _UsageError(f"input not found: {name}")
     s = load_fcidump(path)
-    window = st.get("active_space")
-    if window:
+    if args.active_space:
         try:
-            n_elec, n_orb = (int(x) for x in str(window).split(","))
+            n_elec, n_orb = (int(x) for x in args.active_space.split(","))
         except ValueError:
             raise _UsageError("--active-space: expected 'n_elec,n_orb'")
         s = active_space_reduce(s, n_elec, n_orb).reduced
     return s
 
 
-def _int_list(text, flag: str) -> list[int]:
+def _int_list(text: str, flag: str) -> list[int]:
     try:
-        return [int(tok) for tok in str(text).split(",") if tok.strip()]
+        return [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise _UsageError(f"--{flag}: expected comma-separated integers")
 
 
-def _float_grid(text, flag: str) -> list[float]:
+def _float_grid(text: str, flag: str) -> list[float]:
     """Comma list ``a,b,c`` or inclusive range ``start:stop:step``."""
-    text = str(text)
     try:
         if ":" in text:
             start, stop, step = (float(tok) for tok in text.split(":"))
@@ -297,11 +284,8 @@ def _qubit_hamiltonian(s: IntegralSet, transform: str) -> QubitOperator:
     h_fermion = build_fermion_hamiltonian(s)
     if transform == "jw":
         return jordan_wigner(h_fermion)
-    if transform == "parity":
-        return parity_transform(h_fermion, s.n_elec)
-    if transform == "parity-reduced":
-        return parity_transform(h_fermion, s.n_elec, reduce_two_qubits=True)
-    raise _UsageError(f"unknown transform {transform!r}")
+    return parity_transform(h_fermion, s.n_elec,
+                            reduce_two_qubits=transform == "parity-reduced")
 
 
 def _reference_bitstring(h: QubitOperator) -> str:
@@ -328,73 +312,68 @@ def _hea_init_params(circuit, bitstring: str) -> np.ndarray:
 _REFERENCE_LIMIT = 200_000  # the largest reference solved by default
 
 
-def _reference(st: _Settings, dim: int, solve) -> float | None:
+def _reference(args: argparse.Namespace, dim: int, solve) -> float | None:
     """The energy of ``solve()``, a ground-state solver's result on ``dim``
     configurations; None on ``--no-fci-reference`` and, unless the flag
     forces it, past ``_REFERENCE_LIMIT``.  Runners call this before any
     optimisation, so a forced reference the solver refuses costs none."""
-    want = st.get_bool("fci_reference", None)
+    want = args.fci_reference
     if want is False or (want is None and dim > _REFERENCE_LIMIT):
         return None
     return solve()[0]
 
 
-def _fci_reference(s: IntegralSet, st: _Settings) -> float | None:
+def _fci_reference(s: IntegralSet,
+                   args: argparse.Namespace) -> float | None:
     space = make_ci_space(s.n_orb, s.n_elec)
-    return _reference(st, space.dim, lambda: fci_ground_state(space, s))
+    return _reference(args, space.dim, lambda: fci_ground_state(space, s))
 
 
-def _build_problem(st: _Settings, s: IntegralSet):
-    ansatz = str(st.get("ansatz", "uccsd"))
-    if ansatz == "uccsd":
-        return make_uccsd_problem(
-            s,
-            screen_eps=st.get_float("screen_eps", 1e-8),
-            sort=st.get_bool("sort", True),
-        ), "UCCSD"
-    if ansatz == "kupccgsd":
-        k = st.get_int("k", 1)
-        return make_kupccgsd_problem(s, k=k, seed=st.get_int("seed", 0)), \
-            f"{k}-UpCCGSD"
-    if ansatz == "puccd":
+def _build_problem(args: argparse.Namespace, s: IntegralSet):
+    if args.ansatz == "uccsd":
+        return make_uccsd_problem(s, screen_eps=args.screen_eps,
+                                  sort=args.sort), "UCCSD"
+    if args.ansatz == "kupccgsd":
+        return make_kupccgsd_problem(s, k=args.k, seed=args.seed), \
+            f"{args.k}-UpCCGSD"
+    if args.ansatz == "puccd":
         return make_puccd_problem(s), "pUCCD"
-    if ansatz == "custom":
-        path = st.get("ansatz_file")
-        if not path:
-            raise _UsageError("--ansatz custom requires --ansatz-file")
-        if not Path(path).exists():
-            raise _UsageError(f"ansatz file not found: {path}")
-        return load_ansatz(path, s), "custom"
-    raise _UsageError(f"unknown ansatz {ansatz!r}")
+    path = args.ansatz_file
+    if not path:
+        raise _UsageError("--ansatz custom requires --ansatz-file")
+    if not Path(path).exists():
+        raise _UsageError(f"ansatz file not found: {path}")
+    return load_ansatz(path, s), "custom"
 
 
-def _human_stream(st: _Settings):
+def _format(args: argparse.Namespace) -> str:
+    """``--format`` where its default depends on ``--output``: json with
+    an output file, text without."""
+    return args.format or ("json" if args.output else "text")
+
+
+def _human_stream(args: argparse.Namespace):
     """Stream for progress/summary narration.
 
     When a machine-readable artifact (json/csv) is bound for stdout, stdout
     must stay parseable, so narration moves to stderr.  Otherwise narration
     stays on stdout."""
-    fmt = str(st.get("format", "json" if st.get("output") else "text"))
-    if st.get("output") or fmt == "text":
+    if args.output or _format(args) == "text":
         return sys.stdout
     return sys.stderr
 
 
-def _finish(st: _Settings, json_payload, csv_header: list[str],
+def _finish(args: argparse.Namespace, json_payload, csv_header: list[str],
             csv_rows: list[list], text: str) -> int:
     """Write the requested artifact.  Human-readable lines have already been
     printed; JSON/CSV go to stdout only when explicitly requested."""
-    output = st.get("output")
-    fmt = str(st.get("format", "json" if output else "text"))
+    fmt = _format(args)
     if fmt == "json":
-        _emit(_json_text(json_payload), output)
+        _emit(_json_text(json_payload), args.output)
     elif fmt == "csv":
-        _emit(_csv_text(csv_header, csv_rows), output)
-    elif fmt == "text":
-        if output:
-            _emit(text if text.endswith("\n") else text + "\n", output)
-    else:
-        raise _UsageError(f"unknown format {fmt!r}")
+        _emit(_csv_text(csv_header, csv_rows), args.output)
+    elif args.output:
+        _emit(text if text.endswith("\n") else text + "\n", args.output)
     return 0
 
 
@@ -402,37 +381,33 @@ def _finish(st: _Settings, json_payload, csv_header: list[str],
 # Subcommand runners
 # ---------------------------------------------------------------------------
 
-def _state_path(st: _Settings, s: IntegralSet) -> str | None:
-    """``--save-state``'s path, checked before any optimisation: the saved
-    state is a full determinant-space vector."""
-    path = st.get("save_state")
-    if path:
+def _check_state_size(args: argparse.Namespace, s: IntegralSet) -> None:
+    """``--save-state`` writes a full determinant-space vector, so its size
+    is checked before any optimisation."""
+    if args.save_state:
         check_vector_dim(s.n_orb, s.n_elec)
-    return path
 
 
-def _run_vqe(st: _Settings) -> int:
-    s = _resolve_integrals(st)
-    state_path = _state_path(st, s)
-    problem, label = _build_problem(st, s)
-    fci = _fci_reference(s, st)
+def _run_vqe(args: argparse.Namespace) -> int:
+    s = _resolve_integrals(args)
+    _check_state_size(args, s)
+    problem, label = _build_problem(args, s)
+    fci = _fci_reference(s, args)
     doci = None
     if problem.hard_core_boson:  # DOCI bounds a pair ansatz from below
         space = make_ci_space(s.n_orb, s.n_elec)
-        doci = _reference(st, space.n_strings_alpha,
+        doci = _reference(args, space.n_strings_alpha,
                           lambda: doci_ground_state(space, s))
-    maxiter = st.get_int("maxiter")
-    result = kernel(problem, maxiter=maxiter) if maxiter else kernel(problem)
+    result = kernel(problem, maxiter=args.maxiter)
     report = print_summary(problem, result, fci_reference=fci,
-                           method_label=label, stream=_human_stream(st))
-    if state_path:
-        save_civector(state_path, civector_at(problem, result.x))
-    ansatz_out = st.get("save_ansatz")
-    if ansatz_out:
-        save_ansatz(ansatz_out, problem)
+                           method_label=label, stream=_human_stream(args))
+    if args.save_state:
+        save_civector(args.save_state, civector_at(problem, result.x))
+    if args.save_ansatz:
+        save_ansatz(args.save_ansatz, problem)
     e_hf = hf_energy(s)
     return _finish(
-        st, result_to_json(problem, result, fci=fci, doci=doci),
+        args, result_to_json(problem, result, fci=fci, doci=doci),
         ["hf", "mp2", "ucc", "fci"],
         [[e_hf, e_hf + mp2(s).e_corr, float(result.e),
           fci if fci is not None else float("nan")]],
@@ -440,13 +415,12 @@ def _run_vqe(st: _Settings) -> int:
     )
 
 
-def _run_adapt(st: _Settings) -> int:
-    s = _resolve_integrals(st)
-    state_path = _state_path(st, s)
+def _run_adapt(args: argparse.Namespace) -> int:
+    s = _resolve_integrals(args)
+    _check_state_size(args, s)
     pool = build_operator_pool(s.n_orb, s.n_elec)
-    epsilon = st.get_float("epsilon", 1e-3)
-    max_iter = st.get_int("max_iter", 50)
-    fci = _fci_reference(s, st)
+    epsilon, max_iter = args.epsilon, args.max_iter
+    fci = _fci_reference(s, args)
     grown = adapt_vqe(s, pool, epsilon, max_iter=max_iter)
     problem, trajectory = grown.problem, grown.trajectory
     lines = [f"adaptive growth: {len(trajectory) - 1} iterations, "
@@ -462,13 +436,12 @@ def _run_adapt(st: _Settings) -> int:
     lines.append(f"{stop}: pool-gradient norm {grown.gradient_norm:.3e}, "
                  f"epsilon {epsilon:g}")
     text = "\n".join(lines)
-    print(text, file=_human_stream(st))
-    if state_path:
-        save_civector(state_path,
+    print(text, file=_human_stream(args))
+    if args.save_state:
+        save_civector(args.save_state,
                       civector_at(problem, problem.init_guess))
-    ansatz_out = st.get("save_ansatz")
-    if ansatz_out:
-        save_ansatz(ansatz_out, problem)
+    if args.save_ansatz:
+        save_ansatz(args.save_ansatz, problem)
     payload = {
         "trajectory": [float(e) for e in trajectory],
         "final_energy": float(trajectory[-1]),
@@ -481,12 +454,12 @@ def _run_adapt(st: _Settings) -> int:
         "pool_gradient_norm": grown.gradient_norm,
         "optimizer_converged": list(grown.optimizer_converged),
     }
-    return _finish(st, payload, ["iteration", "energy"],
+    return _finish(args, payload, ["iteration", "energy"],
                    [[i, float(e)] for i, e in enumerate(trajectory)], text)
 
 
-def _run_fci(st: _Settings) -> int:
-    s = _resolve_integrals(st)
+def _run_fci(args: argparse.Namespace) -> int:
+    s = _resolve_integrals(args)
     space = make_ci_space(s.n_orb, s.n_elec)
     e_fci, ground = fci_ground_state(space, s)
     e_hf = hf_energy(s)
@@ -498,7 +471,7 @@ def _run_fci(st: _Settings) -> int:
         f"E(FCI) = {e_fci:+.10f}",
     ]
     payload = {"dim": space.dim, "hf": e_hf, "mp2": e_mp2, "fci": e_fci}
-    loaded = st.get("load_state")
+    loaded = args.load_state
     if loaded:
         if not Path(loaded).exists():
             raise _UsageError(f"state file not found: {loaded}")
@@ -510,37 +483,33 @@ def _run_fci(st: _Settings) -> int:
         payload["loaded_energy"] = e_loaded
         payload["loaded_overlap"] = overlap
     text = "\n".join(lines)
-    print(text, file=_human_stream(st))
-    state_path = st.get("save_state")
-    if state_path:
-        save_civector(state_path, ground)
+    print(text, file=_human_stream(args))
+    if args.save_state:
+        save_civector(args.save_state, ground)
     keys = sorted(payload)
-    return _finish(st, payload, keys, [[payload[k] for k in keys]], text)
+    return _finish(args, payload, keys, [[payload[k] for k in keys]], text)
 
 
-def _noise_from_settings(st: _Settings) -> tuple[str, float]:
-    spec = st.get("noise")
-    p_flag = st.get_float("p")
-    if spec and p_flag is not None:
+def _noise_from_args(args: argparse.Namespace) -> tuple[str, float]:
+    """(gate, p) from ``--noise`` or ``--p``; noiseless CNOTs by default."""
+    if args.noise and args.p is not None:
         raise _UsageError("give either --noise or --p, not both")
-    if spec:
-        return _parse_noise_spec(str(spec))
-    return "CNOT", (p_flag if p_flag is not None else 0.0)
+    if args.noise:
+        return _parse_noise_spec(args.noise)
+    return "CNOT", (args.p if args.p is not None else 0.0)
 
 
-def _run_noisy(st: _Settings) -> int:
-    s = _resolve_integrals(st)
-    transform = str(st.get("transform", "parity-reduced"))
+def _run_noisy(args: argparse.Namespace) -> int:
+    s = _resolve_integrals(args)
+    transform, layers, shots = args.transform, args.layers, args.shots
     h = _qubit_hamiltonian(s, transform)
-    layers = st.get_int("layers", 1)
     circuit = build_ry_ansatz(h.n_qubits, layers)
     reference = _reference_bitstring(h)
     init = _hea_init_params(circuit, reference)
-    gate, p = _noise_from_settings(st)
-    shots = st.get_int("shots")
+    gate, p = _noise_from_args(args)
     result = hea_kernel(circuit, init, h,
                         noise=_noise_model(gate, p, circuit),
-                        shots=shots, seed=st.get_int("seed", 0))
+                        shots=shots, seed=args.seed)
     noise_text = f"{gate} depolarizing p={p:g}" if p else "none"
     lines = [
         f"ansatz: {h.n_qubits} qubits, {layers} layer(s), "
@@ -550,7 +519,7 @@ def _run_noisy(st: _Settings) -> int:
         f"nit={result.nit}",
     ]
     text = "\n".join(lines)
-    print(text, file=_human_stream(st))
+    print(text, file=_human_stream(args))
     payload = {
         "energy": float(result.e),
         "params": result.x.tolist(),
@@ -563,13 +532,13 @@ def _run_noisy(st: _Settings) -> int:
         "shots": shots,
         "transform": transform,
     }
-    return _finish(st, payload, ["p", "layers", "energy"],
+    return _finish(args, payload, ["p", "layers", "energy"],
                    [[p, layers, float(result.e)]], text)
 
 
 # -- dynamics ---------------------------------------------------------------
 
-def _model_from_config(st: _Settings):
+def _model_from_config(args: argparse.Namespace):
     """Custom model from a ``[model]`` config section.
 
     Keys (all but ``terms``/``basis`` optional)::
@@ -582,7 +551,7 @@ def _model_from_config(st: _Settings):
         observables one named term per line: ``name coeff symbol@dof ...``
                     (repeated names are summed)
     """
-    section = st.config.get("model")
+    section = _read_config(args.config).get("model")
     if not section:
         raise _UsageError("--model custom requires a [model] config section")
 
@@ -670,16 +639,21 @@ def _encoded_observable(terms, basis, encoding: str) -> QubitOperator:
     return op.simplify()
 
 
-def _dynamics_setup(st: _Settings):
+def _omega_g(args: argparse.Namespace) -> tuple[float, float]:
+    """``--omega`` and ``--g``, whose defaults depend on ``--model``:
+    1 and 0.5 for spin-boson, 0.5 and 1 otherwise."""
+    omega, g = (1.0, 0.5) if args.model == "spin-boson" else (0.5, 1.0)
+    return (omega if args.omega is None else args.omega,
+            g if args.g is None else args.g)
+
+
+def _dynamics_setup(args: argparse.Namespace):
     """Returns (terms, basis, initial level vector, named observables)."""
-    model = str(st.get("model", "spin-boson"))
-    nbas = st.get_int("nbas", 8)
-    omega = st.get_float("omega", 1.0 if model == "spin-boson" else 0.5)
-    g = st.get_float("g", 0.5 if model == "spin-boson" else 1.0)
+    model, nbas = args.model, args.nbas
+    omega, g = _omega_g(args)
     if model == "spin-boson":
         terms, basis = spin_boson_model(
-            epsilon=st.get_float("epsilon", 0.0),
-            delta=st.get_float("delta", 1.0),
+            epsilon=args.epsilon, delta=args.delta,
             omega=omega, g=g, nbas=nbas,
         )
         initial = np.kron([1.0, 0.0], coherent_state(0.0, nbas))
@@ -687,67 +661,53 @@ def _dynamics_setup(st: _Settings):
         return terms, basis, initial.astype(complex), observables
     if model == "marcus":
         terms, basis, initial = marcus_model(
-            v=st.get_float("v", -0.1),
-            dg=st.get_float("dg", -1.0),
-            omega=omega, g=g, nbas=nbas,
+            v=args.v, dg=args.dg, omega=omega, g=g, nbas=nbas,
         )
         observables = {"occ0": [
             SymbolicTerm((), 0.5),
             SymbolicTerm((("sigma_z", "charge"),), 0.5),
         ]}
         return terms, basis, initial, observables
-    if model == "custom":
-        return _model_from_config(st)
-    raise _UsageError(f"unknown model {model!r}")
+    return _model_from_config(args)
 
 
-def _evolve(st: _Settings, terms, basis, initial, observables) -> Trajectory:
-    encoding = str(st.get("encoding", "gray"))
-    t_final = st.get_float("t_final", 10.0)
-    tau = st.get_float("tau", 0.02)
+def _evolve(args: argparse.Namespace, terms, basis, initial,
+            observables) -> Trajectory:
+    encoding, t_final, tau = args.encoding, args.t_final, args.tau
     enc = qubit_encode(terms, basis, encoding)
     psi0 = encode_state(enc, initial)
     obs_ops = {name: _encoded_observable(obs_terms, basis, encoding)
                for name, obs_terms in observables.items()}
-    method = str(st.get("method", "vha"))
-    if method == "vha":
-        ansatz = build_vha(enc, st.get_int("layers", 3), psi0)
+    if args.method == "vha":
+        ansatz = build_vha(enc, args.layers, psi0)
         return time_evolve(
             enc, ansatz, np.zeros(ansatz.n_params), t_final, tau,
-            integrator=str(st.get("integrator", "rk4")),
+            integrator=args.integrator,
             observables=obs_ops,
-            epsilon_reg=st.get_float("eps_reg", 1e-5),
+            epsilon_reg=args.eps_reg,
         )
-    if method == "exact":
-        times = time_grid(t_final, tau,
-                          2 * psi0.size + len(obs_ops) + 1)
-        h_pauli = enc.qubit_terms.to_dense_matrix()
-        states = exact_propagate(h_pauli, psi0, times)
-        obs_dense = {name: op.to_dense_matrix()
-                     for name, op in obs_ops.items()}
-        obs_out = {
-            name: np.array([float((psi.conj() @ (mat @ psi)).real)
-                            for psi in states])
-            for name, mat in obs_dense.items()
-        }
-        energies = np.array([
-            float((psi.conj() @ (h_pauli @ psi)).real) + enc.constant
-            for psi in states
-        ])
-        return Trajectory(times=times, thetas=np.zeros((len(times), 0)),
-                          observables=obs_out, energies=energies)
-    raise _UsageError(f"unknown method {method!r}")
+    times = time_grid(t_final, tau, 2 * psi0.size + len(obs_ops) + 1)
+    h_pauli = enc.qubit_terms.to_dense_matrix()
+    states = exact_propagate(h_pauli, psi0, times)
+    obs_dense = {name: op.to_dense_matrix() for name, op in obs_ops.items()}
+    obs_out = {
+        name: np.array([float((psi.conj() @ (mat @ psi)).real)
+                        for psi in states])
+        for name, mat in obs_dense.items()
+    }
+    energies = np.array([
+        float((psi.conj() @ (h_pauli @ psi)).real) + enc.constant
+        for psi in states
+    ])
+    return Trajectory(times=times, thetas=np.zeros((len(times), 0)),
+                      observables=obs_out, energies=energies)
 
 
-def _run_dynamics(st: _Settings) -> int:
-    terms, basis, initial, observables = _dynamics_setup(st)
-    output = st.get("output")
-    fmt = str(st.get("format", "csv"))
-    if fmt not in ("csv", "json"):
-        raise _UsageError(f"unknown format {fmt!r}")
-    traj = _evolve(st, terms, basis, initial, observables)
-    if fmt == "csv":
-        _emit(trajectory_to_csv(traj), output)
+def _run_dynamics(args: argparse.Namespace) -> int:
+    terms, basis, initial, observables = _dynamics_setup(args)
+    traj = _evolve(args, terms, basis, initial, observables)
+    if args.format == "csv":
+        _emit(trajectory_to_csv(traj), args.output)
     else:
         payload = {
             "t": traj.times.tolist(),
@@ -756,57 +716,52 @@ def _run_dynamics(st: _Settings) -> int:
                             for k, v in traj.observables.items()},
             "energy": traj.energies.tolist(),
         }
-        _emit(_json_text(payload), output)
+        _emit(_json_text(payload), args.output)
     return 0
 
 
-def _run_hubbard(st: _Settings) -> int:
-    sites = st.get_int("sites")
-    if not sites:
+def _run_hubbard(args: argparse.Namespace) -> int:
+    if not args.sites:
         raise _UsageError("--sites is required")
-    s = build_hubbard(sites, st.get_float("t", 1.0), st.get_float("u", 4.0),
-                      periodic=st.get_bool("periodic", False))
-    s_canonical = canonicalize_integrals(s)
-    problem, label = _build_problem(st, s_canonical)
-    maxiter = st.get_int("maxiter")
-    result = kernel(problem, maxiter=maxiter) if maxiter else kernel(problem)
+    s = build_hubbard(args.sites, args.t, args.u, periodic=args.periodic)
     space = make_ci_space(s.n_orb, s.n_elec)
-    e_fci = fci_ground_state(space, s)[0]
+    e_fci = fci_ground_state(space, s)[0]  # a size it refuses costs no work
+    s_canonical = canonicalize_integrals(s)
+    problem, label = _build_problem(args, s_canonical)
+    result = kernel(problem, maxiter=args.maxiter)
     e_hf = hf_energy(s_canonical)
     lines = [
-        f"Hubbard chain: {sites} sites, t={st.get_float('t', 1.0):g}, "
-        f"U={st.get_float('u', 4.0):g}, "
-        f"{'periodic' if st.get_bool('periodic', False) else 'open'}",
+        f"Hubbard chain: {args.sites} sites, t={args.t:g}, U={args.u:g}, "
+        f"{'periodic' if args.periodic else 'open'}",
         f"E(HF)  = {e_hf:+.10f}",
         f"E({label}) = {result.e:+.10f}",
         f"E(FCI) = {e_fci:+.10f}   ucc error = "
         f"{1000.0 * (result.e - e_fci):+.6f} mH",
     ]
     text = "\n".join(lines)
-    print(text, file=_human_stream(st))
+    print(text, file=_human_stream(args))
     payload = {
-        "sites": sites,
-        "t": st.get_float("t", 1.0),
-        "u": st.get_float("u", 4.0),
+        "sites": args.sites,
+        "t": args.t,
+        "u": args.u,
         "hf": e_hf,
         "ucc": float(result.e),
         "fci": float(e_fci),
         "converged": bool(result.converged),
-        "ansatz": str(st.get("ansatz", "uccsd")),
+        "ansatz": args.ansatz,
     }
     keys = ["sites", "t", "u", "hf", "ucc", "fci"]
-    return _finish(st, payload, keys, [[payload[k] for k in keys]], text)
+    return _finish(args, payload, keys, [[payload[k] for k in keys]], text)
 
 
-def _run_convert(st: _Settings) -> int:
-    to = str(st.get("to", ""))
-    output = st.get("output")
+def _run_convert(args: argparse.Namespace) -> int:
+    to, output = args.to, args.output
     if not to:
         raise _UsageError("--to is required "
                           "(fcidump, fermion, jw, parity, parity-reduced, "
                           "state-json)")
     if to == "state-json":
-        path = st.get("load_state")
+        path = args.load_state
         if not path:
             raise _UsageError("--to state-json requires --load-state")
         if not Path(path).exists():
@@ -821,34 +776,34 @@ def _run_convert(st: _Settings) -> int:
         }
         _emit(_json_text(payload), output)
         return 0
-    s = _resolve_integrals(st)
+    s = _resolve_integrals(args)
     if to == "fcidump":
         _emit(write_fcidump(s), output)
     elif to == "fermion":
         _emit(build_fermion_hamiltonian(s).format_text() + "\n", output)
-    elif to in ("jw", "parity", "parity-reduced"):
-        _emit(_qubit_hamiltonian(s, to).format_text() + "\n", output)
     else:
-        raise _UsageError(f"unknown conversion target {to!r}")
+        _emit(_qubit_hamiltonian(s, to).format_text() + "\n", output)
     return 0
 
 
 # -- sweep ------------------------------------------------------------------
 
-def _sweep_noise(st: _Settings) -> tuple[list[str], list[list]]:
-    s = _resolve_integrals(st)
-    h = _qubit_hamiltonian(s, str(st.get("transform", "parity-reduced")))
-    layer_list = _int_list(st.get("layers", "1,2,3"), "layers")
-    p_grid = _float_grid(st.get("p_grid", "0:0.8:0.1"), "p-grid")
-    gate = str(st.get("gate", "CNOT"))
-    header = ["p"] + [f"e_layers{layers}" for layers in layer_list]
+# ``--layers`` per kind: a list for noise, a count otherwise
+_SWEEP_LAYERS = {"noise": "1,2,3", "shots": "1", "dg": "3"}
+
+
+def _sweep_noise(args: argparse.Namespace) -> tuple[list[str], list[list]]:
+    s = _resolve_integrals(args)
+    h = _qubit_hamiltonian(s, args.transform)
+    p_grid = _float_grid(args.p_grid, "p-grid")
+    header = ["p"] + [f"e_layers{layers}" for layers in args.layers]
     columns = []
-    for layers in layer_list:
+    for layers in args.layers:
         circuit = build_ry_ansatz(h.n_qubits, layers)
         init = _hea_init_params(circuit, _reference_bitstring(h))
         columns.append([
             float(hea_kernel(circuit, init, h,
-                             noise=_noise_model(gate, p, circuit)).e)
+                             noise=_noise_model(args.gate, p, circuit)).e)
             for p in p_grid
         ])
     rows = [[p] + [col[i] for col in columns]
@@ -856,54 +811,45 @@ def _sweep_noise(st: _Settings) -> tuple[list[str], list[list]]:
     return header, rows
 
 
-def _sweep_shots(st: _Settings) -> tuple[list[str], list[list]]:
-    s = _resolve_integrals(st)
-    h = _qubit_hamiltonian(s, str(st.get("transform", "parity-reduced")))
-    layers = st.get_int("layers", 1)
-    circuit = build_ry_ansatz(h.n_qubits, layers)
+def _sweep_shots(args: argparse.Namespace) -> tuple[list[str], list[list]]:
+    s = _resolve_integrals(args)
+    h = _qubit_hamiltonian(s, args.transform)
+    circuit = build_ry_ansatz(h.n_qubits, args.layers)
     init = _hea_init_params(circuit, _reference_bitstring(h))
     optimum = hea_kernel(circuit, init, h)
     psi = simulate_state(circuit, optimum.x)
     exact = expectation(psi, h)
-    shots_grid = _int_list(st.get("shots_grid",
-                                  "256,512,1024,2048,4096,8192"),
-                           "shots-grid")
-    repeats = st.get_int("repeats", 64)
-    seed = st.get_int("seed", 0)
+    shots_grid = _int_list(args.shots_grid, "shots-grid")
     rows = []
     for i, shots in enumerate(shots_grid):
         samples = np.array([
             sampled_expectation(psi, h, shots,
-                                seed=seed + 100_000 * i + r)
-            for r in range(repeats)
+                                seed=args.seed + 100_000 * i + r)
+            for r in range(args.repeats)
         ])
         rows.append([shots, float(np.mean(samples)),
                      float(np.std(samples - exact)), float(exact)])
     return ["shots", "mean", "std", "exact"], rows
 
 
-def _sweep_dg(st: _Settings) -> tuple[list[str], list[list], dict]:
-    dg_grid = _float_grid(st.get("dg_grid", "0:-2:-0.25"), "dg-grid")
-    omega = st.get_float("omega", 0.5)
-    g = st.get_float("g", 1.0)
-    v = st.get_float("v", -0.1)
-    nbas = st.get_int("nbas", 8)
-    window = (st.get_float("fit_start", 2.0), st.get_float("fit_stop", 8.0))
+def _sweep_dg(args: argparse.Namespace
+              ) -> tuple[list[str], list[list], dict]:
+    dg_grid = _float_grid(args.dg_grid, "dg-grid")
+    marcus = argparse.Namespace(**{**vars(args), "model": "marcus"})
+    omega, g = _omega_g(marcus)
+    v = args.v
+    window = (args.fit_start, args.fit_stop)
     rates = []
     for dg in dg_grid:
-        sub = _Settings(argparse.Namespace(), {})
-        sub.args = dict(st.args)
-        sub.sections = st.sections
-        sub.args.update(model="marcus", dg=dg, omega=omega, g=g, v=v,
-                        nbas=nbas)
-        terms, basis, initial, observables = _dynamics_setup(sub)
-        traj = _evolve(sub, terms, basis, initial, observables)
+        point = argparse.Namespace(**{**vars(marcus), "dg": dg})
+        terms, basis, initial, observables = _dynamics_setup(point)
+        traj = _evolve(point, terms, basis, initial, observables)
         rates.append(rate_fit(traj.times, traj.observable("occ0"),
                               t_window=window))
     header = ["dg", "rate"]
     rows: list[list] = [[dg, rate] for dg, rate in zip(dg_grid, rates)]
     extra: dict = {}
-    if st.get_bool("fit_beta", False):
+    if args.fit_beta:
         lam = 2.0 * g * g * omega
         betas = np.linspace(0.05, 20.0, 4000)
         residuals = [
@@ -922,20 +868,16 @@ def _sweep_dg(st: _Settings) -> tuple[list[str], list[list], dict]:
     return header, rows, extra
 
 
-def _sweep_files(st: _Settings) -> tuple[list[str], list[list]]:
-    files = st.args.get("files") or []
-    if not files:
+def _sweep_files(args: argparse.Namespace) -> tuple[list[str], list[list]]:
+    if not args.files:
         raise _UsageError("--kind files requires --files ...")
     rows = []
-    for name in files:
-        sub = _Settings(argparse.Namespace(), {})
-        sub.args = dict(st.args)
-        sub.sections = st.sections
-        sub.args.update(fcidump=name)
-        s = _resolve_integrals(sub)
-        problem, _ = _build_problem(sub, s)
-        fci = _fci_reference(s, sub)
-        result = kernel(problem)
+    for name in args.files:
+        point = argparse.Namespace(**{**vars(args), "fcidump": name})
+        s = _resolve_integrals(point)
+        problem, _ = _build_problem(point, s)
+        fci = _fci_reference(s, point)
+        result = kernel(problem, maxiter=args.maxiter)
         e_hf = hf_energy(s)
         rows.append([
             Path(name).name, e_hf, e_hf + mp2(s).e_corr, float(result.e),
@@ -944,31 +886,35 @@ def _sweep_files(st: _Settings) -> tuple[list[str], list[list]]:
     return ["file", "hf", "mp2", "ucc", "fci"], rows
 
 
-def _run_sweep(st: _Settings) -> int:
-    kind = str(st.get("kind", ""))
+def _run_sweep(args: argparse.Namespace) -> int:
+    kind = args.kind
+    if not kind:
+        raise _UsageError("--kind is required (noise, shots, dg, files)")
+    if kind in _SWEEP_LAYERS:
+        layers = _int_list(args.layers or _SWEEP_LAYERS[kind], "layers")
+        if kind != "noise":
+            if len(layers) != 1:
+                raise _UsageError(f"--layers: expected one layer count for "
+                                  f"--kind {kind}")
+            layers = layers[0]
+        args = argparse.Namespace(**{**vars(args), "layers": layers})
     extra: dict = {}
     if kind == "noise":
-        header, rows = _sweep_noise(st)
+        header, rows = _sweep_noise(args)
     elif kind == "shots":
-        header, rows = _sweep_shots(st)
+        header, rows = _sweep_shots(args)
     elif kind == "dg":
-        header, rows, extra = _sweep_dg(st)
-    elif kind == "files":
-        header, rows = _sweep_files(st)
+        header, rows, extra = _sweep_dg(args)
     else:
-        raise _UsageError("--kind must be one of: noise, shots, dg, files")
-    output = st.get("output")
-    fmt = str(st.get("format", "csv"))
-    if fmt == "csv":
-        _emit(_csv_text(header, rows), output)
-    elif fmt == "json":
+        header, rows = _sweep_files(args)
+    if args.format == "csv":
+        _emit(_csv_text(header, rows), args.output)
+    else:
         payload = {"columns": header,
                    "rows": [[(None if isinstance(x, float) and math.isnan(x)
                               else x) for x in row] for row in rows]}
         payload.update(extra)
-        _emit(_json_text(payload), output)
-    else:
-        raise _UsageError(f"unknown format {fmt!r}")
+        _emit(_json_text(payload), args.output)
     return 0
 
 
@@ -976,50 +922,102 @@ def _run_sweep(st: _Settings) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="config file with flag defaults")
+def _add_common(sub: argparse.ArgumentParser, formats=("json", "csv", "text"),
+                default_format=None) -> None:
+    sub.add_argument("--config",
+                     help="config file whose values act as flags placed "
+                          "before the command line's own")
     sub.add_argument("--output", help="write the artifact to this path "
                                       "(default: stdout)")
-    sub.add_argument("--format", choices=["json", "csv", "text"],
-                     help="artifact format")
-    sub.add_argument("--seed", type=int, help="RNG seed (default 0)")
+    if formats:
+        default = ("%(default)s" if default_format
+                   else "json with --output, else text")
+        sub.add_argument("--format", choices=formats, default=default_format,
+                         help=f"artifact format (default: {default})")
 
 
-def _add_molecular(sub: argparse.ArgumentParser) -> None:
+def _add_seed(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--seed", type=int, default=0,
+                     help="RNG seed (default: %(default)s)")
+
+
+def _add_transform(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--transform", default="parity-reduced",
+                     choices=["jw", "parity", "parity-reduced"],
+                     help="fermion-to-qubit mapping (default: %(default)s)")
+
+
+def _add_molecular(sub: argparse.ArgumentParser,
+                   reference: bool = False) -> None:
     sub.add_argument("--fcidump",
                      help="FCIDUMP path or bundled fixture name "
                           "(h2_sto3g, h2_sto3g_stretched, h4_sto3g, "
                           "h6_sto3g, h8_sto3g)")
     sub.add_argument("--active-space", dest="active_space",
                      help="restrict to 'n_elec,n_orb' around the Fermi level")
-    sub.add_argument("--fci-reference", dest="fci_reference",
-                     action=argparse.BooleanOptionalAction, default=None,
-                     help="force/skip the exact reference energies: FCI, "
-                          "and DOCI for pUCCD (by default skipped past "
-                          f"{_REFERENCE_LIMIT:,} configurations)")
+    if reference:
+        sub.add_argument("--fci-reference", dest="fci_reference",
+                         action=argparse.BooleanOptionalAction,
+                         help="force/skip the exact reference energies: "
+                              "FCI, and DOCI for pUCCD (by default skipped "
+                              f"past {_REFERENCE_LIMIT:,} configurations)")
 
 
 def _add_ansatz(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--ansatz",
+    sub.add_argument("--ansatz", default="uccsd",
                      choices=["uccsd", "kupccgsd", "puccd", "custom"],
-                     help="ansatz family (default uccsd)")
-    sub.add_argument("--k", type=int, help="number of repeated blocks for "
-                                           "kupccgsd (default 1)")
+                     help="ansatz family (default: %(default)s)")
+    sub.add_argument("--k", type=int, default=1,
+                     help="number of repeated blocks for kupccgsd "
+                          "(default: %(default)s)")
     sub.add_argument("--screen-eps", dest="screen_eps", type=float,
+                     default=1e-8,
                      help="drop excitations with |initial amplitude| below "
-                          "this (default 1e-8)")
-    sub.add_argument("--sort", dest="sort",
-                     action=argparse.BooleanOptionalAction, default=None,
-                     help="order doubles by descending initial amplitude")
+                          "this (default: %(default)s)")
+    sub.add_argument("--sort", dest="sort", default=True,
+                     action=argparse.BooleanOptionalAction,
+                     help="order doubles by descending initial amplitude "
+                          "(default: %(default)s)")
     sub.add_argument("--ansatz-file", dest="ansatz_file",
                      help="excitation list for --ansatz custom")
-    sub.add_argument("--save-ansatz", dest="save_ansatz",
-                     help="write the (optimized) excitation list here")
-    sub.add_argument("--maxiter", type=int, help="optimizer iteration cap")
+    sub.add_argument("--maxiter", type=int, default=_MAXITER,
+                     help="optimizer iteration cap (default: %(default)s)")
+    _add_seed(sub)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def _add_evolution(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--nbas", type=int, default=8,
+                     help="oscillator levels per mode (default: %(default)s)")
+    sub.add_argument("--t-final", dest="t_final", type=float, default=10.0,
+                     help="evolution time (default: %(default)s)")
+    sub.add_argument("--tau", type=float, default=0.02,
+                     help="integrator step (default: %(default)s)")
+    sub.add_argument("--integrator", choices=["euler", "rk4"], default="rk4",
+                     help="fixed-step integrator (default: %(default)s)")
+    sub.add_argument("--method", choices=["vha", "exact"], default="vha",
+                     help="variational ansatz or exact propagation "
+                          "(default: %(default)s)")
+    sub.add_argument("--encoding", choices=["unary", "binary", "gray"],
+                     default="gray",
+                     help="level-to-qubit encoding (default: %(default)s)")
+    sub.add_argument("--eps-reg", dest="eps_reg", type=float, default=1e-5,
+                     help="equation-of-motion regularization "
+                          "(default: %(default)s)")
+    sub.add_argument("--omega", type=float,
+                     help="oscillator frequency (default: spin-boson 1, "
+                          "marcus 0.5)")
+    sub.add_argument("--g", type=float,
+                     help="coupling strength (default: spin-boson 0.5, "
+                          "marcus 1)")
+    sub.add_argument("--v", type=float, default=-0.1,
+                     help="marcus: electronic coupling "
+                          "(default: %(default)s)")
+
+
+def _build_parser() -> tuple[argparse.ArgumentParser,
+                             dict[str, argparse.ArgumentParser]]:
+    """The ``vqchem`` parser and its subcommand parsers by name."""
+    parser = _Parser(
         prog="vqchem",
         description="variational quantum chemistry and dynamics workflows",
     )
@@ -1027,19 +1025,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_vqe = subparsers.add_parser(
         "vqe", help="unitary coupled-cluster optimization")
-    _add_molecular(p_vqe)
+    _add_molecular(p_vqe, reference=True)
     _add_ansatz(p_vqe)
+    p_vqe.add_argument("--save-ansatz", dest="save_ansatz",
+                       help="write the optimized excitation list here")
     p_vqe.add_argument("--save-state", dest="save_state",
                        help="write the optimized CI vector here")
     _add_common(p_vqe)
 
     p_adapt = subparsers.add_parser(
         "adapt", help="adaptive ansatz growth")
-    _add_molecular(p_adapt)
-    p_adapt.add_argument("--epsilon", type=float,
-                         help="pool-gradient-norm stop (default 1e-3)")
-    p_adapt.add_argument("--max-iter", dest="max_iter", type=int,
-                         help="growth iteration cap (default 50)")
+    _add_molecular(p_adapt, reference=True)
+    p_adapt.add_argument("--epsilon", type=float, default=1e-3,
+                         help="pool-gradient-norm stop "
+                              "(default: %(default)s)")
+    p_adapt.add_argument("--max-iter", dest="max_iter", type=int, default=50,
+                         help="growth iteration cap (default: %(default)s)")
     p_adapt.add_argument("--save-state", dest="save_state",
                          help="write the final CI vector here")
     p_adapt.add_argument("--save-ansatz", dest="save_ansatz",
@@ -1062,10 +1063,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_noisy = subparsers.add_parser(
         "noisy", help="hardware-efficient ansatz under depolarizing noise")
     _add_molecular(p_noisy)
-    p_noisy.add_argument("--layers", type=int,
-                         help="entangling layers (default 1)")
+    p_noisy.add_argument("--layers", type=int, default=1,
+                         help="entangling layers (default: %(default)s)")
     p_noisy.add_argument("--p", type=float,
-                         help="CNOT depolarizing probability (default 0)")
+                         help="CNOT depolarizing probability (default: 0)")
     p_noisy.add_argument("--noise",
                          help="noise spec, e.g. "
                               '\'{gate="CNOT", channel="depolarizing", '
@@ -1073,117 +1074,88 @@ def _build_parser() -> argparse.ArgumentParser:
     p_noisy.add_argument("--shots", type=int,
                          help="sample the objective with this many shots "
                               "per term")
-    p_noisy.add_argument("--transform",
-                         choices=["jw", "parity", "parity-reduced"],
-                         help="fermion-to-qubit mapping "
-                              "(default parity-reduced)")
+    _add_transform(p_noisy)
+    _add_seed(p_noisy)
     _add_common(p_noisy)
 
     p_dyn = subparsers.add_parser(
         "dynamics", help="variational real-time evolution")
     p_dyn.add_argument("--model", choices=["spin-boson", "marcus", "custom"],
-                       help="model family (default spin-boson)")
-    p_dyn.add_argument("--nbas", type=int,
-                       help="oscillator levels per mode (default 8)")
-    p_dyn.add_argument("--layers", type=int,
-                       help="ansatz layers (default 3)")
-    p_dyn.add_argument("--t-final", dest="t_final", type=float,
-                       help="evolution time (default 10)")
-    p_dyn.add_argument("--tau", type=float,
-                       help="integrator step (default 0.02)")
-    p_dyn.add_argument("--integrator", choices=["euler", "rk4"],
-                       help="fixed-step integrator (default rk4)")
-    p_dyn.add_argument("--method", choices=["vha", "exact"],
-                       help="variational ansatz or exact propagation "
-                            "(default vha)")
-    p_dyn.add_argument("--encoding", choices=["unary", "binary", "gray"],
-                       help="level-to-qubit encoding (default gray)")
-    p_dyn.add_argument("--eps-reg", dest="eps_reg", type=float,
-                       help="equation-of-motion regularization (default 1e-5)")
-    p_dyn.add_argument("--epsilon", type=float,
-                       help="spin-boson: qubit bias (default 0)")
-    p_dyn.add_argument("--delta", type=float,
-                       help="spin-boson: tunneling (default 1)")
-    p_dyn.add_argument("--omega", type=float,
-                       help="oscillator frequency (defaults: spin-boson 1, "
-                            "marcus 0.5)")
-    p_dyn.add_argument("--g", type=float,
-                       help="coupling strength (defaults: spin-boson 0.5, "
-                            "marcus 1)")
-    p_dyn.add_argument("--v", type=float,
-                       help="marcus: electronic coupling (default -0.1)")
-    p_dyn.add_argument("--dg", type=float,
-                       help="marcus: driving force (default -1)")
-    _add_common(p_dyn)
+                       default="spin-boson",
+                       help="model family (default: %(default)s)")
+    p_dyn.add_argument("--layers", type=int, default=3,
+                       help="ansatz layers (default: %(default)s)")
+    _add_evolution(p_dyn)
+    p_dyn.add_argument("--epsilon", type=float, default=0.0,
+                       help="spin-boson: qubit bias (default: %(default)s)")
+    p_dyn.add_argument("--delta", type=float, default=1.0,
+                       help="spin-boson: tunneling (default: %(default)s)")
+    p_dyn.add_argument("--dg", type=float, default=-1.0,
+                       help="marcus: driving force (default: %(default)s)")
+    _add_common(p_dyn, ("csv", "json"), "csv")
 
     p_hub = subparsers.add_parser(
         "hubbard", help="Hubbard chain UCC vs exact")
     p_hub.add_argument("--sites", type=int, help="number of sites (required)")
-    p_hub.add_argument("--t", type=float, help="hopping (default 1)")
-    p_hub.add_argument("--u", type=float, help="on-site repulsion (default 4)")
+    p_hub.add_argument("--t", type=float, default=1.0,
+                       help="hopping (default: %(default)s)")
+    p_hub.add_argument("--u", type=float, default=4.0,
+                       help="on-site repulsion (default: %(default)s)")
     p_hub.add_argument("--periodic", action=argparse.BooleanOptionalAction,
-                       default=None, help="periodic boundary conditions")
+                       default=False, help="periodic boundary conditions "
+                                           "(default: %(default)s)")
     _add_ansatz(p_hub)
     _add_common(p_hub)
 
     p_conv = subparsers.add_parser(
         "convert", help="format conversions")
-    p_conv.add_argument("--fcidump",
-                        help="FCIDUMP path or bundled fixture name")
-    p_conv.add_argument("--active-space", dest="active_space",
-                        help="restrict to 'n_elec,n_orb'")
+    _add_molecular(p_conv)
     p_conv.add_argument("--to",
                         choices=["fcidump", "fermion", "jw", "parity",
                                  "parity-reduced", "state-json"],
                         help="conversion target")
     p_conv.add_argument("--load-state", dest="load_state",
                         help="CI vector file for --to state-json")
-    _add_common(p_conv)
+    _add_common(p_conv, formats=())
 
     p_sweep = subparsers.add_parser(
         "sweep", help="parameter scans producing one row per point")
     p_sweep.add_argument("--kind", choices=["noise", "shots", "dg", "files"],
                          help="sweep axis")
-    _add_molecular(p_sweep)
+    _add_molecular(p_sweep, reference=True)
     _add_ansatz(p_sweep)
     p_sweep.add_argument("--files", nargs="+",
                          help="FCIDUMP paths for --kind files")
     p_sweep.add_argument("--layers",
-                         help="layer list for --kind noise (default 1,2,3) "
-                              "or layer count otherwise")
-    p_sweep.add_argument("--p-grid", dest="p_grid",
+                         help="layer list for --kind noise (default: 1,2,3), "
+                              "or layer count (default: shots 1, dg 3)")
+    p_sweep.add_argument("--p-grid", dest="p_grid", default="0:0.8:0.1",
                          help="noise probabilities: 'a,b,c' or "
-                              "'start:stop:step' (default 0:0.8:0.1)")
-    p_sweep.add_argument("--gate", help="noisy gate kind (default CNOT)")
-    p_sweep.add_argument("--transform",
-                         choices=["jw", "parity", "parity-reduced"])
+                              "'start:stop:step' (default: %(default)s)")
+    p_sweep.add_argument("--gate", default="CNOT",
+                         help="noisy gate kind (default: %(default)s)")
+    _add_transform(p_sweep)
     p_sweep.add_argument("--shots-grid", dest="shots_grid",
-                         help="shot counts (default 256,...,8192)")
-    p_sweep.add_argument("--repeats", type=int,
-                         help="samples per shot count (default 64)")
-    p_sweep.add_argument("--dg-grid", dest="dg_grid",
-                         help="driving forces (default 0:-2:-0.25)")
-    p_sweep.add_argument("--v", type=float)
-    p_sweep.add_argument("--omega", type=float)
-    p_sweep.add_argument("--g", type=float)
-    p_sweep.add_argument("--nbas", type=int)
-    p_sweep.add_argument("--method", choices=["vha", "exact"],
-                         help="dynamics route for --kind dg (default vha)")
-    p_sweep.add_argument("--tau", type=float)
-    p_sweep.add_argument("--t-final", dest="t_final", type=float)
-    p_sweep.add_argument("--integrator", choices=["euler", "rk4"])
-    p_sweep.add_argument("--encoding", choices=["unary", "binary", "gray"])
-    p_sweep.add_argument("--eps-reg", dest="eps_reg", type=float)
+                         default="256,512,1024,2048,4096,8192",
+                         help="shot counts (default: %(default)s)")
+    p_sweep.add_argument("--repeats", type=int, default=64,
+                         help="samples per shot count (default: %(default)s)")
+    p_sweep.add_argument("--dg-grid", dest="dg_grid", default="0:-2:-0.25",
+                         help="driving forces (default: %(default)s)")
+    _add_evolution(p_sweep)
     p_sweep.add_argument("--fit-start", dest="fit_start", type=float,
-                         help="rate-fit window start (default 2)")
+                         default=2.0,
+                         help="rate-fit window start (default: %(default)s)")
     p_sweep.add_argument("--fit-stop", dest="fit_stop", type=float,
-                         help="rate-fit window stop (default 8)")
-    p_sweep.add_argument("--fit-beta", dest="fit_beta",
-                         action=argparse.BooleanOptionalAction, default=None,
-                         help="append a least-squares theory-rate column")
-    _add_common(p_sweep)
+                         default=8.0,
+                         help="rate-fit window stop (default: %(default)s)")
+    p_sweep.add_argument("--fit-beta", dest="fit_beta", default=False,
+                         action=argparse.BooleanOptionalAction,
+                         help="append a least-squares theory-rate column "
+                              "(default: %(default)s)")
+    _add_common(p_sweep, ("csv", "json"), "csv")
 
-    return parser
+    return parser, subparsers.choices
 
 
 _RUNNERS = {
@@ -1199,12 +1171,16 @@ _RUNNERS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _build_parser()
     try:
+        args = parser.parse_args(argv)
         config = _read_config(args.config)
-        settings = _Settings(args, config)
-        return _RUNNERS[args.subcommand](settings)
+        if config:  # config values go before the command line's own flags
+            tokens = _config_tokens(commands[args.subcommand], config,
+                                    args.subcommand)
+            args = parser.parse_args(argv[:1] + tokens + argv[1:])
+        return _RUNNERS[args.subcommand](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -20,6 +21,7 @@ from vqchem import (
     simulate_state,
     write_fcidump,
 )
+from vqchem import cli
 from vqchem.cli import (
     _hea_init_params,
     _qubit_hamiltonian,
@@ -81,7 +83,7 @@ def test_truncated_state_file_exits_one(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("command", [
-    ("fci", "--fcidump", "h2_sto3g"),
+    ("fci", "--fcidump", "h2_sto3g", "--format", "json"),
     ("convert", "--to", "state-json"),
 ])
 def test_non_finite_state_file_exits_one(capsys, tmp_path, command):
@@ -92,8 +94,7 @@ def test_non_finite_state_file_exits_one(capsys, tmp_path, command):
     raw = bytearray(path.read_bytes())
     raw[12:20] = np.array([np.nan], dtype="<f8").tobytes()
     path.write_bytes(bytes(raw))
-    code, out, err = run(capsys, *command, "--load-state", str(path),
-                         "--format", "json")
+    code, out, err = run(capsys, *command, "--load-state", str(path))
     assert code == 1
     assert "ParseError" in err and "NaN" not in out
 
@@ -102,6 +103,56 @@ def test_bad_grid_is_a_usage_error(capsys):
     code, _, err = run(capsys, "sweep", "--kind", "noise",
                        "--fcidump", "h2_sto3g", "--p-grid", "zero:one")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("fci", "--fcidump", "h2_sto3g", "--seed", "1"),
+    ("adapt", "--fcidump", "h2_sto3g", "--seed", "1"),
+    ("dynamics", "--seed", "1"),
+    ("convert", "--fcidump", "h2_sto3g", "--to", "jw", "--seed", "1"),
+    ("convert", "--fcidump", "h2_sto3g", "--to", "jw", "--format", "json"),
+    ("fci", "--fcidump", "h2_sto3g", "--fci-reference"),
+    ("noisy", "--fcidump", "h2_sto3g", "--no-fci-reference"),
+    ("hubbard", "--sites", "2", "--save-ansatz", "unused.ansatz"),
+    ("sweep", "--kind", "files", "--files", "h2_sto3g", "--save-ansatz",
+     "unused.ansatz"),
+])
+def test_a_flag_the_subcommand_would_ignore_exits_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: unrecognized arguments")
+
+
+def test_sweep_files_honours_maxiter(capsys):
+    code, out, _ = run(capsys, "sweep", "--kind", "files", "--files",
+                       "h4_sto3g", "--maxiter", "1", "--format", "json")
+    assert code == 0
+    e_sweep = json.loads(out)["rows"][0][3]
+    code, out, _ = run(capsys, "vqe", "--fcidump", "h4_sto3g", "--maxiter",
+                       "1", "--format", "json")
+    assert code == 0
+    assert e_sweep == json.loads(out)["energies"]["ucc"]
+    assert abs(e_sweep - (-2.16543865)) < 1e-8  # converged: -2.16754616
+
+
+@pytest.mark.parametrize("command", sorted(cli._RUNNERS))
+def test_help_renders_every_declared_default(capsys, command):
+    """argparse formats help only on --help, so a bad ``%(default)s``
+    string would fail there alone."""
+    _, commands = cli._build_parser()
+    defaults = [action.default for action in commands[command]._actions
+                if action.option_strings
+                and action.default not in (None, argparse.SUPPRESS)]
+    with pytest.raises(SystemExit) as stop:
+        main([command, "--help"])
+    assert stop.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert text.startswith(f"usage: vqchem {command}")
+    for default in defaults:
+        assert f"(default: {default})" in text
+    if command == "dynamics":
+        assert "--tau TAU integrator step (default: 0.02)" in text
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +237,66 @@ def test_vqe_config_file_and_flag_precedence(capsys, tmp_path):
     assert code == 0
     n_ucc = len(json.loads(out)["ex_ops"])
     assert n_kup == 6 and n_ucc == 3
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("the optimiser ran")
+
+
+def test_config_value_outside_the_choices_exits_two(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[dynamics]\nintegrator = rk5\n")
+    code, out, err = run(capsys, "dynamics", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: argument --integrator: invalid "
+                          "choice: 'rk5'")
+    assert len(err.splitlines()) == 1
+
+
+def test_config_format_is_checked_before_any_work(capsys, monkeypatch,
+                                                 tmp_path):
+    monkeypatch.setattr(cli, "kernel", refuse)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[common]\nfcidump = h4_sto3g\n[vqe]\nformat = xml\n")
+    code, out, err = run(capsys, "vqe", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert "invalid choice: 'xml'" in err
+
+
+def test_config_files_list_is_read(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[sweep]\nfiles = {fixture_path('h2_sto3g')}\n")
+    code, out, _ = run(capsys, "sweep", "--kind", "files", "--config",
+                       str(cfg), "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 1 and abs(rows[0][3] - H2_FCI) < 1e-9
+
+
+def test_config_key_that_names_no_option_is_ignored(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[common]\nseed = 3\nno_such_key = 1\n")
+    code, out, _ = run(capsys, "fci", "--fcidump", "h2_sto3g", "--config",
+                       str(cfg), "--format", "json")
+    assert code == 0
+    assert abs(json.loads(out)["fci"] - H2_FCI) < 1e-9
+
+
+def test_config_boolean_is_overridden_by_its_flag(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[vqe]\nsort = no\n")
+    base = ("vqe", "--fcidump", "h4_sto3g", "--format", "json")
+    order = {}
+    for name, extra in [("sorted", ()), ("config", ("--config", str(cfg))),
+                        ("flag", ("--config", str(cfg), "--sort"))]:
+        code, out, _ = run(capsys, *base, *extra)
+        assert code == 0
+        order[name] = json.loads(out)["ex_ops"]
+    assert order["config"] != order["sorted"]
+    assert order["flag"] == order["sorted"]
+    cfg.write_text("[vqe]\nsort = maybe\n")
+    code, _, err = run(capsys, *base, "--config", str(cfg))
+    assert code == 2 and "--sort: expected a boolean" in err
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +425,17 @@ def test_vqe_puccd_h16_solves_no_fci(capsys, tmp_path, h16_fcidump):
     assert energies["doci"] <= energies["ucc"]
     assert any(line.split() == ["FCI", "-", "-", "-"]
                for line in capsys.readouterr().out.splitlines())
+
+
+def test_hubbard_past_the_size_limit_runs_nothing(capsys, monkeypatch):
+    from vqchem import civector
+
+    monkeypatch.setattr(cli, "kernel", refuse)
+    monkeypatch.setattr(civector, "_ITERATIVE_LIMIT", 35)  # 4 sites: 36
+    code, out, err = run(capsys, "hubbard", "--sites", "4")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("SizeLimit:")
 
 
 def test_hubbard_free_fermions(capsys):
