@@ -26,10 +26,14 @@ compiles, and these caches only ever append:
   UCCSD they hold 1.7 MiB for H8 (200 excitations), 45 MiB for H10 (467)
   and 1.1 GiB for H12 (954);
 * the sigma plan (``"link"``, :class:`_SigmaPlan`): the single-replacement
-  link table of its strings, compiled once into dense gather arrays and,
-  per block size, each block's scatter matrix.  It holds 0.12 MB for H8,
-  0.66 MB for H10 and 3.6 MB for H12, and serves the direct-CI sigma and
-  the density matrices;
+  link table of its strings as dense (n_strings, n_pair) gather arrays,
+  and the same links as per-string tables of the n_occ (1 + n_vir) live
+  pairs.  It holds 0.085 MB for H8, 0.46 MB for H10 and 2.4 MB for H12,
+  and serves the direct-CI sigma and the density matrices;
+* per integral set, in a weakly keyed table (``"same-spin"``,
+  :func:`_same_spin`), the dense same-spin Hamiltonian H_s of the sigma:
+  8 * n_strings^2 bytes, 0.04 MB for H8, 0.51 MB for H10 and 6.8 MB for
+  H12.  It lives as long as its :class:`IntegralSet`;
 * the occupation matrix (``"occ"``, :func:`_occupations`) of the strings,
   which the diagonal and the density matrices read;
 * one hop table per orbital pair (``("hop", p, q)``, p > q,
@@ -41,13 +45,14 @@ compiles, and these caches only ever append:
 The Hamiltonian has one route per kind of vector: on determinants H is
 applied by the string-driven direct-CI sigma (:func:`_sigma`), on pair
 configurations by two gathers and two scatters per hop table
-(:func:`_pair_sigma`).  The sigma reads the plan and keeps its block
-scratch in one workspace per thread, reused by every apply: with the
-default blocks at most ``2 * max(4 MB, 8 * n_pair * n_strings_beta)``
-bytes, for ``n_pair = n_orb (n_orb + 1) / 2``.  The sigma has a symmetric
-mode for vectors with C = C^T over (alpha string, beta string), which works
-on the lower triangle only; UCC states are not symmetric and take the
-general mode.
+(:func:`_pair_sigma`).  The sigma is two matrix products with H_s and,
+for the alpha-beta part, gathers through the live-pair tables and no
+scatter.  It keeps its block scratch in one workspace per thread, reused by
+every apply: with the default blocks at most ``max(1 MB, 8 * (n_pair +
+n_live) * n_strings_beta)`` bytes, for ``n_pair = n_orb (n_orb + 1) / 2``
+and n_live live pairs per string.  The sigma has a symmetric mode for
+vectors with C = C^T over (alpha string, beta string), which saves one of
+the H_s products; UCC states are not symmetric and take the general mode.
 
 Both ground states come from one Davidson iteration (:func:`_davidson`),
 which works in whatever coordinates its caller applies H in.
@@ -72,7 +77,6 @@ from math import comb
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .errors import (
     InvalidExcitation,
@@ -387,15 +391,15 @@ class _SigmaPlan:
     ``np.tril_indices(n_orb)``.  At most one of ``E_pq``, ``E_qp`` survives
     on a string, so ``E+_P |J> = sign[J, P] |target[J, P]>``; ``sign`` is 0
     where the pair annihilates ``J`` (``target`` is then ``J``).  ``E+_P``
-    is real symmetric, so the same table gathers and scatters, and alpha and
-    beta strings are one set, so one table serves both sectors.
+    is real symmetric, and alpha and beta strings are one set, so one table
+    serves both sectors.
 
-    * ``target``/``sign`` (n_strings, n_pair) and their transposes gather
-      the alpha rows and the beta columns of ``E+_P C``;
-    * ``scatter_t``, the transposed table as a (n_strings, n_strings *
-      n_pair) matrix, adds ``E+_P F[J, P]`` back onto the strings;
-    * :meth:`blocks` holds, per block size, each block's reached alpha
-      strings and its own transposed scatter matrix, built on first use.
+    A string of n_occ electrons has n_occ (1 + n_vir) live pairs: its
+    occupied diagonal pairs and its hops from an occupied to a virtual
+    orbital.  ``pair``, ``live_target`` and ``live_sign`` (n_strings,
+    n_live) list them per string in pair order, and ``flat`` holds
+    ``pair * n_strings + live_target``, their positions in a (n_pair,
+    n_strings) matrix.
     """
 
     def __init__(self, strings: np.ndarray, n_orb: int):
@@ -413,50 +417,34 @@ class _SigmaPlan:
                              np.where(p == q, occ_p, False))
         self.target = np.searchsorted(
             strings, np.where(hop, column ^ (bit_p | bit_q), column))
-        self.sign_t = np.ascontiguousarray(self.sign.T)
-        self.target_t = np.ascontiguousarray(self.target.T)
-        live = np.flatnonzero(self.sign)
-        self.scatter_t = csr_matrix(
-            (self.sign.ravel()[live], (self.target.ravel()[live], live)),
-            shape=(len(self.sign), self.sign.size))
-        self._blocks: dict = {}
+        rows, pair = np.nonzero(self.sign)
+        n = len(strings)
+        self.pair = pair.reshape(n, -1)
+        self.live_target = self.target[rows, pair].reshape(n, -1)
+        self.live_sign = self.sign[rows, pair].reshape(n, -1)
+        self.flat = self.pair * n + self.live_target
 
-    def blocks(self, block: int) -> tuple:
-        """``(a0, a1, reached, scatter_t)`` for every block of ``block``
-        alpha strings: ``scatter_t @ F``, with F's rows ``(a, P)`` for the
-        block's strings a, sums ``E+_P F[a, P]`` onto the strings
-        ``reached``, the rows of ``self.scatter_t`` that the block touches."""
-        compiled = self._blocks.get(block)
-        if compiled is None:
-            n, n_pair = self.sign.shape
-            compiled = []
-            for a0 in range(0, n, block):
-                a1 = min(a0 + block, n)
-                part = self.scatter_t[:, a0 * n_pair:a1 * n_pair]
-                reached = np.flatnonzero(part.getnnz(axis=1))
-                compiled.append((a0, a1, reached, part[reached]))
-            # concurrent compiles build equal tables; keep the first
-            compiled = self._blocks.setdefault(block, tuple(compiled))
-        return compiled
+
+def _cached(table, key, build):
+    """``table[key]``, set to ``build()`` on first use.  Concurrent first
+    uses build equal values; the first one stored is kept."""
+    value = table.get(key)
+    if value is None:
+        value = table.setdefault(key, build())
+    return value
 
 
 def _sigma_plan(space: CISpace) -> _SigmaPlan:
-    plan = space._action_cache.get("link")
-    if plan is None:  # concurrent compiles build equal plans; keep the first
-        plan = space._action_cache.setdefault(
-            "link", _SigmaPlan(space.alpha_strings, space.n_orb))
-    return plan
+    return _cached(space._action_cache, "link",
+                   lambda: _SigmaPlan(space.alpha_strings, space.n_orb))
 
 
 def _occupations(space: CISpace) -> np.ndarray:
     """(n_strings, n_orb) occupation of every orbital in every string, 1.0
     or 0.0, cached under ``"occ"``."""
-    occ = space._action_cache.get("occ")
-    if occ is None:  # concurrent compiles build equal arrays; keep the first
-        bits = np.uint64(1) << np.arange(space.n_orb, dtype=np.uint64)
-        occ = space._action_cache.setdefault(
-            "occ", ((space.alpha_strings[:, None] & bits) != 0).astype(float))
-    return occ
+    bits = np.uint64(1) << np.arange(space.n_orb, dtype=np.uint64)
+    return _cached(space._action_cache, "occ", lambda: (
+        (space.alpha_strings[:, None] & bits) != 0).astype(float))
 
 
 def _pair_hop_table(space: CISpace, p: int, q: int) -> np.ndarray:
@@ -467,15 +455,13 @@ def _pair_hop_table(space: CISpace, p: int, q: int) -> np.ndarray:
     p < q gives the same array with its rows swapped."""
     if p < q:
         return _pair_hop_table(space, q, p)[::-1]
-    key = ("hop", p, q)
-    table = space._action_cache.get(key)
-    if table is None:  # concurrent compiles build equal tables; keep the first
+
+    def build():
         alive, target, _ = _sector_action(space.alpha_strings,
                                           ((p, True), (q, False)))
         src = np.flatnonzero(alive)
-        table = space._action_cache.setdefault(key,
-                                               np.stack([target[src], src]))
-    return table
+        return np.stack([target[src], src])
+    return _cached(space._action_cache, ("hop", p, q), build)
 
 
 _workspace = threading.local()
@@ -490,91 +476,103 @@ def _scratch(size: int) -> np.ndarray:
     return buf
 
 
-def _pair_integrals(space: CISpace, s: IntegralSet) -> np.ndarray:
-    """V[P, R] with H - e_core = sum_PR V[P, R] E+_P E+_R on the space.
+def _per_integrals(space: CISpace, key: str, s: IntegralSet, build):
+    """``build()``, cached per integrals in the space's weakly keyed ``key``
+    table: the entry lives as long as ``s``."""
+    table = _cached(space._action_cache, key, weakref.WeakKeyDictionary)
+    return _cached(table, s, build)
 
-    H = sum k_pq E_pq + 1/2 sum (pq|rs) E_pq E_rs with k_pq = h_pq -
-    1/2 sum_r (pr|rq).  Symmetric integrals fold each sum onto pairs p >= q.
-    The one-body part rides on the diagonal pairs R = (r, r): their E+_R
-    sum to the electron-number operator, which is n_elec on the space.
+
+def _same_spin(space: CISpace, s: IntegralSet) -> tuple:
+    """(H_s^T, W) of the sigma, cached per integrals under ``"same-spin"``.
+
+    W[P, R] = (pq|rs) over the pairs of :class:`_SigmaPlan`.  H_s is the
+    Hamiltonian of one spin sector without e_core, H_s = sum_P k_P L_P + 1/2
+    sum_PR W[P, R] L_P L_R on its strings, with k_pq = h_pq - 1/2 sum_r
+    (pr|rq) and L_P the string matrix of E+_P.  The one-body part rides on
+    the diagonal pairs R = (r, r), whose L_R sum to the sector's electron
+    count.  It is stored dense and built by one ``bincount`` per chunk of
+    strings J over the live pairs R of J and P of E+_R J.
     """
-    p, q = np.tril_indices(s.n_orb)
-    k = s.int1e - 0.5 * np.einsum("prrq->pq", s.int2e)
-    v = 0.5 * s.int2e[p, q][:, p, q]
-    if space.n_elec:
-        v[:, p == q] += k[p, q][:, None] / space.n_elec
-    return v
+    def build():
+        plan = _sigma_plan(space)
+        p, q = np.tril_indices(s.n_orb)
+        w = s.int2e[p, q][:, p, q]
+        v = 0.5 * w
+        if space.n_alpha:
+            k = s.int1e - 0.5 * np.einsum("prrq->pq", s.int2e)
+            v[:, p == q] += k[p, q][:, None] / space.n_alpha
+        n, n_live = plan.pair.shape
+        h_t = np.empty((n, n))
+        step = max(1, (1 << 16) // max(1, n_live * n_live))
+        for j0 in range(0, n, step):
+            j = slice(j0, j0 + step)
+            mid = plan.live_target[j]  # E+_R J, then E+_P of that
+            weight = (v[plan.pair[mid], plan.pair[j, :, None]]
+                      * plan.live_sign[j, :, None] * plan.live_sign[mid])
+            at = (np.arange(mid.shape[0])[:, None, None] * n
+                  + plan.live_target[mid])
+            h_t[j] = np.bincount(at.ravel(), weight.ravel(),
+                                 h_t[j].size).reshape(-1, n)
+        return h_t, w
+    return _per_integrals(space, "same-spin", s, build)
 
 
 def _sigma(space: CISpace, s: IntegralSet, amps: np.ndarray,
            block: int | None = None, symmetric: bool = False) -> np.ndarray:
     """H v, core energy included, without a Hamiltonian matrix: the direct-CI
-    sigma of Knowles and Handy (Chem. Phys. Lett. 111, 315 (1984)).
+    sigma of Knowles and Handy (Chem. Phys. Lett. 111, 315 (1984)), split
+    into same-spin and opposite-spin parts as by Olsen et al. (J. Chem.
+    Phys. 89, 2185 (1988)).
 
     With C the amplitudes as an (alpha string, beta string) matrix and L_P
-    the string matrix of E+_P, H - e_core = sum_PR V[P, R] E+_P E+_R gives
-    ``sigma - e_core C = sum_P (L_P F_P + F_P L_P)`` with ``D_R = L_R C +
-    C L_R`` and ``F_P = sum_R V[P, R] D_R``.  Every block of alpha strings a
-    gets its rows of D and F and adds them back, reading the space's
-    compiled :class:`_SigmaPlan`: D is two gathers (alpha rows of C through
-    ``target``, beta columns of the block through ``target_t``); the alpha
-    part of F goes to the strings the block reaches through the block's
-    scatter matrix, the beta part through ``scatter_t``, inside the block.
-    D, F and the transposed F live in this thread's workspace
-    (:func:`_scratch`), so a warm apply allocates nothing larger than its
-    output and threads share no mutable state.
+    the string matrix of E+_P, ``sigma - e_core C = H_s C + C H_s^T + X``
+    with H_s and W of :func:`_same_spin` and X = sum_PR W[P, R] L_P C L_R.
+    X is built per block of alpha rows a from gathers over the live pairs
+    i of :class:`_SigmaPlan` (pair P_ai, target t_ai, sign s_ai), without
+    a scatter:
+
+    1. D[a, i, :] = C[t_ai, :];
+    2. F[a] = (W[:, P_a] s_a) @ D[a], the (n_pair, n_strings) matrix of
+       sum_P W[:, P] (L_P C)[a, :] (W is symmetric, so its rows P_a serve);
+    3. X[a, b] = sum_j s_bj F[a, P_bj, t_bj], a gather through ``flat``
+       into D's buffer.
+
+    D and F live in this thread's workspace (:func:`_scratch`), so a warm
+    apply allocates nothing larger than its output and threads share no
+    mutable state.  ``block`` alpha strings go at a time; by default D and
+    F together hold at most ``max(1 MB, 8 * (n_pair + n_live) *
+    n_strings_beta)`` bytes, which keeps them in a core's L2 cache.
 
     ``symmetric=True`` is for C = C^T, a closed-shell vector even under the
-    alpha <-> beta exchange.  D_R and F_P are then symmetric, so F_P = T_P +
-    T_P^T and ``sigma - e_core C = Z + Z^T`` with Z = sum_P (L_P T_P + T_P
-    L_P), for T_P the part of F_P left of each block's diagonal square
-    plus half of that square.  A block of rows a0:a1 gathers, multiplies
-    and scatters beta columns ``:a1`` only, about half the work; the beta
-    scatter reads the transposed F with its rows past a1 zeroed.  On a
-    vector that is not symmetric the result is not H v.
-
-    ``block`` alpha strings go at a time; by default D holds at most
-    ``max(4 MB, 8 * n_pair * n_strings_beta)`` bytes, which keeps it in
-    cache, and the workspace of a thread that uses only default blocks
-    holds twice that, D and F.  The symmetric default also caps a block at
-    a quarter of the strings, rounded up, so that the triangle skips most
-    of the upper half.
+    alpha <-> beta exchange: C H_s^T is then (H_s C)^T, one matrix product
+    fewer.  On a vector that is not symmetric the result is not H v.
     """
     plan = _sigma_plan(space)
-    v = _pair_integrals(space, s)
-    n_pair = v.shape[0]
-    na, nb = space.n_strings_alpha, space.n_strings_beta
+    h_t, w = _same_spin(space, s)
+    n_pair, (na, n_live) = w.shape[0], plan.pair.shape
+    nb = space.n_strings_beta
     c = amps.reshape(na, nb)
     if block is None:
-        block = max(1, (4 << 20) // (8 * n_pair * nb))
-        if symmetric:
-            block = min(block, -(-na // 4))
+        block = max(1, (1 << 20) // (8 * (n_pair + n_live) * nb))
     block = min(block, na)
     size = block * n_pair * nb
-    work = _scratch(2 * size)
-    # symmetric: Z starts at e_core C / 2, which Z + Z^T doubles
-    out = (0.5 * s.e_core if symmetric else s.e_core) * c
-    for a0, a1, reached, scatter_t in plan.blocks(block):
-        n = a1 - a0
-        m = a1 if symmetric else nb  # beta columns of the block's D and F
-        d = work[:n * n_pair * m].reshape(n, n_pair, m)
-        f = work[size:size + d.size].reshape(d.shape)
+    work = _scratch(size + block * n_live * nb)
+    h_c = h_t.T @ c
+    out = h_c + (h_c.T if symmetric else c @ h_t)
+    out += s.e_core * c
+    for a0 in range(0, na, block):
+        a = slice(a0, a0 + block)
+        n = plan.pair[a].shape[0]
+        f = work[:n * n_pair * nb].reshape(n, n_pair, nb)
+        d = work[size:size + n * n_live * nb].reshape(n, n_live, nb)
         # mode="clip" writes straight into out= (the indices are in range)
-        np.take(c[:, :m], plan.target[a0:a1], axis=0, out=d, mode="clip")
-        d *= plan.sign[a0:a1, :, None]
-        np.take(c[a0:a1], plan.target_t[:, :m], axis=1, out=f, mode="clip")
-        f *= plan.sign_t[:, :m]
-        d += f
-        np.matmul(v, d, out=f)
-        if symmetric:  # F's a0:a1 square is symmetric: half of it twice
-            f[:, :, a0:a1] *= 0.5
-        out[reached, :m] += scatter_t @ f.reshape(-1, m)
-        f_t = work[:nb * n_pair * n].reshape(nb, n_pair, n)  # d is spent
-        np.copyto(f_t[:m], f.T)
-        f_t[m:] = 0.0
-        out[a0:a1] += (plan.scatter_t @ f_t.reshape(-1, n)).T
-    if symmetric:
-        out += out.T
+        np.take(c, plan.live_target[a], axis=0, out=d, mode="clip")
+        signed_w = w[plan.pair[a]] * plan.live_sign[a, :, None]
+        np.matmul(signed_w.transpose(0, 2, 1), d, out=f)
+        g = d.reshape(n, nb, n_live)  # D is spent
+        np.take(f.reshape(n, -1), plan.flat, axis=1, out=g, mode="clip")
+        out[a] += np.einsum("abj,bj->ab", g, plan.live_sign)
     return out.ravel()
 
 
@@ -606,18 +604,13 @@ def hamiltonian_diagonal(space: CISpace, s: IntegralSet) -> np.ndarray:
 
 
 def _pair_diagonal(space: CISpace, s: IntegralSet) -> np.ndarray:
-    """<J, J|H|J, J> of every pair configuration, cached per integrals in
-    the space's weakly keyed ``"pair-diag"`` table."""
-    table = space._action_cache.get("pair-diag")
-    if table is None:  # concurrent compiles build equal tables; keep the first
-        table = space._action_cache.setdefault("pair-diag",
-                                               weakref.WeakKeyDictionary())
-    diag = table.get(s)
-    if diag is None:
+    """<J, J|H|J, J> of every pair configuration, cached per integrals
+    under ``"pair-diag"``."""
+    def build():
         e_same, occ, j_mat = _string_energies(space, s)
         diag = 2.0 * e_same + np.einsum("ip,ip->i", occ @ j_mat, occ)
-        diag = table.setdefault(s, diag + s.e_core)
-    return diag
+        return diag + s.e_core
+    return _per_integrals(space, "pair-diag", s, build)
 
 
 def _pair_sigma(space: CISpace, s: IntegralSet, c: np.ndarray) -> np.ndarray:

@@ -291,7 +291,7 @@ def _qubit_hamiltonian(s: IntegralSet, transform: str) -> QubitOperator:
 def _reference_bitstring(h: QubitOperator) -> str:
     """Computational basis state minimizing the diagonal of ``h`` (the
     mean-field-like starting point for the hardware-efficient ansatz)."""
-    diag = h.to_sparse_matrix().diagonal().real
+    diag = h.diagonal().real
     return format(int(np.argmin(diag)), f"0{h.n_qubits}b")
 
 

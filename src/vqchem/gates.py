@@ -3,9 +3,10 @@ matrices with Kraus channels applied as superoperators, shot sampling,
 parameter-shift gradients, and a hardware-efficient-ansatz optimizer.
 
 Qubit 0 is the most significant bit of a basis-state index, as in
-:mod:`vqchem.operators`.  Exact expectation values apply the compiled
-matrix of :meth:`~vqchem.operators.QubitOperator.to_sparse_matrix` once;
-sampled ones read every string's action off its masks, uncached
+:mod:`vqchem.operators`.  Exact expectation values read the operator's
+compiled flip groups (:func:`vqchem.operators._flip_groups`), one gather
+of psi or of rho's entries each; sampled ones read every string's action
+off its masks, uncached
 (:func:`vqchem.operators.mask_action`).  :func:`hea_kernel` drives exact
 objectives with the numpy L-BFGS-B driver of :func:`vqchem.vqe.kernel`, one
 circuit pass per evaluation, and sampled ones (``shots``) with the numpy
@@ -49,7 +50,9 @@ from .errors import (
 from .operators import (
     _PAULI_MATS,
     QubitOperator,
+    _flip_groups,
     _masks,
+    apply_operator,
     apply_pauli,
     mask_action,
     pauli_rotation,
@@ -451,11 +454,10 @@ def expectation(state_or_rho, h: QubitOperator) -> float:
         raise InvalidOperator(
             f"operator on {n} qubits against state of dimension {arr.shape[0]}"
         )
-    hm = h.to_sparse_matrix()
-    if is_rho:
-        # Tr(rho H) = sum over the entries H[r, c] of H[r, c] * rho[c, r]
-        return _real_energy(complex(hm.multiply(arr.T).sum()))
-    return _real_energy(complex(np.vdot(arr, hm @ arr)))
+    if is_rho:  # Tr(rho H) = sum_gi H[i, cols[g, i]] rho[cols[g, i], i]
+        cols, d = _flip_groups(h)
+        return _real_energy(complex((arr[cols, np.arange(1 << n)] * d).sum()))
+    return _real_energy(complex(np.vdot(arr, apply_operator(h, arr))))
 
 
 def _real_energy(total: complex) -> float:
@@ -531,7 +533,7 @@ def _state_gradient(c: Circuit, params, h: QubitOperator):
     back."""
     n = c.n_qubits
     psi = simulate_state(c, params)
-    lam = h.to_sparse_matrix() @ psi
+    lam = apply_operator(h, psi)
     e = _real_energy(complex(np.vdot(psi, lam)))
     grad = np.zeros(c.n_params)
     for g in reversed(c.gates):

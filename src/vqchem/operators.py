@@ -25,7 +25,6 @@ from itertools import chain
 from typing import Iterable, Mapping
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .errors import InvalidOperator, SizeLimit, UnsupportedReduction
 
@@ -171,17 +170,18 @@ class QubitOperator:
     """Sum of Pauli strings.  Term key: tuple of (qubit, letter), sorted.
 
     Operators are not modified after construction: arithmetic returns new
-    ones, and the masks and the matrix of :meth:`to_sparse_matrix` are kept.
+    ones, and the masks and the flip groups of :func:`_flip_groups` are
+    kept.  The flip groups give H psi, the diagonal and the matrices.
     """
 
-    __slots__ = ("n_qubits", "terms", "_sparse", "_xz")
+    __slots__ = ("n_qubits", "terms", "_flips", "_xz")
 
     def __init__(self, n_qubits: int,
                  terms: Mapping[PauliTerm, complex] | None = None):
         if n_qubits < 1:
             raise InvalidOperator("need at least one qubit")
         self.n_qubits = int(n_qubits)
-        self._sparse = self._xz = None  # built on first use
+        self._flips = self._xz = None  # built on first use
         self.terms: dict[PauliTerm, complex] = {}
         for term, c in (terms or {}).items():
             key = self._normalize_term(term)
@@ -247,40 +247,36 @@ class QubitOperator:
         return all(abs(c.imag if isinstance(c, complex) else 0.0) <= tol
                    for c in self.terms.values())
 
-    def to_sparse_matrix(self) -> csr_matrix:
-        """Sparse 2^n x 2^n matrix; qubit 0 is the most significant factor.
+    def diagonal(self) -> np.ndarray:
+        """<i|H|i> over the 2^n basis states, read off the flip groups."""
+        cols, d = _flip_groups(self)
+        return d[cols[:, 0] == 0].sum(axis=0)  # the group with x = 0
 
-        Compiled once from the strings' masks.  Strings that flip the same
-        qubits (equal x) share one set of matrix positions, 2^n entries per
-        flip pattern, and each pattern adds its strings in term order.
-        """
-        if self._sparse is None:
-            x, z, c = _masks(self)
-            x = x.astype(np.int64)  # 2^n fits
-            cols = np.arange(1 << self.n_qubits)
-            first, group = _groups(x)
-            values = np.zeros((first.size, cols.size), dtype=complex)
-            # add.at adds in index order; chunks bound the (terms, 2^n) rows
-            for at in np.array_split(np.arange(x.size),
-                                     1 + x.size * cols.size // 2**20):
-                phase = mask_action(self.n_qubits, x[at, None], z[at, None])[1]
-                np.add.at(values, group[at], c[at, None] * phase)
-            self._sparse = csr_matrix(
-                (values.ravel(),
-                 ((cols[None, :] ^ x[first, None]).ravel(),
-                  np.tile(cols, first.size))),
-                shape=(cols.size, cols.size),
-            )
-            self._sparse.eliminate_zeros()
-        return self._sparse
+    def to_sparse_matrix(self):
+        """Sparse complex 2^n x 2^n ``scipy.sparse`` matrix; qubit 0 is the
+        most significant factor.  Assembled from the flip groups on each
+        call; the package never calls it, and nothing else imports scipy."""
+        from scipy.sparse import csr_matrix
+
+        cols, d = _flip_groups(self)
+        rows = np.broadcast_to(np.arange(cols.shape[1]), cols.shape)
+        matrix = csr_matrix((d.astype(complex).ravel(),
+                             (rows.ravel(), cols.ravel())),
+                            shape=(cols.shape[1],) * 2)
+        matrix.eliminate_zeros()
+        return matrix
 
     def to_dense_matrix(self) -> np.ndarray:
-        """Dense 2^n x 2^n matrix; qubit 0 is the most significant factor."""
+        """Dense complex 2^n x 2^n matrix; qubit 0 is the most significant
+        factor."""
         if self.n_qubits > 14:
             raise SizeLimit(
                 f"dense matrix for {self.n_qubits} qubits exceeds the guard (14)"
             )
-        return self.to_sparse_matrix().toarray()
+        cols, d = _flip_groups(self)
+        matrix = np.zeros((1 << self.n_qubits,) * 2, dtype=complex)
+        np.put_along_axis(matrix, cols.T, d.T, axis=1)
+        return matrix
 
     def format_text(self) -> str:
         """One term per line: ``coeff X0 Y2 Z3`` (bare coeff = identity)."""
@@ -347,6 +343,39 @@ def _masks(op: QubitOperator):
         masks.flags.writeable = coeffs.flags.writeable = False
         op._xz = masks[:, 0], masks[:, 1], coeffs
     return op._xz
+
+
+def _flip_groups(op: QubitOperator) -> tuple[np.ndarray, np.ndarray]:
+    """(cols, d) of ``op``, built once.  Its strings are grouped by flip
+    mask x_g, groups in order of first appearance and strings of a group
+    added in term order.  Row g holds cols[g, i] = i ^ x_g and d[g, i] =
+    <i|H|cols[g, i]>, so H psi = sum_g d[g] * psi[cols[g]].  d is real when
+    every value is: 16 bytes (24 if complex) per basis state and group."""
+    if op._flips is None:
+        x, z, c = _masks(op)
+        x = x.astype(np.int64)  # 2^n fits
+        first, group = _groups(x)
+        values = np.zeros((first.size, 1 << op.n_qubits), dtype=complex)
+        # add.at adds in index order; chunks bound the (terms, 2^n) rows.
+        # mask_action gives the phase by the column a string acts on.
+        for at in np.array_split(np.arange(x.size),
+                                 1 + x.size * values.shape[1] // 2**20):
+            phase = mask_action(op.n_qubits, x[at, None], z[at, None])[1]
+            np.add.at(values, group[at], c[at, None] * phase)
+        cols = np.arange(values.shape[1]) ^ x[first, None]
+        d = np.take_along_axis(values, cols, axis=1)
+        if not d.imag.any():
+            d = d.real.copy()
+        cols.flags.writeable = d.flags.writeable = False
+        op._flips = cols, d
+    return op._flips
+
+
+def apply_operator(op: QubitOperator, psi: np.ndarray) -> np.ndarray:
+    """H psi for a statevector ``psi``: one gather of the flip groups'
+    columns (:func:`_flip_groups`), weighted and summed over groups."""
+    cols, d = _flip_groups(op)
+    return (psi[cols] * d).sum(axis=0)
 
 
 def mask_action(n: int, x, z) -> tuple[np.ndarray, np.ndarray]:

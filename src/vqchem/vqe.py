@@ -345,7 +345,10 @@ def print_summary(problem: UCCProblem, result: OptResult,
     ``error (mH)`` is (E_method - E_FCI)*1000 and the correlation-energy
     percentage is (E_method - E_HF)/(E_FCI - E_HF)*100.  Without
     ``fci_reference`` both are None, and so is the FCI row; the text shows
-    a dash for each.  The text goes to ``stream`` (stdout by default).
+    a dash for each.  The text goes to ``stream`` (stdout by default),
+    followed by the wall-clock ``opt_time`` line; the report's ``text``
+    leaves that line out, so writing it to a file gives the same bytes on
+    every run.
     """
     s = problem.integrals
     e_hf = hf_energy(s)
@@ -428,9 +431,8 @@ def print_summary(problem: UCCProblem, result: OptResult,
     lines.append(f" {'nit':>12}: {result.nit}")
     lines.append(f" {'nfev':>12}: {result.nfev}")
     lines.append(f" {'njev':>12}: {result.njev}")
-    lines.append(f" {'opt_time':>12}: {result.opt_time:.4f} s")
     text = "\n".join(lines)
-    print(text, file=stream)
+    print(f"{text}\n {'opt_time':>12}: {result.opt_time:.4f} s", file=stream)
     return SummaryReport(ansatz=ansatz, energies=energies,
                          excitations=excitations, optimization=optimization,
                          text=text)

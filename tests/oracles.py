@@ -236,6 +236,30 @@ def sparse_number_conserving_hamiltonian(s) -> "scipy.sparse.csr_matrix":
 
 
 
+def sparse_same_spin_hamiltonian(s) -> "scipy.sparse.csr_matrix":
+    """Sparse Fock-space Hamiltonian of one spin sector alone, on ``n_orb``
+    spin-orbitals (bit p is orbital p), without e_core: sum_pq h_pq a+_p
+    a_q + 1/2 sum g_pqrs a+_p a+_r a_s a_q, each term a
+    :func:`sparse_ladder_product`.  A string's bitmask is its index."""
+    n = s.n_orb
+    total = sparse_ladder_product(n, ()) * 0.0
+    for p in range(n):
+        for q in range(n):
+            if s.int1e[p, q] != 0.0:
+                total = total + s.int1e[p, q] * sparse_ladder_product(
+                    n, ((p, True), (q, False)))
+    for p in range(n):
+        for q in range(n):
+            for r in range(n):
+                for t in range(n):
+                    g = s.int2e[p, q, r, t]
+                    if g != 0.0:
+                        total = total + 0.5 * g * sparse_ladder_product(
+                            n, ((p, True), (r, True), (t, False),
+                                (q, False)))
+    return total.tocsr()
+
+
 def lowest_even_eigenvalue(h: np.ndarray, n_strings: int,
                            tol: float = 1e-8) -> float:
     """Lowest eigenvalue of the CI-space matrix ``h`` (alpha-string-major,

@@ -1,7 +1,10 @@
+import dataclasses
+import gc
 import struct
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -42,7 +45,7 @@ from vqchem import (
     ucc_state,
 )
 from vqchem.ansatz import generate_uccsd
-from vqchem.civector import _sigma, _sigma_plan
+from vqchem.civector import _same_spin, _sigma, _sigma_plan
 from vqchem.integrals import IntegralSet, build_hubbard
 from oracles import (
     closed_shell_determinants,
@@ -173,6 +176,7 @@ SIGMA_CASES = {  # integral sets beyond the hydrogen-chain fixtures
     "random5": lambda: random_integral_set(np.random.default_rng(7), 5, 4),
     "hubbard4": lambda: build_hubbard(4, 1.0, 4.0),  # sparse (pq|rs)
     "hubbard6": lambda: build_hubbard(6, 1.0, 4.0),
+    "random7": lambda: random_integral_set(np.random.default_rng(73), 7, 4),
 }
 
 
@@ -216,8 +220,10 @@ def test_sigma_matches_sparse_hamiltonian(case, request):
                                rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("case", ["h6", "hubbard6"])
+@pytest.mark.parametrize("case", ["h6", "hubbard6", "random7"])
 def test_sigma_blocked_matches_unblocked(case, request):
+    # 20 strings (h6, hubbard6) and 21 (random7): blocks of 3, 4 and 7 leave
+    # a ragged last block on at least one of them
     s = sigma_case(case, request)
     space = make_ci_space(s.n_orb, s.n_elec)
     v = np.random.default_rng(59).normal(size=space.dim)
@@ -225,13 +231,42 @@ def test_sigma_blocked_matches_unblocked(case, request):
     na = space.n_strings_alpha
     whole = _sigma(space, s, v, block=na)
     plan = _sigma_plan(space)
-    for block in (1, 3, 7):
+    for block in (1, 3, 4, 7, na + 5, None):
         np.testing.assert_allclose(_sigma(space, s, v, block=block), whole,
                                    rtol=0, atol=1e-13)
-        bounds = [(a0, a1) for a0, a1, *_ in plan.blocks(block)]
-        assert bounds == [(a0, min(a0 + block, na))
-                          for a0 in range(0, na, block)]
     assert _sigma_plan(space) is plan
+
+
+@pytest.mark.parametrize("n_orb, n_elec", [
+    (4, 4), (6, 6), (7, 4), (5, 0), (4, 8), (8, 8),
+])
+def test_live_pairs_are_the_nonzero_links(n_orb, n_elec):
+    """Each string has n_occ (1 + n_vir) live pairs, and the per-string
+    tables list exactly the nonzero entries of the link table."""
+    plan = _sigma_plan(CISpace(n_orb, n_elec))
+    n, n_occ = len(plan.sign), n_elec // 2
+    assert plan.pair.shape == (n, n_occ * (1 + n_orb - n_occ))
+    assert np.count_nonzero(plan.sign) == plan.pair.size
+    rows = np.arange(n)[:, None]
+    assert np.all(np.diff(plan.pair, axis=1) > 0)
+    np.testing.assert_array_equal(plan.live_sign, plan.sign[rows, plan.pair])
+    np.testing.assert_array_equal(plan.live_target,
+                                  plan.target[rows, plan.pair])
+    np.testing.assert_array_equal(plan.flat,
+                                  plan.pair * n + plan.live_target)
+
+
+@pytest.mark.parametrize("case", ["h4", "h6", "hubbard4", "random7"])
+def test_same_spin_hamiltonian_matches_alpha_sector_oracle(case, request):
+    from oracles import sparse_same_spin_hamiltonian
+
+    s = sigma_case(case, request)
+    space = CISpace(s.n_orb, s.n_elec)
+    strings = space.alpha_strings.astype(np.intp)
+    want = sparse_same_spin_hamiltonian(s)[strings][:, strings].toarray()
+    h_t, _ = _same_spin(space, s)
+    np.testing.assert_allclose(h_t.T, want, rtol=0, atol=1e-12)
+    assert _same_spin(space, s)[0] is h_t  # cached per integrals
 
 
 def test_warm_sigma_allocates_less_than_one_block():
@@ -302,7 +337,16 @@ def test_space_cache_holds_no_hamiltonian_terms(h6):
     keys = list(space._action_cache)
     assert ("G", (3, 0)) in keys and ("G", (9, 10, 6, 7)) in keys
     # "occ", the string occupations the FCI diagonal reads, is no term of H
-    assert all(key in ("link", "occ") or key[0] == "G" for key in keys)
+    assert all(key in ("link", "occ", "same-spin") or key[0] == "G"
+               for key in keys)
+    # the same-spin Hamiltonian lives only as long as its integrals
+    other = dataclasses.replace(h6, e_core=h6.e_core + 1.0)
+    fci_ground_state(space, other)
+    table = space._action_cache["same-spin"]
+    assert isinstance(table, weakref.WeakKeyDictionary) and len(table) == 2
+    del other
+    gc.collect()
+    assert list(table.keys()) == [h6]
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +543,7 @@ def test_rotation_tables_hold_16_bytes_per_pair(h8):
         assert np.unique(table).size == table.size  # disjoint pairs
     pairs = sum(table.shape[1] for table in tables)
     total = sum(value.nbytes for key, value in space._action_cache.items()
-                if key != "link")
+                if key not in ("link", "same-spin"))
     assert total == 16 * pairs
 
 
@@ -707,7 +751,7 @@ def test_symmetric_sigma_matches_general_sigma(case, request):
     for block in (None, 1, 3, 4, na + 5):
         got = _sigma(space, s, v, block=block, symmetric=True)
         assert np.abs(got - general).max() <= 1e-12 * scale, block
-    assert list(space._action_cache) == ["link"]
+    assert list(space._action_cache) == ["link", "same-spin"]
 
 
 def test_symmetric_sigma_applies_core_energy_on_h10():

@@ -187,6 +187,20 @@ def test_vqe_output_file_is_deterministic(capsys, tmp_path):
     assert abs(payload["energies"]["ucc"] * 1000 - (-2167.55)) < 0.05
 
 
+def test_vqe_text_output_file_is_deterministic(capsys, tmp_path):
+    """The text summary's wall-clock opt_time line goes to the terminal,
+    never into the artifact."""
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    for path in (a, b):
+        code, out, _ = run(capsys, "vqe", "--fcidump", "h2_sto3g",
+                           "--format", "text", "--output", str(path))
+        assert code == 0
+        assert "opt_time" in out
+    assert a.read_bytes() == b.read_bytes()
+    text = a.read_text()
+    assert "opt_time" not in text and "Optimization Result" in text
+
+
 def test_vqe_save_state_and_ansatz(capsys, tmp_path):
     state = tmp_path / "h2.civec"
     ansatz = tmp_path / "h2.ansatz"
@@ -768,16 +782,28 @@ class Spy:
 sys.meta_path.insert(0, Spy())
 before = "importlib.metadata" in sys.modules
 import vqchem.cli
+
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+
 optimizer = ["scipy.optimize" in sys.modules]
-noisy = ["noisy", "--fcidump", "h2_sto3g", "--layers", "1", "--p", "0.02"]
+scipy = [scipy_modules()]
+ideal = ["noisy", "--fcidump", "h2_sto3g", "--layers", "1"]
+noisy = ideal + ["--p", "0.02"]
 codes = []
 with contextlib.redirect_stdout(io.StringIO()):
-    for argv in (["vqe", "--fcidump", "h2_sto3g"], noisy,
-                 noisy + ["--shots", "64"]):
+    for argv in (["vqe", "--fcidump", "h2_sto3g"],
+                 ["fci", "--fcidump", "h2_sto3g"], ideal, noisy,
+                 noisy + ["--shots", "64"],
+                 ["dynamics", "--nbas", "4", "--t-final", "0.1",
+                  "--tau", "0.05"]):
         codes.append(vqchem.cli.main(argv))
         optimizer.append("scipy.optimize" in sys.modules)
+        scipy.append(scipy_modules())
 print(json.dumps({"before": before, "importers": importers, "codes": codes,
-                  "optimizer": optimizer}))
+                  "optimizer": optimizer, "scipy": scipy}))
 """
 
 
@@ -793,16 +819,23 @@ def start_up():
 
 
 def test_start_up_loads_no_optimizer(start_up):
-    """Neither the import nor an ideal vqe, a noisy run or a sampled
-    (shots) noisy run ever loads scipy.optimize."""
-    assert start_up["codes"] == [0, 0, 0]
-    assert start_up["optimizer"] == [False] * 4
+    """Neither the import nor an ideal vqe, an fci, an ideal, a noisy or a
+    sampled (shots) noisy run, or a dynamics run ever loads
+    scipy.optimize."""
+    assert start_up["codes"] == [0] * 6
+    assert start_up["optimizer"] == [False] * 7
+
+
+def test_start_up_loads_no_scipy(start_up):
+    """No scipy module at all is loaded by the import or by any of those
+    runs: the sigma and the Pauli operators are numpy alone."""
+    assert start_up["codes"] == [0] * 6
+    assert start_up["scipy"] == [[]] * 7
 
 
 def test_import_reads_no_package_metadata(start_up):
     """``vqchem.__version__`` is resolved on first use, so no vqchem module
-    imports importlib.metadata; a dependency may (numpy.testing does,
-    under scipy.sparse)."""
+    imports importlib.metadata; a dependency may."""
     assert not start_up["before"]
     assert not [name for name in start_up["importers"]
                 if name is None or name.split(".")[0] == "vqchem"]

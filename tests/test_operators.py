@@ -524,3 +524,63 @@ def test_sparse_matrix_matches_pauli_action_assembly(case, request):
     got, want = op.to_sparse_matrix(), pauli_action_sparse_matrix(op)
     for name in ("indptr", "indices", "data"):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
+def _check_flip_groups(op, seed):
+    """The compiled flip groups against the letter-by-letter assembly: H x,
+    <psi|H|psi>, Tr(rho H), the dense matrix and the diagonal."""
+    from vqchem.gates import DensityMatrix
+    from vqchem.operators import apply_operator
+
+    want = pauli_action_sparse_matrix(op)
+    rng = np.random.default_rng(seed)
+    dim = 1 << op.n_qubits
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    psi /= np.linalg.norm(psi)
+    np.testing.assert_allclose(apply_operator(op, psi), want @ psi,
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(op.diagonal(), want.diagonal(),
+                               rtol=0, atol=1e-12)
+    if op.n_qubits > 10:  # a dense matrix or rho would take >= 268 MB
+        return psi, None
+    np.testing.assert_allclose(op.to_dense_matrix(), want.toarray(),
+                               rtol=0, atol=1e-12)
+    vecs = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
+    rho = vecs @ vecs.conj().T
+    rho /= np.trace(rho).real
+    return psi, DensityMatrix(op.n_qubits, rho)
+
+
+@pytest.mark.parametrize("case", ["h2", "h4", "h6"])
+@pytest.mark.parametrize("transform", ["jw", "parity", "parity-reduced"])
+def test_flip_groups_match_pauli_action_assembly(case, transform, request):
+    from vqchem.gates import expectation
+    from vqchem.operators import _flip_groups
+
+    s = request.getfixturevalue(case)
+    h = build_fermion_hamiltonian(s)
+    op = (jordan_wigner(h) if transform == "jw" else parity_transform(
+        h, s.n_elec, reduce_two_qubits=transform == "parity-reduced"))
+    assert _flip_groups(op)[1].dtype == np.float64  # every value is real
+    psi, rho = _check_flip_groups(op, 89)
+    want = pauli_action_sparse_matrix(op)
+    assert abs(expectation(psi, op) - np.vdot(psi, want @ psi).real) <= 1e-12
+    if rho is not None:
+        trace = want.multiply(rho.matrix.T).sum()
+        assert abs(expectation(rho, op) - trace.real) <= 1e-12
+
+
+def test_complex_flip_groups_refuse_a_real_energy():
+    """A non-Hermitian operator with complex coefficients keeps complex
+    values, matches the assembly, and its expectation raises."""
+    from vqchem.gates import expectation
+    from vqchem.operators import _flip_groups
+
+    op = QubitOperator(3, {((0, "X"), (1, "Y")): 0.5 + 0.3j,
+                           ((0, "Y"), (1, "X")): -0.2,
+                           ((2, "Z"),): 1j, (): 0.25})
+    assert _flip_groups(op)[1].dtype == np.complex128
+    psi, rho = _check_flip_groups(op, 97)
+    for state in (psi, rho):
+        with pytest.raises(InvalidOperator, match="imaginary part"):
+            expectation(state, op)
