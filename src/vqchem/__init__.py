@@ -46,7 +46,6 @@ from .errors import (
 from .operators import (
     FermionOperator,
     QubitOperator,
-    hartree_fock_bitstring,
     jordan_wigner,
     parity_transform,
 )
@@ -61,9 +60,7 @@ from .integrals import (
     fixture_path,
     hf_energy,
     load_fcidump,
-    load_fixture,
     mp2,
-    mp2_energy,
     orbital_energies,
     parse_fcidump,
     write_fcidump,
@@ -73,7 +70,6 @@ from .civector import (
     CIVector,
     apply_excitation,
     apply_hamiltonian,
-    apply_ucc_factor,
     ci_space_dim,
     civector_to_statevector,
     doci_ground_state,
@@ -84,10 +80,7 @@ from .civector import (
     hf_vector,
     load_civector,
     make_ci_space,
-    make_rdm1,
-    make_rdm2,
     save_civector,
-    statevector_to_civector,
     ucc_state,
 )
 from .ansatz import (
@@ -108,18 +101,15 @@ from .ansatz import (
     paired_energy_and_gradient,
     problem_civector,
     problem_energy_and_gradient,
-    problem_statevector,
     save_ansatz,
 )
 from .vqe import (
     OptResult,
     SummaryReport,
     civector_at,
-    energy_at,
     kernel,
     print_summary,
     result_to_json,
-    statevector_at,
 )
 from .gates import (
     Circuit,
@@ -127,9 +117,6 @@ from .gates import (
     Gate,
     NoiseModel,
     build_ry_ansatz,
-    circuit_from_text,
-    circuit_to_text,
-    compile_ucc_trotter,
     depolarizing_channel,
     expectation,
     hea_kernel,
@@ -146,19 +133,15 @@ from .dynamics import (
     SymbolicTerm,
     Trajectory,
     VHAnsatz,
-    ansatz_jacobian,
     ansatz_state,
     assemble_eom,
     boson_matrix,
     build_vha,
     coherent_state,
-    decode_dense,
     encode_state,
     exact_propagate,
-    format_symbolic_term,
     marcus_model,
     marcus_rate_theory,
-    model_dense_matrix,
     parse_symbolic_term,
     qubit_encode,
     rate_fit,

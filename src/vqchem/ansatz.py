@@ -13,7 +13,10 @@ configurations are the determinant space's alpha strings read as doubly
 occupied orbitals, and its rotations and Hamiltonian share one hop table per
 orbital pair, built from those strings.  Pair hops carry no fermionic signs,
 so the reduced treatment is exact for seniority-zero states and matches the
-full determinant space.
+full determinant space.  :func:`build_puccd_hamiltonian`, which nothing in
+the package calls, is the entry point for circuits on the pairs: it writes
+the pair Hamiltonian as an operator on n_orb qubits, the N^2-term form of
+the paper's pUCCD Hamiltonian.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from .civector import (
     _sweep,
     apply_hamiltonian,
     check_vector_dim,
-    civector_to_statevector,
     energy_and_gradient,
     make_ci_space,
     ucc_state,
@@ -358,11 +360,6 @@ def problem_civector(problem: UCCProblem, params):
     check_vector_dim(s.n_orb, s.n_elec)
     space = make_ci_space(s.n_orb, s.n_elec)
     return ucc_state(space, problem.ex_ops, params, problem.param_ids)
-
-
-def problem_statevector(problem: UCCProblem, params) -> np.ndarray:
-    v = problem_civector(problem, params)
-    return civector_to_statevector(v.space, v)
 
 
 # ---------------------------------------------------------------------------

@@ -29,13 +29,13 @@ compiles, and these caches only ever append:
   link table of its strings as dense (n_strings, n_pair) gather arrays,
   and the same links as per-string tables of the n_occ (1 + n_vir) live
   pairs.  It holds 0.085 MB for H8, 0.46 MB for H10 and 2.4 MB for H12,
-  and serves the direct-CI sigma and the density matrices;
+  and serves the direct-CI sigma;
 * per integral set, in a weakly keyed table (``"same-spin"``,
   :func:`_same_spin`), the dense same-spin Hamiltonian H_s of the sigma:
   8 * n_strings^2 bytes, 0.04 MB for H8, 0.51 MB for H10 and 6.8 MB for
   H12.  It lives as long as its :class:`IntegralSet`;
 * the occupation matrix (``"occ"``, :func:`_occupations`) of the strings,
-  which the diagonal and the density matrices read;
+  which the diagonal reads;
 * one hop table per orbital pair (``("hop", p, q)``, p > q,
   :func:`_pair_hop_table`) for pUCCD, which runs on the alpha strings as
   configurations of doubly occupied orbitals: 16 bytes per configuration
@@ -63,6 +63,13 @@ n strings per spin, and applies H by the symmetric sigma, so its basis and
 sigmas take 2 * max_subspace * n (n + 1) / 2 * 8 bytes: 15 MB for H10 and
 205 MB for H12 with the default 30 vectors.  :func:`doci_ground_state`
 runs it on the pair configurations with the pair sigma.
+
+Three public functions have no caller inside the package and are kept as
+entry points: :func:`energy`, the Rayleigh quotient of one vector;
+:func:`civector_to_statevector`, the Jordan-Wigner embedding through which
+the tests compare the CI engine with qubit operators and circuits; and
+:func:`apply_excitation`, one generator G on a vector, which the
+benchmark's per-layer trace (``bench/layertrace.py``) wraps by name.
 """
 
 from __future__ import annotations
@@ -366,16 +373,6 @@ def apply_excitation(space: CISpace, v, ex) -> CIVector:
         out[rows] = amps[cols]
         out[cols] = -amps[rows]
     return CIVector(space, out)
-
-
-def apply_ucc_factor(space: CISpace, v, ex, theta: float) -> CIVector:
-    """Apply e^{theta*G} as independent Givens rotations: G pairs every
-    determinant it reaches with one partner, so each pair turns by theta
-    and every other amplitude is left alone."""
-    ex = _validate_excitation(space, ex)
-    params, _ = _check_param_map([ex], [theta], [0])
-    return CIVector(space, _forward([_pair_table(space, ex)], params, [0],
-                                    _amps(v)))
 
 
 # ---------------------------------------------------------------------------
@@ -705,53 +702,6 @@ def energy_and_gradient(space: CISpace, ex_ops, params, param_ids,
 
 
 # ---------------------------------------------------------------------------
-# Reduced density matrices
-# ---------------------------------------------------------------------------
-
-def _single_replacement_vectors(space: CISpace, amps: np.ndarray) -> np.ndarray:
-    """w[p*n+q] = (sum over spins of a+_p a_q) applied to amps.
-
-    Read off the link table: row I of ``E+_pq C`` is ``E_pq C`` where string
-    I has p occupied and ``E_qp C`` where it has q occupied."""
-    n = space.n_orb
-    plan = _sigma_plan(space)
-    c = amps.reshape(space.n_strings_alpha, space.n_strings_beta)
-    p, q = np.divmod(np.arange(n * n), n)
-    hi, lo = np.maximum(p, q), np.minimum(p, q)
-    pair = hi * (hi + 1) // 2 + lo  # position of (hi, lo) in np.tril_indices
-    sign, target = plan.sign[:, pair, None], plan.target[:, pair]
-    occ = _occupations(space)[:, p, None]
-    w_alpha = sign * c[target] * occ
-    w_beta = sign * c.T[target] * occ
-    return (w_alpha.transpose(1, 0, 2).reshape(n * n, -1)
-            + w_beta.transpose(1, 2, 0).reshape(n * n, -1))
-
-
-def make_rdm1(space: CISpace, v) -> np.ndarray:
-    """Spin-traced one-body density matrix gamma[p,q] = <a+_p a_q> summed
-    over spin; trace equals n_elec for a normalized state."""
-    amps = _amps(v)
-    n = space.n_orb
-    w = _single_replacement_vectors(space, amps)
-    return (w @ amps).reshape(n, n)
-
-
-def make_rdm2(space: CISpace, v) -> np.ndarray:
-    """Spin-traced two-body density matrix in chemists' index order, defined
-    so that  sum_pq h_pq rdm1_pq + 1/2 sum_pqrs (pq|rs) rdm2_pqrs + e_core
-    reproduces the energy."""
-    amps = _amps(v)
-    n = space.n_orb
-    w = _single_replacement_vectors(space, amps)
-    rdm1 = (w @ amps).reshape(n, n)
-    gram = w @ w.T  # gram[(q,p),(r,s)] = <E_qp E_rs> with E = sum_spin a+a
-    rdm2 = gram.reshape(n, n, n, n).transpose(1, 0, 2, 3).copy()
-    for q in range(n):
-        rdm2[:, q, q, :] -= rdm1
-    return rdm2
-
-
-# ---------------------------------------------------------------------------
 # Ground states: FCI on the determinants, DOCI on the pair configurations
 # ---------------------------------------------------------------------------
 
@@ -928,25 +878,6 @@ def civector_to_statevector(space: CISpace, v) -> np.ndarray:
     out = np.zeros(1 << (2 * n), dtype=complex)
     out[idx] = amps
     return out
-
-
-def statevector_to_civector(space: CISpace, statevector) -> CIVector:
-    """Project a statevector onto the determinant space (inverse of
-    :func:`civector_to_statevector` on its image).  CI vectors are real, so
-    an amplitude with an imaginary part above 1e-9 raises ValueError."""
-    n = space.n_orb
-    sv = np.asarray(statevector)
-    if sv.size != 1 << (2 * n):
-        raise ValueError("statevector length does not match the space")
-    alpha_part = (space.alpha_strings.astype(np.int64) << n)
-    beta_part = space.beta_strings.astype(np.int64)
-    idx = (alpha_part[:, None] | beta_part[None, :]).ravel()
-    amps = sv[idx]
-    worst = float(np.max(np.abs(np.imag(amps))))
-    if worst > 1e-9:
-        raise ValueError(f"statevector has an imaginary amplitude of "
-                         f"{worst:.3g} on the determinant space")
-    return CIVector(space, np.real(amps))
 
 
 def save_civector(path, v: CIVector) -> None:

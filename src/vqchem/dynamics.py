@@ -43,7 +43,7 @@ from .errors import (
     NumericalBlowup,
     SizeLimit,
 )
-from .operators import _PAULI_MATS, QubitOperator, mask_action, pauli_masks
+from .operators import QubitOperator, mask_action, pauli_masks
 
 _EXACT_DIM_LIMIT = 1 << 12
 _UNARY_NBAS_LIMIT = 16
@@ -107,14 +107,6 @@ class BasisSHO:
             raise InvalidParams("harmonic-oscillator basis needs nbas >= 2")
 
 
-def format_symbolic_term(term: SymbolicTerm) -> str:
-    """Text form ``coeff symbol@dof [symbol@dof ...]``."""
-    parts = [repr(float(term.coefficient))]
-    for sym, dof in term.factors:
-        parts.append(f"{sym.replace(' ', '_')}@{dof}")
-    return " ".join(parts)
-
-
 def parse_symbolic_term(text: str) -> SymbolicTerm:
     toks = text.split()
     if not toks:
@@ -171,32 +163,8 @@ def _spin_letter(symbol: str) -> str:
     return _SPIN_LETTERS[symbol]
 
 
-def _level_matrix(symbol: str, basis_entry) -> np.ndarray:
-    if isinstance(basis_entry, BasisHalfSpin):
-        return _PAULI_MATS[_spin_letter(symbol)]
-    return boson_matrix(symbol, basis_entry)
-
-
 def _level_dims(basis) -> list:
     return [2 if isinstance(b, BasisHalfSpin) else b.nbas for b in basis]
-
-
-def model_dense_matrix(terms, basis) -> np.ndarray:
-    """Direct tensor-product matrix in the unencoded level basis (reference
-    oracle for the qubit encodings)."""
-    dims = _level_dims(basis)
-    dim = int(np.prod(dims))
-    total = np.zeros((dim, dim), dtype=complex)
-    dof_index = {b.dof: i for i, b in enumerate(basis)}
-    for term in terms:
-        mats = [np.eye(d, dtype=complex) for d in dims]
-        for sym, dof in term.factors:
-            mats[dof_index[dof]] = _level_matrix(sym, basis[dof_index[dof]])
-        acc = np.array([[term.coefficient]], dtype=complex)
-        for m in mats:
-            acc = np.kron(acc, m)
-        total += acc
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -391,18 +359,6 @@ def encode_state(enc: EncodedHamiltonian, level_vector) -> np.ndarray:
     return out
 
 
-def decode_dense(enc: EncodedHamiltonian, include_constant: bool = True) -> np.ndarray:
-    """Encoded Hamiltonian written back in the level basis (restriction of
-    the qubit-space matrix to the encoded subspace)."""
-    dims = _level_dims(enc.basis)
-    idx = np.array([_codeword_index(enc, levels)
-                    for levels in np.ndindex(*dims)])
-    dense = enc.qubit_terms.to_dense_matrix()
-    if include_constant:
-        dense = dense + enc.constant * np.eye(dense.shape[0])
-    return dense[np.ix_(idx, idx)]
-
-
 # ---------------------------------------------------------------------------
 # Variational Hamiltonian ansatz
 # ---------------------------------------------------------------------------
@@ -544,11 +500,6 @@ def _state_and_jacobian(ansatz: VHAnsatz, theta, want_jacobian: bool):
 
 def ansatz_state(ansatz: VHAnsatz, theta) -> np.ndarray:
     return _state_and_jacobian(ansatz, theta, want_jacobian=False)[0]
-
-
-def ansatz_jacobian(ansatz: VHAnsatz, theta) -> np.ndarray:
-    """d psi / d theta_k as columns of a dim x n_params matrix."""
-    return _state_and_jacobian(ansatz, theta, want_jacobian=True)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ class UnsupportedReduction(VqchemError):
 
 
 class ParseError(VqchemError):
-    """Malformed textual input (FCIDUMP, operator text, circuit text, ...)."""
+    """Malformed input file: FCIDUMP, ansatz or CI-vector state file."""
 
 
 class UnsupportedOpenShell(VqchemError):

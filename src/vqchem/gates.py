@@ -44,7 +44,6 @@ from .errors import (
     InvalidOperator,
     InvalidParams,
     InvalidProbability,
-    ParseError,
     SizeLimit,
 )
 from .operators import (
@@ -118,85 +117,6 @@ class Circuit:
                 raise InvalidParams(
                     f"param slot {g.param_slot} outside 0..{self.n_params - 1}"
                 )
-
-
-def circuit_to_text(c: Circuit) -> str:
-    """One gate per line: ``X q1``, ``CNOT q0 q1``, ``RY q0 slot3`` (or a
-    numeric angle), ``PAULI_ROT XY q0 q2 slot1``."""
-    lines = []
-    for g in c.gates:
-        qubits = " ".join(f"q{q}" for q in g.qubits)
-        if g.kind in ("X", "CNOT"):
-            lines.append(f"{g.kind} {qubits}")
-            continue
-        tail = (f"slot{g.param_slot}" if g.param_slot is not None
-                else repr(float(g.angle)))
-        if g.kind == "PAULI_ROT":
-            lines.append(f"PAULI_ROT {g.pauli} {qubits} {tail}")
-        else:
-            lines.append(f"{g.kind} {qubits} {tail}")
-    return "\n".join(lines) + "\n"
-
-
-def circuit_from_text(text: str, n_qubits: int | None = None,
-                      n_params: int | None = None) -> Circuit:
-    gates = []
-    max_q = -1
-    max_slot = -1
-
-    def parse_qubit(tok, lineno):
-        if not tok.startswith("q"):
-            raise ParseError(f"line {lineno}: expected qubit token, got {tok!r}")
-        try:
-            return int(tok[1:])
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: bad qubit {tok!r}") from exc
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        toks = line.split()
-        kind = toks[0].upper()
-        slot = None
-        angle = None
-        pauli = None
-        if kind in ("X", "CNOT"):
-            qubits = [parse_qubit(t, lineno) for t in toks[1:]]
-        elif kind in ("RY", "PAULI_ROT"):
-            body = toks[1:]
-            if kind == "PAULI_ROT":
-                if not body:
-                    raise ParseError(f"line {lineno}: missing Pauli string")
-                pauli = body[0].upper()
-                body = body[1:]
-            if not body:
-                raise ParseError(f"line {lineno}: incomplete gate")
-            tail = body[-1]
-            qubits = [parse_qubit(t, lineno) for t in body[:-1]]
-            try:
-                if tail.startswith("slot"):
-                    slot = int(tail[4:])
-                else:
-                    angle = float(tail)
-            except ValueError as exc:
-                raise ParseError(
-                    f"line {lineno}: expected slotN or angle, got {tail!r}"
-                ) from exc
-            if angle is not None and not math.isfinite(angle):
-                raise ParseError(f"line {lineno}: angle {tail!r} is not finite")
-        else:
-            raise ParseError(f"line {lineno}: unknown gate {kind!r}")
-        gates.append(Gate(kind, tuple(qubits), param_slot=slot, angle=angle,
-                          pauli=pauli))
-        max_q = max(max_q, *qubits)
-        if slot is not None:
-            max_slot = max(max_slot, slot)
-    return Circuit(
-        n_qubits=n_qubits if n_qubits is not None else max_q + 1,
-        gates=gates,
-        n_params=n_params if n_params is not None else max_slot + 1,
-    )
 
 
 def build_ry_ansatz(n_qubits: int, n_layers: int) -> Circuit:
@@ -621,54 +541,3 @@ def hea_kernel(c: Circuit, init_params, h: QubitOperator,
         return sampled_expectation(state, h, shots, seed=next(seeds))
 
     return _minimize_spsa(objective, init_params, seed)
-
-
-# ---------------------------------------------------------------------------
-# UCC factor compilation
-# ---------------------------------------------------------------------------
-
-def compile_ucc_trotter(problem, params) -> Circuit:
-    """Compile a UCC problem at fixed parameters into X gates (reference
-    preparation) followed by Pauli rotations.
-
-    Each factor e^{theta G} JW-maps to a product of commuting Pauli
-    rotations (the strings of one excitation's image commute), so the
-    compiled circuit reproduces the determinant-space state exactly.
-    """
-    from .operators import FermionOperator, jordan_wigner
-
-    s = problem.integrals
-    n_orb = s.n_orb
-    n_qubits = 2 * n_orb
-    if n_qubits > 12:
-        raise SizeLimit("UCC compilation capped at 12 qubits")
-    params = np.asarray(params, dtype=float).ravel()
-    if params.size != problem.n_params:
-        raise InvalidParams(
-            f"expected {problem.n_params} parameters, got {params.size}"
-        )
-    gates = []
-    n_occ = s.n_elec // 2
-    occupied = list(range(n_occ)) + [n_orb + i for i in range(n_occ)]
-    for so in occupied:
-        gates.append(Gate("X", (n_qubits - 1 - so,)))
-    for ex, pid in zip(problem.ex_ops, problem.param_ids):
-        theta = float(params[pid])
-        half = len(ex) // 2
-        terms = {
-            tuple((i, True) for i in ex[:half])
-            + tuple((i, False) for i in ex[half:]): 1.0
-        }
-        g_op = FermionOperator(n_qubits, terms)
-        generator = jordan_wigner(g_op - g_op.hermitian_conjugate())
-        for term, coeff in sorted(generator.terms.items()):
-            if abs(coeff) < 1e-14:
-                continue
-            # coeff is purely imaginary: G = sum_k i*beta_k P_k, and
-            # e^{theta*i*beta*P} = PAULI_ROT(P, -2*theta*beta)
-            beta = coeff.imag
-            qubits = tuple(q for q, _ in term)
-            pauli = "".join(letter for _, letter in term)
-            gates.append(Gate("PAULI_ROT", qubits,
-                              angle=-2.0 * theta * beta, pauli=pauli))
-    return Circuit(n_qubits=n_qubits, gates=gates, n_params=0)

@@ -12,7 +12,7 @@ For site-basis model Hamiltonians (:func:`build_hubbard`), run
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -203,10 +203,6 @@ def fixture_path(name: str) -> Path:
     return Path(str(resources.files("vqchem") / "data" / name))
 
 
-def load_fixture(name: str) -> IntegralSet:
-    return load_fcidump(fixture_path(name))
-
-
 def build_hubbard(n_sites: int, t: float, u: float,
                   periodic: bool = False) -> IntegralSet:
     """One-dimensional Hubbard model at half filling, site basis."""
@@ -321,10 +317,6 @@ def mp2(s: IntegralSet) -> MP2Result:
                     t2[i, j, a, b] = iajb / denom
                     e_corr += iajb * (2.0 * iajb - ibja) / denom
     return MP2Result(t2=t2, e_corr=float(e_corr), orbital_energies=eps)
-
-
-def mp2_energy(s: IntegralSet) -> float:
-    return hf_energy(s) + mp2(s).e_corr
 
 
 def active_space_reduce(s: IntegralSet, n_active_elec: int,

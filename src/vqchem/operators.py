@@ -252,20 +252,6 @@ class QubitOperator:
         cols, d = _flip_groups(self)
         return d[cols[:, 0] == 0].sum(axis=0)  # the group with x = 0
 
-    def to_sparse_matrix(self):
-        """Sparse complex 2^n x 2^n ``scipy.sparse`` matrix; qubit 0 is the
-        most significant factor.  Assembled from the flip groups on each
-        call; the package never calls it, and nothing else imports scipy."""
-        from scipy.sparse import csr_matrix
-
-        cols, d = _flip_groups(self)
-        rows = np.broadcast_to(np.arange(cols.shape[1]), cols.shape)
-        matrix = csr_matrix((d.astype(complex).ravel(),
-                             (rows.ravel(), cols.ravel())),
-                            shape=(cols.shape[1],) * 2)
-        matrix.eliminate_zeros()
-        return matrix
-
     def to_dense_matrix(self) -> np.ndarray:
         """Dense complex 2^n x 2^n matrix; qubit 0 is the most significant
         factor."""
@@ -526,13 +512,3 @@ def parity_transform(op: FermionOperator, n_elec: int,
     x, z, v = _collect(x, z, v)
     keep = np.abs(v) > COEFF_CUTOFF
     return _mask_operator(n - 2, x[keep], z[keep], v[keep])
-
-
-def hartree_fock_bitstring(n_orb: int, n_elec: int) -> str:
-    """Bitstring (qubit 0 first) of the closed-shell HF determinant."""
-    n_occ = n_elec // 2
-    occupied = set(range(n_occ)) | {n_orb + i for i in range(n_occ)}
-    n_qubits = 2 * n_orb
-    return "".join(
-        "1" if (n_qubits - 1 - q) in occupied else "0" for q in range(n_qubits)
-    )

@@ -26,7 +26,6 @@ from .ansatz import (
     UCCProblem,
     problem_civector,
     problem_energy_and_gradient,
-    problem_statevector,
 )
 from .civector import CIVector
 from .errors import InvalidParams
@@ -285,20 +284,10 @@ def _check_params(problem: UCCProblem, params) -> np.ndarray:
     return params
 
 
-def energy_at(problem: UCCProblem, params) -> float:
-    params = _check_params(problem, params)
-    e, _ = problem_energy_and_gradient(problem, params)
-    return float(e)
-
-
 def civector_at(problem: UCCProblem, params) -> CIVector:
     """The prepared state in the full determinant space (exact also for
     pair-restricted problems, whose excitations are valid there)."""
     return problem_civector(problem, _check_params(problem, params))
-
-
-def statevector_at(problem: UCCProblem, params) -> np.ndarray:
-    return problem_statevector(problem, _check_params(problem, params))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from vqchem import load_fixture
+from vqchem import fixture_path, load_fcidump
 from helpers import chain_fcidump
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -11,27 +11,27 @@ DATA_DIR = Path(__file__).parent / "data"
 
 @pytest.fixture(scope="session")
 def h2():
-    return load_fixture("h2_sto3g")
+    return load_fcidump(fixture_path("h2_sto3g"))
 
 
 @pytest.fixture(scope="session")
 def h2_stretched():
-    return load_fixture("h2_sto3g_stretched")
+    return load_fcidump(fixture_path("h2_sto3g_stretched"))
 
 
 @pytest.fixture(scope="session")
 def h4():
-    return load_fixture("h4_sto3g")
+    return load_fcidump(fixture_path("h4_sto3g"))
 
 
 @pytest.fixture(scope="session")
 def h6():
-    return load_fixture("h6_sto3g")
+    return load_fcidump(fixture_path("h6_sto3g"))
 
 
 @pytest.fixture(scope="session")
 def h8():
-    return load_fixture("h8_sto3g")
+    return load_fcidump(fixture_path("h8_sto3g"))
 
 
 @pytest.fixture(scope="session")

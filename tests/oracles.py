@@ -373,6 +373,73 @@ def tied_slot_gradient(c, params, h, noise=None) -> np.ndarray:
     return np.bincount(slots, weights=grad, minlength=c.n_params)
 
 
+def compile_ucc_trotter(problem, params):
+    """A UCC problem at fixed parameters as a circuit: X gates prepare the
+    reference, then each factor e^{theta G} becomes the Pauli rotations of
+    G's Jordan-Wigner image.  Those strings commute, so the circuit prepares
+    the determinant engine's state exactly; on h6 the rotations span all 12
+    qubits."""
+    from vqchem import Circuit, FermionOperator, Gate, jordan_wigner
+
+    s = problem.integrals
+    n_qubits = 2 * s.n_orb
+    n_occ = s.n_elec // 2
+    occupied = list(range(n_occ)) + [s.n_orb + i for i in range(n_occ)]
+    gates = [Gate("X", (n_qubits - 1 - so,)) for so in occupied]
+    for ex, pid in zip(problem.ex_ops, problem.param_ids):
+        half = len(ex) // 2
+        g = FermionOperator(n_qubits, {
+            tuple((i, True) for i in ex[:half])
+            + tuple((i, False) for i in ex[half:]): 1.0})
+        generator = jordan_wigner(g - g.hermitian_conjugate())
+        for term, coeff in sorted(generator.terms.items()):
+            if abs(coeff) < 1e-14:
+                continue
+            # G = sum_k i beta_k P_k and e^{i theta beta P} is
+            # PAULI_ROT(P, -2 theta beta)
+            gates.append(Gate(
+                "PAULI_ROT", tuple(q for q, _ in term),
+                angle=-2.0 * float(params[pid]) * coeff.imag,
+                pauli="".join(letter for _, letter in term)))
+    return Circuit(n_qubits=n_qubits, gates=gates, n_params=0)
+
+
+def model_dense_matrix(terms, basis) -> np.ndarray:
+    """Level-basis matrix of a symbolic vibronic model: per term, the
+    Kronecker product of one factor per degree of freedom in basis order
+    (Pauli matrices on spins, truncated oscillator matrices on modes)."""
+    from vqchem import BasisHalfSpin, boson_matrix
+
+    spin = {"sigma_x": PAULI_1Q["X"], "sigma_z": PAULI_1Q["Z"]}
+    dims = [2 if isinstance(b, BasisHalfSpin) else b.nbas for b in basis]
+    where = {b.dof: k for k, b in enumerate(basis)}
+    total = np.zeros((int(np.prod(dims)),) * 2, dtype=complex)
+    for term in terms:
+        mats = [np.eye(d, dtype=complex) for d in dims]
+        for sym, dof in term.factors:
+            b = basis[where[dof]]
+            mats[where[dof]] = (spin[sym] if isinstance(b, BasisHalfSpin)
+                                else boson_matrix(sym, b))
+        acc = np.array([[term.coefficient]], dtype=complex)
+        for m in mats:
+            acc = np.kron(acc, m)
+        total += acc
+    return total
+
+
+def decode_dense(enc) -> np.ndarray:
+    """An encoded Hamiltonian written back in the level basis: the dense
+    qubit matrix, plus the constant, between the encodings of the level
+    basis vectors."""
+    from vqchem import BasisHalfSpin, encode_state
+
+    dim = int(np.prod([2 if isinstance(b, BasisHalfSpin) else b.nbas
+                       for b in enc.basis]))
+    codes = np.array([encode_state(enc, row) for row in np.eye(dim)]).T
+    h = dense_qubit_operator(enc.qubit_terms)
+    return codes.conj().T @ h @ codes + enc.constant * np.eye(dim)
+
+
 def vha_state_and_jacobian(ansatz, theta) -> tuple:
     """State and Jacobian of a layered Pauli-rotation ansatz, one parameter
     at a time: the full-register rotation cos(theta_k) - i sin(theta_k) P_k

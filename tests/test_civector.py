@@ -23,25 +23,19 @@ from vqchem import (
     ZeroState,
     apply_excitation,
     apply_hamiltonian,
-    apply_ucc_factor,
     ci_space_dim,
+    civector_at,
     civector_to_statevector,
     energy,
     energy_and_gradient,
-    energy_at,
     fci_ground_state,
     hamiltonian_diagonal,
-    hartree_fock_bitstring,
     hf_energy,
     hf_vector,
     load_civector,
-    load_fixture,
     make_ci_space,
-    make_rdm1,
-    make_rdm2,
     make_uccsd_problem,
     save_civector,
-    statevector_to_civector,
     ucc_state,
 )
 from vqchem.ansatz import generate_uccsd
@@ -54,6 +48,7 @@ from oracles import (
     signed_forward,
     signed_rotation_table,
     signed_sweep,
+    spin_traced_rdms,
 )
 from helpers import chain_fcidump, run_capped
 from test_integrals import random_integral_set
@@ -131,7 +126,7 @@ def test_hf_vector_is_first_determinant():
     v = hf_vector(space)
     assert v.amplitudes[0] == 1.0 and np.count_nonzero(v.amplitudes) == 1
     sv = civector_to_statevector(space, v)
-    hf_index = int(hartree_fock_bitstring(4, 4), 2)
+    hf_index = int("00110011", 2)  # both spins of orbitals 0 and 1
     assert sv[hf_index] == 1.0 and np.count_nonzero(sv) == 1
 
 
@@ -269,9 +264,9 @@ def test_same_spin_hamiltonian_matches_alpha_sector_oracle(case, request):
     assert _same_spin(space, s)[0] is h_t  # cached per integrals
 
 
-def test_warm_sigma_allocates_less_than_one_block():
+def test_warm_sigma_allocates_less_than_one_block(h8):
     # H8 fits in one block: D alone is 8 * n_pair * dim bytes (1.4 MB).
-    s = load_fixture("h8_sto3g")
+    s = h8
     space = make_ci_space(8, 8)
     v = np.random.default_rng(67).normal(size=space.dim)
     _sigma(space, s, v)  # compiles the plan and sizes the workspace
@@ -374,7 +369,7 @@ def test_ucc_factor_matches_dense_expm():
         theta = float(rng.uniform(-2.0, 2.0))
         v = rng.normal(size=space.dim)
         v /= np.linalg.norm(v)
-        got = apply_ucc_factor(space, v, ex, theta).amplitudes
+        got = ucc_state(space, [ex], [theta], [0], initial=v).amplitudes
         want = emb.conj().T @ expm(theta * dense_generator(8, ex)) @ (emb @ v)
         np.testing.assert_allclose(got, np.real(want), atol=1e-10)
 
@@ -413,8 +408,8 @@ def test_ucc_factor_is_invertible():
     space = make_ci_space(4, 4)
     v = rng.normal(size=space.dim)
     ex = (2, 6, 0, 4)
-    w = apply_ucc_factor(space, v, ex, 0.7)
-    back = apply_ucc_factor(space, w, ex, -0.7).amplitudes
+    w = ucc_state(space, [ex], [0.7], [0], initial=v)
+    back = ucc_state(space, [ex], [-0.7], [0], initial=w).amplitudes
     np.testing.assert_allclose(back, v, atol=1e-12)
 
 
@@ -458,8 +453,8 @@ def test_ucc_state_applies_first_entry_first():
     space = make_ci_space(4, 4)
     ex1, ex2 = (2, 0), (3, 7, 0, 4)
     v = ucc_state(space, [ex1, ex2], [0.3, -0.5], [0, 1])
-    step = apply_ucc_factor(space, hf_vector(space), ex1, 0.3)
-    step = apply_ucc_factor(space, step, ex2, -0.5)
+    step = ucc_state(space, [ex1], [0.3], [0])
+    step = ucc_state(space, [ex2], [-0.5], [0], initial=step)
     np.testing.assert_allclose(v.amplitudes, step.amplitudes, atol=1e-12)
     assert abs(v.norm() - 1.0) < 1e-12
 
@@ -555,13 +550,11 @@ def test_non_finite_params_are_refused(bad, h4):
         energy_and_gradient(space, ex_ops, [0.1, bad], param_ids, h4)
     with pytest.raises(InvalidParams):
         ucc_state(space, ex_ops, [bad, 0.1], param_ids)
-    with pytest.raises(InvalidParams):
-        apply_ucc_factor(space, hf_vector(space), (2, 0), bad)
     problem = make_uccsd_problem(h4)
     params = problem.init_guess.copy()
     params[-1] = bad
     with pytest.raises(InvalidParams):
-        energy_at(problem, params)
+        civector_at(problem, params)
     with pytest.raises(InvalidParams):
         UCCProblem(h4, problem.ex_ops, problem.param_ids, params)
 
@@ -619,8 +612,8 @@ def test_rdm_energy_reconstruction(which, h2, h4):
         space = make_ci_space(4, 4)
         v = ucc_state(space, [(2, 6, 0, 4), (3, 7, 1, 5), (2, 0)],
                       [0.1, -0.2, 0.05], [0, 1, 2])
-    rdm1 = make_rdm1(space, v)
-    rdm2 = make_rdm2(space, v)
+    rdm1, rdm2 = spin_traced_rdms(space.n_orb,
+                                  civector_to_statevector(space, v))
     assert abs(energy_from_rdms(s, rdm1, rdm2) - energy(space, v, s)) < 1e-10
     assert abs(np.trace(rdm1) - s.n_elec) < 1e-10
     np.testing.assert_allclose(rdm1, rdm1.T, atol=1e-12)
@@ -632,19 +625,19 @@ def test_rdm_energy_reconstruction(which, h2, h4):
 
 @pytest.mark.parametrize("which", ["fci_h4", "random5"])
 def test_rdms_match_fock_space_oracle(which, h4):
-    from oracles import spin_traced_rdms
-
+    """The FCI eigenvalue is the energy of its own eigenvector's density
+    matrices, read off the Fock space by ladder products."""
     if which == "fci_h4":
+        s = h4
         space = make_ci_space(4, 4)
-        _, v = fci_ground_state(space, h4)
     else:
-        space = make_ci_space(5, 4)
         s = random_integral_set(np.random.default_rng(11), 5, 4)
-        _, v = fci_ground_state(space, s)
+        space = make_ci_space(5, 4)
+    e, v = fci_ground_state(space, s)
     rdm1, rdm2 = spin_traced_rdms(space.n_orb,
                                   civector_to_statevector(space, v))
-    np.testing.assert_allclose(make_rdm1(space, v), rdm1, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(make_rdm2(space, v), rdm2, rtol=0, atol=1e-12)
+    assert abs(energy_from_rdms(s, rdm1, rdm2) - e) < 1e-10
+    assert abs(np.trace(rdm1) - s.n_elec) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -945,22 +938,17 @@ def test_energy_rejects_zero_vector(h2):
 # ---------------------------------------------------------------------------
 
 def test_statevector_round_trip():
+    """Determinant (ia, ib) lands at index alpha << n_orb | beta with its
+    amplitude and sign, and nothing lands anywhere else."""
     rng = np.random.default_rng(47)
     space = make_ci_space(3, 2)
     v = CIVector(space, rng.normal(size=space.dim))
-    back = statevector_to_civector(space, civector_to_statevector(space, v))
-    np.testing.assert_allclose(back.amplitudes, v.amplitudes, atol=1e-14)
-
-
-def test_statevector_with_imaginary_amplitude_is_refused():
-    space = make_ci_space(3, 2)
-    v = CIVector(space, np.random.default_rng(48).normal(size=space.dim))
     sv = civector_to_statevector(space, v)
-    np.testing.assert_array_equal(
-        statevector_to_civector(space, sv).amplitudes, v.amplitudes)
-    sv[int(np.flatnonzero(sv)[2])] = 0.3j
-    with pytest.raises(ValueError, match="imaginary"):
-        statevector_to_civector(space, sv)
+    index = [(int(a) << 3) | int(b) for a in space.alpha_strings
+             for b in space.beta_strings]
+    np.testing.assert_array_equal(sv[index], v.amplitudes)
+    sv[index] = 0.0
+    assert not np.any(sv)
 
 
 def test_statevector_size_limit():

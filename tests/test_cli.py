@@ -1,4 +1,5 @@
 import argparse
+import ast
 import json
 import os
 import subprocess
@@ -15,7 +16,7 @@ from vqchem import (
     fixture_path,
     hf_energy,
     load_civector,
-    load_fixture,
+    load_fcidump,
     parity_transform,
     parse_fcidump,
     simulate_state,
@@ -568,7 +569,7 @@ def test_convert_fcidump_round_trip(capsys, tmp_path):
     code, _, _ = run(capsys, "convert", "--fcidump", "h2_sto3g",
                      "--to", "fcidump", "--output", str(out_path))
     assert code == 0
-    s = load_fixture("h2_sto3g")
+    s = load_fcidump(fixture_path("h2_sto3g"))
     t = parse_fcidump(out_path.read_text())
     np.testing.assert_allclose(t.int1e, s.int1e, atol=1e-12)
     np.testing.assert_allclose(t.int2e, s.int2e, atol=1e-12)
@@ -831,6 +832,24 @@ def test_start_up_loads_no_scipy(start_up):
     runs: the sigma and the Pauli operators are numpy alone."""
     assert start_up["codes"] == [0] * 6
     assert start_up["scipy"] == [[]] * 7
+
+
+def test_package_source_imports_no_scipy():
+    """No module of the package imports scipy anywhere, inside a function
+    included; only the tests and the fixture script use it."""
+    found = []
+    for path in sorted((Path(__file__).resolve().parents[1]
+                        / "src" / "vqchem").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for module in modules
+                      if module.split(".")[0] == "scipy"]
+    assert found == []
 
 
 def test_import_reads_no_package_metadata(start_up):

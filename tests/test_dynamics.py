@@ -14,19 +14,15 @@ from vqchem import (
     SizeLimit,
     SymbolicTerm,
     VHAnsatz,
-    ansatz_jacobian,
     ansatz_state,
     assemble_eom,
     boson_matrix,
     build_vha,
     coherent_state,
-    decode_dense,
     encode_state,
     exact_propagate,
-    format_symbolic_term,
     marcus_model,
     marcus_rate_theory,
-    model_dense_matrix,
     parse_symbolic_term,
     qubit_encode,
     rate_fit,
@@ -36,7 +32,12 @@ from vqchem import (
     trajectory_to_csv,
 )
 from vqchem import dynamics
-from oracles import mclachlan_thetadot, vha_state_and_jacobian
+from oracles import (
+    decode_dense,
+    mclachlan_thetadot,
+    model_dense_matrix,
+    vha_state_and_jacobian,
+)
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -102,7 +103,7 @@ def test_boson_matrix_validation():
 
 def test_symbolic_term_round_trip():
     term = SymbolicTerm((("sigma_z", "spin"), ("b^dagger b", "mode")), -0.75)
-    back = parse_symbolic_term(format_symbolic_term(term))
+    back = parse_symbolic_term("-0.75 sigma_z@spin b^dagger_b@mode")
     assert back == term
     assert parse_symbolic_term("0.5").factors == ()
     aliased = parse_symbolic_term("1.0 n@mode")
@@ -124,9 +125,13 @@ def test_symbolic_term_validation():
 
 
 def test_model_dense_matrix_matches_manual_kron():
+    """The spin-boson model, built in the level basis and decoded from its
+    qubit encoding, against Kronecker products written out by hand."""
     eps, delta, omega, g, nbas = 0.3, 0.9, 1.2, 0.4, 4
     terms, basis = spin_boson_model(eps, delta, omega, g, nbas)
     got = model_dense_matrix(terms, basis)
+    np.testing.assert_allclose(decode_dense(qubit_encode(terms, basis)), got,
+                               atol=1e-12)
     ident = np.eye(nbas)
     n_op = np.diag(np.arange(float(nbas)))
     shift = lowering(nbas) + lowering(nbas).conj().T
@@ -224,7 +229,7 @@ def test_vha_jacobian_matches_finite_difference():
     ansatz = build_vha(enc, n_layers=2, initial_state=1)
     rng = np.random.default_rng(5)
     theta = rng.uniform(-0.5, 0.5, size=ansatz.n_params)
-    jac = ansatz_jacobian(ansatz, theta)
+    jac = dynamics._state_and_jacobian(ansatz, theta, True)[1]
     h = 1e-6
     for k in range(ansatz.n_params):
         shift = np.zeros(ansatz.n_params)
@@ -377,7 +382,7 @@ def test_eom_assembly_and_regularized_solve():
     ansatz = build_vha(enc, n_layers=1, initial_state=1)
     theta = rng.uniform(-0.5, 0.5, size=ansatz.n_params)
     psi = ansatz_state(ansatz, theta)
-    jac = ansatz_jacobian(ansatz, theta)
+    jac = dynamics._state_and_jacobian(ansatz, theta, True)[1]
     h_dense = enc.qubit_terms.to_dense_matrix()
     sys = assemble_eom(jac, psi, h_dense)
     assert np.shares_memory(sys.w, jac)  # the sweep's rows, not a copy

@@ -19,14 +19,12 @@ from vqchem import (
     InvalidParams,
     InvalidProbability,
     NoiseModel,
-    ParseError,
     QubitOperator,
     SizeLimit,
     build_fermion_hamiltonian,
     build_ry_ansatz,
-    circuit_from_text,
-    circuit_to_text,
-    compile_ucc_trotter,
+    civector_at,
+    civector_to_statevector,
     depolarizing_channel,
     expectation,
     hea_kernel,
@@ -37,7 +35,6 @@ from vqchem import (
     sampled_expectation,
     simulate_density,
     simulate_state,
-    statevector_at,
 )
 from vqchem.gates import (
     _apply_channel_density,
@@ -45,7 +42,12 @@ from vqchem.gates import (
     _energy_and_gradient,
 )
 import oracles
-from oracles import PAULI_1Q, dense_qubit_operator, embed_unitary
+from oracles import (
+    PAULI_1Q,
+    compile_ucc_trotter,
+    dense_qubit_operator,
+    embed_unitary,
+)
 
 H2_FCI = -1.1372744055294606
 
@@ -810,8 +812,13 @@ def test_hea_sampled_objective_runs_spsa(h2):
 
 
 # ---------------------------------------------------------------------------
-# UCC factor compilation
+# UCC factors compiled to Pauli rotations
 # ---------------------------------------------------------------------------
+
+def ucc_statevector(problem, params):
+    v = civector_at(problem, params)
+    return civector_to_statevector(v.space, v)
+
 
 @pytest.mark.parametrize("at_optimum", [True, False])
 def test_compiled_ucc_matches_determinant_engine(h2, at_optimum):
@@ -823,7 +830,7 @@ def test_compiled_ucc_matches_determinant_engine(h2, at_optimum):
     c = compile_ucc_trotter(problem, params)
     assert c.n_params == 0
     psi = simulate_state(c, None)
-    want = statevector_at(problem, params)
+    want = ucc_statevector(problem, params)
     np.testing.assert_allclose(psi, want, atol=1e-10)
 
 
@@ -832,7 +839,7 @@ def test_compiled_ucc_h4_random_params(h4):
     rng = np.random.default_rng(19)
     params = rng.uniform(-0.2, 0.2, size=problem.n_params)
     psi = simulate_state(compile_ucc_trotter(problem, params), None)
-    np.testing.assert_allclose(psi, statevector_at(problem, params),
+    np.testing.assert_allclose(psi, ucc_statevector(problem, params),
                                atol=1e-10)
 
 
@@ -840,13 +847,16 @@ _COMPILED_H6 = """
 import json, resource
 import numpy as np
 import vqchem
-problem = vqchem.make_uccsd_problem(vqchem.load_fixture("h6_sto3g"))
+from oracles import compile_ucc_trotter
+s = vqchem.load_fcidump(vqchem.fixture_path("h6_sto3g"))
+problem = vqchem.make_uccsd_problem(s)
 params = np.random.default_rng(19).uniform(-0.2, 0.2, problem.n_params)
-circuit = vqchem.compile_ucc_trotter(problem, params)
+circuit = compile_ucc_trotter(problem, params)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 psi = vqchem.simulate_state(circuit, None)
 after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-err = np.max(np.abs(psi - vqchem.statevector_at(problem, params)))
+v = vqchem.civector_at(problem, params)
+err = np.max(np.abs(psi - vqchem.civector_to_statevector(v.space, v)))
 print(json.dumps({"widest": max(len(g.qubits) for g in circuit.gates),
                   "err": float(err), "grew_mb": (after - before) / 1024}))
 """
@@ -855,10 +865,11 @@ print(json.dumps({"widest": max(len(g.qubits) for g in circuit.gates),
 def test_compiled_ucc_h6_without_dense_rotations():
     """Rotations over all 12 qubits of h6 are applied from the string's
     action; a dense 4096 x 4096 matrix per string took about 0.27 GB."""
-    root = Path(__file__).resolve().parents[1]
+    here = Path(__file__).resolve().parent
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(
-                   [str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+                   [str(here.parent / "src"), str(here),
+                    os.environ.get("PYTHONPATH", "")]))
     run = subprocess.run([sys.executable, "-c", _COMPILED_H6], env=env,
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr[-2000:]
@@ -866,41 +877,3 @@ def test_compiled_ucc_h6_without_dense_rotations():
     assert result["widest"] == 12
     assert result["err"] < 1e-10
     assert result["grew_mb"] < 64
-
-
-def test_compiled_ucc_size_limit(h8):
-    problem = make_uccsd_problem(h8)
-    with pytest.raises(SizeLimit):
-        compile_ucc_trotter(problem, problem.init_guess)
-
-
-# ---------------------------------------------------------------------------
-# Text round trip
-# ---------------------------------------------------------------------------
-
-def test_circuit_text_round_trip():
-    rng = np.random.default_rng(23)
-    c = random_circuit(rng, 3, 12, 2)
-    text = circuit_to_text(c)
-    back = circuit_from_text(text, n_qubits=3, n_params=2)
-    assert len(back.gates) == len(c.gates)
-    params = rng.uniform(-np.pi, np.pi, size=2)
-    np.testing.assert_allclose(simulate_state(back, params),
-                               simulate_state(c, params), atol=1e-12)
-
-
-def test_circuit_text_errors():
-    with pytest.raises(ParseError, match="line 1"):
-        circuit_from_text("HADAMARD q0\n")
-    with pytest.raises(ParseError, match="line 2"):
-        circuit_from_text("X q0\nRY q0 banana\n")
-    with pytest.raises(ParseError):
-        circuit_from_text("RY z0 0.3\n")
-
-
-@pytest.mark.parametrize("text", [
-    "RY q0 slotx\n", "RY q0 nan\n", "RY q0 inf\n", "RY q0 -inf\n",
-    "PAULI_ROT XY q0 q1 slot\n", "PAULI_ROT XY q0 q1 NaN\n"])
-def test_circuit_text_bad_angle_or_slot(text):
-    with pytest.raises(ParseError, match="line 2"):
-        circuit_from_text("X q0\n" + text)

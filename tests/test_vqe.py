@@ -9,7 +9,7 @@ from vqchem import (
     build_fermion_hamiltonian,
     build_ry_ansatz,
     civector_at,
-    energy_at,
+    civector_to_statevector,
     expectation,
     fci_ground_state,
     hea_kernel,
@@ -20,14 +20,13 @@ from vqchem import (
     make_kupccgsd_problem,
     make_puccd_problem,
     make_uccsd_problem,
-    mp2_energy,
+    mp2,
     parameter_shift_gradient,
     parity_transform,
     print_summary,
     problem_energy_and_gradient,
     result_to_json,
     simulate_state,
-    statevector_at,
 )
 from vqchem.cli import _hea_init_params, _reference_bitstring
 from vqchem.vqe import _GRAD_TOL, _minimize_lbfgs
@@ -97,11 +96,13 @@ def test_kernel_on_empty_parameter_vector(h2):
 def test_energy_and_state_accessors(h2):
     problem = make_uccsd_problem(h2)
     result = kernel(problem)
-    assert abs(energy_at(problem, result.x) - result.e) < 1e-12
-    sv = statevector_at(problem, result.x)
+    e, _ = problem_energy_and_gradient(problem, result.x)
+    assert abs(e - result.e) < 1e-12
+    v = civector_at(problem, result.x)
+    sv = civector_to_statevector(v.space, v)
     assert abs(np.linalg.norm(sv) - 1.0) < 1e-12
     with pytest.raises(InvalidParams):
-        energy_at(problem, [0.1])
+        civector_at(problem, [0.1])
 
 
 def test_deterministic_reruns(h4):
@@ -124,7 +125,8 @@ def test_summary_report(h2, capsys):
     assert report.ansatz["n_params"] == 2
     assert report.ansatz["initial_condition"] == "MP2"
     assert abs(report.energies["HF"]["energy"] - hf_energy(h2)) < 1e-12
-    assert abs(report.energies["MP2"]["energy"] - mp2_energy(h2)) < 1e-12
+    e_mp2 = hf_energy(h2) + mp2(h2).e_corr
+    assert abs(report.energies["MP2"]["energy"] - e_mp2) < 1e-12
     assert abs(report.energies["FCI"]["error_mH"]) < 1e-9
     assert abs(report.energies["UCCSD"]["corr_pct"] - 100.0) < 1e-4
     assert report.energies["CCSD"] is None
