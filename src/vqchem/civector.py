@@ -393,10 +393,10 @@ class _SigmaPlan:
 
     A string of n_occ electrons has n_occ (1 + n_vir) live pairs: its
     occupied diagonal pairs and its hops from an occupied to a virtual
-    orbital.  ``pair``, ``live_target`` and ``live_sign`` (n_strings,
-    n_live) list them per string in pair order, and ``flat`` holds
-    ``pair * n_strings + live_target``, their positions in a (n_pair,
-    n_strings) matrix.
+    orbital.  Only they are kept: ``pair``, ``live_target`` and
+    ``live_sign`` (n_strings, n_live) list them per string in pair order,
+    and ``flat`` holds ``pair * n_strings + live_target``, their positions
+    in a (n_pair, n_strings) matrix.
     """
 
     def __init__(self, strings: np.ndarray, n_orb: int):
@@ -410,15 +410,15 @@ class _SigmaPlan:
         between = (bit_p - np.uint64(1)) & ~((bit_q << np.uint64(1))
                                              - np.uint64(1))
         odd = (np.bitwise_count(column & between) & np.uint64(1)) != 0
-        self.sign = np.where(hop, np.where(odd, -1.0, 1.0),
-                             np.where(p == q, occ_p, False))
-        self.target = np.searchsorted(
+        sign = np.where(hop, np.where(odd, -1.0, 1.0),
+                        np.where(p == q, occ_p, False))
+        target = np.searchsorted(
             strings, np.where(hop, column ^ (bit_p | bit_q), column))
-        rows, pair = np.nonzero(self.sign)
+        rows, pair = np.nonzero(sign)
         n = len(strings)
         self.pair = pair.reshape(n, -1)
-        self.live_target = self.target[rows, pair].reshape(n, -1)
-        self.live_sign = self.sign[rows, pair].reshape(n, -1)
+        self.live_target = target[rows, pair].reshape(n, -1)
+        self.live_sign = sign[rows, pair].reshape(n, -1)
         self.flat = self.pair * n + self.live_target
 
 

@@ -14,16 +14,11 @@ push-through identity), so each step diagonalizes the smaller of the
 n_params-square M and the (2 dim)-square Gram matrix w^T w.
 
 The ansatz state and its Jacobian come from one sweep over *runs* of
-rotations.  A run is a maximal stretch of consecutive rotations whose Pauli
-strings P_k flip the same qubits as the run's first string P_r and commute
-with it.  Then D_k = P_k P_r is a diagonal +-1 matrix that commutes with
-P_r, so on every basis pair {i, i ^ f} P_k = d_k(i) P_r, the strings of a
-run commute with each other, and the run's product of rotations is exactly
-exp(-i Phi P_r) = cos(Phi) - i sin(Phi) P_r with the diagonal angle
-Phi = sum_k theta_k D_k.  Its Jacobian columns are -i P_k psi =
--i d_k * (P_r psi) at the state after the run.  Strings that anticommute
-with P_r (XX and XY on one pair of qubits, say) or flip other qubits start
-a new run.
+rotations, compiled by :func:`vqchem.operators._fuse_runs` as the gates'
+circuits are: consecutive rotations that flip the same qubits and commute
+are one exp(-i Phi P_r) with a diagonal angle Phi, applied by one gather,
+and the Jacobian columns of a run are -i d_k * (P_r psi) at the state after
+it.
 """
 
 from __future__ import annotations
@@ -43,7 +38,8 @@ from .errors import (
     NumericalBlowup,
     SizeLimit,
 )
-from .operators import QubitOperator, mask_action, pauli_masks
+from .operators import (QubitOperator, _fuse_runs, _RotationRuns,
+                        mask_action, pauli_masks)
 
 _EXACT_DIM_LIMIT = 1 << 12
 _UNARY_NBAS_LIMIT = 16
@@ -363,61 +359,6 @@ def encode_state(enc: EncodedHamiltonian, level_vector) -> np.ndarray:
 # Variational Hamiltonian ansatz
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _RotationRuns:
-    """The ansatz rotations fused into runs (see the module docstring).
-    Run r covers parameters ``starts[r]:starts[r + 1]``; its reference
-    string acts as ``(P_r x)[i] = phases[r, i] * x[targets[r, i]]``, and
-    parameter k of run r has ``P_k = diag(signs[:, k]) P_r``, so that
-    ``-i P_k x = columns[k] * x[targets[r]]``."""
-
-    starts: np.ndarray          # (n_runs + 1,) first parameter of each run
-    targets: np.ndarray         # (n_runs, dim) basis state paired with i
-    phases: np.ndarray          # (n_runs, dim)
-    signs: np.ndarray           # (dim, n_params) entries +-1
-    columns: np.ndarray         # (n_params, dim)
-
-    @functools.cached_property
-    def plan(self) -> tuple:
-        """``(lo, hi, target, columns[lo:hi])`` of every run, with Python
-        int bounds, for the sweep."""
-        return tuple((lo, hi, target, self.columns[lo:hi])
-                     for lo, hi, target in zip(self.starts[:-1].tolist(),
-                                               self.starts[1:].tolist(),
-                                               self.targets))
-
-
-def _fuse_runs(n_qubits: int, paulis: list, n_params: int) -> _RotationRuns:
-    dim = 1 << n_qubits
-    starts, targets, phases = [], [], []
-    signs = np.ones((dim, n_params))
-    for k in range(n_params):
-        target, phase = mask_action(
-            n_qubits, *pauli_masks(n_qubits, paulis[k % len(paulis)]))
-        if starts:
-            # P_k P_r |i> = ratio_i |i>; it commutes with P_r exactly when
-            # the ratio agrees on both states of every flipped pair
-            ratio = phase * ref_phase.conj()
-            if (np.array_equal(target, targets[-1])
-                    and np.array_equal(ratio, ratio[target])):
-                signs[:, k] = ratio.real
-                continue
-        starts.append(k)
-        ref_phase = phase
-        targets.append(target)
-        phases.append(phase[target])
-    starts.append(n_params)
-    phases = np.array(phases, dtype=complex).reshape(-1, dim)
-    run_of = np.repeat(np.arange(len(phases)), np.diff(starts))
-    return _RotationRuns(
-        starts=np.array(starts),
-        targets=np.array(targets, dtype=np.intp).reshape(-1, dim),
-        phases=phases,
-        signs=signs,
-        columns=-1.0j * signs.T * phases[run_of],
-    )
-
-
 @dataclass
 class VHAnsatz:
     """Layered product of Pauli rotations exp(-i theta P) acting on a fixed
@@ -439,8 +380,11 @@ class VHAnsatz:
 
     @functools.cached_property
     def runs(self) -> _RotationRuns:
-        """Run table of the rotations, built on first use."""
-        return _fuse_runs(self.n_qubits, self.paulis, self.n_params)
+        """The rotations fused into runs, built on first use."""
+        n = self.n_qubits
+        return _fuse_runs(n, [
+            (*pauli_masks(n, self.paulis[k % len(self.paulis)]), k, 0.0, False)
+            for k in range(self.n_params)], 1.0)
 
 
 def build_vha(enc: EncodedHamiltonian, n_layers: int,
@@ -481,9 +425,7 @@ def _state_and_jacobian(ansatz: VHAnsatz, theta, want_jacobian: bool):
             f"ansatz has {ansatz.n_params} parameters, got {theta.size}"
         )
     runs = ansatz.runs
-    angles = np.add.reduceat(runs.signs * theta, runs.starts[:-1], axis=1).T
-    cos = np.cos(angles).astype(complex)
-    flip = -1.0j * np.sin(angles) * runs.phases
+    cos, flip = runs.rotations(theta)
     height = ansatz.n_params + 1 if want_jacobian else 1
     buf = np.zeros((height, ansatz.dim), dtype=complex)
     buf[0] = ansatz.phi

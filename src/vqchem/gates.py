@@ -6,18 +6,18 @@ Qubit 0 is the most significant bit of a basis-state index, as in
 :mod:`vqchem.operators`.  Exact expectation values read the operator's
 compiled flip groups (:func:`vqchem.operators._flip_groups`), one gather
 of psi or of rho's entries each; sampled ones read every string's action
-off its masks, uncached
-(:func:`vqchem.operators.mask_action`).  :func:`hea_kernel` drives exact
-objectives with the numpy L-BFGS-B driver of :func:`vqchem.vqe.kernel`, one
-circuit pass per evaluation, and sampled ones (``shots``) with the numpy
-SPSA of :func:`vqchem.vqe._minimize_spsa`, two circuit passes per
-iteration.  The rotation convention is RY(theta) = exp(-i*theta*Y/2) and
-PAULI_ROT(P, theta) = exp(-i*theta*P/2), so RY is the rotation about the
-one-letter string "Y"; both are applied by
-:func:`vqchem.operators.pauli_rotation` as cos x - i sin P x, with P x a
-flip of the ``(2,) * n`` view of the state (axes reversed, slices negated),
-without a rotation matrix or an index array.  X and CNOT are flips of the
-same view, so every unitary gate has one kernel; only the noise channels
+off its masks, uncached (:func:`vqchem.operators.mask_action`).
+:func:`hea_kernel` drives exact objectives with the numpy L-BFGS-B driver
+of :func:`vqchem.vqe.kernel`, one circuit pass per evaluation, and sampled
+ones (``shots``) with the numpy SPSA of :func:`vqchem.vqe._minimize_spsa`,
+two circuit passes per iteration.  The rotation convention is
+RY(theta) = exp(-i*theta*Y/2) and PAULI_ROT(P, theta) = exp(-i*theta*P/2),
+so RY is the rotation about the one-letter string "Y".  Each public entry
+point compiles its circuit once per call (:func:`_compile`) into the steps
+of :func:`vqchem.operators._fuse_runs`, shared with the variational
+dynamics: runs of commuting rotations that flip the same qubits, each
+cos(Phi) x - i sin(Phi) P_r x with P_r x a gather of x by an index array
+times a phase, and X and CNOT as permutations.  Only the noise channels
 multiply a (super)operator matrix onto the axes they touch.
 
 With this convention the parameter-shift rule
@@ -33,6 +33,7 @@ parameter slot may drive several gates; its derivative is the sum of theirs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -50,11 +51,12 @@ from .operators import (
     _PAULI_MATS,
     QubitOperator,
     _flip_groups,
+    _fuse_runs,
     _masks,
+    _RotationRuns,
     apply_operator,
-    apply_pauli,
     mask_action,
-    pauli_rotation,
+    pauli_masks,
 )
 from .vqe import _minimize_lbfgs, _minimize_spsa
 
@@ -96,9 +98,7 @@ class Gate:
         if self.kind == "PAULI_ROT":
             if (self.pauli is None or len(self.pauli) != len(self.qubits)
                     or any(ch not in "XYZ" for ch in self.pauli)):
-                raise InvalidParams(
-                    "PAULI_ROT needs a Pauli letter per qubit"
-                )
+                raise InvalidParams("PAULI_ROT needs a Pauli letter per qubit")
         elif self.pauli is not None:
             raise InvalidParams(f"{self.kind} takes no Pauli string")
 
@@ -125,18 +125,12 @@ def build_ry_ansatz(n_qubits: int, n_layers: int) -> Circuit:
     layer; (n_layers+1)*n_qubits parameters."""
     if n_layers < 0:
         raise InvalidParams("n_layers must be >= 0")
-    gates = []
-    slot = 0
-    for q in range(n_qubits):
-        gates.append(Gate("RY", (q,), param_slot=slot))
-        slot += 1
-    for _ in range(n_layers):
-        for q in range(n_qubits - 1):
-            gates.append(Gate("CNOT", (q, q + 1)))
-        for q in range(n_qubits):
-            gates.append(Gate("RY", (q,), param_slot=slot))
-            slot += 1
-    return Circuit(n_qubits=n_qubits, gates=gates, n_params=slot)
+    gates = [Gate("RY", (q,), param_slot=q) for q in range(n_qubits)]
+    for layer in range(1, n_layers + 1):
+        gates += [Gate("CNOT", (q, q + 1)) for q in range(n_qubits - 1)]
+        gates += [Gate("RY", (q,), param_slot=layer * n_qubits + q)
+                  for q in range(n_qubits)]
+    return Circuit(n_qubits, gates, (n_layers + 1) * n_qubits)
 
 
 # ---------------------------------------------------------------------------
@@ -188,75 +182,71 @@ def depolarizing_channel(p: float, n_qubits: int) -> list:
     Average gate fidelity 1 - 4p/5 for the two-qubit form."""
     if not 0.0 <= p <= 1.0:
         raise InvalidProbability(f"p={p} outside [0, 1]")
-    if n_qubits == 1:
-        paulis = [_PAULI_MATS[ch] for ch in "XYZ"]
-        weight = p / 3.0
-        identity = np.eye(2, dtype=complex)
-    elif n_qubits == 2:
-        paulis = [
-            np.kron(_PAULI_MATS[a], _PAULI_MATS[b])
-            for a in "IXYZ" for b in "IXYZ"
-            if not (a == "I" and b == "I")
-        ]
-        weight = p / 15.0
-        identity = np.eye(4, dtype=complex)
-    else:
+    if n_qubits not in (1, 2):
         raise InvalidChannel("depolarizing channel defined for 1 or 2 qubits")
-    return [math.sqrt(1.0 - p) * identity] + [
-        math.sqrt(weight) * pauli for pauli in paulis
-    ]
+    paulis = [functools.reduce(np.kron, [_PAULI_MATS[ch] for ch in letters])
+              for letters in itertools.product("IXYZ", repeat=n_qubits)]
+    weight = math.sqrt(p / (len(paulis) - 1))
+    return [math.sqrt(1.0 - p) * paulis[0]] + [weight * m for m in paulis[1:]]
 
 
 # ---------------------------------------------------------------------------
 # Simulation
 # ---------------------------------------------------------------------------
 
-def _generator(g: Gate):
-    """Pauli term P of a rotation gate exp(-i theta P / 2) (RY is the
-    rotation about "Y"); None for the fixed gates X and CNOT."""
-    if g.kind == "RY":
-        return ((g.qubits[0], "Y"),)
-    if g.kind == "PAULI_ROT":
-        return tuple(sorted(zip(g.qubits, g.pauli)))
-    return None
-
-
-def _apply_gate(x: np.ndarray, g: Gate, params, n: int,
-                inverse: bool = False) -> np.ndarray:
-    """The gate (or its inverse) applied to a statevector, or to the rows
-    of a 2^n x m matrix, as a flip on their ``(2,) * n`` view: X is the
-    Pauli string "X", and CNOT copies x with the control = 1 slice replaced
-    by its target-axis flip.  X and CNOT are their own inverses."""
-    if g.kind == "X":
-        return apply_pauli(n, ((g.qubits[0], "X"),), x)
-    if g.kind == "CNOT":
-        t = x.reshape((2,) * n + x.shape[1:])
-        ones = [slice(None)] * n
-        ones[g.qubits[0]] = 1
-        flip = ones.copy()
-        flip[g.qubits[1]] = slice(None, None, -1)
-        out = t.copy(order="K")
-        out[tuple(ones)] = t[tuple(flip)]
-        return out.reshape(x.shape)
-    term = _generator(g)
-    theta = float(params[g.param_slot]) if g.param_slot is not None else g.angle
-    return pauli_rotation(n, term, (-0.5 if inverse else 0.5) * theta, x)
-
-
-def _conjugate(rho: np.ndarray, g: Gate, params, n: int,
-               inverse: bool = False) -> np.ndarray:
-    """U rho U^dagger (U^dagger rho U with ``inverse``) for Hermitian rho."""
-    once = _apply_gate(rho, g, params, n, inverse)
-    return _apply_gate(once.conj().T, g, params, n, inverse)
-
-
-def simulate_state(c: Circuit, params) -> np.ndarray:
-    """Apply the circuit to |0...0>; returns the final statevector."""
-    params = _check_circuit_params(c, params)
-    psi = np.zeros(2 ** c.n_qubits, dtype=complex)
-    psi[0] = 1.0
+def _compile(c: Circuit, noise: NoiseModel | None) -> _RotationRuns:
+    """The circuit's gather steps (:func:`vqchem.operators._fuse_runs`):
+    each rotation exp(-i theta P / 2) a run member at scale 1/2 (RY is the
+    rotation about "Y"), X and CNOT permutations of the basis states.  A
+    gate that ``noise`` binds a channel to ends its run."""
+    n, channels = c.n_qubits, {} if noise is None else noise.superops
+    idx, ops = np.arange(1 << n), []
     for g in c.gates:
-        psi = _apply_gate(psi, g, params, c.n_qubits)
+        b = [n - 1 - q for q in g.qubits]  # bit of each qubit in an index
+        if g.kind == "X":
+            ops.append(idx ^ 1 << b[0])
+        elif g.kind == "CNOT":
+            ops.append(idx ^ (idx >> b[0] & 1) << b[1])
+        else:
+            term = tuple(zip(g.qubits, g.pauli or "Y"))  # RY: about "Y"
+            ops.append((*pauli_masks(n, term),
+                        -1 if g.param_slot is None else g.param_slot,
+                        g.angle or 0.0, g.kind in channels))
+    return _fuse_runs(n, ops, 0.5)
+
+
+def _step(x: np.ndarray, step: tuple, cos, flip) -> np.ndarray:
+    """One step on a statevector or a matrix's rows, x unchanged: x[target],
+    or run r as cos[r] x + flip[r] x[target].  ``-flip`` inverts a run; X
+    and CNOT are their own inverses.  A transposed view is gathered along
+    its memory order, as its transpose's columns."""
+    target, r, _ = step
+    out = (x.take(target, axis=0) if x.flags.c_contiguous
+           else x.T.take(target, axis=-1).T)
+    if r is not None:
+        column = (slice(None),) + (None,) * (x.ndim - 1)
+        out *= flip[r][column]
+        out += cos[r][column] * x
+    return out
+
+
+def _sandwich(rho: np.ndarray, step: tuple, cos, flip) -> np.ndarray:
+    """U rho U^dagger for Hermitian rho (U^dagger rho U with ``-flip``):
+    U on the rows, then on the rows of the Hermitian transpose."""
+    return _step(_step(rho, step, cos, flip).conj().T, step, cos, flip)
+
+
+def simulate_state(c: Circuit, params,
+                   runs: _RotationRuns | None = None) -> np.ndarray:
+    """Apply the circuit (compiled as ``runs``, if given) to |0...0>;
+    returns the final statevector."""
+    params = _check_circuit_params(c, params)
+    runs = _compile(c, None) if runs is None else runs
+    cos, flip = runs.rotations(params)
+    psi = np.zeros(1 << c.n_qubits, dtype=complex)
+    psi[0] = 1.0
+    for step in runs.steps:
+        psi = _step(psi, step, cos, flip)
     return psi
 
 
@@ -292,7 +282,7 @@ def _apply_channel_density(rho: np.ndarray, superop: np.ndarray, qubits,
     """S on rho read as a 2n-qubit tensor: the ket axes ``qubits`` and the
     bra axes ``n + q`` move to the front, S multiplies them as one matrix,
     and they move back.  Only channels take this matrix product; unitary
-    gates are flips (:func:`_apply_gate`)."""
+    gates are gathers (:func:`_step`)."""
     axes = tuple(qubits) + tuple(n + q for q in qubits)
     t = np.moveaxis(rho.reshape((2,) * 2 * n), axes, range(len(axes)))
     out = (superop @ t.reshape(superop.shape[0], -1)).reshape(t.shape)
@@ -324,15 +314,19 @@ def _initial_density(c: Circuit) -> np.ndarray:
     return rho
 
 
-def simulate_density(c: Circuit, params, noise: NoiseModel | None) -> DensityMatrix:
-    """Apply the circuit to |0><0| with each gate followed by its noise
-    channel (if the model binds one to that gate kind)."""
+def simulate_density(c: Circuit, params, noise: NoiseModel | None,
+                     runs: _RotationRuns | None = None) -> DensityMatrix:
+    """Apply the circuit (compiled for ``noise`` as ``runs``, if given) to
+    |0><0| with each gate followed by its noise channel (if the model binds
+    one to that gate kind)."""
     rho = _initial_density(c)
     params = _check_circuit_params(c, params)
     superops = {} if noise is None else noise.superops
-    for g in c.gates:
-        rho = _conjugate(rho, g, params, c.n_qubits)
-        rho = _apply_noise(rho, g, superops, c.n_qubits)
+    runs = _compile(c, noise) if runs is None else runs
+    cos, flip = runs.rotations(params)
+    for step in runs.steps:
+        rho = _sandwich(rho, step, cos, flip)
+        rho = _apply_noise(rho, c.gates[step[2]], superops, c.n_qubits)
     return DensityMatrix(c.n_qubits, rho)
 
 
@@ -340,15 +334,19 @@ def simulate_density(c: Circuit, params, noise: NoiseModel | None) -> DensityMat
 # Expectation values
 # ---------------------------------------------------------------------------
 
-def _as_matrix(state_or_rho):
+def _as_matrix(state_or_rho, n: int):
+    """(array, is_rho) of a statevector or density matrix on ``n`` qubits."""
     if isinstance(state_or_rho, DensityMatrix):
-        return state_or_rho.matrix, True
+        state_or_rho = state_or_rho.matrix
     arr = np.asarray(state_or_rho)
-    if arr.ndim == 1:
-        return arr, False
-    if arr.ndim == 2 and arr.shape[0] == arr.shape[1]:
-        return arr, True
-    raise InvalidOperator("expected a statevector or a square density matrix")
+    if arr.ndim not in (1, 2) or arr.shape[0] != arr.shape[-1]:
+        raise InvalidOperator(
+            "expected a statevector or a square density matrix")
+    if arr.shape[0] != 1 << n:
+        raise InvalidOperator(
+            f"operator on {n} qubits against state of dimension {arr.shape[0]}"
+        )
+    return arr, arr.ndim == 2
 
 
 def _term_expectations(arr, is_rho: bool, h: QubitOperator) -> dict:
@@ -368,12 +366,8 @@ def _term_expectations(arr, is_rho: bool, h: QubitOperator) -> dict:
 
 def expectation(state_or_rho, h: QubitOperator) -> float:
     """<psi|H|psi> or Tr(rho H); the imaginary residue must vanish."""
-    arr, is_rho = _as_matrix(state_or_rho)
     n = h.n_qubits
-    if arr.shape[0] != 1 << n:
-        raise InvalidOperator(
-            f"operator on {n} qubits against state of dimension {arr.shape[0]}"
-        )
+    arr, is_rho = _as_matrix(state_or_rho, n)
     if is_rho:  # Tr(rho H) = sum_gi H[i, cols[g, i]] rho[cols[g, i], i]
         cols, d = _flip_groups(h)
         return _real_energy(complex((arr[cols, np.arange(1 << n)] * d).sum()))
@@ -397,19 +391,16 @@ def sampled_expectation(state_or_rho, h: QubitOperator, shots_per_term: int,
     estimate is 2k/shots - 1 with k binomial.  The identity term is exact."""
     if shots_per_term < 1:
         raise InvalidParams("shots_per_term must be >= 1")
-    arr, is_rho = _as_matrix(state_or_rho)
-    if arr.shape[0] != 1 << h.n_qubits:
-        raise InvalidOperator("state size does not match operator")
+    arr, is_rho = _as_matrix(state_or_rho, h.n_qubits)
     exact = _term_expectations(arr, is_rho, h)
     rng = np.random.default_rng(seed)
     total = 0.0
     for term, coeff in sorted(h.terms.items()):
-        e = exact[term] if term else (
-            np.trace(arr) if is_rho else np.vdot(arr, arr)).real
         if not term:
-            total += coeff.real * e
+            norm = np.trace(arr) if is_rho else np.vdot(arr, arr)
+            total += coeff.real * norm.real
             continue
-        e = min(1.0, max(-1.0, e))
+        e = min(1.0, max(-1.0, exact[term]))
         k = rng.binomial(shots_per_term, (1.0 + e) / 2.0)
         total += coeff.real * (2.0 * k / shots_per_term - 1.0)
     return float(total)
@@ -432,7 +423,8 @@ def parameter_shift_gradient(c: Circuit, params, h: QubitOperator,
 
 
 def _energy_and_gradient(c: Circuit, params, h: QubitOperator,
-                         noise: NoiseModel | None):
+                         noise: NoiseModel | None,
+                         runs: _RotationRuns | None = None):
     """(energy, gradient) of the circuit from one reverse pass."""
     params = _check_circuit_params(c, params)
     if h.n_qubits != c.n_qubits:
@@ -440,104 +432,116 @@ def _energy_and_gradient(c: Circuit, params, h: QubitOperator,
             f"operator on {h.n_qubits} qubits against a "
             f"{c.n_qubits}-qubit circuit"
         )
+    runs = _compile(c, noise) if runs is None else runs
     if noise is None:
-        return _state_gradient(c, params, h)
-    return _density_gradient(c, params, h, noise.superops)
+        return _state_gradient(c, runs, params, h)
+    return _density_gradient(c, runs, params, h, noise.superops)
 
 
-def _state_gradient(c: Circuit, params, h: QubitOperator):
+def _state_gradient(c: Circuit, runs: _RotationRuns, params,
+                    h: QubitOperator):
     """Adjoint differentiation (Jones & Gacon, arXiv:2009.02823): with
-    lambda = H psi carried back through the circuit next to psi, a rotation
-    exp(-i theta P / 2) contributes dE/dtheta = Im <lambda|P|psi>, both read
-    right after the gate.  The energy is <psi|lambda> before the walk
-    back."""
-    n = c.n_qubits
-    psi = simulate_state(c, params)
+    lambda = H psi carried back through the circuit next to psi, a run
+    member exp(-i theta P_k / 2) contributes dE/dtheta = Im <lambda|P_k|psi>,
+    both read right after the run, where P_k psi = d_k * (P_r psi); the
+    slots sum their members' values, and fixed angles drop out (bin 0).
+    The energy is <psi|lambda> before the walk back."""
+    psi = simulate_state(c, params, runs)
     lam = apply_operator(h, psi)
     e = _real_energy(complex(np.vdot(psi, lam)))
-    grad = np.zeros(c.n_params)
-    for g in reversed(c.gates):
-        if g.param_slot is not None:
-            grad[g.param_slot] += np.vdot(
-                lam, apply_pauli(n, _generator(g), psi)).imag
-        psi = _apply_gate(psi, g, params, n, inverse=True)
-        lam = _apply_gate(lam, g, params, n, inverse=True)
-    return e, grad
+    cos, flip = runs.rotations(params)
+    back, bounds = -flip, runs.starts.tolist()
+    member = np.zeros(runs.slots.size)
+    pair = np.stack([psi, lam], axis=1)
+    for step in reversed(runs.steps):
+        target, r, _ = step
+        if r is not None:
+            lo, hi = bounds[r], bounds[r + 1]
+            w = pair[:, 1].conj() * runs.phases[r] * pair[target, 0]
+            member[lo:hi] = w.imag @ runs.signs[:, lo:hi]
+        pair = _step(pair, step, cos, back)
+    return e, np.bincount(runs.slots + 1, member, c.n_params + 1)[1:]
 
 
 # Bytes of the states that the density-matrix reverse pass keeps.
 _ADJOINT_STATE_BYTES = 64 << 20
 
 
-def _density_gradient(c: Circuit, params, h: QubitOperator, superops: dict):
+def _density_gradient(c: Circuit, runs: _RotationRuns, params,
+                      h: QubitOperator, superops: dict):
     """The same reverse pass in the Heisenberg picture.  Walking back from
-    O = H, each gate first takes its channel's adjoint M = S^dagger(O), the
-    superoperator's conjugate transpose; a rotation then contributes
-    dE/dtheta = Im Tr(M P sigma), with sigma = U rho U^dagger the state
-    right after the rotation (before its channel); finally O = U^dagger M U.
+    O = H, each step first takes its channel's adjoint M = S^dagger(O), the
+    superoperator's conjugate transpose; a run member then contributes
+    dE/dtheta = Im Tr(M P_k sigma), with sigma = U rho U^dagger the state
+    right after the run (before its channel); finally O = U^dagger M U.
     The energy is the expectation of the final rho of the forward pass.
 
-    The forward pass keeps sigma at every ``stride``-th parametrised gate,
+    The forward pass keeps sigma at every ``stride``-th parametrised run,
     with ``stride`` the smallest that fits the kept states into
     ``_ADJOINT_STATE_BYTES`` (1 unless the circuit is large); the states in
     between are replayed from the nearest kept one when the reverse pass
     reaches them."""
-    n = c.n_qubits
+    n, steps, bounds = c.n_qubits, runs.steps, runs.starts.tolist()
+    cos, flip = runs.rotations(params)
     rho = _initial_density(c)
-    grad = np.zeros(c.n_params)
-    marks = [k for k, g in enumerate(c.gates) if g.param_slot is not None]
+    marks = [k for k, (_, r, _) in enumerate(steps) if r is not None
+             and max(runs.slots[bounds[r]:bounds[r + 1]]) >= 0]
     stride = max(1, -(-len(marks) * (16 << 2 * n) // _ADJOINT_STATE_BYTES))
     kept = dict.fromkeys(marks[::stride])
-    for k, g in enumerate(c.gates):
-        rho = _conjugate(rho, g, params, n)
+    for k, step in enumerate(steps):
+        rho = _sandwich(rho, step, cos, flip)
         if k in kept:
             kept[k] = rho
-        rho = _apply_noise(rho, g, superops, n)
+        rho = _apply_noise(rho, c.gates[step[2]], superops, n)
     e = expectation(rho, h)
+    member = np.zeros(runs.slots.size)
     if not marks:
-        return e, grad
+        return e, np.zeros(c.n_params)
 
     def sigma_at(k):
         i = marks.index(k)
         start = marks[i - i % stride]
         sigma = kept[start]
         for j in range(start + 1, k + 1):
-            sigma = _apply_noise(sigma, c.gates[j - 1], superops, n)
-            sigma = _conjugate(sigma, c.gates[j], params, n)
+            sigma = _apply_noise(sigma, c.gates[steps[j - 1][2]], superops, n)
+            sigma = _sandwich(sigma, steps[j], cos, flip)
         return sigma
 
     adjoint = {kind: s.conj().T for kind, s in superops.items()}
+    back, marked = -flip, set(marks)
     obs = h.to_dense_matrix()
-    for k in reversed(range(len(c.gates))):
-        g = c.gates[k]
-        obs = _apply_noise(obs, g, adjoint, n)
-        if g.param_slot is not None:
-            grad[g.param_slot] += np.vdot(
-                obs, apply_pauli(n, _generator(g), sigma_at(k))).imag
-        obs = _conjugate(obs, g, params, n, inverse=True)
-    return e, grad
+    for k in reversed(range(len(steps))):
+        target, r, end = step = steps[k]
+        obs = _apply_noise(obs, c.gates[end], adjoint, n)
+        if k in marked:
+            lo, hi = bounds[r], bounds[r + 1]
+            gathered = _step(sigma_at(k), (target, None, end), cos, flip)
+            w = runs.phases[r] * np.einsum("ij,ij->i", obs.conj(), gathered)
+            member[lo:hi] = w.imag @ runs.signs[:, lo:hi]
+        obs = _sandwich(obs, step, cos, back)
+    return e, np.bincount(runs.slots + 1, member, c.n_params + 1)[1:]
 
 
 def hea_kernel(c: Circuit, init_params, h: QubitOperator,
                noise: NoiseModel | None = None, shots: int | None = None,
                seed: int = 0):
-    """Optimize the circuit energy.  Without ``shots`` the numpy L-BFGS-B
-    driver of :func:`vqchem.vqe.kernel` (the unconstrained path of
-    L-BFGS-B, see :func:`vqchem.vqe._minimize_lbfgs`) takes the energy and
-    gradient of each evaluation from one reverse pass (see
-    :func:`parameter_shift_gradient`; shared slots sum their gates'
-    contributions) and reports convergence at its gradient tolerance.  With
-    ``shots`` the objective is sampled, evaluation k with seed ``seed + k``,
-    and SPSA (:func:`vqchem.vqe._minimize_spsa`) minimizes it."""
+    """Optimize the circuit energy, compiled once for all evaluations.
+    Without ``shots`` the numpy L-BFGS-B driver of :func:`vqchem.vqe.kernel`
+    (:func:`vqchem.vqe._minimize_lbfgs`) takes each evaluation's energy and
+    gradient from one reverse pass (:func:`parameter_shift_gradient`) and
+    reports convergence at its gradient tolerance.  With ``shots`` the
+    objective is sampled, evaluation k with seed ``seed + k``, and SPSA
+    (:func:`vqchem.vqe._minimize_spsa`) minimizes it."""
     init_params = _check_circuit_params(c, init_params)
+    runs = _compile(c, noise)
     if shots is None:
         return _minimize_lbfgs(
-            lambda x: _energy_and_gradient(c, x, h, noise), init_params)
+            lambda x: _energy_and_gradient(c, x, h, noise, runs), init_params)
     seeds = itertools.count(seed + 1)
 
     def objective(x):
-        state = (simulate_state(c, x) if noise is None
-                 else simulate_density(c, x, noise).matrix)
+        state = (simulate_state(c, x, runs) if noise is None
+                 else simulate_density(c, x, noise, runs).matrix)
         return sampled_expectation(state, h, shots, seed=next(seeds))
 
     return _minimize_spsa(objective, init_params, seed)

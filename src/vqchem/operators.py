@@ -20,7 +20,8 @@ P(x1, z1) P(x2, z2) = i^k P(x, z), x = x1 ^ x2, z = z1 ^ z2, k = |x1&z1| +
 
 from __future__ import annotations
 
-import math
+import functools
+from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Mapping
 
@@ -276,34 +277,6 @@ class QubitOperator:
         return f"QubitOperator(n_qubits={self.n_qubits}, n_terms={len(self.terms)})"
 
 
-def apply_pauli(n: int, term: PauliTerm, x: np.ndarray) -> np.ndarray:
-    """P x for the Pauli string ``term`` on ``n`` qubits, where ``x`` is a
-    statevector or a matrix whose rows are basis states (P acts on each
-    column).  On the ``(2,) * n`` view of the rows, P x = (-i)^{#Y} flip(x):
-    the axis of every X/Y qubit is reversed, then the index-1 slice of every
-    Y/Z axis is negated.  No index or phase arrays are formed."""
-    flip, n_y = [slice(None)] * n, 0
-    for q, letter in term:
-        if letter != "Z":
-            flip[q] = slice(None, None, -1)
-        n_y += letter == "Y"
-    out = x.reshape((2,) * n + x.shape[1:])[tuple(flip)] * _UNITS[-n_y % 4]
-    for q, letter in term:
-        if letter != "X":
-            half = out[(slice(None),) * q + (1, ...)]
-            np.negative(half, out=half)
-    return out.reshape(x.shape)
-
-
-def pauli_rotation(n: int, term: PauliTerm, angle: float,
-                   x: np.ndarray) -> np.ndarray:
-    """exp(-i angle P) x = cos(angle) x - i sin(angle) P x (using P^2 = I),
-    with ``x`` a statevector or a matrix of columns and P x the flip of
-    :func:`apply_pauli`.  No matrix of the rotation is formed."""
-    return (math.cos(angle) * x
-            - 1.0j * math.sin(angle) * apply_pauli(n, term, x))
-
-
 def _format_coeff(c: complex) -> str:
     c = complex(c)
     if c.imag == 0.0:
@@ -372,6 +345,86 @@ def mask_action(n: int, x, z) -> tuple[np.ndarray, np.ndarray]:
     x, z = np.asarray(x, np.int64), np.asarray(z, np.int64)  # 2^n fits
     k = np.bitwise_count(x & z) + 2 * np.bitwise_count(idx & z)
     return idx ^ x, _UNITS[k & 3]
+
+
+@dataclass(frozen=True)
+class _RotationRuns:
+    """Rotations and permutations compiled by :func:`_fuse_runs`.  Member k
+    is exp(-i theta_k P_k), theta_k = scale * (angles[k] + params[slots[k]])
+    (slot -1: the fixed angle alone).  Run r holds members
+    ``starts[r]:starts[r + 1]``, ``(P_r x)[i] = phases[r, i] x[target[i]]``
+    and ``P_k = diag(signs[:, k]) P_r``.  ``steps`` are ``(target, r, end)``
+    in order: run r, or x -> x[target] when r is None, and its last op."""
+
+    starts: np.ndarray          # (n_runs + 1,)
+    phases: np.ndarray          # (n_runs, dim)
+    signs: np.ndarray           # (dim, n_members) int8 entries +-1
+    slots: np.ndarray           # (n_members,)
+    angles: np.ndarray          # (n_members,)
+    scale: float
+    steps: tuple
+
+    def rotations(self, params) -> tuple[np.ndarray, np.ndarray]:
+        """(cos Phi, -i sin Phi phases) of every run's diagonal angle
+        Phi = sum_k theta_k signs[:, k], so run r maps x to
+        cos[r] x + flip[r] x[target] (rows of length 1 if runs are single)."""
+        theta = self.scale * (self.angles + np.append(params, 0.0)[self.slots])
+        if theta.size == len(self.phases):  # one member per run: Phi = theta
+            phi = theta[:, None]
+        else:
+            phi = np.add.reduceat(self.signs * theta, self.starts[:-1],
+                                  axis=1).T
+        return np.cos(phi), -1.0j * np.sin(phi) * self.phases
+
+    @functools.cached_property
+    def plan(self) -> tuple:
+        """``(lo, hi, target, columns)`` of every run, with Python int
+        bounds, where ``-i P_k x = columns[k - lo] * x[target]``."""
+        b = self.starts.tolist()
+        targets = [t for t, r, _ in self.steps if r is not None]
+        return tuple((lo, hi, t, -1.0j * self.signs[:, lo:hi].T * ph)
+                     for lo, hi, t, ph in zip(b, b[1:], targets, self.phases))
+
+
+def _fuse_runs(n: int, ops, scale: float) -> _RotationRuns:
+    """Compile ``ops``, each a permutation (its target array) or a rotation
+    ``(x, z, slot, angle, closes)`` about P(x, z).  A run is a maximal
+    stretch of rotations whose strings P_k flip the same qubits as its first
+    string P_r (equal x) and commute with it (|x & (z_k ^ z_r)| even).  Then
+    D_k = P_k P_r is a diagonal +-1 matrix that commutes with P_r, so on
+    every basis pair {i, i ^ x} P_k = d_k(i) P_r, the run's strings commute,
+    and its product of rotations is exactly exp(-i Phi P_r) =
+    cos(Phi) - i sin(Phi) P_r with the diagonal angle Phi = sum_k theta_k
+    D_k; its derivative in theta_k is -i d_k P_r after the run.  Any other
+    string, a permutation or ``closes`` ends the run."""
+    signs = np.ones((1 << n, len(ops)), np.int8)  # cut to the members below
+    starts, phases, slots, angles, steps = [], [], [], [], []
+    ref = None  # (x, z, phase) of the open run's first string
+    for end, op in enumerate(ops):
+        if isinstance(op, np.ndarray):
+            steps.append((op, None, end))
+            ref = None
+            continue
+        x, z, slot, angle, closes = op
+        target, phase = mask_action(n, x, z)
+        if (ref is not None and x == ref[0]
+                and (x & (z ^ ref[1])).bit_count() % 2 == 0):
+            # P_k P_r |i> = ratio_i |i>, real as the strings commute
+            signs[:, len(slots)] = (phase * ref[2].conj()).real
+            steps[-1] = steps[-1][:2] + (end,)
+        else:
+            starts.append(len(slots))
+            phases.append(phase[target])
+            steps.append((target, len(phases) - 1, end))
+            ref = (x, z, phase)
+        slots.append(slot)
+        angles.append(angle)
+        ref = None if closes else ref
+    return _RotationRuns(np.array(starts + [len(slots)]),
+                         np.array(phases, complex).reshape(-1, 1 << n),
+                         signs[:, :len(slots)],
+                         np.array(slots, np.intp), np.array(angles, float),
+                         scale, tuple(steps))
 
 
 def _pauli_product(x1, z1, x2, z2):

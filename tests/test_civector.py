@@ -237,16 +237,29 @@ def test_sigma_blocked_matches_unblocked(case, request):
 ])
 def test_live_pairs_are_the_nonzero_links(n_orb, n_elec):
     """Each string has n_occ (1 + n_vir) live pairs, and the per-string
-    tables list exactly the nonzero entries of the link table."""
-    plan = _sigma_plan(CISpace(n_orb, n_elec))
-    n, n_occ = len(plan.sign), n_elec // 2
+    tables list exactly the nonzero entries of the link table, built here
+    string by string: E+_pq |J> for the pairs p >= q of np.tril_indices."""
+    space = CISpace(n_orb, n_elec)
+    plan = _sigma_plan(space)
+    strings = [int(j) for j in space.alpha_strings]
+    n, n_occ = len(strings), n_elec // 2
+    sign = np.zeros((n, n_orb * (n_orb + 1) // 2))
+    target = np.tile(np.arange(n)[:, None], (1, sign.shape[1]))
+    for row, j in enumerate(strings):
+        for pq, (p, q) in enumerate(zip(*np.tril_indices(n_orb))):
+            occ_p, occ_q = j >> p & 1, j >> q & 1
+            if p == q:
+                sign[row, pq] = occ_p
+            elif occ_p != occ_q:
+                between = (j >> (q + 1)) & ((1 << (p - q - 1)) - 1)
+                sign[row, pq] = (-1.0) ** bin(between).count("1")
+                target[row, pq] = strings.index(j ^ (1 << p | 1 << q))
     assert plan.pair.shape == (n, n_occ * (1 + n_orb - n_occ))
-    assert np.count_nonzero(plan.sign) == plan.pair.size
+    assert np.count_nonzero(sign) == plan.pair.size
     rows = np.arange(n)[:, None]
     assert np.all(np.diff(plan.pair, axis=1) > 0)
-    np.testing.assert_array_equal(plan.live_sign, plan.sign[rows, plan.pair])
-    np.testing.assert_array_equal(plan.live_target,
-                                  plan.target[rows, plan.pair])
+    np.testing.assert_array_equal(plan.live_sign, sign[rows, plan.pair])
+    np.testing.assert_array_equal(plan.live_target, target[rows, plan.pair])
     np.testing.assert_array_equal(plan.flat,
                                   plan.pair * n + plan.live_target)
 

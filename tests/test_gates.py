@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vqchem import (
@@ -38,8 +38,9 @@ from vqchem import (
 )
 from vqchem.gates import (
     _apply_channel_density,
-    _apply_gate,
+    _compile,
     _energy_and_gradient,
+    _step,
 )
 import oracles
 from oracles import (
@@ -259,10 +260,9 @@ def test_non_finite_params_are_refused(bad):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 6), st.data())
 def test_x_and_cnot_flips_match_embedded_unitaries(n, data):
-    """X and CNOT, applied as flips of the (2,) * n view, equal the
-    embedded 2x2 and 4x4 matrices bit for bit on statevectors, row matrices
-    and transposed views, with the CNOT control above and below the
-    target."""
+    """X and CNOT, compiled to permutation steps, equal the embedded 2x2
+    and 4x4 matrices bit for bit on statevectors, row matrices and
+    transposed views, with the CNOT control above and below the target."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     dim = 1 << n
     inputs = (rng.normal(size=dim) + 1j * rng.normal(size=dim),
@@ -275,8 +275,10 @@ def test_x_and_cnot_flips_match_embedded_unitaries(n, data):
     gates_ += [(Gate("CNOT", (c, t)), embed_unitary(cnot, (c, t), n))
                for c in range(n) for t in range(n) if c != t]
     for gate, u in gates_:
+        runs = _compile(Circuit(n, [gate]), None)
+        (step,) = runs.steps
         for x in inputs:
-            got = _apply_gate(x, gate, [], n)
+            got = _step(x, step, *runs.rotations([]))
             assert got.shape == x.shape
             np.testing.assert_array_equal(got, u @ x)
 
@@ -652,6 +654,81 @@ def test_gradient_matches_shift_rule_oracle_on_random_circuits(noisy):
                                  noise)
 
 
+@st.composite
+def fusing_circuits(draw):
+    """Circuits over all four gate kinds on 1-3 qubits, with rotations on
+    three shared slots or at fixed angles.  A "twin" repeats the previous
+    rotation's string, or swaps X and Y on two of its letters, so that the
+    two flip the same qubits and commute and compile to one run."""
+    n = draw(st.integers(1, 3))
+    kinds = ["X", "RY", "PAULI_ROT", "twin", "twin"] + ["CNOT"] * (n > 1)
+    gates, last = [], None
+    for _ in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "X":
+            gates.append(Gate("X", (draw(st.integers(0, n - 1)),)))
+            continue
+        if kind == "CNOT":
+            q = draw(st.permutations(range(n)))
+            gates.append(Gate("CNOT", (q[0], q[1])))
+            continue
+        slot = draw(st.one_of(st.none(), st.integers(0, 2)))
+        angle = None if slot is not None else draw(st.floats(-4.0, 4.0))
+        if kind == "twin" and last is not None:
+            pauli = last.pauli
+            if pauli and draw(st.booleans()):
+                flips = [k for k, ch in enumerate(pauli) if ch != "Z"][:2]
+                swap = dict(zip("XYZ", "YXZ"))
+                pauli = "".join(swap[ch] if k in flips and len(flips) == 2
+                                else ch for k, ch in enumerate(pauli))
+            g = dataclasses.replace(last, param_slot=slot, angle=angle,
+                                    pauli=pauli)
+        elif kind == "RY" or (kind == "twin" and n == 1):
+            g = Gate("RY", (draw(st.integers(0, n - 1)),), param_slot=slot,
+                     angle=angle)
+        else:
+            k = draw(st.integers(1, n))
+            g = Gate("PAULI_ROT", tuple(draw(st.permutations(range(n)))[:k]),
+                     param_slot=slot, angle=angle,
+                     pauli="".join(draw(st.lists(st.sampled_from("XYZ"),
+                                                 min_size=k, max_size=k))))
+        gates.append(g)
+        last = g
+    return Circuit(n, gates, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fusing_circuits(), st.sampled_from(["none", "cnot", "ry-x-cnot"]),
+       st.integers(0, 2**32 - 1))
+@example(Circuit(2, [Gate("RY", (1,), param_slot=2),
+                     Gate("PAULI_ROT", (0, 1), param_slot=0, pauli="XY"),
+                     Gate("PAULI_ROT", (0, 1), angle=0.4, pauli="YX"),
+                     Gate("PAULI_ROT", (0, 1), param_slot=1, pauli="YX")], 3),
+         "cnot", 0)
+def test_compiled_circuits_match_dense_oracle(c, channels, seed):
+    """Energies and gradients, ideal and noisy, of circuits whose rotations
+    fuse into runs, share slots and hold fixed angles, against full-register
+    matrices and the shift rule per gate, to 1e-12.  A channel on RY ends
+    its run."""
+    rng = np.random.default_rng(seed)
+    noise = {"none": None,
+             "cnot": NoiseModel({"CNOT": depolarizing_channel(0.1, 2)}),
+             "ry-x-cnot": NoiseModel({"RY": _amplitude_damping(0.2, 1),
+                                      "X": depolarizing_channel(0.05, 1),
+                                      "CNOT": depolarizing_channel(0.1, 2)}),
+             }[channels]
+    h = random_hamiltonian(rng, c.n_qubits, 6)
+    params = rng.uniform(-np.pi, np.pi, size=3)
+    want_e = oracles.dense_circuit_energy(c, params, h, noise)
+    state = (simulate_state(c, params) if noise is None
+             else simulate_density(c, params, noise))
+    e, grad = _energy_and_gradient(c, params, h, noise)
+    assert abs(expectation(state, h) - want_e) <= 1e-12
+    assert abs(e - want_e) <= 1e-12
+    want = oracles.tied_slot_gradient(c, params, h, noise)
+    assert np.max(np.abs(grad - want)) <= 1e-12
+
+
 @pytest.mark.parametrize("states", [5, 0])
 def test_noisy_gradient_with_checkpoint_stride(h4, states, monkeypatch):
     """A budget of a few states (or none) keeps every stride-th state and
@@ -682,6 +759,31 @@ def test_shared_slot_gradient_sums_its_gates(h2):
     res = hea_kernel(c, [0.3], h)
     assert res.njev > 0
     assert res.converged == (np.max(np.abs(res.grad_at_opt)) <= _GRAD_TOL)
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+@pytest.mark.parametrize("shots", [None, 64])
+def test_hea_compiles_its_circuit_once(h4, noisy, shots, monkeypatch):
+    """One hea_kernel call compiles the circuit once, however many
+    evaluations its optimizer makes (L-BFGS without shots, SPSA's 401
+    samples with them)."""
+    import vqchem.gates as gates
+    from vqchem.cli import _hea_init_params, _reference_bitstring
+
+    c, h = hea_case(h4, 1)
+    noise = (NoiseModel({"CNOT": depolarizing_channel(0.02, 2)})
+             if noisy else None)
+    compiled = []
+
+    def counted(*args):
+        compiled.append(args)
+        return compile_(*args)
+
+    compile_ = gates._compile
+    monkeypatch.setattr(gates, "_compile", counted)
+    res = hea_kernel(c, _hea_init_params(c, _reference_bitstring(h)), h,
+                     noise=noise, shots=shots)
+    assert res.nfev > 1 and len(compiled) == 1
 
 
 def test_hea_simulates_once_per_evaluation(h4, monkeypatch):

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -490,10 +488,12 @@ def test_dense_matrix_matches_oracle_on_random_sums(strings, coeffs):
                 max_size=6),
        st.floats(-4.0, 4.0), st.integers(0, 2**32 - 1))
 def test_pauli_flip_matches_letter_action(strings, angle, seed):
-    """apply_pauli, a flip of the (2,) * n view, and pauli_rotation equal
+    """A Pauli string compiled to a one-member run acts as phases * x[target],
+    and its rotation exp(-i angle P) as the run's gather step; both equal
     the scatter of the letter-by-letter action bit for bit, on statevectors,
     on (2^n, m) row matrices and on transposed views."""
-    from vqchem.operators import apply_pauli, pauli_rotation
+    from vqchem.gates import _step
+    from vqchem.operators import _fuse_runs, pauli_masks
 
     n = max(map(len, strings))
     rng = np.random.default_rng(seed)
@@ -504,15 +504,19 @@ def test_pauli_flip_matches_letter_action(strings, angle, seed):
     for letters in strings:
         term = tuple((q, ch) for q, ch in enumerate(letters) if ch != "I")
         target, phase = letter_pauli_action(n, term)
+        runs = _fuse_runs(n, [(*pauli_masks(n, term), 0, 0.0, False)], 1.0)
+        (step,) = runs.steps
+        cos, flip = runs.rotations([angle])
         for x in inputs:
             want = np.empty_like(x)
             want[target] = phase * x if x.ndim == 1 else phase[:, None] * x
-            got = apply_pauli(n, term, x)
+            column = (slice(None),) + (None,) * (x.ndim - 1)
+            got = runs.phases[0][column] * x[step[0]]
             assert got.shape == x.shape
             np.testing.assert_array_equal(got, want)
             np.testing.assert_array_equal(
-                pauli_rotation(n, term, angle, x),
-                math.cos(angle) * x - 1.0j * math.sin(angle) * want)
+                _step(x, step, cos, flip),
+                np.cos(angle) * x - 1.0j * np.sin(angle) * want)
 
 
 @pytest.mark.parametrize("case", ["h4-parity-reduced", "h6-jw", "spin-boson"])
