@@ -99,7 +99,6 @@ from .ansatz import (
     make_uccsd_problem,
     mp2_initialize,
     paired_energy_and_gradient,
-    problem_civector,
     problem_energy_and_gradient,
     save_ansatz,
 )
@@ -132,7 +131,6 @@ from .dynamics import (
     EOMSystem,
     SymbolicTerm,
     Trajectory,
-    VHAnsatz,
     ansatz_state,
     assemble_eom,
     boson_matrix,

@@ -34,7 +34,6 @@ from .civector import (
     _pair_tables,
     _sweep,
     apply_hamiltonian,
-    check_vector_dim,
     energy_and_gradient,
     make_ci_space,
     ucc_state,
@@ -350,16 +349,6 @@ def problem_energy_and_gradient(problem: UCCProblem, params):
               else energy_and_gradient)
     return engine(make_ci_space(s.n_orb, s.n_elec), problem.ex_ops, params,
                   problem.param_ids, s)
-
-
-def problem_civector(problem: UCCProblem, params):
-    """The prepared state in the full determinant space (paired problems are
-    expanded through their fermionic excitations, which is exact); a space
-    past :func:`check_vector_dim` raises SizeLimit before any work."""
-    s = problem.integrals
-    check_vector_dim(s.n_orb, s.n_elec)
-    space = make_ci_space(s.n_orb, s.n_elec)
-    return ucc_state(space, problem.ex_ops, params, problem.param_ids)
 
 
 # ---------------------------------------------------------------------------

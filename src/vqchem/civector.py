@@ -64,12 +64,12 @@ sigmas take 2 * max_subspace * n (n + 1) / 2 * 8 bytes: 15 MB for H10 and
 205 MB for H12 with the default 30 vectors.  :func:`doci_ground_state`
 runs it on the pair configurations with the pair sigma.
 
-Three public functions have no caller inside the package and are kept as
-entry points: :func:`energy`, the Rayleigh quotient of one vector;
-:func:`civector_to_statevector`, the Jordan-Wigner embedding through which
-the tests compare the CI engine with qubit operators and circuits; and
-:func:`apply_excitation`, one generator G on a vector, which the
-benchmark's per-layer trace (``bench/layertrace.py``) wraps by name.
+Two public functions have no caller inside the package and are kept as
+entry points: :func:`civector_to_statevector`, the Jordan-Wigner embedding
+through which the tests compare the CI engine with qubit operators and
+circuits, and :func:`apply_excitation`, one generator G on a vector, which
+the benchmark's per-layer trace (``bench/layertrace.py``) wraps by name.
+The command line calls :func:`energy` (imported as ``ci_energy``).
 """
 
 from __future__ import annotations

@@ -13,17 +13,19 @@ V = w b.  The regularized inverse f(M) V equals w f(w^T w) b (the
 push-through identity), so each step diagonalizes the smaller of the
 n_params-square M and the (2 dim)-square Gram matrix w^T w.
 
-The ansatz state and its Jacobian come from one sweep over *runs* of
-rotations, compiled by :func:`vqchem.operators._fuse_runs` as the gates'
-circuits are: consecutive rotations that flip the same qubits and commute
-are one exp(-i Phi P_r) with a diagonal angle Phi, applied by one gather,
-and the Jacobian columns of a run are -i d_k * (P_r psi) at the state after
-it.
+The ansatz is a :class:`vqchem.gates.Circuit` of one PAULI_ROT per
+Hamiltonian string per layer, gate k on slot k.  A VHA factor
+exp(-i theta P) is PAULI_ROT(P, 2 theta): the VHA angles are half the
+circuit's parameters.  Its state and Jacobian come from one sweep over the
+*runs* of its compiled steps (:func:`vqchem.gates._compile`): consecutive
+rotations that flip the same qubits and commute are one exp(-i Phi P_r)
+with a diagonal angle Phi, applied by one gather, and the Jacobian columns
+of a run are -i d_k * (P_r psi) at the state after it.  The entry point
+:func:`ansatz_state`, the state alone, has no caller in the package.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -38,8 +40,8 @@ from .errors import (
     NumericalBlowup,
     SizeLimit,
 )
-from .operators import (QubitOperator, _fuse_runs, _RotationRuns,
-                        mask_action, pauli_masks)
+from .gates import Circuit, Gate, _compile, _start_state, simulate_state
+from .operators import QubitOperator, _RotationRuns, mask_action, pauli_masks
 
 _EXACT_DIM_LIMIT = 1 << 12
 _UNARY_NBAS_LIMIT = 16
@@ -359,89 +361,57 @@ def encode_state(enc: EncodedHamiltonian, level_vector) -> np.ndarray:
 # Variational Hamiltonian ansatz
 # ---------------------------------------------------------------------------
 
-@dataclass
-class VHAnsatz:
-    """Layered product of Pauli rotations exp(-i theta P) acting on a fixed
-    initial state; parameter (l, j) -> index l * n_terms + j, applied in
-    ascending index order (layer 0 first, terms in canonical key order)."""
-
-    n_qubits: int
-    paulis: list                # Pauli term keys, one rotation each per layer
-    n_layers: int
-    phi: np.ndarray             # initial state
-
-    @property
-    def n_params(self) -> int:
-        return self.n_layers * len(self.paulis)
-
-    @property
-    def dim(self) -> int:
-        return 1 << self.n_qubits
-
-    @functools.cached_property
-    def runs(self) -> _RotationRuns:
-        """The rotations fused into runs, built on first use."""
-        n = self.n_qubits
-        return _fuse_runs(n, [
-            (*pauli_masks(n, self.paulis[k % len(self.paulis)]), k, 0.0, False)
-            for k in range(self.n_params)], 1.0)
-
-
 def build_vha(enc: EncodedHamiltonian, n_layers: int,
-              initial_state) -> VHAnsatz:
-    """One rotation per Hamiltonian Pauli string per layer; theta = 0 gives
-    the initial state.  ``initial_state`` may be a basis index, a bit string,
-    or a qubit-space vector (use :func:`encode_state` first for level-space
-    vectors)."""
+              initial_state) -> Circuit:
+    """One PAULI_ROT per Hamiltonian Pauli string (in key order) per layer,
+    gate k on slot k; theta = 0 gives the initial state.  ``initial_state``
+    may be a basis index, a bit string, or a qubit-space vector (use
+    :func:`encode_state` first for level-space vectors)."""
     if n_layers < 1:
         raise InvalidParams("n_layers must be >= 1")
-    dim = 1 << enc.n_qubits
     if isinstance(initial_state, str):
         if len(initial_state) != enc.n_qubits or set(initial_state) - {"0", "1"}:
             raise InvalidParams(f"bad basis label {initial_state!r}")
         initial_state = int(initial_state, 2)
-    if isinstance(initial_state, (int, np.integer)):
-        phi = np.zeros(dim, dtype=complex)
-        phi[int(initial_state)] = 1.0
-    else:
-        phi = np.asarray(initial_state, dtype=complex).ravel()
-        if phi.size != dim:
-            raise InvalidParams(
-                f"initial state has dimension {phi.size}, expected {dim}"
-            )
-        phi = phi / np.linalg.norm(phi)
-    paulis = sorted(enc.qubit_terms.terms.keys())
-    return VHAnsatz(n_qubits=enc.n_qubits, paulis=list(paulis),
-                    n_layers=n_layers, phi=phi)
+    layer = sorted(enc.qubit_terms.terms)
+    gates = [Gate("PAULI_ROT", tuple(q for q, _ in term), param_slot=k,
+                  pauli="".join(ch for _, ch in term))
+             for k, term in enumerate(layer * n_layers)]
+    return Circuit(enc.n_qubits, gates, len(gates), initial_state)
 
 
-def _state_and_jacobian(ansatz: VHAnsatz, theta, want_jacobian: bool):
-    """Row 0 of the buffer is psi and row k + 1 is d psi / d theta_k.  Each
-    run rotates psi and the rows built so far by exp(-i Phi P_r), then
-    writes its own rows -i P_k psi."""
+def _state_and_jacobian(circuit: Circuit, theta, runs: _RotationRuns):
+    """psi and d psi / d theta at VHA angles theta from the steps ``runs``:
+    row 0 of the buffer is psi and row k + 1 is d psi / d theta_k.  Each run
+    rotates psi and the rows built so far by exp(-i Phi P_r), then writes
+    its own rows -i P_k psi, so gate k must be the one rotation on slot k:
+    a permutation step (X, CNOT), a fixed angle or a shared slot is
+    refused."""
     theta = np.asarray(theta, dtype=float).ravel()
-    if theta.size != ansatz.n_params:
+    if theta.size != circuit.n_params:
         raise InvalidParams(
-            f"ansatz has {ansatz.n_params} parameters, got {theta.size}"
+            f"ansatz has {circuit.n_params} parameters, got {theta.size}"
         )
-    runs = ansatz.runs
-    cos, flip = runs.rotations(theta)
-    height = ansatz.n_params + 1 if want_jacobian else 1
-    buf = np.zeros((height, ansatz.dim), dtype=complex)
-    buf[0] = ansatz.phi
+    if (len(runs.plan) < len(runs.steps)
+            or not np.array_equal(runs.slots, np.arange(theta.size))):
+        raise InvalidParams("the Jacobian sweep needs gate k to be the one "
+                            "rotation on slot k, with no X or CNOT")
+    cos, flip = runs.rotations(2.0 * theta)
+    buf = np.zeros((theta.size + 1, 1 << circuit.n_qubits), dtype=complex)
+    buf[0] = _start_state(circuit)
     for r, (lo, hi, target, columns) in enumerate(runs.plan):
-        live = buf[:lo + 1] if want_jacobian else buf
+        live = buf[:lo + 1]
         flipped = live.take(target, axis=1)
         flipped *= flip[r]
         live *= cos[r]
         live += flipped
-        if want_jacobian:
-            np.multiply(columns, buf[0].take(target), out=buf[lo + 1:hi + 1])
-    return buf[0], (buf[1:].T if want_jacobian else None)
+        np.multiply(columns, buf[0].take(target), out=buf[lo + 1:hi + 1])
+    return buf[0], buf[1:].T
 
 
-def ansatz_state(ansatz: VHAnsatz, theta) -> np.ndarray:
-    return _state_and_jacobian(ansatz, theta, want_jacobian=False)[0]
+def ansatz_state(circuit: Circuit, theta) -> np.ndarray:
+    """The VHA state at angles theta: the circuit at parameters 2 theta."""
+    return simulate_state(circuit, 2.0 * np.asarray(theta, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -548,15 +518,15 @@ def time_grid(t_final: float, tau: float, floats_per_point: int) -> np.ndarray:
     return np.arange(int(round(n_steps)) + 1) * tau
 
 
-def time_evolve(enc: EncodedHamiltonian, ansatz: VHAnsatz, theta0,
+def time_evolve(enc: EncodedHamiltonian, ansatz: Circuit, theta0,
                 t_final: float, tau: float, integrator: str = "rk4",
                 observables: dict | None = None,
                 epsilon_reg: float = _DEFAULT_EPSILON_REG) -> Trajectory:
     """Integrate theta_dot = M^{-1} V with fixed steps; the Hamiltonian the
     state evolves under is the encoded Pauli part (the scalar constant only
-    shifts the global phase).  Each recorded state is the one the step's
-    first derivative evaluation already built; only the last point takes a
-    state-only sweep."""
+    shifts the global phase).  The circuit is compiled once.  Each recorded
+    state is the one the step's first derivative evaluation already built;
+    only the last point takes a state-only pass."""
     if integrator not in ("euler", "rk4"):
         raise InvalidParams(f"unknown integrator {integrator!r}")
     epsilon_reg = float(epsilon_reg)
@@ -565,19 +535,16 @@ def time_evolve(enc: EncodedHamiltonian, ansatz: VHAnsatz, theta0,
                             f"got {epsilon_reg!r}")
     observables = observables or {}
     theta = np.asarray(theta0, dtype=float).ravel().copy()
-    if theta.size != ansatz.n_params:
-        raise InvalidParams(
-            f"theta0 has {theta.size} entries, ansatz takes {ansatz.n_params}"
-        )
     times = time_grid(t_final, tau, ansatz.n_params + len(observables) + 2)
     n_steps = times.size - 1
     h_dense = enc.qubit_terms.to_dense_matrix()
+    runs = _compile(ansatz, None)
     obs_dense = {name: (o.to_dense_matrix() if isinstance(o, QubitOperator)
                         else np.asarray(o, dtype=complex))
                  for name, o in observables.items()}
 
     def derivative(theta):
-        psi, jac = _state_and_jacobian(ansatz, theta, want_jacobian=True)
+        psi, jac = _state_and_jacobian(ansatz, theta, runs)
         sys = assemble_eom(jac, psi, h_dense, epsilon_reg)
         return solve_thetadot(sys), psi
 
@@ -603,7 +570,7 @@ def time_evolve(enc: EncodedHamiltonian, ansatz: VHAnsatz, theta0,
             theta = theta + (tau / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(theta)):
             raise NumericalBlowup(f"non-finite parameters at step {step + 1}")
-    record(n_steps, theta, ansatz_state(ansatz, theta))
+    record(n_steps, theta, simulate_state(ansatz, 2.0 * theta, runs))
     return Trajectory(times=times, thetas=thetas, observables=obs_out,
                       energies=energies)
 

@@ -2,6 +2,11 @@
 matrices with Kraus channels applied as superoperators, shot sampling,
 parameter-shift gradients, and a hardware-efficient-ansatz optimizer.
 
+:class:`Circuit` is the package's one circuit type, from |0...0> or its
+``initial`` state: the hardware-efficient ansatz, and the variational
+Hamiltonian ansatz of :func:`vqchem.dynamics.build_vha`, whose angle theta
+in exp(-i theta P) is half its PAULI_ROT's.
+
 Qubit 0 is the most significant bit of a basis-state index, as in
 :mod:`vqchem.operators`.  Exact expectation values read the operator's
 compiled flip groups (:func:`vqchem.operators._flip_groups`), one gather
@@ -13,9 +18,9 @@ ones (``shots``) with the numpy SPSA of :func:`vqchem.vqe._minimize_spsa`,
 two circuit passes per iteration.  The rotation convention is
 RY(theta) = exp(-i*theta*Y/2) and PAULI_ROT(P, theta) = exp(-i*theta*P/2),
 so RY is the rotation about the one-letter string "Y".  Each public entry
-point compiles its circuit once per call (:func:`_compile`) into the steps
-of :func:`vqchem.operators._fuse_runs`, shared with the variational
-dynamics: runs of commuting rotations that flip the same qubits, each
+point, and the variational dynamics, compiles its circuit once per call
+(:func:`_compile`) into the steps of :func:`vqchem.operators._fuse_runs`:
+runs of commuting rotations that flip the same qubits, each
 cos(Phi) x - i sin(Phi) P_r x with P_r x a gather of x by an index array
 times a phase, and X and CNOT as permutations.  Only the noise channels
 multiply a (super)operator matrix onto the axes they touch.
@@ -46,6 +51,7 @@ from .errors import (
     InvalidParams,
     InvalidProbability,
     SizeLimit,
+    ZeroState,
 )
 from .operators import (
     _PAULI_MATS,
@@ -105,9 +111,13 @@ class Gate:
 
 @dataclass
 class Circuit:
+    """``gates`` applied in order to ``initial``, a basis index or a vector
+    kept as the unit statevector along it; None means |0...0>."""
+
     n_qubits: int
     gates: list
     n_params: int = 0
+    initial: np.ndarray | None = None
 
     def __post_init__(self):
         for g in self.gates:
@@ -117,6 +127,25 @@ class Circuit:
                 raise InvalidParams(
                     f"param slot {g.param_slot} outside 0..{self.n_params - 1}"
                 )
+        if self.initial is not None:
+            self.initial = _start_vector(self.initial, 1 << self.n_qubits)
+
+
+def _start_vector(initial, dim: int) -> np.ndarray:
+    """The basis vector of an index in 0..dim-1, or a finite nonzero vector
+    of dimension ``dim`` over its norm."""
+    if isinstance(initial, (int, np.integer)):
+        if not 0 <= initial < dim:
+            raise InvalidParams(f"basis state {initial} outside 0..{dim - 1}")
+        initial = np.eye(1, dim, int(initial))[0]
+    phi = np.asarray(initial, dtype=complex).ravel()
+    if phi.size != dim or not np.all(np.isfinite(phi)):
+        raise InvalidParams(
+            f"initial state must be a finite vector of dimension {dim}")
+    norm = np.linalg.norm(phi)
+    if norm == 0.0:
+        raise ZeroState("initial state has zero norm")
+    return phi / norm
 
 
 def build_ry_ansatz(n_qubits: int, n_layers: int) -> Circuit:
@@ -196,9 +225,9 @@ def depolarizing_channel(p: float, n_qubits: int) -> list:
 
 def _compile(c: Circuit, noise: NoiseModel | None) -> _RotationRuns:
     """The circuit's gather steps (:func:`vqchem.operators._fuse_runs`):
-    each rotation exp(-i theta P / 2) a run member at scale 1/2 (RY is the
-    rotation about "Y"), X and CNOT permutations of the basis states.  A
-    gate that ``noise`` binds a channel to ends its run."""
+    each rotation exp(-i theta P / 2) a run member (RY is the rotation
+    about "Y"), X and CNOT permutations of the basis states.  A gate that
+    ``noise`` binds a channel to ends its run."""
     n, channels = c.n_qubits, {} if noise is None else noise.superops
     idx, ops = np.arange(1 << n), []
     for g in c.gates:
@@ -212,7 +241,7 @@ def _compile(c: Circuit, noise: NoiseModel | None) -> _RotationRuns:
             ops.append((*pauli_masks(n, term),
                         -1 if g.param_slot is None else g.param_slot,
                         g.angle or 0.0, g.kind in channels))
-    return _fuse_runs(n, ops, 0.5)
+    return _fuse_runs(n, ops)
 
 
 def _step(x: np.ndarray, step: tuple, cos, flip) -> np.ndarray:
@@ -236,15 +265,21 @@ def _sandwich(rho: np.ndarray, step: tuple, cos, flip) -> np.ndarray:
     return _step(_step(rho, step, cos, flip).conj().T, step, cos, flip)
 
 
+def _start_state(c: Circuit) -> np.ndarray:
+    """A new copy of the circuit's start statevector."""
+    if c.initial is None:
+        return np.eye(1, 1 << c.n_qubits, dtype=complex)[0]
+    return c.initial.copy()
+
+
 def simulate_state(c: Circuit, params,
                    runs: _RotationRuns | None = None) -> np.ndarray:
-    """Apply the circuit (compiled as ``runs``, if given) to |0...0>;
-    returns the final statevector."""
+    """Apply the circuit (compiled as ``runs``, if given) to its start
+    state; returns the final statevector."""
     params = _check_circuit_params(c, params)
     runs = _compile(c, None) if runs is None else runs
     cos, flip = runs.rotations(params)
-    psi = np.zeros(1 << c.n_qubits, dtype=complex)
-    psi[0] = 1.0
+    psi = _start_state(c)
     for step in runs.steps:
         psi = _step(psi, step, cos, flip)
     return psi
@@ -277,16 +312,25 @@ def _check_circuit_params(c: Circuit, params) -> np.ndarray:
     return params
 
 
+@functools.lru_cache(maxsize=None)
+def _channel_axes(qubits: tuple, n: int) -> tuple:
+    """The axis order of rho's 2n-qubit tensor that puts the ket axes
+    ``qubits`` and bra axes ``n + q`` in front, and its inverse."""
+    front = qubits + tuple(n + q for q in qubits)
+    order = front + tuple(a for a in range(2 * n) if a not in front)
+    return order, tuple(np.argsort(order).tolist())
+
+
 def _apply_channel_density(rho: np.ndarray, superop: np.ndarray, qubits,
                            n: int) -> np.ndarray:
-    """S on rho read as a 2n-qubit tensor: the ket axes ``qubits`` and the
-    bra axes ``n + q`` move to the front, S multiplies them as one matrix,
-    and they move back.  Only channels take this matrix product; unitary
-    gates are gathers (:func:`_step`)."""
-    axes = tuple(qubits) + tuple(n + q for q in qubits)
-    t = np.moveaxis(rho.reshape((2,) * 2 * n), axes, range(len(axes)))
+    """S on rho read as a 2n-qubit tensor: one transpose brings the axes
+    S acts on to the front (:func:`_channel_axes`), S multiplies them as
+    one matrix, and the inverse transpose puts them back.  Only channels
+    take this matrix product; unitary gates are gathers (:func:`_step`)."""
+    order, inverse = _channel_axes(tuple(qubits), n)
+    t = rho.reshape((2,) * 2 * n).transpose(order)
     out = (superop @ t.reshape(superop.shape[0], -1)).reshape(t.shape)
-    return np.moveaxis(out, range(len(axes)), axes).reshape(rho.shape)
+    return out.transpose(inverse).reshape(rho.shape)
 
 
 def _apply_noise(rho: np.ndarray, g: Gate, superops: dict,
@@ -308,17 +352,15 @@ def _initial_density(c: Circuit) -> np.ndarray:
         raise SizeLimit(
             f"density simulation capped at {_DENSITY_QUBIT_LIMIT} qubits"
         )
-    dim = 2 ** c.n_qubits
-    rho = np.zeros((dim, dim), dtype=complex)
-    rho[0, 0] = 1.0
-    return rho
+    psi = _start_state(c)
+    return np.outer(psi, psi.conj())
 
 
 def simulate_density(c: Circuit, params, noise: NoiseModel | None,
                      runs: _RotationRuns | None = None) -> DensityMatrix:
     """Apply the circuit (compiled for ``noise`` as ``runs``, if given) to
-    |0><0| with each gate followed by its noise channel (if the model binds
-    one to that gate kind)."""
+    its start state with each gate followed by its noise channel (if the
+    model binds one to that gate kind)."""
     rho = _initial_density(c)
     params = _check_circuit_params(c, params)
     superops = {} if noise is None else noise.superops

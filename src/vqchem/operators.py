@@ -350,8 +350,8 @@ def mask_action(n: int, x, z) -> tuple[np.ndarray, np.ndarray]:
 @dataclass(frozen=True)
 class _RotationRuns:
     """Rotations and permutations compiled by :func:`_fuse_runs`.  Member k
-    is exp(-i theta_k P_k), theta_k = scale * (angles[k] + params[slots[k]])
-    (slot -1: the fixed angle alone).  Run r holds members
+    is exp(-i theta_k P_k), theta_k = (angles[k] + params[slots[k]]) / 2
+    (slot -1: the fixed angle alone) as for PAULI_ROT.  Run r holds members
     ``starts[r]:starts[r + 1]``, ``(P_r x)[i] = phases[r, i] x[target[i]]``
     and ``P_k = diag(signs[:, k]) P_r``.  ``steps`` are ``(target, r, end)``
     in order: run r, or x -> x[target] when r is None, and its last op."""
@@ -361,14 +361,13 @@ class _RotationRuns:
     signs: np.ndarray           # (dim, n_members) int8 entries +-1
     slots: np.ndarray           # (n_members,)
     angles: np.ndarray          # (n_members,)
-    scale: float
     steps: tuple
 
     def rotations(self, params) -> tuple[np.ndarray, np.ndarray]:
         """(cos Phi, -i sin Phi phases) of every run's diagonal angle
         Phi = sum_k theta_k signs[:, k], so run r maps x to
         cos[r] x + flip[r] x[target] (rows of length 1 if runs are single)."""
-        theta = self.scale * (self.angles + np.append(params, 0.0)[self.slots])
+        theta = 0.5 * (self.angles + np.append(params, 0.0)[self.slots])
         if theta.size == len(self.phases):  # one member per run: Phi = theta
             phi = theta[:, None]
         else:
@@ -386,7 +385,7 @@ class _RotationRuns:
                      for lo, hi, t, ph in zip(b, b[1:], targets, self.phases))
 
 
-def _fuse_runs(n: int, ops, scale: float) -> _RotationRuns:
+def _fuse_runs(n: int, ops) -> _RotationRuns:
     """Compile ``ops``, each a permutation (its target array) or a rotation
     ``(x, z, slot, angle, closes)`` about P(x, z).  A run is a maximal
     stretch of rotations whose strings P_k flip the same qubits as its first
@@ -424,7 +423,7 @@ def _fuse_runs(n: int, ops, scale: float) -> _RotationRuns:
                          np.array(phases, complex).reshape(-1, 1 << n),
                          signs[:, :len(slots)],
                          np.array(slots, np.intp), np.array(angles, float),
-                         scale, tuple(steps))
+                         tuple(steps))
 
 
 def _pauli_product(x1, z1, x2, z2):

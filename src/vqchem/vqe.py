@@ -22,12 +22,8 @@ from typing import TextIO
 
 import numpy as np
 
-from .ansatz import (
-    UCCProblem,
-    problem_civector,
-    problem_energy_and_gradient,
-)
-from .civector import CIVector
+from .ansatz import UCCProblem, problem_energy_and_gradient
+from .civector import CIVector, check_vector_dim, make_ci_space, ucc_state
 from .errors import InvalidParams
 from .integrals import hf_energy, mp2
 
@@ -286,8 +282,13 @@ def _check_params(problem: UCCProblem, params) -> np.ndarray:
 
 def civector_at(problem: UCCProblem, params) -> CIVector:
     """The prepared state in the full determinant space (exact also for
-    pair-restricted problems, whose excitations are valid there)."""
-    return problem_civector(problem, _check_params(problem, params))
+    pair-restricted problems, whose excitations are valid there); SizeLimit
+    past :func:`vqchem.civector.check_vector_dim` comes before any work."""
+    params = _check_params(problem, params)
+    s = problem.integrals
+    check_vector_dim(s.n_orb, s.n_elec)
+    space = make_ci_space(s.n_orb, s.n_elec)
+    return ucc_state(space, problem.ex_ops, params, problem.param_ids)
 
 
 # ---------------------------------------------------------------------------

@@ -291,7 +291,8 @@ def kraus_channel(rho, kraus, qubits, n_qubits: int, adjoint: bool = False):
 
 
 def _dense_gates(c, noise):
-    """Per gate, as full-register matrices: the gate's slot and angle, its
+    """The circuit as full-register matrices: its start statevector
+    (``initial``, or |0...0>), and per gate the gate's slot and angle, its
     unitary (X, CNOT) or the Pauli matrix P of its rotation
     exp(-i theta P / 2), and the Kraus operators of the channel bound to its
     kind (empty without noise)."""
@@ -310,13 +311,15 @@ def _dense_gates(c, noise):
         kraus = [embed_unitary(k, g.qubits, n)
                  for k in channels.get(g.kind, [])]
         out.append((g, mat, kraus))
-    return out
+    start = np.eye(1 << n, dtype=complex)[0] if c.initial is None \
+        else c.initial
+    return start, out
 
 
-def _dense_energy(gates, params, h_dense) -> float:
+def _dense_energy(dense, params, h_dense) -> float:
+    start, gates = dense
     dim = h_dense.shape[0]
-    rho = np.zeros((dim, dim), dtype=complex)
-    rho[0, 0] = 1.0
+    rho = np.outer(start, start.conj())
     for g, mat, kraus in gates:
         if g.kind in ("RY", "PAULI_ROT"):
             theta = params[g.param_slot] if g.param_slot is not None \
@@ -331,8 +334,8 @@ def _dense_energy(gates, params, h_dense) -> float:
 
 
 def dense_circuit_energy(c, params, h, noise=None) -> float:
-    """Tr(H rho) for |0><0| run through the circuit as full-register
-    matrices, each gate followed by its channel."""
+    """Tr(H rho) for the circuit's start state run through the circuit as
+    full-register matrices, each gate followed by its channel."""
     return _dense_energy(_dense_gates(c, noise), params,
                          dense_qubit_operator(h))
 
@@ -341,16 +344,16 @@ def parameter_shift_gradient(c, params, h, noise=None) -> np.ndarray:
     """dE/dtheta_j = [E(theta_j + pi/2) - E(theta_j - pi/2)] / 2 with the
     energy of :func:`dense_circuit_energy`, two circuit evaluations per
     parameter; exact when each parameter drives one rotation."""
-    gates = _dense_gates(c, noise)
+    dense = _dense_gates(c, noise)
     h_dense = dense_qubit_operator(h)
     params = np.asarray(params, dtype=float)
     grad = np.zeros(params.size)
     for j in range(params.size):
         shifted = params.copy()
         shifted[j] = params[j] + np.pi / 2
-        e_plus = _dense_energy(gates, shifted, h_dense)
+        e_plus = _dense_energy(dense, shifted, h_dense)
         shifted[j] = params[j] - np.pi / 2
-        e_minus = _dense_energy(gates, shifted, h_dense)
+        e_minus = _dense_energy(dense, shifted, h_dense)
         grad[j] = 0.5 * (e_plus - e_minus)
     return grad
 
@@ -440,19 +443,20 @@ def decode_dense(enc) -> np.ndarray:
     return codes.conj().T @ h @ codes + enc.constant * np.eye(dim)
 
 
-def vha_state_and_jacobian(ansatz, theta) -> tuple:
-    """State and Jacobian of a layered Pauli-rotation ansatz, one parameter
-    at a time: the full-register rotation cos(theta_k) - i sin(theta_k) P_k
-    moves the state and the columns built so far, then column k is
-    -i P_k psi."""
-    n, n_terms = ansatz.n_qubits, len(ansatz.paulis)
-    mats = [dense_pauli(n, term) for term in ansatz.paulis]
+def vha_state_and_jacobian(circuit, theta) -> tuple:
+    """State and Jacobian of a variational Hamiltonian ansatz at VHA angles
+    theta, one gate at a time from the circuit's ``initial`` state: gate k,
+    PAULI_ROT(P_k, 2 theta_k) on slot k, is the full-register rotation
+    cos(theta_k) - i sin(theta_k) P_k.  It moves the state and the columns
+    built so far, then column k is -i P_k psi."""
+    n = circuit.n_qubits
     buf = np.zeros((1 << n, len(theta) + 1), dtype=complex)
-    buf[:, 0] = ansatz.phi
-    for k, angle in enumerate(theta):
-        p = mats[k % n_terms]
-        buf[:, :k + 1] = (np.cos(angle) * buf[:, :k + 1]
-                          - 1j * np.sin(angle) * (p @ buf[:, :k + 1]))
+    buf[:, 0] = circuit.initial
+    for k, g in enumerate(circuit.gates):
+        assert g.kind == "PAULI_ROT" and g.param_slot == k
+        p = dense_pauli(n, tuple(zip(g.qubits, g.pauli)))
+        buf[:, :k + 1] = (np.cos(theta[k]) * buf[:, :k + 1]
+                          - 1j * np.sin(theta[k]) * (p @ buf[:, :k + 1]))
         buf[:, k + 1] = -1j * (p @ buf[:, 0])
     return buf[:, 0], buf[:, 1:]
 

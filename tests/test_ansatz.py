@@ -28,7 +28,6 @@ from vqchem import (
     make_puccd_problem,
     make_uccsd_problem,
     paired_energy_and_gradient,
-    problem_civector,
     problem_energy_and_gradient,
     save_ansatz,
     ucc_state,
@@ -386,7 +385,7 @@ def test_puccd_doci_fci_ordering(case, request):
 
 def test_problem_statevector_matches_civector(h4):
     p = make_uccsd_problem(h4)
-    v = problem_civector(p, p.init_guess)
+    v = civector_at(p, p.init_guess)
     sv = civector_to_statevector(v.space, v)
     assert abs(np.linalg.norm(sv) - 1.0) < 1e-12
     nz = np.nonzero(sv)[0]

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -8,12 +9,14 @@ from scipy.linalg import expm
 from vqchem import (
     BasisHalfSpin,
     BasisSHO,
+    Circuit,
     FitError,
+    Gate,
     InvalidParams,
     InvalidSymbol,
     SizeLimit,
     SymbolicTerm,
-    VHAnsatz,
+    ZeroState,
     ansatz_state,
     assemble_eom,
     boson_matrix,
@@ -31,7 +34,7 @@ from vqchem import (
     time_evolve,
     trajectory_to_csv,
 )
-from vqchem import dynamics
+from vqchem import dynamics, gates
 from oracles import (
     decode_dense,
     mclachlan_thetadot,
@@ -198,6 +201,12 @@ def test_encoding_validation():
 # Variational ansatz and equation of motion
 # ---------------------------------------------------------------------------
 
+def jacobian(circuit, theta):
+    """The dynamics' state and Jacobian sweep, compiled here."""
+    return dynamics._state_and_jacobian(circuit, theta,
+                                        gates._compile(circuit, None))
+
+
 def test_vha_zero_angles_give_initial_state():
     terms, basis = spin_boson_model(0.2, 1.0, 1.0, 0.5, 4)
     enc = qubit_encode(terms, basis)
@@ -223,13 +232,45 @@ def test_vha_validation():
         ansatz_state(ansatz, np.zeros(ansatz.n_params + 1))
 
 
+@pytest.mark.parametrize("start, error", [
+    (-1, InvalidParams),               # not basis state 7
+    (8, InvalidParams),
+    (99, InvalidParams),               # not an IndexError
+    (np.int64(8), InvalidParams),
+    (np.zeros(8), ZeroState),          # not a NaN state
+    (np.full(8, np.nan), InvalidParams),
+    (np.r_[1.0, np.inf, np.zeros(6)], InvalidParams),
+])
+def test_vha_start_state_is_checked(start, error):
+    terms, basis = spin_boson_model(0.2, 1.0, 1.0, 0.5, 4)
+    enc = qubit_encode(terms, basis)
+    assert enc.n_qubits == 3
+    with pytest.raises(error):
+        build_vha(enc, n_layers=1, initial_state=start)
+    with pytest.raises(error):
+        Circuit(3, [], initial=start)
+
+
+def test_vha_is_one_pauli_rotation_per_string_and_layer():
+    terms, basis = spin_boson_model(0.2, 1.0, 1.0, 0.5, 4)
+    enc = qubit_encode(terms, basis)
+    start = np.arange(8.0) + 1j
+    circuit = build_vha(enc, n_layers=2, initial_state=start)
+    keys = sorted(enc.qubit_terms.terms)
+    assert [(g.kind, g.param_slot, tuple(zip(g.qubits, g.pauli)))
+            for g in circuit.gates] == [
+        ("PAULI_ROT", k, keys[k % len(keys)]) for k in range(2 * len(keys))]
+    np.testing.assert_array_equal(circuit.initial,
+                                  start / np.linalg.norm(start))
+
+
 def test_vha_jacobian_matches_finite_difference():
     terms, basis = spin_boson_model(0.3, 0.8, 1.0, 0.4, 4)
     enc = qubit_encode(terms, basis)
     ansatz = build_vha(enc, n_layers=2, initial_state=1)
     rng = np.random.default_rng(5)
     theta = rng.uniform(-0.5, 0.5, size=ansatz.n_params)
-    jac = dynamics._state_and_jacobian(ansatz, theta, True)[1]
+    jac = jacobian(ansatz, theta)[1]
     h = 1e-6
     for k in range(ansatz.n_params):
         shift = np.zeros(ansatz.n_params)
@@ -253,18 +294,20 @@ def marcus_vha():
 
 
 def random_string_vha():
-    """Y-heavy strings on three qubits with a hand-made head: a repeated
-    string and a commuting partner on the same flip mask (one run), then an
-    anticommuting string on that mask (a new run)."""
+    """Y-heavy strings on three qubits, two layers of them, with a hand-made
+    head: a repeated string and a commuting partner on the same flip mask
+    (one run), then an anticommuting string on that mask (a new run)."""
     rng = np.random.default_rng(17)
     pool = [tuple((q, ch) for q, ch in enumerate(letters) if ch != "I")
             for letters in itertools.product("IXYZ", repeat=3)][1:]
     head = [((0, "X"), (1, "Y")), ((0, "X"), (1, "Y")),
             ((0, "Y"), (1, "X")), ((0, "Y"), (1, "Y"), (2, "Z"))]
-    paulis = head + [pool[i] for i in rng.choice(len(pool), size=12)]
+    paulis = 2 * (head + [pool[i] for i in rng.choice(len(pool), size=12)])
     phi = rng.normal(size=8) + 1j * rng.normal(size=8)
-    return VHAnsatz(n_qubits=3, paulis=paulis, n_layers=2,
-                    phi=phi / np.linalg.norm(phi))
+    return Circuit(3, [
+        Gate("PAULI_ROT", tuple(q for q, _ in term), param_slot=k,
+             pauli="".join(ch for _, ch in term))
+        for k, term in enumerate(paulis)], len(paulis), phi)
 
 
 VHA_CASES = {
@@ -283,17 +326,17 @@ def test_run_sweep_matches_per_rotation_oracle(case):
     for scale in (0.3, 3.0):
         theta = rng.uniform(-scale, scale, size=ansatz.n_params)
         want_psi, want_jac = vha_state_and_jacobian(ansatz, theta)
-        psi, jac = dynamics._state_and_jacobian(ansatz, theta, True)
+        psi, jac = jacobian(ansatz, theta)
         np.testing.assert_allclose(psi, want_psi, rtol=0, atol=1e-12)
         np.testing.assert_allclose(jac, want_jac, rtol=0, atol=1e-12)
         np.testing.assert_allclose(ansatz_state(ansatz, theta), want_psi,
                                    rtol=0, atol=1e-12)
     # the rotations really fuse: fewer runs than parameters
-    assert len(ansatz.runs.starts) - 1 < ansatz.n_params
+    assert len(gates._compile(ansatz, None).starts) - 1 < ansatz.n_params
 
 
 def test_runs_break_on_anticommuting_strings():
-    runs = random_string_vha().runs
+    runs = gates._compile(random_string_vha(), None)
     # head: X0 Y1, X0 Y1, Y0 X1 fuse; Y0 Y1 Z2 anticommutes with X0 Y1
     assert list(runs.starts[:2]) == [0, 3]
     np.testing.assert_array_equal(runs.signs[:, :3] ** 2, 1.0)
@@ -301,15 +344,17 @@ def test_runs_break_on_anticommuting_strings():
 
 
 def count_sweeps(monkeypatch) -> list:
-    """Record want_jacobian of every sweep the dynamics module makes."""
+    """Record every pass the dynamics module makes over a circuit: "jacobian"
+    for a state and Jacobian sweep, "state" for a state-only pass, and
+    "compile" for a compilation."""
     calls = []
-    original = dynamics._state_and_jacobian
+    for name, kind in (("_state_and_jacobian", "jacobian"),
+                       ("simulate_state", "state"), ("_compile", "compile")):
+        def counting(*args, _original=getattr(dynamics, name), _kind=kind):
+            calls.append(_kind)
+            return _original(*args)
 
-    def counting(ansatz, theta, want_jacobian):
-        calls.append(want_jacobian)
-        return original(ansatz, theta, want_jacobian)
-
-    monkeypatch.setattr(dynamics, "_state_and_jacobian", counting)
+        monkeypatch.setattr(dynamics, name, counting)
     return calls
 
 
@@ -325,8 +370,9 @@ def test_time_evolve_reuses_derivative_states(monkeypatch, integrator,
     traj = time_evolve(enc, ansatz, np.zeros(ansatz.n_params),
                        t_final=n_steps * 0.05, tau=0.05,
                        integrator=integrator, observables={"sz": sz})
-    assert calls.count(True) == per_step * n_steps
-    assert calls.count(False) == 1
+    assert calls.count("jacobian") == per_step * n_steps
+    assert calls.count("state") == 1 and calls[-1] == "state"
+    assert calls.count("compile") == 1
     h_dense = enc.qubit_terms.to_dense_matrix()
     assert len(traj.times) == n_steps + 1
     for i, theta in enumerate(traj.thetas):
@@ -371,7 +417,7 @@ def test_time_evolve_zero_duration_records_one_point(monkeypatch):
     calls = count_sweeps(monkeypatch)
     traj = time_evolve(enc, ansatz, np.zeros(ansatz.n_params), t_final=0.0,
                        tau=0.1)
-    assert calls == [False]
+    assert calls == ["compile", "state"]
     assert traj.times.tolist() == [0.0]
 
 
@@ -382,7 +428,7 @@ def test_eom_assembly_and_regularized_solve():
     ansatz = build_vha(enc, n_layers=1, initial_state=1)
     theta = rng.uniform(-0.5, 0.5, size=ansatz.n_params)
     psi = ansatz_state(ansatz, theta)
-    jac = dynamics._state_and_jacobian(ansatz, theta, True)[1]
+    jac = jacobian(ansatz, theta)[1]
     h_dense = enc.qubit_terms.to_dense_matrix()
     sys = assemble_eom(jac, psi, h_dense)
     assert np.shares_memory(sys.w, jac)  # the sweep's rows, not a copy
@@ -447,9 +493,9 @@ def eom_points(ansatz):
 def test_solve_thetadot_matches_m_side_oracle(case):
     build, gram_side = EOM_CASES[case]
     ansatz, h_dense = build()
-    assert (ansatz.n_params > 2 * ansatz.dim) == gram_side
+    assert (ansatz.n_params > 2 << ansatz.n_qubits) == gram_side
     for theta in eom_points(ansatz):
-        psi, jac = dynamics._state_and_jacobian(ansatz, theta, True)
+        psi, jac = jacobian(ansatz, theta)
         got = solve_thetadot(assemble_eom(jac, psi, h_dense, 1e-5))
         want = mclachlan_thetadot(jac, psi, h_dense, 1e-5)
         assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
@@ -465,7 +511,7 @@ def test_solve_thetadot_has_no_null_space_component(case):
     theta = 0, as in the oracle)."""
     ansatz, h_dense = EOM_CASES[case][0]()
     for theta in eom_points(ansatz):
-        psi, jac = dynamics._state_and_jacobian(ansatz, theta, True)
+        psi, jac = jacobian(ansatz, theta)
         sys = assemble_eom(jac, psi, h_dense)
         got = solve_thetadot(sys)
         # null(J) for real theta_dot is null(w^T): the left singular
@@ -506,6 +552,32 @@ def test_time_evolve_validation():
         time_evolve(enc, ansatz, np.zeros(2), t_final=1.0, tau=0.1)
 
 
+def refused_variant(circuit, variant):
+    """The VHA with a gate the Jacobian sweep cannot hold a column for."""
+    g = list(circuit.gates)
+    if variant == "x":
+        g.insert(0, Gate("X", (0,)))
+    elif variant == "cnot":
+        g.append(Gate("CNOT", (0, 1)))
+    elif variant == "shared-slot":  # a second layer on the first's slots
+        g += circuit.gates
+    else:
+        g[2] = dataclasses.replace(g[2], param_slot=None, angle=0.3)
+    return Circuit(circuit.n_qubits, g, circuit.n_params, circuit.initial)
+
+
+@pytest.mark.parametrize("variant", ["x", "cnot", "shared-slot",
+                                     "fixed-angle"])
+def test_time_evolve_refuses_circuits_it_cannot_differentiate(variant):
+    terms, basis = spin_boson_model(0.0, 1.0, 1.0, 0.5, 4)
+    enc = qubit_encode(terms, basis)
+    circuit = refused_variant(build_vha(enc, n_layers=1, initial_state=0),
+                              variant)
+    with pytest.raises(InvalidParams, match="one rotation on slot k"):
+        time_evolve(enc, circuit, np.zeros(circuit.n_params), t_final=0.1,
+                    tau=0.05)
+
+
 def spin_z_observable(basis, encoding="gray"):
     obs_terms = [SymbolicTerm((("sigma_z", "spin"),), 1.0)]
     return qubit_encode(obs_terms, basis, encoding).qubit_terms
@@ -520,14 +592,14 @@ def test_variational_evolution_tracks_exact_dynamics():
                        tau=0.02, observables={"sz": sz})
     # exact reference on the same encoded register
     h_dense = enc.qubit_terms.to_dense_matrix()
-    states = exact_propagate(h_dense, ansatz.phi, traj.times)
+    states = exact_propagate(h_dense, ansatz.initial, traj.times)
     sz_dense = sz.to_dense_matrix()
     exact_sz = np.einsum("ti,ij,tj->t", states.conj(), sz_dense, states).real
     assert np.max(np.abs(traj.observable("sz") - exact_sz)) < 5e-3
     # energy is a constant of motion for both routes
     assert np.ptp(traj.energies) < 1e-4
     assert abs(traj.energies[0]
-               - ((ansatz.phi.conj() @ h_dense @ ansatz.phi).real
+               - ((ansatz.initial.conj() @ h_dense @ ansatz.initial).real
                   + enc.constant)) < 1e-12
 
 

@@ -236,6 +236,36 @@ def test_simulate_density_matches_dense_oracle():
             < 1e-12
 
 
+@pytest.mark.parametrize("start", ["vector", "index"])
+def test_initial_state_matches_dense_oracle(start):
+    """A circuit that starts from ``initial`` (a random vector, or a basis
+    index other than 0): state, density matrix, energy and gradient, ideal
+    and noisy, against the dense oracle from the same start."""
+    rng = np.random.default_rng(43)
+    noise = NoiseModel({"CNOT": depolarizing_channel(0.1, 2),
+                        "RY": depolarizing_channel(0.05, 1)})
+    for n in (1, 2, 3):
+        initial = (rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+                   if start == "vector" else int(rng.integers(1, 1 << n)))
+        c = dataclasses.replace(random_single_slot_circuit(rng, n, 12),
+                                initial=initial)
+        params = rng.uniform(-np.pi, np.pi, size=c.n_params)
+        h = random_hamiltonian(rng, n, 6)
+        psi = simulate_state(c, params)
+        want = dense_circuit_unitary(c, params) @ c.initial
+        assert np.max(np.abs(psi - want)) <= 1e-12
+        np.testing.assert_allclose(
+            simulate_density(c, params, None).matrix,
+            np.outer(want, want.conj()), rtol=0, atol=1e-12)
+        for model in (None, noise):
+            e = expectation(simulate_density(c, params, model), h)
+            assert abs(e - oracles.dense_circuit_energy(c, params, h, model)) \
+                <= 1e-12
+            got = parameter_shift_gradient(c, params, h, model)
+            want_grad = oracles.parameter_shift_gradient(c, params, h, model)
+            assert np.max(np.abs(got - want_grad), initial=0.0) <= 1e-12
+
+
 def test_simulate_density_size_limit():
     c = Circuit(11, [Gate("X", (0,))])
     with pytest.raises(SizeLimit):

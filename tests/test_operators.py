@@ -489,7 +489,8 @@ def test_dense_matrix_matches_oracle_on_random_sums(strings, coeffs):
        st.floats(-4.0, 4.0), st.integers(0, 2**32 - 1))
 def test_pauli_flip_matches_letter_action(strings, angle, seed):
     """A Pauli string compiled to a one-member run acts as phases * x[target],
-    and its rotation exp(-i angle P) as the run's gather step; both equal
+    and its rotation exp(-i angle P), a PAULI_ROT by 2 angle, as the run's
+    gather step; both equal
     the scatter of the letter-by-letter action bit for bit, on statevectors,
     on (2^n, m) row matrices and on transposed views."""
     from vqchem.gates import _step
@@ -504,9 +505,9 @@ def test_pauli_flip_matches_letter_action(strings, angle, seed):
     for letters in strings:
         term = tuple((q, ch) for q, ch in enumerate(letters) if ch != "I")
         target, phase = letter_pauli_action(n, term)
-        runs = _fuse_runs(n, [(*pauli_masks(n, term), 0, 0.0, False)], 1.0)
+        runs = _fuse_runs(n, [(*pauli_masks(n, term), 0, 0.0, False)])
         (step,) = runs.steps
-        cos, flip = runs.rotations([angle])
+        cos, flip = runs.rotations([2.0 * angle])
         for x in inputs:
             want = np.empty_like(x)
             want[target] = phase * x if x.ndim == 1 else phase[:, None] * x

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from vqchem import (
+    IntegralSet,
     InvalidParams,
+    SizeLimit,
+    UCCProblem,
     apply_excitation,
     build_fermion_hamiltonian,
     build_ry_ansatz,
@@ -102,6 +105,18 @@ def test_energy_and_state_accessors(h2):
     sv = civector_to_statevector(v.space, v)
     assert abs(np.linalg.norm(sv) - 1.0) < 1e-12
     with pytest.raises(InvalidParams):
+        civector_at(problem, [0.1])
+
+
+def test_civector_at_refuses_an_oversized_space_before_building_it(
+        monkeypatch):
+    from vqchem import vqe
+
+    s = IntegralSet(16, 8, np.zeros((16, 16)), np.zeros((16,) * 4), 0.0)
+    problem = UCCProblem(s, [(8, 0)], [0], [0.1])
+    monkeypatch.setattr(vqe, "make_ci_space",
+                        lambda *args: pytest.fail("the space was built"))
+    with pytest.raises(SizeLimit):
         civector_at(problem, [0.1])
 
 
