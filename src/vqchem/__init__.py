@@ -112,7 +112,6 @@ from .vqe import (
 )
 from .gates import (
     Circuit,
-    DensityMatrix,
     Gate,
     NoiseModel,
     build_ry_ansatz,

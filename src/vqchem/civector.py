@@ -26,10 +26,9 @@ compiles, and these caches only ever append:
   UCCSD they hold 1.7 MiB for H8 (200 excitations), 45 MiB for H10 (467)
   and 1.1 GiB for H12 (954);
 * the sigma plan (``"link"``, :class:`_SigmaPlan`): the single-replacement
-  link table of its strings as dense (n_strings, n_pair) gather arrays,
-  and the same links as per-string tables of the n_occ (1 + n_vir) live
-  pairs.  It holds 0.085 MB for H8, 0.46 MB for H10 and 2.4 MB for H12,
-  and serves the direct-CI sigma;
+  links of its strings as four per-string (n_strings, n_live) tables of
+  the n_live = n_occ (1 + n_vir) live pairs.  It holds 0.045 MB for H8,
+  0.242 MB for H10 and 1.242 MB for H12, and serves the direct-CI sigma;
 * per integral set, in a weakly keyed table (``"same-spin"``,
   :func:`_same_spin`), the dense same-spin Hamiltonian H_s of the sigma:
   8 * n_strings^2 bytes, 0.04 MB for H8, 0.51 MB for H10 and 6.8 MB for
@@ -69,7 +68,6 @@ entry points: :func:`civector_to_statevector`, the Jordan-Wigner embedding
 through which the tests compare the CI engine with qubit operators and
 circuits, and :func:`apply_excitation`, one generator G on a vector, which
 the benchmark's per-layer trace (``bench/layertrace.py``) wraps by name.
-The command line calls :func:`energy` (imported as ``ci_energy``).
 """
 
 from __future__ import annotations

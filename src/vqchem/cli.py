@@ -687,18 +687,11 @@ def _evolve(args: argparse.Namespace, terms, basis, initial,
             epsilon_reg=args.eps_reg,
         )
     times = time_grid(t_final, tau, 2 * psi0.size + len(obs_ops) + 1)
-    h_pauli = enc.qubit_terms.to_dense_matrix()
-    states = exact_propagate(h_pauli, psi0, times)
-    obs_dense = {name: op.to_dense_matrix() for name, op in obs_ops.items()}
-    obs_out = {
-        name: np.array([float((psi.conj() @ (mat @ psi)).real)
-                        for psi in states])
-        for name, mat in obs_dense.items()
-    }
-    energies = np.array([
-        float((psi.conj() @ (h_pauli @ psi)).real) + enc.constant
-        for psi in states
-    ])
+    states = exact_propagate(enc.qubit_terms.to_dense_matrix(), psi0, times)
+    obs_out = {name: np.array([expectation(psi, op) for psi in states])
+               for name, op in obs_ops.items()}
+    energies = np.array([expectation(psi, enc.qubit_terms) + enc.constant
+                         for psi in states])
     return Trajectory(times=times, thetas=np.zeros((len(times), 0)),
                       observables=obs_out, energies=energies)
 

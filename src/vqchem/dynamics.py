@@ -7,11 +7,22 @@ M = Re(J^dagger J), V = Im(J^dagger H psi)) integrated with fixed-step
 Euler or RK4, plus an eigendecomposition-based exact propagator for
 reference trajectories.
 
+The encoding is operator arithmetic: a term is the product of its
+factors' :class:`vqchem.operators.QubitOperator` images, each shifted onto
+its register, and the terms are summed.  A binary or Gray register reads
+its image off the level matrix by Pauli traces
+(:func:`vqchem.operators.pauli_traces`); a unary one writes |i><j| as
+(X_i - iY_i)(X_j + iY_j)/4 and |i><i| as (1 - Z_i)/2.
+
 The equation of motion is kept in factor form: with w the (n_params,
 2 dim) float view of J's columns and b that of -i H psi, M = w w^T and
 V = w b.  The regularized inverse f(M) V equals w f(w^T w) b (the
 push-through identity), so each step diagonalizes the smaller of the
-n_params-square M and the (2 dim)-square Gram matrix w^T w.
+n_params-square M and the (2 dim)-square Gram matrix w^T w.  H psi is
+:func:`vqchem.operators.apply_operator` on the encoded operator, and the
+recorded energies and observables are :func:`vqchem.gates.expectation`
+of QubitOperators: a trajectory builds no dense matrix.  Only
+:func:`exact_propagate`, the reference, diagonalizes a dense H.
 
 The ansatz is a :class:`vqchem.gates.Circuit` of one PAULI_ROT per
 Hamiltonian string per layer, gate k on slot k.  A VHA factor
@@ -40,8 +51,21 @@ from .errors import (
     NumericalBlowup,
     SizeLimit,
 )
-from .gates import Circuit, Gate, _compile, _start_state, simulate_state
-from .operators import QubitOperator, _RotationRuns, mask_action, pauli_masks
+from .gates import (
+    Circuit,
+    Gate,
+    _compile,
+    _start_state,
+    expectation,
+    simulate_state,
+)
+from .operators import (
+    QubitOperator,
+    _RotationRuns,
+    apply_operator,
+    pauli_masks,
+    pauli_traces,
+)
 
 _EXACT_DIM_LIMIT = 1 << 12
 _UNARY_NBAS_LIMIT = 16
@@ -209,57 +233,31 @@ def _level_codeword(basis_entry, encoding: str, level: int, width: int) -> int:
     return level
 
 
-def _expand_dense_to_paulis(mat: np.ndarray, width: int) -> dict:
-    """Pauli coefficients Tr(P M) / 2^width of a 2^width matrix, with
-    Tr(P M) = sum_i phase_i M[i, target_i] read off the masks of all 4^width
-    strings at once (in chunks of about 2^20 entries)."""
-    keys = [tuple((q, ch) for q, ch in enumerate(letters) if ch != "I")
-            for letters in itertools.product("IXYZ", repeat=width)]
-    x, z = np.array([pauli_masks(width, key) for key in keys]).T
-    rows, coeffs = np.arange(1 << width), []
-    for at in np.array_split(np.arange(x.size),
-                             1 + x.size * rows.size // 2**20):
-        target, phase = mask_action(width, x[at, None], z[at, None])
-        coeffs.extend(np.sum(phase * mat[rows, target], axis=1) / (1 << width))
-    return {key: c for key, c in zip(keys, coeffs)
-            if abs(c) >= _COEFF_CUTOFF}
-
-
-def _unary_local_paulis(mat: np.ndarray, width: int) -> dict:
+def _unary_local_paulis(mat: np.ndarray, width: int) -> QubitOperator:
     """One-hot register image valid on the single-excitation subspace:
-    |i><i| -> (I - Z_i)/2 and |i><j| -> sigma^+_i sigma^-_j."""
-    out: dict = {}
+    |i><i| -> (1 - Z_i)/2 and |i><j| -> sigma^+_i sigma^-_j =
+    (X_i - iY_i)(X_j + iY_j)/4."""
+    def ladder(q, y):  # (X_q + y Y_q) / 2: y = -i raises qubit q, +i lowers
+        return QubitOperator(width, {((q, "X"),): 0.5, ((q, "Y"),): 0.5 * y})
 
-    def add(key, coeff):
-        if abs(coeff) < _COEFF_CUTOFF:
-            return
-        out[key] = out.get(key, 0.0) + coeff
-
-    n = mat.shape[0]
-    for i in range(n):
+    out = QubitOperator(width)
+    for i in range(width):
         if abs(mat[i, i]) >= _COEFF_CUTOFF:
-            add((), 0.5 * mat[i, i])
-            add(((i, "Z"),), -0.5 * mat[i, i])
-        for j in range(n):
-            if i == j or abs(mat[i, j]) < _COEFF_CUTOFF:
-                continue
-            a, b = sorted((i, j))
-            # sigma^+_i sigma^-_j = (X_i - iY_i)(X_j + iY_j)/4
-            c = mat[i, j] / 4.0
-            sgn_i = -1.0j  # Y coefficient on the raising qubit
-            sgn_j = +1.0j  # Y coefficient on the lowering qubit
-            for li, fi in (("X", 1.0), ("Y", sgn_i)):
-                for lj, fj in (("X", 1.0), ("Y", sgn_j)):
-                    pair = {i: li, j: lj}
-                    key = tuple((q, pair[q]) for q in (a, b))
-                    add(key, c * fi * fj)
-    return {k: v for k, v in out.items() if abs(v) >= _COEFF_CUTOFF}
+            number = QubitOperator(width, {(): 0.5, ((i, "Z"),): -0.5})
+            out = out + number * complex(mat[i, i])
+        for j in range(width):
+            if i != j and abs(mat[i, j]) >= _COEFF_CUTOFF:
+                out = out + ladder(i, -1j) * ladder(j, 1j) * complex(mat[i, j])
+    return out.simplify(_COEFF_CUTOFF)
 
 
-def _encode_factor(symbol: str, basis_entry, encoding: str, width: int) -> dict:
-    """Local Pauli decomposition (term key -> coeff) over the register."""
+def _encode_factor(symbol: str, basis_entry, encoding: str,
+                   width: int) -> QubitOperator:
+    """The factor's Pauli image over its register of ``width`` qubits; a
+    binary or Gray register takes all 4^width strings P of the padded level
+    matrix M with the coefficients Tr(M P) / 2^width."""
     if isinstance(basis_entry, BasisHalfSpin):
-        return {((0, _spin_letter(symbol)),): 1.0}
+        return QubitOperator.from_term(1, ((0, _spin_letter(symbol)),))
     mat = boson_matrix(symbol, basis_entry)
     if encoding == "unary":
         return _unary_local_paulis(mat, width)
@@ -271,48 +269,49 @@ def _encode_factor(symbol: str, basis_entry, encoding: str, width: int) -> dict:
         shuffled = np.zeros_like(padded)
         shuffled[np.ix_(perm, perm)] = padded
         padded = shuffled
-    return _expand_dense_to_paulis(padded, width)
+    keys = [tuple((q, ch) for q, ch in enumerate(letters) if ch != "I")
+            for letters in itertools.product("IXYZ", repeat=width)]
+    x, z = np.array([pauli_masks(width, key) for key in keys]).T
+    coeffs = pauli_traces(width, x, z, padded) / dim
+    return QubitOperator(width, {key: c for key, c in zip(keys, coeffs)
+                                 if abs(c) >= _COEFF_CUTOFF})
 
 
 def qubit_encode(terms, basis, encoding: str = "gray") -> EncodedHamiltonian:
     """Map symbolic spin/boson terms onto Pauli strings.  Spin-1/2 degrees
     of freedom take one qubit; an nbas-level oscillator takes ceil(log2 nbas)
     qubits (binary/gray, levels padded to the next power of two) or nbas
-    qubits (unary, valid on the one-hot subspace).  Identity components are
-    split off into the returned constant."""
+    qubits (unary, valid on the one-hot subspace).  A term is the product of
+    its coefficient and its factors' images, each shifted onto its
+    register; the terms are summed.  Identity components are split off into
+    the returned constant."""
     if encoding not in ("unary", "binary", "gray"):
         raise InvalidParams(f"unknown encoding {encoding!r}")
     dof_index = {b.dof: i for i, b in enumerate(basis)}
     if len(dof_index) != len(basis):
         raise InvalidParams("duplicate degree-of-freedom names")
     widths = [_register_width(b, encoding) for b in basis]
-    offsets = np.concatenate([[0], np.cumsum(widths)])
-    n_qubits = int(offsets[-1])
+    offsets = [0, *itertools.accumulate(widths)]
+    n_qubits = offsets[-1]
     layout = [(b.dof, j) for b, w in zip(basis, widths) for j in range(w)]
 
-    accum: dict = {}
+    total = QubitOperator(n_qubits)
     for term in terms:
         for _, dof in term.factors:
             if dof not in dof_index:
                 raise InvalidParams(f"unknown degree of freedom {dof!r}")
-        # product over disjoint registers: merge keys, multiply coefficients
-        partial = {(): complex(term.coefficient)}
+        product = QubitOperator.identity(n_qubits, complex(term.coefficient))
         for sym, dof in term.factors:
             i = dof_index[dof]
             local = _encode_factor(sym, basis[i], encoding, widths[i])
-            nxt: dict = {}
-            for key0, c0 in partial.items():
-                for key1, c1 in local.items():
-                    shifted = tuple((int(offsets[i]) + q, ch) for q, ch in key1)
-                    merged = tuple(sorted(key0 + shifted))
-                    nxt[merged] = nxt.get(merged, 0.0) + c0 * c1
-            partial = nxt
-        for key, coeff in partial.items():
-            accum[key] = accum.get(key, 0.0) + coeff
+            product = product * QubitOperator(n_qubits, {
+                tuple((offsets[i] + q, ch) for q, ch in key): c
+                for key, c in local.terms.items()})
+        total = total + product
 
     constant = 0.0
     clean: dict = {}
-    for key, coeff in accum.items():
+    for key, coeff in total.terms.items():
         if abs(coeff.imag) > 1e-10:
             raise InvalidOperator(
                 f"non-Hermitian encoded coefficient {coeff} for {key}"
@@ -384,18 +383,13 @@ def _state_and_jacobian(circuit: Circuit, theta, runs: _RotationRuns):
     """psi and d psi / d theta at VHA angles theta from the steps ``runs``:
     row 0 of the buffer is psi and row k + 1 is d psi / d theta_k.  Each run
     rotates psi and the rows built so far by exp(-i Phi P_r), then writes
-    its own rows -i P_k psi, so gate k must be the one rotation on slot k:
-    a permutation step (X, CNOT), a fixed angle or a shared slot is
-    refused."""
+    its own rows -i P_k psi, so gate k must be the one rotation on slot k
+    (:func:`time_evolve` refuses other circuits)."""
     theta = np.asarray(theta, dtype=float).ravel()
     if theta.size != circuit.n_params:
         raise InvalidParams(
             f"ansatz has {circuit.n_params} parameters, got {theta.size}"
         )
-    if (len(runs.plan) < len(runs.steps)
-            or not np.array_equal(runs.slots, np.arange(theta.size))):
-        raise InvalidParams("the Jacobian sweep needs gate k to be the one "
-                            "rotation on slot k, with no X or CNOT")
     cos, flip = runs.rotations(2.0 * theta)
     buf = np.zeros((theta.size + 1, 1 << circuit.n_qubits), dtype=complex)
     buf[0] = _start_state(circuit)
@@ -439,14 +433,14 @@ class EOMSystem:
         return self.w @ self.b
 
 
-def assemble_eom(jac: np.ndarray, state: np.ndarray, h_dense: np.ndarray,
+def assemble_eom(jac: np.ndarray, state: np.ndarray, h: QubitOperator,
                  epsilon_reg: float = _DEFAULT_EPSILON_REG) -> EOMSystem:
     """The factors of M = Re(J^dagger J) and V = Im(J^dagger H psi): the
     float views of J's columns (the sweep's row buffer, not copied) and of
     -i H psi, since Re(conj(x) y) is the dot product of the two views."""
     rows = np.ascontiguousarray(jac.T, dtype=complex)
     return EOMSystem(w=rows.view(float),
-                     b=(-1.0j * (h_dense @ state)).view(float),
+                     b=(-1.0j * apply_operator(h, state)).view(float),
                      epsilon_reg=epsilon_reg)
 
 
@@ -492,10 +486,6 @@ def trajectory_to_csv(traj: Trajectory) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _observable_value(psi: np.ndarray, obs: np.ndarray) -> float:
-    return float((psi.conj() @ (obs @ psi)).real)
-
-
 def time_grid(t_final: float, tau: float, floats_per_point: int) -> np.ndarray:
     """Times 0, tau, ..., n tau with n = round(t_final / tau), checked before
     anything is allocated: tau must be finite and positive, t_final finite
@@ -524,9 +514,12 @@ def time_evolve(enc: EncodedHamiltonian, ansatz: Circuit, theta0,
                 epsilon_reg: float = _DEFAULT_EPSILON_REG) -> Trajectory:
     """Integrate theta_dot = M^{-1} V with fixed steps; the Hamiltonian the
     state evolves under is the encoded Pauli part (the scalar constant only
-    shifts the global phase).  The circuit is compiled once.  Each recorded
-    state is the one the step's first derivative evaluation already built;
-    only the last point takes a state-only pass."""
+    shifts the global phase).  ``observables`` maps names to QubitOperators;
+    they, the Hamiltonian and the circuit must share one qubit count.  The
+    circuit is compiled once, and gate k must be its one rotation on slot k
+    (no X or CNOT).  Each recorded state is the one the step's first
+    derivative evaluation already built; only the last point takes a
+    state-only pass."""
     if integrator not in ("euler", "rk4"):
         raise InvalidParams(f"unknown integrator {integrator!r}")
     epsilon_reg = float(epsilon_reg)
@@ -537,26 +530,32 @@ def time_evolve(enc: EncodedHamiltonian, ansatz: Circuit, theta0,
     theta = np.asarray(theta0, dtype=float).ravel().copy()
     times = time_grid(t_final, tau, ansatz.n_params + len(observables) + 2)
     n_steps = times.size - 1
-    h_dense = enc.qubit_terms.to_dense_matrix()
+    h = enc.qubit_terms
+    for name, op in [("the Hamiltonian", h), *observables.items()]:
+        if not (isinstance(op, QubitOperator)
+                and op.n_qubits == ansatz.n_qubits):
+            raise InvalidOperator(f"{name} is not a QubitOperator on the "
+                                  f"circuit's {ansatz.n_qubits} qubits")
     runs = _compile(ansatz, None)
-    obs_dense = {name: (o.to_dense_matrix() if isinstance(o, QubitOperator)
-                        else np.asarray(o, dtype=complex))
-                 for name, o in observables.items()}
+    if (len(runs.plan) < len(runs.steps)
+            or not np.array_equal(runs.slots, np.arange(ansatz.n_params))):
+        raise InvalidParams("the Jacobian sweep needs gate k to be the one "
+                            "rotation on slot k, with no X or CNOT")
 
     def derivative(theta):
         psi, jac = _state_and_jacobian(ansatz, theta, runs)
-        sys = assemble_eom(jac, psi, h_dense, epsilon_reg)
+        sys = assemble_eom(jac, psi, h, epsilon_reg)
         return solve_thetadot(sys), psi
 
     thetas = np.zeros((n_steps + 1, theta.size))
-    obs_out = {name: np.zeros(n_steps + 1) for name in obs_dense}
+    obs_out = {name: np.zeros(n_steps + 1) for name in observables}
     energies = np.zeros(n_steps + 1)
 
     def record(i, th, psi):
         thetas[i] = th
-        for name, mat in obs_dense.items():
-            obs_out[name][i] = _observable_value(psi, mat)
-        energies[i] = _observable_value(psi, h_dense) + enc.constant
+        for name, op in observables.items():
+            obs_out[name][i] = expectation(psi, op)
+        energies[i] = expectation(psi, h) + enc.constant
 
     for step in range(n_steps):
         k1, psi = derivative(theta)

@@ -10,8 +10,8 @@ in exp(-i theta P) is half its PAULI_ROT's.
 Qubit 0 is the most significant bit of a basis-state index, as in
 :mod:`vqchem.operators`.  Exact expectation values read the operator's
 compiled flip groups (:func:`vqchem.operators._flip_groups`), one gather
-of psi or of rho's entries each; sampled ones read every string's action
-off its masks, uncached (:func:`vqchem.operators.mask_action`).
+of psi or of rho's entries each; sampled ones read every string's trace
+off its masks, uncached (:func:`vqchem.operators.pauli_traces`).
 :func:`hea_kernel` drives exact objectives with the numpy L-BFGS-B driver
 of :func:`vqchem.vqe.kernel`, one circuit pass per evaluation, and sampled
 ones (``shots``) with the numpy SPSA of :func:`vqchem.vqe._minimize_spsa`,
@@ -61,8 +61,8 @@ from .operators import (
     _masks,
     _RotationRuns,
     apply_operator,
-    mask_action,
     pauli_masks,
+    pauli_traces,
 )
 from .vqe import _minimize_lbfgs, _minimize_spsa
 
@@ -285,22 +285,6 @@ def simulate_state(c: Circuit, params,
     return psi
 
 
-@dataclass
-class DensityMatrix:
-    n_qubits: int
-    matrix: np.ndarray
-
-    def validate(self, psd_tol: float = 1e-9) -> "DensityMatrix":
-        m = self.matrix
-        if np.max(np.abs(m - m.conj().T)) > 1e-10:
-            raise InvalidChannel("density matrix lost Hermiticity")
-        if abs(np.trace(m).real - 1.0) > 1e-10 or abs(np.trace(m).imag) > 1e-10:
-            raise InvalidChannel("density matrix trace drifted from 1")
-        if np.min(np.linalg.eigvalsh((m + m.conj().T) / 2.0)) < -psd_tol:
-            raise InvalidChannel("density matrix lost positivity")
-        return self
-
-
 def _check_circuit_params(c: Circuit, params) -> np.ndarray:
     params = np.asarray([] if params is None else params, dtype=float).ravel()
     if params.size != c.n_params:
@@ -357,10 +341,10 @@ def _initial_density(c: Circuit) -> np.ndarray:
 
 
 def simulate_density(c: Circuit, params, noise: NoiseModel | None,
-                     runs: _RotationRuns | None = None) -> DensityMatrix:
+                     runs: _RotationRuns | None = None) -> np.ndarray:
     """Apply the circuit (compiled for ``noise`` as ``runs``, if given) to
     its start state with each gate followed by its noise channel (if the
-    model binds one to that gate kind)."""
+    model binds one to that gate kind); returns the density matrix."""
     rho = _initial_density(c)
     params = _check_circuit_params(c, params)
     superops = {} if noise is None else noise.superops
@@ -369,7 +353,7 @@ def simulate_density(c: Circuit, params, noise: NoiseModel | None,
     for step in runs.steps:
         rho = _sandwich(rho, step, cos, flip)
         rho = _apply_noise(rho, c.gates[step[2]], superops, c.n_qubits)
-    return DensityMatrix(c.n_qubits, rho)
+    return rho
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +362,6 @@ def simulate_density(c: Circuit, params, noise: NoiseModel | None,
 
 def _as_matrix(state_or_rho, n: int):
     """(array, is_rho) of a statevector or density matrix on ``n`` qubits."""
-    if isinstance(state_or_rho, DensityMatrix):
-        state_or_rho = state_or_rho.matrix
     arr = np.asarray(state_or_rho)
     if arr.ndim not in (1, 2) or arr.shape[0] != arr.shape[-1]:
         raise InvalidOperator(
@@ -389,21 +371,6 @@ def _as_matrix(state_or_rho, n: int):
             f"operator on {n} qubits against state of dimension {arr.shape[0]}"
         )
     return arr, arr.ndim == 2
-
-
-def _term_expectations(arr, is_rho: bool, h: QubitOperator) -> dict:
-    """{term: Re <P>} for the strings of ``h``, from their masks in chunks
-    of about 2^16 entries; Tr(rho P) = sum_i rho[i, target_i] phase_i."""
-    x, z, _ = _masks(h)
-    rows, out = np.arange(arr.shape[0]), []
-    for at in np.array_split(np.arange(x.size),
-                             1 + x.size * rows.size // 2**16):
-        target, phase = mask_action(h.n_qubits, x[at, None], z[at, None])
-        terms = (arr[rows, target] if is_rho else np.conj(arr[target])) * phase
-        if not is_rho:
-            terms *= arr
-        out.extend(terms.sum(axis=1).real)
-    return dict(zip(h.terms, out))
 
 
 def expectation(state_or_rho, h: QubitOperator) -> float:
@@ -434,7 +401,8 @@ def sampled_expectation(state_or_rho, h: QubitOperator, shots_per_term: int,
     if shots_per_term < 1:
         raise InvalidParams("shots_per_term must be >= 1")
     arr, is_rho = _as_matrix(state_or_rho, h.n_qubits)
-    exact = _term_expectations(arr, is_rho, h)
+    x, z, _ = _masks(h)
+    exact = dict(zip(h.terms, pauli_traces(h.n_qubits, x, z, arr).real))
     rng = np.random.default_rng(seed)
     total = 0.0
     for term, coeff in sorted(h.terms.items()):
@@ -583,7 +551,7 @@ def hea_kernel(c: Circuit, init_params, h: QubitOperator,
 
     def objective(x):
         state = (simulate_state(c, x, runs) if noise is None
-                 else simulate_density(c, x, noise, runs).matrix)
+                 else simulate_density(c, x, noise, runs))
         return sampled_expectation(state, h, shots, seed=next(seeds))
 
     return _minimize_spsa(objective, init_params, seed)

@@ -347,6 +347,21 @@ def mask_action(n: int, x, z) -> tuple[np.ndarray, np.ndarray]:
     return idx ^ x, _UNITS[k & 3]
 
 
+def pauli_traces(n: int, x, z, m: np.ndarray) -> np.ndarray:
+    """Tr(M P(x_k, z_k)) for the strings of mask arrays ``x``, ``z``: the sum
+    over i of M[i, target_i] phase_i (:func:`mask_action`) for a 2^n square
+    matrix M, and of conj(psi[target_i]) phase_i psi_i = <psi|P|psi> for a
+    statevector psi (M = |psi><psi|), in chunks of about 2^16 entries."""
+    rows, out = np.arange(m.shape[0]), []
+    for at in np.array_split(np.arange(len(x)),
+                             1 + len(x) * rows.size // 2**16):
+        target, phase = mask_action(n, x[at, None], z[at, None])
+        terms = (m[rows, target] * phase if m.ndim == 2
+                 else np.conj(m[target]) * phase * m)
+        out.append(terms.sum(axis=1))
+    return np.concatenate(out)
+
+
 @dataclass(frozen=True)
 class _RotationRuns:
     """Rotations and permutations compiled by :func:`_fuse_runs`.  Member k

@@ -290,6 +290,15 @@ def kraus_channel(rho, kraus, qubits, n_qubits: int, adjoint: bool = False):
     return out
 
 
+def assert_physical_density(rho) -> None:
+    """rho is a density matrix: Hermitian and of unit trace to 1e-10, and
+    no eigenvalue below -1e-9."""
+    assert np.max(np.abs(rho - rho.conj().T)) <= 1e-10, "lost Hermiticity"
+    assert abs(np.trace(rho) - 1.0) <= 1e-10, "trace drifted from 1"
+    assert np.min(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)) >= -1e-9, \
+        "lost positivity"
+
+
 def _dense_gates(c, noise):
     """The circuit as full-register matrices: its start statevector
     (``initial``, or |0...0>), and per gate the gate's slot and angle, its

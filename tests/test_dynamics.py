@@ -12,8 +12,10 @@ from vqchem import (
     Circuit,
     FitError,
     Gate,
+    InvalidOperator,
     InvalidParams,
     InvalidSymbol,
+    QubitOperator,
     SizeLimit,
     SymbolicTerm,
     ZeroState,
@@ -364,12 +366,13 @@ def test_time_evolve_reuses_derivative_states(monkeypatch, integrator,
     terms, basis = spin_boson_model(0.0, 1.0, 1.0, 0.5, 4)
     enc = qubit_encode(terms, basis)
     ansatz = build_vha(enc, n_layers=3, initial_state=0)
-    sz = spin_z_observable(basis).to_dense_matrix()
+    sz_op = spin_z_observable(basis)
+    sz = sz_op.to_dense_matrix()
     n_steps = 6
     calls = count_sweeps(monkeypatch)
     traj = time_evolve(enc, ansatz, np.zeros(ansatz.n_params),
                        t_final=n_steps * 0.05, tau=0.05,
-                       integrator=integrator, observables={"sz": sz})
+                       integrator=integrator, observables={"sz": sz_op})
     assert calls.count("jacobian") == per_step * n_steps
     assert calls.count("state") == 1 and calls[-1] == "state"
     assert calls.count("compile") == 1
@@ -430,7 +433,7 @@ def test_eom_assembly_and_regularized_solve():
     psi = ansatz_state(ansatz, theta)
     jac = jacobian(ansatz, theta)[1]
     h_dense = enc.qubit_terms.to_dense_matrix()
-    sys = assemble_eom(jac, psi, h_dense)
+    sys = assemble_eom(jac, psi, enc.qubit_terms)
     assert np.shares_memory(sys.w, jac)  # the sweep's rows, not a copy
     np.testing.assert_allclose(sys.M, sys.M.T, atol=1e-12)
     assert np.min(np.linalg.eigvalsh(sys.M)) > -1e-12  # positive semidefinite
@@ -459,11 +462,11 @@ def test_eom_assembly_and_regularized_solve():
 
 def eom_case(terms, basis, initial):
     """The command line's default VHA (gray code, three layers) and its
-    dense Hamiltonian."""
+    encoded Hamiltonian."""
     enc = qubit_encode(terms, basis, "gray")
     ansatz = build_vha(enc, n_layers=3, initial_state=encode_state(enc,
                                                                     initial))
-    return ansatz, enc.qubit_terms.to_dense_matrix()
+    return ansatz, enc.qubit_terms
 
 
 def spin_boson_eom(nbas):
@@ -492,11 +495,12 @@ def eom_points(ansatz):
 @pytest.mark.parametrize("case", sorted(EOM_CASES))
 def test_solve_thetadot_matches_m_side_oracle(case):
     build, gram_side = EOM_CASES[case]
-    ansatz, h_dense = build()
+    ansatz, h = build()
+    h_dense = h.to_dense_matrix()
     assert (ansatz.n_params > 2 << ansatz.n_qubits) == gram_side
     for theta in eom_points(ansatz):
         psi, jac = jacobian(ansatz, theta)
-        got = solve_thetadot(assemble_eom(jac, psi, h_dense, 1e-5))
+        got = solve_thetadot(assemble_eom(jac, psi, h, 1e-5))
         want = mclachlan_thetadot(jac, psi, h_dense, 1e-5)
         assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
         assert np.max(np.abs(jac @ (got - want))) <= 1e-11
@@ -509,10 +513,10 @@ def test_solve_thetadot_has_no_null_space_component(case):
     side has no such structure: there the rounding in M's zero eigenvalues,
     divided by eps, leaves a null(J) part (1.7e-9 relative for Marcus at
     theta = 0, as in the oracle)."""
-    ansatz, h_dense = EOM_CASES[case][0]()
+    ansatz, h = EOM_CASES[case][0]()
     for theta in eom_points(ansatz):
         psi, jac = jacobian(ansatz, theta)
-        sys = assemble_eom(jac, psi, h_dense)
+        sys = assemble_eom(jac, psi, h)
         got = solve_thetadot(sys)
         # null(J) for real theta_dot is null(w^T): the left singular
         # vectors of w past its numerical rank
@@ -529,8 +533,8 @@ def test_trajectory_matches_m_side_oracle(monkeypatch):
     args = (enc, ansatz, np.zeros(ansatz.n_params), 50 * 0.02, 0.02)
     obs = {"sz": spin_z_observable(basis)}
     new = time_evolve(*args, observables=obs)
-    monkeypatch.setattr(dynamics, "assemble_eom",
-                        lambda jac, psi, h, eps: (jac, psi, h, eps))
+    monkeypatch.setattr(dynamics, "assemble_eom", lambda jac, psi, h, eps: (
+        jac, psi, h.to_dense_matrix(), eps))
     monkeypatch.setattr(dynamics, "solve_thetadot",
                         lambda sys: mclachlan_thetadot(*sys))
     old = time_evolve(*args, observables=obs)
@@ -581,6 +585,56 @@ def test_time_evolve_refuses_circuits_it_cannot_differentiate(variant):
 def spin_z_observable(basis, encoding="gray"):
     obs_terms = [SymbolicTerm((("sigma_z", "spin"),), 1.0)]
     return qubit_encode(obs_terms, basis, encoding).qubit_terms
+
+
+@pytest.mark.parametrize("mismatch", ["circuit", "observable",
+                                      "dense-observable"])
+def test_time_evolve_refuses_mismatched_qubit_counts(monkeypatch, mismatch):
+    """The Hamiltonian (3 qubits at nbas 4), the circuit and every
+    observable must be on one register, the observables QubitOperators;
+    anything else is refused before the circuit is compiled or swept."""
+    terms, basis = spin_boson_model(0.0, 1.0, 1.0, 0.5, 4)
+    enc = qubit_encode(terms, basis)
+    ansatz = build_vha(enc, n_layers=1, initial_state=0)
+    observables = {"sz": spin_z_observable(basis)}
+    big_terms, big_basis = spin_boson_model(0.0, 1.0, 1.0, 0.5, 8)
+    if mismatch == "circuit":
+        ansatz = build_vha(qubit_encode(big_terms, big_basis), n_layers=1,
+                           initial_state=0)
+    elif mismatch == "observable":
+        observables["sz8"] = spin_z_observable(big_basis)
+    else:
+        observables["sz"] = observables["sz"].to_dense_matrix()
+    calls = count_sweeps(monkeypatch)
+    with pytest.raises(InvalidOperator, match="not a QubitOperator on"):
+        time_evolve(enc, ansatz, np.zeros(ansatz.n_params), t_final=0.1,
+                    tau=0.05, observables=observables)
+    assert calls == []
+
+
+def test_time_evolve_builds_no_dense_matrix(monkeypatch):
+    """H psi, the energies and the observables come from the operators'
+    flip groups: with the dense matrix refused the trajectory still matches
+    dense expectations of its own states."""
+    terms, basis = spin_boson_model(0.0, 1.0, 1.0, 0.5, 8)
+    enc = qubit_encode(terms, basis)
+    sz = spin_z_observable(basis)
+    h_dense, sz_dense = enc.qubit_terms.to_dense_matrix(), sz.to_dense_matrix()
+    ansatz = build_vha(enc, n_layers=2, initial_state=0)
+
+    def refuse(self):
+        raise AssertionError("time_evolve built a dense matrix")
+
+    monkeypatch.setattr(QubitOperator, "to_dense_matrix", refuse)
+    traj = time_evolve(enc, ansatz, np.zeros(ansatz.n_params), t_final=0.2,
+                       tau=0.05, observables={"sz": sz})
+    assert traj.times.size == 5
+    for i, theta in enumerate(traj.thetas):
+        psi = ansatz_state(ansatz, theta)
+        assert abs((psi.conj() @ sz_dense @ psi).real
+                   - traj.observable("sz")[i]) <= 1e-14
+        assert abs((psi.conj() @ h_dense @ psi).real + enc.constant
+                   - traj.energies[i]) <= 1e-13
 
 
 def test_variational_evolution_tracks_exact_dynamics():

@@ -538,7 +538,6 @@ def test_sparse_matrix_matches_pauli_action_assembly(case, request):
 def _check_flip_groups(op, seed):
     """The compiled flip groups against the letter-by-letter assembly: H x,
     <psi|H|psi>, Tr(rho H), the dense matrix and the diagonal."""
-    from vqchem.gates import DensityMatrix
     from vqchem.operators import apply_operator
 
     want = pauli_action_sparse_matrix(op)
@@ -557,7 +556,7 @@ def _check_flip_groups(op, seed):
     vecs = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
     rho = vecs @ vecs.conj().T
     rho /= np.trace(rho).real
-    return psi, DensityMatrix(op.n_qubits, rho)
+    return psi, rho
 
 
 @pytest.mark.parametrize("case", ["h2", "h4", "h6"])
@@ -575,7 +574,7 @@ def test_flip_groups_match_pauli_action_assembly(case, transform, request):
     want = pauli_action_sparse_matrix(op)
     assert abs(expectation(psi, op) - np.vdot(psi, want @ psi).real) <= 1e-12
     if rho is not None:
-        trace = want.multiply(rho.matrix.T).sum()
+        trace = want.multiply(rho.T).sum()
         assert abs(expectation(rho, op) - trace.real) <= 1e-12
 
 

@@ -15,14 +15,20 @@ SRC = ROOT / "src" / "vqchem"
 
 def test_every_function_has_a_caller_or_is_a_named_entry_point():
     """A top-level function that no module of the package refers to (as a
-    name or an attribute) must be named, as :func:`name`, in its module's
-    docstring.  The PEP 562 ``__getattr__`` is called by the import system
-    and is exempt."""
+    name or an attribute, or through the alias it is imported under) must
+    be named, as :func:`name`, in its module's docstring.  The PEP 562
+    ``__getattr__`` is called by the import system and is exempt."""
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py"))}
-    referenced = {node.id if isinstance(node, ast.Name) else node.attr
-                  for tree in trees.values() for node in ast.walk(tree)
-                  if isinstance(node, (ast.Name, ast.Attribute))}
+    referenced = set()
+    for tree in trees.values():
+        used = {node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Name, ast.Attribute))}
+        referenced |= used | {
+            alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names if alias.asname in used}
     uncalled = [
         f"{module}.{node.name}"
         for module, tree in trees.items()
