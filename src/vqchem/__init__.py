@@ -62,6 +62,7 @@ from .integrals import (
     load_fcidump,
     mp2,
     orbital_energies,
+    pair_hamiltonian,
     parse_fcidump,
     write_fcidump,
 )

@@ -15,8 +15,8 @@ orbital pair, built from those strings.  Pair hops carry no fermionic signs,
 so the reduced treatment is exact for seniority-zero states and matches the
 full determinant space.  :func:`build_puccd_hamiltonian`, which nothing in
 the package calls, is the entry point for circuits on the pairs: it writes
-the pair Hamiltonian as an operator on n_orb qubits, the N^2-term form of
-the paper's pUCCD Hamiltonian.
+the paper's N^2-term pUCCD Hamiltonian, which the pair engine reads too,
+as an operator on n_orb qubits.
 """
 
 from __future__ import annotations
@@ -44,7 +44,8 @@ from .errors import (
     InvalidParams,
     ParseError,
 )
-from .integrals import IntegralSet, MP2Result, hf_energy, mp2
+from .integrals import (IntegralSet, MP2Result, hf_energy, mp2,
+                        pair_hamiltonian)
 from .operators import QubitOperator
 
 
@@ -296,35 +297,23 @@ def make_puccd_problem(s: IntegralSet) -> UCCProblem:
 
 def build_puccd_hamiltonian(s: IntegralSet) -> QubitOperator:
     """Pair-space Hamiltonian as an operator over n_orb qubits (qubit q
-    hosts spatial orbital n_orb-1-q, |1> = orbital doubly occupied):
-
-        e_core + sum_p (2 h_pp + (pp|pp)) n_p
-               + sum_{p<q} (pq|pq) (X_p X_q + Y_p Y_q)/2
-               + sum_{p<q} (2(pp|qq) - (pq|pq)) 2 n_p n_q
-    """
+    hosts spatial orbital n_orb-1-q, |1> = orbital doubly occupied): the
+    (h, v, w) of :func:`~vqchem.integrals.pair_hamiltonian` with n_p =
+    (1 - Z_p)/2 and b+_p b_q + h.c. = (X_p X_q + Y_p Y_q)/2."""
     n = s.n_orb
-    qb = lambda p: n - 1 - p
-    terms: dict = {(): float(s.e_core)}
-
-    def add(key, val):
-        terms[key] = terms.get(key, 0.0) + val
-
-    for p in range(n):
-        c_p = 2.0 * s.int1e[p, p] + s.int2e[p, p, p, p]
-        add((), 0.5 * c_p)
-        add(((qb(p), "Z"),), -0.5 * c_p)
-    for p in range(n):
-        for q in range(p + 1, n):
-            v = s.int2e[p, q, p, q]
-            w = 2.0 * s.int2e[p, p, q, q] - v
-            i, j = sorted((qb(p), qb(q)))
-            add((), 0.5 * w)
-            add(((i, "Z"),), -0.5 * w)
-            add(((j, "Z"),), -0.5 * w)
-            add(((i, "Z"), (j, "Z")), 0.5 * w)
-            add(((i, "X"), (j, "X")), 0.5 * v)
-            add(((i, "Y"), (j, "Y")), 0.5 * v)
-    return QubitOperator(n, terms).simplify()
+    h, v, w = pair_hamiltonian(s)
+    one = QubitOperator.identity(n)
+    pauli = lambda ch, *orbs: QubitOperator.from_term(
+        n, [(n - 1 - p, ch) for p in orbs])
+    num = [0.5 * (one - pauli("Z", p)) for p in range(n)]
+    op = s.e_core * one
+    for p in range(n):  # row p: n_p (h_p + v_pp + sum_q 2 w_pq n_q) + hops
+        pot, hops = (h[p] + v[p, p]) * one, QubitOperator(n)
+        for q in range(p):
+            pot = pot + (2.0 * w[p, q]) * num[q]
+            hops = hops + (0.5 * v[p, q]) * (pauli("X", p, q) + pauli("Y", p, q))
+        op = op + num[p] * pot + hops
+    return op.simplify()
 
 
 def paired_energy_and_gradient(space: CISpace, ex_ops, params, param_ids,
@@ -457,8 +446,7 @@ def save_ansatz(path, problem: UCCProblem) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_ansatz(path, s: IntegralSet,
-                hard_core_boson: bool = False) -> UCCProblem:
+def load_ansatz(path, s: IntegralSet) -> UCCProblem:
     ex_ops: list = []
     param_ids: list = []
     guesses: dict[int, float] = {}
@@ -490,5 +478,4 @@ def load_ansatz(path, s: IntegralSet,
     init = np.zeros(n_params)
     for pid, guess in guesses.items():
         init[pid] = guess
-    return UCCProblem(s, ex_ops, param_ids, init,
-                      hard_core_boson=hard_core_boson)
+    return UCCProblem(s, ex_ops, param_ids, init)

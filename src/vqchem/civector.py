@@ -34,17 +34,20 @@ compiles, and these caches only ever append:
   8 * n_strings^2 bytes, 0.04 MB for H8, 0.51 MB for H10 and 6.8 MB for
   H12.  It lives as long as its :class:`IntegralSet`;
 * the occupation matrix (``"occ"``, :func:`_occupations`) of the strings,
-  which the diagonal reads;
+  which both diagonals read;
 * one hop table per orbital pair (``("hop", p, q)``, p > q,
   :func:`_pair_hop_table`) for pUCCD, which runs on the alpha strings as
   configurations of doubly occupied orbitals: 16 bytes per configuration
   pair, 141 MiB at n_orb = 20.  The pUCCD rotations and the pair
-  Hamiltonian read the same tables, and a pUCCD run builds no link plan.
+  Hamiltonian read the same tables, and a pUCCD run builds no link plan;
+* per integral set, weakly keyed, the pair diagonal (``"pair-diag"``).
 
 The Hamiltonian has one route per kind of vector: on determinants H is
 applied by the string-driven direct-CI sigma (:func:`_sigma`), on pair
 configurations by two gathers and two scatters per hop table
-(:func:`_pair_sigma`).  The sigma is two matrix products with H_s and,
+(:func:`_pair_sigma`) from the paper's (h_p, v_pq, w_pq) of
+:func:`~vqchem.integrals.pair_hamiltonian`.  The direct-CI sigma is two
+matrix products with H_s and,
 for the alpha-beta part, gathers through the live-pair tables and no
 scatter.  It keeps its block scratch in one workspace per thread, reused by
 every apply: with the default blocks at most ``max(1 MB, 8 * (n_pair +
@@ -93,7 +96,7 @@ from .errors import (
     UnsupportedOpenShell,
     ZeroState,
 )
-from .integrals import IntegralSet
+from .integrals import IntegralSet, pair_hamiltonian
 
 _ITERATIVE_LIMIT = 1_000_000
 
@@ -576,48 +579,40 @@ def apply_hamiltonian(space: CISpace, v, s: IntegralSet) -> CIVector:
     return CIVector(space, _sigma(space, s, _amps(v)))
 
 
-def _string_energies(space: CISpace, s: IntegralSet) -> tuple:
-    """(e_same, occ, j): determinant (a, b) has energy e_same[a] + e_same[b]
-    + occ[a] j occ[b] + e_core, with j[p, q] = (pp|qq)."""
-    occ = _occupations(space)
-    h_diag = np.diag(s.int1e)
-    j_mat = np.einsum("ppqq->pq", s.int2e)
-    k_mat = np.einsum("pqqp->pq", s.int2e)
-    # same-spin energy of one string: sum h_pp + 1/2 sum_{p!=q} [(pp|qq)-(pq|qp)]
-    jk = j_mat - k_mat
-    np.fill_diagonal(jk, 0.0)
-    e_same = occ @ h_diag + 0.5 * np.einsum("ip,ip->i", occ @ jk, occ)
-    return e_same, occ, j_mat
-
-
 def hamiltonian_diagonal(space: CISpace, s: IntegralSet) -> np.ndarray:
-    """<D|H|D> for every determinant, via the factorized diagonal rule."""
-    e_same, occ, j_mat = _string_energies(space, s)
+    """<D|H|D> for every determinant (a, b): e[a] + e[b] + occ[a] J occ[b]
+    + e_core, with J[p, q] = (pp|qq) and e[a] = sum h_pp + 1/2 sum_{p != q}
+    [(pp|qq) - (pq|qp)] over the orbitals of string a."""
+    occ = _occupations(space)
+    j_mat = np.einsum("ppqq->pq", s.int2e)
+    jk = j_mat - np.einsum("pqqp->pq", s.int2e)
+    np.fill_diagonal(jk, 0.0)
+    e = occ @ np.diag(s.int1e) + 0.5 * np.einsum("ip,ip->i", occ @ jk, occ)
     cross = occ @ j_mat @ occ.T  # alpha-beta Coulomb between string pairs
-    diag = e_same[:, None] + e_same[None, :] + cross + s.e_core
-    return diag.ravel()
+    return (e[:, None] + e[None, :] + cross + s.e_core).ravel()
 
 
 def _pair_diagonal(space: CISpace, s: IntegralSet) -> np.ndarray:
     """<J, J|H|J, J> of every pair configuration, cached per integrals
     under ``"pair-diag"``."""
     def build():
-        e_same, occ, j_mat = _string_energies(space, s)
-        diag = 2.0 * e_same + np.einsum("ip,ip->i", occ @ j_mat, occ)
-        return diag + s.e_core
+        h, v, w = pair_hamiltonian(s)
+        occ = _occupations(space)
+        return occ @ (h + np.diag(v)) + ((occ @ w) * occ).sum(1) + s.e_core
     return _per_integrals(space, "pair-diag", s, build)
 
 
 def _pair_sigma(space: CISpace, s: IntegralSet, c: np.ndarray) -> np.ndarray:
-    """H c on the pair configurations of :func:`_pair_hop_table`: (J, J) has
-    its determinant energy and a hop between q and p amplitude (pq|qp)."""
+    """H c on the pair configurations of :func:`_pair_hop_table`: (J, J)
+    has its diagonal energy and a hop from q to p amplitude v[p, q] of
+    :func:`~vqchem.integrals.pair_hamiltonian`."""
+    _, v, _ = pair_hamiltonian(s)
     out = _pair_diagonal(space, s) * c
     for p in range(s.n_orb):
         for q in range(p):
             rows, cols = _pair_hop_table(space, p, q)
-            k = s.int2e[p, q, q, p]
-            np.add.at(out, rows, k * c[cols])
-            np.add.at(out, cols, k * c[rows])
+            np.add.at(out, rows, v[p, q] * c[cols])
+            np.add.at(out, cols, v[p, q] * c[rows])
     return out
 
 

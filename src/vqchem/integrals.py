@@ -7,6 +7,9 @@ Mean-field quantities (:func:`hf_energy`, :func:`orbital_energies`,
 orbitals with the lowest ``n_elec/2`` spatial orbitals doubly occupied.
 For site-basis model Hamiltonians (:func:`build_hubbard`), run
 :func:`canonicalize_integrals` first if those references are needed.
+The HF and frozen-core energies, DOCI, pUCCD and its qubit operator all
+read the paper's pair Hamiltonian (h_p, v_pq, w_pq) of
+:func:`pair_hamiltonian`.
 """
 
 from __future__ import annotations
@@ -44,6 +47,8 @@ class IntegralSet:
 
     def __post_init__(self):
         n = self.n_orb
+        if n < 1:
+            raise InvalidModel(f"n_orb={n}: need at least one orbital")
         int1e = np.asarray(self.int1e, dtype=float)
         int2e = np.asarray(self.int2e, dtype=float)
         object.__setattr__(self, "int1e", int1e)
@@ -277,13 +282,27 @@ def build_fermion_hamiltonian(s: IntegralSet) -> FermionOperator:
     return FermionOperator(n_so, terms)
 
 
+def pair_hamiltonian(s: IntegralSet) -> tuple:
+    """(h, v, w) of the seniority-zero Hamiltonian e_core + sum_p h_p n_p +
+    sum_pq (v_pq b+_p b_q + w_pq n_p n_q) over orbital pairs b+_p: h_p =
+    2 h_pp, v_pq = (pq|pq) and w_pq = 2 (pp|qq) - (pq|pq) with w_pp = 0.
+    Pairs on the set O have energy e_core + sum_{p in O} (h_p + v_pp) +
+    sum_{p, q in O} w_pq, and a pair hops from q to p with amplitude v_pq."""
+    v = np.einsum("pqpq->pq", s.int2e).copy()
+    w = 2.0 * np.einsum("ppqq->pq", s.int2e) - v
+    np.fill_diagonal(w, 0.0)
+    return 2.0 * np.diag(s.int1e), v, w
+
+
+def _docc_energy(s: IntegralSet, n: int) -> float:
+    """Pair energy of the lowest ``n`` orbitals doubly occupied, no e_core."""
+    h, v, w = pair_hamiltonian(s)
+    return float(np.sum(h[:n] + np.diag(v)[:n]) + np.sum(w[:n, :n]))
+
+
 def hf_energy(s: IntegralSet) -> float:
-    occ = range(s.n_occ)
-    e = 2.0 * sum(s.int1e[i, i] for i in occ)
-    for i in occ:
-        for j in occ:
-            e += 2.0 * s.int2e[i, i, j, j] - s.int2e[i, j, j, i]
-    return float(e + s.e_core)
+    """Energy of the closed-shell determinant of the lowest n_occ orbitals."""
+    return _docc_energy(s, s.n_occ) + s.e_core
 
 
 def orbital_energies(s: IntegralSet) -> np.ndarray:
@@ -327,6 +346,10 @@ def active_space_reduce(s: IntegralSet, n_active_elec: int,
     orbitals; the active window is the next ``n_active_orb``; anything above
     is discarded.
     """
+    if n_active_orb < 1 or n_active_elec < 0:
+        raise InvalidActiveSpace(
+            f"{n_active_elec} electrons in {n_active_orb} orbitals: need at "
+            f"least one active orbital and a non-negative electron count")
     diff = s.n_elec - n_active_elec
     if diff < 0 or diff % 2 != 0:
         raise InvalidActiveSpace(
@@ -348,10 +371,7 @@ def active_space_reduce(s: IntegralSet, n_active_elec: int,
     v_eff = np.zeros((n_active_orb, n_active_orb))
     for m in frozen:
         v_eff += 2.0 * s.int2e[m, m, act, act] - s.int2e[m, act, act, m]
-    e_core = s.e_core + 2.0 * sum(s.int1e[m, m] for m in frozen)
-    for m in frozen:
-        for k in frozen:
-            e_core += 2.0 * s.int2e[m, m, k, k] - s.int2e[m, k, k, m]
+    e_core = s.e_core + _docc_energy(s, n_frozen)
 
     reduced = IntegralSet(
         n_active_orb,

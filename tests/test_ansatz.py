@@ -13,6 +13,7 @@ from vqchem import (
     UCCProblem,
     adapt_vqe,
     apply_hamiltonian,
+    build_hubbard,
     build_operator_pool,
     build_puccd_hamiltonian,
     civector_at,
@@ -27,6 +28,7 @@ from vqchem import (
     make_kupccgsd_problem,
     make_puccd_problem,
     make_uccsd_problem,
+    pair_hamiltonian,
     paired_energy_and_gradient,
     problem_energy_and_gradient,
     save_ansatz,
@@ -130,28 +132,55 @@ def test_problem_validation(h2):
 # Pair-restricted engine
 # ---------------------------------------------------------------------------
 
-def test_paired_hamiltonian_three_routes(h4):
+@pytest.mark.parametrize("case", ["h4", "h6", "h8"])
+def test_paired_hamiltonian_three_routes(case, request):
     """Pair-space matrix, qubit operator, and fermionic expansion agree."""
-    mat = pair_hamiltonian_matrix(h4)
+    s = request.getfixturevalue(case)
+    mat = pair_hamiltonian_matrix(s)
     np.testing.assert_allclose(mat, mat.T, atol=1e-12)
 
     # route 2: dense matrix of the qubit operator, restricted to the
     # pair-occupation basis states (configuration mask == vector index)
-    dense = build_puccd_hamiltonian(h4).to_dense_matrix()
-    idx = pair_configurations(4, 2)
+    dense = build_puccd_hamiltonian(s).to_dense_matrix()
+    idx = pair_configurations(s.n_orb, s.n_elec // 2)
     np.testing.assert_allclose(mat, np.real(dense[np.ix_(idx, idx)]),
                                atol=1e-10)
 
     # route 3: expectation through the full determinant space
-    p = make_puccd_problem(h4)
+    p = make_puccd_problem(s)
     rng = np.random.default_rng(7)
-    space = make_ci_space(4, 4)
+    space = make_ci_space(s.n_orb, s.n_elec)
     for _ in range(3):
         params = rng.uniform(-0.3, 0.3, size=p.n_params)
         e_paired, _ = paired_energy_and_gradient(
-            space, p.ex_ops, params, p.param_ids, h4)
+            space, p.ex_ops, params, p.param_ids, s)
         v = ucc_state(space, p.ex_ops, params, p.param_ids)
-        assert abs(e_paired - energy(space, v, h4)) < 1e-10
+        assert abs(e_paired - energy(space, v, s)) < 1e-10
+
+
+@pytest.mark.parametrize("case", ["h4", "h6", "h8", "hubbard"])
+def test_pair_hamiltonian_is_the_papers_equation(case, request):
+    """H = e_core + sum_p h_p n_p + sum_pq v_pq b+_p b_q + sum_{p != q}
+    w_pq n_p n_q, evaluated term by term from (h, v, w) on every pair
+    configuration and hop, is the oracle's seniority-zero matrix."""
+    s = (build_hubbard(4, 1.0, 4.0) if case == "hubbard"
+         else request.getfixturevalue(case))
+    h, v, w = pair_hamiltonian(s)
+    np.testing.assert_array_equal(np.diag(w), 0.0)
+    confs = [int(m) for m in pair_configurations(s.n_orb, s.n_elec // 2)]
+    index = {m: i for i, m in enumerate(confs)}
+    got = np.zeros((len(confs),) * 2)
+    for i, m in enumerate(confs):
+        occ = [p for p in range(s.n_orb) if m >> p & 1]
+        got[i, i] = s.e_core + sum(h[p] + v[p, p] for p in occ) + sum(
+            w[p, q] for p in occ for q in occ if p != q)
+        for q in occ:
+            for p in range(s.n_orb):
+                if not m >> p & 1:
+                    got[index[m ^ 1 << p ^ 1 << q], i] += v[p, q]
+    want = pair_hamiltonian_matrix(s)
+    np.testing.assert_allclose(got, want, rtol=0,
+                               atol=1e-12 * np.abs(want).max())
 
 
 def test_paired_gradient_matches_finite_difference(h4):
@@ -248,15 +277,15 @@ def test_cached_pair_diagonal_is_bit_identical(case, request):
     s = request.getfixturevalue(case)
     space = CISpace(s.n_orb, s.n_elec)
     c = np.random.default_rng(101).normal(size=space.n_strings_alpha)
-    e_same, occ, j_mat = civector._string_energies(space, s)
-    diag = 2.0 * e_same + np.einsum("ip,ip->i", occ @ j_mat, occ) + s.e_core
+    h, v, w = pair_hamiltonian(s)
+    occ = civector._occupations(space)
+    diag = occ @ (h + np.diag(v)) + ((occ @ w) * occ).sum(1) + s.e_core
     want = diag * c
     for p in range(s.n_orb):
         for q in range(p):
             rows, cols = _pair_hop_table(space, p, q)
-            k = s.int2e[p, q, q, p]
-            np.add.at(want, rows, k * c[cols])
-            np.add.at(want, cols, k * c[rows])
+            np.add.at(want, rows, v[p, q] * c[cols])
+            np.add.at(want, cols, v[p, q] * c[rows])
     for _ in range(2):
         np.testing.assert_array_equal(_pair_sigma(space, s, c), want)
     table = space._action_cache["pair-diag"]
@@ -482,13 +511,20 @@ def test_adapt_vqe_validation(h2):
 # ---------------------------------------------------------------------------
 
 def test_ansatz_round_trip(tmp_path, h4):
-    p = make_uccsd_problem(h4)
     path = tmp_path / "ansatz.txt"
-    save_ansatz(path, p)
-    q = load_ansatz(path, h4)
-    assert q.ex_ops == p.ex_ops
-    assert q.param_ids == p.param_ids
-    np.testing.assert_allclose(q.init_guess, p.init_guess, atol=0)
+    for p in (make_uccsd_problem(h4), make_puccd_problem(h4)):
+        save_ansatz(path, p)
+        q = load_ansatz(path, h4)
+        assert q.ex_ops == p.ex_ops
+        assert q.param_ids == p.param_ids
+        np.testing.assert_allclose(q.init_guess, p.init_guess, atol=0)
+        # a loaded problem runs on determinants; pair excitations there
+        # give the pair engine's energy and gradient
+        params = np.random.default_rng(5).uniform(-0.5, 0.5, p.n_params)
+        e_got, g_got = problem_energy_and_gradient(q, params)
+        e_want, g_want = problem_energy_and_gradient(p, params)
+        assert abs(e_got - e_want) <= 1e-12
+        np.testing.assert_allclose(g_got, g_want, rtol=0, atol=1e-12)
 
 
 def test_ansatz_parse_errors(tmp_path, h2):

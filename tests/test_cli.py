@@ -58,10 +58,12 @@ def test_unknown_fixture_is_a_usage_error(capsys):
 
 
 def test_domain_error_exits_one(capsys):
-    code, _, err = run(capsys, "vqe", "--fcidump", "h2_sto3g",
-                       "--active-space", "2,5")
-    assert code == 1
-    assert "InvalidActiveSpace" in err
+    for argv in (("vqe", "--fcidump", "h2_sto3g", "--active-space", "2,5"),
+                 ("fci", "--fcidump", "h4_sto3g", "--active-space", "0,0"),
+                 ("fci", "--fcidump", "h4_sto3g", "--active-space=-2,3")):
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert "InvalidActiveSpace" in err
 
 
 def test_non_finite_integrals_exit_one(capsys, tmp_path):

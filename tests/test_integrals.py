@@ -113,6 +113,11 @@ def test_scf_reference_energies(name, reference_scf):
         orbital_energies(s), ref["orbital_energies"], atol=1e-9)
 
 
+def test_integral_set_needs_an_orbital():
+    with pytest.raises(InvalidModel, match="at least one orbital"):
+        IntegralSet(0, 0, np.zeros((0, 0)), np.zeros((0,) * 4))
+
+
 def test_hf_energy_without_two_electron_terms():
     rng = np.random.default_rng(2)
     n_orb, n_elec = 3, 4
@@ -225,3 +230,7 @@ def test_active_space_window_validation(h4):
         active_space_reduce(h4, 2, 5)
     with pytest.raises(InvalidActiveSpace):
         active_space_reduce(h4, 6, 2)
+    with pytest.raises(InvalidActiveSpace, match="at least one active"):
+        active_space_reduce(h4, 0, 0)
+    with pytest.raises(InvalidActiveSpace, match="non-negative electron"):
+        active_space_reduce(h4, -2, 3)
