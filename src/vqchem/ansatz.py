@@ -29,6 +29,7 @@ import numpy as np
 from .civector import (
     CISpace,
     _check_param_map,
+    _generator_gradient,
     _pair_hop_table,
     _pair_sigma,
     _pair_tables,
@@ -367,17 +368,14 @@ def build_operator_pool(n_orb: int, n_elec: int) -> OperatorPool:
 
 def _pool_gradients(space: CISpace, pool: OperatorPool, psi: np.ndarray,
                     h_psi: np.ndarray) -> np.ndarray:
-    """dE/dtheta of each pool group added to ``psi``: over its members, 2 <H
-    psi| G |psi> = 2 (<h_psi[r], psi[c]> - <h_psi[c], psi[r]>) read through
-    the cached rotation tables (Grimsley et al., Nat. Commun. 10, 3007)."""
-    grads = np.zeros(len(pool.groups))
-    for k, group in enumerate(pool.groups):
-        for table in _pair_tables(space, group):
-            if table is not None:
-                r, c = table
-                grads[k] += 2.0 * (np.dot(h_psi[r], psi[c])
-                                   - np.dot(h_psi[c], psi[r]))
-    return grads
+    """dE/dtheta of each pool group added to ``psi``: over its members, the
+    reverse sweep's gradient read on z = psi + i H psi through the cached
+    rotation tables (Grimsley et al., Nat. Commun. 10, 3007)."""
+    z = psi + 1j * h_psi
+    return np.array([sum(_generator_gradient(z[table])
+                         for table in _pair_tables(space, group)
+                         if table is not None) for group in pool.groups],
+                    dtype=np.float64)
 
 
 @dataclass

@@ -302,18 +302,15 @@ def _term_table(space: CISpace, term: tuple):
 
 
 def _pair_table(space: CISpace, ex: tuple):
-    """Rotation table of a validated excitation, cached per space under
-    ``("G", ex)``; None when G vanishes (creation set equal to annihilation
-    set, or no determinant reached)."""
-    key = ("G", ex)
-    if key in space._action_cache:
-        return space._action_cache[key]
+    """Rotation table of a validated excitation, stored per space under
+    ``("G", ex)`` for :func:`_pair_tables`; None when G vanishes (creation
+    set equal to annihilation set, or no determinant reached)."""
     half = len(ex) // 2
     table = None
     if set(ex[:half]) != set(ex[half:]):
         table = _term_table(space, tuple((i, True) for i in ex[:half])
                             + tuple((i, False) for i in ex[half:]))
-    space._action_cache[key] = table
+    space._action_cache["G", ex] = table
     return table
 
 
@@ -336,39 +333,39 @@ def _forward(tables, params, ids, start) -> np.ndarray:
     return amps
 
 
+def _generator_gradient(zt: np.ndarray) -> float:
+    """2 <H psi|G|psi> = -2 Im <z_r, z_c>, zt = z[table], z = psi + i H psi."""
+    return -2.0 * np.vdot(zt[0], zt[1]).imag
+
+
 def _sweep(tables, params, ids, start, apply_h):
     """Energy <psi|H|psi> and its gradient, psi = _forward(...).
 
-    Reverse sweep: keep a bra vector (starting at H|psi>) and a ket vector
-    (starting at |psi>) and peel one factor off both per step.  Each step
-    gathers the factor's pairs of both vectors once, reads the gradient of
-    factor k from them, 2 <bra| G_k |ket> = 2 (<bra_r, ket_c> - <bra_c,
-    ket_r>), and rotates both back by R(-theta_k).  Shared parameter ids
-    sum their factor gradients.  Two working vectors regardless of depth.
-    """
-    ket = _forward(tables, params, ids, start)
-    bra = apply_h(ket)
-    e = float(np.dot(ket, bra))
+    Reverse sweep on one working vector z = psi + i H psi (ket and bra as
+    real and imaginary parts): per factor, last first, one gather of its
+    pairs, the :func:`_generator_gradient` read, one rotation back by
+    R(-theta_k) and one scatter.  Shared ids sum their factor gradients."""
+    psi = _forward(tables, params, ids, start)
+    h_psi = apply_h(psi)
+    e = float(np.dot(psi, h_psi))
+    z = psi + 1j * h_psi
     grad = np.zeros(len(params))
     back = _rotations(-params[ids])
     for k in reversed(range(len(tables))):
         table = tables[k]
-        if table is None:
-            continue
-        kt, bt = ket[table], bra[table]
-        grad[ids[k]] += 2.0 * (np.dot(bt[0], kt[1]) - np.dot(bt[1], kt[0]))
-        ket[table] = back[k] @ kt
-        bra[table] = back[k] @ bt
+        if table is not None:
+            zt = z[table]
+            grad[ids[k]] += _generator_gradient(zt)
+            z[table] = back[k] @ zt
     return e, grad
 
 
 def apply_excitation(space: CISpace, v, ex) -> CIVector:
     """Apply the anti-Hermitian generator G = g - g-dagger of the excitation
     tuple ``ex`` (creation indices first, annihilation indices last)."""
-    ex = _validate_excitation(space, ex)
     amps = _amps(v)
     out = np.zeros_like(amps)
-    table = _pair_table(space, ex)
+    table = _pair_tables(space, [ex])[0]
     if table is not None:
         rows, cols = table
         out[rows] = amps[cols]

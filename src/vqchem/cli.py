@@ -199,26 +199,35 @@ def _resolve_integrals(args: argparse.Namespace) -> IntegralSet:
     return s
 
 
+def _nonempty(values: list, flag: str) -> list:
+    if not values:
+        raise _UsageError(f"--{flag}: the list is empty")
+    return values
+
+
 def _int_list(text: str, flag: str) -> list[int]:
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        values = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise _UsageError(f"--{flag}: expected comma-separated integers")
+    return _nonempty(values, flag)
 
 
 def _float_grid(text: str, flag: str) -> list[float]:
-    """Comma list ``a,b,c`` or inclusive range ``start:stop:step``."""
+    """Comma list ``a,b,c`` or inclusive range ``start:stop:step``; an
+    empty one (a range stepping away from its stop) is a usage error."""
     try:
         if ":" in text:
             start, stop, step = (float(tok) for tok in text.split(":"))
             if step == 0:
                 raise ValueError
             n = int(round((stop - start) / step))
-            grid = [start + k * step for k in range(n + 1)]
-            return [round(x, 12) for x in grid]
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+            grid = [round(start + k * step, 12) for k in range(n + 1)]
+        else:
+            grid = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise _UsageError(f"--{flag}: expected 'a,b,c' or 'start:stop:step'")
+    return _nonempty(grid, flag)
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -900,15 +909,10 @@ def _run_sweep(args: argparse.Namespace) -> int:
         header, rows, extra = _sweep_dg(args)
     else:
         header, rows = _sweep_files(args)
-    if args.format == "csv":
-        _emit(_csv_text(header, rows), args.output)
-    else:
-        payload = {"columns": header,
-                   "rows": [[(None if isinstance(x, float) and math.isnan(x)
-                              else x) for x in row] for row in rows]}
-        payload.update(extra)
-        _emit(_json_text(payload), args.output)
-    return 0
+    payload = {"columns": header, **extra,
+               "rows": [[(None if isinstance(x, float) and math.isnan(x)
+                          else x) for x in row] for row in rows]}
+    return _finish(args, payload, header, rows, "")
 
 
 # ---------------------------------------------------------------------------

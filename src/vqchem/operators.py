@@ -212,10 +212,10 @@ class QubitOperator:
     def __add__(self, other: "QubitOperator") -> "QubitOperator":
         if self.n_qubits != other.n_qubits:
             raise InvalidOperator("operator size mismatch in add")
-        out = dict(self.terms)
-        for term, c in other.terms.items():
-            out[term] = out.get(term, 0.0) + c
-        return QubitOperator(self.n_qubits, out)
+        out = QubitOperator(self.n_qubits)  # both operands' terms are normal
+        out.terms = self.terms | {t: self.terms.get(t, 0.0) + c
+                                  for t, c in other.terms.items()}
+        return out
 
     def __sub__(self, other: "QubitOperator") -> "QubitOperator":
         return self + (-1.0) * other

@@ -9,6 +9,7 @@ from vqchem import (
     InvalidExcitation,
     InvalidParamMap,
     InvalidParams,
+    OperatorPool,
     ParseError,
     UCCProblem,
     adapt_vqe,
@@ -481,6 +482,39 @@ def test_pool_gradients_match_generator_loop(case, request):
         np.testing.assert_allclose(
             _pool_gradients(space, pool, psi, h_psi),
             adapt_pool_gradients(space, pool, psi, h_psi), rtol=0, atol=1e-12)
+
+
+def test_vanishing_generator_is_skipped_with_zero_gradient(h4):
+    """A factor whose creation set equals its annihilation set is the
+    identity: inserted between two live factors with its own parameter, it
+    leaves the state and the energy unchanged and reads a gradient of 0."""
+    space = make_ci_space(4, 4)
+    problem = make_uccsd_problem(h4)
+    ex_ops, ids = problem.ex_ops, problem.param_ids
+    params = np.random.default_rng(7).normal(scale=0.3,
+                                             size=len(problem.init_guess))
+    dead = (4, 0, 4, 0)
+    assert civector._pair_tables(space, [dead]) == [None]
+    assert all(t is not None for t in civector._pair_tables(space,
+                                                             ex_ops[:2]))
+    new_id = len(params)
+    with_dead = ex_ops[:1] + [dead] + ex_ops[1:]
+    with_ids = ids[:1] + [new_id] + ids[1:]
+    with_params = np.append(params, 0.9)
+    e, grad = civector.energy_and_gradient(space, ex_ops, params, ids, h4)
+    e_dead, grad_dead = civector.energy_and_gradient(
+        space, with_dead, with_params, with_ids, h4)
+    assert e_dead == e
+    np.testing.assert_array_equal(
+        ucc_state(space, with_dead, with_params, with_ids).amplitudes,
+        ucc_state(space, ex_ops, params, ids).amplitudes)
+    assert grad_dead[new_id] == 0.0
+    np.testing.assert_allclose(grad_dead[:new_id], grad, rtol=0, atol=1e-12)
+    psi = ucc_state(space, ex_ops, params, ids).amplitudes
+    h_psi = apply_hamiltonian(space, psi, h4).amplitudes
+    pool_grads = _pool_gradients(
+        space, OperatorPool([[dead], [ex_ops[0]]]), psi, h_psi)
+    assert pool_grads[0] == 0.0 and pool_grads[1] != 0.0
 
 
 def test_adapt_vqe_h6_group_order(h6):

@@ -108,6 +108,19 @@ def test_bad_grid_is_a_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flags, flag", [
+    (("--kind", "noise", "--p-grid", "0:1:-0.1"), "--p-grid"),
+    (("--kind", "shots", "--shots-grid", ","), "--shots-grid"),
+    (("--kind", "noise", "--layers", ","), "--layers"),
+    (("--kind", "dg", "--dg-grid", "0:-2:0.25"), "--dg-grid"),
+])
+def test_empty_sweep_grid_is_a_usage_error(capsys, flags, flag):
+    code, out, err = run(capsys, "sweep", "--fcidump", "h2_sto3g", *flags,
+                         "--format", "json")
+    assert code == 2 and out == ""
+    assert err.startswith(f"usage error: {flag}:")
+
+
 @pytest.mark.parametrize("argv", [
     ("fci", "--fcidump", "h2_sto3g", "--seed", "1"),
     ("adapt", "--fcidump", "h2_sto3g", "--seed", "1"),

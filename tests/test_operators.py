@@ -415,6 +415,24 @@ def test_qubit_operator_validation():
         QubitOperator(2, {((0, "Q"),): 1.0})
 
 
+def test_qubit_operator_sum_reuses_normal_terms(monkeypatch):
+    """A sum merges the operands' already-normalised terms: no term is
+    validated and sorted again, so repeated addition stays linear."""
+    a = QubitOperator(4, {((0, "X"),): 1.0, ((1, "Z"), (2, "Y")): 0.5j,
+                          (): -2.0})
+    b = QubitOperator(4, {((3, "Z"),): 0.25, ((0, "Y"), (1, "X")): 1.5,
+                          ((2, "Z"),): -1.0})
+    calls = []
+    normalize = QubitOperator._normalize_term
+    monkeypatch.setattr(QubitOperator, "_normalize_term",
+                        lambda self, term: calls.append(term)
+                        or normalize(self, term))
+    total = a + b
+    assert calls == []
+    assert list(total.terms) == list(a.terms) + list(b.terms)
+    assert total.terms == {**a.terms, **b.terms}
+
+
 def test_qubit_operator_product_matches_dense():
     rng = np.random.default_rng(5)
     n = 3

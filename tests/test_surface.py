@@ -5,6 +5,7 @@ dependency."""
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -63,3 +64,23 @@ def test_runtime_dependencies_are_numpy_alone():
     project = tomllib.loads((ROOT / "pyproject.toml").read_text(
         encoding="utf-8"))["project"]
     assert [dep.split(">")[0] for dep in project["dependencies"]] == ["numpy"]
+
+
+def test_package_imports_numpy_and_the_standard_library_alone():
+    """Every import statement in the package, those inside functions too,
+    names numpy, the package itself (absolute or relative) or a
+    standard-library module, so no undeclared runtime dependency can slip
+    past the ``pyproject.toml`` check above."""
+    foreign = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{path.name}: {name}" for name in names
+                        if name.split(".")[0] not in
+                        {"numpy", "vqchem"} | sys.stdlib_module_names]
+    assert foreign == []
