@@ -174,16 +174,26 @@ class NoiseModel:
     channels: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        clean = {}
+        clean, superops = {}, {}
         for kind, kraus in self.channels.items():
             if kind not in _GATE_KINDS:
                 raise InvalidChannel(f"noise on unknown gate kind {kind!r}")
             clean[kind] = _validate_kraus([np.asarray(k, dtype=complex)
                                            for k in kraus])
+            stack = np.array(clean[kind])
+            # sum K (x) conj(K) from 0 in Kraus order, as sum() adds
+            superops[kind] = _kron_pairs(stack, stack.conj()).sum(
+                axis=0, initial=0)
         object.__setattr__(self, "channels", clean)
-        object.__setattr__(self, "superops", {
-            kind: sum(np.kron(k, k.conj()) for k in kraus)
-            for kind, kraus in clean.items()})
+        object.__setattr__(self, "superops", superops)
+
+
+def _kron_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron(a[i], b[i]) for every i of two stacks of square matrices:
+    the same elementwise products, in one broadcast."""
+    k, d, e = len(a), a.shape[1], b.shape[1]
+    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(
+        k, d * e, d * e)
 
 
 def _validate_kraus(kraus) -> list:
@@ -193,13 +203,12 @@ def _validate_kraus(kraus) -> list:
     if dim not in (2, 4):
         raise InvalidChannel(
             f"Kraus operators must be 2x2 or 4x4, got {kraus[0].shape}")
-    total = np.zeros((dim, dim), dtype=complex)
-    for k in kraus:
-        if k.shape != (dim, dim):
-            raise InvalidChannel("Kraus operators differ in shape")
-        if not np.all(np.isfinite(k)):
-            raise InvalidChannel("Kraus operator has non-finite entries")
-        total += k.conj().T @ k
+    if any(k.shape != (dim, dim) for k in kraus):
+        raise InvalidChannel("Kraus operators differ in shape")
+    stack = np.array(kraus)
+    if not np.all(np.isfinite(stack)):
+        raise InvalidChannel("Kraus operator has non-finite entries")
+    total = np.einsum("kji,kjl->il", stack.conj(), stack)  # sum K^dagger K
     if np.max(np.abs(total - np.eye(dim))) > 1e-10:
         raise InvalidChannel("channel is not trace preserving")
     return list(kraus)
@@ -213,10 +222,13 @@ def depolarizing_channel(p: float, n_qubits: int) -> list:
         raise InvalidProbability(f"p={p} outside [0, 1]")
     if n_qubits not in (1, 2):
         raise InvalidChannel("depolarizing channel defined for 1 or 2 qubits")
-    paulis = [functools.reduce(np.kron, [_PAULI_MATS[ch] for ch in letters])
-              for letters in itertools.product("IXYZ", repeat=n_qubits)]
-    weight = math.sqrt(p / (len(paulis) - 1))
-    return [math.sqrt(1.0 - p) * paulis[0]] + [weight * m for m in paulis[1:]]
+    paulis = np.array([_PAULI_MATS[ch] for ch in "IXYZ"])
+    if n_qubits == 2:  # the 16 products, letters in "IXYZ" order
+        paulis = _kron_pairs(paulis.repeat(4, axis=0),
+                             np.tile(paulis, (4, 1, 1)))
+    scale = np.full(len(paulis), math.sqrt(p / (len(paulis) - 1)))
+    scale[0] = math.sqrt(1.0 - p)
+    return list(scale[:, None, None] * paulis)
 
 
 # ---------------------------------------------------------------------------

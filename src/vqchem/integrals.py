@@ -242,44 +242,43 @@ def canonicalize_integrals(s: IntegralSet) -> IntegralSet:
 def build_fermion_hamiltonian(s: IntegralSet) -> FermionOperator:
     """Second-quantized spin-orbital Hamiltonian.
 
-    Beta spin-orbitals sit at 0..N-1, alpha at N..2N-1.  Two-body terms are
-    emitted once per ordered pair of creation/annihilation index pairs
-    (P<Q, R<S) with the antisymmetrized coefficient, so no normal ordering is
-    ever needed downstream.
+    Beta spin-orbitals sit at 0..N-1, alpha at N..2N-1.  One-body terms
+    (P^ Q) come first, beta then alpha, in row-major order.  Two-body terms
+    are emitted once per ordered pair of creation/annihilation index pairs
+    (P<Q, R<S), row-major over the pair block, with the antisymmetrized
+    coefficient -(<PQ|RS> - <PQ|SR>), so no normal ordering is ever needed
+    downstream.  <PQ|RS> = (pr|qs) when P, R and Q, S share a spin, else 0.
+    Coefficients at or below 1e-12 in magnitude are dropped.
     """
     n = s.n_orb
     n_so = 2 * n
     terms: dict = {}
     if s.e_core != 0.0:
         terms[()] = s.e_core
-
-    def spatial(p_so: int) -> int:
-        return p_so - n if p_so >= n else p_so
-
-    def spin(p_so: int) -> int:
-        return 1 if p_so >= n else 0
-
+    p, q = np.nonzero(np.abs(s.int1e) > 1e-12)
     for sector in (0, n):
-        for p in range(n):
-            for q in range(n):
-                v = s.int1e[p, q]
-                if abs(v) > 1e-12:
-                    terms[((sector + p, True), (sector + q, False))] = v
+        terms.update((((sector + i, True), (sector + j, False)), v) for i, j, v
+                     in zip(p.tolist(), q.tolist(), s.int1e[p, q]))
 
-    # <PQ|RS> in physicists' notation from chemists' (pr|qs), spin-diagonal.
-    def phys(P, Q, R, S):
-        if spin(P) != spin(R) or spin(Q) != spin(S):
-            return 0.0
-        return s.int2e[spatial(P), spatial(R), spatial(Q), spatial(S)]
+    orb, spin = np.arange(n_so) % n, np.arange(n_so) // n
+    pairs = np.triu_indices(n_so, 1)  # P<Q, row-major
+    P, Q = (k[:, None] for k in pairs)  # creation pairs down the rows
+    R, S = (k[None, :] for k in pairs)  # annihilation pairs along columns
 
-    for P in range(n_so):
-        for Q in range(P + 1, n_so):
-            for R in range(n_so):
-                for S in range(R + 1, n_so):
-                    w = -(phys(P, Q, R, S) - phys(P, Q, S, R))
-                    if abs(w) > 1e-12:
-                        terms[((P, True), (Q, True), (R, False), (S, False))] = w
-    return FermionOperator(n_so, terms)
+    def phys(P, Q, R, S):  # <PQ|RS>, spin-diagonal, from chemists' (pr|qs)
+        same = (spin[P] == spin[R]) & (spin[Q] == spin[S])
+        return np.where(same, s.int2e[orb[P], orb[R], orb[Q], orb[S]], 0.0)
+
+    w = -(phys(P, Q, R, S) - phys(P, Q, S, R))
+    rows, cols = np.nonzero(np.abs(w) > 1e-12)  # in row-major order
+    pairs = list(zip(*(k.tolist() for k in pairs)))
+    cre = [((i, True), (j, True)) for i, j in pairs]
+    ann = [((i, False), (j, False)) for i, j in pairs]
+    terms.update((cre[r] + ann[c], v) for r, c, v
+                 in zip(rows.tolist(), cols.tolist(), w[rows, cols]))
+    out = FermionOperator(n_so)  # every index is in range by construction
+    out.terms = terms
+    return out
 
 
 def pair_hamiltonian(s: IntegralSet) -> tuple:

@@ -45,6 +45,7 @@ for _mat in _PAULI_MATS.values():
     _mat.flags.writeable = False  # shared by every caller
 
 _UNITS = np.array([1, 1j, -1, -1j])  # i^k for a phase exponent k
+_CHUNK = 2**16  # entries of the (strings, 2^n) arrays of one mask_action
 
 
 class FermionOperator:
@@ -66,6 +67,13 @@ class FermionOperator:
         for term in self.terms:
             self._check_term(term)
 
+    def _with_terms(self, terms: dict) -> "FermionOperator":
+        """A new operator on these spin-orbitals holding ``terms``, whose
+        indices are already checked: no term is checked again."""
+        out = FermionOperator(self.n_spin_orbitals)
+        out.terms = terms
+        return out
+
     def _check_term(self, term: LadderTerm) -> None:
         for idx, _ in term:
             if not 0 <= idx < self.n_spin_orbitals:
@@ -85,7 +93,7 @@ class FermionOperator:
         out = dict(self.terms)
         for term, c in other.terms.items():
             out[term] = out.get(term, 0.0) + c
-        return FermionOperator(self.n_spin_orbitals, out)
+        return self._with_terms(out)
 
     def __sub__(self, other: "FermionOperator") -> "FermionOperator":
         return self + (-1.0) * other
@@ -99,11 +107,8 @@ class FermionOperator:
                 for tb, cb in other.terms.items():
                     key = ta + tb
                     out[key] = out.get(key, 0.0) + ca * cb
-            return FermionOperator(self.n_spin_orbitals, out)
-        return FermionOperator(
-            self.n_spin_orbitals,
-            {t: c * other for t, c in self.terms.items()},
-        )
+            return self._with_terms(out)
+        return self._with_terms({t: c * other for t, c in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -115,11 +120,11 @@ class FermionOperator:
         for term, c in self.terms.items():
             conj = tuple((idx, not dag) for idx, dag in reversed(term))
             out[conj] = out.get(conj, 0.0) + np.conj(c)
-        return FermionOperator(self.n_spin_orbitals, out)
+        return self._with_terms(out)
 
     def simplify(self, tol: float = COEFF_CUTOFF) -> "FermionOperator":
-        out = {t: c for t, c in self.terms.items() if abs(c) > tol}
-        return FermionOperator(self.n_spin_orbitals, out)
+        return self._with_terms(
+            {t: c for t, c in self.terms.items() if abs(c) > tol})
 
     def normal_ordered(self) -> "FermionOperator":
         """Rewrite with creations left of annihilations, indices descending.
@@ -148,7 +153,7 @@ class FermionOperator:
                     break  # repeated fermionic operator annihilates the term
             else:
                 out[term] = out.get(term, 0.0) + coeff
-        return FermionOperator(self.n_spin_orbitals, out)
+        return self._with_terms(out)
 
     def is_hermitian(self, tol: float = 1e-10) -> bool:
         diff = (self - self.hermitian_conjugate()).normal_ordered()
@@ -188,6 +193,13 @@ class QubitOperator:
             key = self._normalize_term(term)
             self.terms[key] = self.terms.get(key, 0.0) + c
 
+    def _with_terms(self, terms: dict) -> "QubitOperator":
+        """A new operator on these qubits holding ``terms``, whose keys are
+        already normal: no term is validated and sorted again."""
+        out = QubitOperator(self.n_qubits)
+        out.terms = terms
+        return out
+
     def _normalize_term(self, term: PauliTerm) -> PauliTerm:
         seen = set()
         for q, letter in term:
@@ -212,10 +224,8 @@ class QubitOperator:
     def __add__(self, other: "QubitOperator") -> "QubitOperator":
         if self.n_qubits != other.n_qubits:
             raise InvalidOperator("operator size mismatch in add")
-        out = QubitOperator(self.n_qubits)  # both operands' terms are normal
-        out.terms = self.terms | {t: self.terms.get(t, 0.0) + c
-                                  for t, c in other.terms.items()}
-        return out
+        return self._with_terms(self.terms | {
+            t: self.terms.get(t, 0.0) + c for t, c in other.terms.items()})
 
     def __sub__(self, other: "QubitOperator") -> "QubitOperator":
         return self + (-1.0) * other
@@ -231,9 +241,7 @@ class QubitOperator:
             ab.imag = a.real[:, None] * b.imag + a.imag[:, None] * b.real
             return _mask_operator(self.n_qubits, *_collect(
                 x.ravel(), z.ravel(), (ab * _UNITS[k]).ravel()))
-        return QubitOperator(
-            self.n_qubits, {t: c * other for t, c in self.terms.items()}
-        )
+        return self._with_terms({t: c * other for t, c in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -241,8 +249,8 @@ class QubitOperator:
         return (-1.0) * self
 
     def simplify(self, tol: float = COEFF_CUTOFF) -> "QubitOperator":
-        out = {t: c for t, c in self.terms.items() if abs(c) > tol}
-        return QubitOperator(self.n_qubits, out)
+        return self._with_terms(
+            {t: c for t, c in self.terms.items() if abs(c) > tol})
 
     def is_hermitian(self, tol: float = 1e-10) -> bool:
         return all(abs(c.imag if isinstance(c, complex) else 0.0) <= tol
@@ -354,7 +362,7 @@ def pauli_traces(n: int, x, z, m: np.ndarray) -> np.ndarray:
     statevector psi (M = |psi><psi|), in chunks of about 2^16 entries."""
     rows, out = np.arange(m.shape[0]), []
     for at in np.array_split(np.arange(len(x)),
-                             1 + len(x) * rows.size // 2**16):
+                             1 + len(x) * rows.size // _CHUNK):
         target, phase = mask_action(n, x[at, None], z[at, None])
         terms = (m[rows, target] * phase if m.ndim == 2
                  else np.conj(m[target]) * phase * m)
@@ -410,8 +418,16 @@ def _fuse_runs(n: int, ops) -> _RotationRuns:
     and its product of rotations is exactly exp(-i Phi P_r) =
     cos(Phi) - i sin(Phi) P_r with the diagonal angle Phi = sum_k theta_k
     D_k; its derivative in theta_k is -i d_k P_r after the run.  Any other
-    string, a permutation or ``closes`` ends the run."""
-    signs = np.ones((1 << n, len(ops)), np.int8)  # cut to the members below
+    string, a permutation or ``closes`` ends the run.  One :func:`mask_action`
+    call gives the actions of a chunk of rotations, about ``_CHUNK`` entries
+    of (rotations, 2^n) arrays."""
+    xz = np.array([op[:2] for op in ops if not isinstance(op, np.ndarray)],
+                  np.int64).reshape(-1, 2)
+    per_call = max(1, _CHUNK >> n)
+    chunks = (xz[lo:lo + per_call] for lo in range(0, len(xz), per_call))
+    actions = chain.from_iterable(
+        zip(*mask_action(n, c[:, :1], c[:, 1:])) for c in chunks)
+    signs = np.ones((1 << n, len(xz)), np.int8)  # one column per member
     starts, phases, slots, angles, steps = [], [], [], [], []
     ref = None  # (x, z, phase) of the open run's first string
     for end, op in enumerate(ops):
@@ -420,7 +436,7 @@ def _fuse_runs(n: int, ops) -> _RotationRuns:
             ref = None
             continue
         x, z, slot, angle, closes = op
-        target, phase = mask_action(n, x, z)
+        target, phase = next(actions)
         if (ref is not None and x == ref[0]
                 and (x & (z ^ ref[1])).bit_count() % 2 == 0):
             # P_k P_r |i> = ratio_i |i>, real as the strings commute
@@ -428,17 +444,16 @@ def _fuse_runs(n: int, ops) -> _RotationRuns:
             steps[-1] = steps[-1][:2] + (end,)
         else:
             starts.append(len(slots))
-            phases.append(phase[target])
-            steps.append((target, len(phases) - 1, end))
+            phases.append(phase[target])  # copies: no chunk outlives us
+            steps.append((target.copy(), len(phases) - 1, end))
             ref = (x, z, phase)
         slots.append(slot)
         angles.append(angle)
         ref = None if closes else ref
     return _RotationRuns(np.array(starts + [len(slots)]),
                          np.array(phases, complex).reshape(-1, 1 << n),
-                         signs[:, :len(slots)],
-                         np.array(slots, np.intp), np.array(angles, float),
-                         tuple(steps))
+                         signs, np.array(slots, np.intp),
+                         np.array(angles, float), tuple(steps))
 
 
 def _pauli_product(x1, z1, x2, z2):
@@ -474,13 +489,20 @@ def _collect(x, z, v, *keys):
 
 
 def _mask_operator(n: int, x, z, v) -> QubitOperator:
-    """The operator sum_k v_k P(x_k, z_k), terms in array order."""
+    """The operator sum_k v_k P(x_k, z_k) of distinct strings, terms in
+    array order.  Copies of the arrays are its masks (:func:`_masks`)."""
     shift = np.arange(n - 1, -1, -1, dtype=np.uint64)  # qubit 0 first
     codes = (x[:, None] >> shift & 1) | (z[:, None] >> shift & 1) << 1
     letters = [(None, (q, "X"), (q, "Z"), (q, "Y")) for q in range(n)]
+    k, q = np.nonzero(codes)  # row-major: by term, then qubit
+    flat = [letters[i][c] for i, c in zip(q.tolist(), codes[k, q].tolist())]
+    ends = np.cumsum(np.count_nonzero(codes, axis=1)).tolist()
     op = QubitOperator(n)
-    op.terms = {tuple(letters[q][c] for q, c in enumerate(row) if c): c_k
-                for row, c_k in zip(codes.tolist(), v.tolist())}
+    op.terms = dict(zip((tuple(flat[a:b]) for a, b in zip([0] + ends, ends)),
+                        v.tolist()))
+    op._xz = *np.array([x, z], np.uint64), np.array(v, complex)
+    for a in op._xz:
+        a.flags.writeable = False
     return op
 
 
@@ -497,9 +519,18 @@ def _ladder_images(n: int, parity: bool) -> np.ndarray:
 
 def _fermion_image(op: FermionOperator, parity: bool):
     """Masks and coefficients of the qubit image of ``op``, small ones
-    dropped.  Terms of one length expand together; a term's strings are
-    summed after each factor, then the terms' sums in term order.  Scaling
-    by 1/2 and powers of i is exact, so that order alone fixes the bits."""
+    dropped.  Terms of one length expand together, factor by factor; equal
+    strings of a term are summed as they arise, then the terms' sums in
+    term order.  Scaling by 1/2 and powers of i is exact, so that order
+    alone fixes the bits.
+
+    Equal strings arise only in terms that repeat a spin-orbital.  The two
+    branches of a_j differ by Z_j (Jordan-Wigner) or Z_{j-1} Z_j (parity),
+    masks independent across distinct j, and every string of a term shares
+    one x; so a factor whose spin-orbital is new to its term keeps the
+    term's strings distinct.  The sum (:func:`_collect`) therefore runs
+    only on terms with a repeat, after each factor that completes one;
+    anywhere else it would return its input unchanged."""
     n = op.n_spin_orbitals
     if n > 64:
         raise SizeLimit(f"{n} spin-orbitals exceed the 64-bit Pauli masks")
@@ -514,18 +545,22 @@ def _fermion_image(op: FermionOperator, parity: bool):
     for length in np.flatnonzero(np.bincount(lengths)):
         rows = np.flatnonzero(lengths == length)
         f = factors[starts[rows, None] + np.arange(length)]
-        x = z = np.zeros(rows.size, dtype=np.uint64)
-        r, v = np.arange(rows.size), coeffs[rows]
-        for k in range(length):
-            img = table[f[r, k, 0]]
-            x, z, ph = _pauli_product(x[:, None], z[:, None],
-                                      img[..., 0], img[..., 1])
-            # branch 1 carries +i/2 for a_j and -i/2 = i^3/2 for a_j^dagger
-            ph = ph + (1 + 2 * f[r, k, 1, None]) * np.array([0, 1])
-            v = 0.5 * v[:, None] * _UNITS[ph & 3]
-            x, z, v, r = _collect(x.ravel(), z.ravel(), v.ravel(),
-                                  np.repeat(r, 2))
-        parts.append((rows[r], x, z, v))
+        idx = f[..., 0]  # repeats[t, k]: factor k repeats an earlier one
+        repeats = np.tril(idx[:, :, None] == idx[:, None, :], -1).any(axis=2)
+        for sub in (~repeats.any(axis=1), repeats.any(axis=1)):
+            x = z = np.zeros(np.count_nonzero(sub), dtype=np.uint64)
+            r, v = np.flatnonzero(sub), coeffs[rows[sub]]
+            for k in range(length):
+                img = table[f[r, k, 0]]
+                x, z, ph = _pauli_product(x[:, None], z[:, None],
+                                          img[..., 0], img[..., 1])
+                # branch 1 carries +i/2 for a_j and -i/2 = i^3/2 for a_j^dagger
+                ph = ph + (1 + 2 * f[r, k, 1, None]) * np.array([0, 1])
+                v = 0.5 * v[:, None] * _UNITS[ph & 3]
+                x, z, v, r = x.ravel(), z.ravel(), v.ravel(), np.repeat(r, 2)
+                if repeats[r, k].any():
+                    x, z, v, r = _collect(x, z, v, r)
+            parts.append((rows[r], x, z, v))
     term, x, z, v = (np.concatenate(a) for a in zip(*parts))
     order = np.argsort(term, kind="stable")
     x, z, v = _collect(x[order], z[order], v[order])

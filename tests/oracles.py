@@ -134,6 +134,46 @@ def number_conserving_hamiltonian_matrix(s) -> np.ndarray:
     return total
 
 
+def fermion_hamiltonian_terms(s) -> dict:
+    """The spin-orbital Hamiltonian's terms by explicit loops: e_core, then
+    h_pq a+_P a_Q per spin sector (beta, then alpha) over (p, q), then for
+    every P<Q and R<S, in loop order, -(<PQ|RS> - <PQ|SR>) a+_P a+_Q a_R a_S
+    with <PQ|RS> = (pr|qs) when P, R and Q, S share a spin.  Coefficients
+    at or below 1e-12 in magnitude are dropped."""
+    n = s.n_orb
+    n_so = 2 * n
+    terms: dict = {}
+    if s.e_core != 0.0:
+        terms[()] = s.e_core
+
+    def spatial(p_so: int) -> int:
+        return p_so - n if p_so >= n else p_so
+
+    def spin(p_so: int) -> int:
+        return 1 if p_so >= n else 0
+
+    for sector in (0, n):
+        for p in range(n):
+            for q in range(n):
+                v = s.int1e[p, q]
+                if abs(v) > 1e-12:
+                    terms[((sector + p, True), (sector + q, False))] = v
+
+    def phys(P, Q, R, S):
+        if spin(P) != spin(R) or spin(Q) != spin(S):
+            return 0.0
+        return s.int2e[spatial(P), spatial(R), spatial(Q), spatial(S)]
+
+    for P in range(n_so):
+        for Q in range(P + 1, n_so):
+            for R in range(n_so):
+                for S in range(R + 1, n_so):
+                    w = -(phys(P, Q, R, S) - phys(P, Q, S, R))
+                    if abs(w) > 1e-12:
+                        terms[((P, True), (Q, True), (R, False), (S, False))] = w
+    return terms
+
+
 def sparse_ladder_product(n_so: int, term) -> "scipy.sparse.csr_matrix":
     """Sparse Fock-space matrix of a product of ladder operators, same
     convention as :func:`dense_ladder` but built column-by-column with bit

@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import itertools
 import json
 import math
 import os
@@ -313,6 +315,59 @@ def test_x_and_cnot_flips_match_embedded_unitaries(n, data):
             np.testing.assert_array_equal(got, u @ x)
 
 
+def _chunk_case(case):
+    """(circuit, noise) of a chunked-compile case."""
+    if case == "vha":  # the dynamics command's default spin-boson VHA
+        from vqchem import (build_vha, coherent_state, encode_state,
+                            qubit_encode, spin_boson_model)
+        enc = qubit_encode(*spin_boson_model(0.0, 1.0, 1.0, 0.5, 8), "gray")
+        start = np.kron([1.0, 0.0], coherent_state(0.0, 8))
+        return build_vha(enc, 3, encode_state(enc, start)), None
+    noise = NoiseModel({"CNOT": depolarizing_channel(0.02, 2)})
+    return {"ry6": (build_ry_ansatz(6, 2), None),
+            "ry6-noisy": (build_ry_ansatz(6, 2), noise),
+            "ry10": (build_ry_ansatz(10, 2), None)}[case]
+
+
+@pytest.mark.parametrize("case", ["ry6", "ry6-noisy", "ry10", "vha"])
+def test_chunked_compile_matches_one_rotation_per_call(case, monkeypatch):
+    """The compile reads the rotations' actions from mask_action in chunks
+    of rotations.  A budget of three rotations per call and the default
+    give every field of the runs bit for bit as one rotation per call
+    does; the sign table holds the member columns alone, and no step's
+    target is a view that keeps a chunk alive."""
+    from vqchem import operators
+
+    c, noise = _chunk_case(case)
+    n_rot = sum(g.kind in ("RY", "PAULI_ROT") for g in c.gates)
+    calls, action = [], operators.mask_action
+    monkeypatch.setattr(operators, "mask_action",
+                        lambda n, x, z: calls.append(len(x)) or action(n, x, z))
+    default = _compile(c, noise)
+    assert calls == [n_rot]  # every case fits in 2^16 entries
+
+    def compile_in_chunks_of(per_call):
+        calls.clear()
+        monkeypatch.setattr(operators, "_CHUNK", per_call << c.n_qubits)
+        runs = _compile(c, noise)
+        assert sum(calls) == n_rot and set(calls[:-1]) == {per_call}
+        return runs
+
+    want, chunked = compile_in_chunks_of(1), compile_in_chunks_of(3)
+    for runs in (default, chunked):
+        for name in ("starts", "phases", "signs", "slots", "angles"):
+            got, ref = getattr(runs, name), getattr(want, name)
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+        assert [s[1:] for s in runs.steps] == [s[1:] for s in want.steps]
+        for (target, _, _), (ref, _, _) in zip(runs.steps, want.steps):
+            assert target.dtype == ref.dtype
+            np.testing.assert_array_equal(target, ref)
+            assert target.base is None
+        assert runs.signs.shape == (1 << c.n_qubits, n_rot)
+        assert runs.signs.base is None
+
+
 def test_gates_keep_no_memory():
     """Simulating a circuit leaves nothing behind: after 40 distinct Pauli
     rotations on 12 qubits, tracemalloc's current size is back near its
@@ -449,6 +504,48 @@ def test_noise_model_is_fixed_at_construction():
     noise = NoiseModel({"CNOT": depolarizing_channel(0.1, 2)})
     with pytest.raises(dataclasses.FrozenInstanceError):
         noise.channels = {"CNOT": [np.eye(4) * 0.5]}
+
+
+def _assert_superop_is_kraus_sum(kraus):
+    """NoiseModel's superoperator equals sum(K (x) conj(K)) bit for bit,
+    signed zeros included."""
+    kind = "CNOT" if kraus[0].shape == (4, 4) else "RY"
+    want = sum(np.kron(k, k.conj()) for k in kraus)
+    got = NoiseModel({kind: kraus}).superops[kind]
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2])
+@pytest.mark.parametrize("p", [0.0, 0.02, 0.3, 1.0])
+def test_depolarizing_channel_is_the_kron_products_bit_for_bit(p, n_qubits):
+    """The Kraus list is sqrt(1 - p) I and sqrt(p / (4^k - 1)) times the
+    Kronecker products of the other letters, in "IXYZ" order, bit for bit;
+    so is its superoperator."""
+    paulis = [functools.reduce(np.kron, [PAULI_1Q[ch] for ch in letters])
+              for letters in itertools.product("IXYZ", repeat=n_qubits)]
+    weight = math.sqrt(p / (len(paulis) - 1))
+    want = [math.sqrt(1.0 - p) * paulis[0]] + [weight * m for m in paulis[1:]]
+    got = depolarizing_channel(p, n_qubits)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+    _assert_superop_is_kraus_sum(got)
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2])
+@pytest.mark.parametrize("channel", ["amplitude-damping", "random-isometry",
+                                     "signed-zero"])
+def test_superoperator_is_the_kraus_sum_bit_for_bit(channel, n_qubits):
+    """Also for a unitary whose K (x) conj(K) has -0.0 entries, which
+    sum() turns into +0.0 as it adds them to 0."""
+    if channel == "signed-zero":
+        k = np.diag([complex(-1.0, -0.0)] + [1.0] * (2 ** n_qubits - 1))
+        assert np.signbit(np.kron(k, k.conj()).real).any()
+        kraus = [k]
+    else:
+        kraus = _CHANNELS[channel](np.random.default_rng(23), n_qubits)
+    _assert_superop_is_kraus_sum(kraus)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])

@@ -22,7 +22,11 @@ from vqchem import (
     parse_fcidump,
     write_fcidump,
 )
-from oracles import dense_fermion_operator, number_conserving_hamiltonian_matrix
+from oracles import (
+    dense_fermion_operator,
+    fermion_hamiltonian_terms,
+    number_conserving_hamiltonian_matrix,
+)
 
 FIXTURES = ["h2_sto3g", "h2_sto3g_stretched", "h4_sto3g", "h6_sto3g"]
 
@@ -166,6 +170,29 @@ def test_fermion_hamiltonian_matches_raw_integrals_random():
         number_conserving_hamiltonian_matrix(s),
         atol=1e-10,
     )
+
+
+@pytest.mark.parametrize("case", ["h2", "h4", "h6", "hubbard", "random",
+                                  "h6-active"])
+def test_fermion_hamiltonian_matches_loop_oracle_bit_for_bit(case, request):
+    """Keys, key order and coefficient bits equal the explicit loops: the
+    qubit images' bits depend on both, and a dense comparison to 1e-10
+    sees neither.  The active space of h6 carries a non-zero e_core."""
+    if case == "hubbard":
+        s = build_hubbard(4, 1.0, 4.0)
+    elif case == "random":
+        s = random_integral_set(np.random.default_rng(17), 4, 4)
+    elif case == "h6-active":
+        s = active_space_reduce(request.getfixturevalue("h6"), 2, 4).reduced
+        assert s.e_core != 0.0
+    else:
+        s = request.getfixturevalue(case)
+    want = fermion_hamiltonian_terms(s)
+    got = build_fermion_hamiltonian(s).terms
+    assert list(got) == list(want)
+    for term, c in want.items():
+        assert type(got[term]) is type(c)
+        assert np.float64(got[term]).tobytes() == np.float64(c).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -416,10 +416,11 @@ def test_qubit_operator_validation():
 
 
 def test_qubit_operator_sum_reuses_normal_terms(monkeypatch):
-    """A sum merges the operands' already-normalised terms: no term is
-    validated and sorted again, so repeated addition stays linear."""
+    """Sums, differences, scalar multiples, negation and simplify build on
+    the operands' already-normalised terms: no term is validated and
+    sorted again, so repeated arithmetic stays linear."""
     a = QubitOperator(4, {((0, "X"),): 1.0, ((1, "Z"), (2, "Y")): 0.5j,
-                          (): -2.0})
+                          (): -2.0, ((3, "X"),): 1e-14})
     b = QubitOperator(4, {((3, "Z"),): 0.25, ((0, "Y"), (1, "X")): 1.5,
                           ((2, "Z"),): -1.0})
     calls = []
@@ -428,9 +429,36 @@ def test_qubit_operator_sum_reuses_normal_terms(monkeypatch):
                         lambda self, term: calls.append(term)
                         or normalize(self, term))
     total = a + b
-    assert calls == []
     assert list(total.terms) == list(a.terms) + list(b.terms)
     assert total.terms == {**a.terms, **b.terms}
+    scaled, negated, diff, small = 2.0 * a, -a, a - b, a.simplify()
+    assert calls == []
+    assert scaled.terms == {t: 2.0 * c for t, c in a.terms.items()}
+    assert negated.terms == {t: -1.0 * c for t, c in a.terms.items()}
+    assert diff.terms == {**a.terms, **{t: -c for t, c in b.terms.items()}}
+    assert list(small.terms) == list(a.terms)[:3]
+
+
+def test_fermion_operator_arithmetic_reuses_checked_terms(monkeypatch):
+    """Sums, differences, scalar multiples and simplify keep the operands'
+    already-checked terms: no index is range-checked again."""
+    a = FermionOperator(4, {((0, True), (1, False)): 1.0,
+                            ((3, True), (2, True), (1, False), (0, False)):
+                            0.5j, (): 1e-14})
+    b = FermionOperator(4, {((1, True), (0, False)): -0.25,
+                            ((0, True), (1, False)): 2.0})
+    calls = []
+    check = FermionOperator._check_term
+    monkeypatch.setattr(FermionOperator, "_check_term",
+                        lambda self, term: calls.append(term)
+                        or check(self, term))
+    total, scaled, diff, small = a + b, 3.0 * a, a - b, a.simplify()
+    assert calls == []
+    assert list(total.terms) == list(a.terms) + [((1, True), (0, False))]
+    assert total.terms[((0, True), (1, False))] == 3.0
+    assert scaled.terms == {t: 3.0 * c for t, c in a.terms.items()}
+    assert diff.terms[((0, True), (1, False))] == -1.0
+    assert list(small.terms) == list(a.terms)[:2]
 
 
 def test_qubit_operator_product_matches_dense():
