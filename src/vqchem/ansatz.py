@@ -162,7 +162,7 @@ def generate_kupccgsd(n_orb: int, n_elec: int, k: int):
     shared) followed by generalized paired doubles (all spatial pairs);
     parameters are independent across layers."""
     if k < 1:
-        raise ValueError(f"layer count k must be >= 1, got {k}")
+        raise InvalidParams(f"layer count k must be >= 1, got {k}")
     ex_ops: list = []
     param_ids: list = []
     pid = -1
@@ -304,8 +304,8 @@ def build_puccd_hamiltonian(s: IntegralSet) -> QubitOperator:
     n = s.n_orb
     h, v, w = pair_hamiltonian(s)
     one = QubitOperator.identity(n)
-    pauli = lambda ch, *orbs: QubitOperator.from_term(
-        n, [(n - 1 - p, ch) for p in orbs])
+    pauli = lambda ch, *orbs: QubitOperator(
+        n, {tuple((n - 1 - p, ch) for p in orbs): 1.0})
     num = [0.5 * (one - pauli("Z", p)) for p in range(n)]
     op = s.e_core * one
     for p in range(n):  # row p: n_p (h_p + v_pp + sum_q 2 w_pq n_q) + hops
@@ -400,7 +400,7 @@ def adapt_vqe(s: IntegralSet, pool: OperatorPool, epsilon: float,
     from .vqe import kernel  # deferred to avoid a module cycle
 
     if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+        raise InvalidParams(f"epsilon must be positive, got {epsilon}")
     space = make_ci_space(s.n_orb, s.n_elec)
     ex_ops: list = []
     param_ids: list = []

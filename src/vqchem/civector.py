@@ -182,17 +182,11 @@ class CIVector:
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=np.float64).ravel()
         if amps.size != self.space.dim:
-            raise ValueError(
+            raise InvalidParams(
                 f"amplitude length {amps.size} != space dimension "
                 f"{self.space.dim}"
             )
         self.amplitudes = amps
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def copy(self) -> "CIVector":
-        return CIVector(self.space, self.amplitudes.copy())
 
 
 def _amps(v) -> np.ndarray:
@@ -659,15 +653,15 @@ def _pair_tables(space: CISpace, ex_ops) -> list:
 
 def _start(space: CISpace, initial) -> np.ndarray:
     """Amplitudes of the initial vector, the HF determinant by default.  A
-    vector of another space, or of the wrong length, raises ValueError."""
+    vector of another space, or of the wrong length, raises InvalidParams."""
     if initial is None:
         return hf_vector(space).amplitudes
     if isinstance(initial, CIVector):
         other = initial.space
         if ((other.n_orb, other.n_alpha, other.n_beta)
                 != (space.n_orb, space.n_alpha, space.n_beta)):
-            raise ValueError(f"initial vector belongs to {other}, not to "
-                             f"{space}")
+            raise InvalidParams(f"initial vector belongs to {other}, not "
+                                f"to {space}")
     return CIVector(space, _amps(initial)).amplitudes
 
 
@@ -883,7 +877,7 @@ def save_civector(path, v: CIVector) -> None:
 def load_civector(path, space: CISpace | None = None) -> CIVector:
     """Read a vector written by :func:`save_civector`.  A malformed file or
     a non-finite amplitude raises ParseError; a vector of another space
-    raises ValueError."""
+    raises InvalidParams."""
     raw = Path(path).read_bytes()
     if len(raw) < 12:
         raise ParseError(f"state file has {len(raw)} bytes, less than its "
@@ -897,7 +891,7 @@ def load_civector(path, space: CISpace | None = None) -> CIVector:
     if space is not None and (
             (space.n_orb, space.n_alpha, space.n_beta)
             != (n_orb, n_alpha, n_beta)):
-        raise ValueError("stored vector belongs to a different space")
+        raise InvalidParams("stored vector belongs to a different space")
     dim = comb(n_orb, n_alpha) * comb(n_orb, n_beta)
     if len(raw) - 12 != 8 * dim:
         raise ParseError(

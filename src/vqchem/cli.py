@@ -215,19 +215,34 @@ def _int_list(text: str, flag: str) -> list[int]:
 
 def _float_grid(text: str, flag: str) -> list[float]:
     """Comma list ``a,b,c`` or inclusive range ``start:stop:step``; an
-    empty one (a range stepping away from its stop) is a usage error."""
+    empty one (a range stepping away from its stop) or a range of more than
+    ``_GRID_LIMIT`` points is a usage error."""
     try:
         if ":" in text:
             start, stop, step = (float(tok) for tok in text.split(":"))
             if step == 0:
                 raise ValueError
             n = int(round((stop - start) / step))
+            if n >= _GRID_LIMIT:
+                raise _UsageError(f"--{flag}: {n + 1:,} points exceed the "
+                                  f"limit of {_GRID_LIMIT:,}")
             grid = [round(start + k * step, 12) for k in range(n + 1)]
         else:
             grid = [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
+    except (ValueError, OverflowError):
         raise _UsageError(f"--{flag}: expected 'a,b,c' or 'start:stop:step'")
     return _nonempty(grid, flag)
+
+
+def _at_least(low: int):
+    """argparse type: an integer of at least ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)  # argparse: "invalid int value: ..."
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"
+    return parse
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -792,12 +807,13 @@ def _run_convert(args: argparse.Namespace) -> int:
 
 # ``--layers`` per kind: a list for noise, a count otherwise
 _SWEEP_LAYERS = {"noise": "1,2,3", "shots": "1", "dg": "3"}
+_GRID_LIMIT = 10_000  # points of one start:stop:step range of a grid flag
 
 
 def _sweep_noise(args: argparse.Namespace) -> tuple[list[str], list[list]]:
+    p_grid = _float_grid(args.p_grid, "p-grid")
     s = _resolve_integrals(args)
     h = _qubit_hamiltonian(s, args.transform)
-    p_grid = _float_grid(args.p_grid, "p-grid")
     header = ["p"] + [f"e_layers{layers}" for layers in args.layers]
     columns = []
     for layers in args.layers:
@@ -814,6 +830,7 @@ def _sweep_noise(args: argparse.Namespace) -> tuple[list[str], list[list]]:
 
 
 def _sweep_shots(args: argparse.Namespace) -> tuple[list[str], list[list]]:
+    shots_grid = _int_list(args.shots_grid, "shots-grid")
     s = _resolve_integrals(args)
     h = _qubit_hamiltonian(s, args.transform)
     circuit = build_ry_ansatz(h.n_qubits, args.layers)
@@ -821,7 +838,6 @@ def _sweep_shots(args: argparse.Namespace) -> tuple[list[str], list[list]]:
     optimum = hea_kernel(circuit, init, h)
     psi = simulate_state(circuit, optimum.x)
     exact = expectation(psi, h)
-    shots_grid = _int_list(args.shots_grid, "shots-grid")
     rows = []
     for i, shots in enumerate(shots_grid):
         samples = np.array([
@@ -977,7 +993,7 @@ def _add_ansatz(sub: argparse.ArgumentParser) -> None:
                           "(default: %(default)s)")
     sub.add_argument("--ansatz-file", dest="ansatz_file",
                      help="excitation list for --ansatz custom")
-    sub.add_argument("--maxiter", type=int, default=_MAXITER,
+    sub.add_argument("--maxiter", type=_at_least(0), default=_MAXITER,
                      help="optimizer iteration cap (default: %(default)s)")
     _add_seed(sub)
 
@@ -1036,7 +1052,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser,
     p_adapt.add_argument("--epsilon", type=float, default=1e-3,
                          help="pool-gradient-norm stop "
                               "(default: %(default)s)")
-    p_adapt.add_argument("--max-iter", dest="max_iter", type=int, default=50,
+    p_adapt.add_argument("--max-iter", dest="max_iter", type=_at_least(0),
+                         default=50,
                          help="growth iteration cap (default: %(default)s)")
     p_adapt.add_argument("--save-state", dest="save_state",
                          help="write the final CI vector here")
@@ -1135,7 +1152,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser,
     p_sweep.add_argument("--shots-grid", dest="shots_grid",
                          default="256,512,1024,2048,4096,8192",
                          help="shot counts (default: %(default)s)")
-    p_sweep.add_argument("--repeats", type=int, default=64,
+    p_sweep.add_argument("--repeats", type=_at_least(1), default=64,
                          help="samples per shot count (default: %(default)s)")
     p_sweep.add_argument("--dg-grid", dest="dg_grid", default="0:-2:-0.25",
                          help="driving forces (default: %(default)s)")

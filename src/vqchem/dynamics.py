@@ -206,10 +206,6 @@ class EncodedHamiltonian:
         return len(self.qubit_layout)
 
 
-def _gray_code(i: int) -> int:
-    return i ^ (i >> 1)
-
-
 def _register_width(basis_entry, encoding: str) -> int:
     if isinstance(basis_entry, BasisHalfSpin):
         return 1
@@ -229,7 +225,7 @@ def _level_codeword(basis_entry, encoding: str, level: int, width: int) -> int:
     if encoding == "unary":
         return 1 << (width - 1 - level)
     if encoding == "gray":
-        return _gray_code(level)
+        return level ^ (level >> 1)
     return level
 
 
@@ -254,21 +250,19 @@ def _unary_local_paulis(mat: np.ndarray, width: int) -> QubitOperator:
 def _encode_factor(symbol: str, basis_entry, encoding: str,
                    width: int) -> QubitOperator:
     """The factor's Pauli image over its register of ``width`` qubits; a
-    binary or Gray register takes all 4^width strings P of the padded level
-    matrix M with the coefficients Tr(M P) / 2^width."""
+    binary or Gray register embeds the level matrix at the levels'
+    codewords (:func:`_level_codeword`) as M and takes all 4^width strings
+    P with the coefficients Tr(M P) / 2^width."""
     if isinstance(basis_entry, BasisHalfSpin):
-        return QubitOperator.from_term(1, ((0, _spin_letter(symbol)),))
+        return QubitOperator(1, {((0, _spin_letter(symbol)),): 1.0})
     mat = boson_matrix(symbol, basis_entry)
     if encoding == "unary":
         return _unary_local_paulis(mat, width)
     dim = 1 << width
+    code = [_level_codeword(basis_entry, encoding, level, width)
+            for level in range(len(mat))]
     padded = np.zeros((dim, dim), dtype=complex)
-    padded[:mat.shape[0], :mat.shape[1]] = mat
-    if encoding == "gray":
-        perm = np.array([_gray_code(i) for i in range(dim)])
-        shuffled = np.zeros_like(padded)
-        shuffled[np.ix_(perm, perm)] = padded
-        padded = shuffled
+    padded[np.ix_(code, code)] = mat
     keys = [tuple((q, ch) for q, ch in enumerate(letters) if ch != "I")
             for letters in itertools.product("IXYZ", repeat=width)]
     x, z = np.array([pauli_masks(width, key) for key in keys]).T
@@ -421,16 +415,6 @@ class EOMSystem:
     w: np.ndarray               # (n_params, 2 dim)
     b: np.ndarray               # (2 dim,)
     epsilon_reg: float = _DEFAULT_EPSILON_REG
-
-    @property
-    def M(self) -> np.ndarray:
-        """Re(J^dagger J)."""
-        return self.w @ self.w.T
-
-    @property
-    def V(self) -> np.ndarray:
-        """Im(J^dagger H psi)."""
-        return self.w @ self.b
 
 
 def assemble_eom(jac: np.ndarray, state: np.ndarray, h: QubitOperator,

@@ -61,7 +61,7 @@ class SolverFailed(VqchemError):
 
 
 class InvalidParams(VqchemError):
-    """Parameter vector has the wrong length or non-finite entries."""
+    """A parameter out of its domain (length, finiteness, range, space)."""
 
 
 class InvalidProbability(VqchemError):

@@ -1,5 +1,9 @@
-"""Fermionic and qubit operator algebra, fermion-to-qubit mappings, and the
-action of Pauli strings on basis states.
+"""Fermion and qubit operators, fermion-to-qubit mappings, and the action of
+Pauli strings on basis states.
+
+A :class:`FermionOperator` holds the terms the integrals produce and the
+maps consume; it has no algebra.  Sums, products and simplification are
+:class:`QubitOperator` arithmetic on the mapped images.
 
 Index conventions used throughout the package:
 
@@ -23,7 +27,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -49,12 +53,8 @@ _CHUNK = 2**16  # entries of the (strings, 2^n) arrays of one mask_action
 
 
 class FermionOperator:
-    """Sum of ladder-operator products with coefficients.
-
-    Terms are kept exactly as constructed: ``simplify`` merges identical
-    factor sequences but never normal-orders, so the printed form of a
-    Hamiltonian is stable.
-    """
+    """Sum of ladder-operator products with coefficients, terms kept exactly
+    as constructed, so the printed form of a Hamiltonian is stable."""
 
     __slots__ = ("n_spin_orbitals", "terms")
 
@@ -67,13 +67,6 @@ class FermionOperator:
         for term in self.terms:
             self._check_term(term)
 
-    def _with_terms(self, terms: dict) -> "FermionOperator":
-        """A new operator on these spin-orbitals holding ``terms``, whose
-        indices are already checked: no term is checked again."""
-        out = FermionOperator(self.n_spin_orbitals)
-        out.terms = terms
-        return out
-
     def _check_term(self, term: LadderTerm) -> None:
         for idx, _ in term:
             if not 0 <= idx < self.n_spin_orbitals:
@@ -81,83 +74,6 @@ class FermionOperator:
                     f"spin-orbital index {idx} out of range "
                     f"0..{self.n_spin_orbitals - 1}"
                 )
-
-    @classmethod
-    def from_term(cls, n_spin_orbitals: int, term: Iterable[tuple[int, bool]],
-                  coeff: complex = 1.0) -> "FermionOperator":
-        return cls(n_spin_orbitals, {tuple(term): coeff})
-
-    def __add__(self, other: "FermionOperator") -> "FermionOperator":
-        if self.n_spin_orbitals != other.n_spin_orbitals:
-            raise InvalidOperator("operator size mismatch in add")
-        out = dict(self.terms)
-        for term, c in other.terms.items():
-            out[term] = out.get(term, 0.0) + c
-        return self._with_terms(out)
-
-    def __sub__(self, other: "FermionOperator") -> "FermionOperator":
-        return self + (-1.0) * other
-
-    def __mul__(self, other):
-        if isinstance(other, FermionOperator):
-            if self.n_spin_orbitals != other.n_spin_orbitals:
-                raise InvalidOperator("operator size mismatch in multiply")
-            out: dict[LadderTerm, complex] = {}
-            for ta, ca in self.terms.items():
-                for tb, cb in other.terms.items():
-                    key = ta + tb
-                    out[key] = out.get(key, 0.0) + ca * cb
-            return self._with_terms(out)
-        return self._with_terms({t: c * other for t, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "FermionOperator":
-        return (-1.0) * self
-
-    def hermitian_conjugate(self) -> "FermionOperator":
-        out: dict[LadderTerm, complex] = {}
-        for term, c in self.terms.items():
-            conj = tuple((idx, not dag) for idx, dag in reversed(term))
-            out[conj] = out.get(conj, 0.0) + np.conj(c)
-        return self._with_terms(out)
-
-    def simplify(self, tol: float = COEFF_CUTOFF) -> "FermionOperator":
-        return self._with_terms(
-            {t: c for t, c in self.terms.items() if abs(c) > tol})
-
-    def normal_ordered(self) -> "FermionOperator":
-        """Rewrite with creations left of annihilations, indices descending.
-
-        Anticommutation signs are tracked and ``a_i a_i^`` contractions
-        produce the extra delta terms, so the result equals the original
-        operator.
-        """
-        out: dict[LadderTerm, complex] = {}
-        stack: list[tuple[LadderTerm, complex]] = list(self.terms.items())
-        while stack:
-            term, coeff = stack.pop()
-            for k in range(len(term) - 1):
-                (i, dag_i), (j, dag_j) = term[k], term[k + 1]
-                if not dag_i and dag_j:
-                    swapped = term[:k] + ((j, True), (i, False)) + term[k + 2:]
-                    stack.append((swapped, -coeff))
-                    if i == j:
-                        stack.append((term[:k] + term[k + 2:], coeff))
-                    break
-                if dag_i == dag_j and i < j:
-                    swapped = term[:k] + (term[k + 1], term[k]) + term[k + 2:]
-                    stack.append((swapped, -coeff))
-                    break
-                if dag_i == dag_j and i == j:
-                    break  # repeated fermionic operator annihilates the term
-            else:
-                out[term] = out.get(term, 0.0) + coeff
-        return self._with_terms(out)
-
-    def is_hermitian(self, tol: float = 1e-10) -> bool:
-        diff = (self - self.hermitian_conjugate()).normal_ordered()
-        return not diff.simplify(tol).terms
 
     def format_text(self) -> str:
         """One term per line: ``coeff [2^ 0 1^ 3]`` (caret marks creation)."""
@@ -216,11 +132,6 @@ class QubitOperator:
     def identity(cls, n_qubits: int, coeff: complex = 1.0) -> "QubitOperator":
         return cls(n_qubits, {(): coeff})
 
-    @classmethod
-    def from_term(cls, n_qubits: int, term: Iterable[tuple[int, str]],
-                  coeff: complex = 1.0) -> "QubitOperator":
-        return cls(n_qubits, {tuple(term): coeff})
-
     def __add__(self, other: "QubitOperator") -> "QubitOperator":
         if self.n_qubits != other.n_qubits:
             raise InvalidOperator("operator size mismatch in add")
@@ -245,16 +156,9 @@ class QubitOperator:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "QubitOperator":
-        return (-1.0) * self
-
     def simplify(self, tol: float = COEFF_CUTOFF) -> "QubitOperator":
         return self._with_terms(
             {t: c for t, c in self.terms.items() if abs(c) > tol})
-
-    def is_hermitian(self, tol: float = 1e-10) -> bool:
-        return all(abs(c.imag if isinstance(c, complex) else 0.0) <= tol
-                   for c in self.terms.values())
 
     def diagonal(self) -> np.ndarray:
         """<i|H|i> over the 2^n basis states, read off the flip groups."""

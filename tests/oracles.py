@@ -52,6 +52,17 @@ def dense_fermion_operator(op) -> np.ndarray:
     return total
 
 
+def add_adjoint(op, sign: float = 1.0):
+    """op + sign op^dagger as a FermionOperator: the terms of ``op`` in
+    order, each conjugate term (factors reversed, creation and annihilation
+    swapped, coefficient conjugated) added to an equal key or appended."""
+    terms = dict(op.terms)
+    for term, coeff in op.terms.items():
+        conj = tuple((index, not dagger) for index, dagger in reversed(term))
+        terms[conj] = terms.get(conj, 0.0) + sign * np.conj(coeff)
+    return type(op)(op.n_spin_orbitals, terms)
+
+
 def dense_pauli(n_qubits: int, term) -> np.ndarray:
     """Kronecker-product matrix of a Pauli term; qubit 0 is the leftmost
     (most significant) factor."""
@@ -443,7 +454,7 @@ def compile_ucc_trotter(problem, params):
         g = FermionOperator(n_qubits, {
             tuple((i, True) for i in ex[:half])
             + tuple((i, False) for i in ex[half:]): 1.0})
-        generator = jordan_wigner(g - g.hermitian_conjugate())
+        generator = jordan_wigner(add_adjoint(g, -1.0))
         for term, coeff in sorted(generator.terms.items()):
             if abs(coeff) < 1e-14:
                 continue

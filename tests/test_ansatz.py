@@ -107,7 +107,7 @@ def test_kupccgsd_problem(h4):
     np.testing.assert_array_equal(p.init_guess, q.init_guess)
     r = make_kupccgsd_problem(h4, k=2, seed=4)
     assert not np.array_equal(p.init_guess, r.init_guess)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParams, match="layer count"):
         make_kupccgsd_problem(h4, k=0)
 
 
@@ -536,7 +536,7 @@ def test_adapt_vqe_h6_group_order(h6):
 
 def test_adapt_vqe_validation(h2):
     pool = build_operator_pool(2, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParams, match="epsilon"):
         adapt_vqe(h2, pool, epsilon=0.0)
 
 

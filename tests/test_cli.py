@@ -121,6 +121,56 @@ def test_empty_sweep_grid_is_a_usage_error(capsys, flags, flag):
     assert err.startswith(f"usage error: {flag}:")
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("sweep", "--kind", "shots", "--fcidump", "h2_sto3g", "--repeats", "0"),
+     "--repeats"),
+    (("vqe", "--fcidump", "h2_sto3g", "--maxiter", "-1"), "--maxiter"),
+    (("adapt", "--fcidump", "h2_sto3g", "--max-iter", "-1"), "--max-iter"),
+])
+def test_count_below_its_floor_is_a_usage_error(capsys, monkeypatch, argv,
+                                                flag):
+    for name in ("kernel", "adapt_vqe", "hea_kernel"):
+        monkeypatch.setattr(cli, name, refuse)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"usage error: argument {flag}: must be >= ")
+
+
+def test_grid_past_the_point_limit_is_a_usage_error(capsys, monkeypatch):
+    """A range is counted before its points are made: one past the limit,
+    or an infinite one, is refused before any work, and the limit itself is
+    accepted."""
+    monkeypatch.setattr(cli, "hea_kernel", refuse)
+    for grid, message in (
+            ("0:1:0.0001", "10,001 points exceed the limit of 10,000"),
+            ("0:inf:1", "expected 'a,b,c' or 'start:stop:step'")):
+        code, out, err = run(capsys, "sweep", "--kind", "noise", "--fcidump",
+                             "h2_sto3g", "--p-grid", grid)
+        assert code == 2 and out == ""
+        assert err == f"usage error: --p-grid: {message}\n"
+    assert len(cli._float_grid("0:0.9999:0.0001", "p-grid")) == 10_000
+
+
+@pytest.mark.parametrize("argv", [
+    ("vqe", "--fcidump", "h2_sto3g", "--ansatz", "kupccgsd", "--k", "0"),
+    ("hubbard", "--sites", "2", "--ansatz", "kupccgsd", "--k", "0"),
+    ("adapt", "--fcidump", "h2_sto3g", "--epsilon", "0"),
+    ("fci", "--fcidump", "h4_sto3g", "--load-state", "h2.civec"),
+])
+def test_refused_parameter_exits_one_with_its_class(capsys, tmp_path,
+                                                    monkeypatch, argv):
+    """A parameter the library refuses (--load-state: a state of another
+    CI space) exits 1 with its error class, not a traceback."""
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = run(capsys, "fci", "--fcidump", "h2_sto3g",
+                     "--save-state", "h2.civec")
+    assert code == 0
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.splitlines()[-1].startswith("InvalidParams: ")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ("fci", "--fcidump", "h2_sto3g", "--seed", "1"),
     ("adapt", "--fcidump", "h2_sto3g", "--seed", "1"),

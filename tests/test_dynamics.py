@@ -435,10 +435,12 @@ def test_eom_assembly_and_regularized_solve():
     h_dense = enc.qubit_terms.to_dense_matrix()
     sys = assemble_eom(jac, psi, enc.qubit_terms)
     assert np.shares_memory(sys.w, jac)  # the sweep's rows, not a copy
-    np.testing.assert_allclose(sys.M, sys.M.T, atol=1e-12)
-    assert np.min(np.linalg.eigvalsh(sys.M)) > -1e-12  # positive semidefinite
-    np.testing.assert_allclose(sys.M, (jac.conj().T @ jac).real, atol=1e-12)
-    np.testing.assert_allclose(sys.V, (jac.conj().T @ (h_dense @ psi)).imag,
+    m = sys.w @ sys.w.T  # M = w w^T and V = w b
+    np.testing.assert_allclose(m, m.T, atol=1e-12)
+    assert np.min(np.linalg.eigvalsh(m)) > -1e-12  # positive semidefinite
+    np.testing.assert_allclose(m, (jac.conj().T @ jac).real, atol=1e-12)
+    np.testing.assert_allclose(sys.w @ sys.b,
+                               (jac.conj().T @ (h_dense @ psi)).imag,
                                atol=1e-12)
 
     # on a well-conditioned synthetic system the softened inverse is exact:
@@ -448,7 +450,7 @@ def test_eom_assembly_and_regularized_solve():
     b = rng.normal(size=10)
     m, v = a @ a.T + 5.0 * np.eye(5), w @ b
     sys2 = type(sys)(w=w, b=b, epsilon_reg=1e-8)
-    np.testing.assert_allclose(sys2.M, m, atol=1e-12)
+    np.testing.assert_allclose(sys2.w @ sys2.w.T, m, atol=1e-12)
     np.testing.assert_allclose(solve_thetadot(sys2), np.linalg.solve(m, v),
                                atol=1e-7)
     # more parameters than factor columns: the Gram side gives the
@@ -457,7 +459,7 @@ def test_eom_assembly_and_regularized_solve():
     sys3 = type(sys)(w=w, b=b[:5], epsilon_reg=1e-8)
     want = np.linalg.lstsq(w.T, b[:5], rcond=None)[0]
     np.testing.assert_allclose(solve_thetadot(sys3), want, atol=1e-7)
-    np.testing.assert_allclose(sys3.M @ want, sys3.V, atol=1e-10)
+    np.testing.assert_allclose(w @ w.T @ want, w @ b[:5], atol=1e-10)
 
 
 def eom_case(terms, basis, initial):

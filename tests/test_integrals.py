@@ -153,7 +153,8 @@ def test_h2_fermion_hamiltonian_pinned_coefficients(h2):
                - (-0.48227117798977825)) < 1e-9
     assert abs(op.terms[((0, True), (2, True), (0, False), (2, False))]
                - (-0.6745650967143663)) < 1e-9
-    assert op.is_hermitian()
+    dense = dense_fermion_operator(op)
+    np.testing.assert_allclose(dense, dense.conj().T, rtol=0, atol=1e-12)
 
 
 def test_fermion_hamiltonian_matches_raw_integral_definition(h2):

@@ -1,7 +1,7 @@
 """The package's public surface, read statically: every top-level function
-is called from inside the package or named as an entry point, the benchmark
-trace wraps functions that exist, and numpy is the one runtime
-dependency."""
+and class member is called from inside the package or named as an entry
+point, the benchmark trace wraps functions that exist, and numpy is the one
+runtime dependency."""
 
 import ast
 import importlib
@@ -14,13 +14,14 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "vqchem"
 
 
-def test_every_function_has_a_caller_or_is_a_named_entry_point():
-    """A top-level function that no module of the package refers to (as a
-    name or an attribute, or through the alias it is imported under) must
-    be named, as :func:`name`, in its module's docstring.  The PEP 562
-    ``__getattr__`` is called by the import system and is exempt."""
-    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(SRC.glob("*.py"))}
+def _package_trees() -> dict:
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def _referenced_names(trees: dict) -> set:
+    """Every name and attribute any module of the package refers to, plus
+    the original name of each import that is used under an alias."""
     referenced = set()
     for tree in trees.values():
         used = {node.id if isinstance(node, ast.Name) else node.attr
@@ -30,6 +31,16 @@ def test_every_function_has_a_caller_or_is_a_named_entry_point():
             alias.name for node in ast.walk(tree)
             if isinstance(node, ast.ImportFrom)
             for alias in node.names if alias.asname in used}
+    return referenced
+
+
+def test_every_function_has_a_caller_or_is_a_named_entry_point():
+    """A top-level function that no module of the package refers to (as a
+    name or an attribute, or through the alias it is imported under) must
+    be named, as :func:`name`, in its module's docstring.  The PEP 562
+    ``__getattr__`` is called by the import system and is exempt."""
+    trees = _package_trees()
+    referenced = _referenced_names(trees)
     uncalled = [
         f"{module}.{node.name}"
         for module, tree in trees.items()
@@ -37,6 +48,27 @@ def test_every_function_has_a_caller_or_is_a_named_entry_point():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         and node.name not in referenced and node.name != "__getattr__"
         and f":func:`{node.name}`" not in (ast.get_docstring(tree) or "")
+    ]
+    assert uncalled == []
+
+
+def test_every_class_member_has_a_caller_or_is_a_named_entry_point():
+    """A method or property of a class (dunders aside, as Python calls
+    them) that no module of the package refers to by name must be named,
+    as :meth:`Class.name`, in its module's docstring.  The scan goes by
+    name alone, so a member that shares its name with a used one passes."""
+    trees = _package_trees()
+    referenced = _referenced_names(trees)
+    uncalled = [
+        f"{module}.{cls.name}.{node.name}"
+        for module, tree in trees.items()
+        for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in referenced
+        and f":meth:`{cls.name}.{node.name}`"
+        not in (ast.get_docstring(tree) or "")
     ]
     assert uncalled == []
 
