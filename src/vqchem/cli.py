@@ -323,13 +323,13 @@ def _hea_init_params(circuit, bitstring: str) -> np.ndarray:
     """Angles that make the whole circuit prepare ``bitstring`` when every
     later rotation is zero.  Each CNOT ladder (control j, target j+1,
     ascending) maps bits to their prefix parities, so the first rotation
-    layer prepares the bits un-laddered once per ladder."""
+    layer prepares the index b un-laddered (b ^= b >> 1) once per ladder."""
     n = circuit.n_qubits
-    bits = [int(b) for b in bitstring]
+    b = int(bitstring, 2)
     for _ in range(circuit.n_params // n - 1):
-        bits = [bits[0]] + [bits[q] ^ bits[q - 1] for q in range(1, n)]
+        b ^= b >> 1
     init = np.zeros(circuit.n_params)
-    init[:n] = np.pi * np.array(bits)
+    init[:n] = np.pi * np.array([int(c) for c in format(b, f"0{n}b")])
     return init
 
 
@@ -741,10 +741,10 @@ def _run_hubbard(args: argparse.Namespace) -> int:
     if not args.sites:
         raise _UsageError("--sites is required")
     s = build_hubbard(args.sites, args.t, args.u, periodic=args.periodic)
-    space = make_ci_space(s.n_orb, s.n_elec)
-    e_fci = fci_ground_state(space, s)[0]  # a size it refuses costs no work
+    check_vector_dim(s.n_orb, s.n_elec)  # a size FCI refuses costs no work
     s_canonical = canonicalize_integrals(s)
     problem, label = _build_problem(args, s_canonical)
+    e_fci = fci_ground_state(make_ci_space(s.n_orb, s.n_elec), s)[0]
     result = kernel(problem, maxiter=args.maxiter)
     e_hf = hf_energy(s_canonical)
     lines = [

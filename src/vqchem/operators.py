@@ -20,6 +20,8 @@ spin-orbital ``j`` is bit ``j``: P(x, z) = i^{|x & z|} X^x Z^z (Aaronson &
 Gottesman, PRA 70, 052328).  One rule serves maps, products and matrices:
 P(x1, z1) P(x2, z2) = i^k P(x, z), x = x1 ^ x2, z = z1 ^ z2, k = |x1&z1| +
 |x2&z2| - |x&z| + 2|z1&x2| mod 4.  Over 64 qubits raise ``SizeLimit``.
+The parity map is the Jordan-Wigner image in the prefix-parity basis
+(:func:`parity_transform`; Seeley, Richard & Love, JCP 137, 224109).
 """
 
 from __future__ import annotations
@@ -410,18 +412,14 @@ def _mask_operator(n: int, x, z, v) -> QubitOperator:
     return op
 
 
-def _ladder_images(n: int, parity: bool) -> np.ndarray:
-    """Masks [j, branch, (x, z)] of a_j = (P_j0 + i P_j1) / 2 and
-    a_j^dagger = (P_j0 - i P_j1) / 2.  Jordan-Wigner: Z on bits below j,
-    then X_j or Y_j.  Parity basis (bit j holds the parity of spin-orbitals
-    0..j): Z_{j-1} X_j or Y_j, then X on the bits above j."""
-    return np.array([
-        (((1 << n) - (1 << j), (1 << j) >> 1), ((1 << n) - (1 << j), 1 << j))
-        if parity else ((1 << j, (1 << j) - 1), (1 << j, (2 << j) - 1))
-        for j in range(n)], dtype=np.uint64)
+def _ladder_images(n: int) -> np.ndarray:
+    """Jordan-Wigner masks [j, branch, (x, z)] of a_j = (P_j0 + i P_j1) / 2
+    and a_j^dagger = (P_j0 - i P_j1) / 2, Z below bit j then X_j or Y_j."""
+    return np.array([((1 << j, (1 << j) - 1), (1 << j, (2 << j) - 1))
+                     for j in range(n)], dtype=np.uint64)
 
 
-def _fermion_image(op: FermionOperator, parity: bool):
+def _fermion_image(op: FermionOperator):
     """Masks and coefficients of the qubit image of ``op``, small ones
     dropped.  Terms of one length expand together, factor by factor; equal
     strings of a term are summed as they arise, then the terms' sums in
@@ -429,16 +427,15 @@ def _fermion_image(op: FermionOperator, parity: bool):
     alone fixes the bits.
 
     Equal strings arise only in terms that repeat a spin-orbital.  The two
-    branches of a_j differ by Z_j (Jordan-Wigner) or Z_{j-1} Z_j (parity),
-    masks independent across distinct j, and every string of a term shares
-    one x; so a factor whose spin-orbital is new to its term keeps the
-    term's strings distinct.  The sum (:func:`_collect`) therefore runs
-    only on terms with a repeat, after each factor that completes one;
-    anywhere else it would return its input unchanged."""
+    branches of a_j differ by Z_j, masks independent across distinct j, and
+    every string of a term shares one x; so a factor whose spin-orbital is new
+    to its term keeps the term's strings distinct.  The sum (:func:`_collect`)
+    therefore runs only on terms with a repeat, after each factor that
+    completes one; anywhere else it would return its input unchanged."""
     n = op.n_spin_orbitals
     if n > 64:
         raise SizeLimit(f"{n} spin-orbitals exceed the 64-bit Pauli masks")
-    table = _ladder_images(n, parity)
+    table = _ladder_images(n)
     lengths = np.fromiter(map(len, op.terms), dtype=np.intp)
     factors = np.fromiter(chain.from_iterable(chain.from_iterable(op.terms)),
                           dtype=np.intp).reshape(-1, 2)
@@ -479,18 +476,20 @@ def jordan_wigner(op: FermionOperator) -> QubitOperator:
     bitstrings read highest spin-orbital first (e.g. 0101 for two electrons
     in two spatial orbitals).
     """
-    return _mask_operator(op.n_spin_orbitals, *_fermion_image(op, False))
+    return _mask_operator(op.n_spin_orbitals, *_fermion_image(op))
 
 
 def parity_transform(op: FermionOperator, n_elec: int,
                      reduce_two_qubits: bool = False) -> QubitOperator:
     """Parity-basis fermion-to-qubit mapping, optionally dropping two qubits.
 
-    Qubit ``n - 1 - j`` (mask bit ``j``) stores the cumulative occupation
-    parity of spin-orbitals ``0..j``.  When the operator conserves particle
-    number and the beta-sector count, bit ``N/2 - 1`` (beta parity) and bit
-    ``N - 1`` (total parity) are frozen at eigenvalues fixed by ``n_elec``,
-    and ``reduce_two_qubits`` removes them.
+    Qubit ``n - 1 - j`` (mask bit ``j``) stores the occupation parity of
+    spin-orbitals ``0..j``, where X_j flips bits j..n-1 and Z_j is Z_{j-1}
+    Z_j: the Jordan-Wigner masks map to x' = x ^ x << 1 ^ ... (n bits) and
+    z' = z ^ z >> 1, coefficients to v' = v i^(|x & z| - |x' & z'|).  If the
+    operator conserves particle number and the beta-sector count, bit
+    ``N/2 - 1`` (beta parity) and bit ``N - 1`` (total parity) are frozen at
+    eigenvalues fixed by ``n_elec``, and ``reduce_two_qubits`` removes them.
     """
     n = op.n_spin_orbitals
     for bad, need in ((n_elec % 2, "even n_elec"),
@@ -498,7 +497,12 @@ def parity_transform(op: FermionOperator, n_elec: int,
                       (n < 4, ">= 4 spin-orbitals")):
         if reduce_two_qubits and bad:
             raise UnsupportedReduction(f"two-qubit reduction needs {need}")
-    x, z, v = _fermion_image(op, True)
+    x, z, v = _fermion_image(op)
+    k = np.bitwise_count(x & z)
+    for shift in (1, 2, 4, 8, 16, 32):  # prefix XOR over 64 bits
+        x = x ^ x << shift
+    x, z = x & (1 << n) - 1, z ^ z >> 1
+    v = v * _UNITS[(k - np.bitwise_count(x & z)) & 3]
     if not reduce_two_qubits:
         return _mask_operator(n, x, z, v)
 

@@ -1,5 +1,6 @@
 import argparse
 import ast
+import hashlib
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 
 from vqchem import (
     build_fermion_hamiltonian,
+    build_hubbard,
     build_ry_ansatz,
     expectation,
     fixture_path,
@@ -518,6 +520,19 @@ def test_hubbard_past_the_size_limit_runs_nothing(capsys, monkeypatch):
     assert err.startswith("SizeLimit:")
 
 
+def test_hubbard_refuses_its_ansatz_before_the_fci_solve(capsys,
+                                                         monkeypatch):
+    def no_fci(*args, **kwargs):
+        raise AssertionError("the FCI reference was solved")
+
+    monkeypatch.setattr(cli, "fci_ground_state", no_fci)
+    code, out, err = run(capsys, "hubbard", "--sites", "4", "--ansatz",
+                         "kupccgsd", "--k", "0")
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[-1].startswith("InvalidParams: ")
+
+
 def test_hubbard_free_fermions(capsys):
     code, out, _ = run(capsys, "hubbard", "--sites", "2", "--u", "0",
                        "--format", "json")
@@ -664,6 +679,62 @@ def test_convert_state_json(capsys, tmp_path):
     payload = json.loads(out)
     amps = np.asarray(payload["amplitudes"])
     assert abs(abs(amps[0]) - 0.99362381) < 1e-6
+
+
+# sha256 of the fermion, jw, parity and parity-reduced artifacts: ``convert
+# --to <map>`` output for a molecule, ``format_text()`` of the operator for
+# the four-site Hubbard chain (t = 1, U = 4).  Artifacts are byte-stable, so
+# a map rewritten inside must reproduce these exactly.
+_MAP_DIGESTS = {
+    "h2": (
+        "3f7e19db35a8260f9bd48bf6e24def17ef51c8c355238c4fbeb6594a9e42c615",
+        "691ccf0d2f7df7a4f761c7f40a07e912fc192fdfb8da7efc61efa0e7923a3b50",
+        "69903a6056c7f946ee47c14956216b0ed5384776c436813d21e363c77bae6883",
+        "515af703052647298e56b761a7cd3dfcf0b2b8ae7efb16863df7b0196daa2b69",
+    ),
+    "h4": (
+        "ef7735baa91546b8a6a0da2c7a45b6c25282175297c096f85cffda61b1c3320f",
+        "984785c4a1f813ee910c065614c9fad3859be5881382a451ba1810774f0e27c3",
+        "ab27db1f6644a29106da1feb0f245e989fb178c78993b08e839b7c5edb431e64",
+        "cf53285ce11f37ff852ad7764de6ddc36a19ef9c16763e9144107483b3fdff67",
+    ),
+    "h6": (
+        "d3d7551eb7bda42feac21b738c3ffce94bbf1f626fd823dc93ab4d741b4c6b6e",
+        "8f8cdffff0074e76724d42947d53b3193e570a3c4f733ce60327c4d351fd24ef",
+        "e3202121a05b5b8e900ffa5693168e3206e5ff032017d849e0b89742fa2ae4eb",
+        "ecf9eabd6c8e2af5bb14d7b9f8e5836de2850b0d4a2566e4d092c39048aaf29a",
+    ),
+    "h8": (
+        "f0b68a66c8efbe8ee082c3c10bb24a199dca25e087884526de2a91e1de6f9b6a",
+        "e5583967eff2c36bfee996a68cc0e2afc75cbc5a66ef4c4b4d46516dd8a335ca",
+        "ef04e91187d371087b221c6a9b748463c8f163243a5486567d91f54aa0f5409d",
+        "9a731a849f93aa6683c31ff77e2fb08954256007a2c53fcc9b4a7b2c38d9ad26",
+    ),
+    "hubbard": (
+        "c7c8c93e97ee0a958d222dd9edae9b0fe2c1ffe729830cc28d425f56882ceb44",
+        "df8ef782767e503776d0c7d5d251118a960a56c054b9556ef1aeef3264ab97c2",
+        "4d645313925ca55e08c909cea9128ad87327cc37f1b822e6a53db0bed3e2b2cc",
+        "6b779a7a37b4af92ca9e34745e12af8845ef638d474cc3db0ce9a205ad86a6c0",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_MAP_DIGESTS))
+def test_map_artifacts_match_pinned_digests(capsys, case):
+    maps = ("fermion", "jw", "parity", "parity-reduced")
+    if case == "hubbard":
+        s = build_hubbard(4, 1.0, 4.0)
+        texts = [build_fermion_hamiltonian(s).format_text()] + [
+            _qubit_hamiltonian(s, to).format_text() for to in maps[1:]]
+    else:
+        texts = []
+        for to in maps:
+            code, out, _ = run(capsys, "convert", "--fcidump",
+                               f"{case}_sto3g", "--to", to)
+            assert code == 0
+            texts.append(out)
+    digests = tuple(hashlib.sha256(t.encode()).hexdigest() for t in texts)
+    assert digests == _MAP_DIGESTS[case]
 
 
 # ---------------------------------------------------------------------------

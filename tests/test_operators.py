@@ -10,6 +10,7 @@ from vqchem import (
     SizeLimit,
     UnsupportedReduction,
     build_fermion_hamiltonian,
+    build_hubbard,
     civector_to_statevector,
     hf_vector,
     jordan_wigner,
@@ -246,9 +247,10 @@ def test_maps_match_letter_oracle_on_random_operators(op, n_elec):
     assert_maps_match_letter_oracle(op, n_elec)
 
 
-@pytest.mark.parametrize("case", ["h2", "h4", "h6"])
+@pytest.mark.parametrize("case", ["h2", "h4", "h6", "hubbard"])
 def test_maps_match_letter_oracle_on_bundled_hamiltonians(case, request):
-    s = request.getfixturevalue(case)
+    s = (build_hubbard(4, 1.0, 4.0) if case == "hubbard"
+         else request.getfixturevalue(case))
     assert_maps_match_letter_oracle(build_fermion_hamiltonian(s), s.n_elec)
 
 
@@ -302,6 +304,19 @@ def test_wide_operators_map_like_the_letter_oracle(n_so):
     assert_maps_match_letter_oracle(add_adjoint(op), 6)
     a = jordan_wigner(op)
     assert_same_operator(a * a, letter_product(a, a))
+
+
+def test_parity_masks_of_an_odd_operator_stay_on_n_bits():
+    """The prefix parity of an odd-weight x runs past bit n - 1; the masks
+    the image keeps (:func:`_masks`) are those of its terms."""
+    from vqchem.operators import _masks
+
+    op = FermionOperator(5, {((j, dag),): 1.0 for j in range(5)
+                             for dag in (False, True)})
+    got = parity_transform(op, 0)
+    for kept, fresh in zip(_masks(got)[:2],
+                           _masks(QubitOperator(5, got.terms))[:2]):
+        np.testing.assert_array_equal(kept, fresh)
 
 
 def test_parity_reduction_keeps_ground_sector(h2):
