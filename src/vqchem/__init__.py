@@ -3,9 +3,9 @@ vectors: integrals in, UCC/adaptive/hardware-efficient ground states and
 variational real-time dynamics out.
 
 The heavy lifting happens in plain numpy on compact representations
-(determinant-space vectors, Pauli-term dictionaries, level-space operators);
-``CIVEC_NUM_THREADS`` caps the linear-algebra thread pool and must be set
-before the first import.
+(determinant-space vectors, Pauli strings as bit-mask arrays, level-space
+operators); ``CIVEC_NUM_THREADS`` caps the linear-algebra thread pool and
+must be set before the first import.
 """
 
 import os as _os

@@ -47,7 +47,7 @@ from .errors import (
 )
 from .integrals import (IntegralSet, MP2Result, hf_energy, mp2,
                         pair_hamiltonian)
-from .operators import QubitOperator
+from .operators import QubitOperator, _pauli_sum, _sum
 
 
 # ---------------------------------------------------------------------------
@@ -298,23 +298,22 @@ def make_puccd_problem(s: IntegralSet) -> UCCProblem:
 
 def build_puccd_hamiltonian(s: IntegralSet) -> QubitOperator:
     """Pair-space Hamiltonian as an operator over n_orb qubits (qubit q
-    hosts spatial orbital n_orb-1-q, |1> = orbital doubly occupied): the
-    (h, v, w) of :func:`~vqchem.integrals.pair_hamiltonian` with n_p =
-    (1 - Z_p)/2 and b+_p b_q + h.c. = (X_p X_q + Y_p Y_q)/2."""
+    hosts spatial orbital n_orb-1-q, mask bit q, |1> = orbital doubly
+    occupied): the (h, v, w) of :func:`~vqchem.integrals.pair_hamiltonian`
+    with n_p = (1 - Z_p)/2 and b+_p b_q + h.c. = (X_p X_q + Y_p Y_q)/2."""
     n = s.n_orb
     h, v, w = pair_hamiltonian(s)
     one = QubitOperator.identity(n)
-    pauli = lambda ch, *orbs: QubitOperator(
-        n, {tuple((n - 1 - p, ch) for p in orbs): 1.0})
-    num = [0.5 * (one - pauli("Z", p)) for p in range(n)]
-    op = s.e_core * one
+    num = [_pauli_sum(n, (0, 0), (0, 1 << p), (0.5, -0.5)) for p in range(n)]
+    pieces = [s.e_core * one]
     for p in range(n):  # row p: n_p (h_p + v_pp + sum_q 2 w_pq n_q) + hops
-        pot, hops = (h[p] + v[p, p]) * one, QubitOperator(n)
+        pot = _sum(n, [(h[p] + v[p, p]) * one]
+                   + [(2.0 * w[p, q]) * num[q] for q in range(p)])
+        pieces.append(num[p] * pot)
         for q in range(p):
-            pot = pot + (2.0 * w[p, q]) * num[q]
-            hops = hops + (0.5 * v[p, q]) * (pauli("X", p, q) + pauli("Y", p, q))
-        op = op + num[p] * pot + hops
-    return op.simplify()
+            pq, hop = 1 << p | 1 << q, 0.5 * v[p, q]
+            pieces.append(_pauli_sum(n, (pq, pq), (0, pq), (hop, hop)))
+    return _sum(n, pieces).simplify()
 
 
 def paired_energy_and_gradient(space: CISpace, ex_ops, params, param_ids,

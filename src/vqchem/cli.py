@@ -738,7 +738,7 @@ def _run_dynamics(args: argparse.Namespace) -> int:
 
 
 def _run_hubbard(args: argparse.Namespace) -> int:
-    if not args.sites:
+    if args.sites is None:
         raise _UsageError("--sites is required")
     s = build_hubbard(args.sites, args.t, args.u, periodic=args.periodic)
     check_vector_dim(s.n_orb, s.n_elec)  # a size FCI refuses costs no work

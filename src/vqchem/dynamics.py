@@ -61,9 +61,10 @@ from .gates import (
 )
 from .operators import (
     QubitOperator,
+    _pauli_sum,
     _RotationRuns,
+    _sum,
     apply_operator,
-    pauli_masks,
     pauli_traces,
 )
 
@@ -74,7 +75,7 @@ _DEFAULT_EPSILON_REG = 1e-5
 # bytes of float arrays one recorded trajectory may take
 _TRAJECTORY_BYTES = 1 << 30
 
-_SPIN_LETTERS = {"sigma_x": "X", "sigma_z": "Z"}
+_SPIN_MASKS = {"sigma_x": ((1,), (0,)), "sigma_z": ((0,), (1,))}  # (x, z)
 _BOSON_SYMBOLS = ("b", "b^dagger", "b^dagger b", "b^dagger+b", "x", "p")
 
 # text aliases: the canonical text form is whitespace-delimited, so the
@@ -108,7 +109,7 @@ class SymbolicTerm:
                 f"more than one factor on one degree of freedom: {dofs}"
             )
         for sym, _ in self.factors:
-            if sym not in _SPIN_LETTERS and sym not in _BOSON_SYMBOLS:
+            if sym not in _SPIN_MASKS and sym not in _BOSON_SYMBOLS:
                 raise InvalidSymbol(f"unknown operator symbol {sym!r}")
 
 
@@ -179,10 +180,10 @@ def boson_matrix(symbol: str, basis: BasisSHO) -> np.ndarray:
     raise InvalidSymbol(f"unknown boson symbol {symbol!r}")
 
 
-def _spin_letter(symbol: str) -> str:
-    if symbol not in _SPIN_LETTERS:
+def _spin_masks(symbol: str) -> tuple:
+    if symbol not in _SPIN_MASKS:
         raise InvalidSymbol(f"{symbol!r} is not a spin-1/2 operator")
-    return _SPIN_LETTERS[symbol]
+    return _SPIN_MASKS[symbol]
 
 
 def _level_dims(basis) -> list:
@@ -234,17 +235,20 @@ def _unary_local_paulis(mat: np.ndarray, width: int) -> QubitOperator:
     |i><i| -> (1 - Z_i)/2 and |i><j| -> sigma^+_i sigma^-_j =
     (X_i - iY_i)(X_j + iY_j)/4."""
     def ladder(q, y):  # (X_q + y Y_q) / 2: y = -i raises qubit q, +i lowers
-        return QubitOperator(width, {((q, "X"),): 0.5, ((q, "Y"),): 0.5 * y})
+        bit = 1 << (width - 1 - q)
+        return _pauli_sum(width, (bit, bit), (0, bit), (0.5, 0.5 * y))
 
-    out = QubitOperator(width)
+    pieces = []
     for i in range(width):
         if abs(mat[i, i]) >= _COEFF_CUTOFF:
-            number = QubitOperator(width, {(): 0.5, ((i, "Z"),): -0.5})
-            out = out + number * complex(mat[i, i])
+            number = _pauli_sum(width, (0, 0), (0, 1 << (width - 1 - i)),
+                                (0.5, -0.5))
+            pieces.append(number * complex(mat[i, i]))
         for j in range(width):
             if i != j and abs(mat[i, j]) >= _COEFF_CUTOFF:
-                out = out + ladder(i, -1j) * ladder(j, 1j) * complex(mat[i, j])
-    return out.simplify(_COEFF_CUTOFF)
+                pieces.append(ladder(i, -1j) * ladder(j, 1j)
+                              * complex(mat[i, j]))
+    return _sum(width, pieces).simplify(_COEFF_CUTOFF)
 
 
 def _encode_factor(symbol: str, basis_entry, encoding: str,
@@ -254,7 +258,7 @@ def _encode_factor(symbol: str, basis_entry, encoding: str,
     codewords (:func:`_level_codeword`) as M and takes all 4^width strings
     P with the coefficients Tr(M P) / 2^width."""
     if isinstance(basis_entry, BasisHalfSpin):
-        return QubitOperator(1, {((0, _spin_letter(symbol)),): 1.0})
+        return _pauli_sum(1, *_spin_masks(symbol), (1.0,))
     mat = boson_matrix(symbol, basis_entry)
     if encoding == "unary":
         return _unary_local_paulis(mat, width)
@@ -263,12 +267,14 @@ def _encode_factor(symbol: str, basis_entry, encoding: str,
             for level in range(len(mat))]
     padded = np.zeros((dim, dim), dtype=complex)
     padded[np.ix_(code, code)] = mat
-    keys = [tuple((q, ch) for q, ch in enumerate(letters) if ch != "I")
-            for letters in itertools.product("IXYZ", repeat=width)]
-    x, z = np.array([pauli_masks(width, key) for key in keys]).T
+    # the strings in "IXYZ" product order, qubit 0 first: base-4 digit j
+    # of string k is its letter on mask bit j
+    digits = np.arange(dim * dim)[:, None] >> 2 * np.arange(width) & 3
+    x, z = ((np.array(bits)[digits] << np.arange(width)).sum(axis=1)
+            for bits in ((0, 1, 1, 0), (0, 0, 1, 1)))
     coeffs = pauli_traces(width, x, z, padded) / dim
-    return QubitOperator(width, {key: c for key, c in zip(keys, coeffs)
-                                 if abs(c) >= _COEFF_CUTOFF})
+    keep = np.abs(coeffs) >= _COEFF_CUTOFF
+    return _pauli_sum(width, x[keep], z[keep], coeffs[keep])
 
 
 def qubit_encode(terms, basis, encoding: str = "gray") -> EncodedHamiltonian:
@@ -289,7 +295,7 @@ def qubit_encode(terms, basis, encoding: str = "gray") -> EncodedHamiltonian:
     n_qubits = offsets[-1]
     layout = [(b.dof, j) for b, w in zip(basis, widths) for j in range(w)]
 
-    total = QubitOperator(n_qubits)
+    products = []
     for term in terms:
         for _, dof in term.factors:
             if dof not in dof_index:
@@ -298,28 +304,25 @@ def qubit_encode(terms, basis, encoding: str = "gray") -> EncodedHamiltonian:
         for sym, dof in term.factors:
             i = dof_index[dof]
             local = _encode_factor(sym, basis[i], encoding, widths[i])
-            product = product * QubitOperator(n_qubits, {
-                tuple((offsets[i] + q, ch) for q, ch in key): c
-                for key, c in local.terms.items()})
-        total = total + product
+            shift = n_qubits - offsets[i + 1]  # the register's lowest bit
+            product = product * _pauli_sum(n_qubits, local.x << shift,
+                                           local.z << shift, local.coeffs)
+        products.append(product)
+    total = _sum(n_qubits, products)
 
-    constant = 0.0
-    clean: dict = {}
-    for key, coeff in total.terms.items():
-        if abs(coeff.imag) > 1e-10:
-            raise InvalidOperator(
-                f"non-Hermitian encoded coefficient {coeff} for {key}"
-            )
-        c = float(coeff.real)
-        if abs(c) < _COEFF_CUTOFF:
-            continue
-        if not key:
-            constant += c
-        else:
-            clean[key] = c
+    bad = np.abs(total.coeffs.imag) > 1e-10
+    if bad.any():
+        key, coeff = list(total.terms.items())[bad.argmax()]
+        raise InvalidOperator(f"non-Hermitian encoded coefficient {coeff} "
+                              f"for {key}")
+    c = total.coeffs.real
+    keep = np.abs(c) >= _COEFF_CUTOFF
+    identity = keep & (total.x == 0) & (total.z == 0)
+    keep &= ~identity
     return EncodedHamiltonian(
-        qubit_terms=QubitOperator(n_qubits, clean),
-        constant=constant,
+        qubit_terms=_pauli_sum(n_qubits, total.x[keep], total.z[keep],
+                               c[keep]),
+        constant=float(c[identity].sum()),
         qubit_layout=layout,
         basis=tuple(basis),
         encoding=encoding,

@@ -58,7 +58,6 @@ from .operators import (
     QubitOperator,
     _flip_groups,
     _fuse_runs,
-    _masks,
     _RotationRuns,
     apply_operator,
     pauli_masks,
@@ -413,8 +412,7 @@ def sampled_expectation(state_or_rho, h: QubitOperator, shots_per_term: int,
     if shots_per_term < 1:
         raise InvalidParams("shots_per_term must be >= 1")
     arr, is_rho = _as_matrix(state_or_rho, h.n_qubits)
-    x, z, _ = _masks(h)
-    exact = dict(zip(h.terms, pauli_traces(h.n_qubits, x, z, arr).real))
+    exact = dict(zip(h.terms, pauli_traces(h.n_qubits, h.x, h.z, arr).real))
     rng = np.random.default_rng(seed)
     total = 0.0
     for term, coeff in sorted(h.terms.items()):

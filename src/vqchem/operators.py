@@ -17,9 +17,11 @@ Index conventions used throughout the package:
 
 Pauli strings are 64-bit masks (x, z), qubit ``q`` at bit ``n - 1 - q``, so
 spin-orbital ``j`` is bit ``j``: P(x, z) = i^{|x & z|} X^x Z^z (Aaronson &
-Gottesman, PRA 70, 052328).  One rule serves maps, products and matrices:
-P(x1, z1) P(x2, z2) = i^k P(x, z), x = x1 ^ x2, z = z1 ^ z2, k = |x1&z1| +
-|x2&z2| - |x&z| + 2|z1&x2| mod 4.  Over 64 qubits raise ``SizeLimit``.
+Gottesman, PRA 70, 052328).  A :class:`QubitOperator` is its (x, z, coeffs)
+arrays; its letter ``terms`` are a read-only view derived from them.  One
+rule serves maps, products and matrices: P(x1, z1) P(x2, z2) = i^k P(x, z),
+x = x1 ^ x2, z = z1 ^ z2, k = |x1&z1| + |x2&z2| - |x&z| + 2|z1&x2| mod 4.
+Over 64 qubits raise ``SizeLimit``.
 The parity map is the Jordan-Wigner image in the prefix-parity basis
 (:func:`parity_transform`; Seeley, Richard & Love, JCP 137, 224109).
 """
@@ -29,6 +31,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from itertools import chain
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -91,54 +94,65 @@ class FermionOperator:
 
 
 class QubitOperator:
-    """Sum of Pauli strings.  Term key: tuple of (qubit, letter), sorted.
+    """Sum of Pauli strings: the read-only arrays ``x``, ``z`` (uint64
+    masks) and ``coeffs`` of its distinct strings, in order of first
+    appearance.  ``terms``, keyed by sorted tuples of (qubit, letter), is a
+    read-only view derived from them.  Arithmetic returns new operators;
+    the view and the flip groups (:func:`_flip_groups`, which give H psi,
+    the diagonal and the matrices) are built once."""
 
-    Operators are not modified after construction: arithmetic returns new
-    ones, and the masks and the flip groups of :func:`_flip_groups` are
-    kept.  The flip groups give H psi, the diagonal and the matrices.
-    """
-
-    __slots__ = ("n_qubits", "terms", "_flips", "_xz")
+    __slots__ = ("n_qubits", "x", "z", "coeffs", "_flips", "_terms")
 
     def __init__(self, n_qubits: int,
                  terms: Mapping[PauliTerm, complex] | None = None):
         if n_qubits < 1:
             raise InvalidOperator("need at least one qubit")
-        self.n_qubits = int(n_qubits)
-        self._flips = self._xz = None  # built on first use
-        self.terms: dict[PauliTerm, complex] = {}
-        for term, c in (terms or {}).items():
-            key = self._normalize_term(term)
-            self.terms[key] = self.terms.get(key, 0.0) + c
+        if n_qubits > 64:
+            raise SizeLimit(f"{n_qubits} qubits exceed the 64-bit masks")
+        terms = terms or {}
+        for term in terms:
+            for k, (q, letter) in enumerate(term):
+                if not 0 <= q < n_qubits:
+                    raise InvalidOperator(f"qubit {q} out of range")
+                if letter not in ("X", "Y", "Z"):
+                    raise InvalidOperator(f"bad Pauli letter {letter!r}")
+                if q in (p for p, _ in term[:k]):
+                    raise InvalidOperator(f"duplicate qubit {q} in term")
+        xz = np.array([pauli_masks(n_qubits, t) for t in terms],
+                      dtype=np.uint64).reshape(-1, 2)
+        coeffs = np.fromiter(terms.values(), complex, len(terms))
+        self._hold(n_qubits, *_collect(xz[:, 0], xz[:, 1], coeffs))
 
-    def _with_terms(self, terms: dict) -> "QubitOperator":
-        """A new operator on these qubits holding ``terms``, whose keys are
-        already normal: no term is validated and sorted again."""
-        out = QubitOperator(self.n_qubits)
-        out.terms = terms
-        return out
+    def _hold(self, n: int, x, z, v) -> "QubitOperator":
+        """Become sum_k v_k P(x_k, z_k) on ``n`` qubits: strings distinct,
+        in array order, kept as read-only copies."""
+        self.n_qubits, self._flips, self._terms = int(n), None, None
+        self.x, self.z = np.array(x, np.uint64), np.array(z, np.uint64)
+        self.coeffs = np.array(v, complex)
+        for a in (self.x, self.z, self.coeffs):
+            a.flags.writeable = False
+        return self
 
-    def _normalize_term(self, term: PauliTerm) -> PauliTerm:
-        seen = set()
-        for q, letter in term:
-            if not 0 <= q < self.n_qubits:
-                raise InvalidOperator(f"qubit {q} out of range")
-            if letter not in ("X", "Y", "Z"):
-                raise InvalidOperator(f"bad Pauli letter {letter!r}")
-            if q in seen:
-                raise InvalidOperator(f"duplicate qubit {q} in term")
-            seen.add(q)
-        return tuple(sorted(term))
+    @property
+    def terms(self) -> Mapping[PauliTerm, complex]:
+        """{term: coeff} in array order, read-only; built on first read."""
+        if self._terms is None:
+            n, x, z = self.n_qubits, self.x[:, None], self.z[:, None]
+            shift = np.arange(n - 1, -1, -1, dtype=np.uint64)  # qubit 0 first
+            codes = (x >> shift & 1) | (z >> shift & 1) << 1
+            letters = [(None, (q, "X"), (q, "Z"), (q, "Y")) for q in range(n)]
+            keys = (tuple(letters[q][c] for q, c in enumerate(row) if c)
+                    for row in codes.tolist())
+            self._terms = MappingProxyType(dict(zip(keys,
+                                                    self.coeffs.tolist())))
+        return self._terms
 
     @classmethod
     def identity(cls, n_qubits: int, coeff: complex = 1.0) -> "QubitOperator":
         return cls(n_qubits, {(): coeff})
 
     def __add__(self, other: "QubitOperator") -> "QubitOperator":
-        if self.n_qubits != other.n_qubits:
-            raise InvalidOperator("operator size mismatch in add")
-        return self._with_terms(self.terms | {
-            t: self.terms.get(t, 0.0) + c for t, c in other.terms.items()})
+        return _sum(self.n_qubits, (self, other))
 
     def __sub__(self, other: "QubitOperator") -> "QubitOperator":
         return self + (-1.0) * other
@@ -147,20 +161,22 @@ class QubitOperator:
         if isinstance(other, QubitOperator):
             if self.n_qubits != other.n_qubits:
                 raise InvalidOperator("operator size mismatch in multiply")
-            (xa, za, a), (xb, zb, b) = _masks(self), _masks(other)
-            x, z, k = _pauli_product(xa[:, None], za[:, None], xb, zb)
+            a, b = self.coeffs, other.coeffs
+            x, z, k = _pauli_product(self.x[:, None], self.z[:, None],
+                                     other.x, other.z)
             ab = np.empty(x.shape, dtype=complex)  # Python's a*b: no FMA
             ab.real = a.real[:, None] * b.real - a.imag[:, None] * b.imag
             ab.imag = a.real[:, None] * b.imag + a.imag[:, None] * b.real
-            return _mask_operator(self.n_qubits, *_collect(
+            return _pauli_sum(self.n_qubits, *_collect(
                 x.ravel(), z.ravel(), (ab * _UNITS[k]).ravel()))
-        return self._with_terms({t: c * other for t, c in self.terms.items()})
+        return _pauli_sum(self.n_qubits, self.x, self.z, self.coeffs * other)
 
     __rmul__ = __mul__
 
     def simplify(self, tol: float = COEFF_CUTOFF) -> "QubitOperator":
-        return self._with_terms(
-            {t: c for t, c in self.terms.items() if abs(c) > tol})
+        keep = np.abs(self.coeffs) > tol
+        return _pauli_sum(self.n_qubits, self.x[keep], self.z[keep],
+                          self.coeffs[keep])
 
     def diagonal(self) -> np.ndarray:
         """<i|H|i> over the 2^n basis states, read off the flip groups."""
@@ -188,7 +204,23 @@ class QubitOperator:
         return "\n".join(lines)
 
     def __repr__(self) -> str:
-        return f"QubitOperator(n_qubits={self.n_qubits}, n_terms={len(self.terms)})"
+        return f"QubitOperator(n_qubits={self.n_qubits}, n_terms={self.x.size})"
+
+
+def _pauli_sum(n: int, x, z, v) -> QubitOperator:
+    """The operator sum_k v_k P(x_k, z_k) of distinct strings."""
+    return QubitOperator.__new__(QubitOperator)._hold(n, x, z, v)
+
+
+def _sum(n: int, ops) -> QubitOperator:
+    """The sum of operators on ``n`` qubits by one :func:`_collect`: the
+    bits of adding them one at a time, left to right."""
+    if any(op.n_qubits != n for op in ops):
+        raise InvalidOperator("operator size mismatch in add")
+    empty = np.zeros(0, np.uint64)
+    parts = [(empty, empty, empty.astype(complex))]
+    parts += [(op.x, op.z, op.coeffs) for op in ops]
+    return _pauli_sum(n, *_collect(*map(np.concatenate, zip(*parts))))
 
 
 def _format_coeff(c: complex) -> str:
@@ -204,20 +236,6 @@ def pauli_masks(n: int, term: PauliTerm) -> tuple[int, int]:
                  for skip in "ZX")  # X and Y set x; Y and Z set z
 
 
-def _masks(op: QubitOperator):
-    """(x, z, coefficients) of the terms of ``op``, in order: read-only
-    arrays, built once per operator."""
-    if op._xz is None:
-        if op.n_qubits > 64:
-            raise SizeLimit(f"{op.n_qubits} qubits exceed the 64-bit masks")
-        masks = np.array([pauli_masks(op.n_qubits, t) for t in op.terms],
-                         dtype=np.uint64).reshape(-1, 2)
-        coeffs = np.fromiter(op.terms.values(), complex, len(op.terms))
-        masks.flags.writeable = coeffs.flags.writeable = False
-        op._xz = masks[:, 0], masks[:, 1], coeffs
-    return op._xz
-
-
 def _flip_groups(op: QubitOperator) -> tuple[np.ndarray, np.ndarray]:
     """(cols, d) of ``op``, built once.  Its strings are grouped by flip
     mask x_g, groups in order of first appearance and strings of a group
@@ -225,8 +243,7 @@ def _flip_groups(op: QubitOperator) -> tuple[np.ndarray, np.ndarray]:
     <i|H|cols[g, i]>, so H psi = sum_g d[g] * psi[cols[g]].  d is real when
     every value is: 16 bytes (24 if complex) per basis state and group."""
     if op._flips is None:
-        x, z, c = _masks(op)
-        x = x.astype(np.int64)  # 2^n fits
+        x, z, c = op.x.astype(np.int64), op.z, op.coeffs  # 2^n fits
         first, group = _groups(x)
         values = np.zeros((first.size, 1 << op.n_qubits), dtype=complex)
         # add.at adds in index order; chunks bound the (terms, 2^n) rows.
@@ -394,24 +411,6 @@ def _collect(x, z, v, *keys):
     return x[first], z[first], out, *(key[first] for key in keys)
 
 
-def _mask_operator(n: int, x, z, v) -> QubitOperator:
-    """The operator sum_k v_k P(x_k, z_k) of distinct strings, terms in
-    array order.  Copies of the arrays are its masks (:func:`_masks`)."""
-    shift = np.arange(n - 1, -1, -1, dtype=np.uint64)  # qubit 0 first
-    codes = (x[:, None] >> shift & 1) | (z[:, None] >> shift & 1) << 1
-    letters = [(None, (q, "X"), (q, "Z"), (q, "Y")) for q in range(n)]
-    k, q = np.nonzero(codes)  # row-major: by term, then qubit
-    flat = [letters[i][c] for i, c in zip(q.tolist(), codes[k, q].tolist())]
-    ends = np.cumsum(np.count_nonzero(codes, axis=1)).tolist()
-    op = QubitOperator(n)
-    op.terms = dict(zip((tuple(flat[a:b]) for a, b in zip([0] + ends, ends)),
-                        v.tolist()))
-    op._xz = *np.array([x, z], np.uint64), np.array(v, complex)
-    for a in op._xz:
-        a.flags.writeable = False
-    return op
-
-
 def _ladder_images(n: int) -> np.ndarray:
     """Jordan-Wigner masks [j, branch, (x, z)] of a_j = (P_j0 + i P_j1) / 2
     and a_j^dagger = (P_j0 - i P_j1) / 2, Z below bit j then X_j or Y_j."""
@@ -476,7 +475,7 @@ def jordan_wigner(op: FermionOperator) -> QubitOperator:
     bitstrings read highest spin-orbital first (e.g. 0101 for two electrons
     in two spatial orbitals).
     """
-    return _mask_operator(op.n_spin_orbitals, *_fermion_image(op))
+    return _pauli_sum(op.n_spin_orbitals, *_fermion_image(op))
 
 
 def parity_transform(op: FermionOperator, n_elec: int,
@@ -504,7 +503,7 @@ def parity_transform(op: FermionOperator, n_elec: int,
     x, z = x & (1 << n) - 1, z ^ z >> 1
     v = v * _UNITS[(k - np.bitwise_count(x & z)) & 3]
     if not reduce_two_qubits:
-        return _mask_operator(n, x, z, v)
+        return _pauli_sum(n, x, z, v)
 
     q_beta, q_total = n // 2 - 1, n - 1
     frozen = (1 << q_beta) | (1 << q_total)
@@ -521,4 +520,4 @@ def parity_transform(op: FermionOperator, n_elec: int,
     x, z = ((m & low) | (m & kept) >> (q_beta + 1) << q_beta for m in (x, z))
     x, z, v = _collect(x, z, v)
     keep = np.abs(v) > COEFF_CUTOFF
-    return _mask_operator(n - 2, x[keep], z[keep], v[keep])
+    return _pauli_sum(n - 2, x[keep], z[keep], v[keep])

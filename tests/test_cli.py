@@ -520,6 +520,17 @@ def test_hubbard_past_the_size_limit_runs_nothing(capsys, monkeypatch):
     assert err.startswith("SizeLimit:")
 
 
+@pytest.mark.parametrize("sites", ["0", "1"])
+def test_hubbard_with_too_few_sites_is_an_invalid_model(capsys, sites):
+    """--sites 0 is a value, not a missing flag: it reaches the model
+    builder and is refused there, as --sites 1 is."""
+    code, out, err = run(capsys, "hubbard", "--sites", sites)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[-1] == (
+        "InvalidModel: Hubbard chain needs at least 2 sites")
+
+
 def test_hubbard_refuses_its_ansatz_before_the_fci_solve(capsys,
                                                          monkeypatch):
     def no_fci(*args, **kwargs):

@@ -655,7 +655,7 @@ def test_sampled_terms_use_masks_not_the_action_cache(h2):
     """Sampled terms read their actions off the strings' masks: each value
     equals the letter-by-letter action's, for complex, real and density
     inputs and across chunks."""
-    from vqchem.operators import _masks, pauli_traces
+    from vqchem.operators import pauli_traces
 
     h = parity_transform(build_fermion_hamiltonian(h2), h2.n_elec)
     rng = np.random.default_rng(5)
@@ -670,7 +670,7 @@ def test_sampled_terms_use_masks_not_the_action_cache(h2):
                      (QubitOperator(10, strings), (psi10,))):
         for arr in arrs:
             is_rho = arr.ndim == 2
-            got = pauli_traces(op.n_qubits, *_masks(op)[:2], arr).real
+            got = pauli_traces(op.n_qubits, op.x, op.z, arr).real
             assert got.shape == (len(op.terms),)
             for term, value in zip(op.terms, got):
                 target, phase = oracles.letter_pauli_action(op.n_qubits, term)
@@ -678,6 +678,24 @@ def test_sampled_terms_use_masks_not_the_action_cache(h2):
                         if is_rho else
                         np.sum(np.conj(arr[target]) * phase * arr))
                 assert value == want.real, term
+
+
+def test_sampled_draw_order_ignores_insertion_order(h2):
+    """Shots are drawn term by term in the sorted order of the letter
+    terms, so the same terms inserted in another order give the same
+    estimate for one seed."""
+    h = parity_transform(build_fermion_hamiltonian(h2), h2.n_elec)
+    items = list(h.terms.items())
+    shuffled = [items[k] for k in np.random.default_rng(3).permutation(
+        len(items))]
+    again = QubitOperator(h.n_qubits, dict(shuffled))
+    assert list(again.terms) != list(h.terms)
+    rng = np.random.default_rng(8)
+    psi = rng.normal(size=16) + 1j * rng.normal(size=16)
+    psi /= np.linalg.norm(psi)
+    for seed in (0, 11):
+        assert (sampled_expectation(psi, again, 64, seed)
+                == sampled_expectation(psi, h, 64, seed))
 
 
 def test_sampled_identity_term_is_exact():

@@ -17,7 +17,9 @@ from vqchem import (
     make_ci_space,
     parity_transform,
 )
+from vqchem import operators
 from vqchem.dynamics import qubit_encode, spin_boson_model
+from vqchem.gates import expectation
 from oracles import (
     add_adjoint,
     dense_fermion_operator,
@@ -282,9 +284,8 @@ def test_masks_refuse_more_than_64_qubits():
         jordan_wigner(op)
     with pytest.raises(SizeLimit):
         parity_transform(op, n_elec=2)
-    q = QubitOperator(65, {((64, "X"),): 1.0})
     with pytest.raises(SizeLimit):
-        q * q
+        QubitOperator(65, {((64, "X"),): 1.0})
 
 
 @pytest.mark.parametrize("n_so", [40, 64])
@@ -308,15 +309,13 @@ def test_wide_operators_map_like_the_letter_oracle(n_so):
 
 def test_parity_masks_of_an_odd_operator_stay_on_n_bits():
     """The prefix parity of an odd-weight x runs past bit n - 1; the masks
-    the image keeps (:func:`_masks`) are those of its terms."""
-    from vqchem.operators import _masks
-
+    the image keeps (``x``, ``z``) are those of its terms."""
     op = FermionOperator(5, {((j, dag),): 1.0 for j in range(5)
                              for dag in (False, True)})
     got = parity_transform(op, 0)
-    for kept, fresh in zip(_masks(got)[:2],
-                           _masks(QubitOperator(5, got.terms))[:2]):
-        np.testing.assert_array_equal(kept, fresh)
+    fresh = QubitOperator(5, got.terms)
+    for kept, again in ((got.x, fresh.x), (got.z, fresh.z)):
+        np.testing.assert_array_equal(kept, again)
 
 
 def test_parity_reduction_keeps_ground_sector(h2):
@@ -378,26 +377,50 @@ def test_qubit_operator_validation():
 
 
 def test_qubit_operator_sum_reuses_normal_terms(monkeypatch):
-    """Sums, differences, scalar multiples and simplify build on the
-    operands' already-normalised terms: no term is validated and sorted
-    again, so repeated arithmetic stays linear."""
+    """Sums, differences, scalar multiples, simplify and products build on
+    the operands' masks: no term is turned into masks again."""
     a = QubitOperator(4, {((0, "X"),): 1.0, ((1, "Z"), (2, "Y")): 0.5j,
                           (): -2.0, ((3, "X"),): 1e-14})
     b = QubitOperator(4, {((3, "Z"),): 0.25, ((0, "Y"), (1, "X")): 1.5,
                           ((2, "Z"),): -1.0})
     calls = []
-    normalize = QubitOperator._normalize_term
-    monkeypatch.setattr(QubitOperator, "_normalize_term",
-                        lambda self, term: calls.append(term)
-                        or normalize(self, term))
+    masks = operators.pauli_masks
+    monkeypatch.setattr(operators, "pauli_masks",
+                        lambda n, term: calls.append(term) or masks(n, term))
     total = a + b
     assert list(total.terms) == list(a.terms) + list(b.terms)
     assert total.terms == {**a.terms, **b.terms}
-    scaled, diff, small = 2.0 * a, a - b, a.simplify()
+    scaled, diff, small, product = 2.0 * a, a - b, a.simplify(), a * b
     assert calls == []
+    assert_same_operator(product, letter_product(a, b))
     assert scaled.terms == {t: 2.0 * c for t, c in a.terms.items()}
     assert diff.terms == {**a.terms, **{t: -c for t, c in b.terms.items()}}
     assert list(small.terms) == list(a.terms)[:3]
+
+
+def test_qubit_operator_terms_are_a_read_only_view():
+    """``terms`` cannot be written, so it cannot fall out of step with the
+    strings the operator computes with: after any arithmetic the printed
+    form, the expectation value and the dense matrix all follow it."""
+    op = QubitOperator(2, {((0, "Z"),): 1.0, ((0, "X"), (1, "Y")): 0.5})
+    psi = np.array([0.6, 0.0, 0.0, 0.8j])
+    expectation(psi, op)  # builds the flip groups
+    with pytest.raises(TypeError):
+        op.terms[((0, "Z"),)] = 5.0
+    with pytest.raises(TypeError):
+        del op.terms[((0, "Z"),)]
+    other = QubitOperator(2, {((0, "Z"),): -0.25, ((1, "X"),): 2.0j})
+    for got in (op, op + other, op - other, 3.0 * op, op * other,
+                (op - op).simplify(), other * other):
+        assert got.format_text() == "\n".join(
+            f"{operators._format_coeff(c)} "
+            f"{' '.join(f'{ch}{q}' for q, ch in t)}".rstrip()
+            for t, c in got.terms.items())
+        dense = dense_qubit_operator(got)
+        np.testing.assert_allclose(got.to_dense_matrix(), dense, atol=1e-15)
+        if np.allclose(dense, dense.conj().T):
+            assert abs(expectation(psi, got)
+                       - np.vdot(psi, dense @ psi).real) < 1e-14
 
 
 def test_qubit_operator_product_matches_dense():
