@@ -389,7 +389,7 @@ def _state_and_jacobian(circuit: Circuit, theta, runs: _RotationRuns):
         )
     cos, flip = runs.rotations(2.0 * theta)
     buf = np.zeros((theta.size + 1, 1 << circuit.n_qubits), dtype=complex)
-    buf[0] = _start_state(circuit)
+    buf[0] = _start_state(circuit, complex)
     for r, (lo, hi, target, columns) in enumerate(runs.plan):
         live = buf[:lo + 1]
         flipped = live.take(target, axis=1)

@@ -21,9 +21,15 @@ so RY is the rotation about the one-letter string "Y".  Each public entry
 point, and the variational dynamics, compiles its circuit once per call
 (:func:`_compile`) into the steps of :func:`vqchem.operators._fuse_runs`:
 runs of commuting rotations that flip the same qubits, each
-cos(Phi) x - i sin(Phi) P_r x with P_r x a gather of x by an index array
-times a phase, and X and CNOT as permutations.  Only the noise channels
-multiply a (super)operator matrix onto the axes they touch.
+cos(Phi) x + sin(Phi) f_r x[target] with -i P_r x = f_r x[target] a gather
+of x by an index array, and X and CNOT as permutations.  Only the noise
+channels multiply a (super)operator matrix onto the axes they touch.
+The dtype follows the data: a program whose flips are exactly real (RY
+and rotations about strings with an odd number of Y, next to X and CNOT,
+as in the hardware-efficient ansatz) runs from |0...0> in float64 and
+returns float64 states, and so do exactly real channels and observables;
+a complex flip, channel or ``initial`` vector, as in the VHA, keeps
+complex128.
 
 With this convention the parameter-shift rule
 dE/dtheta = [E(theta + pi/2) - E(theta - pi/2)] / 2
@@ -58,6 +64,7 @@ from .operators import (
     QubitOperator,
     _flip_groups,
     _fuse_runs,
+    _real_if_exact,
     _RotationRuns,
     apply_operator,
     pauli_masks,
@@ -257,9 +264,11 @@ def _compile(c: Circuit, noise: NoiseModel | None) -> _RotationRuns:
 
 def _step(x: np.ndarray, step: tuple, cos, flip) -> np.ndarray:
     """One step on a statevector or a matrix's rows, x unchanged: x[target],
-    or run r as cos[r] x + flip[r] x[target].  ``-flip`` inverts a run; X
-    and CNOT are their own inverses.  A transposed view is gathered along
-    its memory order, as its transpose's columns."""
+    or run r as cos[r] x + flip[r] x[target], float64 if x and the flips
+    are, complex128 otherwise (x must be complex if the flips are).
+    ``-flip`` inverts a run; X and CNOT are their own inverses.  A
+    transposed view is gathered along its memory order, as its
+    transpose's columns."""
     target, r, _ = step
     out = (x.take(target, axis=0) if x.flags.c_contiguous
            else x.T.take(target, axis=-1).T)
@@ -276,21 +285,28 @@ def _sandwich(rho: np.ndarray, step: tuple, cos, flip) -> np.ndarray:
     return _step(_step(rho, step, cos, flip).conj().T, step, cos, flip)
 
 
-def _start_state(c: Circuit) -> np.ndarray:
-    """A new copy of the circuit's start statevector."""
+def _start_state(c: Circuit, dtype) -> np.ndarray:
+    """A new copy of the circuit's start statevector: |0...0> in ``dtype``,
+    or the complex ``initial`` vector."""
     if c.initial is None:
-        return np.eye(1, 1 << c.n_qubits, dtype=complex)[0]
+        return np.eye(1, 1 << c.n_qubits, dtype=dtype)[0]
     return c.initial.copy()
 
 
 def simulate_state(c: Circuit, params,
                    runs: _RotationRuns | None = None) -> np.ndarray:
     """Apply the circuit (compiled as ``runs``, if given) to its start
-    state; returns the final statevector."""
+    state; returns the final statevector, float64 when the flips are
+    exactly real and the start is |0...0>."""
     params = _check_circuit_params(c, params)
     runs = _compile(c, None) if runs is None else runs
-    cos, flip = runs.rotations(params)
-    psi = _start_state(c)
+    return _final_state(c, runs, *runs.rotations(params))
+
+
+def _final_state(c: Circuit, runs: _RotationRuns, cos, flip) -> np.ndarray:
+    """The steps ``runs`` at rotations (cos, flip) on the start state, in
+    the flips' dtype."""
+    psi = _start_state(c, flip.dtype)
     for step in runs.steps:
         psi = _step(psi, step, cos, flip)
     return psi
@@ -342,25 +358,35 @@ def _apply_noise(rho: np.ndarray, g: Gate, superops: dict,
     return _apply_channel_density(rho, superop, g.qubits, n)
 
 
-def _initial_density(c: Circuit) -> np.ndarray:
+def _check_density_size(c: Circuit) -> None:
     if c.n_qubits > _DENSITY_QUBIT_LIMIT:
         raise SizeLimit(
             f"density simulation capped at {_DENSITY_QUBIT_LIMIT} qubits"
         )
-    psi = _start_state(c)
-    return np.outer(psi, psi.conj())
+
+
+def _density_start(c: Circuit, flip, noise: NoiseModel | None):
+    """(rho, superops) of a density pass: the start state's density matrix
+    and the noise model's superoperators, each exactly real one as float64;
+    rho is float64 when the flips, the channels and the start are."""
+    superops = {} if noise is None else {
+        kind: _real_if_exact(s) for kind, s in noise.superops.items()}
+    psi = _start_state(c, np.result_type(flip, *superops.values()))
+    return np.outer(psi, psi.conj()), superops
 
 
 def simulate_density(c: Circuit, params, noise: NoiseModel | None,
                      runs: _RotationRuns | None = None) -> np.ndarray:
     """Apply the circuit (compiled for ``noise`` as ``runs``, if given) to
     its start state with each gate followed by its noise channel (if the
-    model binds one to that gate kind); returns the density matrix."""
-    rho = _initial_density(c)
+    model binds one to that gate kind); returns the density matrix,
+    float64 when the flips and channels are exactly real and the start is
+    |0...0>."""
+    _check_density_size(c)
     params = _check_circuit_params(c, params)
-    superops = {} if noise is None else noise.superops
     runs = _compile(c, noise) if runs is None else runs
     cos, flip = runs.rotations(params)
+    rho, superops = _density_start(c, flip, noise)
     for step in runs.steps:
         rho = _sandwich(rho, step, cos, flip)
         rho = _apply_noise(rho, c.gates[step[2]], superops, c.n_qubits)
@@ -452,24 +478,27 @@ def _energy_and_gradient(c: Circuit, params, h: QubitOperator,
             f"operator on {h.n_qubits} qubits against a "
             f"{c.n_qubits}-qubit circuit"
         )
+    if noise is not None:
+        _check_density_size(c)
     runs = _compile(c, noise) if runs is None else runs
     if noise is None:
         return _state_gradient(c, runs, params, h)
-    return _density_gradient(c, runs, params, h, noise.superops)
+    return _density_gradient(c, runs, params, h, noise)
 
 
 def _state_gradient(c: Circuit, runs: _RotationRuns, params,
                     h: QubitOperator):
     """Adjoint differentiation (Jones & Gacon, arXiv:2009.02823): with
     lambda = H psi carried back through the circuit next to psi, a run
-    member exp(-i theta P_k / 2) contributes dE/dtheta = Im <lambda|P_k|psi>,
-    both read right after the run, where P_k psi = d_k * (P_r psi); the
-    slots sum their members' values, and fixed angles drop out (bin 0).
-    The energy is <psi|lambda> before the walk back."""
-    psi = simulate_state(c, params, runs)
+    member exp(-i theta P_k / 2) contributes
+    dE/dtheta = Re <lambda|-i P_k|psi>, both read right after the run, where
+    -i P_k psi = d_k * f_r * psi[target]; the slots sum their members'
+    values, and fixed angles drop out (bin 0).  The energy is
+    <psi|lambda> before the walk back."""
+    cos, flip = runs.rotations(params)
+    psi = _final_state(c, runs, cos, flip)
     lam = apply_operator(h, psi)
     e = _real_energy(complex(np.vdot(psi, lam)))
-    cos, flip = runs.rotations(params)
     back, bounds = -flip, runs.starts.tolist()
     member = np.zeros(runs.slots.size)
     pair = np.stack([psi, lam], axis=1)
@@ -477,8 +506,8 @@ def _state_gradient(c: Circuit, runs: _RotationRuns, params,
         target, r, _ = step
         if r is not None:
             lo, hi = bounds[r], bounds[r + 1]
-            w = pair[:, 1].conj() * runs.phases[r] * pair[target, 0]
-            member[lo:hi] = w.imag @ runs.signs[:, lo:hi]
+            w = pair[:, 1].conj() * runs.flips[r] * pair[target, 0]
+            member[lo:hi] = w.real @ runs.signs[:, lo:hi]
         pair = _step(pair, step, cos, back)
     return e, np.bincount(runs.slots + 1, member, c.n_params + 1)[1:]
 
@@ -488,25 +517,26 @@ _ADJOINT_STATE_BYTES = 64 << 20
 
 
 def _density_gradient(c: Circuit, runs: _RotationRuns, params,
-                      h: QubitOperator, superops: dict):
+                      h: QubitOperator, noise: NoiseModel):
     """The same reverse pass in the Heisenberg picture.  Walking back from
     O = H, each step first takes its channel's adjoint M = S^dagger(O), the
     superoperator's conjugate transpose; a run member then contributes
-    dE/dtheta = Im Tr(M P_k sigma), with sigma = U rho U^dagger the state
-    right after the run (before its channel); finally O = U^dagger M U.
-    The energy is the expectation of the final rho of the forward pass.
+    dE/dtheta = Re Tr(M (-i P_k) sigma), with sigma = U rho U^dagger the
+    state right after the run (before its channel); finally
+    O = U^dagger M U.  The energy is the expectation of the final rho of the
+    forward pass.  O is float64 when rho and H's flip values are.
 
     The forward pass keeps sigma at every ``stride``-th parametrised run,
-    with ``stride`` the smallest that fits the kept states into
-    ``_ADJOINT_STATE_BYTES`` (1 unless the circuit is large); the states in
-    between are replayed from the nearest kept one when the reverse pass
-    reaches them."""
+    with ``stride`` the smallest that fits the kept states, at rho's own
+    size, into ``_ADJOINT_STATE_BYTES`` (1 unless the circuit is large); the
+    states in between are replayed from the nearest kept one when the
+    reverse pass reaches them."""
     n, steps, bounds = c.n_qubits, runs.steps, runs.starts.tolist()
     cos, flip = runs.rotations(params)
-    rho = _initial_density(c)
+    rho, superops = _density_start(c, flip, noise)
     marks = [k for k, (_, r, _) in enumerate(steps) if r is not None
              and max(runs.slots[bounds[r]:bounds[r + 1]]) >= 0]
-    stride = max(1, -(-len(marks) * (16 << 2 * n) // _ADJOINT_STATE_BYTES))
+    stride = max(1, -(-len(marks) * rho.nbytes // _ADJOINT_STATE_BYTES))
     kept = dict.fromkeys(marks[::stride])
     for k, step in enumerate(steps):
         rho = _sandwich(rho, step, cos, flip)
@@ -530,14 +560,15 @@ def _density_gradient(c: Circuit, runs: _RotationRuns, params,
     adjoint = {kind: s.conj().T for kind, s in superops.items()}
     back, marked = -flip, set(marks)
     obs = h.to_dense_matrix()
+    obs = obs if np.iscomplexobj(rho) else _real_if_exact(obs)
     for k in reversed(range(len(steps))):
         target, r, end = step = steps[k]
         obs = _apply_noise(obs, c.gates[end], adjoint, n)
         if k in marked:
             lo, hi = bounds[r], bounds[r + 1]
             gathered = _step(sigma_at(k), (target, None, end), cos, flip)
-            w = runs.phases[r] * np.einsum("ij,ij->i", obs.conj(), gathered)
-            member[lo:hi] = w.imag @ runs.signs[:, lo:hi]
+            w = runs.flips[r] * np.einsum("ij,ij->i", obs.conj(), gathered)
+            member[lo:hi] = w.real @ runs.signs[:, lo:hi]
         obs = _sandwich(obs, step, cos, back)
     return e, np.bincount(runs.slots + 1, member, c.n_params + 1)[1:]
 

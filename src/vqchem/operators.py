@@ -253,12 +253,15 @@ def _flip_groups(op: QubitOperator) -> tuple[np.ndarray, np.ndarray]:
             phase = mask_action(op.n_qubits, x[at, None], z[at, None])[1]
             np.add.at(values, group[at], c[at, None] * phase)
         cols = np.arange(values.shape[1]) ^ x[first, None]
-        d = np.take_along_axis(values, cols, axis=1)
-        if not d.imag.any():
-            d = d.real.copy()
+        d = _real_if_exact(np.take_along_axis(values, cols, axis=1))
         cols.flags.writeable = d.flags.writeable = False
         op._flips = cols, d
     return op._flips
+
+
+def _real_if_exact(a: np.ndarray) -> np.ndarray:
+    """``a``, as a float64 copy when every imaginary part is exactly 0."""
+    return a if a.imag.any() else a.real.copy()
 
 
 def apply_operator(op: QubitOperator, psi: np.ndarray) -> np.ndarray:
@@ -298,37 +301,42 @@ class _RotationRuns:
     """Rotations and permutations compiled by :func:`_fuse_runs`.  Member k
     is exp(-i theta_k P_k), theta_k = (angles[k] + params[slots[k]]) / 2
     (slot -1: the fixed angle alone) as for PAULI_ROT.  Run r holds members
-    ``starts[r]:starts[r + 1]``, ``(P_r x)[i] = phases[r, i] x[target[i]]``
+    ``starts[r]:starts[r + 1]``, ``(-i P_r x)[i] = flips[r, i] x[target[i]]``
     and ``P_k = diag(signs[:, k]) P_r``.  ``steps`` are ``(target, r, end)``
-    in order: run r, or x -> x[target] when r is None, and its last op."""
+    in order: run r, or x -> x[target] when r is None, and its last op.
+    ``flips`` is float64 when every run's flip is exactly real, as for RY
+    and any string with an odd number of Y; a program of such runs maps
+    real vectors to real vectors."""
 
     starts: np.ndarray          # (n_runs + 1,)
-    phases: np.ndarray          # (n_runs, dim)
+    flips: np.ndarray           # (n_runs, dim), float64 if exactly real
     signs: np.ndarray           # (dim, n_members) int8 entries +-1
     slots: np.ndarray           # (n_members,)
     angles: np.ndarray          # (n_members,)
     steps: tuple
 
     def rotations(self, params) -> tuple[np.ndarray, np.ndarray]:
-        """(cos Phi, -i sin Phi phases) of every run's diagonal angle
+        """(cos Phi, sin Phi flips) of every run's diagonal angle
         Phi = sum_k theta_k signs[:, k], so run r maps x to
-        cos[r] x + flip[r] x[target] (rows of length 1 if runs are single)."""
+        cos[r] x + flip[r] x[target] (rows of length 1 if runs are single).
+        Both are float64 when ``flips`` is."""
         theta = 0.5 * (self.angles + np.append(params, 0.0)[self.slots])
-        if theta.size == len(self.phases):  # one member per run: Phi = theta
+        if theta.size == len(self.flips):  # one member per run: Phi = theta
             phi = theta[:, None]
         else:
             phi = np.add.reduceat(self.signs * theta, self.starts[:-1],
                                   axis=1).T
-        return np.cos(phi), -1.0j * np.sin(phi) * self.phases
+        return np.cos(phi), np.sin(phi) * self.flips
 
     @functools.cached_property
     def plan(self) -> tuple:
         """``(lo, hi, target, columns)`` of every run, with Python int
-        bounds, where ``-i P_k x = columns[k - lo] * x[target]``."""
+        bounds, where ``-i P_k x = columns[k - lo] * x[target]``: the
+        member signs times the run's flip, float64 when ``flips`` is."""
         b = self.starts.tolist()
         targets = [t for t, r, _ in self.steps if r is not None]
-        return tuple((lo, hi, t, -1.0j * self.signs[:, lo:hi].T * ph)
-                     for lo, hi, t, ph in zip(b, b[1:], targets, self.phases))
+        return tuple((lo, hi, t, self.signs[:, lo:hi].T * f)
+                     for lo, hi, t, f in zip(b, b[1:], targets, self.flips))
 
 
 def _fuse_runs(n: int, ops) -> _RotationRuns:
@@ -340,10 +348,12 @@ def _fuse_runs(n: int, ops) -> _RotationRuns:
     every basis pair {i, i ^ x} P_k = d_k(i) P_r, the run's strings commute,
     and its product of rotations is exactly exp(-i Phi P_r) =
     cos(Phi) - i sin(Phi) P_r with the diagonal angle Phi = sum_k theta_k
-    D_k; its derivative in theta_k is -i d_k P_r after the run.  Any other
-    string, a permutation or ``closes`` ends the run.  One :func:`mask_action`
-    call gives the actions of a chunk of rotations, about ``_CHUNK`` entries
-    of (rotations, 2^n) arrays."""
+    D_k; its derivative in theta_k is -i d_k P_r after the run.  The run
+    keeps its flip f_r, -i P_r x = f_r * x[target], all runs' flips as
+    float64 if every one is exactly real.  Any other string, a permutation
+    or ``closes`` ends the run.  One :func:`mask_action` call gives the
+    actions of a chunk of rotations, about ``_CHUNK`` entries of
+    (rotations, 2^n) arrays."""
     xz = np.array([op[:2] for op in ops if not isinstance(op, np.ndarray)],
                   np.int64).reshape(-1, 2)
     per_call = max(1, _CHUNK >> n)
@@ -351,7 +361,7 @@ def _fuse_runs(n: int, ops) -> _RotationRuns:
     actions = chain.from_iterable(
         zip(*mask_action(n, c[:, :1], c[:, 1:])) for c in chunks)
     signs = np.ones((1 << n, len(xz)), np.int8)  # one column per member
-    starts, phases, slots, angles, steps = [], [], [], [], []
+    starts, flips, slots, angles, steps = [], [], [], [], []
     ref = None  # (x, z, phase) of the open run's first string
     for end, op in enumerate(ops):
         if isinstance(op, np.ndarray):
@@ -367,14 +377,17 @@ def _fuse_runs(n: int, ops) -> _RotationRuns:
             steps[-1] = steps[-1][:2] + (end,)
         else:
             starts.append(len(slots))
-            phases.append(phase[target])  # copies: no chunk outlives us
-            steps.append((target.copy(), len(phases) - 1, end))
+            # f = -i phase, which is Im(phase) when the Y count |x & z| is
+            # odd (the phase is then +-i); copies: no chunk outlives us
+            flips.append(phase.imag[target] if (x & z).bit_count() % 2
+                         else -1j * phase[target])
+            steps.append((target.copy(), len(flips) - 1, end))
             ref = (x, z, phase)
         slots.append(slot)
         angles.append(angle)
         ref = None if closes else ref
     return _RotationRuns(np.array(starts + [len(slots)]),
-                         np.array(phases, complex).reshape(-1, 1 << n),
+                         np.array(flips).reshape(-1, 1 << n),
                          signs, np.array(slots, np.intp),
                          np.array(angles, float), tuple(steps))
 

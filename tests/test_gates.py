@@ -355,7 +355,7 @@ def test_chunked_compile_matches_one_rotation_per_call(case, monkeypatch):
 
     want, chunked = compile_in_chunks_of(1), compile_in_chunks_of(3)
     for runs in (default, chunked):
-        for name in ("starts", "phases", "signs", "slots", "angles"):
+        for name in ("starts", "flips", "signs", "slots", "angles"):
             got, ref = getattr(runs, name), getattr(want, name)
             assert got.dtype == ref.dtype and got.shape == ref.shape
             assert got.tobytes() == ref.tobytes()
@@ -891,6 +891,59 @@ def test_noisy_gradient_with_checkpoint_stride(h4, states, monkeypatch):
     assert np.max(np.abs(got - want)) < ADJOINT_TOL
 
 
+@pytest.mark.parametrize("noisy", [False, True])
+@pytest.mark.parametrize("case, layers", [("h4", 2), ("h6", 1)])
+def test_real_program_matches_complex_arithmetic(case, layers, noisy,
+                                                 request):
+    """The RY/CNOT ansatz on the parity-reduced operator runs in float64
+    from |0...0>; the same circuit from the complex start ``initial=0``
+    runs in complex128.  Their states, density matrices, energies and
+    gradients agree to 1e-12, ideal and with CNOT depolarizing noise."""
+    c, h = hea_case(request.getfixturevalue(case), layers)
+    twin = dataclasses.replace(c, initial=0)
+    noise = (NoiseModel({"CNOT": depolarizing_channel(0.02, 2)})
+             if noisy else None)
+    params = np.random.default_rng(53).uniform(-np.pi, np.pi, c.n_params)
+    if noisy:
+        real, cplx = (simulate_density(x, params, noise) for x in (c, twin))
+    else:
+        real, cplx = (simulate_state(x, params) for x in (c, twin))
+    assert real.dtype == np.float64 and cplx.dtype == np.complex128
+    assert np.max(np.abs(real - cplx)) <= 1e-12
+    (e, grad), (want_e, want) = (_energy_and_gradient(x, params, h, noise)
+                                 for x in (c, twin))
+    assert abs(e - want_e) <= 1e-12
+    assert np.max(np.abs(grad - want)) <= 1e-12
+
+
+def test_real_flips_run_in_float64():
+    """RY, X and CNOT circuits from |0...0> return float64 states and
+    density matrices, noisy or not; a rotation about "X" and the VHA's
+    strings (an even number of Y each) keep complex128."""
+    from vqchem import (build_vha, coherent_state, encode_state,
+                        qubit_encode, spin_boson_model)
+
+    c = build_ry_ansatz(3, 1)
+    c = Circuit(3, c.gates + [Gate("X", (1,))], c.n_params)
+    params = np.linspace(0.1, 0.9, c.n_params)
+    noise = NoiseModel({"CNOT": depolarizing_channel(0.02, 2)})
+    assert simulate_state(c, params).dtype == np.float64
+    assert simulate_density(c, params, None).dtype == np.float64
+    assert simulate_density(c, params, noise).dtype == np.float64
+
+    x_rot = Circuit(2, [Gate("RY", (0,), param_slot=0),
+                        Gate("PAULI_ROT", (1,), param_slot=1, pauli="X")], 2)
+    assert simulate_state(x_rot, [0.3, 0.4]).dtype == np.complex128
+    assert simulate_density(x_rot, [0.3, 0.4], None).dtype == np.complex128
+    enc = qubit_encode(*spin_boson_model(0.0, 1.0, 1.0, 0.5, 4), "gray")
+    start = np.kron([1.0, 0.0], coherent_state(0.0, 4))
+    vha = build_vha(enc, 1, encode_state(enc, start))
+    theta = np.linspace(0.1, 0.5, vha.n_params)
+    for circuit in (vha, dataclasses.replace(vha, initial=None)):
+        assert simulate_state(circuit, theta).dtype == np.complex128
+        assert simulate_density(circuit, theta, None).dtype == np.complex128
+
+
 def test_shared_slot_gradient_sums_its_gates(h2):
     from vqchem.vqe import _GRAD_TOL
 
@@ -932,19 +985,28 @@ def test_hea_compiles_its_circuit_once(h4, noisy, shots, monkeypatch):
 
 
 def test_hea_simulates_once_per_evaluation(h4, monkeypatch):
+    """Each evaluation runs the circuit forward once and computes its
+    rotations once, for the forward and the reverse pass together."""
     import vqchem.gates as gates
     from vqchem.cli import _hea_init_params, _reference_bitstring
+    from vqchem.operators import _RotationRuns
 
     c, h = hea_case(h4, 2)
-    calls = []
+    calls, rotations = [], []
+    forward, rotate = gates._final_state, _RotationRuns.rotations
 
     def counted(*args):
         calls.append(args)
-        return simulate_state(*args)
+        return forward(*args)
 
-    monkeypatch.setattr(gates, "simulate_state", counted)
+    def counted_rotations(runs, params):
+        rotations.append(params)
+        return rotate(runs, params)
+
+    monkeypatch.setattr(gates, "_final_state", counted)
+    monkeypatch.setattr(_RotationRuns, "rotations", counted_rotations)
     res = hea_kernel(c, _hea_init_params(c, _reference_bitstring(h)), h)
-    assert len(calls) == res.nfev > 1
+    assert len(calls) == len(rotations) == res.nfev > 1
 
 
 @pytest.mark.parametrize("noisy", [False, True])

@@ -496,9 +496,9 @@ def test_dense_matrix_matches_oracle_on_random_sums(strings, coeffs):
                 max_size=6),
        st.floats(-4.0, 4.0), st.integers(0, 2**32 - 1))
 def test_pauli_flip_matches_letter_action(strings, angle, seed):
-    """A Pauli string compiled to a one-member run acts as phases * x[target],
-    and its rotation exp(-i angle P), a PAULI_ROT by 2 angle, as the run's
-    gather step; both equal
+    """A Pauli string compiled to a one-member run acts as
+    P x = i flips * x[target], and its rotation exp(-i angle P), a
+    PAULI_ROT by 2 angle, as the run's gather step; both equal
     the scatter of the letter-by-letter action bit for bit, on statevectors,
     on (2^n, m) row matrices and on transposed views."""
     from vqchem.gates import _step
@@ -520,7 +520,7 @@ def test_pauli_flip_matches_letter_action(strings, angle, seed):
             want = np.empty_like(x)
             want[target] = phase * x if x.ndim == 1 else phase[:, None] * x
             column = (slice(None),) + (None,) * (x.ndim - 1)
-            got = runs.phases[0][column] * x[step[0]]
+            got = 1j * runs.flips[0][column] * x[step[0]]
             assert got.shape == x.shape
             np.testing.assert_array_equal(got, want)
             np.testing.assert_array_equal(
