@@ -30,12 +30,15 @@ from .civector import (
     CISpace,
     _check_param_map,
     _generator_gradient,
+    _pair_diagonal,
     _pair_hop_table,
     _pair_sigma,
     _pair_tables,
+    _reference_curvature,
     _sweep,
     apply_hamiltonian,
     energy_and_gradient,
+    hamiltonian_diagonal,
     make_ci_space,
     ucc_state,
 )
@@ -316,15 +319,18 @@ def build_puccd_hamiltonian(s: IntegralSet) -> QubitOperator:
     return _sum(n, pieces).simplify()
 
 
+def _paired_tables(space: CISpace, ex_ops) -> list:
+    return [_pair_hop_table(space, *_paired_orbitals(ex, space.n_orb))
+            for ex in ex_ops]
+
+
 def paired_energy_and_gradient(space: CISpace, ex_ops, params, param_ids,
                                s: IntegralSet):
     """Energy and gradient of pair excitations ``ex_ops`` on the alpha
     strings of ``space`` as pair configurations, from the lowest one."""
     params, ids = _check_param_map(ex_ops, params, param_ids)
-    tables = [_pair_hop_table(space, *_paired_orbitals(ex, space.n_orb))
-              for ex in ex_ops]
     start = np.eye(1, space.n_strings_alpha)[0]  # the lowest configuration
-    return _sweep(tables, params, ids, start,
+    return _sweep(_paired_tables(space, ex_ops), params, ids, start,
                   lambda c: _pair_sigma(space, s, c))
 
 
@@ -338,6 +344,24 @@ def problem_energy_and_gradient(problem: UCCProblem, params):
               else energy_and_gradient)
     return engine(make_ci_space(s.n_orb, s.n_elec), problem.ex_ops, params,
                   problem.param_ids, s)
+
+
+def _problem_curvature(problem: UCCProblem):
+    """Each parameter's curvature at the reference, the preconditioner of
+    :func:`vqchem.vqe.kernel`: :func:`~vqchem.civector._reference_curvature`
+    on the engine of :func:`problem_energy_and_gradient`, its rotation
+    tables and its diagonal (determinants, or pair configurations); None if
+    any is not positive."""
+    s = problem.integrals
+    space = make_ci_space(s.n_orb, s.n_elec)
+    if problem.hard_core_boson:
+        tables = _paired_tables(space, problem.ex_ops)
+        diag = _pair_diagonal(space, s)
+    else:
+        tables = _pair_tables(space, problem.ex_ops)
+        diag = hamiltonian_diagonal(space, s)
+    return _reference_curvature(tables, problem.param_ids, problem.n_params,
+                                diag)
 
 
 # ---------------------------------------------------------------------------

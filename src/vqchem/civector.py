@@ -350,8 +350,27 @@ def _sweep(tables, params, ids, start, apply_h):
         if table is not None:
             zt = z[table]
             grad[ids[k]] += _generator_gradient(zt)
-            z[table] = back[k] @ zt
+            # rotate the real and imaginary parts as floats: a complex
+            # operand would make numpy cast the rotation to complex
+            z[table] = (back[k] @ zt.view(float)).view(complex)
     return e, grad
+
+
+def _reference_curvature(tables, ids, n_params, diag):
+    """Each parameter's Epstein-Nesbet curvature at the reference, index 0
+    of both engines: kappa_p = sum_k 2 (diag[D_k] - diag[0]) over the
+    factors k on p, with ``diag`` the Hamiltonian's diagonal and D_k the
+    index that table k pairs with the reference.  This is E''(0) of a lone
+    factor, e^{theta G}|ref> = cos theta |ref> + sin theta |D>; it leaves out
+    the couplings of factors that share a parameter.  A factor that
+    annihilates the reference adds nothing; None if any kappa_p <= 0."""
+    kappa = np.zeros(n_params)
+    for table, pid in zip(tables, ids):
+        if table is not None and table.size:
+            pair = table[:, table.argmin() % table.shape[1]]
+            if pair.min() == 0:  # the pair holds 0, so its sum is D_k
+                kappa[pid] += 2.0 * (diag[pair.sum()] - diag[0])
+    return kappa if np.all(kappa > 0.0) else None
 
 
 def apply_excitation(space: CISpace, v, ex) -> CIVector:

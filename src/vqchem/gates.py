@@ -578,12 +578,17 @@ def hea_kernel(c: Circuit, init_params, h: QubitOperator,
                seed: int = 0):
     """Optimize the circuit energy, compiled once for all evaluations.
     Without ``shots`` the numpy L-BFGS-B driver of :func:`vqchem.vqe.kernel`
-    (:func:`vqchem.vqe._minimize_lbfgs`) takes each evaluation's energy and
-    gradient from one reverse pass (:func:`parameter_shift_gradient`) and
-    reports convergence at its gradient tolerance.  With ``shots`` the
-    objective is sampled, evaluation k with seed ``seed + k``, and SPSA
-    (:func:`vqchem.vqe._minimize_spsa`) minimizes it."""
+    (:func:`vqchem.vqe._minimize_lbfgs`), without the curvature of
+    ``kernel`` (a circuit has no determinant diagonal), takes each
+    evaluation's energy and gradient from one reverse pass
+    (:func:`parameter_shift_gradient`) and reports convergence at its
+    gradient tolerance.  With ``shots`` the objective is sampled,
+    evaluation k with seed ``seed + k``, and SPSA
+    (:func:`vqchem.vqe._minimize_spsa`) minimizes it.  A noisy circuit past
+    the density cap raises SizeLimit before it is compiled."""
     init_params = _check_circuit_params(c, init_params)
+    if noise is not None:
+        _check_density_size(c)
     runs = _compile(c, noise)
     if shots is None:
         return _minimize_lbfgs(

@@ -274,6 +274,19 @@ def test_simulate_density_size_limit():
         simulate_density(c, None, None)
 
 
+@pytest.mark.parametrize("shots", [None, 100])
+def test_noisy_hea_kernel_refuses_size_before_compiling(monkeypatch, shots):
+    from vqchem import gates
+
+    c = build_ry_ansatz(11, 1)
+    noise = NoiseModel({"CNOT": depolarizing_channel(0.02, 2)})
+    monkeypatch.setattr(gates, "_compile",
+                        lambda *args: pytest.fail("the circuit was compiled"))
+    with pytest.raises(SizeLimit):
+        hea_kernel(c, np.zeros(c.n_params), QubitOperator.identity(11),
+                   noise, shots=shots)
+
+
 def test_param_count_checked():
     c = build_ry_ansatz(2, 1)
     with pytest.raises(InvalidParams):

@@ -240,7 +240,8 @@ def rosenbrock(x):
 @pytest.mark.parametrize("case", ["h4", "h6", "h8", "hea-h4"])
 def test_driver_takes_scipy_lbfgsb_path(case, request):
     """Same iterations and evaluations as scipy's L-BFGS-B on the UCCSD
-    problems and the ideal two-layer HEA of bundled h4."""
+    problems, driven without curvature, and on the ideal two-layer HEA of
+    bundled h4."""
     if case == "hea-h4":
         s = request.getfixturevalue("h4")
         h = parity_transform(build_fermion_hamiltonian(s), s.n_elec,
@@ -255,10 +256,10 @@ def test_driver_takes_scipy_lbfgsb_path(case, request):
     else:
         problem = make_uccsd_problem(request.getfixturevalue(case))
         x0 = problem.init_guess
-        result = kernel(problem)
 
         def objective(x):
             return problem_energy_and_gradient(problem, x)
+        result = _minimize_lbfgs(objective, x0)
     want = oracles.scipy_lbfgsb(objective, x0)
     assert result.converged and want.success
     assert (result.nit, result.nfev) == (want.nit, want.nfev)
@@ -319,3 +320,76 @@ def test_driver_restarts_then_stops_at_the_lowest_point(monkeypatch):
     assert np.array_equal(result.grad_at_opt, objective(x_min)[1])
     assert not result.converged
     assert "line search failed" in result.message
+
+
+# ---------------------------------------------------------------------------
+# Curvature preconditioning of kernel
+# ---------------------------------------------------------------------------
+
+def _one_parameter_per_excitation(problem):
+    n = len(problem.ex_ops)
+    return UCCProblem(problem.integrals, problem.ex_ops, list(range(n)),
+                      np.zeros(n), problem.hard_core_boson)
+
+
+@pytest.mark.parametrize("case, make", [("h4", make_uccsd_problem),
+                                        ("h6", make_uccsd_problem),
+                                        ("h6", make_puccd_problem)])
+def test_curvature_is_the_energy_of_the_reached_configuration(case, make,
+                                                              request):
+    """With one parameter per excitation, theta_p = pi/2 turns the reference
+    into the configuration D_p, so kappa_p = 2 (E(pi/2 e_p) - E(0)) with E
+    from the sigma (or pair sigma) of the engine."""
+    from vqchem.ansatz import _problem_curvature
+
+    problem = _one_parameter_per_excitation(
+        make(request.getfixturevalue(case)))
+    kappa = _problem_curvature(problem)
+    assert kappa is not None and kappa.size == problem.n_params
+    e0, _ = problem_energy_and_gradient(problem, problem.init_guess)
+    for p in range(problem.n_params):
+        theta = np.zeros(problem.n_params)
+        theta[p] = np.pi / 2
+        e, _ = problem_energy_and_gradient(problem, theta)
+        assert abs(kappa[p] - 2.0 * (e - e0)) <= 1e-12
+
+
+@pytest.mark.parametrize("case, make", [("h6", make_uccsd_problem),
+                                        ("h8", make_uccsd_problem),
+                                        ("h8", make_puccd_problem)])
+def test_curvature_halves_the_evaluations(case, make, request):
+    problem = make(request.getfixturevalue(case))
+    result = kernel(problem)
+    plain = _minimize_lbfgs(
+        lambda x: problem_energy_and_gradient(problem, x), problem.init_guess)
+    assert result.converged and plain.converged
+    assert abs(result.e - plain.e) <= 1e-10
+    assert 2 * result.nfev <= plain.nfev
+
+
+def test_kupccgsd_runs_without_curvature(h4):
+    """Generalized singles between occupied orbitals annihilate the
+    reference, so their parameters have no curvature and kernel takes the
+    unpreconditioned path."""
+    from vqchem.ansatz import _problem_curvature
+
+    problem = make_kupccgsd_problem(h4, k=1, seed=0)
+    space = make_ci_space(h4.n_orb, h4.n_elec)
+    assert not any(apply_excitation(space, hf_vector(space), ex)
+                   .amplitudes.any() for ex in problem.ex_ops[:2])
+    assert _problem_curvature(problem) is None
+    result = kernel(problem)
+    plain = _minimize_lbfgs(
+        lambda x: problem_energy_and_gradient(problem, x), problem.init_guess)
+    assert (result.nit, result.nfev, result.e) == (plain.nit, plain.nfev,
+                                                   plain.e)
+
+
+def test_pair_hop_on_no_configuration_has_no_curvature():
+    """With no electrons the one pair configuration is empty, so the hop's
+    table has no pairs: it adds no curvature and kernel runs as without."""
+    s = IntegralSet(2, 0, np.diag([0.0, 1.0]), np.zeros((2,) * 4), 0.0)
+    problem = UCCProblem(s, [(3, 1, 0, 2)], [0], [0.1], hard_core_boson=True)
+    result = kernel(problem)
+    assert (result.e, result.nit, result.nfev) == (0.0, 0, 1)
+    assert result.converged
