@@ -29,12 +29,12 @@ import numpy as np
 from .civector import (
     CISpace,
     _check_param_map,
+    _excitation_sectors,
     _generator_gradient,
     _pair_diagonal,
     _pair_hop_table,
     _pair_sigma,
     _pair_tables,
-    _reference_curvature,
     _sweep,
     apply_hamiltonian,
     energy_and_gradient,
@@ -319,18 +319,15 @@ def build_puccd_hamiltonian(s: IntegralSet) -> QubitOperator:
     return _sum(n, pieces).simplify()
 
 
-def _paired_tables(space: CISpace, ex_ops) -> list:
-    return [_pair_hop_table(space, *_paired_orbitals(ex, space.n_orb))
-            for ex in ex_ops]
-
-
 def paired_energy_and_gradient(space: CISpace, ex_ops, params, param_ids,
                                s: IntegralSet):
     """Energy and gradient of pair excitations ``ex_ops`` on the alpha
     strings of ``space`` as pair configurations, from the lowest one."""
     params, ids = _check_param_map(ex_ops, params, param_ids)
     start = np.eye(1, space.n_strings_alpha)[0]  # the lowest configuration
-    return _sweep(_paired_tables(space, ex_ops), params, ids, start,
+    tables = [_pair_hop_table(space, *_paired_orbitals(ex, space.n_orb))
+              for ex in ex_ops]
+    return _sweep(tables, params, ids, start,
                   lambda c: _pair_sigma(space, s, c))
 
 
@@ -346,22 +343,58 @@ def problem_energy_and_gradient(problem: UCCProblem, params):
                   problem.param_ids, s)
 
 
+def _reached_configuration(problem: UCCProblem, ex) -> int | None:
+    """The configuration that G = g - g-dagger of ``ex`` rotates the
+    reference into, as a mask: spin orbital k is bit k (alpha string above
+    beta string), and in the pair space spatial orbital p is bit p.  g acts
+    when its annihilators are occupied and its creators are free after
+    them, otherwise g-dagger may; None when neither acts, or when creators
+    and annihilators are one set (g is Hermitian, so G = 0)."""
+    s, width = problem.integrals, problem.n_qubits
+    ref = (1 << s.n_elec // 2) - 1
+    if not problem.hard_core_boson:
+        ref |= ref << s.n_orb
+    half = len(ex) // 2
+    creators, annihilators = (sum({1 << (i % width) for i in part})
+                              for part in (ex[:half], ex[half:]))
+    if creators != annihilators:
+        for src, dst in ((annihilators, creators), (creators, annihilators)):
+            if ref & src == src and (ref ^ src) & dst == 0:
+                return ref ^ src | dst
+    return None
+
+
 def _problem_curvature(problem: UCCProblem):
-    """Each parameter's curvature at the reference, the preconditioner of
-    :func:`vqchem.vqe.kernel`: :func:`~vqchem.civector._reference_curvature`
-    on the engine of :func:`problem_energy_and_gradient`, its rotation
-    tables and its diagonal (determinants, or pair configurations); None if
-    any is not positive."""
+    """Each parameter's Epstein-Nesbet curvature at the reference, the
+    preconditioner of :func:`vqchem.vqe.kernel`: kappa_p = sum_k 2
+    (diag[D_k] - diag[0]) over the excitations k on p, with ``diag`` the
+    diagonal of H in the engine of :func:`problem_energy_and_gradient`,
+    index 0 its reference and D_k the :func:`_reached_configuration`, if
+    any.  This is E''(0) of a lone factor, e^{theta G}|ref> = cos theta
+    |ref> + sin theta |D>; it leaves out the couplings of factors that
+    share a parameter.  None if any kappa_p <= 0.  It reads no rotation
+    table."""
     s = problem.integrals
     space = make_ci_space(s.n_orb, s.n_elec)
+    reached = [(pid, mask)
+               for ex, pid in zip(problem.ex_ops, problem.param_ids)
+               if (mask := _reached_configuration(problem, ex)) is not None]
+    # each configuration as (high, low) strings: a determinant's alpha and
+    # beta strings, a pair configuration's 0 and its one string
     if problem.hard_core_boson:
-        tables = _paired_tables(space, problem.ex_ops)
-        diag = _pair_diagonal(space, s)
+        diag, strides = _pair_diagonal(space, s), [0, 1]
     else:
-        tables = _pair_tables(space, problem.ex_ops)
         diag = hamiltonian_diagonal(space, s)
-    return _reference_curvature(tables, problem.param_ids, problem.n_params,
-                                diag)
+        strides = [space.n_strings_beta, 1]
+    strings = np.array([divmod(mask, 1 << s.n_orb) for _, mask in reached],
+                       dtype=np.uint64).reshape(-1, 2)
+    at = np.searchsorted(space.alpha_strings, strings) @ strides
+    kappa = np.zeros(problem.n_params)
+    # clip: an invalid excitation may reach past the space, and the engine
+    # refuses it at kernel's first evaluation
+    np.add.at(kappa, [pid for pid, _ in reached],
+              2.0 * (diag.take(at, mode="clip") - diag[0]))
+    return kappa if np.all(kappa > 0.0) else None
 
 
 # ---------------------------------------------------------------------------
@@ -488,6 +521,10 @@ def load_ansatz(path, s: IntegralSet) -> UCCProblem:
         if not np.isfinite(guess):
             raise ParseError(f"line {lineno}: init guess {parts[2]} is not "
                              f"finite")
+        try:  # before any solve reads the problem
+            _excitation_sectors(s.n_orb, ex)
+        except InvalidExcitation as exc:
+            raise InvalidExcitation(f"line {lineno}: {exc}") from None
         ex_ops.append(ex)
         param_ids.append(pid)
         if pid in guesses and guesses[pid] != guess:

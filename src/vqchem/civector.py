@@ -20,11 +20,12 @@ spaces: it hands every caller the same space for the same ``(n_orb,
 n_elec)`` and keeps the few most recently used.  Each space caches what it
 compiles, and these caches only ever append:
 
-* one Givens rotation table per validated excitation (``("G", ex)``): a
-  (2, m) ``intp`` array of the determinant pairs ``(r, c)`` that its
-  generator G rotates into each other, 16 bytes per pair.  With MP2-screened
-  UCCSD they hold 1.7 MiB for H8 (200 excitations), 45 MiB for H10 (467)
-  and 1.1 GiB for H12 (954);
+* one Givens rotation table per excitation (``("G", ex)``,
+  :func:`_excitation_table`, which checks the excitation as it splits it
+  into spin sectors): a (2, m) ``intp`` array of the determinant pairs
+  ``(r, c)`` that its generator G rotates into each other, 16 bytes per
+  pair.  With MP2-screened UCCSD they hold 1.7 MiB for H8 (200
+  excitations), 45 MiB for H10 (467) and 1.1 GiB for H12 (954);
 * the sigma plan (``"link"``, :class:`_SigmaPlan`): the single-replacement
   links of its strings as four per-string (n_strings, n_live) tables of
   the n_live = n_occ (1 + n_vir) live pairs.  It holds 0.045 MB for H8,
@@ -205,29 +206,6 @@ def hf_vector(space: CISpace) -> CIVector:
 # Signed second-quantized actions on determinant strings
 # ---------------------------------------------------------------------------
 
-def _validate_excitation(space: CISpace, ex) -> tuple:
-    ex = tuple(int(i) for i in ex)
-    if len(ex) < 2 or len(ex) % 2 != 0:
-        raise InvalidExcitation(f"tuple length must be even >= 2, got {ex}")
-    n_so = 2 * space.n_orb
-    half = len(ex) // 2
-    creation, annihilation = ex[:half], ex[half:]
-    for idx in ex:
-        if not 0 <= idx < n_so:
-            raise InvalidExcitation(f"index {idx} outside 0..{n_so - 1}")
-    if len(set(creation)) != half or len(set(annihilation)) != half:
-        raise InvalidExcitation(f"repeated index within a half of {ex}")
-    n = space.n_orb
-    for sector in (0, 1):
-        nc = sum(1 for i in creation if (i >= n) == sector)
-        na = sum(1 for i in annihilation if (i >= n) == sector)
-        if nc != na:
-            raise InvalidExcitation(
-                f"{ex} changes the particle count of a spin sector"
-            )
-    return ex
-
-
 def _sector_action(strings: np.ndarray, ops: tuple):
     """Apply a product of ladder operators (left-to-right order, applied
     right-to-left) to every string; return (alive, target_pos, sign)."""
@@ -247,10 +225,43 @@ def _sector_action(strings: np.ndarray, ops: tuple):
     return alive, target, sign
 
 
-def _term_table(space: CISpace, term: tuple):
-    """Rotation table of G = g - g-dagger, with g the spin-orbital ladder
-    string ``term`` (``((index, is_creation), ...)`` left-to-right); None
-    when g kills the whole space.  Not cached: callers keep the table.
+def _excitation_sectors(n_orb: int, ex) -> tuple:
+    """Check the excitation tuple ``ex`` (creation indices first) on
+    ``n_orb`` spatial orbitals and split its g into spin sectors:
+    ``(ex, alpha_ops, beta_ops, swaps)``, the ladder operators ``(orbital,
+    is_creation)`` of each sector in g's order and the number of (beta,
+    alpha) operator pairs that sorting g by sector swaps.  InvalidExcitation
+    on an odd or short tuple, an index out of range or twice in a half, or
+    a changed particle count in a sector."""
+    ex = tuple(int(i) for i in ex)
+    if len(ex) < 2 or len(ex) % 2 != 0:
+        raise InvalidExcitation(f"tuple length must be even >= 2, got {ex}")
+    n_so = 2 * n_orb
+    for idx in ex:
+        if not 0 <= idx < n_so:
+            raise InvalidExcitation(f"index {idx} outside 0..{n_so - 1}")
+    half = len(ex) // 2
+    if len(set(ex[:half])) != half or len(set(ex[half:])) != half:
+        raise InvalidExcitation(f"repeated index within a half of {ex}")
+    alpha_ops, beta_ops, swaps = [], [], 0
+    for k, idx in enumerate(ex):
+        if idx >= n_orb:
+            alpha_ops.append((idx - n_orb, k < half))
+            swaps += len(beta_ops)
+        else:
+            beta_ops.append((idx, k < half))
+    for ops in (alpha_ops, beta_ops):
+        if 2 * sum(creation for _, creation in ops) != len(ops):
+            raise InvalidExcitation(f"{ex} changes the particle count of "
+                                    f"a spin sector")
+    return ex, tuple(alpha_ops), tuple(beta_ops), swaps
+
+
+def _excitation_table(space: CISpace, ex):
+    """Rotation table of G = g - g-dagger for the excitation tuple ``ex``,
+    checked by :func:`_excitation_sectors` and stored under ``("G", ex)``
+    for :func:`_pair_tables`; None when G vanishes (creation set equal to
+    annihilation set, or no determinant reached).
 
     g is a signed partial permutation whose targets and sources are
     disjoint, so G pairs each source with its target.  The table is a (2, m)
@@ -258,52 +269,28 @@ def _term_table(space: CISpace, term: tuple):
     G|r> = -|c>: a pair where g has sign -1 is listed with its source and
     target swapped, so the table holds no signs.  (int32 indices would halve
     it, but numpy gathers with them 2-2.5x slower at H8 sizes.)"""
-    n = space.n_orb
-    alpha_ops, beta_ops = [], []
-    for idx, creation in term:
-        if idx >= n:
-            alpha_ops.append((idx - n, creation))
-        else:
-            beta_ops.append((idx, creation))
-    # Count (beta-op before alpha-op) pairs for the sector reordering sign.
-    seen_beta = 0
-    pairs = 0
-    for idx, _ in term:
-        if idx < n:
-            seen_beta += 1
-        else:
-            pairs += seen_beta
-    base_sign = -1.0 if pairs % 2 else 1.0
-    if (space.n_beta * len(alpha_ops)) % 2:
-        base_sign = -base_sign
-
-    alive_a, tgt_a, sign_a = _sector_action(space.alpha_strings, tuple(alpha_ops))
-    alive_b, tgt_b, sign_b = _sector_action(space.beta_strings, tuple(beta_ops))
+    ex, alpha_ops, beta_ops, swaps = _excitation_sectors(space.n_orb, ex)
+    half = len(ex) // 2
+    alive_a, tgt_a, sign_a = _sector_action(space.alpha_strings, alpha_ops)
+    alive_b, tgt_b, sign_b = _sector_action(space.beta_strings, beta_ops)
     src_a = np.nonzero(alive_a)[0]
     src_b = np.nonzero(alive_b)[0]
-    if len(src_a) == 0 or len(src_b) == 0:
-        return None
-    nb = space.n_strings_beta
-    table = np.empty((2, len(src_a), len(src_b)), dtype=np.intp)
-    np.add.outer(tgt_a[src_a] * nb, tgt_b[src_b], out=table[0])
-    np.add.outer(src_a * nb, src_b, out=table[1])
-    rows, cols = table  # swap the pairs where g has sign -1
-    swap = (cols - rows) * np.not_equal.outer(base_sign * sign_a[src_a],
-                                              sign_b[src_b])
-    rows += swap
-    cols -= swap
-    return table.reshape(2, -1)
-
-
-def _pair_table(space: CISpace, ex: tuple):
-    """Rotation table of a validated excitation, stored per space under
-    ``("G", ex)`` for :func:`_pair_tables`; None when G vanishes (creation
-    set equal to annihilation set, or no determinant reached)."""
-    half = len(ex) // 2
     table = None
-    if set(ex[:half]) != set(ex[half:]):
-        table = _term_table(space, tuple((i, True) for i in ex[:half])
-                            + tuple((i, False) for i in ex[half:]))
+    if set(ex[:half]) != set(ex[half:]) and len(src_a) and len(src_b):
+        # the sign of sorting g into its sectors, times the beta string's
+        # parity for each alpha operator that passes it
+        if (swaps + space.n_beta * len(alpha_ops)) % 2:
+            sign_a = -sign_a
+        nb = space.n_strings_beta
+        table = np.empty((2, len(src_a), len(src_b)), dtype=np.intp)
+        np.add.outer(tgt_a[src_a] * nb, tgt_b[src_b], out=table[0])
+        np.add.outer(src_a * nb, src_b, out=table[1])
+        rows, cols = table  # swap the pairs where g has sign -1
+        swap = (cols - rows) * np.not_equal.outer(sign_a[src_a],
+                                                  sign_b[src_b])
+        rows += swap
+        cols -= swap
+        table = table.reshape(2, -1)
     space._action_cache["G", ex] = table
     return table
 
@@ -354,23 +341,6 @@ def _sweep(tables, params, ids, start, apply_h):
             # operand would make numpy cast the rotation to complex
             z[table] = (back[k] @ zt.view(float)).view(complex)
     return e, grad
-
-
-def _reference_curvature(tables, ids, n_params, diag):
-    """Each parameter's Epstein-Nesbet curvature at the reference, index 0
-    of both engines: kappa_p = sum_k 2 (diag[D_k] - diag[0]) over the
-    factors k on p, with ``diag`` the Hamiltonian's diagonal and D_k the
-    index that table k pairs with the reference.  This is E''(0) of a lone
-    factor, e^{theta G}|ref> = cos theta |ref> + sin theta |D>; it leaves out
-    the couplings of factors that share a parameter.  A factor that
-    annihilates the reference adds nothing; None if any kappa_p <= 0."""
-    kappa = np.zeros(n_params)
-    for table, pid in zip(tables, ids):
-        if table is not None and table.size:
-            pair = table[:, table.argmin() % table.shape[1]]
-            if pair.min() == 0:  # the pair holds 0, so its sum is D_k
-                kappa[pid] += 2.0 * (diag[pair.sum()] - diag[0])
-    return kappa if np.all(kappa > 0.0) else None
 
 
 def apply_excitation(space: CISpace, v, ex) -> CIVector:
@@ -657,16 +627,17 @@ def _check_param_map(ex_ops, params, param_ids):
 
 
 def _pair_tables(space: CISpace, ex_ops) -> list:
-    """Rotation tables of ``ex_ops``.  Only excitations without a cached
-    table are validated; an invalid one is never cached, so it raises on
-    every call."""
+    """Rotation tables of ``ex_ops``, each from the space's ``("G", ex)``
+    cache or built there by :func:`_excitation_table`.  Only excitations
+    without a cached table are checked; an invalid one is never cached, so
+    it raises on every call."""
     cache = space._action_cache
     tables = []
     for ex in ex_ops:
         try:
             tables.append(cache["G", tuple(ex)])
         except KeyError:
-            tables.append(_pair_table(space, _validate_excitation(space, ex)))
+            tables.append(_excitation_table(space, ex))
     return tables
 
 

@@ -429,14 +429,12 @@ def _run_vqe(args: argparse.Namespace) -> int:
         save_civector(args.save_state, civector_at(problem, result.x))
     if args.save_ansatz:
         save_ansatz(args.save_ansatz, problem)
-    e_hf = hf_energy(s)
-    return _finish(
-        args, result_to_json(problem, result, fci=fci, doci=doci),
-        ["hf", "mp2", "ucc", "fci"],
-        [[e_hf, e_hf + mp2(s).e_corr, float(result.e),
-          fci if fci is not None else float("nan")]],
-        report.text,
-    )
+    record = result_to_json(problem, result, fci=fci, doci=doci)
+    keys = ["hf", "mp2", "ucc", "fci"]
+    row = [record["energies"][key] for key in keys]
+    return _finish(args, record, keys,
+                   [[float("nan") if e is None else e for e in row]],
+                   report.text)
 
 
 def _run_adapt(args: argparse.Namespace) -> int:
@@ -740,8 +738,9 @@ def _run_dynamics(args: argparse.Namespace) -> int:
 def _run_hubbard(args: argparse.Namespace) -> int:
     if args.sites is None:
         raise _UsageError("--sites is required")
+    if args.sites >= 2:  # below that, build_hubbard's InvalidModel
+        check_vector_dim(args.sites, args.sites)  # before the n^4 integrals
     s = build_hubbard(args.sites, args.t, args.u, periodic=args.periodic)
-    check_vector_dim(s.n_orb, s.n_elec)  # a size FCI refuses costs no work
     s_canonical = canonicalize_integrals(s)
     problem, label = _build_problem(args, s_canonical)
     e_fci = fci_ground_state(make_ci_space(s.n_orb, s.n_elec), s)[0]

@@ -60,6 +60,7 @@ from .gates import (
     simulate_state,
 )
 from .operators import (
+    COEFF_CUTOFF,
     QubitOperator,
     _pauli_sum,
     _RotationRuns,
@@ -70,7 +71,6 @@ from .operators import (
 
 _EXACT_DIM_LIMIT = 1 << 12
 _UNARY_NBAS_LIMIT = 16
-_COEFF_CUTOFF = 1e-12
 _DEFAULT_EPSILON_REG = 1e-5
 # bytes of float arrays one recorded trajectory may take
 _TRAJECTORY_BYTES = 1 << 30
@@ -240,15 +240,15 @@ def _unary_local_paulis(mat: np.ndarray, width: int) -> QubitOperator:
 
     pieces = []
     for i in range(width):
-        if abs(mat[i, i]) >= _COEFF_CUTOFF:
+        if abs(mat[i, i]) >= COEFF_CUTOFF:
             number = _pauli_sum(width, (0, 0), (0, 1 << (width - 1 - i)),
                                 (0.5, -0.5))
             pieces.append(number * complex(mat[i, i]))
         for j in range(width):
-            if i != j and abs(mat[i, j]) >= _COEFF_CUTOFF:
+            if i != j and abs(mat[i, j]) >= COEFF_CUTOFF:
                 pieces.append(ladder(i, -1j) * ladder(j, 1j)
                               * complex(mat[i, j]))
-    return _sum(width, pieces).simplify(_COEFF_CUTOFF)
+    return _sum(width, pieces).simplify()
 
 
 def _encode_factor(symbol: str, basis_entry, encoding: str,
@@ -273,7 +273,7 @@ def _encode_factor(symbol: str, basis_entry, encoding: str,
     x, z = ((np.array(bits)[digits] << np.arange(width)).sum(axis=1)
             for bits in ((0, 1, 1, 0), (0, 0, 1, 1)))
     coeffs = pauli_traces(width, x, z, padded) / dim
-    keep = np.abs(coeffs) >= _COEFF_CUTOFF
+    keep = np.abs(coeffs) >= COEFF_CUTOFF
     return _pauli_sum(width, x[keep], z[keep], coeffs[keep])
 
 
@@ -316,7 +316,7 @@ def qubit_encode(terms, basis, encoding: str = "gray") -> EncodedHamiltonian:
         raise InvalidOperator(f"non-Hermitian encoded coefficient {coeff} "
                               f"for {key}")
     c = total.coeffs.real
-    keep = np.abs(c) >= _COEFF_CUTOFF
+    keep = np.abs(c) >= COEFF_CUTOFF
     identity = keep & (total.x == 0) & (total.z == 0)
     keep &= ~identity
     return EncodedHamiltonian(

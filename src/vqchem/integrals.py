@@ -26,12 +26,16 @@ from .errors import (
     InvalidActiveSpace,
     InvalidModel,
     ParseError,
+    SizeLimit,
     UnsupportedOpenShell,
 )
 from .operators import FermionOperator
 
 _SYMMETRY_TOL = 1e-10
 _DEGENERACY_TOL = 1e-10
+# bytes of dense two-electron integrals an FCIDUMP may ask for, NORB <= 107
+# (CI strings are uint64: only an active-space reduction uses NORB > 64)
+_INT2E_LIMIT = 1 << 30
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,7 +102,9 @@ def parse_fcidump(text: str | bytes) -> IntegralSet:
     """Parse FCIDUMP text (1-based indices, chemists' notation).
 
     Accepts Fortran-style floats (``1.0D-3``).  Entries are filled with their
-    8-fold symmetric partners; missing entries are zero.
+    8-fold symmetric partners; missing entries are zero.  A NORB whose
+    dense two-electron integrals would pass ``_INT2E_LIMIT`` bytes raises
+    SizeLimit before they are allocated.
     """
     if isinstance(text, bytes):
         text = text.decode("ascii")
@@ -129,6 +135,10 @@ def parse_fcidump(text: str | bytes) -> IntegralSet:
         raise UnsupportedOpenShell("odd NELEC implies an open shell")
     if n_elec > 2 * n:
         raise ParseError(f"NELEC={n_elec} exceeds capacity of NORB={n}")
+    if 8 * n**4 > _INT2E_LIMIT:
+        raise SizeLimit(f"NORB={n}: the two-electron integrals would take "
+                        f"{8 * n**4} bytes, over the limit of "
+                        f"{_INT2E_LIMIT} bytes")
 
     int1e = np.zeros((n, n))
     int2e = np.zeros((n, n, n, n))

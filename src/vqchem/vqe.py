@@ -26,7 +26,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .ansatz import (UCCProblem, _problem_curvature,
+from .ansatz import (UCCProblem, _problem_curvature, _reached_configuration,
                      problem_energy_and_gradient)
 from .civector import CIVector, check_vector_dim, make_ci_space, ucc_state
 from .errors import InvalidParams
@@ -69,11 +69,12 @@ def kernel(problem: UCCProblem, maxiter: int = _MAXITER) -> OptResult:
     """Minimize the ansatz energy starting from ``problem.init_guess``.
 
     L-BFGS is preconditioned with each parameter's Epstein-Nesbet curvature
-    at the reference (:func:`vqchem.ansatz._problem_curvature`); when some
-    parameter has none, as k-UpCCGSD's generalized excitations, it runs
-    unpreconditioned.  Optimizer failures are not raised: the best point
-    found is returned, and ``converged`` reports whether it is stationary
-    within tolerance.
+    at the reference (:func:`vqchem.ansatz._problem_curvature`), read from
+    the Hamiltonian's diagonal at the configuration each excitation reaches,
+    with no rotation table built; when some parameter has none, as
+    k-UpCCGSD's generalized excitations, it runs unpreconditioned.
+    Optimizer failures are not raised: the best point found is returned,
+    and ``converged`` reports whether it is stationary within tolerance.
     """
     return _minimize_lbfgs(
         lambda x: problem_energy_and_gradient(problem, x),
@@ -316,30 +317,15 @@ class SummaryReport:
     ansatz: dict
     energies: dict
     excitations: list
-    optimization: dict
     text: str = field(repr=False, default="")
 
 
 def _configuration_bitstring(problem: UCCProblem, ex) -> str:
-    """Bitstring of the determinant that G = g - g-dagger reaches from the
-    reference, in qubit order (qubit 0 leftmost).  Spin orbital k is bit k
-    (alpha string above beta string); in the pair space spatial orbital p is
-    bit p.  g acts when its annihilators are occupied and its creators are
-    free after them, otherwise g-dagger may; "-" when neither acts, or when
-    creators and annihilators are one set (g is Hermitian, so G = 0)."""
-    s = problem.integrals
-    n = s.n_orb
-    width = n if problem.hard_core_boson else 2 * n
-    occupied = (1 << s.n_elec // 2) - 1
-    ref = occupied if problem.hard_core_boson else occupied | occupied << n
-    half = len(ex) // 2
-    creators, annihilators = (
-        sum({1 << (i % width) for i in part}) for part in (ex[:half], ex[half:]))
-    if creators != annihilators:
-        for src, dst in ((annihilators, creators), (creators, annihilators)):
-            if ref & src == src and (ref ^ src) & dst == 0:
-                return format(ref ^ src | dst, f"0{width}b")
-    return "-" * width
+    """:func:`~vqchem.ansatz._reached_configuration` in qubit order (qubit 0
+    leftmost); "-" on every qubit when G reaches nothing."""
+    mask = _reached_configuration(problem, ex)
+    width = problem.n_qubits
+    return "-" * width if mask is None else format(mask, f"0{width}b")
 
 
 def print_summary(problem: UCCProblem, result: OptResult,
@@ -390,13 +376,6 @@ def print_summary(problem: UCCProblem, result: OptResult,
         "n_excitations": len(problem.ex_ops),
         "initial_condition": "MP2" if np.any(problem.init_guess) else "zeros",
     }
-    optimization = {
-        "e": result.e, "x": result.x.tolist(), "nit": result.nit,
-        "nfev": result.nfev, "njev": result.njev,
-        "grad_at_opt": result.grad_at_opt.tolist(),
-        "converged": result.converged, "message": result.message,
-        "opt_time": result.opt_time,
-    }
 
     lines = []
     bar = "#" * 20
@@ -440,8 +419,7 @@ def print_summary(problem: UCCProblem, result: OptResult,
     text = "\n".join(lines)
     print(f"{text}\n {'opt_time':>12}: {result.opt_time:.4f} s", file=stream)
     return SummaryReport(ansatz=ansatz, energies=energies,
-                         excitations=excitations, optimization=optimization,
-                         text=text)
+                         excitations=excitations, text=text)
 
 
 def result_to_json(problem: UCCProblem, result: OptResult,

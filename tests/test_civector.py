@@ -1,5 +1,7 @@
 import dataclasses
 import gc
+import hashlib
+import itertools
 import struct
 import sys
 import threading
@@ -39,7 +41,7 @@ from vqchem import (
     ucc_state,
 )
 from vqchem.ansatz import generate_uccsd
-from vqchem.civector import _same_spin, _sigma, _sigma_plan
+from vqchem.civector import _pair_tables, _same_spin, _sigma, _sigma_plan
 from vqchem.integrals import IntegralSet, build_hubbard
 from oracles import (
     closed_shell_determinants,
@@ -436,6 +438,34 @@ def test_excitation_validation():
         apply_excitation(space, hf_vector(space), (0, 2))  # beta -> alpha
     with pytest.raises(InvalidExcitation):
         apply_excitation(space, hf_vector(space), (1, 1, 0, 2))
+
+
+# sha256 over every spin-orbital single and double on h4 (n_orb = 4, four
+# electrons), repeated and spin-changing indices included: per excitation its
+# repr, then "T" and the table's int64 bytes, "N" for no table, or "E" and
+# the InvalidExcitation message.  Taken before the table builder and its
+# check became one function; tables are artifacts of the engine, so a
+# rewritten builder must reproduce them and their errors exactly.
+_H4_TABLES_DIGEST = (
+    "1118de168bfa21fecd8f63e2db8f9686cb3575181b174cf9cefb56a8d84bc94b")
+
+
+def test_excitation_tables_match_pinned_digest():
+    space = make_ci_space(4, 4)
+    digest = hashlib.sha256()
+    for k in (1, 2):
+        for cre in itertools.product(range(8), repeat=k):
+            for ann in itertools.product(range(8), repeat=k):
+                ex = cre + ann
+                digest.update(repr(ex).encode())
+                try:
+                    table = _pair_tables(space, [ex])[0]
+                except InvalidExcitation as exc:
+                    digest.update(b"E" + str(exc).encode())
+                    continue
+                digest.update(b"N" if table is None
+                              else b"T" + table.astype(np.int64).tobytes())
+    assert digest.hexdigest() == _H4_TABLES_DIGEST
 
 
 # ---------------------------------------------------------------------------

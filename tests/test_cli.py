@@ -307,6 +307,32 @@ def test_vqe_non_finite_ansatz_guess_exits_one(capsys, tmp_path, lines):
     assert not artifact.exists() or "NaN" not in artifact.read_text()
 
 
+@pytest.mark.parametrize("line, message", [
+    ("0 (9,1) 0.0", "index 9 outside 0..7"),
+    ("0 (4,0) 0.0", "(4, 0) changes the particle count of a spin sector"),
+], ids=["out-of-range", "spin-changing"])
+@pytest.mark.parametrize("argv", [
+    ("vqe", "--fcidump", "h4_sto3g"),
+    ("hubbard", "--sites", "4"),
+    ("sweep", "--kind", "files", "--files", "h4_sto3g"),
+], ids=["vqe", "hubbard", "sweep"])
+def test_bad_custom_excitation_is_refused_before_the_fci_reference(
+        capsys, monkeypatch, tmp_path, argv, line, message):
+    """load_ansatz checks each excitation as it reads it, with the check
+    the table builder applies, and names the file line."""
+    def no_fci(*args, **kwargs):
+        raise AssertionError("the FCI reference was solved")
+
+    monkeypatch.setattr(cli, "fci_ground_state", no_fci)
+    ansatz = tmp_path / "bad.ansatz"
+    ansatz.write_text(f"0 (2,0) 0.0\n{line}\n")
+    code, out, err = run(capsys, *argv, "--ansatz", "custom",
+                         "--ansatz-file", str(ansatz))
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[-1] == f"InvalidExcitation: line 2: {message}"
+
+
 def test_vqe_config_file_and_flag_precedence(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[common]\nfcidump = h2_sto3g\n"
@@ -522,7 +548,29 @@ def test_hubbard_past_the_size_limit_runs_nothing(capsys, monkeypatch):
     assert err.startswith("SizeLimit:")
 
 
-@pytest.mark.parametrize("sites", ["0", "1"])
+def test_hubbard_chain_past_the_size_limit_builds_no_integrals(
+        capsys, monkeypatch):
+    """150 sites would take 3.77 GiB of two-electron integrals: the CI
+    size is refused before the chain is built."""
+    monkeypatch.setattr(cli, "build_hubbard", refuse)
+    code, out, err = run(capsys, "hubbard", "--sites", "150")
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[-1].startswith("SizeLimit:")
+    assert "Traceback" not in err
+
+
+def test_fci_on_a_huge_fcidump_header_is_a_size_limit(capsys, tmp_path):
+    dump = tmp_path / "huge.fcidump"
+    dump.write_text("&FCI NORB=100000,NELEC=2,MS2=0, &END\n")
+    code, out, err = run(capsys, "fci", "--fcidump", str(dump))
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[-1].startswith("SizeLimit:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("sites", ["0", "1", "-1"])
 def test_hubbard_with_too_few_sites_is_an_invalid_model(capsys, sites):
     """--sites 0 is a value, not a missing flag: it reaches the model
     builder and is refused there, as --sites 1 is."""

@@ -7,6 +7,7 @@ from vqchem import (
     InvalidActiveSpace,
     InvalidModel,
     ParseError,
+    SizeLimit,
     UnsupportedOpenShell,
     active_space_reduce,
     build_fermion_hamiltonian,
@@ -69,6 +70,14 @@ def test_parse_rejects_malformed_input():
         parse_fcidump("&FCI NORB=1,NELEC=2,MS2=0,\n&END\nxyz 1 1 0 0\n")
     with pytest.raises(UnsupportedOpenShell):
         parse_fcidump("&FCI NORB=2,NELEC=3,MS2=1,\n&END\n1.0 1 1 0 0\n")
+
+
+@pytest.mark.parametrize("norb", [108, 100_000])
+def test_parse_refuses_integrals_past_the_limit_before_allocating(norb):
+    """8 NORB^4 bytes of two-electron integrals past 1 GiB: NORB = 108 is
+    the first refused."""
+    with pytest.raises(SizeLimit, match=f"{8 * norb**4} bytes"):
+        parse_fcidump(f"&FCI NORB={norb},NELEC=2,MS2=0, &END\n")
 
 
 @pytest.mark.parametrize("name", FIXTURES)

@@ -5,6 +5,7 @@ import pytest
 
 from vqchem import (
     IntegralSet,
+    InvalidExcitation,
     InvalidParams,
     SizeLimit,
     UCCProblem,
@@ -383,6 +384,40 @@ def test_kupccgsd_runs_without_curvature(h4):
         lambda x: problem_energy_and_gradient(problem, x), problem.init_guess)
     assert (result.nit, result.nfev, result.e) == (plain.nit, plain.nfev,
                                                    plain.e)
+
+
+@pytest.mark.parametrize("case", ["h4", "h6", "h8"])
+def test_curvature_reads_no_rotation_table(case, monkeypatch, request):
+    """The curvature reads the diagonal at the reached configuration, so
+    it returns the same bytes (or None) with every table builder refused."""
+    from vqchem import ansatz, civector
+    from vqchem.ansatz import _problem_curvature
+
+    s = request.getfixturevalue(case)
+    problems = [make_uccsd_problem(s), make_puccd_problem(s),
+                make_kupccgsd_problem(s, k=1, seed=0)]
+    want = [_problem_curvature(p) for p in problems]
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("a rotation table was read")
+
+    for module in (ansatz, civector):
+        monkeypatch.setattr(module, "_pair_tables", no_table)
+        monkeypatch.setattr(module, "_pair_hop_table", no_table)
+    for problem, kappa in zip(problems, want):
+        got = _problem_curvature(problem)
+        assert (got is None) == (kappa is None)
+        if kappa is not None:
+            assert got.tobytes() == kappa.tobytes()
+
+
+def test_kernel_refuses_an_invalid_excitation_the_curvature_cannot_place(h4):
+    """The spin-changing double reaches an alpha string with three
+    electrons, past the space's last string: the curvature reads no table,
+    so the engine's first evaluation refuses it."""
+    problem = UCCProblem(h4, [(7, 6, 0, 1)], [0], [0.1])
+    with pytest.raises(InvalidExcitation, match="particle count"):
+        kernel(problem)
 
 
 def test_pair_hop_on_no_configuration_has_no_curvature():
