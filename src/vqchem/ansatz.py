@@ -8,20 +8,26 @@ exact alpha/beta mirror symmetry: operators that map onto each other under a
 global spin flip carry the same parameter, which keeps the optimized state an
 eigenstate of total spin at closed shell.
 
-The pair-restricted ("hard-core boson") ansatz has no space of its own: its
-configurations are the determinant space's alpha strings read as doubly
-occupied orbitals, and its rotations and Hamiltonian share one hop table per
-orbital pair, built from those strings.  Pair hops carry no fermionic signs,
-so the reduced treatment is exact for seniority-zero states and matches the
-full determinant space.  :func:`build_puccd_hamiltonian`, which nothing in
-the package calls, is the entry point for circuits on the pairs: it writes
-the paper's N^2-term pUCCD Hamiltonian, which the pair engine reads too,
-as an operator on n_orb qubits.
+A problem is evaluated by one of two engines, chosen once by
+``hard_core_boson`` when it is built (:func:`_engine`, its one reader): the
+determinants of the problem's CI space, or the pair configurations, that
+space's alpha strings read as doubly occupied orbitals, on which every
+excitation is a paired double.  Pair hops carry no fermionic signs, so the
+pair engine is exact for seniority-zero states.  An engine holds its space,
+the width ``n_qubits`` of a configuration mask (spin orbital k, or spatial
+orbital p, at bit k or p), the ``reference`` mask at index 0, the
+``strides`` that take a mask's (high, low) strings to its index, and its
+energy and gradient and H diagonal; the pair engine also holds its own
+ground state, DOCI, which bounds pUCCD from below.
+:func:`build_puccd_hamiltonian`, which nothing in the package calls, is the
+entry point for circuits on the pairs: it writes the paper's N^2-term pUCCD
+Hamiltonian, which the pair engine reads too, as an operator on n_orb
+qubits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,13 +36,14 @@ from .civector import (
     CISpace,
     _check_param_map,
     _excitation_sectors,
+    _excitation_tables,
     _generator_gradient,
     _pair_diagonal,
     _pair_hop_table,
     _pair_sigma,
-    _pair_tables,
     _sweep,
     apply_hamiltonian,
+    doci_ground_state,
     energy_and_gradient,
     hamiltonian_diagonal,
     make_ci_space,
@@ -60,13 +67,15 @@ from .operators import QubitOperator, _pauli_sum, _sum
 @dataclass
 class UCCProblem:
     """A concrete variational problem: integrals plus an excitation list with
-    its parameter mapping and starting point."""
+    its parameter mapping and starting point, and the engine that
+    ``hard_core_boson`` chooses when the problem is built (:func:`_engine`)."""
 
     integrals: IntegralSet
     ex_ops: list
     param_ids: list
     init_guess: np.ndarray
     hard_core_boson: bool = False
+    engine: _Determinants = field(init=False, repr=False)
 
     def __post_init__(self):
         self.ex_ops = [tuple(int(i) for i in ex) for ex in self.ex_ops]
@@ -82,10 +91,7 @@ class UCCProblem:
             raise InvalidParamMap(
                 "param_ids must cover 0..n_params-1 with no gaps"
             )
-        if self.hard_core_boson:
-            n = self.integrals.n_orb
-            for ex in self.ex_ops:
-                _paired_orbitals(ex, n)
+        self.engine = _engine(self)
 
     @property
     def n_params(self) -> int:
@@ -93,8 +99,7 @@ class UCCProblem:
 
     @property
     def n_qubits(self) -> int:
-        n = self.integrals.n_orb
-        return n if self.hard_core_boson else 2 * n
+        return self.engine.n_qubits
 
 
 def _paired_orbitals(ex, n_orb: int) -> tuple[int, int]:
@@ -203,24 +208,23 @@ def generate_puccd(n_orb: int, n_elec: int):
 
 def _double_t2_amplitude(ex, n_orb: int, no: int, t2: np.ndarray) -> float:
     """The MP2 amplitude matching a double-excitation tuple."""
-    creations, annihilations = ex[:2], ex[2:]
-
-    def split(idx):
-        return (idx - n_orb, 1) if idx >= n_orb else (idx, 0)
-
-    cre = [split(i) for i in creations]
-    ann = [split(i) for i in annihilations]
-    cre_by_spin = {s: p for p, s in cre}
-    ann_by_spin = {s: p for p, s in ann}
-    if set(s for _, s in cre) == {0, 1}:
-        # one move per spin sector: beta i->a with alpha j->b
-        i, a = ann_by_spin[0], cre_by_spin[0]
-        j, b = ann_by_spin[1], cre_by_spin[1]
+    if (ex[0] < n_orb) != (ex[1] < n_orb):
+        # one move per spin sector, beta i->a with alpha j->b: sorted, each
+        # half lists its beta index first
+        (a, b), (i, j) = ([k % n_orb for k in sorted(half)]
+                          for half in (ex[:2], ex[2:]))
         return float(t2[i, j, a - no, b - no])
     # both moves in one sector: antisymmetrized amplitude
-    (a, _), (b, _) = cre
-    (j, _), (i, _) = ann
+    a, b, j, i = (k % n_orb for k in ex)
     return float(t2[i, j, a - no, b - no] - t2[i, j, b - no, a - no])
+
+
+def _parameter_groups(ex_ops, param_ids) -> list:
+    """The excitations on each parameter, in parameter order."""
+    groups: dict[int, list] = {}
+    for ex, pid in zip(ex_ops, param_ids):
+        groups.setdefault(pid, []).append(ex)
+    return [groups[pid] for pid in sorted(groups)]
 
 
 def mp2_initialize(problem: UCCProblem, t2: MP2Result,
@@ -230,43 +234,22 @@ def mp2_initialize(problem: UCCProblem, t2: MP2Result,
     the surviving doubles by descending amplitude magnitude, and recompact
     the parameter ids."""
     s = problem.integrals
-    n_orb, no = s.n_orb, s.n_occ
-    amps = t2.t2
-
-    old_groups: dict[int, list] = {}
-    for ex, pid in zip(problem.ex_ops, problem.param_ids):
-        old_groups.setdefault(pid, []).append(ex)
-
     singles: list[tuple[list, float]] = []
     doubles: list[tuple[list, float]] = []
-    for pid in sorted(old_groups):
-        ops = old_groups[pid]
+    for ops in _parameter_groups(problem.ex_ops, problem.param_ids):
         if len(ops[0]) == 2:
             singles.append((ops, 0.0))
             continue
-        guess = _double_t2_amplitude(ops[0], n_orb, no, amps)
-        if abs(guess) < screen_eps:
-            continue
-        doubles.append((ops, guess))
+        guess = _double_t2_amplitude(ops[0], s.n_orb, s.n_occ, t2.t2)
+        if not abs(guess) < screen_eps:
+            doubles.append((ops, guess))
     if sort:
         doubles.sort(key=lambda item: -abs(item[1]))
-
-    ex_ops: list = []
-    param_ids: list = []
-    init: list = []
-    for ops, guess in singles + doubles:
-        pid = len(init)
-        init.append(guess)
-        for ex in ops:
-            ex_ops.append(ex)
-            param_ids.append(pid)
-    return UCCProblem(
-        integrals=s,
-        ex_ops=ex_ops,
-        param_ids=param_ids,
-        init_guess=np.array(init),
-        hard_core_boson=problem.hard_core_boson,
-    )
+    kept = singles + doubles
+    return replace(problem, ex_ops=[ex for ops, _ in kept for ex in ops],
+                   param_ids=[pid for pid, (ops, _) in enumerate(kept)
+                              for _ in ops],
+                   init_guess=np.array([guess for _, guess in kept]))
 
 
 def make_uccsd_problem(s: IntegralSet, screen_eps: float = 1e-8,
@@ -296,7 +279,7 @@ def make_puccd_problem(s: IntegralSet) -> UCCProblem:
 
 
 # ---------------------------------------------------------------------------
-# Hard-core-boson (pair-restricted) engine
+# Engines: the determinants or the pair configurations of the CI space
 # ---------------------------------------------------------------------------
 
 def build_puccd_hamiltonian(s: IntegralSet) -> QubitOperator:
@@ -331,29 +314,67 @@ def paired_energy_and_gradient(space: CISpace, ex_ops, params, param_ids,
                   lambda c: _pair_sigma(space, s, c))
 
 
-# ---------------------------------------------------------------------------
-# Problem-level dispatch (determinants vs pair configurations)
-# ---------------------------------------------------------------------------
+@dataclass(frozen=True)
+class _Determinants:
+    """The determinant engine, whose fields every engine has (see the
+    module docstring); other engines override its methods."""
+
+    space: CISpace
+    n_qubits: int
+    reference: int
+    strides: tuple
+    ground_state = None  # its own is FCI's, which every result reports
+
+    def evaluate(self, problem: UCCProblem, params):
+        return energy_and_gradient(self.space, problem.ex_ops, params,
+                                   problem.param_ids, problem.integrals)
+
+    def diagonal(self, s: IntegralSet) -> np.ndarray:
+        return hamiltonian_diagonal(self.space, s)
+
+
+class _Pairs(_Determinants):
+    """The pair engine: a configuration's high string is 0."""
+
+    def evaluate(self, problem: UCCProblem, params):
+        return paired_energy_and_gradient(self.space, problem.ex_ops, params,
+                                          problem.param_ids, problem.integrals)
+
+    def diagonal(self, s: IntegralSet) -> np.ndarray:
+        return _pair_diagonal(self.space, s)
+
+    def ground_state(self, s: IntegralSet):
+        return doci_ground_state(self.space, s)
+
+
+def _engine(problem: UCCProblem) -> _Determinants:
+    """The engine ``problem.hard_core_boson`` chooses; the pair engine
+    refuses an excitation that is not a paired double."""
+    s = problem.integrals
+    n, occ = s.n_orb, (1 << s.n_elec // 2) - 1
+    space = make_ci_space(n, s.n_elec)
+    if not problem.hard_core_boson:
+        return _Determinants(space, 2 * n, occ << n | occ,
+                             (space.n_strings_beta, 1))
+    for ex in problem.ex_ops:
+        _paired_orbitals(ex, n)
+    return _Pairs(space, n, occ, (0, 1))
+
 
 def problem_energy_and_gradient(problem: UCCProblem, params):
-    s = problem.integrals
-    engine = (paired_energy_and_gradient if problem.hard_core_boson
-              else energy_and_gradient)
-    return engine(make_ci_space(s.n_orb, s.n_elec), problem.ex_ops, params,
-                  problem.param_ids, s)
+    """Energy and gradient of ``problem``'s ansatz at ``params``, from its
+    reference in its engine: :func:`~vqchem.civector.energy_and_gradient`
+    on the determinants, :func:`paired_energy_and_gradient` on the pairs."""
+    return problem.engine.evaluate(problem, params)
 
 
 def _reached_configuration(problem: UCCProblem, ex) -> int | None:
     """The configuration that G = g - g-dagger of ``ex`` rotates the
-    reference into, as a mask: spin orbital k is bit k (alpha string above
-    beta string), and in the pair space spatial orbital p is bit p.  g acts
-    when its annihilators are occupied and its creators are free after
-    them, otherwise g-dagger may; None when neither acts, or when creators
-    and annihilators are one set (g is Hermitian, so G = 0)."""
-    s, width = problem.integrals, problem.n_qubits
-    ref = (1 << s.n_elec // 2) - 1
-    if not problem.hard_core_boson:
-        ref |= ref << s.n_orb
+    reference into, as a mask of the problem's engine.  g acts when its
+    annihilators are occupied and its creators are free after them,
+    otherwise g-dagger may; None when neither acts, or when creators and
+    annihilators are one set (g is Hermitian, so G = 0)."""
+    width, ref = problem.n_qubits, problem.engine.reference
     half = len(ex) // 2
     creators, annihilators = (sum({1 << (i % width) for i in part})
                               for part in (ex[:half], ex[half:]))
@@ -368,27 +389,19 @@ def _problem_curvature(problem: UCCProblem):
     """Each parameter's Epstein-Nesbet curvature at the reference, the
     preconditioner of :func:`vqchem.vqe.kernel`: kappa_p = sum_k 2
     (diag[D_k] - diag[0]) over the excitations k on p, with ``diag`` the
-    diagonal of H in the engine of :func:`problem_energy_and_gradient`,
-    index 0 its reference and D_k the :func:`_reached_configuration`, if
-    any.  This is E''(0) of a lone factor, e^{theta G}|ref> = cos theta
-    |ref> + sin theta |D>; it leaves out the couplings of factors that
-    share a parameter.  None if any kappa_p <= 0.  It reads no rotation
-    table."""
-    s = problem.integrals
-    space = make_ci_space(s.n_orb, s.n_elec)
+    diagonal of H in the problem's engine, index 0 its reference and D_k
+    the :func:`_reached_configuration`, if any.  This is E''(0) of a lone
+    factor, e^{theta G}|ref> = cos theta |ref> + sin theta |D>; it leaves
+    out the couplings of factors that share a parameter.  None if any
+    kappa_p <= 0.  It reads no rotation table."""
+    s, engine = problem.integrals, problem.engine
     reached = [(pid, mask)
                for ex, pid in zip(problem.ex_ops, problem.param_ids)
                if (mask := _reached_configuration(problem, ex)) is not None]
-    # each configuration as (high, low) strings: a determinant's alpha and
-    # beta strings, a pair configuration's 0 and its one string
-    if problem.hard_core_boson:
-        diag, strides = _pair_diagonal(space, s), [0, 1]
-    else:
-        diag = hamiltonian_diagonal(space, s)
-        strides = [space.n_strings_beta, 1]
+    diag = engine.diagonal(s)
     strings = np.array([divmod(mask, 1 << s.n_orb) for _, mask in reached],
                        dtype=np.uint64).reshape(-1, 2)
-    at = np.searchsorted(space.alpha_strings, strings) @ strides
+    at = np.searchsorted(engine.space.alpha_strings, strings) @ engine.strides
     kappa = np.zeros(problem.n_params)
     # clip: an invalid excitation may reach past the space, and the engine
     # refuses it at kernel's first evaluation
@@ -415,11 +428,7 @@ class OperatorPool:
 
 
 def build_operator_pool(n_orb: int, n_elec: int) -> OperatorPool:
-    ex_ops, param_ids = generate_uccsd(n_orb, n_elec)
-    groups: dict[int, list] = {}
-    for ex, pid in zip(ex_ops, param_ids):
-        groups.setdefault(pid, []).append(ex)
-    return OperatorPool([groups[pid] for pid in sorted(groups)])
+    return OperatorPool(_parameter_groups(*generate_uccsd(n_orb, n_elec)))
 
 
 def _pool_gradients(space: CISpace, pool: OperatorPool, psi: np.ndarray,
@@ -429,7 +438,7 @@ def _pool_gradients(space: CISpace, pool: OperatorPool, psi: np.ndarray,
     rotation tables (Grimsley et al., Nat. Commun. 10, 3007)."""
     z = psi + 1j * h_psi
     return np.array([sum(_generator_gradient(z[table])
-                         for table in _pair_tables(space, group)
+                         for table in _excitation_tables(space, group)
                          if table is not None) for group in pool.groups],
                     dtype=np.float64)
 
@@ -471,11 +480,9 @@ def adapt_vqe(s: IntegralSet, pool: OperatorPool, epsilon: float,
         norm = float(np.linalg.norm(grads))
         if norm < epsilon or len(optimizer_converged) >= max_iter:
             break
-        best = int(np.argmax(np.abs(grads)))
-        new_pid = len(params)
-        for ex in pool.groups[best]:
-            ex_ops.append(ex)
-            param_ids.append(new_pid)
+        group = pool.groups[int(np.argmax(np.abs(grads)))]
+        ex_ops += group
+        param_ids += [len(params)] * len(group)
         problem = UCCProblem(s, ex_ops, param_ids,
                              np.concatenate([params, [0.0]]))
         result = kernel(problem)

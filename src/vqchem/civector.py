@@ -113,6 +113,8 @@ class CISpace:
             raise UnsupportedOpenShell(
                 f"n_elec={n_elec} impossible for n_orb={n_orb}"
             )
+        if n_orb > 64:  # before any string is enumerated
+            raise SizeLimit(f"{n_orb} orbitals exceed the 64-bit strings")
         self.n_orb = int(n_orb)
         self.n_alpha = n_elec // 2
         self.n_beta = n_elec // 2
@@ -260,7 +262,7 @@ def _excitation_sectors(n_orb: int, ex) -> tuple:
 def _excitation_table(space: CISpace, ex):
     """Rotation table of G = g - g-dagger for the excitation tuple ``ex``,
     checked by :func:`_excitation_sectors` and stored under ``("G", ex)``
-    for :func:`_pair_tables`; None when G vanishes (creation set equal to
+    for :func:`_excitation_tables`; None when G vanishes (creation set equal to
     annihilation set, or no determinant reached).
 
     g is a signed partial permutation whose targets and sources are
@@ -348,7 +350,7 @@ def apply_excitation(space: CISpace, v, ex) -> CIVector:
     tuple ``ex`` (creation indices first, annihilation indices last)."""
     amps = _amps(v)
     out = np.zeros_like(amps)
-    table = _pair_tables(space, [ex])[0]
+    table = _excitation_tables(space, [ex])[0]
     if table is not None:
         rows, cols = table
         out[rows] = amps[cols]
@@ -626,7 +628,7 @@ def _check_param_map(ex_ops, params, param_ids):
     return params, ids
 
 
-def _pair_tables(space: CISpace, ex_ops) -> list:
+def _excitation_tables(space: CISpace, ex_ops) -> list:
     """Rotation tables of ``ex_ops``, each from the space's ``("G", ex)``
     cache or built there by :func:`_excitation_table`.  Only excitations
     without a cached table are checked; an invalid one is never cached, so
@@ -661,8 +663,8 @@ def ucc_state(space: CISpace, ex_ops, params, param_ids,
     initial vector, first list entry acting first."""
     params, ids = _check_param_map(ex_ops, params, param_ids)
     start = _start(space, initial)
-    return CIVector(space, _forward(_pair_tables(space, ex_ops), params, ids,
-                                    start))
+    return CIVector(space, _forward(_excitation_tables(space, ex_ops), params,
+                                    ids, start))
 
 
 def energy_and_gradient(space: CISpace, ex_ops, params, param_ids,
@@ -671,7 +673,7 @@ def energy_and_gradient(space: CISpace, ex_ops, params, param_ids,
     sweep, see :func:`_sweep`)."""
     params, ids = _check_param_map(ex_ops, params, param_ids)
     start = _start(space, initial)
-    return _sweep(_pair_tables(space, ex_ops), params, ids, start,
+    return _sweep(_excitation_tables(space, ex_ops), params, ids, start,
                   lambda v: apply_hamiltonian(space, v, s).amplitudes)
 
 

@@ -57,7 +57,6 @@ from .integrals import (
 from .operators import QubitOperator, jordan_wigner, parity_transform
 from .civector import (
     check_vector_dim,
-    doci_ground_state,
     energy as ci_energy,
     fci_ground_state,
     load_civector,
@@ -417,11 +416,10 @@ def _run_vqe(args: argparse.Namespace) -> int:
     _check_state_size(args, s)
     problem, label = _build_problem(args, s)
     fci = _fci_reference(s, args)
-    doci = None
-    if problem.hard_core_boson:  # DOCI bounds a pair ansatz from below
-        space = make_ci_space(s.n_orb, s.n_elec)
-        doci = _reference(args, space.n_strings_alpha,
-                          lambda: doci_ground_state(space, s))
+    doci, engine = None, problem.engine
+    if engine.ground_state:  # DOCI bounds a pair ansatz from below
+        doci = _reference(args, engine.space.n_strings_alpha,
+                          lambda: engine.ground_state(s))
     result = kernel(problem, maxiter=args.maxiter)
     report = print_summary(problem, result, fci_reference=fci,
                            method_label=label, stream=_human_stream(args))

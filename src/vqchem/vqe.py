@@ -286,22 +286,14 @@ def _cubic_min(p, q) -> float:
 # State and energy evaluation at explicit parameters
 # ---------------------------------------------------------------------------
 
-def _check_params(problem: UCCProblem, params) -> np.ndarray:
-    params = np.asarray(params, dtype=float).ravel()
-    if params.size != problem.n_params:
-        raise InvalidParams(
-            f"expected {problem.n_params} parameters, got {params.size}"
-        )
-    if not np.all(np.isfinite(params)):
-        raise InvalidParams("parameters must be finite")
-    return params
-
-
 def civector_at(problem: UCCProblem, params) -> CIVector:
     """The prepared state in the full determinant space (exact also for
     pair-restricted problems, whose excitations are valid there); SizeLimit
     past :func:`vqchem.civector.check_vector_dim` comes before any work."""
-    params = _check_params(problem, params)
+    params = np.asarray(params, dtype=float).ravel()
+    if params.size != problem.n_params:
+        raise InvalidParams(
+            f"expected {problem.n_params} parameters, got {params.size}")
     s = problem.integrals
     check_vector_dim(s.n_orb, s.n_elec)
     space = make_ci_space(s.n_orb, s.n_elec)
@@ -425,13 +417,13 @@ def print_summary(problem: UCCProblem, result: OptResult,
 def result_to_json(problem: UCCProblem, result: OptResult,
                    fci: float | None = None,
                    doci: float | None = None) -> dict:
-    """The JSON payload written by the command-line tools; a pair
-    (hard-core-boson) problem also reports its DOCI energy."""
+    """The JSON payload written by the command-line tools; a problem whose
+    engine has a ground state of its own (the pairs' DOCI) also reports it."""
     s = problem.integrals
     e_hf = hf_energy(s)
     e_mp2 = e_hf + mp2(s).e_corr
     energies = {"hf": e_hf, "mp2": e_mp2, "ucc": result.e, "fci": fci}
-    if problem.hard_core_boson:
+    if problem.engine.ground_state:
         energies["doci"] = doci
     return {
         "energies": energies,

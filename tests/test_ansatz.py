@@ -494,8 +494,8 @@ def test_vanishing_generator_is_skipped_with_zero_gradient(h4):
     params = np.random.default_rng(7).normal(scale=0.3,
                                              size=len(problem.init_guess))
     dead = (4, 0, 4, 0)
-    assert civector._pair_tables(space, [dead]) == [None]
-    assert all(t is not None for t in civector._pair_tables(space,
+    assert civector._excitation_tables(space, [dead]) == [None]
+    assert all(t is not None for t in civector._excitation_tables(space,
                                                              ex_ops[:2]))
     new_id = len(params)
     with_dead = ex_ops[:1] + [dead] + ex_ops[1:]

@@ -41,7 +41,7 @@ from vqchem import (
     ucc_state,
 )
 from vqchem.ansatz import generate_uccsd
-from vqchem.civector import _pair_tables, _same_spin, _sigma, _sigma_plan
+from vqchem.civector import _excitation_tables, _same_spin, _sigma, _sigma_plan
 from vqchem.integrals import IntegralSet, build_hubbard
 from oracles import (
     closed_shell_determinants,
@@ -121,6 +121,13 @@ def test_space_validation():
         make_ci_space(4, 3)
     with pytest.raises(UnsupportedOpenShell):
         make_ci_space(2, 6)
+
+
+def test_space_past_64_orbitals_is_a_size_limit():
+    """CI strings are 64-bit masks: 70 orbitals are refused before a string
+    is built, not as an OverflowError while building them."""
+    with pytest.raises(SizeLimit, match="70 orbitals"):
+        make_ci_space(70, 2)
 
 
 def test_hf_vector_is_first_determinant():
@@ -459,7 +466,7 @@ def test_excitation_tables_match_pinned_digest():
                 ex = cre + ann
                 digest.update(repr(ex).encode())
                 try:
-                    table = _pair_tables(space, [ex])[0]
+                    table = _excitation_tables(space, [ex])[0]
                 except InvalidExcitation as exc:
                     digest.update(b"E" + str(exc).encode())
                     continue

@@ -570,6 +570,18 @@ def test_fci_on_a_huge_fcidump_header_is_a_size_limit(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def test_fci_past_64_orbitals_is_a_size_limit(capsys, tmp_path):
+    """70 orbitals pass the integral-size check (192 MB) but not the CI
+    space's 64-bit strings, which are refused before one is built."""
+    dump = tmp_path / "wide.fcidump"
+    dump.write_text("&FCI NORB=70,NELEC=2,MS2=0, &END\n")
+    code, out, err = run(capsys, "fci", "--fcidump", str(dump))
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[-1].startswith("SizeLimit: 70 orbitals")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("sites", ["0", "1", "-1"])
 def test_hubbard_with_too_few_sites_is_an_invalid_model(capsys, sites):
     """--sites 0 is a value, not a missing flag: it reaches the model

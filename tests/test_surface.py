@@ -73,6 +73,27 @@ def test_every_class_member_has_a_caller_or_is_a_named_entry_point():
     assert uncalled == []
 
 
+def test_only_the_engine_constructor_reads_hard_core_boson():
+    """A problem's engine is chosen once, when the problem is built: no
+    code in the package reads ``.hard_core_boson`` but
+    ``ansatz._engine``, so a new engine is added there and not as one
+    more branch at every site that differs between engines.  (The
+    ``UCCProblem`` field that stores it is a declaration, not a read.)"""
+    readers = []
+    for module, tree in _package_trees().items():
+        parents = {child: node for node in ast.walk(tree)
+                   for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and (
+                    node.attr == "hard_core_boson"):
+                scope = node
+                while scope in parents and not isinstance(
+                        scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    scope = parents[scope]
+                readers.append(f"{module}.{getattr(scope, 'name', '')}")
+    assert readers == ["ansatz._engine"]
+
+
 def test_traced_layers_name_package_functions():
     """Every function that ``bench/layertrace.py`` wraps by name exists, so
     a traced benchmark run cannot fail on a deleted or renamed function."""

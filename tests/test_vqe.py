@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -402,7 +403,7 @@ def test_curvature_reads_no_rotation_table(case, monkeypatch, request):
         raise AssertionError("a rotation table was read")
 
     for module in (ansatz, civector):
-        monkeypatch.setattr(module, "_pair_tables", no_table)
+        monkeypatch.setattr(module, "_excitation_tables", no_table)
         monkeypatch.setattr(module, "_pair_hop_table", no_table)
     for problem, kappa in zip(problems, want):
         got = _problem_curvature(problem)
@@ -428,3 +429,39 @@ def test_pair_hop_on_no_configuration_has_no_curvature():
     result = kernel(problem)
     assert (result.e, result.nit, result.nfev) == (0.0, 0, 1)
     assert result.converged
+
+
+@pytest.mark.parametrize("make, on_determinants",
+                         [(make_uccsd_problem, True),
+                          (make_puccd_problem, False)])
+def test_kernel_reaches_each_traced_layer_once_per_evaluation(
+        make, on_determinants, h4, monkeypatch):
+    """``bench/layertrace.py`` wraps a function in every package module
+    that binds it, so it counts the calls made through module globals.
+    Wrapped the same way, the problem's energy and gradient runs once per
+    kernel evaluation, and so do the determinant engine's energy and
+    gradient and its H apply; the pair engine calls neither."""
+    from vqchem import ansatz, civector
+
+    problem = make(h4)
+    calls = {}
+    for home, name in ((ansatz, "problem_energy_and_gradient"),
+                       (civector, "energy_and_gradient"),
+                       (civector, "apply_hamiltonian")):
+        original = getattr(home, name)
+        calls[name] = 0
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for key, module in list(sys.modules.items()):
+            if key == "vqchem" or key.startswith("vqchem."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counted)
+    result = kernel(problem)
+    inner = result.nfev if on_determinants else 0
+    assert result.nfev > 1
+    assert calls == {"problem_energy_and_gradient": result.nfev,
+                     "energy_and_gradient": inner, "apply_hamiltonian": inner}
