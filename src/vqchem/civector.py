@@ -99,6 +99,8 @@ from .errors import (
 )
 from .integrals import IntegralSet, pair_hamiltonian
 
+# The largest full vector, in determinants (check_vector_dim) or in strings
+# per spin (CISpace), which also bounds a pair-engine vector.
 _ITERATIVE_LIMIT = 1_000_000
 
 
@@ -115,6 +117,9 @@ class CISpace:
             )
         if n_orb > 64:  # before any string is enumerated
             raise SizeLimit(f"{n_orb} orbitals exceed the 64-bit strings")
+        if (n := comb(n_orb, n_elec // 2)) > _ITERATIVE_LIMIT:
+            raise SizeLimit(f"{n} strings per spin exceed the limit of "
+                            f"{_ITERATIVE_LIMIT}")
         self.n_orb = int(n_orb)
         self.n_alpha = n_elec // 2
         self.n_beta = n_elec // 2
@@ -159,7 +164,11 @@ def ci_space_dim(n_orb: int, n_elec: int) -> int:
 
 def check_vector_dim(n_orb: int, n_elec: int) -> int:
     """``ci_space_dim``, or :class:`SizeLimit` past ``_ITERATIVE_LIMIT``
-    determinants, the largest space a full-space vector is built in."""
+    determinants, the largest space a full determinant vector is built in.
+    Every such vector passes :func:`_start` or :func:`hamiltonian_diagonal`,
+    which check it; ``vqchem.vqe.civector_at`` and the command line check
+    earlier, before the work that precedes the vector.  A pair-engine vector
+    holds one amplitude per string, which :class:`CISpace` bounds."""
     dim = ci_space_dim(n_orb, n_elec)
     if dim > _ITERATIVE_LIMIT:
         raise SizeLimit(f"CI dimension {dim} exceeds the limit of "
@@ -456,9 +465,17 @@ def _scratch(size: int) -> np.ndarray:
     return buf
 
 
+def _check_orbitals(space: CISpace, s: IntegralSet) -> None:
+    if s.n_orb != space.n_orb:
+        raise InvalidParams(f"integrals for {s.n_orb} orbitals applied in "
+                            f"{space}")
+
+
 def _per_integrals(space: CISpace, key: str, s: IntegralSet, build):
     """``build()``, cached per integrals in the space's weakly keyed ``key``
-    table: the entry lives as long as ``s``."""
+    table: the entry lives as long as ``s``.  Integrals for another orbital
+    count raise InvalidParams (another electron count is a valid sector)."""
+    _check_orbitals(space, s)
     table = _cached(space._action_cache, key, weakref.WeakKeyDictionary)
     return _cached(table, s, build)
 
@@ -564,7 +581,10 @@ def apply_hamiltonian(space: CISpace, v, s: IntegralSet) -> CIVector:
 def hamiltonian_diagonal(space: CISpace, s: IntegralSet) -> np.ndarray:
     """<D|H|D> for every determinant (a, b): e[a] + e[b] + occ[a] J occ[b]
     + e_core, with J[p, q] = (pp|qq) and e[a] = sum h_pp + 1/2 sum_{p != q}
-    [(pp|qq) - (pq|qp)] over the orbitals of string a."""
+    [(pp|qq) - (pq|qp)] over the orbitals of string a.  A space past
+    :func:`check_vector_dim` raises SizeLimit before anything is built."""
+    _check_orbitals(space, s)
+    check_vector_dim(space.n_orb, space.n_elec)
     occ = _occupations(space)
     j_mat = np.einsum("ppqq->pq", s.int2e)
     jk = j_mat - np.einsum("pqqp->pq", s.int2e)
@@ -645,7 +665,9 @@ def _excitation_tables(space: CISpace, ex_ops) -> list:
 
 def _start(space: CISpace, initial) -> np.ndarray:
     """Amplitudes of the initial vector, the HF determinant by default.  A
-    vector of another space, or of the wrong length, raises InvalidParams."""
+    space past :func:`check_vector_dim` raises SizeLimit; a vector of
+    another space, or of the wrong length, raises InvalidParams."""
+    check_vector_dim(space.n_orb, space.n_elec)
     if initial is None:
         return hf_vector(space).amplitudes
     if isinstance(initial, CIVector):
@@ -778,8 +800,8 @@ def _davidson_ground_state(space: CISpace, s: IntegralSet,
     H10, 205 MB for H12).  Returns the energy and the full normalised
     ground state.
     """
+    diag = hamiltonian_diagonal(space, s)  # refuses a space past the limit
     tri = _Triangle(space.n_strings_alpha)
-    diag = hamiltonian_diagonal(space, s)
     first = int(np.argmin(diag))  # the start determinant, as a full index
     start = int(np.flatnonzero((tri.lower == first)
                                | (tri.upper == first))[0])
@@ -812,7 +834,6 @@ def fci_ground_state(space: CISpace, s: IntegralSet):
     below it is not returned.  Every size takes the packed symmetric
     Davidson (:func:`_davidson_ground_state`); a space past
     ``_ITERATIVE_LIMIT`` determinants raises SizeLimit."""
-    check_vector_dim(space.n_orb, space.n_elec)
     e, vec = _davidson_ground_state(space, s)
     return e, CIVector(space, vec)
 

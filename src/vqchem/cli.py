@@ -37,6 +37,7 @@ import configparser
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -404,16 +405,10 @@ def _finish(args: argparse.Namespace, json_payload, csv_header: list[str],
 # Subcommand runners
 # ---------------------------------------------------------------------------
 
-def _check_state_size(args: argparse.Namespace, s: IntegralSet) -> None:
-    """``--save-state`` writes a full determinant-space vector, so its size
-    is checked before any optimisation."""
-    if args.save_state:
-        check_vector_dim(s.n_orb, s.n_elec)
-
-
 def _run_vqe(args: argparse.Namespace) -> int:
     s = _resolve_integrals(args)
-    _check_state_size(args, s)
+    if args.save_state:  # a determinant vector, even for a pair ansatz
+        check_vector_dim(s.n_orb, s.n_elec)
     problem, label = _build_problem(args, s)
     fci = _fci_reference(s, args)
     doci, engine = None, problem.engine
@@ -426,7 +421,7 @@ def _run_vqe(args: argparse.Namespace) -> int:
     if args.save_state:
         save_civector(args.save_state, civector_at(problem, result.x))
     if args.save_ansatz:
-        save_ansatz(args.save_ansatz, problem)
+        save_ansatz(args.save_ansatz, replace(problem, init_guess=result.x))
     record = result_to_json(problem, result, fci=fci, doci=doci)
     keys = ["hf", "mp2", "ucc", "fci"]
     row = [record["energies"][key] for key in keys]
@@ -437,7 +432,6 @@ def _run_vqe(args: argparse.Namespace) -> int:
 
 def _run_adapt(args: argparse.Namespace) -> int:
     s = _resolve_integrals(args)
-    _check_state_size(args, s)
     pool = build_operator_pool(s.n_orb, s.n_elec)
     epsilon, max_iter = args.epsilon, args.max_iter
     fci = _fci_reference(s, args)

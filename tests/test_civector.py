@@ -40,6 +40,7 @@ from vqchem import (
     save_civector,
     ucc_state,
 )
+from vqchem import civector
 from vqchem.ansatz import generate_uccsd
 from vqchem.civector import _excitation_tables, _same_spin, _sigma, _sigma_plan
 from vqchem.integrals import IntegralSet, build_hubbard
@@ -128,6 +129,38 @@ def test_space_past_64_orbitals_is_a_size_limit():
     is built, not as an OverflowError while building them."""
     with pytest.raises(SizeLimit, match="70 orbitals"):
         make_ci_space(70, 2)
+
+
+def test_space_past_the_string_limit_is_refused_before_enumerating(
+        monkeypatch):
+    """34 electrons in 34 orbitals have 2.3e9 strings per spin, far past
+    the limit on a full vector; they are refused before one is built."""
+    monkeypatch.setattr(civector, "_occupation_strings",
+                        lambda *args: pytest.fail("strings were enumerated"))
+    with pytest.raises(SizeLimit, match="2333606220 strings"):
+        make_ci_space(34, 34)
+
+
+@pytest.mark.parametrize("call", [
+    lambda space, s: energy_and_gradient(space, [(5, 1, 0, 4)], [0.1], [0],
+                                         s),
+    lambda space, s: apply_hamiltonian(space, hf_vector(space), s),
+    lambda space, s: civector.doci_ground_state(space, s),
+    lambda space, s: hamiltonian_diagonal(space, s),
+], ids=["energy_and_gradient", "apply_hamiltonian", "doci_ground_state",
+        "hamiltonian_diagonal"])
+def test_integrals_for_another_orbital_count_are_invalid(h6, call):
+    with pytest.raises(InvalidParams, match="integrals for 6 orbitals"):
+        call(make_ci_space(4, 4), h6)
+
+
+def test_hamiltonian_applies_in_another_electron_sector(h4):
+    """Only the orbital count must match: H of h4 (4 electrons) applies to
+    2 electrons in its 4 orbitals, and <D|H|D> there is the diagonal's."""
+    space = make_ci_space(4, 2)
+    v = apply_hamiltonian(space, hf_vector(space), h4).amplitudes
+    np.testing.assert_allclose(
+        v[0], hamiltonian_diagonal(space, h4)[0], atol=1e-12)
 
 
 def test_hf_vector_is_first_determinant():

@@ -289,6 +289,19 @@ def test_vqe_save_state_and_ansatz(capsys, tmp_path):
     assert abs(json.loads(out)["energies"]["ucc"] - H2_FCI) < 1e-9
 
 
+def test_vqe_save_ansatz_writes_the_optimum(capsys, tmp_path):
+    ansatz = tmp_path / "h4.ansatz"
+    code, out, _ = run(capsys, "vqe", "--fcidump", "h4_sto3g",
+                       "--save-ansatz", str(ansatz), "--format", "json")
+    assert code == 0
+    params = json.loads(out)["params"]
+    lines = ansatz.read_text().splitlines()
+    assert len(lines) == len(json.loads(out)["ex_ops"])
+    for line in lines:
+        pid, _, guess = line.split()
+        assert float(guess) == params[int(pid)]
+
+
 @pytest.mark.parametrize("lines", [
     ["0 (3,2) nan"],
     ["0 (3,2) inf"],
@@ -579,6 +592,42 @@ def test_fci_past_64_orbitals_is_a_size_limit(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert err.splitlines()[-1].startswith("SizeLimit: 70 orbitals")
+    assert "Traceback" not in err
+
+
+def test_fci_past_the_string_limit_is_a_size_limit(capsys, monkeypatch,
+                                                   tmp_path):
+    from vqchem import civector
+
+    monkeypatch.setattr(civector, "_occupation_strings",
+                        lambda *args: pytest.fail("strings were enumerated"))
+    dump = tmp_path / "wide.fcidump"
+    dump.write_text("&FCI NORB=34,NELEC=34,MS2=0, &END\n")
+    code, out, err = run(capsys, "fci", "--fcidump", str(dump))
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[-1].startswith("SizeLimit: 2333606220 strings")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("vqe", "--ansatz", "kupccgsd", "--no-fci-reference"),
+    ("adapt", "--no-fci-reference"),
+], ids=["vqe-kupccgsd", "adapt"])
+def test_oversized_hubbard_fcidump_is_refused_before_any_rotation_table(
+        capsys, monkeypatch, tmp_path, argv):
+    """A 14-site chain has 11,778,624 determinants: the optimisation is
+    refused at its first full vector, before one table is built."""
+    from vqchem import civector
+
+    monkeypatch.setattr(civector, "_excitation_table",
+                        lambda *args: pytest.fail("a table was built"))
+    dump = tmp_path / "hubbard14.fcidump"
+    dump.write_text(write_fcidump(build_hubbard(14, 1.0, 4.0)))
+    code, out, err = run(capsys, *argv, "--fcidump", str(dump))
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[-1].startswith("SizeLimit:")
     assert "Traceback" not in err
 
 

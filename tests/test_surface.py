@@ -94,6 +94,27 @@ def test_only_the_engine_constructor_reads_hard_core_boson():
     assert readers == ["ansatz._engine"]
 
 
+def test_vector_size_is_checked_where_vectors_are_built():
+    """``check_vector_dim`` runs where every full determinant vector is
+    built, in ``civector._start`` and ``civector.hamiltonian_diagonal``,
+    and where a refusal must come before earlier work: in
+    ``vqe.civector_at`` and in the command line's ``--save-state`` and
+    Hubbard chain.  A copy anywhere else restates the rule."""
+    callers = []
+    for module, tree in _package_trees().items():
+        for scope in ast.walk(tree):
+            if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                callers += [
+                    f"{module}.{scope.name}" for node in ast.walk(scope)
+                    if isinstance(node, ast.Call)
+                    and getattr(node.func, "id",
+                                getattr(node.func, "attr", None))
+                    == "check_vector_dim"]
+    assert sorted(callers) == [
+        "civector._start", "civector.hamiltonian_diagonal", "cli._run_hubbard",
+        "cli._run_vqe", "vqe.civector_at"]
+
+
 def test_traced_layers_name_package_functions():
     """Every function that ``bench/layertrace.py`` wraps by name exists, so
     a traced benchmark run cannot fail on a deleted or renamed function."""

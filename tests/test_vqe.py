@@ -10,8 +10,11 @@ from vqchem import (
     InvalidParams,
     SizeLimit,
     UCCProblem,
+    adapt_vqe,
     apply_excitation,
     build_fermion_hamiltonian,
+    build_hubbard,
+    build_operator_pool,
     build_ry_ansatz,
     civector_at,
     civector_to_statevector,
@@ -120,6 +123,22 @@ def test_civector_at_refuses_an_oversized_space_before_building_it(
                         lambda *args: pytest.fail("the space was built"))
     with pytest.raises(SizeLimit):
         civector_at(problem, [0.1])
+
+
+@pytest.mark.parametrize("solve", [
+    lambda s: kernel(make_kupccgsd_problem(s)),
+    lambda s: adapt_vqe(s, build_operator_pool(s.n_orb, s.n_elec), 1e-3),
+], ids=["kernel", "adapt_vqe"])
+def test_oversized_space_is_refused_before_any_rotation_table(
+        monkeypatch, solve):
+    """A 14-site chain has 3,432 strings per spin but 11,778,624
+    determinants, past the limit on a full determinant vector."""
+    from vqchem import civector
+
+    monkeypatch.setattr(civector, "_excitation_table",
+                        lambda *args: pytest.fail("a table was built"))
+    with pytest.raises(SizeLimit, match="CI dimension 11778624"):
+        solve(build_hubbard(14, 1.0, 4.0))
 
 
 def test_deterministic_reruns(h4):
